@@ -39,9 +39,10 @@ check: build test check-par check-cache check-coverage
 	  BENCH_7.json _build/check-bench7.json --fail-on-regress 50
 
 # Cache differential gate, end-to-end through the CLI: the same audit
-# three ways — no cache (the jobs=1 oracle), cold against an empty
-# store, then warm from the store the cold run just populated — must
-# produce byte-identical reports and adcheck-evidence/1 journals.
+# four ways — no cache (the jobs=1 oracle), cold against an empty
+# store, then warm from the store the cold run just populated, at
+# jobs 1 and at jobs 8 — must produce byte-identical reports and
+# adcheck-evidence/1 journals.
 # test_cache_diff locks the same contract in-process (plus incremental
 # edits, corrupt stores and QCheck edit sequences); this target locks
 # the shipped binary's --cache threading.
@@ -55,10 +56,15 @@ check-cache: build
 	dune exec bin/adcheck.exe -- audit --scale small --seed 7 --jobs 1 \
 	  --cache _build/check-cache-store \
 	  --evidence _build/cc-warm.jsonl > _build/cc-warm.out
+	dune exec bin/adcheck.exe -- audit --scale small --seed 7 --jobs 8 \
+	  --cache _build/check-cache-store \
+	  --evidence _build/cc-warm8.jsonl > _build/cc-warm8.out
 	cmp _build/cc-oracle.out _build/cc-cold.out
 	cmp _build/cc-oracle.out _build/cc-warm.out
+	cmp _build/cc-oracle.out _build/cc-warm8.out
 	cmp _build/cc-oracle.jsonl _build/cc-cold.jsonl
 	cmp _build/cc-oracle.jsonl _build/cc-warm.jsonl
+	cmp _build/cc-oracle.jsonl _build/cc-warm8.jsonl
 
 # CLI coverage goldens: `adcheck coverage` for the Figure 5 (yolo) and
 # Figure 6 (stencil) subjects, printed output and coverage tables.  The

@@ -31,7 +31,7 @@ let magic = "adcheck-cache/1"
 
 (* Bump on any change to the marshaled layout of a cached artifact
    (AST, dataflow summaries, violations, bytecode, coverage outcomes). *)
-let version_salt = "adcheck-cache/1 schema=1"
+let version_salt = "adcheck-cache/1 schema=2"
 
 type t = {
   cache_dir : string;

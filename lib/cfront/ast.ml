@@ -167,8 +167,10 @@ type tu = {
   comment_lines : int;
   directives : (int * Preproc.directive) list;
   diags : string list;
-  n_exprs : int;  (** total expression nodes = max eid + 1 *)
-  n_stmts : int;
+  n_exprs : int;
+      (** expression nodes; their ids are [Parser.id_tag tu_file lor i]
+          for [i] in [0, n_exprs) *)
+  n_stmts : int;  (** statement nodes, numbered the same way *)
 }
 
 (** Fully-qualified function name, e.g. ["perception::Detector::Resize"]. *)

@@ -15,6 +15,7 @@ exception Parse_error of string * Loc.t
 
 type state = {
   toks : Token.t array;
+  tag : int;  (** [id_tag] of the unit's path *)
   mutable pos : int;
   mutable n_eids : int;
   mutable n_sids : int;
@@ -24,47 +25,11 @@ type state = {
       (** extra declarators of the top currently being parsed *)
 }
 
-(* Expression/statement ids are globally unique across every translation
-   unit parsed in the process: the coverage collector keys its counters on
-   them, and a multi-file program must not alias ids between files.
-   Atomic so translation units may be parsed on concurrent domains
-   (Cfront.Project.parse under --jobs); ids then interleave between
-   files but never alias, and sequential parses allocate the exact ids
-   they always did. *)
-let global_eid = Atomic.make 0
-let global_sid = Atomic.make 0
-
-(* Id-trajectory hooks for the artifact cache (Cache/--cache DIR): a
-   cache hit must consume exactly the id range the skipped parse would
-   have allocated, so every later parse in the process starts from the
-   same base a cold run would give it — that is what keeps collector
-   fingerprints (which embed raw eids/sids) byte-identical between cold
-   and warm runs. *)
-let id_state () = (Atomic.get global_eid, Atomic.get global_sid)
-
-let reserve_ids ~eids ~sids =
-  ignore (Atomic.fetch_and_add global_eid eids);
-  ignore (Atomic.fetch_and_add global_sid sids)
-
-(* Only for cache-enabled runs (Iso26262.Audit resets before parsing so
-   the trajectory is process-position-independent and artifacts recorded
-   by one process are hits in the next); never called on the cold
-   no-cache oracle path, whose historical id sequence stays untouched. *)
-let reset_ids () =
-  Atomic.set global_eid 0;
-  Atomic.set global_sid 0
-
-(* Pin the counters to an absolute base.  Cache-enabled coverage phases
-   use fixed, well-separated bases so their parses — and therefore the
-   collector fingerprints and cached outcomes keyed on those ids — are
-   independent of how many ids the corpus consumed before them: editing
-   a corpus file then no longer invalidates the coverage artifacts.
-   Safe because coverage ids never need to be globally unique against
-   corpus ids (each phase scores its own collector over its own parse);
-   like [reset_ids], never called on the cold no-cache oracle path. *)
-let set_ids ~eids ~sids =
-  Atomic.set global_eid eids;
-  Atomic.set global_sid sids
+(* Expression/statement ids are dense per translation unit (0, 1, 2, ...
+   in parse order) under a tag derived from the unit's path alone, so a
+   parse is a function of its path and content: no process-global state,
+   nothing shared between domains parsing concurrently. *)
+let id_tag file = (Hashtbl.hash file land 0x3fffffff) lsl 32
 
 let builtin_type_names =
   [
@@ -74,11 +39,11 @@ let builtin_type_names =
     "cudaStream_t"; "string"; "std::string";
   ]
 
-let make_state toks =
+let make_state ~file toks =
   let type_names = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace type_names n ()) builtin_type_names;
-  { toks = Array.of_list toks; pos = 0; n_eids = 0; n_sids = 0; type_names;
-    diags = []; pending_tops = [] }
+  { toks = Array.of_list toks; tag = id_tag file; pos = 0; n_eids = 0;
+    n_sids = 0; type_names; diags = []; pending_tops = [] }
 
 let cur st = st.toks.(Stdlib.min st.pos (Array.length st.toks - 1))
 let cur_kind st = (cur st).Token.kind
@@ -115,12 +80,14 @@ let expect_ident st =
   | _ -> err st (Printf.sprintf "expected identifier, found %s" (Token.to_string (cur st)))
 
 let fresh_eid st =
+  let id = st.tag lor st.n_eids in
   st.n_eids <- st.n_eids + 1;
-  Atomic.fetch_and_add global_eid 1
+  id
 
 let fresh_sid st =
+  let id = st.tag lor st.n_sids in
   st.n_sids <- st.n_sids + 1;
-  Atomic.fetch_and_add global_sid 1
+  id
 
 let mk_expr st loc e = { Ast.e; eloc = loc; eid = fresh_eid st }
 let mk_stmt st loc s = { Ast.s; sloc = loc; sid = fresh_sid st }
@@ -1140,7 +1107,7 @@ let parse_file ?(extra_types = []) ~file source =
       pre.Preproc.directives
   in
   let tokens = Preproc.expand_macros ~defines lexed.Lexer.tokens in
-  let st = make_state tokens in
+  let st = make_state ~file tokens in
 
   List.iter (register_type st) extra_types;
   let tops = ref [] in
@@ -1164,11 +1131,11 @@ let parse_file ?(extra_types = []) ~file source =
 (** Parse an expression in isolation (used by tests). *)
 let parse_expr_string src =
   let lexed = Lexer.tokenize ~file:"<expr>" src in
-  let st = make_state lexed.Lexer.tokens in
+  let st = make_state ~file:"<expr>" lexed.Lexer.tokens in
   parse_expr st
 
 (** Parse a statement in isolation (used by tests). *)
 let parse_stmt_string src =
   let lexed = Lexer.tokenize ~file:"<stmt>" src in
-  let st = make_state lexed.Lexer.tokens in
+  let st = make_state ~file:"<stmt>" lexed.Lexer.tokens in
   parse_stmt st

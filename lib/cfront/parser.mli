@@ -6,9 +6,12 @@
     analyzers such as Lizard.  Inside function bodies parsing is strict; a
     failing body aborts only that definition.
 
-    Expression and statement ids are globally unique across every
-    translation unit parsed in the process, so coverage counters keyed on
-    them never alias between files. *)
+    Expression and statement ids are a function of the unit's path and
+    content only: dense local ids in parse order, qualified by
+    {!id_tag}[ file].  Re-parsing a unit reproduces its ids whatever was
+    parsed before it or alongside it, and units with different paths get
+    disjoint ids (barring a tag collision, which
+    [Coverage.Compile.compile_uncached] rejects). *)
 
 exception Parse_error of string * Loc.t
 
@@ -17,32 +20,14 @@ exception Parse_error of string * Loc.t
     [extra_types] seeds the type-name registry — the stand-in for type
     names that would arrive via header includes (see
     {!Cfront.Project.parse}, which derives them automatically for
-    multi-file projects).  [file] is used for locations only; [source] is
-    the raw text (the preprocessor runs internally). *)
+    multi-file projects).  [file] names locations and derives the id
+    tag; [source] is the raw text (the preprocessor runs internally). *)
 val parse_file : ?extra_types:string list -> file:string -> string -> Ast.tu
 
-(** Current [(next eid, next sid)] of the process-global id counters. *)
-val id_state : unit -> int * int
-
-(** Advance the global id counters by [eids]/[sids] without parsing —
-    called when a cache hit replaces a parse, so the skipped parse still
-    consumes its id range and every later parse starts from the same
-    base a cold run would give it (collector fingerprints embed raw
-    ids, and the cache's cold-vs-warm byte-identity contract covers
-    them). *)
-val reserve_ids : eids:int -> sids:int -> unit
-
-(** Reset the global id counters.  Only cache-enabled pipelines do this
-    (making id trajectories process-position-independent so artifacts
-    recorded by one process are hits in the next); the cold no-cache
-    oracle path never resets. *)
-val reset_ids : unit -> unit
-
-(** Pin the global id counters to an absolute base.  Cache-enabled
-    coverage phases park their parses at fixed, well-separated bases so
-    the artifacts keyed on those ids survive corpus edits; never called
-    on the cold no-cache oracle path. *)
-val set_ids : eids:int -> sids:int -> unit
+(** The high bits shared by every expression and statement id of a
+    unit parsed with [~file]: a 30-bit hash of the path, shifted above
+    the 32-bit local id range. *)
+val id_tag : string -> int
 
 (** Parse an expression in isolation (tests and tooling). *)
 val parse_expr_string : string -> Ast.expr

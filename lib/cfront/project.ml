@@ -102,18 +102,14 @@ let parse t =
           match Cache.global () with
           | None -> fresh ()
           | Some c ->
-            (* Content-addressed parse artifact.  On a hit the skipped
-               parse must still consume its global id range so later
-               parses start from cold-identical bases (the cached tu
-               carries the ids it was recorded with). *)
+            (* Content-addressed parse artifact: a parse depends only on
+               the path, the content and the shared type names. *)
             let key =
               Cache.key ~kind:"parse"
                 [ f.path; Cache.fnv1a64 f.content; types_key ]
             in
             (match Cache.find c ~kind:"parse" ~key with
-             | Some (tu : Ast.tu) ->
-               Parser.reserve_ids ~eids:tu.Ast.n_exprs ~sids:tu.Ast.n_stmts;
-               { file = f; tu }
+             | Some (tu : Ast.tu) -> { file = f; tu }
              | None ->
                let pf = fresh () in
                Cache.store c ~owner:f.path ~kind:"parse" ~key pf.tu;

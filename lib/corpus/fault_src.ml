@@ -135,10 +135,11 @@ type outcome = {
   as_expected : bool;
 }
 
-(** Engine form of the scenario list, over a shared parse of the YOLO
-    sources: each driver is parsed privately, but the measured units are
-    the caller's [yolo_tus], so per-file hit sets collected by different
-    fault scenarios merge on identical statement/decision ids. *)
+(** Engine form of the scenario list, over the caller's parse of the
+    YOLO sources: each driver is parsed privately under its own path
+    ([fault/<name>.c]), so its ids never alias the measured units', and
+    per-file hit sets collected by different fault scenarios merge on
+    the measured units' statement/decision ids. *)
 let to_scenarios ~yolo_tus =
   List.map
     (fun sc ->

@@ -24,9 +24,10 @@ let batches_of size xs =
 
 let full () =
   Telemetry.with_span ~cat:"coverage" "coverage.scenario_set" @@ fun () ->
-  (* ONE parse of the YOLO sources: statement/decision ids are assigned
-     at parse time, so every scenario must share these units for its hit
-     sets to merge onto the same keys. *)
+  (* One parse of the YOLO sources, shared by every scenario so that
+     programs over the same units compile once.  Ids depend only on path
+     and content, so hit sets would merge onto the same keys from
+     separate parses too. *)
   let yolo_tus = Yolo_src.parse_all () in
   let measured = List.map fst Yolo_src.measured_files in
   (* One scenario per real-scenario test, in the driver's call order.

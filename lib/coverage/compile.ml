@@ -764,7 +764,25 @@ let compile_fn p (fn : A.func) : B.cfn =
   in
   { cfn with B.cf_max_stack = B.validate cfn }
 
+(* Probe operands and collector keys are raw eids/sids, which stay
+   distinct across the units of one program only while their path tags
+   do: reject the same path twice, or two paths whose tags collide. *)
+let check_id_tags (tus : A.tu list) =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (tu : A.tu) ->
+      let tag = Cfront.Parser.id_tag tu.A.tu_file in
+      match Hashtbl.find_opt seen tag with
+      | Some other ->
+        invalid_arg
+          (Printf.sprintf
+             "Coverage.Compile: units %S and %S share an id tag" other
+             tu.A.tu_file)
+      | None -> Hashtbl.replace seen tag tu.A.tu_file)
+    tus
+
 let compile_uncached (tus : A.tu list) : B.program =
+  check_id_tags tus;
   (* pass 1: replica symbol tables.  [findex] receives exactly the key
      operations [Interp.load_tu] performs on [env.funcs] (same initial
      capacity, same replace/mem sequence), so Hashtbl.fold visits keys
@@ -815,11 +833,9 @@ let compile_uncached (tus : A.tu list) : B.program =
   }
 
 (* Cached entry point.  The key hashes the marshaled tu list, which
-   embeds every eid/sid operand the probe instructions will carry — so
-   an artifact recorded under one id trajectory can only hit when the
-   current parse reproduces those exact bytes, making the artifact
-   self-validating (a mismatched trajectory is a miss and a recompile,
-   never a wrong program).  No owner: the key alone decides validity. *)
+   embeds every eid/sid operand the probe instructions will carry; ids
+   are a function of each unit's path and content, so re-parsing the
+   same sources hits.  No owner: the key alone decides validity. *)
 let compile (tus : A.tu list) : B.program =
   match Cache.global () with
   | None -> compile_uncached tus

@@ -12,5 +12,9 @@ val compile : Cfront.Ast.tu list -> Bytecode.program
 (** [compile] without the artifact cache: always lowers [tus] afresh.
     For callers that are themselves memoized whole, where a nested
     [bytecode] artifact (and the marshaled-key hash it costs) would be
-    redundant. *)
+    redundant.
+
+    @raise Invalid_argument naming both paths when two units share an id
+    tag ({!Cfront.Parser.id_tag}): the same path twice, or a hash
+    collision.  Their ids would alias in the probes and the collector. *)
 val compile_uncached : Cfront.Ast.tu list -> Bytecode.program

@@ -102,9 +102,10 @@ let run_all ?(engine = Bytecode) scenarios =
   in
   (* With the artifact cache enabled, whole outcomes are memoized.  The
      key hashes the marshaled tu list — which embeds every eid/sid the
-     collector will key on — plus engine, name and entries, so a cached
-     outcome can only hit when replaying it is byte-identical to
-     re-running (fingerprints included).  Hashed once per distinct parse,
+     collector will key on, each a function of its unit's path and
+     content — plus engine, name and entries, so a cached outcome can
+     only hit when replaying it is byte-identical to re-running
+     (fingerprints included).  Hashed once per distinct parse,
      mirroring [compile_cache]'s physical-equality grouping.  The stored
      value carries the findings the run recorded (coverage runs journal
      through scoring, not here, but the capture keeps the journal exact

@@ -131,43 +131,27 @@ let invalidate_against_manifest c (project : Cfront.Project.t) =
     inv
 
 (* Memoize a whole coverage phase (parse embedded sources, run the
-   scenarios, score).  Collector fingerprints embed the raw eids/sids
-   the phase's parse assigns, so an artifact recorded at one id base can
-   only be replayed at the same base — the phase therefore pins the
-   global counters to its own fixed [base] first, making the artifact
-   (and the scenario/bytecode artifacts recorded inside the phase)
-   independent of how many ids the corpus consumed: a corpus edit leaves
-   the whole coverage layer warm.  The key still carries the observed
-   entry state as a guard; at jobs>1 two phases can race on the shared
-   counters, in which case the key records a foreign base and the phase
-   conservatively recomputes.  Findings recorded inside the phase
+   scenarios, score).  The phase's parse, and so every collector
+   fingerprint it produces, depends only on the source paths and
+   contents the key hashes.  Findings recorded inside the phase
    (coverage-gap findings from scoring) are captured and replayed so the
    evidence journal stays byte-identical. *)
-let cached_coverage_phase ~name ~base ~(src_files : (string * string) list) f =
+let cached_coverage_phase ~name ~(src_files : (string * string) list) f =
   match Cache.global () with
   | None -> f ()
   | Some c ->
-    Cfront.Parser.set_ids ~eids:base ~sids:base;
-    let e0, s0 = Cfront.Parser.id_state () in
     let key =
       Cache.key ~kind:"covphase"
         [ name;
           Cache.fnv1a64
             (String.concat "\x00"
-               (List.concat_map (fun (p, s) -> [ p; s ]) src_files));
-          string_of_int e0; string_of_int s0 ]
+               (List.concat_map (fun (p, s) -> [ p; s ]) src_files)) ]
     in
-    (match Cache.find c ~kind:"covphase" ~key with
-     | Some (result, findings, d_eids, d_sids) ->
-       Cfront.Parser.reserve_ids ~eids:d_eids ~sids:d_sids;
-       Provenance.absorb findings;
-       result
-     | None ->
-       let result, findings = Provenance.collect f in
-       let e1, s1 = Cfront.Parser.id_state () in
-       Cache.store c ~kind:"covphase" ~key (result, findings, e1 - e0, s1 - s0);
-       Provenance.absorb findings;
-       result)
+    let result, findings =
+      Cache.memo c ~kind:"covphase" ~key (fun () -> Provenance.collect f)
+    in
+    Provenance.absorb findings;
+    result
 
 let run_yolo_coverage () =
   let tus = Corpus.Yolo_src.parse_all () in
@@ -182,16 +166,13 @@ let run_stencil_coverage () =
   let result = Cudasim.Runner.run ~entry:Corpus.Stencil_src.entry ~measured tus in
   (result.Cudasim.Runner.files, result.Cudasim.Runner.exit_value)
 
-(* The audited coverage phases, memoized whole when the cache is on.
-   Bases are far above any corpus id range and far apart from each
-   other, so neither corpus growth nor the sibling phase can reach into
-   a phase's id space at jobs=1. *)
+(* The audited coverage phases, memoized whole when the cache is on. *)
 let yolo_phase () =
-  cached_coverage_phase ~name:"coverage.yolo" ~base:0x1000000
+  cached_coverage_phase ~name:"coverage.yolo"
     ~src_files:Corpus.Yolo_src.files run_yolo_coverage
 
 let stencil_phase () =
-  cached_coverage_phase ~name:"coverage.stencil" ~base:0x2000000
+  cached_coverage_phase ~name:"coverage.stencil"
     ~src_files:Corpus.Stencil_src.files run_stencil_coverage
 
 (** [run ()] audits the default full-scale Apollo-profile corpus.
@@ -238,11 +219,6 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
              ("modules", string_of_int (List.length specs)) ]
   @@ fun () ->
   let cache = Cache.global () in
-  (* Cache-enabled runs restart the global id counters, making every
-     audit's id trajectory process-position-independent: artifacts
-     recorded by one process (or an earlier audit in this one) are hits
-     in the next.  The cold no-cache oracle path never resets. *)
-  (match cache with Some _ -> Cfront.Parser.reset_ids () | None -> ());
   (* [gc_phase] wraps each pipeline stage: runtime-tier GC deltas and
      phase wall time per stage (who allocates, who collects), without
      touching the deterministic work-tier data recorded inside. *)

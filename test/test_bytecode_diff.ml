@@ -535,9 +535,8 @@ let test_runner_matches_tree () =
 (* Corpus-scale differential over the full scenario set                *)
 (* ------------------------------------------------------------------ *)
 
-(* Built ONCE at jobs=1 and shared by every engine/jobs combination:
-   statement and decision ids come from a process-global counter, so
-   only a single shared parse makes collectors comparable. *)
+(* Built ONCE at jobs=1 and shared by every engine/jobs combination, so
+   the set is constructed (and its probes planned) a single time. *)
 let coverage_set =
   lazy
     (Util.Pool.set_default_jobs 1;

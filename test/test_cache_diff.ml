@@ -249,23 +249,28 @@ let test_remove_owned () =
   Alcotest.(check int) "removals counted as invalidated" 2
     (Cache.stats c).Cache.invalidated
 
+(* A store written by another tool version is wiped, not trusted —
+   including schema=1, whose covphase payload is a 4-tuple that would
+   unmarshal unsafely at today's 2-tuple type. *)
 let test_version_salt_wipe () =
-  let dir = fresh_dir "adcheck-version" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let c = Cache.open_dir dir in
-  let key = Cache.key ~kind:"parse" [ "v" ] in
-  Cache.store c ~kind:"parse" ~key "V";
-  Alcotest.(check bool) "artifact present before reopen" true
-    (artifact_files dir <> []);
-  (* a store written by another tool version is wiped, not trusted *)
-  write_file (Filename.concat dir "VERSION") "adcheck-cache/0 schema=0\n";
-  let c2 = Cache.open_dir dir in
-  Alcotest.(check (list string)) "salt mismatch wipes the store" []
-    (artifact_files dir);
-  Alcotest.(check bool) "old artifact is a clean miss" true
-    (Cache.find c2 ~kind:"parse" ~key = (None : string option));
-  Alcotest.(check int) "wipe is not a corruption event" 0
-    (Cache.stats c2).Cache.corrupt
+  List.iter
+    (fun foreign ->
+      let dir = fresh_dir "adcheck-version" in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let c = Cache.open_dir dir in
+      let key = Cache.key ~kind:"parse" [ "v" ] in
+      Cache.store c ~kind:"parse" ~key "V";
+      Alcotest.(check bool) "artifact present before reopen" true
+        (artifact_files dir <> []);
+      write_file (Filename.concat dir "VERSION") (foreign ^ "\n");
+      let c2 = Cache.open_dir dir in
+      Alcotest.(check (list string))
+        (foreign ^ ": salt mismatch wipes the store") [] (artifact_files dir);
+      Alcotest.(check bool) "old artifact is a clean miss" true
+        (Cache.find c2 ~kind:"parse" ~key = (None : string option));
+      Alcotest.(check int) "wipe is not a corruption event" 0
+        (Cache.stats c2).Cache.corrupt)
+    [ "adcheck-cache/0 schema=0"; "adcheck-cache/1 schema=1" ]
 
 (* ------------------------------------------------------------------ *)
 (* A small real project: parse + MISRA + dataflow through one store    *)
@@ -299,12 +304,11 @@ let project_of files =
             files } ]
 
 (* One warm run over [tree] against store [c], replaying the audit's
-   cache discipline: restart the id counters, diff against the stored
-   manifest (sweeping only paths that left the tree), parse, save the
-   new manifest, then MISRA + per-file dataflow.  Returns a rendering
-   that covers every cached artifact kind plus the finding ids. *)
+   cache discipline: diff against the stored manifest (sweeping only
+   paths that left the tree), parse, save the new manifest, then MISRA +
+   per-file dataflow.  Returns a rendering that covers every cached
+   artifact kind plus the finding ids. *)
 let lib_run c tree =
-  Cfront.Parser.reset_ids ();
   let hashes =
     List.map
       (fun (f : Cfront.Project.source_file) ->
@@ -555,9 +559,7 @@ type audit_obs = {
 }
 
 (* One audit under the tick clock at [jobs], optionally against [cache]
-   and over an explicit [project] tree.  The id counters restart before
-   every run — including the no-cache oracle — so in-process runs are
-   base-comparable with each other and with a fresh process. *)
+   and over an explicit [project] tree. *)
 let audit_obs ?project ~jobs ~cache () =
   Util.Pool.set_default_jobs jobs;
   Telemetry.reset ();
@@ -573,7 +575,6 @@ let audit_obs ?project ~jobs ~cache () =
       Util.Pool.set_default_jobs restore_jobs)
   @@ fun () ->
   let before = Option.map Cache.stats cache in
-  Cfront.Parser.reset_ids ();
   let audit =
     Iso26262.Audit.run ~seed:diff_seed ~specs:trimmed_specs ?project ()
   in
@@ -625,28 +626,24 @@ let test_audit_cold_with_cache () =
       (d.Cache.misses > 0 && d.Cache.stores > 0);
     Alcotest.(check int) "no invalidation on first contact" 0 obs.a_invalidate
 
-let test_audit_warm_jobs1 () =
-  let obs = audit_obs ~jobs:1 ~cache:(Some (Lazy.force audit_store)) () in
-  check_matches_oracle ~name:"warm jobs=1" obs;
+(* Warm from the store the cold jobs=1 run filled: oracle bytes, no
+   recomputation, no invalidation — at every jobs value. *)
+let check_warm ~jobs =
+  let name = Printf.sprintf "warm jobs=%d" jobs in
+  let obs = audit_obs ~jobs ~cache:(Some (Lazy.force audit_store)) () in
+  check_matches_oracle ~name obs;
   match obs.a_stats with
   | None -> Alcotest.fail "no cache stats"
   | Some d ->
-    Alcotest.(check int) "warm jobs=1 recomputes nothing" 0 d.Cache.misses;
-    Alcotest.(check bool) "warm jobs=1 answers from the store" true
+    Alcotest.(check int) (name ^ " recomputes nothing") 0 d.Cache.misses;
+    Alcotest.(check bool) (name ^ " answers from the store") true
       (d.Cache.hits > 0);
     Alcotest.(check int) "identical tree invalidates nothing" 0
       obs.a_invalidate
 
-(* At jobs>1 the pipelined coverage phases may enter at racing id bases,
-   so a phase artifact can conservatively miss — the contract is byte
-   identity, not hit count. *)
-let test_audit_warm_jobs2 () =
-  check_matches_oracle ~name:"warm jobs=2"
-    (audit_obs ~jobs:2 ~cache:(Some (Lazy.force audit_store)) ())
-
-let test_audit_warm_jobs8 () =
-  check_matches_oracle ~name:"warm jobs=8"
-    (audit_obs ~jobs:8 ~cache:(Some (Lazy.force audit_store)) ())
+let test_audit_warm_jobs1 () = check_warm ~jobs:1
+let test_audit_warm_jobs2 () = check_warm ~jobs:2
+let test_audit_warm_jobs8 () = check_warm ~jobs:8
 
 (* ------------------------------------------------------------------ *)
 (* Incremental: one edit, exact invalidation set, oracle equality      *)

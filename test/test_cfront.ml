@@ -373,19 +373,53 @@ let test_parse_extern_c () =
   Alcotest.(check bool) "extern" true (List.mem Cfront.Ast.Q_extern f.Cfront.Ast.f_quals);
   Alcotest.(check bool) "prototype" true (f.Cfront.Ast.f_body = None)
 
+(* Every expression and statement id of a unit, in traversal order. *)
+let ids_of tu =
+  let acc = ref [] in
+  List.iter
+    (fun (f : Cfront.Ast.func) ->
+      Cfront.Ast.iter_exprs_of_func (fun e -> acc := e.Cfront.Ast.eid :: !acc) f;
+      Option.iter
+        (Cfront.Ast.iter_stmts (fun s -> acc := s.Cfront.Ast.sid :: !acc))
+        f.Cfront.Ast.f_body)
+    (Cfront.Ast.functions_of_tu tu);
+  List.rev !acc
+
+(* Ids are a function of path and content: re-parsing reproduces them
+   exactly, whatever was parsed in between. *)
+let test_ids_reproducible () =
+  let src = "int A(int x) { if (x > 0) { return 1; } return 2; }" in
+  let tu1 = Cfront.Parser.parse_file ~file:"a.cc" src in
+  ignore (Cfront.Parser.parse_file ~file:"b.cc" "int B() { return B(); }");
+  let tu2 = Cfront.Parser.parse_file ~file:"a.cc" src in
+  Alcotest.(check (list int)) "same ids" (ids_of tu1) (ids_of tu2);
+  Alcotest.(check bool) "same marshaled unit" true
+    (Marshal.to_string tu1 [] = Marshal.to_string tu2 [])
+
 let test_unique_ids_across_tus () =
-  let tu1 = parse "int A() { return 1; }" in
-  let tu2 = parse "int B() { return 2; }" in
-  let ids tu =
-    let acc = ref [] in
-    List.iter
-      (fun f ->
-        Cfront.Ast.iter_exprs_of_func (fun e -> acc := e.Cfront.Ast.eid :: !acc) f)
-      (Cfront.Ast.functions_of_tu tu);
-    !acc
-  in
-  let shared = List.filter (fun i -> List.mem i (ids tu2)) (ids tu1) in
+  let tu1 = Cfront.Parser.parse_file ~file:"a.cc" "int A() { return 1; }" in
+  let tu2 = Cfront.Parser.parse_file ~file:"b.cc" "int B() { return 2; }" in
+  let shared = List.filter (fun i -> List.mem i (ids_of tu2)) (ids_of tu1) in
   Alcotest.(check (list int)) "no id collisions" [] shared
+
+(* A project parse is the same value at any worker count. *)
+let test_project_parse_jobs_independent () =
+  let restore = Util.Pool.default_jobs () in
+  Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs restore)
+  @@ fun () ->
+  let project =
+    Corpus.Generator.generate ~seed:2019 Corpus.Apollo_profile.small
+  in
+  let tus_at jobs =
+    Util.Pool.set_default_jobs jobs;
+    Marshal.to_string
+      (List.map
+         (fun pf -> pf.Cfront.Project.tu)
+         (Cfront.Project.parse project).Cfront.Project.files)
+      []
+  in
+  let seq = tus_at 1 in
+  Alcotest.(check bool) "jobs=8 tus equal jobs=1 tus" true (seq = tus_at 8)
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printer round trip                                            *)
@@ -540,6 +574,10 @@ let () =
           Alcotest.test_case "device global" `Quick test_parse_device_global_var;
           Alcotest.test_case "extern C" `Quick test_parse_extern_c;
           Alcotest.test_case "unique ids across TUs" `Quick test_unique_ids_across_tus;
+          Alcotest.test_case "ids reproducible across parses" `Quick
+            test_ids_reproducible;
+          Alcotest.test_case "project parse jobs-independent" `Quick
+            test_project_parse_jobs_independent;
         ] );
       ( "parser-stmts",
         [

@@ -239,6 +239,18 @@ let test_interp_multi_tu_program () =
   | Ok v -> Alcotest.(check int64) "cross-unit call" 42L (Coverage.Value.as_int v)
   | Error e -> Alcotest.failf "error: %s" e
 
+(* Two units under one path would share an id tag, so their probes and
+   collector keys would alias: assembling them into one program fails
+   loudly. *)
+let test_compile_rejects_shared_id_tag () =
+  let tu1 = parse "int Helper(int a) { return a * 2; }" in
+  let tu2 = parse "int main() { return Helper(21); }" in
+  match Coverage.Compile.compile_uncached [ tu1; tu2 ] with
+  | _ -> Alcotest.fail "same path twice must not compile"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "names both units"
+      "Coverage.Compile: units \"c.cu\" and \"c.cu\" share an id tag" msg
+
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -801,6 +813,8 @@ let () =
           Alcotest.test_case "uncaught throw" `Quick test_interp_uncaught_throw;
           Alcotest.test_case "null deref" `Quick test_interp_null_deref;
           Alcotest.test_case "multi-TU program" `Quick test_interp_multi_tu_program;
+          Alcotest.test_case "compile rejects shared id tag" `Quick
+            test_compile_rejects_shared_id_tag;
         ] );
       ( "instrument",
         [

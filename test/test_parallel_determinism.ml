@@ -117,11 +117,10 @@ let oracle = lazy (run_pipeline ~jobs:1)
 (* per-file hit sets, same statement percentages, same MC/DC             *)
 (* satisfied-pair counts, same per-scenario results.                     *)
 (*                                                                      *)
-(* The set is built ONCE and shared by every jobs value: statement and   *)
-(* decision ids are assigned at parse time from a process-global         *)
-(* counter, so a second parse would yield different absolute ids and     *)
-(* nothing would be comparable.  Sharing the parse is also exactly what  *)
-(* production does (Corpus.Scenario_set).                                *)
+(* The set is built ONCE and shared by every jobs value, exactly as      *)
+(* production shares it (Corpus.Scenario_set).  Ids depend only on each  *)
+(* unit's path and content, so a second parse would give the same keys;  *)
+(* sharing just avoids rebuilding the set.                               *)
 (* ------------------------------------------------------------------ *)
 
 let coverage_set =
