@@ -87,7 +87,11 @@ check-coverage: build
 # counters AND attributed-timing histogram buckets — byte-identical at
 # jobs=1/2/8 under the tick clock.  Every ADCHECK_JOBS value below
 # re-checks both merges.  --force because dune does not track
-# environment variables as dependencies.
+# environment variables as dependencies.  The CLI legs then run the
+# audit with no cache at jobs 2 and 8 — the cold fan-out end to end,
+# jobs 2 being the one-worker pool — and with --cache at jobs 1, 2
+# and 8; every stdout (and every no-cache evidence journal) must equal
+# the jobs-1 no-cache oracle byte for byte.
 check-par:
 	for j in 1 2 8; do \
 	  echo "== dune runtest (ADCHECK_JOBS=$$j) =="; \
@@ -96,7 +100,15 @@ check-par:
 	rm -rf _build/check-par-store
 	dune build bin/adcheck.exe
 	dune exec bin/adcheck.exe -- audit --scale small --seed 7 --jobs 1 \
-	  > _build/cp-oracle.out
+	  --evidence _build/cp-oracle.jsonl > _build/cp-oracle.out
+	for j in 2 8; do \
+	  echo "== adcheck audit, no cache (jobs=$$j) =="; \
+	  dune exec bin/adcheck.exe -- audit --scale small --seed 7 --jobs $$j \
+	    --evidence _build/cp-nocache-$$j.jsonl > _build/cp-nocache-$$j.out \
+	    || exit 1; \
+	  cmp _build/cp-oracle.out _build/cp-nocache-$$j.out || exit 1; \
+	  cmp _build/cp-oracle.jsonl _build/cp-nocache-$$j.jsonl || exit 1; \
+	done
 	for j in 1 2 8; do \
 	  echo "== adcheck audit --cache (jobs=$$j) =="; \
 	  dune exec bin/adcheck.exe -- audit --scale small --seed 7 --jobs $$j \

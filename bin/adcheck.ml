@@ -300,32 +300,31 @@ let dataflow_cmd =
           match fn.Cfront.Ast.f_body with
           | Some _ when contains name ->
             incr matched;
-            let cfg = Dataflow.Cfg.of_func fn in
+            let x = Dataflow.Analyses.facts_of_func fn in
             Printf.printf "== %s: %d blocks, %d edges\n" name
-              (Dataflow.Cfg.n_blocks cfg) (Dataflow.Cfg.n_edges cfg);
+              x.Dataflow.Analyses.x_blocks x.Dataflow.Analyses.x_edges;
             List.iter
               (fun loc ->
                 Printf.printf "  unreachable: %s\n" (Cfront.Loc.to_string loc))
-              (Dataflow.Analyses.unreachable_regions cfg);
+              x.Dataflow.Analyses.x_unreachable;
             List.iter
               (fun (d : Dataflow.Analyses.dead_store) ->
                 Printf.printf "  dead store:  %s %s\n"
                   (Cfront.Loc.to_string d.Dataflow.Analyses.d_loc)
                   d.Dataflow.Analyses.d_var)
-              (Dataflow.Analyses.dead_stores cfg);
+              x.Dataflow.Analyses.x_dead_stores;
             List.iter
               (fun (u : Dataflow.Analyses.uninit_finding) ->
                 Printf.printf "  uninit read: %s %s\n"
                   (Cfront.Loc.to_string u.Dataflow.Analyses.u_use_loc)
                   u.Dataflow.Analyses.u_var)
-              (Dataflow.Analyses.uninit_reads cfg);
+              x.Dataflow.Analyses.x_uninit_reads;
             List.iter
               (fun (c : Dataflow.Analyses.const_cond) ->
-                if c.Dataflow.Analyses.c_propagated then
-                  Printf.printf "  const cond:  %s always %b\n"
-                    (Cfront.Loc.to_string c.Dataflow.Analyses.c_loc)
-                    c.Dataflow.Analyses.c_value)
-              (Dataflow.Analyses.constant_conditions cfg)
+                Printf.printf "  const cond:  %s always %b\n"
+                  (Cfront.Loc.to_string c.Dataflow.Analyses.c_loc)
+                  c.Dataflow.Analyses.c_value)
+              x.Dataflow.Analyses.x_const_conditions
           | _ -> ())
         (Cfront.Project.all_functions parsed);
       if !matched = 0 then Util.Log.error "no defined function matches %s" needle

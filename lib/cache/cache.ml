@@ -18,20 +18,23 @@
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv1a64 s =
+(* FNV-1a of [s.[pos .. pos+len-1]], so an artifact's payload is hashed
+   in place rather than copied out of the file contents first. *)
+let fnv1a64_sub s pos len =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = pos to pos + len - 1 do
+    h := Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)));
+    h := Int64.mul !h fnv_prime
+  done;
   Printf.sprintf "%016Lx" !h
+
+let fnv1a64 s = fnv1a64_sub s 0 (String.length s)
 
 let magic = "adcheck-cache/1"
 
 (* Bump on any change to the marshaled layout of a cached artifact
-   (AST, dataflow summaries, violations, bytecode, coverage outcomes). *)
-let version_salt = "adcheck-cache/1 schema=2"
+   (AST, dataflow facts, violations, bytecode, coverage outcomes). *)
+let version_salt = "adcheck-cache/1 schema=3"
 
 type t = {
   cache_dir : string;
@@ -140,7 +143,8 @@ let render_artifact ~kind ~key ~owner payload =
     (if owner = "" then "-" else owner)
     payload
 
-(* Parse and validate; [Error reason] on any mismatch. *)
+(* Parse and validate; [Ok offset] of the payload in [raw], [Error
+   reason] on any mismatch. *)
 let parse_artifact ~kind ~key raw =
   let line_end from =
     match String.index_from_opt raw from '\n' with
@@ -169,9 +173,9 @@ let parse_artifact ~kind ~key raw =
           if String.length raw - payload_start <> n then
             Error "payload length mismatch"
           else
-            let payload = String.sub raw payload_start n in
-            if fnv1a64 payload <> digest then Error "payload digest mismatch"
-            else Ok payload
+            if fnv1a64_sub raw payload_start n <> digest then
+              Error "payload digest mismatch"
+            else Ok payload_start
       end
     | _ -> Error "bad header line"
 
@@ -202,15 +206,17 @@ let find (t : t) ~kind ~key =
   end
   else begin
     let validated =
-      match parse_artifact ~kind ~key (read_file path) with
-      | Ok payload ->
-        (* the digest matched, so from_string sees exactly the bytes
-           to_string produced — but guard anyway: a schema change that
-           escaped the salt bump must degrade to a miss, not an abort *)
-        (try Ok (Marshal.from_string payload 0)
-         with _ -> Error "unmarshal failure")
-      | Error _ as e -> e
+      match read_file path with
       | exception Sys_error e -> Error e
+      | raw -> (
+        match parse_artifact ~kind ~key raw with
+        | Ok payload_start ->
+          (* the digest matched, so from_string sees exactly the bytes
+             to_string produced — but guard anyway: a schema change that
+             escaped the salt bump must degrade to a miss, not an abort *)
+          (try Ok (Marshal.from_string raw payload_start)
+           with _ -> Error "unmarshal failure")
+        | Error _ as e -> e)
     in
     match validated with
     | Ok v ->

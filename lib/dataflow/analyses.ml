@@ -187,7 +187,7 @@ let store_of_instr (instr : Cfg.instr) =
     is taken anywhere in the function are exempt (the store may be
     observed through the pointer), as are stores in unreachable blocks
     (those are rule 2.1's findings, not dead stores). *)
-let dead_stores ?(include_decl_init = true) (cfg : Cfg.t) =
+let dead_stores (cfg : Cfg.t) =
   let tracked = tracked_decls cfg in
   if Hashtbl.length tracked = 0 then []
   else begin
@@ -207,8 +207,7 @@ let dead_stores ?(include_decl_init = true) (cfg : Cfg.t) =
                | Some (n, loc, kind)
                  when Hashtbl.mem tracked n
                       && (not (SS.mem n escaped))
-                      && (not (SS.mem n !fact))
-                      && (include_decl_init || kind = Sassign) ->
+                      && not (SS.mem n !fact) ->
                  acc := { d_var = n; d_loc = loc; d_kind = kind; d_function = fname }
                         :: !acc
                | _ -> ());
@@ -500,8 +499,54 @@ let unreachable_regions (cfg : Cfg.t) =
     !regions
 
 (* ------------------------------------------------------------------ *)
-(* Per-function summary                                                *)
+(* Per-function facts and summary                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* Everything the four analyses conclude about one defined function.
+   This is the only place a function is lowered for MISRA 2.1/2.2/9.1,
+   DF-1/DF-2, the uninit metric and the dataflow report: the consumers
+   read these lists instead of re-solving. *)
+type func_facts = {
+  x_function : string;  (** qualified name *)
+  x_blocks : int;
+  x_edges : int;
+  x_unreachable : Loc.t list;  (** first location of each dead region *)
+  x_dead_stores : dead_store list;
+      (** both kinds; rule 2.2 keeps the [Sassign] ones *)
+  x_uninit_reads : uninit_finding list;
+  x_const_conditions : const_cond list;  (** propagated ones only *)
+}
+
+let facts_of_func (fn : Ast.func) =
+  let cfg = Cfg.of_func fn in
+  {
+    x_function = Ast.qualified_name fn;
+    x_blocks = Cfg.n_blocks cfg;
+    x_edges = Cfg.n_edges cfg;
+    x_unreachable = unreachable_regions cfg;
+    x_dead_stores = dead_stores cfg;
+    x_uninit_reads = uninit_reads cfg;
+    x_const_conditions =
+      List.filter (fun c -> c.c_propagated) (constant_conditions cfg);
+  }
+
+(** For a caller that needs only the uninit reads of one function. *)
+let uninit_reads_of_func fn = uninit_reads (Cfg.of_func fn)
+
+(** [pair_facts fns facts] pairs each defined function with its fact
+    record; the two lists must be in the same order.
+    @raise Invalid_argument when they do not match. *)
+let pair_facts fns facts =
+  if List.length fns <> List.length facts then
+    invalid_arg "Dataflow.Analyses.pair_facts: one fact record per function";
+  List.map2
+    (fun fn x ->
+      if Ast.qualified_name fn <> x.x_function then
+        invalid_arg
+          ("Dataflow.Analyses.pair_facts: facts of " ^ x.x_function
+         ^ " given for " ^ Ast.qualified_name fn);
+      (fn, x))
+    fns facts
 
 type func_summary = {
   s_function : string;
@@ -513,13 +558,23 @@ type func_summary = {
   s_const_conditions : int;  (** propagated constants only *)
 }
 
+let summary_of_facts x =
+  {
+    s_function = x.x_function;
+    s_blocks = x.x_blocks;
+    s_edges = x.x_edges;
+    s_unreachable = List.length x.x_unreachable;
+    s_dead_stores = List.length x.x_dead_stores;
+    s_uninit_reads = List.length x.x_uninit_reads;
+    s_const_conditions = List.length x.x_const_conditions;
+  }
+
 (* Journal every concrete fact the four analyses surface, each with the
    dataflow evidence that justifies it.  These are the raw facts; the
    DF-*/9.1 MISRA rules journal their own (kind "misra") findings on top
    of the subset they report. *)
-let record_findings (fname : string) (cfg : Cfg.t)
-    ~unreachable ~dead ~uninit ~consts =
-  let blocks = Cfg.n_blocks cfg and edges = Cfg.n_edges cfg in
+let record_findings x =
+  let fname = x.x_function and blocks = x.x_blocks and edges = x.x_edges in
   List.iter
     (fun (loc : Loc.t) ->
       Provenance.record
@@ -533,7 +588,7 @@ let record_findings (fname : string) (cfg : Cfg.t)
                  blocks edges;
              ]
            ()))
-    unreachable;
+    x.x_unreachable;
   List.iter
     (fun (d : dead_store) ->
       let what =
@@ -551,7 +606,7 @@ let record_findings (fname : string) (cfg : Cfg.t)
                  d.d_var blocks edges;
              ]
            ()))
-    dead;
+    x.x_dead_stores;
   List.iter
     (fun (u : uninit_finding) ->
       Provenance.record
@@ -568,7 +623,7 @@ let record_findings (fname : string) (cfg : Cfg.t)
                  u.u_var;
              ]
            ()))
-    uninit;
+    x.x_uninit_reads;
   List.iter
     (fun (c : const_cond) ->
       let value = if c.c_value then "true" else "false" in
@@ -584,33 +639,18 @@ let record_findings (fname : string) (cfg : Cfg.t)
                  "every definition reaching the condition assigns the same constant";
              ]
            ()))
-    consts
+    x.x_const_conditions
 
-let summarize_func (fn : Ast.func) =
-  match fn.Ast.f_body with
-  | None -> None
-  | Some _ ->
-    Telemetry.timed "dataflow.fn_us" @@ fun () ->
-    let cfg = Cfg.of_func fn in
-    Telemetry.observe "dataflow.fn_blocks" (float_of_int (Cfg.n_blocks cfg));
-    let fname = Ast.qualified_name fn in
-    let unreachable = unreachable_regions cfg in
-    let dead = dead_stores cfg in
-    let uninit = uninit_reads cfg in
-    let consts = List.filter (fun c -> c.c_propagated) (constant_conditions cfg) in
-    record_findings fname cfg ~unreachable ~dead ~uninit ~consts;
-    Some
-      {
-        s_function = fname;
-        s_blocks = Cfg.n_blocks cfg;
-        s_edges = Cfg.n_edges cfg;
-        s_unreachable = List.length unreachable;
-        s_dead_stores = List.length dead;
-        s_uninit_reads = List.length uninit;
-        s_const_conditions = List.length consts;
-      }
+(* [facts_of_func] plus the per-function telemetry and journal entries. *)
+let solve_func (fn : Ast.func) =
+  Telemetry.timed "dataflow.fn_us" @@ fun () ->
+  let x = facts_of_func fn in
+  Telemetry.observe "dataflow.fn_blocks" (float_of_int x.x_blocks);
+  record_findings x;
+  x
 
-let summarize_functions fns =
+let facts_of_functions fns =
+  let fns = List.filter (fun (fn : Ast.func) -> fn.Ast.f_body <> None) fns in
   Telemetry.with_span ~cat:"dataflow" "dataflow"
     ~attrs:[ ("functions", string_of_int (List.length fns)) ]
     (fun () ->
@@ -621,43 +661,64 @@ let summarize_functions fns =
          journal merge is deterministic. *)
       let results =
         Telemetry.parallel_map
-          (fun fn -> Provenance.collect (fun () -> summarize_func fn))
+          (fun fn -> Provenance.collect (fun () -> solve_func fn))
           fns
       in
-      let summaries =
-        List.filter_map
-          (fun (summary, findings) ->
+      let facts =
+        List.map
+          (fun (x, findings) ->
             Provenance.absorb findings;
-            summary)
+            x)
           results
       in
-      Telemetry.add "dataflow.functions" (List.length summaries);
-      summaries)
+      Telemetry.add "dataflow.functions" (List.length facts);
+      facts)
 
-(** [summarize_file ~path ~key fns] is {!summarize_functions} memoized
+(** [facts_of_file ~path ~key fns] is {!facts_of_functions} memoized
     in the global artifact cache (when enabled) under the per-file cache
-    key the caller derived (path + content hash + type-scan hash, see
-    [Cfront.Project.file_key]).  The artifact stores the summaries
-    {e and} the provenance findings the solves recorded, so a hit
-    replays the findings and the evidence journal stays byte-identical
-    to a cold run.  [path] owns the artifact for invalidation. *)
-let summarize_file ~path ~key fns =
+    key [key ()] (path + content hash + type-scan hash, see
+    [Cfront.Project.file_key]), which is derived only when the cache is
+    on.  The artifact stores the facts {e and} the provenance findings
+    the solves recorded, so a hit replays the findings and the evidence
+    journal stays byte-identical to a cold run.  [path] owns the
+    artifact for invalidation. *)
+let facts_of_file ~path ~key fns =
   match Cache.global () with
-  | None -> summarize_functions fns
+  | None -> facts_of_functions fns
   | Some c ->
-    let ckey = Cache.key ~kind:"dataflow" [ key ] in
+    let ckey = Cache.key ~kind:"dataflow" [ key () ] in
     (match Cache.find c ~kind:"dataflow" ~key:ckey with
-     | Some ((summaries : func_summary list), findings) ->
+     | Some ((facts : func_facts list), findings) ->
        Provenance.absorb findings;
-       Telemetry.add "dataflow.functions" (List.length summaries);
-       summaries
+       Telemetry.add "dataflow.functions" (List.length facts);
+       facts
      | None ->
-       let summaries, findings =
-         Provenance.collect (fun () -> summarize_functions fns)
+       let facts, findings =
+         Provenance.collect (fun () -> facts_of_functions fns)
        in
-       Cache.store c ~owner:path ~kind:"dataflow" ~key:ckey (summaries, findings);
+       Cache.store c ~owner:path ~kind:"dataflow" ~key:ckey (facts, findings);
        Provenance.absorb findings;
-       summaries)
+       facts)
+
+(** Facts of every defined function of [parsed], by file path in
+    [parsed.files] order; each file's list follows
+    [Project.defined_functions [pf]], so the concatenation follows
+    [Project.all_functions parsed].  With the cache on, each file is
+    one {!facts_of_file} artifact. *)
+let facts_of_parsed (parsed : Project.parsed) =
+  List.map
+    (fun (pf : Project.parsed_file) ->
+      let path = pf.Project.file.Project.path in
+      ( path,
+        facts_of_file ~path
+          ~key:(fun () -> Project.file_key parsed pf)
+          (Project.defined_functions [ pf ]) ))
+    parsed.Project.files
+
+let summarize_functions fns = List.map summary_of_facts (facts_of_functions fns)
+
+let summarize_file ~path ~key fns =
+  List.map summary_of_facts (facts_of_file ~path ~key:(fun () -> key) fns)
 
 type totals = {
   t_functions : int;

@@ -151,10 +151,9 @@ let local_names (fn : Ast.func) =
        body);
   !acc
 
-let direct_facts ~globals (fn : Ast.func) =
+let direct_facts ~globals (fn : Ast.func) (cfg : Dataflow.Cfg.t) =
   let locals = local_names fn in
   let is_global n = SS.mem n globals && not (SS.mem n locals) in
-  let cfg = Dataflow.Cfg.of_func fn in
   let reads = ref SS.empty and writes = ref SS.empty in
   let io = ref false and alloc = ref false in
   Array.iter
@@ -414,6 +413,24 @@ let param_noinit tbl q j =
     | Some (_, may_init) -> not may_init
     | None -> false)
 
+(* A direct call [f(a0, ..., an)] as [Some (f, args)], each argument
+   paired with [Some x] when it is [&x].  That is the only syntax in
+   which an address-taking can be non-initializing: [noinit_addr_args]
+   classifies these arguments and [passes_address] skips functions
+   without one, so both read it from here. *)
+let addr_of_id_args (e : Ast.expr) =
+  match e.Ast.e with
+  | Ast.Call ({ e = Ast.Id f; _ }, args) ->
+    Some
+      ( f,
+        List.map
+          (fun (a : Ast.expr) ->
+            match a.Ast.e with
+            | Ast.Unary (Ast.Addr_of, { e = Ast.Id x; _ }) -> (a, Some x)
+            | _ -> (a, None))
+          args )
+  | _ -> None
+
 (* The variables [x] such that every [&x] in [instr] occurs as an
    argument to a resolved direct call whose matching parameter provably
    ignores its pointee — those address-takings do NOT initialize.
@@ -421,24 +438,24 @@ let param_noinit tbl q j =
 let noinit_addr_args ~summaries ~resolve_call (instr : Dataflow.Cfg.instr) =
   let noinit = ref [] and other = ref SS.empty in
   let rec walk (e : Ast.expr) =
-    match e.Ast.e with
-    | Ast.Call ({ e = Ast.Id fname; _ }, args) -> (
+    match addr_of_id_args e with
+    | Some (fname, args) -> (
       match resolve_call fname with
       | Some q ->
         List.iteri
-          (fun j (arg : Ast.expr) ->
-            match arg.Ast.e with
-            | Ast.Unary (Ast.Addr_of, { e = Ast.Id x; _ }) ->
+          (fun j (arg, addr_of) ->
+            match addr_of with
+            | Some x ->
               if param_noinit summaries q j then
                 noinit := (x, q, e.Ast.eloc) :: !noinit
               else other := SS.add x !other
-            | _ -> walk arg)
+            | None -> walk arg)
           args
       | None ->
         List.iter
-          (fun arg -> other := SS.union !other (SS.of_list (Dataflow.Cfg.addr_taken_of_expr arg)))
+          (fun (arg, _) -> other := SS.union !other (SS.of_list (Dataflow.Cfg.addr_taken_of_expr arg)))
           args)
-    | _ ->
+    | None ->
       (* any other address-taking initializes, as in the base analysis *)
       Ast.iter_exprs_of_expr
         (fun sub ->
@@ -481,98 +498,112 @@ let flow_transfer ~tracked ~summaries ~resolve_call (blk : Dataflow.Cfg.block)
       | _ -> fact)
     fact blk.Dataflow.Cfg.instrs
 
-(* Cross-call uninit flows in one function.  [resolve_call] maps a raw
-   direct-callee name in this caller to its resolved qualified name. *)
-let uninit_flows_of_func ~summaries ~resolve_call (fn : Ast.func) =
-  match fn.Ast.f_body with
-  | None -> []
-  | Some _ ->
-    let cfg = Dataflow.Cfg.of_func fn in
-    let tracked = Dataflow.Analyses.tracked_decls cfg in
-    if Hashtbl.length tracked = 0 then []
+(* Only a direct call with a [&x] argument can make an address-taking
+   non-initializing, so a function without one has no cross-call flow. *)
+let passes_address (fn : Ast.func) =
+  let found = ref false in
+  Ast.iter_exprs_of_func
+    (fun e ->
+      match addr_of_id_args e with
+      | Some (_, args) when List.exists (fun (_, x) -> x <> None) args ->
+        found := true
+      | _ -> ())
+    fn;
+  !found
+
+(* Cross-call uninit flows in one function, over the CFG phase 1 built.
+   [resolve_call] maps a raw direct-callee name in this caller to its
+   resolved qualified name; [uninit] is the function's intraprocedural
+   uninit reads when the dataflow layer already computed them. *)
+let uninit_flows_of_func ~summaries ~resolve_call ~uninit (fn : Ast.func)
+    (cfg : Dataflow.Cfg.t) =
+  let tracked = Dataflow.Analyses.tracked_decls cfg in
+  if Hashtbl.length tracked = 0 then []
+  else begin
+    let result =
+      VarSolver.solve ~cfg ~direction:Dataflow.Framework.Forward
+        ~boundary:SS.empty ~transfer:(fun bid fact ->
+          flow_transfer ~tracked ~summaries ~resolve_call
+            cfg.Dataflow.Cfg.blocks.(bid) fact)
+    in
+    let fname = Ast.qualified_name fn in
+    (* first non-initializing call per variable, for attribution *)
+    let attr = Hashtbl.create 8 in
+    Array.iter
+      (fun (blk : Dataflow.Cfg.block) ->
+        List.iter
+          (fun instr ->
+            let _, attrs = noinit_addr_args ~summaries ~resolve_call instr in
+            List.iter
+              (fun (x, q, loc) ->
+                if not (Hashtbl.mem attr x) then Hashtbl.add attr x (q, loc))
+              attrs)
+          blk.Dataflow.Cfg.instrs)
+      cfg.Dataflow.Cfg.blocks;
+    if Hashtbl.length attr = 0 then []
     else begin
-      let result =
-        VarSolver.solve ~cfg ~direction:Dataflow.Framework.Forward
-          ~boundary:SS.empty ~transfer:(fun bid fact ->
-            flow_transfer ~tracked ~summaries ~resolve_call
-              cfg.Dataflow.Cfg.blocks.(bid) fact)
+      (* variables the intraprocedural analysis already reports *)
+      let base =
+        SS.of_list
+          (List.map
+             (fun (f : Dataflow.Analyses.uninit_finding) ->
+               f.Dataflow.Analyses.u_var)
+             (match uninit with
+              | Some reads -> reads
+              | None -> Dataflow.Analyses.uninit_reads cfg))
       in
-      let fname = Ast.qualified_name fn in
-      (* first non-initializing call per variable, for attribution *)
-      let attr = Hashtbl.create 8 in
+      let candidates = ref [] in
       Array.iter
         (fun (blk : Dataflow.Cfg.block) ->
+          let fact = ref result.VarSolver.before.(blk.Dataflow.Cfg.bid) in
           List.iter
-            (fun instr ->
-              let _, attrs = noinit_addr_args ~summaries ~resolve_call instr in
+            (fun (instr : Dataflow.Cfg.instr) ->
               List.iter
-                (fun (x, q, loc) ->
-                  if not (Hashtbl.mem attr x) then Hashtbl.add attr x (q, loc))
-                attrs)
+                (fun (n, use_loc) ->
+                  if
+                    SS.mem n !fact && Hashtbl.mem attr n
+                    && not (SS.mem n base)
+                  then
+                    match Hashtbl.find_opt tracked n with
+                    | Some decl_loc ->
+                      let callee, call_loc = Hashtbl.find attr n in
+                      candidates :=
+                        { ip_var = n; ip_function = fname;
+                          ip_callee = callee; ip_call_loc = call_loc;
+                          ip_use_loc = use_loc; ip_decl_loc = decl_loc }
+                        :: !candidates
+                    | None -> ())
+                (Dataflow.Cfg.uses_of_instr instr);
+              fact :=
+                flow_transfer ~tracked ~summaries ~resolve_call
+                  { blk with Dataflow.Cfg.instrs = [ instr ] }
+                  !fact)
             blk.Dataflow.Cfg.instrs)
         cfg.Dataflow.Cfg.blocks;
-      if Hashtbl.length attr = 0 then []
-      else begin
-        (* variables the intraprocedural analysis already reports *)
-        let base =
-          SS.of_list
-            (List.map
-               (fun (f : Dataflow.Analyses.uninit_finding) ->
-                 f.Dataflow.Analyses.u_var)
-               (Dataflow.Analyses.uninit_reads cfg))
-        in
-        let candidates = ref [] in
-        Array.iter
-          (fun (blk : Dataflow.Cfg.block) ->
-            let fact = ref result.VarSolver.before.(blk.Dataflow.Cfg.bid) in
-            List.iter
-              (fun (instr : Dataflow.Cfg.instr) ->
-                List.iter
-                  (fun (n, use_loc) ->
-                    if
-                      SS.mem n !fact && Hashtbl.mem attr n
-                      && not (SS.mem n base)
-                    then
-                      match Hashtbl.find_opt tracked n with
-                      | Some decl_loc ->
-                        let callee, call_loc = Hashtbl.find attr n in
-                        candidates :=
-                          { ip_var = n; ip_function = fname;
-                            ip_callee = callee; ip_call_loc = call_loc;
-                            ip_use_loc = use_loc; ip_decl_loc = decl_loc }
-                          :: !candidates
-                      | None -> ())
-                  (Dataflow.Cfg.uses_of_instr instr);
-                fact :=
-                  flow_transfer ~tracked ~summaries ~resolve_call
-                    { blk with Dataflow.Cfg.instrs = [ instr ] }
-                    !fact)
-              blk.Dataflow.Cfg.instrs)
-          cfg.Dataflow.Cfg.blocks;
-        (* earliest use per variable *)
-        let by_pos a b =
-          compare
-            (a.ip_use_loc.Loc.line, a.ip_use_loc.Loc.col, a.ip_var)
-            (b.ip_use_loc.Loc.line, b.ip_use_loc.Loc.col, b.ip_var)
-        in
-        let sorted = List.sort by_pos (List.rev !candidates) in
-        let seen = Hashtbl.create 4 in
-        List.filter
-          (fun f ->
-            if Hashtbl.mem seen f.ip_var then false
-            else begin
-              Hashtbl.add seen f.ip_var ();
-              true
-            end)
-          sorted
-      end
+      (* earliest use per variable *)
+      let by_pos a b =
+        compare
+          (a.ip_use_loc.Loc.line, a.ip_use_loc.Loc.col, a.ip_var)
+          (b.ip_use_loc.Loc.line, b.ip_use_loc.Loc.col, b.ip_var)
+      in
+      let sorted = List.sort by_pos (List.rev !candidates) in
+      let seen = Hashtbl.create 4 in
+      List.filter
+        (fun f ->
+          if Hashtbl.mem seen f.ip_var then false
+          else begin
+            Hashtbl.add seen f.ip_var ();
+            true
+          end)
+        sorted
     end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let of_files (files : Project.parsed_file list) =
+let of_files ?facts (files : Project.parsed_file list) =
   Telemetry.with_span ~cat:"interproc" "interproc" (fun () ->
       let functions =
         List.concat_map
@@ -580,6 +611,17 @@ let of_files (files : Project.parsed_file list) =
           files
       in
       let defined = List.filter (fun f -> f.Ast.f_body <> None) functions in
+      (* per defined function: its intraprocedural uninit reads, when
+         the dataflow layer supplied them *)
+      let uninit_of =
+        match facts with
+        | None -> List.map (fun _ -> None) defined
+        | Some facts ->
+          List.map
+            (fun (_, (x : Dataflow.Analyses.func_facts)) ->
+              Some x.Dataflow.Analyses.x_uninit_reads)
+            (Dataflow.Analyses.pair_facts defined facts)
+      in
       let graph = Callgraph.build functions in
       let globals = mutable_globals_of_files files in
       let owner = owner_table files in
@@ -588,12 +630,22 @@ let of_files (files : Project.parsed_file list) =
         (fun (f : Ast.func) ->
           Hashtbl.replace params (Ast.qualified_name f) f.Ast.f_params)
         defined;
-      (* phase 1: direct facts, independent per function *)
+      (* phase 1: direct facts, independent per function.  The CFG is
+         kept for phase 3 where that phase can find a flow, and only
+         there, so the program's CFGs are not all live at once. *)
+      let lowered =
+        Telemetry.parallel_map
+          (fun f ->
+            let cfg = Dataflow.Cfg.of_func f in
+            let direct = direct_facts ~globals f cfg in
+            (f, (if passes_address f then Some cfg else None), direct))
+          defined
+      in
       let directs = Hashtbl.create 64 in
-      List.iter2
-        (fun (f : Ast.func) d -> Hashtbl.replace directs (Ast.qualified_name f) d)
-        defined
-        (Telemetry.parallel_map (fun f -> direct_facts ~globals f) defined);
+      List.iter
+        (fun ((f : Ast.func), _, d) ->
+          Hashtbl.replace directs (Ast.qualified_name f) d)
+        lowered;
       (* phase 2: bottom-up over SCC levels; within a level, components
          are independent (they read only lower-level summaries) *)
       let sccs, _scc_of, _level_of, levels = condense graph in
@@ -631,10 +683,13 @@ let of_files (files : Project.parsed_file list) =
       let uninit_flows =
         List.concat
           (Telemetry.parallel_map
-             (fun f ->
-               uninit_flows_of_func ~summaries:tbl ~resolve_call:(resolve_for f)
-                 f)
-             defined)
+             (fun ((f, cfg, _), uninit) ->
+               match cfg with
+               | None -> []
+               | Some cfg ->
+                 uninit_flows_of_func ~summaries:tbl
+                   ~resolve_call:(resolve_for f) ~uninit f cfg)
+             (List.combine lowered uninit_of))
         |> List.sort (fun a b ->
                compare
                  ( a.ip_use_loc.Loc.file, a.ip_use_loc.Loc.line,
@@ -739,10 +794,11 @@ let of_files (files : Project.parsed_file list) =
       let cycles = Callgraph.recursion_cycles graph in
       (* Journal the whole-program conclusions with their witnesses: the
          cycle itself for recursion, the decl -> call -> use chain for
-         cross-call uninit, the witness cycle for unbounded depth.
-         [of_files] runs more than once per audit (the IP-1 rule and the
-         metrics walk both call it); the journal dedups by content id,
-         so the repeats collapse. *)
+         cross-call uninit, the witness cycle for unbounded depth.  An
+         audit runs [of_files] once and hands the result to the IP-1
+         rule and the metrics walk; a caller that runs it again (a
+         standalone MISRA context) journals the same findings, which the
+         journal dedups by content id. *)
       let cycle_steps cycle =
         match cycle with
         | [ q ] -> [ Provenance.step "call" "%s calls itself directly" q ]
@@ -808,7 +864,7 @@ let of_files (files : Project.parsed_file list) =
         globals_total = SS.cardinal globals;
       })
 
-let analyze (parsed : Project.parsed) = of_files parsed.Project.files
+let analyze ?facts (parsed : Project.parsed) = of_files ?facts parsed.Project.files
 
 let find_summary t name =
   List.find_opt (fun s -> s.s_name = name) t.summaries

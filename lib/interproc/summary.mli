@@ -74,8 +74,15 @@ val render_depth : depth -> string
 (** Mutable (non-const, non-extern) globals by simple name. *)
 val mutable_globals_of_files : Project.parsed_file list -> SS.t
 
-(** Run the engine over parsed files / a parsed project. *)
-val of_files : Project.parsed_file list -> t
+(** Run the engine over parsed files / a parsed project.  [facts], one
+    record per defined function of the files in order (as
+    {!Dataflow.Analyses.facts_of_parsed} produces them), supplies the
+    intraprocedural uninit reads the cross-call check excludes;
+    without it they are solved here.  Either way each defined function
+    is lowered to a CFG once.
+    @raise Invalid_argument when [facts] does not match the functions. *)
+val of_files :
+  ?facts:Dataflow.Analyses.func_facts list -> Project.parsed_file list -> t
 
-val analyze : Project.parsed -> t
+val analyze : ?facts:Dataflow.Analyses.func_facts list -> Project.parsed -> t
 val find_summary : t -> string -> func_summary option

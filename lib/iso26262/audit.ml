@@ -242,29 +242,51 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
      Cache.Manifest.save c ~name:project.Cfront.Project.p_name
        (manifest_of_parsed parsed)
    | None -> ());
+  (* The producers run once, on this domain, before anything fans out:
+     the dataflow layer solves every defined function (per-file cache
+     artifacts), then interproc runs over those facts.  MISRA and the
+     core metric walk only read the two immutable results.  They are
+     plain values rather than lazy ones or once-cells: a lazy forced
+     from two domains raises [Lazy.Undefined], a worker blocked on a
+     once-cell deadlocks a one-worker pool whose main domain waits on
+     the queue, and a solve forced inside a rule's timed region would
+     change that rule's tick-clock histogram. *)
+  let file_facts =
+    Telemetry.gc_phase "dataflow" (fun () -> Dataflow.Analyses.facts_of_parsed parsed)
+  in
+  let facts = List.concat_map snd file_facts in
+  let interproc =
+    Telemetry.gc_phase "interproc" (fun () -> Interproc.Summary.analyze ~facts parsed)
+  in
+  let module_dataflow = Project_metrics.module_dataflow_of_facts parsed file_facts in
+  let misra_phase () = Project_metrics.misra_of_parsed ~facts ~interproc parsed in
+  let metrics_phase misra =
+    Telemetry.gc_phase "metrics" (fun () ->
+        Project_metrics.of_parsed_with ~facts ~interproc ~misra ~module_dataflow
+          parsed)
+  in
   let metrics, (yolo_coverage, yolo_run_output, yolo_exit),
       (stencil_coverage, stencil_exit) =
     match Util.Pool.global () with
     | None ->
       (* jobs=1: the exact sequential oracle, phase after phase. *)
-      let metrics =
-        Telemetry.gc_phase "metrics" (fun () -> Project_metrics.of_parsed parsed)
-      in
+      let misra = Telemetry.gc_phase "misra" misra_phase in
+      let metrics = metrics_phase (fun () -> misra) in
       let yolo = Telemetry.gc_phase "coverage.yolo" yolo_phase in
       let stencil = Telemetry.gc_phase "coverage.stencil" stencil_phase in
       (metrics, yolo, stencil)
     | Some pool ->
-      (* Pipelined phases: the corpus parse above is the shared prefix;
-         misra, dataflow and the two coverage scenarios fan out to pool
-         workers while the main domain runs the core metric walk, and
-         everything joins before report assembly.  Phases only read
-         [parsed] and merge into telemetry counters (mutex-protected
-         sums, so totals are independent of interleaving); spans emitted
-         on workers carry the worker's domain id and overlap in a
-         [--trace] timeline.  GC deltas attribute each worker phase's
-         allocation to its name (quick_stat is per-domain in OCaml 5's
-         minor-heap counters, per-process in the major ones — a pragmatic
-         attribution, flagged runtime-tier for exactly that reason). *)
+      (* Pipelined phases: misra and the two coverage scenarios fan out
+         to pool workers while the main domain runs the core metric
+         walk, and everything joins before report assembly.  Phases only
+         read [parsed], [facts] and [interproc] and merge into telemetry
+         counters (mutex-protected sums, so totals are independent of
+         interleaving); spans emitted on workers carry the worker's
+         domain id and overlap in a [--trace] timeline.  GC deltas
+         attribute each worker phase's allocation to its name
+         (quick_stat is per-domain in OCaml 5's minor-heap counters,
+         per-process in the major ones — a pragmatic attribution,
+         flagged runtime-tier for exactly that reason). *)
       (* Each future's findings come back with its result ([collect] on
          the worker) and are absorbed at the await; the journal's
          canonical export order makes the different await orders at
@@ -278,22 +300,10 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
         Provenance.absorb findings;
         result
       in
-      let f_misra =
-        submit_collected "misra" (fun () ->
-            Project_metrics.misra_of_parsed parsed)
-      in
-      let f_dataflow =
-        submit_collected "dataflow" (fun () ->
-            Project_metrics.module_dataflow_of_parsed parsed)
-      in
+      let f_misra = submit_collected "misra" misra_phase in
       let f_yolo = submit_collected "coverage.yolo" yolo_phase in
       let f_stencil = submit_collected "coverage.stencil" stencil_phase in
-      let metrics =
-        Telemetry.gc_phase "metrics" (fun () ->
-            Project_metrics.of_parsed_with
-              ~misra:(fun () -> await_absorb f_misra)
-              ~module_dataflow:(await_absorb f_dataflow) parsed)
-      in
+      let metrics = metrics_phase (fun () -> await_absorb f_misra) in
       (metrics, await_absorb f_yolo, await_absorb f_stencil)
   in
   (match yolo_exit with

@@ -50,49 +50,42 @@ type t = {
 (* Separable phases                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The MISRA pass and the per-module dataflow solves are the two
+(* The MISRA pass and the per-module dataflow totals are the two
    heavyweight consumers of the parsed project that nothing else in this
    record depends on.  They are exposed as standalone functions so the
-   pipelined audit can run them on pool workers concurrently with the
-   core metric walk; [of_parsed] composes them sequentially — the exact
-   jobs=1 oracle. *)
+   pipelined audit can run MISRA on a pool worker concurrently with the
+   core metric walk.  Each takes the dataflow facts and interproc
+   summaries an audit already computed; without them it computes its
+   own, as a standalone call must -- for MISRA only when some rule's
+   stored result is missing. *)
 
-let misra_of_parsed (parsed : Cfront.Project.parsed) =
+let misra_of_parsed ?facts ?interproc (parsed : Cfront.Project.parsed) =
   let cache_key =
     match Cache.global () with
     | None -> None
     | Some _ -> Some (Cfront.Project.content_key parsed.Cfront.Project.project)
   in
-  Misra.Registry.run ?cache_key (Misra.Rule.build_context parsed)
+  Misra.Registry.run_deferred ?cache_key (fun () ->
+      Misra.Rule.build_context ?facts ?interproc parsed)
 
-let module_dataflow_of_parsed (parsed : Cfront.Project.parsed) =
+let module_dataflow_of_facts (parsed : Cfront.Project.parsed) file_facts =
   List.map
     (fun m ->
-      let pfs = Cfront.Project.parsed_files_of_module parsed m in
-      let summaries =
-        match Cache.global () with
-        | None ->
-          (* cache off: the exact historical code path — one solve over
-             the module's functions *)
-          Dataflow.Analyses.summarize_functions
-            (Cfront.Project.defined_functions pfs)
-        | Some _ ->
-          (* cache on: per-file artifacts.  [defined_functions pfs] is
-             the in-order concatenation of [defined_functions [pf]], so
-             the per-file summaries concatenate to exactly the module
-             solve — same summaries, same finding order. *)
-          List.concat_map
-            (fun pf ->
-              Dataflow.Analyses.summarize_file
-                ~path:pf.Cfront.Project.file.Cfront.Project.path
-                ~key:(Cfront.Project.file_key parsed pf)
-                (Cfront.Project.defined_functions [ pf ]))
-            pfs
+      let facts =
+        List.concat_map
+          (fun (pf : Cfront.Project.parsed_file) ->
+            List.assoc pf.Cfront.Project.file.Cfront.Project.path file_facts)
+          (Cfront.Project.parsed_files_of_module parsed m)
       in
-      (m, Dataflow.Analyses.totals_of summaries))
+      ( m,
+        Dataflow.Analyses.totals_of
+          (List.map Dataflow.Analyses.summary_of_facts facts) ))
     (Cfront.Project.module_names parsed.Cfront.Project.project)
 
-let of_parsed_with ~(misra : unit -> Misra.Registry.report)
+let module_dataflow_of_parsed parsed =
+  module_dataflow_of_facts parsed (Dataflow.Analyses.facts_of_parsed parsed)
+
+let of_parsed_with ?facts ?interproc ~(misra : unit -> Misra.Registry.report)
     ~(module_dataflow : (string * Dataflow.Analyses.totals) list)
     (parsed : Cfront.Project.parsed) =
   Telemetry.with_span ~cat:"metrics" "metrics"
@@ -141,7 +134,10 @@ let of_parsed_with ~(misra : unit -> Misra.Registry.report)
     explicit_casts = Metrics.Casts.explicit_count casts;
     implicit_conversions = Metrics.Casts.implicit_count casts;
     globals_total = sum (fun m -> m.globals);
-    uninit_findings = Metrics.Uninit.of_functions all_fns;
+    uninit_findings =
+      (match facts with
+       | Some facts -> Metrics.Uninit.of_facts facts
+       | None -> Metrics.Uninit.of_functions all_fns);
     shadowing_count =
       List.length
         (List.filter
@@ -167,7 +163,10 @@ let of_parsed_with ~(misra : unit -> Misra.Registry.report)
     architecture = Metrics.Architecture.build ~parsed;
     namespace_depth = Metrics.Architecture.namespace_depth files;
     cuda = Cudasim.Census.of_files files;
-    interproc = Interproc.Summary.analyze parsed;
+    interproc =
+      (match interproc with
+       | Some t -> t
+       | None -> Interproc.Summary.analyze ?facts parsed);
     misra = misra ();
     dataflow =
       List.fold_left
@@ -176,7 +175,11 @@ let of_parsed_with ~(misra : unit -> Misra.Registry.report)
   }
 
 let of_parsed (parsed : Cfront.Project.parsed) =
-  let module_dataflow = module_dataflow_of_parsed parsed in
-  of_parsed_with ~misra:(fun () -> misra_of_parsed parsed) ~module_dataflow parsed
+  let file_facts = Dataflow.Analyses.facts_of_parsed parsed in
+  let facts = List.concat_map snd file_facts in
+  let interproc = Interproc.Summary.analyze ~facts parsed in
+  of_parsed_with ~facts ~interproc
+    ~misra:(fun () -> misra_of_parsed ~facts ~interproc parsed)
+    ~module_dataflow:(module_dataflow_of_facts parsed file_facts) parsed
 
 let find_module t name = List.find_opt (fun m -> m.modname = name) t.modules

@@ -56,21 +56,43 @@ type t = {
 val of_parsed : Cfront.Project.parsed -> t
 
 (** The two heavyweight phases nothing else in the record depends on,
-    exposed standalone so the pipelined audit can fan them out to pool
-    workers concurrently with the core metric walk. *)
+    exposed standalone so the pipelined audit can run MISRA on a pool
+    worker concurrently with the core metric walk.  [facts] (one record
+    per defined function, in [Cfront.Project.all_functions] order) and
+    [interproc] are what {!Audit.run} computed before the fan-out;
+    without them each call computes its own ([misra_of_parsed] only
+    when some rule misses the artifact cache, see
+    {!Misra.Registry.run_deferred}). *)
 
-val misra_of_parsed : Cfront.Project.parsed -> Misra.Registry.report
+val misra_of_parsed :
+  ?facts:Dataflow.Analyses.func_facts list ->
+  ?interproc:Interproc.Summary.t ->
+  Cfront.Project.parsed ->
+  Misra.Registry.report
 
+(** Per-module dataflow totals from per-file facts (path -> facts, as
+    {!Dataflow.Analyses.facts_of_parsed} returns them). *)
+val module_dataflow_of_facts :
+  Cfront.Project.parsed ->
+  (string * Dataflow.Analyses.func_facts list) list ->
+  (string * Dataflow.Analyses.totals) list
+
+(** [module_dataflow_of_facts] over a fresh
+    {!Dataflow.Analyses.facts_of_parsed}. *)
 val module_dataflow_of_parsed :
   Cfront.Project.parsed -> (string * Dataflow.Analyses.totals) list
 
-(** [of_parsed_with ~misra ~module_dataflow parsed] assembles the record
-    with the MISRA report supplied by the [misra] thunk (called last, so
-    a pipelined caller blocks on that future only at the join) and the
-    per-module dataflow totals looked up in [module_dataflow] (missing
-    modules fall back to an inline solve).  [of_parsed] is exactly this
-    with the two phases computed sequentially first. *)
+(** [of_parsed_with ?facts ?interproc ~misra ~module_dataflow parsed]
+    assembles the record with the MISRA report supplied by the [misra]
+    thunk (called last, so a pipelined caller blocks on that future only
+    at the join) and the per-module dataflow totals looked up in
+    [module_dataflow] (missing modules fall back to an inline solve).
+    The uninit findings come from [facts] and the whole-program record
+    is [interproc]; either one missing is computed here.  [of_parsed]
+    is exactly this with every phase computed sequentially first. *)
 val of_parsed_with :
+  ?facts:Dataflow.Analyses.func_facts list ->
+  ?interproc:Interproc.Summary.t ->
   misra:(unit -> Misra.Registry.report) ->
   module_dataflow:(string * Dataflow.Analyses.totals) list ->
   Cfront.Project.parsed ->

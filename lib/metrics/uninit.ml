@@ -19,19 +19,26 @@ type finding = {
   in_function : string;
 }
 
+let of_uninit_reads =
+  List.map (fun (u : Dataflow.Analyses.uninit_finding) ->
+      {
+        var = u.Dataflow.Analyses.u_var;
+        decl_loc = u.Dataflow.Analyses.u_decl_loc;
+        use_loc = u.Dataflow.Analyses.u_use_loc;
+        in_function = u.Dataflow.Analyses.u_function;
+      })
+
 let of_func (fn : Cfront.Ast.func) =
   match fn.Cfront.Ast.f_body with
   | None -> []
-  | Some _ ->
-    let cfg = Dataflow.Cfg.of_func fn in
-    List.map
-      (fun (u : Dataflow.Analyses.uninit_finding) ->
-        {
-          var = u.Dataflow.Analyses.u_var;
-          decl_loc = u.Dataflow.Analyses.u_decl_loc;
-          use_loc = u.Dataflow.Analyses.u_use_loc;
-          in_function = u.Dataflow.Analyses.u_function;
-        })
-      (Dataflow.Analyses.uninit_reads cfg)
+  | Some _ -> of_uninit_reads (Dataflow.Analyses.uninit_reads_of_func fn)
 
 let of_functions fns = List.concat_map of_func fns
+
+(** The findings already computed by the dataflow layer, one fact
+    record per defined function. *)
+let of_facts facts =
+  List.concat_map
+    (fun (x : Dataflow.Analyses.func_facts) ->
+      of_uninit_reads x.Dataflow.Analyses.x_uninit_reads)
+    facts

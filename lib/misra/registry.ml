@@ -81,10 +81,36 @@ let finding_of_violation (r : Rule.t) (v : Rule.violation) =
   Provenance.make ~kind:"misra" ~analysis:r.Rule.id ~loc:v.Rule.loc
     ~message:v.Rule.message ~witness ()
 
-let run ?(rules = all_rules) ?(deviations = []) ?cache_key ctx =
+let run_deferred ?(rules = all_rules) ?(deviations = []) ?cache_key build =
   Telemetry.with_span ~cat:"misra" "misra"
     ~attrs:[ ("rules", string_of_int (List.length rules)) ]
     (fun () ->
+      (* Per-rule artifact, keyed by rule id + the whole-tree content
+         key: rules see the whole project through the context, so any
+         edit re-runs them.  The stored value is only the violation
+         list -- journaling below re-derives findings on the calling
+         domain, so the evidence journal is byte-identical on hits.
+         Every rule is looked up before the context is built, and
+         [build] (the dataflow facts and interproc summaries included)
+         runs once, on the calling domain, only when some rule missed:
+         a warm run solves nothing. *)
+      let cache =
+        match (Cache.global (), cache_key) with
+        | Some c, Some ck -> Some (c, ck)
+        | _ -> None
+      in
+      let rule_key (r : Rule.t) ck = Cache.key ~kind:"misra" [ r.Rule.id; ck ] in
+      let stored =
+        match cache with
+        | None -> List.map (fun _ -> None) rules
+        | Some (c, ck) ->
+          Telemetry.parallel_map ~chunk_size:1
+            (fun r -> Cache.find c ~kind:"misra" ~key:(rule_key r ck))
+            rules
+      in
+      let ctx =
+        if List.exists Option.is_none stored then Some (build ()) else None
+      in
       (* One task per rule (costs vary by orders of magnitude, so no
          chunking); the context is shared read-only across domains and
          results come back in registration order, making the report
@@ -92,7 +118,7 @@ let run ?(rules = all_rules) ?(deviations = []) ?cache_key ctx =
          per-rule spans included. *)
       let per_rule =
         Telemetry.parallel_map ~chunk_size:1
-          (fun (r : Rule.t) ->
+          (fun ((r : Rule.t), hit) ->
             let vs =
               Telemetry.with_span ~cat:"misra" ("misra.rule." ^ r.Rule.id)
                 (fun () ->
@@ -101,25 +127,21 @@ let run ?(rules = all_rules) ?(deviations = []) ?cache_key ctx =
                      on a worker (jobs>1) *)
                   Telemetry.timed ("misra.rule_us." ^ r.Rule.id)
                     (fun () ->
-                      (* Per-rule artifact, keyed by rule id + the
-                         whole-tree content key: rules see the whole
-                         project through [ctx], so any edit re-runs
-                         them.  The stored value is only the violation
-                         list — journaling below re-derives findings on
-                         the calling domain, so the evidence journal is
-                         byte-identical on hits. *)
-                      match (Cache.global (), cache_key) with
-                      | Some c, Some ck ->
-                        Cache.memo c ~kind:"misra"
-                          ~key:(Cache.key ~kind:"misra" [ r.Rule.id; ck ])
-                          (fun () -> r.Rule.check ctx)
-                      | _ -> r.Rule.check ctx))
+                      match hit with
+                      | Some vs -> vs
+                      | None ->
+                        let vs = r.Rule.check (Option.get ctx) in
+                        Option.iter
+                          (fun (c, ck) ->
+                            Cache.store c ~kind:"misra" ~key:(rule_key r ck) vs)
+                          cache;
+                        vs))
             in
             Telemetry.add ("misra.violations." ^ r.Rule.id) (List.length vs);
             Telemetry.observe "misra.rule_violations"
               (float_of_int (List.length vs));
             (r, vs))
-          rules
+          (List.combine rules stored)
       in
       let per_rule, outcomes = apply_deviations deviations per_rule in
       (* Journal after deviations so the evidence matches the report:
@@ -151,7 +173,10 @@ let run_project ?(rules = all_rules) parsed =
     | None -> None
     | Some _ -> Some (Cfront.Project.content_key parsed.Cfront.Project.project)
   in
-  run ~rules ?cache_key (Rule.build_context parsed)
+  run_deferred ~rules ?cache_key (fun () -> Rule.build_context parsed)
+
+let run ?rules ?deviations ?cache_key ctx =
+  run_deferred ?rules ?deviations ?cache_key (fun () -> ctx)
 
 (** Violations grouped by category. *)
 let by_category report =

@@ -50,6 +50,18 @@ val run :
   Rule.context ->
   report
 
+(** [run] with the context built on demand: [build] is called at most
+    once, on the calling domain before the rules fan out, and only when
+    some rule's stored violation list is missing (always, without the
+    cache).  A warm run therefore never builds the context's dataflow
+    facts or interproc summaries. *)
+val run_deferred :
+  ?rules:Rule.t list ->
+  ?deviations:deviation list ->
+  ?cache_key:string ->
+  (unit -> Rule.context) ->
+  report
+
 val run_project : ?rules:Rule.t list -> Cfront.Project.parsed -> report
 
 (** Violation counts per category. *)

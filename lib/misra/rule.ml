@@ -24,6 +24,8 @@ type context = {
   files : Cfront.Project.parsed_file list;
   functions : Cfront.Ast.func list;  (** defined functions, all files *)
   callgraph : Cfront.Callgraph.t;
+  facts : Dataflow.Analyses.func_facts list;  (** aligned with [functions] *)
+  interproc : Interproc.Summary.t;
 }
 
 type t = {
@@ -37,24 +39,30 @@ type t = {
 let make ~id ~title ~category ?(decidable = true) check =
   { id; title; category; decidable; check }
 
-let build_context (parsed : Cfront.Project.parsed) =
-  let functions = Cfront.Project.all_functions parsed in
-  {
-    files = parsed.Cfront.Project.files;
-    functions;
-    callgraph = Cfront.Callgraph.build functions;
-  }
-
-let context_of_files files =
-  let functions =
-    List.concat_map
-      (fun pf ->
-        List.filter
-          (fun (f : Cfront.Ast.func) -> f.Cfront.Ast.f_body <> None)
-          (Cfront.Ast.functions_of_tu pf.Cfront.Project.tu))
-      files
+(* The facts and summaries are plain values computed here, on the
+   calling domain, before the registry fans the rules out: nothing is
+   forced lazily from a worker. *)
+let make_context ?facts ?interproc files =
+  let functions = Cfront.Project.defined_functions files in
+  let facts =
+    match facts with
+    | Some facts ->
+      ignore (Dataflow.Analyses.pair_facts functions facts);
+      facts
+    | None -> Telemetry.parallel_map Dataflow.Analyses.facts_of_func functions
   in
-  { files; functions; callgraph = Cfront.Callgraph.build functions }
+  let interproc =
+    match interproc with
+    | Some t -> t
+    | None -> Interproc.Summary.of_files ~facts files
+  in
+  { files; functions; callgraph = Cfront.Callgraph.build functions; facts;
+    interproc }
+
+let build_context ?facts ?interproc (parsed : Cfront.Project.parsed) =
+  make_context ?facts ?interproc parsed.Cfront.Project.files
+
+let context_of_files files = make_context files
 
 let v ?(witness = []) ~rule_id ~loc fmt =
   Printf.ksprintf (fun message -> { rule_id; loc; message; witness }) fmt

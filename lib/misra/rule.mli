@@ -18,10 +18,18 @@ type violation = {
           and violation-site steps when it journals the finding *)
 }
 
+(** Everything the rules read, computed before any rule runs and shared
+    read-only by the rules on every pool worker.  The flow-sensitive
+    rules (2.1, 2.2, 9.1, DF-1, DF-2) read [facts] and IP-1 reads
+    [interproc]; no rule lowers a function or runs a solver itself. *)
 type context = {
   files : Cfront.Project.parsed_file list;
   functions : Cfront.Ast.func list;  (** defined functions, all files *)
   callgraph : Cfront.Callgraph.t;
+  facts : Dataflow.Analyses.func_facts list;
+      (** the dataflow layer's facts, one record per function of
+          [functions], in the same order *)
+  interproc : Interproc.Summary.t;  (** the whole-program summaries *)
 }
 
 type t = {
@@ -40,7 +48,16 @@ val make :
   (context -> violation list) ->
   t
 
-val build_context : Cfront.Project.parsed -> context
+(** [build_context ?facts ?interproc parsed] takes the facts and
+    summaries an audit already computed; whichever is missing is
+    computed here, before any rule runs.
+    @raise Invalid_argument when [facts] does not match the functions. *)
+val build_context :
+  ?facts:Dataflow.Analyses.func_facts list ->
+  ?interproc:Interproc.Summary.t ->
+  Cfront.Project.parsed ->
+  context
+
 val context_of_files : Cfront.Project.parsed_file list -> context
 
 (** Printf-style violation constructor.  [witness] carries the

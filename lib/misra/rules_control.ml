@@ -363,22 +363,22 @@ let r12_3 =
           List.rev !acc))
 
 (* 2.1: a project shall not contain unreachable code.  Flow-sensitive
-   since the dataflow engine landed: the function body is lowered to a
-   CFG and any region of blocks not reachable from the entry is flagged
-   once, at its first statement.  This sees through arbitrary control
-   flow — code after a branch whose arms both return, statements between
-   an unconditional jump and the next label, dead switch clauses —
-   while code reached only via a goto stays clean. *)
+   since the dataflow engine landed: the dataflow layer lowers each
+   function to a CFG, and any region of blocks not reachable from the
+   entry is flagged once, at its first statement.  This sees through
+   arbitrary control flow — code after a branch whose arms both return,
+   statements between an unconditional jump and the next label, dead
+   switch clauses — while code reached only via a goto stays clean. *)
 let r2_1 =
   Rule.make ~id:"2.1" ~title:"no unreachable code" ~category:Rule.Required
     (fun ctx ->
-      each_func ctx (fun fn ->
-          each_body fn (fun _ ->
-              let cfg = Dataflow.Cfg.of_func fn in
-              List.map
-                (fun loc ->
-                  Rule.v ~rule_id:"2.1" ~loc "unreachable statement in %s"
-                    (Ast.qualified_name fn))
-                (Dataflow.Analyses.unreachable_regions cfg))))
+      List.concat_map
+        (fun (x : Dataflow.Analyses.func_facts) ->
+          List.map
+            (fun loc ->
+              Rule.v ~rule_id:"2.1" ~loc "unreachable statement in %s"
+                x.Dataflow.Analyses.x_function)
+            x.Dataflow.Analyses.x_unreachable)
+        ctx.Rule.facts)
 
 let all = [ r2_1; r12_3; r13_4; r14_1; r14_3; r15_1; r15_2; r15_4; r15_5; r15_6; r15_7; r16_3; r16_4; r16_6 ]

@@ -1,7 +1,8 @@
-(** Extended rules built directly on the dataflow engine (CFG + worklist
-    fixpoint), in the spirit of the flow-sensitive commercial analyzers
-    the paper ran over Apollo.  Like the CUDA-* family these carry ids
-    outside the MISRA C:2012 numbering:
+(** Extended rules over the dataflow layer's per-function facts (CFG +
+    worklist fixpoint, solved once per function), in the spirit of the
+    flow-sensitive commercial analyzers the paper ran over Apollo.  Like
+    the CUDA-* family these carry ids outside the MISRA C:2012
+    numbering:
 
     - DF-1: dead store — a value assigned (or a declaration initializer)
       that no path ever reads.  Strictly wider than the dead-store arm of
@@ -12,18 +13,12 @@
       conditions are rule 14.3's findings and are excluded here, so DF-2
       reports exactly what flow-insensitive checking cannot see. *)
 
-open Cfront
-
-let each_defined_func (ctx : Rule.context) f =
-  List.concat_map
-    (fun fn -> match fn.Ast.f_body with None -> [] | Some _ -> f fn)
-    ctx.Rule.functions
-
 let df1 =
   Rule.make ~id:"DF-1" ~title:"no dead stores (liveness)"
     ~category:Rule.Advisory (fun ctx ->
-      each_defined_func ctx (fun fn ->
-          let cfg = Dataflow.Cfg.of_func fn in
+      List.concat_map
+        (fun (x : Dataflow.Analyses.func_facts) ->
+          let fname = x.Dataflow.Analyses.x_function in
           List.map
             (fun (d : Dataflow.Analyses.dead_store) ->
               let what =
@@ -37,37 +32,36 @@ let df1 =
                     "%s to %s" what d.Dataflow.Analyses.d_var;
                   Provenance.step "liveness"
                     "%s is dead after this store on every path of %s (%d CFG nodes)"
-                    d.Dataflow.Analyses.d_var (Ast.qualified_name fn)
-                    (Dataflow.Cfg.n_blocks cfg);
+                    d.Dataflow.Analyses.d_var fname x.Dataflow.Analyses.x_blocks;
                 ]
               in
               Rule.v ~witness ~rule_id:"DF-1" ~loc:d.Dataflow.Analyses.d_loc
                 "%s to %s is never read in %s" what d.Dataflow.Analyses.d_var
-                (Ast.qualified_name fn))
-            (Dataflow.Analyses.dead_stores cfg)))
+                fname)
+            x.Dataflow.Analyses.x_dead_stores)
+        ctx.Rule.facts)
 
 let df2 =
   Rule.make ~id:"DF-2" ~title:"no constant controlling expressions (propagated)"
     ~category:Rule.Advisory (fun ctx ->
-      each_defined_func ctx (fun fn ->
-          let cfg = Dataflow.Cfg.of_func fn in
-          List.filter_map
+      List.concat_map
+        (fun (x : Dataflow.Analyses.func_facts) ->
+          let fname = x.Dataflow.Analyses.x_function in
+          List.map
             (fun (c : Dataflow.Analyses.const_cond) ->
-              if c.Dataflow.Analyses.c_propagated then
-                let value = if c.Dataflow.Analyses.c_value then "true" else "false" in
-                let witness =
-                  [
-                    Provenance.step ~loc:c.Dataflow.Analyses.c_loc "condition"
-                      "controlling expression folds to %s" value;
-                    Provenance.step "constant-propagation"
-                      "every reaching definition yields the same constant in %s (%d CFG nodes)"
-                      (Ast.qualified_name fn) (Dataflow.Cfg.n_blocks cfg);
-                  ]
-                in
-                Some
-                  (Rule.v ~witness ~rule_id:"DF-2" ~loc:c.Dataflow.Analyses.c_loc
-                     "condition is always %s in %s" value (Ast.qualified_name fn))
-              else None)
-            (Dataflow.Analyses.constant_conditions cfg)))
+              let value = if c.Dataflow.Analyses.c_value then "true" else "false" in
+              let witness =
+                [
+                  Provenance.step ~loc:c.Dataflow.Analyses.c_loc "condition"
+                    "controlling expression folds to %s" value;
+                  Provenance.step "constant-propagation"
+                    "every reaching definition yields the same constant in %s (%d CFG nodes)"
+                    fname x.Dataflow.Analyses.x_blocks;
+                ]
+              in
+              Rule.v ~witness ~rule_id:"DF-2" ~loc:c.Dataflow.Analyses.c_loc
+                "condition is always %s in %s" value fname)
+            x.Dataflow.Analyses.x_const_conditions)
+        ctx.Rule.facts)
 
 let all = [ df1; df2 ]

@@ -234,6 +234,6 @@ let r9_1 =
           Rule.v ~witness ~rule_id:"9.1" ~loc:f.Metrics.Uninit.use_loc
             "%s may be read uninitialized in %s" f.Metrics.Uninit.var
             f.Metrics.Uninit.in_function)
-        (Metrics.Uninit.of_functions ctx.Rule.functions))
+        (Metrics.Uninit.of_facts ctx.Rule.facts))
 
 let all = [ r2_7; r8_9; r8_10; r9_1; r17_1; r17_2; r17_7; r17_8; r21_3; r21_6; r21_8 ]

@@ -12,7 +12,6 @@
 let ip1 =
   Rule.make ~id:"IP-1" ~title:"no uninitialized values across calls"
     ~category:Rule.Required (fun ctx ->
-      let t = Interproc.Summary.of_files ctx.Rule.files in
       List.map
         (fun (f : Interproc.Summary.uninit_flow) ->
           let witness =
@@ -33,6 +32,6 @@ let ip1 =
             f.Interproc.Summary.ip_var f.Interproc.Summary.ip_function
             f.Interproc.Summary.ip_var f.Interproc.Summary.ip_callee
             f.Interproc.Summary.ip_call_loc.Cfront.Loc.line)
-        t.Interproc.Summary.uninit_flows)
+        ctx.Rule.interproc.Interproc.Summary.uninit_flows)
 
 let all = [ ip1 ]

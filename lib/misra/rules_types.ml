@@ -194,13 +194,14 @@ let r12_2 =
 (* 2.2: no dead code.  Two complementary detectors:
    - an expression statement with no side effect (syntactic, as before);
    - a dead store: an assignment statement whose value is never read on
-     any path (flow-sensitive, via the liveness fixpoint in
-     [Dataflow.Analyses]).  This catches operations the syntactic scan
+     any path (flow-sensitive: the assignment-kind dead stores of the
+     dataflow layer's liveness facts).  This catches operations the syntactic scan
      calls effectful but whose outcome cannot influence the program —
      e.g. a store on one branch that every successor overwrites. *)
 let r2_2 =
   Rule.make ~id:"2.2" ~title:"no dead code" ~category:Rule.Required (fun ctx ->
-      each_func ctx (fun fn ->
+      List.concat_map
+        (fun ((fn : Ast.func), (x : Dataflow.Analyses.func_facts)) ->
           match fn.Ast.f_body with
           | None -> []
           | Some body ->
@@ -231,16 +232,20 @@ let r2_2 =
                     :: !acc
                 | _ -> ())
               body;
-            let cfg = Dataflow.Cfg.of_func fn in
             let dead =
-              List.map
+              List.filter_map
                 (fun (d : Dataflow.Analyses.dead_store) ->
-                  Rule.v ~rule_id:"2.2" ~loc:d.Dataflow.Analyses.d_loc
-                    "dead store to %s in %s" d.Dataflow.Analyses.d_var
-                    (Ast.qualified_name fn))
-                (Dataflow.Analyses.dead_stores ~include_decl_init:false cfg)
+                  match d.Dataflow.Analyses.d_kind with
+                  | Dataflow.Analyses.Sassign ->
+                    Some
+                      (Rule.v ~rule_id:"2.2" ~loc:d.Dataflow.Analyses.d_loc
+                         "dead store to %s in %s" d.Dataflow.Analyses.d_var
+                         (Ast.qualified_name fn))
+                  | Dataflow.Analyses.Sdecl_init -> None)
+                x.Dataflow.Analyses.x_dead_stores
             in
-            List.rev_append !acc dead))
+            List.rev_append !acc dead)
+        (List.combine ctx.Rule.functions ctx.Rule.facts))
 
 (* 13.x: side effects inside && / || operands. *)
 let r13_5 =

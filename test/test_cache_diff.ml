@@ -251,7 +251,9 @@ let test_remove_owned () =
 
 (* A store written by another tool version is wiped, not trusted —
    including schema=1, whose covphase payload is a 4-tuple that would
-   unmarshal unsafely at today's 2-tuple type. *)
+   unmarshal unsafely at today's 2-tuple type, and schema=2, whose
+   dataflow payload holds per-function counts where today's holds the
+   per-function fact lists. *)
 let test_version_salt_wipe () =
   List.iter
     (fun foreign ->
@@ -270,7 +272,8 @@ let test_version_salt_wipe () =
         (Cache.find c2 ~kind:"parse" ~key = (None : string option));
       Alcotest.(check int) "wipe is not a corruption event" 0
         (Cache.stats c2).Cache.corrupt)
-    [ "adcheck-cache/0 schema=0"; "adcheck-cache/1 schema=1" ]
+    [ "adcheck-cache/0 schema=0"; "adcheck-cache/1 schema=1";
+      "adcheck-cache/1 schema=2" ]
 
 (* ------------------------------------------------------------------ *)
 (* A small real project: parse + MISRA + dataflow through one store    *)
@@ -302,6 +305,39 @@ let project_of files =
               { Cfront.Project.path; modname = "m";
                 header = Filename.check_suffix path ".h"; content })
             files } ]
+
+(* A standalone MISRA run looks every rule's artifact up before it
+   builds the rule context: the cold run lowers every function twice
+   (the dataflow facts, then interproc's own CFG) and runs interproc
+   once, the warm run over the same store
+   does neither and reports the same violations. *)
+let test_warm_misra_builds_no_context () =
+  let dir = fresh_dir "adcheck-misra-warm" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let c = Cache.open_dir dir in
+  let parsed = Cfront.Project.parse (project_of base_sources) in
+  let run () =
+    Telemetry.reset ();
+    Telemetry.set_enabled true;
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled false)
+      (fun () ->
+        let report, _ =
+          P.collect (fun () ->
+              Cache.with_global c (fun () -> Misra.Registry.run_project parsed))
+        in
+        ( Misra.Registry.render_summary report,
+          Telemetry.counter "dataflow.cfgs",
+          Telemetry.counter "interproc.functions" ))
+  in
+  let cold, cold_cfgs, cold_ip = run () in
+  let warm, warm_cfgs, warm_ip = run () in
+  Telemetry.reset ();
+  Alcotest.(check int) "cold: two CFGs per function" 8 cold_cfgs;
+  Alcotest.(check int) "cold: interproc ran once" 4 cold_ip;
+  Alcotest.(check int) "warm: no CFG built" 0 warm_cfgs;
+  Alcotest.(check int) "warm: interproc not run" 0 warm_ip;
+  Alcotest.(check string) "warm report == cold report" cold warm
 
 (* One warm run over [tree] against store [c], replaying the audit's
    cache discipline: diff against the stored manifest (sweeping only
@@ -960,6 +996,8 @@ let () =
         [
           Alcotest.test_case "revert every file restores hits" `Quick
             test_revert_restores_hits;
+          Alcotest.test_case "warm misra builds no rule context" `Quick
+            test_warm_misra_builds_no_context;
           QCheck_alcotest.to_alcotest prop_edit_sequence_converges;
           QCheck_alcotest.to_alcotest prop_revert_is_warm;
         ] );

@@ -276,6 +276,64 @@ let test_oracle_stable () =
     a.counters b.counters;
   Alcotest.(check bool) "violations nonempty" true (a.violations <> [])
 
+(* ------------------------------------------------------------------ *)
+(* Audit work counts                                                    *)
+(*                                                                      *)
+(* One cold, no-cache audit does each analysis once per function: the   *)
+(* dataflow layer lowers every defined function and interproc lowers it *)
+(* once more (shared by its direct-facts and cross-call phases), and    *)
+(* interproc runs once.  MISRA and the metric walk only read those      *)
+(* results, at every jobs value.                                        *)
+(* ------------------------------------------------------------------ *)
+
+let audit_counters ~jobs =
+  Util.Pool.set_default_jobs jobs;
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.reset ();
+      Telemetry.set_enabled false;
+      Util.Pool.set_default_jobs restore_jobs)
+  @@ fun () ->
+  ignore (Iso26262.Audit.run ~seed:7 ~specs:Corpus.Apollo_profile.small ());
+  Telemetry.counters ()
+
+let audit_oracle = lazy (audit_counters ~jobs:1)
+
+let with_prefix prefix counters =
+  List.filter
+    (fun (k, _) ->
+      String.length k >= String.length prefix
+      && String.sub k 0 (String.length prefix) = prefix)
+    counters
+
+let check_audit_work ~jobs =
+  let oracle = Lazy.force audit_oracle in
+  let counters = if jobs = 1 then oracle else audit_counters ~jobs in
+  let get k = Option.value ~default:0 (List.assoc_opt k counters) in
+  let functions = get "dataflow.functions" in
+  Alcotest.(check bool) (Printf.sprintf "functions solved at jobs=%d" jobs) true
+    (functions > 0);
+  Alcotest.(check int)
+    (Printf.sprintf "interproc ran once at jobs=%d" jobs)
+    (get "metrics.cc_functions") (get "interproc.functions");
+  Alcotest.(check bool)
+    (Printf.sprintf "dataflow.cfgs %d <= 2 x %d functions at jobs=%d"
+       (get "dataflow.cfgs") functions jobs)
+    true
+    (get "dataflow.cfgs" <= 2 * functions);
+  List.iter
+    (fun prefix ->
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "%s* identical at jobs=%d" prefix jobs)
+        (with_prefix prefix oracle) (with_prefix prefix counters))
+    [ "misra.violations."; "provenance.findings." ]
+
+let test_audit_work_jobs1 () = check_audit_work ~jobs:1
+let test_audit_work_jobs2 () = check_audit_work ~jobs:2
+let test_audit_work_jobs8 () = check_audit_work ~jobs:8
+
 let () =
   Alcotest.run "parallel-determinism"
     [
@@ -288,6 +346,15 @@ let () =
             test_counters_jobs4;
           Alcotest.test_case "merged counters at jobs=2" `Slow
             test_counters_jobs2;
+        ] );
+      ( "audit-work",
+        [
+          Alcotest.test_case "one solve per function at jobs=1" `Slow
+            test_audit_work_jobs1;
+          Alcotest.test_case "one solve per function at jobs=2" `Slow
+            test_audit_work_jobs2;
+          Alcotest.test_case "one solve per function at jobs=8" `Slow
+            test_audit_work_jobs8;
         ] );
       ( "corpus-gen",
         [
