@@ -1,4 +1,4 @@
-.PHONY: all build test check check-par check-cache check-coverage bench bench-diff clean
+.PHONY: all build test check check-par check-cache check-coverage check-report bench bench-diff clean
 
 all: build
 
@@ -18,8 +18,9 @@ test:
 # work-tier counters must match exactly and attributed-timing sums may
 # regress at most 50% (wall time on a shared CI box is noisy; the
 # threshold catches step changes, not jitter — see `adcheck bench-diff
-# --help` for the floor that also ignores sub-millisecond drift).
-check: build test check-par check-cache check-coverage
+# --help` for the floor that also ignores sub-millisecond drift).  The
+# check-report leg locks the audit report and journal bytes.
+check: build test check-par check-cache check-coverage check-report
 	dune build bench/main.exe
 	dune exec bin/adcheck.exe -- dataflow --scale small \
 	  --metrics _build/check-metrics.json
@@ -76,6 +77,21 @@ check-coverage: build
 	    > _build/check-coverage-$$s.out || exit 1; \
 	  diff test/golden/coverage-$$s.txt _build/check-coverage-$$s.out || exit 1; \
 	done
+
+# Report goldens: the small-profile audit at seeds 7 and 2019 must print
+# test/golden/audit-small-{7,2019}.txt byte for byte, and its
+# adcheck-evidence/1 journal (about 5.5 MB each, so only a digest is
+# committed) must match test/golden/audit-small-evidence.sha256.  A
+# change that means to alter the report regenerates both goldens and
+# says why.
+check-report: build
+	for s in 7 2019; do \
+	  dune exec bin/adcheck.exe -- audit --scale small --seed $$s \
+	    --evidence _build/check-report-evidence-$$s.jsonl \
+	    > _build/check-report-$$s.out || exit 1; \
+	  diff test/golden/audit-small-$$s.txt _build/check-report-$$s.out || exit 1; \
+	done
+	sha256sum -c test/golden/audit-small-evidence.sha256
 
 # Run the whole suite under 1, 2 and 8 worker domains.  ADCHECK_JOBS=1
 # is the sequential oracle; any divergence at 2 or 8 is a determinism

@@ -2,10 +2,15 @@
 
     Comments are skipped but counted (the LOC metric needs comment lines);
     preprocessor directives are expected to have been stripped by
-    {!Preproc} before lexing (a directive reaching the lexer raises).  The
-    lexer is total over the remaining character set: an unexpected
-    character becomes a [Punct] of itself so that token-level checkers can
-    still see it, with a diagnostic recorded. *)
+    {!Preproc} before lexing (a directive line reaching the lexer is
+    skipped with a diagnostic).  The lexer is total over the remaining
+    character set: an unexpected character becomes a [Punct] of itself so
+    that token-level checkers can still see it.
+
+    The lexer is linear in the input: each character is looked at a
+    bounded number of times, keywords are a hash-table lookup, and
+    punctuators are matched on characters without building candidate
+    strings. *)
 
 type result = {
   tokens : Token.t list;
@@ -15,99 +20,130 @@ type result = {
 
 type state = {
   src : string;
+  len : int;
   file : string;
   mutable pos : int;
   mutable line : int;
-  mutable col : int;
-  mutable comment_line_set : (int, unit) Hashtbl.t;
+  mutable line_start : int;  (** offset of the first character of [line] *)
+  mutable comment_lines : int;
+  mutable last_comment_line : int;
   mutable diags : string list;
 }
 
 let make_state ~file src =
-  { src; file; pos = 0; line = 1; col = 1; comment_line_set = Hashtbl.create 64; diags = [] }
+  { src; len = String.length src; file; pos = 0; line = 1; line_start = 0;
+    comment_lines = 0; last_comment_line = 0; diags = [] }
 
-let eof st = st.pos >= String.length st.src
-let peek st = if eof st then '\000' else st.src.[st.pos]
-let peek2 st = if st.pos + 1 >= String.length st.src then '\000' else st.src.[st.pos + 1]
-let peek3 st = if st.pos + 2 >= String.length st.src then '\000' else st.src.[st.pos + 2]
+let eof st = st.pos >= st.len
+let peek st = if st.pos < st.len then String.unsafe_get st.src st.pos else '\000'
+let peek_at st n =
+  if st.pos + n < st.len then String.unsafe_get st.src (st.pos + n) else '\000'
 
+(* Advance over one character that may be a newline. *)
 let advance st =
-  if not (eof st) then begin
-    if st.src.[st.pos] = '\n' then begin
+  if st.pos < st.len then begin
+    if String.unsafe_get st.src st.pos = '\n' then begin
       st.line <- st.line + 1;
-      st.col <- 1
-    end
-    else st.col <- st.col + 1;
+      st.line_start <- st.pos + 1
+    end;
     st.pos <- st.pos + 1
   end
 
-let here st = Loc.make ~file:st.file ~line:st.line ~col:st.col
+let here st = Loc.make ~file:st.file ~line:st.line ~col:(st.pos - st.line_start + 1)
 
-let mark_comment_line st = Hashtbl.replace st.comment_line_set st.line ()
+let diag st msg = st.diags <- msg :: st.diags
+
+(* Lines are visited in increasing order, so remembering the last marked
+   line is enough to count each comment line once. *)
+let mark_comment_line st =
+  if st.line <> st.last_comment_line then begin
+    st.comment_lines <- st.comment_lines + 1;
+    st.last_comment_line <- st.line
+  end
+
+let skip_to_newline st =
+  match String.index_from_opt st.src st.pos '\n' with
+  | Some i -> st.pos <- i
+  | None -> st.pos <- st.len
 
 let skip_line_comment st =
   mark_comment_line st;
-  while (not (eof st)) && peek st <> '\n' do
-    advance st
-  done
+  skip_to_newline st
 
+let at_comment_close st = peek st = '*' && peek_at st 1 = '/'
+
+(* A line counts as a comment line when it holds comment text other than
+   the closing delimiter: the line of the opening "/*" always does, a
+   later line does unless it is empty at end of input or starts with the
+   closing delimiter. *)
 let skip_block_comment st =
-  (* Consume the opening "/*" then scan to the matching "*"^"/". *)
-  advance st;
-  advance st;
+  st.pos <- st.pos + 2;
   mark_comment_line st;
   let rec go () =
-    if eof st then st.diags <- "unterminated block comment" :: st.diags
-    else if peek st = '*' && peek2 st = '/' then begin
-      advance st;
-      advance st
-    end
+    if eof st then diag st "unterminated block comment"
+    else if at_comment_close st then st.pos <- st.pos + 2
     else begin
-      mark_comment_line st;
       advance st;
+      if st.pos = st.line_start && not (eof st || at_comment_close st) then
+        mark_comment_line st;
       go ()
     end
   in
   go ()
 
+let skip_while st p = while st.pos < st.len && p (String.unsafe_get st.src st.pos) do st.pos <- st.pos + 1 done
+
 let lex_ident st =
   let start = st.pos in
-  while (not (eof st)) && Util.Strutil.is_ident_char (peek st) do
-    advance st
-  done;
+  skip_while st Util.Strutil.is_ident_char;
   String.sub st.src start (st.pos - start)
 
-let lex_number st =
+(* The value of an integer body (suffixes stripped).  C reads a leading
+   [0x] as hex and a leading [0] as octal; an octal body with an 8 or 9
+   in it is reported and read as decimal. *)
+let int_value st ~loc body =
+  let n = String.length body in
+  if n > 1 && body.[0] = '0' && Util.Strutil.is_digit body.[1] then
+    if Util.Strutil.for_all (fun c -> c >= '0' && c <= '7') body then
+      Option.value ~default:0L (Int64.of_string_opt ("0o" ^ body))
+    else begin
+      diag st (Printf.sprintf "%s: invalid digit in octal constant %s" (Loc.to_string loc) body);
+      Option.value ~default:0L (Int64.of_string_opt body)
+    end
+  else
+    match Int64.of_string_opt body with
+    | Some v -> v
+    | None -> (try Int64.of_float (float_of_string body) with _ -> 0L)
+
+let lex_number st ~loc =
   let start = st.pos in
   let is_float = ref false in
-  let hex = peek st = '0' && (peek2 st = 'x' || peek2 st = 'X') in
+  let hex = peek st = '0' && (peek_at st 1 = 'x' || peek_at st 1 = 'X') in
   if hex then begin
-    advance st;
-    advance st;
-    while (not (eof st)) && (Util.Strutil.is_alnum (peek st)) do advance st done
+    st.pos <- st.pos + 2;
+    skip_while st Util.Strutil.is_alnum
   end
   else begin
-    while (not (eof st)) && Util.Strutil.is_digit (peek st) do advance st done;
-    if peek st = '.' && Util.Strutil.is_digit (peek2 st) then begin
+    skip_while st Util.Strutil.is_digit;
+    if peek st = '.' && Util.Strutil.is_digit (peek_at st 1) then begin
       is_float := true;
-      advance st;
-      while (not (eof st)) && Util.Strutil.is_digit (peek st) do advance st done
+      st.pos <- st.pos + 1;
+      skip_while st Util.Strutil.is_digit
     end
-    else if peek st = '.' && not (Util.Strutil.is_ident_start (peek2 st)) then begin
+    else if peek st = '.' && not (Util.Strutil.is_ident_start (peek_at st 1)) then begin
       is_float := true;
-      advance st
+      st.pos <- st.pos + 1
     end;
     if peek st = 'e' || peek st = 'E' then begin
       is_float := true;
-      advance st;
-      if peek st = '+' || peek st = '-' then advance st;
-      while (not (eof st)) && Util.Strutil.is_digit (peek st) do advance st done
+      st.pos <- st.pos + 1;
+      if peek st = '+' || peek st = '-' then st.pos <- st.pos + 1;
+      skip_while st Util.Strutil.is_digit
     end;
     (* literal suffixes *)
-    while peek st = 'f' || peek st = 'F' || peek st = 'l' || peek st = 'L'
-          || peek st = 'u' || peek st = 'U' do
+    while (match peek st with 'f' | 'F' | 'l' | 'L' | 'u' | 'U' -> true | _ -> false) do
       if peek st = 'f' || peek st = 'F' then is_float := true;
-      advance st
+      st.pos <- st.pos + 1
     done
   end;
   let raw = String.sub st.src start (st.pos - start) in
@@ -128,9 +164,7 @@ let lex_number st =
   in
   let body = strip_suffix raw in
   if !is_float then Token.Float_lit ((try float_of_string body with _ -> 0.0), raw)
-  else
-    let v = try Int64.of_string body with _ -> (try Int64.of_float (float_of_string body) with _ -> 0L) in
-    Token.Int_lit (v, raw)
+  else Token.Int_lit (int_value st ~loc body, raw)
 
 let lex_escaped st =
   (* After the backslash: translate the escape, defaulting to the raw char. *)
@@ -151,12 +185,12 @@ let lex_string st =
   advance st;
   let buf = Buffer.create 16 in
   let rec go () =
-    if eof st then st.diags <- "unterminated string literal" :: st.diags
+    if eof st then diag st "unterminated string literal"
     else
       match peek st with
       | '"' -> advance st
       | '\\' -> Buffer.add_char buf (lex_escaped st); go ()
-      | '\n' -> st.diags <- "newline in string literal" :: st.diags; advance st
+      | '\n' -> diag st "newline in string literal"; advance st
       | c -> Buffer.add_char buf c; advance st; go ()
   in
   go ();
@@ -166,73 +200,52 @@ let lex_char st =
   advance st;
   let c = if peek st = '\\' then lex_escaped st else (let c = peek st in advance st; c) in
   if peek st = '\'' then advance st
-  else st.diags <- "unterminated char literal" :: st.diags;
+  else diag st "unterminated char literal";
   Token.Char_lit c
 
-(* Multi-character punctuators, longest first within each head character.
-   "<<<" / ">>>" are CUDA kernel-launch delimiters. *)
-let puncts3 = [ "<<<"; ">>>"; "<<="; ">>="; "..."; "->*" ]
-let puncts2 =
-  [ "<<"; ">>"; "<="; ">="; "=="; "!="; "&&"; "||"; "++"; "--"; "+="; "-=";
-    "*="; "/="; "%="; "&="; "|="; "^="; "->"; "::" ]
-
-let try_punct st =
-  let try_list lst n =
-    if st.pos + n <= String.length st.src then
-      let s = String.sub st.src st.pos n in
-      if List.mem s lst then Some s else None
-    else None
-  in
-  match try_list puncts3 3 with
-  | Some s -> Some s
-  | None ->
-    (match try_list puncts2 2 with
-     | Some s -> Some s
-     | None -> Some (String.make 1 (peek st)))
+(* Length of the punctuator at the cursor, longest match first.  The
+   3-character ones are "<<<" / ">>>" (CUDA kernel-launch delimiters),
+   "<<=", ">>=", "..." and "->*"; any other character is a punctuator of
+   its own. *)
+let punct_length st =
+  match (peek st, peek_at st 1, peek_at st 2) with
+  | ('<', '<', ('<' | '=')) | ('>', '>', ('>' | '=')) | ('.', '.', '.') | ('-', '>', '*') -> 3
+  | ('<', ('<' | '='), _) | ('>', ('>' | '='), _)
+  | (('=' | '!' | '*' | '/' | '%' | '^'), '=', _)
+  | ('&', ('&' | '='), _) | ('|', ('|' | '='), _)
+  | ('+', ('+' | '='), _) | ('-', ('-' | '=' | '>'), _) | (':', ':', _) -> 2
+  | _ -> 1
 
 let tokenize ~file src =
   let st = make_state ~file src in
   let toks = ref [] in
   let emit kind loc = toks := { Token.kind; loc } :: !toks in
-  let rec loop () =
-    if eof st then ()
+  while not (eof st) do
+    let c = peek st in
+    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then advance st
+    else if c = '/' && peek_at st 1 = '/' then skip_line_comment st
+    else if c = '/' && peek_at st 1 = '*' then skip_block_comment st
+    else if c = '#' then begin
+      diag st (Printf.sprintf "%s: preprocessor directive reached lexer" (Loc.to_string (here st)));
+      skip_to_newline st
+    end
     else begin
-      let c = peek st in
-      if c = ' ' || c = '\t' || c = '\r' || c = '\n' then (advance st; loop ())
-      else if c = '/' && peek2 st = '/' then (skip_line_comment st; loop ())
-      else if c = '/' && peek2 st = '*' then (skip_block_comment st; loop ())
-      else if c = '#' then begin
-        st.diags <- Printf.sprintf "%s: preprocessor directive reached lexer" (Loc.to_string (here st)) :: st.diags;
-        while (not (eof st)) && peek st <> '\n' do advance st done;
-        loop ()
+      let loc = here st in
+      if Util.Strutil.is_ident_start c then begin
+        let s = lex_ident st in
+        emit (if Token.is_keyword s then Token.Keyword s else Token.Ident s) loc
       end
+      else if Util.Strutil.is_digit c || (c = '.' && Util.Strutil.is_digit (peek_at st 1)) then
+        emit (lex_number st ~loc) loc
+      else if c = '"' then emit (lex_string st) loc
+      else if c = '\'' then emit (lex_char st) loc
       else begin
-        let loc = here st in
-        if Util.Strutil.is_ident_start c then begin
-          let s = lex_ident st in
-          if Token.is_keyword s then emit (Token.Keyword s) loc
-          else emit (Token.Ident s) loc
-        end
-        else if Util.Strutil.is_digit c || (c = '.' && Util.Strutil.is_digit (peek2 st)) then
-          emit (lex_number st) loc
-        else if c = '"' then emit (lex_string st) loc
-        else if c = '\'' then emit (lex_char st) loc
-        else begin
-          match try_punct st with
-          | Some p ->
-            String.iter (fun _ -> advance st) p;
-            emit (Token.Punct p) loc
-          | None -> advance st
-        end;
-        loop ()
+        (* a punctuator never spans a newline: '\n' is whitespace above *)
+        let n = punct_length st in
+        emit (Token.Punct (String.sub src st.pos n)) loc;
+        st.pos <- st.pos + n
       end
     end
-  in
-  loop ();
+  done;
   emit Token.Eof (here st);
-  ignore peek3;
-  {
-    tokens = List.rev !toks;
-    comment_lines = Hashtbl.length st.comment_line_set;
-    diagnostics = List.rev st.diags;
-  }
+  { tokens = List.rev !toks; comment_lines = st.comment_lines; diagnostics = List.rev st.diags }

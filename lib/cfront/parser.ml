@@ -1091,10 +1091,18 @@ and parse_top_tolerant st scope =
     done;
     Ast.Tunparsed { loc = cur_loc st; tokens_skipped = st.pos - start }
 
-(** Parse a whole translation unit from source text.  [extra_types] seeds
-    the type-name registry — the stand-in for types that would arrive via
-    a header include. *)
-let parse_file ?(extra_types = []) ~file source =
+(* The front half of [parse_file]: preprocess, lex once, expand
+   object-like macros.  Only what the parse and the unit need is kept. *)
+type lexed = {
+  lx_file : string;
+  lx_source : string;
+  lx_tokens : Token.t list;
+  lx_directives : (int * Preproc.directive) list;
+  lx_comment_lines : int;
+  lx_diags : string list;
+}
+
+let lex_file ~file source =
   let pre = Preproc.run ~file source in
   let lexed = Lexer.tokenize ~file pre.Preproc.text in
   let defines =
@@ -1106,9 +1114,17 @@ let parse_file ?(extra_types = []) ~file source =
         | _ -> None)
       pre.Preproc.directives
   in
-  let tokens = Preproc.expand_macros ~defines lexed.Lexer.tokens in
-  let st = make_state ~file tokens in
+  {
+    lx_file = file;
+    lx_source = source;
+    lx_tokens = Preproc.expand_macros ~defines lexed.Lexer.tokens;
+    lx_directives = pre.Preproc.directives;
+    lx_comment_lines = lexed.Lexer.comment_lines;
+    lx_diags = lexed.Lexer.diagnostics @ pre.Preproc.diagnostics;
+  }
 
+let parse_lexed ?(extra_types = []) lx =
+  let st = make_state ~file:lx.lx_file lx.lx_tokens in
   List.iter (register_type st) extra_types;
   let tops = ref [] in
   while (cur st).Token.kind <> Token.Eof do
@@ -1117,16 +1133,22 @@ let parse_file ?(extra_types = []) ~file source =
     tops := List.rev_append st.pending_tops (top :: !tops)
   done;
   {
-    Ast.tu_file = file;
+    Ast.tu_file = lx.lx_file;
     tops = List.rev !tops;
-    tokens;
-    raw_source = source;
-    comment_lines = lexed.Lexer.comment_lines;
-    directives = pre.Preproc.directives;
-    diags = List.rev st.diags @ lexed.Lexer.diagnostics @ pre.Preproc.diagnostics;
+    tokens = lx.lx_tokens;
+    raw_source = lx.lx_source;
+    comment_lines = lx.lx_comment_lines;
+    directives = lx.lx_directives;
+    diags = List.rev_append st.diags lx.lx_diags;
     n_exprs = st.n_eids;
     n_stmts = st.n_sids;
   }
+
+(** Parse a whole translation unit from source text.  [extra_types] seeds
+    the type-name registry — the stand-in for types that would arrive via
+    a header include. *)
+let parse_file ?extra_types ~file source =
+  parse_lexed ?extra_types (lex_file ~file source)
 
 (** Parse an expression in isolation (used by tests). *)
 let parse_expr_string src =

@@ -24,6 +24,35 @@ exception Parse_error of string * Loc.t
     tag; [source] is the raw text (the preprocessor runs internally). *)
 val parse_file : ?extra_types:string list -> file:string -> string -> Ast.tu
 
+(** {2 The two halves of [parse_file]}
+
+    [parse_file ?extra_types ~file source] is
+    [parse_lexed ?extra_types (lex_file ~file source)].  Splitting it lets
+    {!Cfront.Project.parse} lex each file once: the project-wide
+    type-name scan reads the same final token stream the parse then
+    consumes. *)
+
+(** A lexed unit: everything of the front end's first half that the parse
+    and the resulting {!Ast.tu} need, and nothing else (the preprocessed
+    text and the pre-expansion tokens are dropped). *)
+type lexed = {
+  lx_file : string;  (** the [~file] it was lexed under *)
+  lx_source : string;  (** the raw text, becomes [tu.raw_source] *)
+  lx_tokens : Token.t list;
+      (** the final stream: directives stripped, conditionally excluded
+          lines blanked, object-like macros expanded; ends in one [Eof] *)
+  lx_directives : (int * Preproc.directive) list;
+  lx_comment_lines : int;
+  lx_diags : string list;  (** lexer diagnostics, then preprocessor ones *)
+}
+
+(** Preprocess, lex and expand object-like macros.  Total: never raises. *)
+val lex_file : file:string -> string -> lexed
+
+(** Parse a lexed unit.  [extra_types] as for {!parse_file}.  The unit's
+    [diags] are the parser's, then [lx_diags]. *)
+val parse_lexed : ?extra_types:string list -> lexed -> Ast.tu
+
 (** The high bits shared by every expression and statement id of a
     unit parsed with [~file]: a 30-bit hash of the path, shifted above
     the 32-bit local id range. *)

@@ -169,20 +169,26 @@ let run ~file src =
 
 (** Object-like macro substitution on the token stream.  Each expansion
     re-lexes the macro body once (cached) and splices it in; recursive
-    references expand up to a small depth bound to guarantee termination. *)
+    references expand up to a small depth bound to guarantee termination.
+    Without defines the stream is returned as it is. *)
 let expand_macros ~(defines : (string * string) list) (tokens : Token.t list) =
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun (name, body) ->
-      let lexed = (Lexer.tokenize ~file:"<macro>" body).tokens in
-      let toks = List.filter (fun t -> t.Token.kind <> Token.Eof) lexed in
-      Hashtbl.replace table name toks)
-    defines;
-  let rec expand depth tok =
-    match tok.Token.kind with
-    | Token.Ident name when depth < 8 && Hashtbl.mem table name ->
-      let body = Hashtbl.find table name in
-      List.concat_map (fun t -> expand (depth + 1) { t with Token.loc = tok.Token.loc }) body
-    | _ -> [ tok ]
-  in
-  List.concat_map (expand 0) tokens
+  if defines = [] then tokens
+  else begin
+    let table = Hashtbl.create 16 in
+    List.iter
+      (fun (name, body) ->
+        let lexed = (Lexer.tokenize ~file:"<macro>" body).tokens in
+        let toks = List.filter (fun t -> t.Token.kind <> Token.Eof) lexed in
+        Hashtbl.replace table name toks)
+      defines;
+    (* prepends the expansion of [tok], reversed, to [acc] *)
+    let rec expand depth acc tok =
+      match tok.Token.kind with
+      | Token.Ident name when depth < 8 && Hashtbl.mem table name ->
+        List.fold_left
+          (fun acc t -> expand (depth + 1) acc { t with Token.loc = tok.Token.loc })
+          acc (Hashtbl.find table name)
+      | _ -> tok :: acc
+    in
+    List.rev (List.fold_left (expand 0) [] tokens)
+  end

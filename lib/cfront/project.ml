@@ -22,7 +22,7 @@ type parsed = {
   project : t;
   files : parsed_file list;
   types_key : string;
-      (** hash of the shared type-name pre-scan — part of every per-file
+      (** hash of the shared type-name scan — part of every per-file
           cache key, since the parse of one file depends on type names
           declared in every other *)
 }
@@ -35,10 +35,11 @@ let file_count t = List.length (all_files t)
 
 (* Cheap cross-file type discovery: real projects share struct/typedef
    names through headers; an in-memory project shares them through this
-   pre-scan, so [struct X] defined in one file parses as a type in all. *)
-let type_names_of_file (f : source_file) =
+   scan, so [struct X] defined in one file parses as a type in all.  It
+   reads the final token stream of {!Parser.lex_file}, so names in
+   inactive [#if] regions do not count. *)
+let type_names_of_tokens toks =
   let names = ref [] in
-  let toks = (Lexer.tokenize ~file:f.path f.content).Lexer.tokens in
   let rec go = function
     | { Token.kind = Token.Keyword ("struct" | "class" | "enum"); _ }
       :: ({ Token.kind = Token.Ident name; _ } :: _ as rest) ->
@@ -61,9 +62,15 @@ let type_names_of_file (f : source_file) =
   go toks;
   List.rev !names
 
+let lex (f : source_file) = Parser.lex_file ~file:f.path f.content
+
+let merge_type_names per_file = List.sort_uniq compare (List.concat per_file)
+
 let scan_type_names (files : source_file list) =
-  List.sort_uniq compare
-    (List.concat (Telemetry.parallel_map type_names_of_file files))
+  merge_type_names
+    (Telemetry.parallel_map
+       (fun f -> type_names_of_tokens (lex f).Parser.lx_tokens)
+       files)
 
 (* Cache keys.  A file's parse depends on its path (locations), its
    content, and the project-wide type-name scan; the project key folds
@@ -79,27 +86,41 @@ let file_key parsed (pf : parsed_file) =
     (String.concat "\x00"
        [ pf.file.path; Cache.fnv1a64 pf.file.content; parsed.types_key ])
 
-(* Both the pre-scan and the per-file parse fan out over
-   [Telemetry.parallel_map]: files are independent once the shared type
-   names are known, results come back in file order, and at --jobs 1 the
-   map *is* List.map, so sequential runs take the exact historical path. *)
+(* Each file is lexed once, in one fan-out over [Telemetry.parallel_map]
+   that also collects its type names; the parse fans out again once the
+   shared names are known.  Results come back in file order, and at
+   --jobs 1 the map *is* List.map.
+
+   Without a store every file is parsed, so each keeps its lexed stream
+   for the parse.  With a store most parses are hits that unmarshal a
+   unit holding its own tokens, so a file keeps only its names and is
+   lexed again only on a miss; keeping every stream as well costs a warm
+   audit about a tenth of its peak RSS (DESIGN.md, section 3a). *)
 let parse t =
   let sp = Telemetry.start_span ~cat:"cfront" "parse" in
   let t0 = Telemetry.now_us () in
-  let extra_types =
-    Telemetry.with_span ~cat:"cfront" "parse.scan_types" (fun () ->
-        scan_type_names (all_files t))
+  let store = Cache.global () in
+  let lexed =
+    Telemetry.with_span ~cat:"cfront" "parse.lex" (fun () ->
+        Telemetry.parallel_map
+          (fun f ->
+            let lx = lex f in
+            let names = type_names_of_tokens lx.Parser.lx_tokens in
+            (f, (if Option.is_none store then Some lx else None), names))
+          (all_files t))
   in
+  let extra_types = merge_type_names (List.map (fun (_, _, names) -> names) lexed) in
   let types_key = Cache.fnv1a64 (String.concat "\x00" extra_types) in
   let files =
     Telemetry.parallel_map
-      (fun f ->
+      (fun (f, lx, _) ->
         let pf =
           Telemetry.timed "parse.file_us" @@ fun () ->
           let fresh () =
-            { file = f; tu = Parser.parse_file ~extra_types ~file:f.path f.content }
+            let lx = match lx with Some lx -> lx | None -> lex f in
+            { file = f; tu = Parser.parse_lexed ~extra_types lx }
           in
-          match Cache.global () with
+          match store with
           | None -> fresh ()
           | Some c ->
             (* Content-addressed parse artifact: a parse depends only on
@@ -118,7 +139,7 @@ let parse t =
         Telemetry.observe "parse.file_ast_nodes"
           (float_of_int (pf.tu.Ast.n_exprs + pf.tu.Ast.n_stmts));
         pf)
-      (all_files t)
+      lexed
   in
   let n_files = List.length files in
   let ast_nodes =

@@ -21,20 +21,31 @@ type parsed_file = { file : source_file; tu : Ast.tu }
 type parsed = {
   project : t;
   files : parsed_file list;
-  types_key : string;  (** hash of the shared type-name pre-scan *)
+  types_key : string;  (** hash of the shared type-name scan *)
 }
 
 val make : name:string -> modul list -> t
 val all_files : t -> source_file list
 val file_count : t -> int
 
-(** Cheap cross-file type discovery: struct/class/enum/typedef names
-    collected by a token scan over every file, standing in for the
-    header-shared declarations of a real build. *)
+(** Cheap cross-file type discovery: the struct/class/enum/typedef names
+    of every file, sorted and deduplicated, standing in for the
+    header-shared declarations of a real build.  Names are read from the
+    final token stream of {!Parser.lex_file}, so a name declared only in
+    an inactive [#if] region does not count.  Lexes every file; {!parse}
+    does the same scan without lexing any file twice. *)
 val scan_type_names : source_file list -> string list
 
 (** Parse every file, seeding each unit's type registry with
-    {!scan_type_names} of the whole project. *)
+    {!scan_type_names} of the whole project.  The result equals
+    [Parser.parse_file ~extra_types:(scan_type_names files)] on each file,
+    in file order, at any [--jobs].
+
+    Each file is lexed once ({!Parser.lex_file}), and its type names come
+    from that stream.  Without a store every file keeps its stream for
+    {!Parser.parse_lexed}, so no file is lexed twice.  With a store
+    ([Cache.global ()]) a file keeps only its names and is lexed again
+    only if its [parse] artifact misses; a hit is served from the store. *)
 val parse : t -> parsed
 
 (** Cache key for the whole source tree: every path + content, in

@@ -34,8 +34,10 @@ let keywords =
     "__restrict__";
   ]
 
-let keyword_set = List.sort_uniq compare keywords
-let is_keyword s = List.mem s keyword_set
+let is_keyword =
+  let table = Hashtbl.create 128 in
+  List.iter (fun k -> Hashtbl.replace table k ()) keywords;
+  Hashtbl.mem table
 
 let kind_to_string = function
   | Ident s -> Printf.sprintf "ident %s" s

@@ -80,6 +80,232 @@ let test_lex_locations () =
     Alcotest.(check int) "b col" 3 t2.Cfront.Token.loc.Cfront.Loc.col
   | _ -> Alcotest.fail "locations"
 
+let puncts src =
+  List.map
+    (function Cfront.Token.Punct p -> p | k -> Cfront.Token.kind_to_string k)
+    (kinds src)
+
+let multichar_puncts =
+  [ "<<<"; ">>>"; "<<="; ">>="; "..."; "->*"; "<<"; ">>"; "<="; ">="; "==";
+    "!="; "&&"; "||"; "++"; "--"; "+="; "-="; "*="; "/="; "%="; "&="; "|=";
+    "^="; "->"; "::" ]
+
+let test_lex_every_multichar_punct () =
+  List.iter
+    (fun p ->
+      Alcotest.(check (list string)) p [ p ] (puncts p);
+      (* also when the input ends right after it, and between identifiers *)
+      Alcotest.(check (list string)) ("a" ^ p ^ "b") [ "ident a"; p; "ident b" ]
+        (puncts ("a" ^ p ^ "b")))
+    multichar_puncts
+
+let test_lex_longest_match () =
+  List.iter
+    (fun (src, expected) -> Alcotest.(check (list string)) src expected (puncts src))
+    [ (">>=", [ ">>=" ]); ("->*", [ "->*" ]); ("<<<", [ "<<<" ]);
+      ("<<<=", [ "<<<"; "=" ]); (">>>>", [ ">>>"; ">" ]); ("....", [ "..."; "." ]);
+      ("..", [ "."; "." ]); ("->->", [ "->"; "->" ]); ("+++", [ "++"; "+" ]);
+      ("-->", [ "--"; ">" ]); ("&&=", [ "&&"; "=" ]); (":::", [ "::"; ":" ]);
+      ("<", [ "<" ]); ("-", [ "-" ]); ("=!", [ "="; "!" ]);
+      ("@$`\000", [ "@"; "$"; "`"; "\000" ]) ]
+
+let test_lex_keyword_prefixed_idents () =
+  match kinds "intx __global__x int_ returnValue if" with
+  | [ Cfront.Token.Ident "intx"; Cfront.Token.Ident "__global__x";
+      Cfront.Token.Ident "int_"; Cfront.Token.Ident "returnValue";
+      Cfront.Token.Keyword "if" ] -> ()
+  | ks -> Alcotest.failf "unexpected: %s" (String.concat ";" (List.map Cfront.Token.kind_to_string ks))
+
+let test_lex_hex_ending_in_f () =
+  match kinds "0x1f 0XFF 0x1Fu 0xfUL" with
+  | [ Cfront.Token.Int_lit (31L, "0x1f"); Cfront.Token.Int_lit (255L, "0XFF");
+      Cfront.Token.Int_lit (31L, "0x1Fu"); Cfront.Token.Int_lit (15L, "0xfUL") ] -> ()
+  | ks -> Alcotest.failf "unexpected: %s" (String.concat ";" (List.map Cfront.Token.kind_to_string ks))
+
+(* A line counts when it holds comment text other than the closing
+   delimiter: a block comment whose closing delimiter starts a line
+   does not count that line. *)
+let test_lex_comment_line_rule () =
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check int) (String.escaped src) expected
+        (Cfront.Lexer.tokenize ~file:"t.c" src).Cfront.Lexer.comment_lines)
+    [ ("/* a\n*/ x", 1); ("/* a\n */ x", 2); ("/* a */ /* b */ x", 1);
+      ("/*\n\n*/", 2); ("/* a\n", 1); ("// a\n// b\nx", 2);
+      ("x /* a */ // b", 1); ("/* a\n*/ // b", 2); ("x\n/**/\n", 1) ]
+
+let int_values src =
+  List.map
+    (function Cfront.Token.Int_lit (v, _) -> v | _ -> Alcotest.fail "int literal")
+    (kinds src)
+
+let test_lex_octal_literals () =
+  Alcotest.(check (list int64)) "octal values" [ 8L; 493L; 0L; 0L; 8L; 16L; 7L; 0L ]
+    (int_values "010 0755 0 00 010u 0x10 07L 0u");
+  let r = Cfront.Lexer.tokenize ~file:"t.c" "010.5 0e1" in
+  (match r.Cfront.Lexer.tokens with
+   | [ { kind = Cfront.Token.Float_lit (a, _); _ }; { kind = Cfront.Token.Float_lit (b, _); _ }; _ ] ->
+     Alcotest.(check (float 1e-9)) "010.5 is decimal" 10.5 a;
+     Alcotest.(check (float 1e-9)) "0e1" 0.0 b
+   | _ -> Alcotest.fail "octal-looking floats");
+  Alcotest.(check (list string)) "valid octal: no diagnostic" [] r.Cfront.Lexer.diagnostics
+
+let test_lex_bad_octal_diag () =
+  let r = Cfront.Lexer.tokenize ~file:"t.c" "int a = 08;\nint b = 0179;" in
+  Alcotest.(check (list string)) "one located diagnostic per literal"
+    [ "t.c:1:9: invalid digit in octal constant 08";
+      "t.c:2:9: invalid digit in octal constant 0179" ]
+    r.Cfront.Lexer.diagnostics
+
+(* Octal values reach the AST: constants and array sizes. *)
+let test_parse_octal_constants () =
+  (match (Cfront.Parser.parse_expr_string "0755").Cfront.Ast.e with
+   | Cfront.Ast.Int_const 493L -> ()
+   | _ -> Alcotest.fail "0755 is 493");
+  match Cfront.Ast.globals_of_tu (parse_clean "int g[010];") with
+  | [ g ] ->
+    (match g.Cfront.Ast.g_decl.Cfront.Ast.v_type with
+     | Cfront.Ast.Tarray (_, Some 8) -> ()
+     | t -> Alcotest.failf "array size: %s" (Cfront.Ast.type_to_string t))
+  | _ -> Alcotest.fail "one global"
+
+(* Digest of a token stream: kind, spelling, literal value and location of
+   every token, then the diagnostics and the comment-line count. *)
+let stream_digest tokens ~comment_lines ~diags =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (t : Cfront.Token.t) ->
+      let value =
+        match t.Cfront.Token.kind with
+        | Cfront.Token.Int_lit (v, _) -> Int64.to_string v
+        | Cfront.Token.Float_lit (f, _) -> Printf.sprintf "%h" f
+        | _ -> ""
+      in
+      Printf.bprintf b "%s\x00%s\x00%s\x00%d:%d\n"
+        (Cfront.Token.kind_to_string t.Cfront.Token.kind)
+        (Cfront.Token.spelling t.Cfront.Token.kind)
+        value t.Cfront.Token.loc.Cfront.Loc.line t.Cfront.Token.loc.Cfront.Loc.col)
+    tokens;
+  List.iter (fun d -> Printf.bprintf b "diag %s\n" d) diags;
+  Printf.bprintf b "comment_lines %d\n" comment_lines;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The lexer's output on the small seed-2019 corpus, pinned from the
+   list-scanning lexer this one replaced: per file, the stream of
+   [Lexer.tokenize] on the raw content (directive lines reach the lexer
+   and are diagnosed) and the final stream of [Parser.lex_file]. *)
+let pinned_streams =
+  [
+    ("modules/perception/perception_component_0.cc",
+     "e9883c4e6861a13eafaee196603b86a0", "451f65efe13963e3afc2a6d982ed7bf9");
+    ("modules/perception/perception_component_1.cc",
+     "95f035d8705847d48fcc7b07873ad93a", "94898b3ae157c20bca9782756ac3281a");
+    ("modules/perception/perception_component_2.cc",
+     "2d8a49bf68f288dd99835fb14d994161", "efa4293f21a44b440217d33222d72fc5");
+    ("modules/perception/perception_component_3.cc",
+     "5b8cf44b0b4f5d7caecbd55a3022ee88", "b3372847411690cf7dd647aa13831072");
+    ("modules/planning/planning_component_0.cc",
+     "7fb1b954965d36475ca44e3b09dd6573", "2e928d045b53de58c8dc10d94bffc5a3");
+    ("modules/planning/planning_component_1.cc",
+     "e706ad491eb530568fd87c6450726e00", "8e2f8b45bd9f5c58b166db1d0c675688");
+    ("modules/planning/planning_component_2.cc",
+     "7957aa22b49e2b3a36358980d7fd0f0e", "7aeb665fbd9b821f73a8d38115e4c58e");
+    ("modules/prediction/prediction_component_0.cc",
+     "b7ad305fe7f6f28d5d505bbd420089c2", "784c0fd447db53f3b41ad57d5f236cea");
+    ("modules/prediction/prediction_component_1.cc",
+     "e811c564a965629456aa498333e24aa1", "89ffd56c62bd5c47b81115de446f28b2");
+    ("modules/localization/localization_component_0.cc",
+     "076c47fd6669c426f36310cfc68f9471", "f636f52a210fafe5698a4cdd5b639eac");
+    ("modules/map/map_component_0.cc",
+     "3341f655f4704d321dc8363dfcaa8ad5", "da9450bf4b36a5b161b3db1aebfe1df0");
+    ("modules/map/map_component_1.cc",
+     "e95d55904d7ac11ec0ee90f86f01cedc", "a7fee83737d13c5034852c741b3a3f44");
+    ("modules/routing/routing_component_0.cc",
+     "5833302a49b58cb92bf5b7bfa051819a", "613e42007ffefb97a956f9ec4010cbba");
+    ("modules/control/control_component_0.cc",
+     "ae286b6a6dd61389e7bc6e0b3979ad21", "84e795d40745643b9cd7046d332b212c");
+    ("modules/canbus/canbus_component_0.cc",
+     "1585f1fe93cff6289f1888696c6cb3b5", "0c7007844e77dbe9d3a08b66f4eb0d72");
+    ("modules/common/common_component_0.cc",
+     "90f315880a2df6a0869ac96e214f2b5f", "bd5429ecf8271a683dfc4f70e95f09a8");
+  ]
+
+let test_lex_pinned_corpus () =
+  let project = Corpus.Generator.generate ~seed:2019 Corpus.Apollo_profile.small in
+  let files = Cfront.Project.all_files project in
+  Alcotest.(check (list string)) "pinned files"
+    (List.map (fun (p, _, _) -> p) pinned_streams)
+    (List.map (fun f -> f.Cfront.Project.path) files);
+  List.iter2
+    (fun (f : Cfront.Project.source_file) (path, raw, final) ->
+      let r = Cfront.Lexer.tokenize ~file:path f.Cfront.Project.content in
+      Alcotest.(check string) (path ^ " raw") raw
+        (stream_digest r.Cfront.Lexer.tokens ~comment_lines:r.Cfront.Lexer.comment_lines
+           ~diags:r.Cfront.Lexer.diagnostics);
+      let lx = Cfront.Parser.lex_file ~file:path f.Cfront.Project.content in
+      Alcotest.(check string) (path ^ " final") final
+        (stream_digest lx.Cfront.Parser.lx_tokens
+           ~comment_lines:lx.Cfront.Parser.lx_comment_lines ~diags:lx.Cfront.Parser.lx_diags))
+    files pinned_streams
+
+(* Totality: whatever bytes arrive, the lexer and [Parser.lex_file]
+   return, the stream ends in exactly one [Eof], and every token lies
+   inside the input (a line of it, at most one column past its end). *)
+let stream_well_formed ~file src tokens =
+  let lines = Array.of_list (String.split_on_char '\n' src) in
+  let inside (t : Cfront.Token.t) =
+    let l = t.Cfront.Token.loc in
+    l.Cfront.Loc.file = file && l.Cfront.Loc.line >= 1
+    && l.Cfront.Loc.line <= Array.length lines
+    && l.Cfront.Loc.col >= 1
+    && l.Cfront.Loc.col <= String.length lines.(l.Cfront.Loc.line - 1) + 1
+  in
+  let eofs = List.filter (fun t -> t.Cfront.Token.kind = Cfront.Token.Eof) tokens in
+  (match List.rev tokens with
+   | { Cfront.Token.kind = Cfront.Token.Eof; _ } :: _ -> true
+   | _ -> false)
+  && List.length eofs = 1 && List.for_all inside tokens
+
+let lexes_totally src =
+  let file = "fuzz.cc" in
+  match
+    ( Cfront.Lexer.tokenize ~file src,
+      Cfront.Parser.lex_file ~file src )
+  with
+  | r, lx ->
+    stream_well_formed ~file src r.Cfront.Lexer.tokens
+    && stream_well_formed ~file src lx.Cfront.Parser.lx_tokens
+  | exception _ -> false
+
+(* Bytes biased toward the characters that switch lexer states. *)
+let c_bytes_gen =
+  QCheck.Gen.(
+    string_size ~gen:(frequency
+      [ (3, char);
+        (2, oneofl [ '/'; '*'; '\n'; '"'; '\''; '\\'; '#'; '0'; 'x'; '.'; 'e';
+                     '<'; '>'; '-'; '=' ]);
+        (2, oneofl [ 'a'; 'i'; 'n'; 't'; ' '; '8'; '9'; 'f'; 'u'; 'L' ]) ])
+      (int_range 0 400))
+
+let prop_lexer_total_on_bytes =
+  QCheck.Test.make ~name:"lexer is total on arbitrary bytes" ~count:300
+    (QCheck.make ~print:String.escaped c_bytes_gen)
+    lexes_totally
+
+let corpus_files =
+  lazy
+    (Array.of_list
+       (Cfront.Project.all_files
+          (Corpus.Generator.generate ~seed:2019 Corpus.Apollo_profile.small)))
+
+let prop_lexer_total_on_truncations =
+  QCheck.Test.make ~name:"lexer is total on truncated corpus files" ~count:40
+    QCheck.(pair (int_range 0 1000) (int_range 0 100_000))
+    (fun (i, cut) ->
+      let files = Lazy.force corpus_files in
+      let content = files.(i mod Array.length files).Cfront.Project.content in
+      lexes_totally (String.sub content 0 (cut mod (String.length content + 1))))
+
 (* ------------------------------------------------------------------ *)
 (* Preprocessor                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -421,6 +647,73 @@ let test_project_parse_jobs_independent () =
   let seq = tus_at 1 in
   Alcotest.(check bool) "jobs=8 tus equal jobs=1 tus" true (seq = tus_at 8)
 
+let project_of files =
+  Cfront.Project.make ~name:"p"
+    [ { Cfront.Project.m_name = "m";
+        m_files =
+          List.map
+            (fun (path, content) ->
+              { Cfront.Project.path; modname = "m"; header = false; content })
+            files } ]
+
+let first_body_stmt tu =
+  match (first_func tu).Cfront.Ast.f_body with
+  | Some { s = Cfront.Ast.Sblock (st :: _); _ } -> st.Cfront.Ast.s
+  | _ -> Alcotest.fail "expected a non-empty body"
+
+(* The type-name scan reads the final token stream, so a name declared
+   only inside [#if 0] is not a type in other files, while an active one
+   is. *)
+let test_scan_skips_inactive_regions () =
+  let project =
+    project_of
+      [ ("types.h", "#if 0\nstruct Hidden { int x; };\n#endif\nstruct Shown { int y; };\n");
+        ("use.cc", "int F(int Hidden, int p) { Hidden * p; return 0; }\n");
+        ("use2.cc", "int G() { Shown * q; return 0; }\n") ]
+  in
+  Alcotest.(check (list string)) "scanned names" [ "Shown" ]
+    (Cfront.Project.scan_type_names (Cfront.Project.all_files project));
+  match (Cfront.Project.parse project).Cfront.Project.files with
+  | [ _; use; use2 ] ->
+    (match first_body_stmt use.Cfront.Project.tu with
+     | Cfront.Ast.Sexpr { e = Cfront.Ast.Binary (Cfront.Ast.Mul, _, _); _ } -> ()
+     | _ -> Alcotest.fail "Hidden * p is a multiplication");
+    (match first_body_stmt use2.Cfront.Project.tu with
+     | Cfront.Ast.Sdecl [ d ] -> Alcotest.(check string) "declares q" "q" d.Cfront.Ast.v_name
+     | _ -> Alcotest.fail "Shown * q declares q")
+  | _ -> Alcotest.fail "three files"
+
+(* [Project.parse] lexes each file once, yet yields exactly what parsing
+   every file on its own with the scanned names does, at any jobs. *)
+let test_project_parse_equals_parse_file () =
+  let restore = Util.Pool.default_jobs () in
+  Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs restore)
+  @@ fun () ->
+  let project = Corpus.Generator.generate ~seed:2019 Corpus.Apollo_profile.small in
+  let files = Cfront.Project.all_files project in
+  let extra_types = Cfront.Project.scan_type_names files in
+  let expected =
+    Marshal.to_string
+      (List.map
+         (fun (f : Cfront.Project.source_file) ->
+           Cfront.Parser.parse_file ~extra_types ~file:f.Cfront.Project.path
+             f.Cfront.Project.content)
+         files)
+      []
+  in
+  List.iter
+    (fun jobs ->
+      Util.Pool.set_default_jobs jobs;
+      let parsed = Cfront.Project.parse project in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d equals per-file parse_file" jobs)
+        true
+        (Marshal.to_string
+           (List.map (fun pf -> pf.Cfront.Project.tu) parsed.Cfront.Project.files)
+           []
+         = expected))
+    [ 1; 8 ]
+
 (* ------------------------------------------------------------------ *)
 (* Pretty-printer round trip                                            *)
 (* ------------------------------------------------------------------ *)
@@ -546,6 +839,19 @@ let () =
           Alcotest.test_case "multichar punctuators" `Quick test_lex_multichar_puncts;
           Alcotest.test_case "unterminated string" `Quick test_lex_unterminated_string_diag;
           Alcotest.test_case "locations" `Quick test_lex_locations;
+          Alcotest.test_case "every multichar punctuator" `Quick
+            test_lex_every_multichar_punct;
+          Alcotest.test_case "longest punctuator match" `Quick test_lex_longest_match;
+          Alcotest.test_case "keyword-prefixed identifiers" `Quick
+            test_lex_keyword_prefixed_idents;
+          Alcotest.test_case "hex ending in f" `Quick test_lex_hex_ending_in_f;
+          Alcotest.test_case "comment line rule" `Quick test_lex_comment_line_rule;
+          Alcotest.test_case "octal literals" `Quick test_lex_octal_literals;
+          Alcotest.test_case "bad octal diagnosed" `Quick test_lex_bad_octal_diag;
+          Alcotest.test_case "octal constants in the AST" `Quick test_parse_octal_constants;
+          Alcotest.test_case "pinned corpus streams" `Quick test_lex_pinned_corpus;
+          QCheck_alcotest.to_alcotest prop_lexer_total_on_bytes;
+          QCheck_alcotest.to_alcotest prop_lexer_total_on_truncations;
         ] );
       ( "preproc",
         [
@@ -578,6 +884,10 @@ let () =
             test_ids_reproducible;
           Alcotest.test_case "project parse jobs-independent" `Quick
             test_project_parse_jobs_independent;
+          Alcotest.test_case "type scan skips inactive regions" `Quick
+            test_scan_skips_inactive_regions;
+          Alcotest.test_case "project parse equals per-file parse" `Quick
+            test_project_parse_equals_parse_file;
         ] );
       ( "parser-stmts",
         [

@@ -73,6 +73,10 @@ let test_value_truthiness () =
 let test_interp_arithmetic () =
   check_exit "int arith" 17L "int main() { return 3 + 4 * 3 + 10 % 4; }"
 
+(* C reads a leading 0 as octal: 0755 is 493, 010 is 8. *)
+let test_interp_octal_literals () =
+  check_exit "octal" 501L "int main() { int a[010]; a[7] = 0755; return a[7] + 010; }"
+
 let test_interp_float_arith () =
   check_exit "float to int at return" 7L
     "int main() { float x = 2.5f; float y = 3.0f; return (int)(x * y - 0.5f); }"
@@ -781,6 +785,7 @@ let () =
         [
           Alcotest.test_case "arithmetic" `Quick test_interp_arithmetic;
           Alcotest.test_case "float arithmetic" `Quick test_interp_float_arith;
+          Alcotest.test_case "octal literals" `Quick test_interp_octal_literals;
           Alcotest.test_case "division by zero" `Quick test_interp_division_by_zero;
           Alcotest.test_case "compound assign" `Quick test_interp_compound_assign;
           Alcotest.test_case "inc/dec" `Quick test_interp_incdec;
