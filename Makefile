@@ -81,9 +81,11 @@ check-coverage: build
 # Report goldens: the small-profile audit at seeds 7 and 2019 must print
 # test/golden/audit-small-{7,2019}.txt byte for byte, and its
 # adcheck-evidence/1 journal (about 5.5 MB each, so only a digest is
-# committed) must match test/golden/audit-small-evidence.sha256.  A
-# change that means to alter the report regenerates both goldens and
-# says why.
+# committed) must match test/golden/audit-small-evidence.sha256.  The
+# paper-scale audit (--scale full, seed 2019) is locked the same way by
+# test/golden/audit-full-2019.txt and audit-full-evidence.sha256 (its
+# journal is about 68 MB); it adds roughly 10 s.  A change that means
+# to alter the report regenerates the goldens and says why.
 check-report: build
 	for s in 7 2019; do \
 	  dune exec bin/adcheck.exe -- audit --scale small --seed $$s \
@@ -92,6 +94,11 @@ check-report: build
 	  diff test/golden/audit-small-$$s.txt _build/check-report-$$s.out || exit 1; \
 	done
 	sha256sum -c test/golden/audit-small-evidence.sha256
+	dune exec bin/adcheck.exe -- audit --scale full --seed 2019 \
+	  --evidence _build/check-report-evidence-full-2019.jsonl \
+	  > _build/check-report-full-2019.out
+	diff test/golden/audit-full-2019.txt _build/check-report-full-2019.out
+	sha256sum -c test/golden/audit-full-evidence.sha256
 
 # Run the whole suite under 1, 2 and 8 worker domains.  ADCHECK_JOBS=1
 # is the sequential oracle; any divergence at 2 or 8 is a determinism
@@ -133,16 +140,7 @@ check-par:
 	done
 
 # Machine-readable performance records: per-experiment wall time plus
-# telemetry counter snapshots on the small corpus.  BENCH_2.json sweeps
-# the table1 pipeline across worker-domain counts (jobs=1 vs jobs=4);
-# identical counters across the sweep are part of the record.
-# BENCH_3.json sweeps the scenario-parallel coverage phase (the full
-# scenario set: real scenarios + fault injection + testgen probes) —
-# the per-experiment counters record the scenario count, and the gauges
-# record the coverage-phase wall time of the last pass.
-# BENCH_4.json sweeps the interprocedural summary engine (SCC-level
-# parallel bottom-up propagation); the interproc.* counters must be
-# identical across the jobs sweep.
+# telemetry counter snapshots on the small corpus.
 # BENCH_5.json measures the flight recorder itself: the overhead
 # experiment runs the audit with the recorder off and on and records
 # the wall-time ratio in its gauges; METRICS_5.json is the
@@ -164,12 +162,6 @@ bench:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- --scale small --out BENCH_1.json \
 	  table1 table2 table3 fig3 fig4 fig5 fig6 fig7 fig8a fig8b observations
-	dune exec bench/main.exe -- --scale small --jobs 1,4 --out BENCH_2.json \
-	  table1
-	dune exec bench/main.exe -- --scale small --jobs 1,4 --out BENCH_3.json \
-	  scenarios
-	dune exec bench/main.exe -- --scale small --jobs 1,4 --out BENCH_4.json \
-	  interproc
 	dune exec bench/main.exe -- --scale small --out BENCH_5.json \
 	  --metrics METRICS_5.json overhead table1
 	dune exec bench/main.exe -- --scale small --jobs 1,4 --out BENCH_6.json \

@@ -806,7 +806,10 @@ let micro_tests () =
       (Staged.stage (fun () -> Iso26262.Assess.assess_coding m));
     (* table2: architecture metrics (call graph + coupling) *)
     Test.make ~name:"table2/architecture"
-      (Staged.stage (fun () -> Metrics.Architecture.build ~parsed));
+      (Staged.stage (fun () ->
+           Metrics.Architecture.build
+             ~graph:(Cfront.Callgraph.build (Cfront.Project.all_functions parsed))
+             ~parsed));
     (* table3: unit-design assessment *)
     Test.make ~name:"table3/assess-unit"
       (Staged.stage (fun () -> Iso26262.Assess.assess_unit_design m));

@@ -201,6 +201,9 @@ let globals_of_tu tu =
   iter_tops (fun top -> match top with Tglobal g -> acc := g :: !acc | _ -> ()) tu.tops;
   List.rev !acc
 
+(** Can carry hidden state: not const, and not extern (counted where defined). *)
+let is_mutable_global g = (not g.g_const) && not g.g_extern
+
 let records_of_tu tu =
   let acc = ref [] in
   iter_tops (fun top -> match top with Trecord r -> acc := r :: !acc | _ -> ()) tu.tops;

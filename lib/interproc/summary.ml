@@ -217,8 +217,8 @@ let mutable_globals_of_files (files : Project.parsed_file list) =
     (fun acc (pf : Project.parsed_file) ->
       List.fold_left
         (fun acc (g : Ast.global_var) ->
-          if g.Ast.g_const || g.Ast.g_extern then acc
-          else SS.add g.Ast.g_decl.Ast.v_name acc)
+          if Ast.is_mutable_global g then SS.add g.Ast.g_decl.Ast.v_name acc
+          else acc)
         acc
         (Ast.globals_of_tu pf.Project.tu))
     SS.empty files

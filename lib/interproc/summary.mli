@@ -71,9 +71,6 @@ val depth_max : depth -> depth -> depth
 val depth_add : depth -> int -> depth
 val render_depth : depth -> string
 
-(** Mutable (non-const, non-extern) globals by simple name. *)
-val mutable_globals_of_files : Project.parsed_file list -> SS.t
-
 (** Run the engine over parsed files / a parsed project.  [facts], one
     record per defined function of the files in order (as
     {!Dataflow.Analyses.facts_of_parsed} produces them), supplies the

@@ -51,12 +51,12 @@ let include_deps_of_content ~paths content =
 
 (* Dependency manifest of a parsed tree: per-file content hash plus the
    project files each file depends on — its quoted includes and the
-   files defining functions it calls (caller depends on callee: editing
+   files defining functions it calls in [graph] (caller depends on callee: editing
    the callee's file invalidates the caller's whole-program artifacts).
    Saved after every cache-enabled audit; the next audit diffs its tree
    against it to invalidate exactly the changed files and their
    transitive reverse-dependents before consulting any artifact. *)
-let manifest_of_parsed (parsed : Cfront.Project.parsed) =
+let manifest_of_parsed ~(graph : Cfront.Callgraph.t) (parsed : Cfront.Project.parsed) =
   let files = Cfront.Project.all_files parsed.Cfront.Project.project in
   let paths = List.map (fun f -> f.Cfront.Project.path) files in
   let file_of_fn = Hashtbl.create 256 in
@@ -71,7 +71,6 @@ let manifest_of_parsed (parsed : Cfront.Project.parsed) =
         (Cfront.Ast.functions_of_tu pf.Cfront.Project.tu))
     parsed.Cfront.Project.files;
   let call_deps = Hashtbl.create 256 in
-  let graph = Cfront.Callgraph.build (Cfront.Project.all_functions parsed) in
   List.iter
     (fun (caller, callee) ->
       match (Hashtbl.find_opt file_of_fn caller, Hashtbl.find_opt file_of_fn callee) with
@@ -235,22 +234,17 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
    | Some c -> ignore (invalidate_against_manifest c project)
    | None -> ());
   let parsed = Telemetry.gc_phase "parse" (fun () -> Cfront.Project.parse project) in
-  (* Record the new tree's manifest (content hashes + include/callgraph
-     edges) for the next run's diff. *)
-  (match cache with
-   | Some c ->
-     Cache.Manifest.save c ~name:project.Cfront.Project.p_name
-       (manifest_of_parsed parsed)
-   | None -> ());
   (* The producers run once, on this domain, before anything fans out:
      the dataflow layer solves every defined function (per-file cache
-     artifacts), then interproc runs over those facts.  MISRA and the
-     core metric walk only read the two immutable results.  They are
-     plain values rather than lazy ones or once-cells: a lazy forced
-     from two domains raises [Lazy.Undefined], a worker blocked on a
-     once-cell deadlocks a one-worker pool whose main domain waits on
-     the queue, and a solve forced inside a rule's timed region would
-     change that rule's tick-clock histogram. *)
+     artifacts), interproc runs over those facts and builds the call
+     graph, and the rule context adds the globals and the shadowing
+     findings.  MISRA, the core metric walk and the manifest only read
+     them.  They are plain values rather than lazy ones or once-cells:
+     a lazy forced from two domains raises
+     [Lazy.Undefined], a worker blocked on a once-cell deadlocks a
+     one-worker pool whose main domain waits on the queue, and a solve
+     forced inside a rule's timed region would change that rule's
+     tick-clock histogram. *)
   let file_facts =
     Telemetry.gc_phase "dataflow" (fun () -> Dataflow.Analyses.facts_of_parsed parsed)
   in
@@ -258,12 +252,18 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
   let interproc =
     Telemetry.gc_phase "interproc" (fun () -> Interproc.Summary.analyze ~facts parsed)
   in
+  (* Record the new tree's manifest for the next run's diff. *)
+  (match cache with
+   | Some c ->
+     Cache.Manifest.save c ~name:project.Cfront.Project.p_name
+       (manifest_of_parsed ~graph:interproc.Interproc.Summary.graph parsed)
+   | None -> ());
+  let context = Misra.Rule.build_context ~facts ~interproc parsed in
   let module_dataflow = Project_metrics.module_dataflow_of_facts parsed file_facts in
-  let misra_phase () = Project_metrics.misra_of_parsed ~facts ~interproc parsed in
+  let misra_phase () = Project_metrics.misra_of_parsed ~context parsed in
   let metrics_phase misra =
     Telemetry.gc_phase "metrics" (fun () ->
-        Project_metrics.of_parsed_with ~facts ~interproc ~misra ~module_dataflow
-          parsed)
+        Project_metrics.of_parsed_with ~context ~misra ~module_dataflow parsed)
   in
   let metrics, (yolo_coverage, yolo_run_output, yolo_exit),
       (stencil_coverage, stencil_exit) =
@@ -279,7 +279,7 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
       (* Pipelined phases: misra and the two coverage scenarios fan out
          to pool workers while the main domain runs the core metric
          walk, and everything joins before report assembly.  Phases only
-         read [parsed], [facts] and [interproc] and merge into telemetry
+         read [parsed] and [context] and merge into telemetry
          counters (mutex-protected sums, so totals are independent of
          interleaving); spans emitted on workers carry the worker's
          domain id and overlap in a [--trace] timeline.  GC deltas

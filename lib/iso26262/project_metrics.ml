@@ -54,19 +54,11 @@ type t = {
    heavyweight consumers of the parsed project that nothing else in this
    record depends on.  They are exposed as standalone functions so the
    pipelined audit can run MISRA on a pool worker concurrently with the
-   core metric walk.  Each takes the dataflow facts and interproc
-   summaries an audit already computed; without them it computes its
-   own, as a standalone call must -- for MISRA only when some rule's
-   stored result is missing. *)
+   core metric walk.  Both read the audit's one rule context; without
+   it they build their own, as a standalone call must -- for MISRA only
+   when some rule's stored result is missing. *)
 
-let misra_of_parsed ?facts ?interproc (parsed : Cfront.Project.parsed) =
-  let cache_key =
-    match Cache.global () with
-    | None -> None
-    | Some _ -> Some (Cfront.Project.content_key parsed.Cfront.Project.project)
-  in
-  Misra.Registry.run_deferred ?cache_key (fun () ->
-      Misra.Rule.build_context ?facts ?interproc parsed)
+let misra_of_parsed ?context parsed = Misra.Registry.run_project ?context parsed
 
 let module_dataflow_of_facts (parsed : Cfront.Project.parsed) file_facts =
   List.map
@@ -85,12 +77,16 @@ let module_dataflow_of_facts (parsed : Cfront.Project.parsed) file_facts =
 let module_dataflow_of_parsed parsed =
   module_dataflow_of_facts parsed (Dataflow.Analyses.facts_of_parsed parsed)
 
-let of_parsed_with ?facts ?interproc ~(misra : unit -> Misra.Registry.report)
+let of_parsed_with ?context ~(misra : unit -> Misra.Registry.report)
     ~(module_dataflow : (string * Dataflow.Analyses.totals) list)
     (parsed : Cfront.Project.parsed) =
   Telemetry.with_span ~cat:"metrics" "metrics"
     ~attrs:[ ("files", string_of_int (List.length parsed.Cfront.Project.files)) ]
   @@ fun () ->
+  let ctx =
+    match context with Some ctx -> ctx | None -> Misra.Rule.build_context parsed
+  in
+  let graph = ctx.Misra.Rule.interproc.Interproc.Summary.graph in
   let module_names = Cfront.Project.module_names parsed.Cfront.Project.project in
   let per_module =
     List.map
@@ -107,20 +103,14 @@ let of_parsed_with ?facts ?interproc ~(misra : unit -> Misra.Registry.report)
           globals = List.length (Metrics.Globals.of_files pfs);
           multi_exit_frac = Metrics.Func_shape.multi_exit_fraction fns;
           gotos = Metrics.Func_shape.total_gotos fns;
-          dataflow =
-            (match List.assoc_opt m module_dataflow with
-             | Some t -> t
-             | None ->
-               Dataflow.Analyses.totals_of
-                 (Dataflow.Analyses.summarize_functions fns));
+          dataflow = List.assoc m module_dataflow;
         })
       module_names
   in
   let all_fns = Cfront.Project.all_functions parsed in
   let files = parsed.Cfront.Project.files in
   let casts = Metrics.Casts.of_functions all_fns in
-  let shadowing = Metrics.Shadowing.of_files files in
-  let graph = Cfront.Callgraph.build all_fns in
+  let shadowing = ctx.Misra.Rule.shadowing in
   let loc_all = Metrics.Loc_metrics.of_files files in
   let style = Metrics.Style.of_files files in
   let sum f = Util.Stats.sum_int (List.map f per_module) in
@@ -134,10 +124,7 @@ let of_parsed_with ?facts ?interproc ~(misra : unit -> Misra.Registry.report)
     explicit_casts = Metrics.Casts.explicit_count casts;
     implicit_conversions = Metrics.Casts.implicit_count casts;
     globals_total = sum (fun m -> m.globals);
-    uninit_findings =
-      (match facts with
-       | Some facts -> Metrics.Uninit.of_facts facts
-       | None -> Metrics.Uninit.of_functions all_fns);
+    uninit_findings = Metrics.Uninit.of_facts ctx.Misra.Rule.facts;
     shadowing_count =
       List.length
         (List.filter
@@ -160,13 +147,10 @@ let of_parsed_with ?facts ?interproc ~(misra : unit -> Misra.Registry.report)
     style_findings = List.length style;
     style_per_kloc = Metrics.Style.per_kloc style loc_all;
     naming_violations = List.length (Metrics.Naming.of_files files);
-    architecture = Metrics.Architecture.build ~parsed;
+    architecture = Metrics.Architecture.build ~graph ~parsed;
     namespace_depth = Metrics.Architecture.namespace_depth files;
     cuda = Cudasim.Census.of_files files;
-    interproc =
-      (match interproc with
-       | Some t -> t
-       | None -> Interproc.Summary.analyze ?facts parsed);
+    interproc = ctx.Misra.Rule.interproc;
     misra = misra ();
     dataflow =
       List.fold_left
@@ -178,8 +162,9 @@ let of_parsed (parsed : Cfront.Project.parsed) =
   let file_facts = Dataflow.Analyses.facts_of_parsed parsed in
   let facts = List.concat_map snd file_facts in
   let interproc = Interproc.Summary.analyze ~facts parsed in
-  of_parsed_with ~facts ~interproc
-    ~misra:(fun () -> misra_of_parsed ~facts ~interproc parsed)
+  let context = Misra.Rule.build_context ~facts ~interproc parsed in
+  of_parsed_with ~context
+    ~misra:(fun () -> misra_of_parsed ~context parsed)
     ~module_dataflow:(module_dataflow_of_facts parsed file_facts) parsed
 
 let find_module t name = List.find_opt (fun m -> m.modname = name) t.modules

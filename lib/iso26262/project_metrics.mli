@@ -51,24 +51,22 @@ type t = {
           global coupling, cross-call uninit flows *)
 }
 
-(** Extract everything from a parsed project.  Cost is a few passes over
-    each AST; ~1 s for the paper-scale 228k LOC corpus. *)
+(** Extract everything from a parsed project: the dataflow facts, the
+    interproc summaries and the rule context are computed first, then
+    every phase reads them. *)
 val of_parsed : Cfront.Project.parsed -> t
 
 (** The two heavyweight phases nothing else in the record depends on,
     exposed standalone so the pipelined audit can run MISRA on a pool
-    worker concurrently with the core metric walk.  [facts] (one record
-    per defined function, in [Cfront.Project.all_functions] order) and
-    [interproc] are what {!Audit.run} computed before the fan-out;
-    without them each call computes its own ([misra_of_parsed] only
-    when some rule misses the artifact cache, see
-    {!Misra.Registry.run_deferred}). *)
+    worker concurrently with the core metric walk.
 
+    [misra_of_parsed ?context parsed] is
+    {!Misra.Registry.run_project}: the rules read [context], the rule
+    context {!Audit.run} built before the fan-out.  Without it the
+    context is built only when some rule misses the artifact cache
+    (see {!Misra.Registry.run_deferred}). *)
 val misra_of_parsed :
-  ?facts:Dataflow.Analyses.func_facts list ->
-  ?interproc:Interproc.Summary.t ->
-  Cfront.Project.parsed ->
-  Misra.Registry.report
+  ?context:Misra.Rule.context -> Cfront.Project.parsed -> Misra.Registry.report
 
 (** Per-module dataflow totals from per-file facts (path -> facts, as
     {!Dataflow.Analyses.facts_of_parsed} returns them). *)
@@ -82,17 +80,18 @@ val module_dataflow_of_facts :
 val module_dataflow_of_parsed :
   Cfront.Project.parsed -> (string * Dataflow.Analyses.totals) list
 
-(** [of_parsed_with ?facts ?interproc ~misra ~module_dataflow parsed]
-    assembles the record with the MISRA report supplied by the [misra]
-    thunk (called last, so a pipelined caller blocks on that future only
-    at the join) and the per-module dataflow totals looked up in
-    [module_dataflow] (missing modules fall back to an inline solve).
-    The uninit findings come from [facts] and the whole-program record
-    is [interproc]; either one missing is computed here.  [of_parsed]
-    is exactly this with every phase computed sequentially first. *)
+(** [of_parsed_with ?context ~misra ~module_dataflow parsed] assembles
+    the record.  The MISRA report comes from the [misra] thunk, called
+    last so that a pipelined caller blocks on that future only at the
+    join.  The per-module dataflow totals are looked up in
+    [module_dataflow], which must hold every module.  The uninit
+    findings, the shadowing counts, the recursion list, the
+    architecture's call edges and the whole-program record all come
+    from [context]; without it, {!Misra.Rule.build_context} builds one
+    here.  [of_parsed] is exactly this with every phase computed
+    sequentially first. *)
 val of_parsed_with :
-  ?facts:Dataflow.Analyses.func_facts list ->
-  ?interproc:Interproc.Summary.t ->
+  ?context:Misra.Rule.context ->
   misra:(unit -> Misra.Registry.report) ->
   module_dataflow:(string * Dataflow.Analyses.totals) list ->
   Cfront.Project.parsed ->

@@ -34,9 +34,9 @@ let calls_marker markers (fns : Cfront.Ast.func list) =
       !found)
     fns
 
-(** Module of a qualified function name, given the per-module function
-    sets. *)
-let build ~(parsed : Cfront.Project.parsed) =
+(** Per-module components of [parsed]; coupling and cohesion come from
+    the edges of [graph], the project's call graph. *)
+let build ~(graph : Cfront.Callgraph.t) ~(parsed : Cfront.Project.parsed) =
   Telemetry.with_span ~cat:"metrics" "metrics.architecture" @@ fun () ->
   let module_names = Cfront.Project.module_names parsed.Cfront.Project.project in
   let per_module =
@@ -51,8 +51,6 @@ let build ~(parsed : Cfront.Project.parsed) =
     (fun (m, _, fns) ->
       List.iter (fun fn -> Hashtbl.replace owner (Cfront.Ast.qualified_name fn) m) fns)
     per_module;
-  let all_fns = List.concat_map (fun (_, _, fns) -> fns) per_module in
-  let graph = Cfront.Callgraph.build all_fns in
   let cross_edges =
     List.filter_map
       (fun (a, b) ->

@@ -14,13 +14,10 @@ type record = {
   file : string;
 }
 
-let is_mutable_global (g : Cfront.Ast.global_var) =
-  (not g.Cfront.Ast.g_const) && not g.Cfront.Ast.g_extern
-
 let of_tu (tu : Cfront.Ast.tu) =
   List.filter_map
     (fun (g : Cfront.Ast.global_var) ->
-      if is_mutable_global g then
+      if Cfront.Ast.is_mutable_global g then
         Some
           {
             name = g.Cfront.Ast.g_decl.Cfront.Ast.v_name;
@@ -44,6 +41,6 @@ let uninitialized_globals (pfs : Cfront.Project.parsed_file list) =
     (fun pf ->
       List.filter
         (fun (g : Cfront.Ast.global_var) ->
-          is_mutable_global g && g.Cfront.Ast.g_decl.Cfront.Ast.v_init = None)
+          Cfront.Ast.is_mutable_global g && g.Cfront.Ast.g_decl.Cfront.Ast.v_init = None)
         (Cfront.Ast.globals_of_tu pf.Cfront.Project.tu))
     pfs

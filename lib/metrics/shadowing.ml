@@ -85,15 +85,11 @@ let of_func ~globals (fn : Cfront.Ast.func) =
       (check_stmt ~globals ~params ~fname:(Cfront.Ast.qualified_name fn) ~outer:[]
          [] body)
 
-let duplicate_globals (pfs : Cfront.Project.parsed_file list) =
+let duplicate_globals (globals : Globals.record list) =
   let tbl = Hashtbl.create 64 in
   List.iter
-    (fun pf ->
-      List.iter
-        (fun (g : Globals.record) ->
-          Hashtbl.replace tbl (g.Globals.name, pf.Cfront.Project.file.Cfront.Project.path) g)
-        (Globals.of_tu pf.Cfront.Project.tu))
-    pfs;
+    (fun (g : Globals.record) -> Hashtbl.replace tbl (g.Globals.name, g.Globals.file) g)
+    globals;
   (* names appearing in more than one file *)
   let by_name = Hashtbl.create 64 in
   Hashtbl.iter
@@ -112,16 +108,17 @@ let duplicate_globals (pfs : Cfront.Project.parsed_file list) =
       else acc)
     by_name []
 
-let of_files (pfs : Cfront.Project.parsed_file list) =
-  let globals =
-    List.map (fun (g : Globals.record) -> g.Globals.name)
-      (Globals.of_files pfs)
-  in
+(** The findings over [pfs], given their mutable globals as
+    {!Globals.of_files} lists them. *)
+let of_globals ~(globals : Globals.record list) (pfs : Cfront.Project.parsed_file list) =
+  let names = List.map (fun (g : Globals.record) -> g.Globals.name) globals in
   let per_func =
     List.concat_map
       (fun pf ->
-        List.concat_map (of_func ~globals)
+        List.concat_map (of_func ~globals:names)
           (Cfront.Ast.functions_of_tu pf.Cfront.Project.tu))
       pfs
   in
-  per_func @ duplicate_globals pfs
+  per_func @ duplicate_globals globals
+
+let of_files pfs = of_globals ~globals:(Globals.of_files pfs) pfs

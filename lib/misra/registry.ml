@@ -167,13 +167,14 @@ let run_deferred ?(rules = all_rules) ?(deviations = []) ?cache_key build =
         deviations = outcomes;
       })
 
-let run_project ?(rules = all_rules) parsed =
+let run_project ?(rules = all_rules) ?context parsed =
   let cache_key =
     match Cache.global () with
     | None -> None
     | Some _ -> Some (Cfront.Project.content_key parsed.Cfront.Project.project)
   in
-  run_deferred ~rules ?cache_key (fun () -> Rule.build_context parsed)
+  run_deferred ~rules ?cache_key (fun () ->
+      match context with Some ctx -> ctx | None -> Rule.build_context parsed)
 
 let run ?rules ?deviations ?cache_key ctx =
   run_deferred ?rules ?deviations ?cache_key (fun () -> ctx)

@@ -62,7 +62,10 @@ val run_deferred :
   (unit -> Rule.context) ->
   report
 
-val run_project : ?rules:Rule.t list -> Cfront.Project.parsed -> report
+(** [run_deferred] over the whole project, keyed by its content, reading
+    [context] when given and otherwise building one on demand. *)
+val run_project :
+  ?rules:Rule.t list -> ?context:Rule.context -> Cfront.Project.parsed -> report
 
 (** Violation counts per category. *)
 val by_category : report -> (Rule.category * int) list

@@ -23,9 +23,10 @@ type violation = {
 type context = {
   files : Cfront.Project.parsed_file list;
   functions : Cfront.Ast.func list;  (** defined functions, all files *)
-  callgraph : Cfront.Callgraph.t;
   facts : Dataflow.Analyses.func_facts list;  (** aligned with [functions] *)
   interproc : Interproc.Summary.t;
+  globals : Metrics.Globals.record list;
+  shadowing : Metrics.Shadowing.finding list;
 }
 
 type t = {
@@ -39,9 +40,9 @@ type t = {
 let make ~id ~title ~category ?(decidable = true) check =
   { id; title; category; decidable; check }
 
-(* The facts and summaries are plain values computed here, on the
-   calling domain, before the registry fans the rules out: nothing is
-   forced lazily from a worker. *)
+(* Every fact is a plain value computed here, on the calling domain,
+   before the registry fans the rules out: nothing is forced lazily from
+   a worker. *)
 let make_context ?facts ?interproc files =
   let functions = Cfront.Project.defined_functions files in
   let facts =
@@ -56,8 +57,9 @@ let make_context ?facts ?interproc files =
     | Some t -> t
     | None -> Interproc.Summary.of_files ~facts files
   in
-  { files; functions; callgraph = Cfront.Callgraph.build functions; facts;
-    interproc }
+  let globals = Metrics.Globals.of_files files in
+  { files; functions; facts; interproc; globals;
+    shadowing = Metrics.Shadowing.of_globals ~globals files }
 
 let build_context ?facts ?interproc (parsed : Cfront.Project.parsed) =
   make_context ?facts ?interproc parsed.Cfront.Project.files

@@ -18,18 +18,20 @@ type violation = {
           and violation-site steps when it journals the finding *)
 }
 
-(** Everything the rules read, computed before any rule runs and shared
-    read-only by the rules on every pool worker.  The flow-sensitive
-    rules (2.1, 2.2, 9.1, DF-1, DF-2) read [facts] and IP-1 reads
-    [interproc]; no rule lowers a function or runs a solver itself. *)
+(** The audit's project-wide facts, computed once before any rule runs
+    and shared read-only by the rules on every pool worker, the metrics
+    and the manifest.  No rule solves, walks globals or builds a graph:
+    2.1, 2.2, 9.1, DF-1 and DF-2 read [facts]; IP-1 reads [interproc],
+    17.2 and CUDA-5 its [graph]; 8.9 reads [globals], 5.3 [shadowing]. *)
 type context = {
   files : Cfront.Project.parsed_file list;
   functions : Cfront.Ast.func list;  (** defined functions, all files *)
-  callgraph : Cfront.Callgraph.t;
   facts : Dataflow.Analyses.func_facts list;
       (** the dataflow layer's facts, one record per function of
           [functions], in the same order *)
-  interproc : Interproc.Summary.t;  (** the whole-program summaries *)
+  interproc : Interproc.Summary.t;  (** summaries and the call graph *)
+  globals : Metrics.Globals.record list;  (** mutable, in file order *)
+  shadowing : Metrics.Shadowing.finding list;
 }
 
 type t = {
@@ -50,7 +52,8 @@ val make :
 
 (** [build_context ?facts ?interproc parsed] takes the facts and
     summaries an audit already computed; whichever is missing is
-    computed here, before any rule runs.
+    computed here.  The globals and the shadowing findings are always
+    computed here.
     @raise Invalid_argument when [facts] does not match the functions. *)
 val build_context :
   ?facts:Dataflow.Analyses.func_facts list ->

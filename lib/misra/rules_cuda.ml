@@ -136,7 +136,9 @@ let cuda_4 =
 let cuda_5 =
   Rule.make ~id:"CUDA-5" ~title:"no recursion in device code"
     ~category:Rule.Mandatory (fun ctx ->
-      let recursive = Callgraph.recursive_functions ctx.Rule.callgraph in
+      let recursive =
+        Callgraph.recursive_functions ctx.Rule.interproc.Interproc.Summary.graph
+      in
       List.filter_map
         (fun fn ->
           let q = Ast.qualified_name fn in

@@ -33,8 +33,9 @@ let r17_1 =
 (* 17.2: functions shall not call themselves, directly or indirectly. *)
 let r17_2 =
   Rule.make ~id:"17.2" ~title:"no recursion" ~category:Rule.Required (fun ctx ->
-      let recursive = Callgraph.recursive_functions ctx.Rule.callgraph in
-      let cycles = Callgraph.recursion_cycles ctx.Rule.callgraph in
+      let graph = ctx.Rule.interproc.Interproc.Summary.graph in
+      let recursive = Callgraph.recursive_functions graph in
+      let cycles = Callgraph.recursion_cycles graph in
       let cycle_of q = List.find_opt (fun c -> List.mem q c) cycles in
       let witness q =
         match cycle_of q with
@@ -189,7 +190,6 @@ let r2_7 =
 let r8_9 =
   Rule.make ~id:"8.9" ~title:"globals used by a single function shall be local"
     ~category:Rule.Advisory (fun ctx ->
-      let globals = Metrics.Globals.of_files ctx.Rule.files in
       let users = Hashtbl.create 64 in
       List.iter
         (fun (fn : Ast.func) ->
@@ -211,7 +211,7 @@ let r8_9 =
               (Rule.v ~rule_id:"8.9" ~loc:g.Metrics.Globals.loc
                  "global %s used only by %s" g.Metrics.Globals.name only)
           | _ -> None)
-        globals)
+        ctx.Rule.globals)
 
 (* 21.x addition in spirit: uninitialized reads (9.1 "the value of an
    object with automatic storage duration shall not be read before it has

@@ -44,7 +44,7 @@ let r5_3 =
           Rule.v ~rule_id:"5.3" ~loc:f.Metrics.Shadowing.loc "%s: %s"
             f.Metrics.Shadowing.name
             (Metrics.Shadowing.kind_name f.Metrics.Shadowing.kind))
-        (Metrics.Shadowing.of_files ctx.Rule.files))
+        ctx.Rule.shadowing)
 
 (* 10.1/10.3: implicit conversions between essential types. *)
 let r10_3 =

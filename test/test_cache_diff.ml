@@ -71,6 +71,13 @@ let artifact_files dir =
 
 let mk_manifest = Cache.Manifest.make
 
+(* The audit's manifest of a parsed tree, over the call graph the audit
+   reads from interproc (equal to this build, see test_interproc). *)
+let manifest_of parsed =
+  Iso26262.Audit.manifest_of_parsed
+    ~graph:(Cfront.Callgraph.build (Cfront.Project.all_functions parsed))
+    parsed
+
 let base_view =
   [ ("a.h", "h1"); ("a.cc", "h2"); ("b.cc", "h3"); ("c.cc", "h4");
     ("d.cc", "h5") ]
@@ -379,7 +386,7 @@ let lib_run c tree =
         (parsed, misra, summaries))
   in
   Cache.Manifest.save c ~name:tree.Cfront.Project.p_name
-    (Iso26262.Audit.manifest_of_parsed parsed);
+    (manifest_of parsed);
   String.concat "\n"
     (Misra.Registry.render_summary misra
      :: List.map
@@ -407,7 +414,7 @@ let stats_delta c f =
 
 let test_manifest_of_parsed_edges () =
   let parsed = Cfront.Project.parse (project_of base_sources) in
-  let m = Iso26262.Audit.manifest_of_parsed parsed in
+  let m = manifest_of parsed in
   let deps p =
     match
       List.find_opt
@@ -760,7 +767,7 @@ let test_audit_incremental_edit () =
   in
   let edited = edit_file project target in
   let old_manifest =
-    Iso26262.Audit.manifest_of_parsed (Cfront.Project.parse project)
+    manifest_of (Cfront.Project.parse project)
   in
   let view =
     List.map

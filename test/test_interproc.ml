@@ -289,6 +289,35 @@ let test_corpus_ip1_disjoint_from_91 () =
           f.IP.ip_function)
     ip.IP.uninit_flows
 
+(* The audit builds the call graph once, inside interproc, and MISRA,
+   the metrics, the architecture and the cache manifest all read it.
+   It must equal a build over every defined function in file order and
+   one over the per-module function lists. *)
+let test_corpus_one_graph seed () =
+  let parsed =
+    Cfront.Project.parse
+      (Corpus.Generator.generate ~seed Corpus.Apollo_profile.small)
+  in
+  let by_module =
+    List.concat_map
+      (fun m ->
+        Cfront.Project.defined_functions
+          (Cfront.Project.parsed_files_of_module parsed m))
+      (Cfront.Project.module_names parsed.Cfront.Project.project)
+  in
+  let shared = (IP.analyze parsed).IP.graph in
+  List.iter
+    (fun (name, (g : CG.t)) ->
+      Alcotest.(check (list string)) (name ^ ": nodes") g.CG.nodes shared.CG.nodes;
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": edges") g.CG.edges shared.CG.edges;
+      Alcotest.(check bool) (name ^ ": sites") true (g.CG.sites = shared.CG.sites);
+      Alcotest.(check bool)
+        (name ^ ": resolution") true
+        (g.CG.resolution = shared.CG.resolution))
+    [ ("all functions", CG.build (Cfront.Project.all_functions parsed));
+      ("per module", CG.build by_module) ]
+
 (* ------------------------------------------------------------------ *)
 (* Sequential-vs-parallel differential                                  *)
 (*                                                                      *)
@@ -405,6 +434,10 @@ let () =
             test_corpus_resolution_accounts_every_site;
           Alcotest.test_case "IP-1 disjoint from 9.1" `Quick
             test_corpus_ip1_disjoint_from_91;
+          Alcotest.test_case "one call graph, seed 7" `Quick
+            (test_corpus_one_graph 7);
+          Alcotest.test_case "one call graph, seed 2019" `Quick
+            (test_corpus_one_graph 2019);
         ] );
       ( "differential",
         [

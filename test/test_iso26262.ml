@@ -81,7 +81,23 @@ let test_metrics_consistency () =
     (m.Iso26262.Project_metrics.total_functions > 0);
   Alcotest.(check bool) "multi-exit fraction in [0,1]" true
     (m.Iso26262.Project_metrics.multi_exit_frac >= 0.0
-     && m.Iso26262.Project_metrics.multi_exit_frac <= 1.0)
+     && m.Iso26262.Project_metrics.multi_exit_frac <= 1.0);
+  (* [of_parsed] hands one rule context to both phases; without it each
+     phase builds its own, and must produce the same values.  [compare]
+     (not [=]) because the reports hold the registry's rule closures,
+     which are physically shared. *)
+  let parsed = Lazy.force parsed in
+  let misra = Iso26262.Project_metrics.misra_of_parsed parsed in
+  Alcotest.(check bool) "misra_of_parsed without a context" true
+    (compare misra m.Iso26262.Project_metrics.misra = 0);
+  let standalone =
+    Iso26262.Project_metrics.of_parsed_with
+      ~misra:(fun () -> m.Iso26262.Project_metrics.misra)
+      ~module_dataflow:(Iso26262.Project_metrics.module_dataflow_of_parsed parsed)
+      parsed
+  in
+  Alcotest.(check bool) "of_parsed_with without a context" true
+    (compare standalone m = 0)
 
 let test_metrics_cuda_only_in_perception () =
   let m = Lazy.force metrics in

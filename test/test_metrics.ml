@@ -399,9 +399,13 @@ let two_module_project () =
         "namespace app {\nint Use(int a) { return Base(a) + Base(a + 1); }\n\
          int Local(int a) { return Use(a); }\n}" ]
 
+let architecture_of parsed =
+  Metrics.Architecture.build
+    ~graph:(Cfront.Callgraph.build (Cfront.Project.all_functions parsed))
+    ~parsed
+
 let test_architecture_coupling () =
-  let parsed = Cfront.Project.parse (two_module_project ()) in
-  let comps = Metrics.Architecture.build ~parsed in
+  let comps = architecture_of (Cfront.Project.parse (two_module_project ())) in
   let app = List.find (fun c -> c.Metrics.Architecture.name = "app") comps in
   let core = List.find (fun c -> c.Metrics.Architecture.name = "core") comps in
   Alcotest.(check int) "app fan-out" 1 app.Metrics.Architecture.fan_out;
@@ -415,7 +419,7 @@ let test_architecture_thread_marker () =
           m_files = [ { Cfront.Project.path = "w.cc"; modname = "w"; header = false;
                         content = "void Spawn(int* h) { pthread_create(h, 0, 0, 0); }" } ] } ]
   in
-  let comps = Metrics.Architecture.build ~parsed:(Cfront.Project.parse project) in
+  let comps = architecture_of (Cfront.Project.parse project) in
   Alcotest.(check bool) "threads detected" true
     (List.exists (fun c -> c.Metrics.Architecture.uses_threads) comps)
 
