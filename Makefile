@@ -82,10 +82,13 @@ check-coverage: build
 # test/golden/audit-small-{7,2019}.txt byte for byte, and its
 # adcheck-evidence/1 journal (about 5.5 MB each, so only a digest is
 # committed) must match test/golden/audit-small-evidence.sha256.  The
-# paper-scale audit (--scale full, seed 2019) is locked the same way by
-# test/golden/audit-full-2019.txt and audit-full-evidence.sha256 (its
-# journal is about 68 MB); it adds roughly 10 s.  A change that means
-# to alter the report regenerates the goldens and says why.
+# paper-scale audit (--scale full) is locked the same way at two seeds,
+# so finding ids and journal order are pinned on two paper-scale
+# journals: seed 2019 by test/golden/audit-full-2019.txt and
+# audit-full-evidence.sha256, seed 7 by audit-full-7.txt and
+# audit-full-7-evidence.sha256 (each journal is about 68 MB); the two
+# add roughly 15 s.  A change that means to alter the report
+# regenerates the goldens and says why.
 check-report: build
 	for s in 7 2019; do \
 	  dune exec bin/adcheck.exe -- audit --scale small --seed $$s \
@@ -99,6 +102,11 @@ check-report: build
 	  > _build/check-report-full-2019.out
 	diff test/golden/audit-full-2019.txt _build/check-report-full-2019.out
 	sha256sum -c test/golden/audit-full-evidence.sha256
+	dune exec bin/adcheck.exe -- audit --scale full --seed 7 \
+	  --evidence _build/check-report-evidence-full-7.jsonl \
+	  > _build/check-report-full-7.out
+	diff test/golden/audit-full-7.txt _build/check-report-full-7.out
+	sha256sum -c test/golden/audit-full-7-evidence.sha256
 
 # Run the whole suite under 1, 2 and 8 worker domains.  ADCHECK_JOBS=1
 # is the sequential oracle; any divergence at 2 or 8 is a determinism

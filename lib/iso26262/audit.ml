@@ -312,11 +312,20 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
   (match stencil_exit with
    | Ok _ -> ()
    | Error e -> failwith ("stencil coverage scenario failed: " ^ e));
-  Telemetry.with_span ~cat:"audit" "audit.assess" @@ fun () ->
-  let coding = Assess.assess_coding ~th:thresholds metrics in
-  let architecture = Assess.assess_architecture ~th:thresholds metrics in
-  let unit_design = Assess.assess_unit_design ~th:thresholds metrics in
-  record_metric_findings (coding @ architecture @ unit_design);
+  let coding, architecture, unit_design, observations =
+    Telemetry.with_span ~cat:"audit" "audit.assess" @@ fun () ->
+    let coding = Assess.assess_coding ~th:thresholds metrics in
+    let architecture = Assess.assess_architecture ~th:thresholds metrics in
+    let unit_design = Assess.assess_unit_design ~th:thresholds metrics in
+    record_metric_findings (coding @ architecture @ unit_design);
+    ( coding,
+      architecture,
+      unit_design,
+      Observations.of_metrics metrics ~yolo_coverage ~stencil_coverage ~open_vs_closed )
+  in
+  (* The journal export (sort and dedup) gets its own span, so --stats
+     and --trace show it apart from the assessment. *)
+  let journal = Telemetry.with_span ~cat:"audit" "provenance.journal" Provenance.findings in
   {
     parsed;
     metrics;
@@ -326,10 +335,8 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
     yolo_coverage;
     yolo_run_output;
     stencil_coverage;
-    observations =
-      Observations.of_metrics metrics ~yolo_coverage ~stencil_coverage
-        ~open_vs_closed;
-    journal = Provenance.findings ();
+    observations;
+    journal;
   }
 
 let all_findings audit = audit.coding @ audit.architecture @ audit.unit_design

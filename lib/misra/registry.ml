@@ -70,16 +70,19 @@ let apply_deviations deviations per_rule =
 (* Journal entry for one violation: the rule metadata and the violation
    site frame whatever rule-specific steps the check attached (dataflow
    path, call chain, recursion cycle), so every MISRA finding has a
-   non-empty witness chain even for purely syntactic rules. *)
-let finding_of_violation (r : Rule.t) (v : Rule.violation) =
-  let witness =
-    Provenance.step "rule" "MISRA %s (%s): %s" r.Rule.id
-      (Rule.category_name r.Rule.category) r.Rule.title
-    :: Provenance.step ~loc:v.Rule.loc "site" "%s" v.Rule.message
-    :: v.Rule.witness
+   non-empty witness chain even for purely syntactic rules.  The "rule"
+   step is the same for every violation of a rule, so it is formatted
+   once per rule ([rule_step]) and shared. *)
+let rule_step (r : Rule.t) =
+  Provenance.step "rule" "MISRA %s (%s): %s" r.Rule.id
+    (Rule.category_name r.Rule.category) r.Rule.title
+
+let finding_of_violation ~rule_step (r : Rule.t) (v : Rule.violation) =
+  let site =
+    { Provenance.w_label = "site"; w_loc = Some v.Rule.loc; w_detail = v.Rule.message }
   in
   Provenance.make ~kind:"misra" ~analysis:r.Rule.id ~loc:v.Rule.loc
-    ~message:v.Rule.message ~witness ()
+    ~message:v.Rule.message ~witness:(rule_step :: site :: v.Rule.witness) ()
 
 let run_deferred ?(rules = all_rules) ?(deviations = []) ?cache_key build =
   Telemetry.with_span ~cat:"misra" "misra"
@@ -150,7 +153,8 @@ let run_deferred ?(rules = all_rules) ?(deviations = []) ?cache_key build =
          identical at every --jobs value. *)
       List.iter
         (fun (r, vs) ->
-          List.iter (fun v -> Provenance.record (finding_of_violation r v)) vs)
+          let rule_step = rule_step r in
+          List.iter (fun v -> Provenance.record (finding_of_violation ~rule_step r v)) vs)
         per_rule;
       let total_violations =
         Util.Stats.sum_int (List.map (fun (_, vs) -> List.length vs) per_rule)

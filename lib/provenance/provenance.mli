@@ -61,8 +61,8 @@ val make :
 (* ------------------------------------------------------------------ *)
 
 (** Append to the journal (the active per-domain buffer when one is
-    installed, the process-global sink otherwise).  Also bumps the
-    ["provenance.findings.<kind>"] telemetry counter. *)
+    installed, the process-global sink otherwise).  While telemetry is
+    enabled, also bumps the ["provenance.findings.<kind>"] counter. *)
 val record : finding -> unit
 
 (** [collect f] runs [f] with a fresh per-domain buffer installed and
@@ -96,7 +96,8 @@ val find : string -> (finding, string) result
     clock. *)
 val journal : unit -> string
 
-(** Write {!journal} to [path].  @raise Sys_error as [open_out] does. *)
+(** Write {!journal} to [path], one line at a time, without building the
+    whole string first.  @raise Sys_error as [open_out] does. *)
 val write_journal : path:string -> unit -> unit
 
 (** Render one finding's full why-chain as human-readable text.

@@ -50,6 +50,204 @@ let test_id_content_sensitive () =
           v.P.f_analysis)
     variants
 
+(* Ids pinned as literals.  They were computed by the first
+   implementation, which built the whole serialization in a buffer and
+   hashed it byte by byte; the streamed hash must reproduce them. *)
+let test_id_pinned () =
+  let cases =
+    [ ( "no location",
+        "F-ff22b9f98de64e19",
+        P.make ~kind:"metric" ~analysis:"T1.1" ~message:"enforcement"
+          ~witness:[ P.step "threshold" "cc > %d" 10 ] () );
+      ( "several witness steps",
+        "F-a255191bb8fd408a",
+        P.make ~kind:"dataflow" ~analysis:"uninit-read" ~loc:(loc "u.c" 2 9)
+          ~message:"x read before initialization"
+          ~witness:
+            [ P.step ~loc:(loc "u.c" 1 5) "decl" "x declared without initializer";
+              P.step "cfg" "path B0 -> B2 skips the store";
+              P.step ~loc:(loc "u.c" 2 9) "use" "x read here" ]
+          () );
+      ( "empty message",
+        "F-ea3773ac5728c905",
+        P.make ~kind:"misra" ~analysis:"15.5" ~loc:(loc "a.c" 10 2) ~message:""
+          ~witness:[ P.step "site" "" ] () );
+      ( "bytes >= 0x80",
+        "F-6500d33b8b84535a",
+        P.make ~kind:"coverage" ~analysis:"coverage-gap"
+          ~loc:(loc "m\xc3\xbcnchen.cu" 9 10) ~message:"caf\xc3\xa9 \xff\x80 branch"
+          ~witness:[ P.step ~loc:(loc "m\xc3\xbcnchen.cu" 9 10) "scenario" "\xfe\xfd" ]
+          () );
+      ( "separator bytes inside fields",
+        "F-dd980885a70096fa",
+        P.make ~kind:"interproc" ~analysis:"recursion\x00cycle" ~loc:(loc "b\x01.c" 1 1)
+          ~message:"a\x00b\x01c"
+          ~witness:[ P.step "call\x01" "f\x00g"; P.step ~loc:(loc "c.c" 0 0) "" "\x01\x00" ]
+          () );
+      ( "empty witness",
+        "F-0b3b177a1ff0c714",
+        P.make ~kind:"misra" ~analysis:"17.2" ~message:"recursion" ~witness:[] () ) ]
+  in
+  List.iter (fun (what, id, f) -> Alcotest.(check string) what id f.P.f_id) cases
+
+(* ------------------------------------------------------------------ *)
+(* Differential: the streamed hash, keyed sort and buffered export    *)
+(* against the straightforward versions they replaced                 *)
+(* ------------------------------------------------------------------ *)
+
+module Oracle = struct
+  let fnv1a64 s =
+    let h = ref 0xcbf29ce484222325L in
+    String.iter
+      (fun c ->
+        h := Int64.logxor !h (Int64.of_int (Char.code c));
+        h := Int64.mul !h 0x100000001b3L)
+      s;
+    !h
+
+  let loc_key = function None -> "-" | Some l -> Cfront.Loc.to_string l
+
+  let canonical_content (f : P.finding) =
+    let buf = Buffer.create 256 in
+    Buffer.add_string buf f.P.f_kind;
+    Buffer.add_char buf '\x00';
+    Buffer.add_string buf f.P.f_analysis;
+    Buffer.add_char buf '\x00';
+    Buffer.add_string buf (loc_key f.P.f_loc);
+    Buffer.add_char buf '\x00';
+    Buffer.add_string buf f.P.f_message;
+    List.iter
+      (fun s ->
+        Buffer.add_char buf '\x00';
+        Buffer.add_string buf s.P.w_label;
+        Buffer.add_char buf '\x01';
+        Buffer.add_string buf (loc_key s.P.w_loc);
+        Buffer.add_char buf '\x01';
+        Buffer.add_string buf s.P.w_detail)
+      f.P.f_witness;
+    Buffer.contents buf
+
+  let id f = Printf.sprintf "F-%016Lx" (fnv1a64 (canonical_content f))
+
+  (* polymorphic compare on the tuple key, stable sort, first id wins *)
+  let findings recorded =
+    let key (f : P.finding) =
+      (f.P.f_kind, f.P.f_analysis, loc_key f.P.f_loc, f.P.f_message, f.P.f_id)
+    in
+    let sorted = List.sort (fun a b -> compare (key a) (key b)) recorded in
+    let seen = Hashtbl.create 64 in
+    List.filter
+      (fun (f : P.finding) ->
+        if Hashtbl.mem seen f.P.f_id then false
+        else begin
+          Hashtbl.add seen f.P.f_id ();
+          true
+        end)
+      sorted
+
+  let json_escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let loc_json = function
+    | None -> "null"
+    | Some l -> Printf.sprintf "\"%s\"" (json_escape (Cfront.Loc.to_string l))
+
+  let finding_json (f : P.finding) =
+    Printf.sprintf
+      "{\"id\":\"%s\",\"kind\":\"%s\",\"analysis\":\"%s\",\"loc\":%s,\"message\":\"%s\",\"witness\":[%s]}"
+      (json_escape f.P.f_id) (json_escape f.P.f_kind) (json_escape f.P.f_analysis)
+      (loc_json f.P.f_loc) (json_escape f.P.f_message)
+      (String.concat ","
+         (List.map
+            (fun s ->
+              Printf.sprintf "{\"label\":\"%s\",\"loc\":%s,\"detail\":\"%s\"}"
+                (json_escape s.P.w_label) (loc_json s.P.w_loc) (json_escape s.P.w_detail))
+            f.P.f_witness))
+
+  let journal fs =
+    Printf.sprintf "{\"schema\":\"adcheck-evidence/1\",\"findings\":%d}\n" (List.length fs)
+    ^ String.concat "" (List.map (fun f -> finding_json f ^ "\n") fs)
+end
+
+(* Findings drawn from small pools, so equal keys and duplicates are
+   common.  Locations include pairs whose string order differs from
+   their numeric order (line 9 vs 10, col 2 vs 10) and a file name that
+   is a prefix of another ("a.c" vs "a.c.x"); text includes bytes the
+   exporter escapes, the serialization's separators and bytes >= 0x80. *)
+let gen_findings =
+  let open QCheck.Gen in
+  let text =
+    oneof
+      [ oneofl [ ""; "x"; "recursion"; "x read here" ];
+        string_size ~gen:(oneofl [ 'a'; 'z'; ' '; ':'; '"'; '\\'; '\n'; '\t'; '\x00';
+                                   '\x01'; '\x1f'; '\x7f'; '\xc3'; '\xff' ])
+          (int_range 0 5) ]
+  in
+  let gen_loc =
+    opt
+      (map3
+         (fun file line col -> loc file line col)
+         (oneofl [ "a.c"; "a.c.x"; "b.c"; "q\"\\.c"; "m\xc3\xbc.c" ])
+         (oneofl [ 1; 2; 9; 10; 100 ])
+         (oneofl [ 0; 2; 10 ]))
+  in
+  let gen_step =
+    map3
+      (fun label loc detail -> { P.w_label = label; w_loc = loc; w_detail = detail })
+      (oneofl [ "site"; "rule"; "use"; "" ]) gen_loc text
+  in
+  let gen_spec =
+    map3
+      (fun (kind, analysis) (loc, message) witness -> (kind, analysis, loc, message, witness))
+      (pair (oneofl [ "misra"; "dataflow"; "coverage" ]) (oneofl [ "9.1"; "10.3"; "17.2"; "dead-store" ]))
+      (pair gen_loc text)
+      (list_size (int_range 0 3) gen_step)
+  in
+  let make (kind, analysis, loc, message, witness) =
+    P.make ~kind ~analysis ?loc ~message ~witness ()
+  in
+  (* duplicates are made again from the same content, so they are equal
+     but not the same record: the export must keep the first recorded *)
+  let* specs = list_size (int_range 0 30) gen_spec in
+  let* again = if specs = [] then return [] else list_size (int_range 0 10) (oneofl specs) in
+  map (List.map make) (shuffle_l (specs @ again))
+
+let prop_journal_matches_oracle =
+  QCheck.Test.make ~name:"ids, order, dedup and export match the oracles" ~count:300
+    (QCheck.make ~print:(fun fs -> Oracle.journal fs) gen_findings)
+    (fun fs ->
+      List.iter
+        (fun f ->
+          let want = Oracle.id f in
+          if f.P.f_id <> want then
+            QCheck.Test.fail_reportf "id %s, oracle %s for %s" f.P.f_id want
+              (Oracle.finding_json f))
+        fs;
+      P.reset ();
+      List.iter P.record fs;
+      let got = P.findings () and want = Oracle.findings fs in
+      let journal = P.journal () in
+      P.reset ();
+      if List.length got <> List.length want || not (List.for_all2 ( == ) got want) then
+        QCheck.Test.fail_reportf "export order differs:\n%s\noracle:\n%s" (Oracle.journal got)
+          (Oracle.journal want);
+      if journal <> Oracle.journal want then
+        QCheck.Test.fail_reportf "journal bytes differ:\n%s" journal;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Sink: collect / absorb / dedup / canonical order                    *)
 (* ------------------------------------------------------------------ *)
@@ -92,6 +290,25 @@ let test_canonical_order () =
     [ ("coverage", "coverage-gap"); ("coverage", "uncovered-function");
       ("misra", "17.2") ]
     keys;
+  P.reset ()
+
+(* The per-kind counter is named and bumped only while the recorder is
+   on; the count with it on is one per recorded finding. *)
+let test_record_counter () =
+  P.reset ();
+  Telemetry.reset ();
+  let f = mk ~kind:"misra" ~analysis:"9.1" "counted" in
+  P.record f;
+  Alcotest.(check int) "recorder off: no counter" 0
+    (Telemetry.counter "provenance.findings.misra");
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false; Telemetry.reset ())
+  @@ fun () ->
+  P.record f;
+  P.record (mk ~kind:"coverage" ~analysis:"coverage-gap" "counted");
+  Alcotest.(check int) "recorder on: one per finding" 1
+    (Telemetry.counter "provenance.findings.misra");
+  Alcotest.(check int) "per kind" 1 (Telemetry.counter "provenance.findings.coverage");
   P.reset ()
 
 let test_find () =
@@ -419,6 +636,8 @@ let () =
           Alcotest.test_case "equal content, equal id" `Quick test_id_stable;
           Alcotest.test_case "content-sensitive" `Quick
             test_id_content_sensitive;
+          Alcotest.test_case "pinned ids" `Quick test_id_pinned;
+          QCheck_alcotest.to_alcotest prop_journal_matches_oracle;
         ] );
       ( "sink",
         [
@@ -426,6 +645,7 @@ let () =
           Alcotest.test_case "canonical export order" `Quick
             test_canonical_order;
           Alcotest.test_case "find by id and prefix" `Quick test_find;
+          Alcotest.test_case "per-kind counter" `Quick test_record_counter;
         ] );
       ( "export",
         [
