@@ -807,9 +807,18 @@ let micro_tests () =
     (* table2: architecture metrics (call graph + coupling) *)
     Test.make ~name:"table2/architecture"
       (Staged.stage (fun () ->
+           let module_loc =
+             List.map
+               (fun m ->
+                 ( m,
+                   (Metrics.Loc_metrics.of_files
+                      (Cfront.Project.parsed_files_of_module parsed m))
+                     .Metrics.Loc_metrics.physical ))
+               (Cfront.Project.module_names parsed.Cfront.Project.project)
+           in
            Metrics.Architecture.build
              ~graph:(Cfront.Callgraph.build (Cfront.Project.all_functions parsed))
-             ~parsed));
+             ~parsed ~module_loc));
     (* table3: unit-design assessment *)
     Test.make ~name:"table3/assess-unit"
       (Staged.stage (fun () -> Iso26262.Assess.assess_unit_design m));

@@ -665,19 +665,28 @@ let of_files ?facts (files : Project.parsed_file list) =
             (List.iter (fun s -> Hashtbl.replace tbl s.s_name s))
             results)
         levels;
-      (* phase 3: cross-call uninit, independent per caller *)
+      (* phase 3: cross-call uninit, independent per caller.  The
+         direct sites are indexed by caller once, in site order, so a
+         later site for the same name still wins. *)
+      let sites_of_caller = Hashtbl.create 256 in
+      List.iter
+        (fun (s : Callgraph.call_site) ->
+          if s.Callgraph.cs_kind = Callgraph.Direct then
+            Hashtbl.replace sites_of_caller s.Callgraph.cs_caller
+              (s :: Option.value ~default:[]
+                      (Hashtbl.find_opt sites_of_caller s.Callgraph.cs_caller)))
+        graph.Callgraph.sites;
       let resolve_for (f : Ast.func) =
-        let caller = Ast.qualified_name f in
         let cache = Hashtbl.create 8 in
         List.iter
           (fun (s : Callgraph.call_site) ->
-            if s.Callgraph.cs_caller = caller && s.Callgraph.cs_kind = Callgraph.Direct
-            then
-              match s.Callgraph.cs_outcome with
-              | Callgraph.Resolved q | Callgraph.Guessed (q, _) ->
-                Hashtbl.replace cache s.Callgraph.cs_name q
-              | _ -> ())
-          graph.Callgraph.sites;
+            match s.Callgraph.cs_outcome with
+            | Callgraph.Resolved q | Callgraph.Guessed (q, _) ->
+              Hashtbl.replace cache s.Callgraph.cs_name q
+            | _ -> ())
+          (List.rev
+             (Option.value ~default:[]
+                (Hashtbl.find_opt sites_of_caller (Ast.qualified_name f))));
         fun name -> Hashtbl.find_opt cache name
       in
       let uninit_flows =

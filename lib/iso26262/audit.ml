@@ -258,7 +258,10 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
      Cache.Manifest.save c ~name:project.Cfront.Project.p_name
        (manifest_of_parsed ~graph:interproc.Interproc.Summary.graph parsed)
    | None -> ());
-  let context = Misra.Rule.build_context ~facts ~interproc parsed in
+  let context =
+    Telemetry.with_span ~cat:"misra" "misra.context" (fun () ->
+        Misra.Rule.build_context ~facts ~interproc parsed)
+  in
   let module_dataflow = Project_metrics.module_dataflow_of_facts parsed file_facts in
   let misra_phase () = Project_metrics.misra_of_parsed ~context parsed in
   let metrics_phase misra =

@@ -88,19 +88,46 @@ let of_parsed_with ?context ~(misra : unit -> Misra.Registry.report)
   in
   let graph = ctx.Misra.Rule.interproc.Interproc.Summary.graph in
   let module_names = Cfront.Project.module_names parsed.Cfront.Project.project in
+  let files = parsed.Cfront.Project.files in
+  (* Each file's lines are counted once and its mutable globals are
+     read off the context; the module and project figures are sums. *)
+  let file_loc =
+    List.map (fun pf -> (pf, Metrics.Loc_metrics.of_tu pf.Cfront.Project.tu)) files
+  in
+  let sum_loc keep =
+    List.fold_left
+      (fun acc (pf, c) -> if keep pf then Metrics.Loc_metrics.add acc c else acc)
+      Metrics.Loc_metrics.zero file_loc
+  in
+  let globals_in_file = Hashtbl.create (List.length files) in
+  List.iter
+    (fun (g : Metrics.Globals.record) ->
+      let file = g.Metrics.Globals.file in
+      Hashtbl.replace globals_in_file file
+        (1 + Option.value ~default:0 (Hashtbl.find_opt globals_in_file file)))
+    ctx.Misra.Rule.globals;
   let per_module =
     List.map
       (fun m ->
         let pfs = Cfront.Project.parsed_files_of_module parsed m in
         let fns = Cfront.Project.defined_functions pfs in
-        let loc = Metrics.Loc_metrics.of_files pfs in
+        let loc =
+          sum_loc (fun pf -> pf.Cfront.Project.file.Cfront.Project.modname = m)
+        in
         {
           modname = m;
           complexity =
             Metrics.Complexity.summarize ~modname:m
               ~loc:loc.Metrics.Loc_metrics.physical fns;
           loc;
-          globals = List.length (Metrics.Globals.of_files pfs);
+          globals =
+            Util.Stats.sum_int
+              (List.map
+                 (fun (pf : Cfront.Project.parsed_file) ->
+                   Option.value ~default:0
+                     (Hashtbl.find_opt globals_in_file
+                        pf.Cfront.Project.tu.Cfront.Ast.tu_file))
+                 pfs);
           multi_exit_frac = Metrics.Func_shape.multi_exit_fraction fns;
           gotos = Metrics.Func_shape.total_gotos fns;
           dataflow = List.assoc m module_dataflow;
@@ -108,10 +135,9 @@ let of_parsed_with ?context ~(misra : unit -> Misra.Registry.report)
       module_names
   in
   let all_fns = Cfront.Project.all_functions parsed in
-  let files = parsed.Cfront.Project.files in
   let casts = Metrics.Casts.of_functions all_fns in
   let shadowing = ctx.Misra.Rule.shadowing in
-  let loc_all = Metrics.Loc_metrics.of_files files in
+  let loc_all = sum_loc (fun _ -> true) in
   let style = Metrics.Style.of_files files in
   let sum f = Util.Stats.sum_int (List.map f per_module) in
   {
@@ -147,7 +173,12 @@ let of_parsed_with ?context ~(misra : unit -> Misra.Registry.report)
     style_findings = List.length style;
     style_per_kloc = Metrics.Style.per_kloc style loc_all;
     naming_violations = List.length (Metrics.Naming.of_files files);
-    architecture = Metrics.Architecture.build ~graph ~parsed;
+    architecture =
+      Metrics.Architecture.build ~graph ~parsed
+        ~module_loc:
+          (List.map
+             (fun m -> (m.modname, m.loc.Metrics.Loc_metrics.physical))
+             per_module);
     namespace_depth = Metrics.Architecture.namespace_depth files;
     cuda = Cudasim.Census.of_files files;
     interproc = ctx.Misra.Rule.interproc;

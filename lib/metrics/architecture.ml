@@ -35,8 +35,11 @@ let calls_marker markers (fns : Cfront.Ast.func list) =
     fns
 
 (** Per-module components of [parsed]; coupling and cohesion come from
-    the edges of [graph], the project's call graph. *)
-let build ~(graph : Cfront.Callgraph.t) ~(parsed : Cfront.Project.parsed) =
+    the edges of [graph], the project's call graph, and each component's
+    size is its module's physical lines in [module_loc], which must hold
+    every module. *)
+let build ~(graph : Cfront.Callgraph.t) ~(parsed : Cfront.Project.parsed)
+    ~(module_loc : (string * int) list) =
   Telemetry.with_span ~cat:"metrics" "metrics.architecture" @@ fun () ->
   let module_names = Cfront.Project.module_names parsed.Cfront.Project.project in
   let per_module =
@@ -61,7 +64,6 @@ let build ~(graph : Cfront.Callgraph.t) ~(parsed : Cfront.Project.parsed) =
   in
   List.map
     (fun (m, pfs, fns) ->
-      let loc = (Loc_metrics.of_files pfs).Loc_metrics.physical in
       let outgoing = List.filter (fun (a, _) -> a = m) cross_edges in
       let intra = List.length (List.filter (fun (_, b) -> b = m) outgoing) in
       let inter_targets =
@@ -83,7 +85,7 @@ let build ~(graph : Cfront.Callgraph.t) ~(parsed : Cfront.Project.parsed) =
       in
       {
         name = m;
-        loc;
+        loc = List.assoc m module_loc;
         n_files = List.length pfs;
         n_functions = List.length fns;
         interface_size = List.length interface_fns;

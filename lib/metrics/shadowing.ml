@@ -40,7 +40,7 @@ let rec check_stmt ~globals ~params ~fname ~outer acc stmt =
                 else if List.mem name params then
                   { name; loc = d.Cfront.Ast.v_loc; kind = `Shadows_param;
                     in_function = Some fname } :: acc
-                else if List.mem name globals then
+                else if Hashtbl.mem globals name then
                   { name; loc = d.Cfront.Ast.v_loc; kind = `Shadows_global;
                     in_function = Some fname } :: acc
                 else acc)
@@ -109,9 +109,11 @@ let duplicate_globals (globals : Globals.record list) =
     by_name []
 
 (** The findings over [pfs], given their mutable globals as
-    {!Globals.of_files} lists them. *)
+    {!Globals.of_files} lists them.  The global names form one hash set,
+    so each local declaration costs one lookup. *)
 let of_globals ~(globals : Globals.record list) (pfs : Cfront.Project.parsed_file list) =
-  let names = List.map (fun (g : Globals.record) -> g.Globals.name) globals in
+  let names = Hashtbl.create (List.length globals) in
+  List.iter (fun (g : Globals.record) -> Hashtbl.replace names g.Globals.name ()) globals;
   let per_func =
     List.concat_map
       (fun pf ->

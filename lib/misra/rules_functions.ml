@@ -186,31 +186,45 @@ let r2_7 =
               fn.Ast.f_params))
 
 (* 8.9: an object should be declared at block scope if only used in one
-   function. *)
+   function.  Only the names of [ctx.globals] are tracked, each with the
+   qualified name of its one user or [Many]; a function's qualified name
+   is computed once, and overloads sharing it count as one user.  Every
+   identifier of every function is looked up, so the table compares keys
+   with [String.equal] rather than polymorphic compare. *)
+type user_count = No_user | One of string | Many
+
+module Names = Hashtbl.Make (String)
+
 let r8_9 =
   Rule.make ~id:"8.9" ~title:"globals used by a single function shall be local"
     ~category:Rule.Advisory (fun ctx ->
-      let users = Hashtbl.create 64 in
+      let users = Names.create (List.length ctx.Rule.globals) in
+      List.iter
+        (fun (g : Metrics.Globals.record) ->
+          Names.replace users g.Metrics.Globals.name (ref No_user))
+        ctx.Rule.globals;
       List.iter
         (fun (fn : Ast.func) ->
+          let q = Ast.qualified_name fn in
           Ast.iter_exprs_of_func
             (fun e ->
               match e.Ast.e with
-              | Ast.Id name ->
-                let cur = Option.value ~default:[] (Hashtbl.find_opt users name) in
-                let q = Ast.qualified_name fn in
-                if not (List.mem q cur) then Hashtbl.replace users name (q :: cur)
+              | Ast.Id name -> (
+                match Names.find_opt users name with
+                | Some ({ contents = No_user } as r) -> r := One q
+                | Some ({ contents = One q' } as r) when not (String.equal q' q) -> r := Many
+                | Some _ | None -> ())
               | _ -> ())
             fn)
         ctx.Rule.functions;
       List.filter_map
         (fun (g : Metrics.Globals.record) ->
-          match Hashtbl.find_opt users g.Metrics.Globals.name with
-          | Some [ only ] ->
+          match !(Names.find users g.Metrics.Globals.name) with
+          | One only ->
             Some
               (Rule.v ~rule_id:"8.9" ~loc:g.Metrics.Globals.loc
                  "global %s used only by %s" g.Metrics.Globals.name only)
-          | _ -> None)
+          | No_user | Many -> None)
         ctx.Rule.globals)
 
 (* 21.x addition in spirit: uninitialized reads (9.1 "the value of an

@@ -291,6 +291,159 @@ let test_no_shadowing_clean () =
   in
   Alcotest.(check int) "clean" 0 (List.length findings)
 
+(* The quadratic shadowing pass as it stood before the global names were
+   hashed: every local declaration tests [List.mem] over the names of all
+   mutable globals.  It is kept here as the oracle the linear pass must
+   reproduce finding for finding, in order. *)
+let rec reference_check_stmt ~globals ~params ~fname ~outer acc stmt =
+  let decls_of s =
+    match s.Cfront.Ast.s with
+    | Cfront.Ast.Sdecl ds | Cfront.Ast.Sfor { init = Cfront.Ast.Fi_decl ds; _ } -> ds
+    | _ -> []
+  in
+  let recur = reference_check_stmt ~globals ~params ~fname in
+  let finding name (d : Cfront.Ast.var_decl) kind =
+    { Metrics.Shadowing.name; loc = d.Cfront.Ast.v_loc; kind; in_function = Some fname }
+  in
+  match stmt.Cfront.Ast.s with
+  | Cfront.Ast.Sblock ss ->
+    snd
+      (List.fold_left
+         (fun (scope, acc) s ->
+           let acc =
+             List.fold_left
+               (fun acc (d : Cfront.Ast.var_decl) ->
+                 let name = d.Cfront.Ast.v_name in
+                 if List.mem name scope then finding name d `Shadows_local :: acc
+                 else if List.mem name params then finding name d `Shadows_param :: acc
+                 else if List.mem name globals then finding name d `Shadows_global :: acc
+                 else acc)
+               acc (decls_of s)
+           in
+           let scope' = List.map (fun d -> d.Cfront.Ast.v_name) (decls_of s) @ scope in
+           (scope', recur ~outer:scope' acc s))
+         (outer, acc) ss)
+  | Cfront.Ast.Sif { then_; else_; _ } ->
+    let acc = recur ~outer acc then_ in
+    (match else_ with Some s -> recur ~outer acc s | None -> acc)
+  | Cfront.Ast.Swhile (_, body)
+  | Cfront.Ast.Sdo_while (body, _)
+  | Cfront.Ast.Sswitch (_, body)
+  | Cfront.Ast.Slabel (_, body) ->
+    recur ~outer acc body
+  | Cfront.Ast.Sfor { init; body; _ } ->
+    let outer =
+      match init with
+      | Cfront.Ast.Fi_decl ds -> List.map (fun d -> d.Cfront.Ast.v_name) ds @ outer
+      | _ -> outer
+    in
+    recur ~outer acc body
+  | Cfront.Ast.Stry { body; catches } ->
+    List.fold_left (fun acc (_, s) -> recur ~outer acc s) (recur ~outer acc body) catches
+  | _ -> acc
+
+let reference_shadowing (pfs : Cfront.Project.parsed_file list) =
+  let globals = Metrics.Globals.of_files pfs in
+  let names = List.map (fun (g : Metrics.Globals.record) -> g.Metrics.Globals.name) globals in
+  List.concat_map
+    (fun pf ->
+      List.concat_map
+        (fun (fn : Cfront.Ast.func) ->
+          match fn.Cfront.Ast.f_body with
+          | None -> []
+          | Some body ->
+            let params = List.map (fun p -> p.Cfront.Ast.p_name) fn.Cfront.Ast.f_params in
+            List.rev
+              (reference_check_stmt ~globals:names ~params
+                 ~fname:(Cfront.Ast.qualified_name fn) ~outer:[] [] body))
+        (Cfront.Ast.functions_of_tu pf.Cfront.Project.tu))
+    pfs
+  @ Metrics.Shadowing.duplicate_globals globals
+
+let check_shadowing_matches_reference label pfs =
+  let got = Metrics.Shadowing.of_files pfs in
+  Alcotest.(check int) (label ^ ": count") (List.length (reference_shadowing pfs))
+    (List.length got);
+  Alcotest.(check bool) (label ^ ": same findings, same order") true
+    (reference_shadowing pfs = got)
+
+let small_parsed seed =
+  Cfront.Project.parse (Corpus.Generator.generate ~seed Corpus.Apollo_profile.small)
+
+(* The generated corpus declares no shadowing local, so each seed is
+   checked twice: as generated, and with one more file whose functions
+   declare locals named after every third global of the corpus (and
+   redefine every fifth), so the hashed lookup is hit with real names. *)
+let with_shadowing_file (pfs : Cfront.Project.parsed_file list) =
+  let names =
+    List.sort_uniq compare
+      (List.map (fun (g : Metrics.Globals.record) -> g.Metrics.Globals.name)
+         (Metrics.Globals.of_files pfs))
+  in
+  let src =
+    String.concat "\n"
+      (List.concat
+         (List.mapi
+            (fun i name ->
+              (if i mod 5 = 0 then [ Printf.sprintf "int %s = %d;" name i ] else [])
+              @
+              if i mod 3 = 0 then
+                [ Printf.sprintf
+                    "void Shadow%d(int p) { int %s = p; { int %s = 1; int p = 2; %s++; } }"
+                    i name name name ]
+              else [])
+            names))
+  in
+  pfs @ [ parsed_file ~path:"shadow.cc" ~modname:"shadow" src ]
+
+let test_shadowing_matches_reference_corpus () =
+  List.iter
+    (fun seed ->
+      let pfs = (small_parsed seed).Cfront.Project.files in
+      check_shadowing_matches_reference (Printf.sprintf "small seed %d" seed) pfs;
+      let pfs = with_shadowing_file pfs in
+      check_shadowing_matches_reference
+        (Printf.sprintf "small seed %d with shadowing file" seed) pfs;
+      let kinds =
+        List.map (fun (f : Metrics.Shadowing.finding) -> f.Metrics.Shadowing.kind)
+          (Metrics.Shadowing.of_files pfs)
+      in
+      List.iter
+        (fun kind ->
+          Alcotest.(check bool) "every kind occurs" true (List.mem kind kinds))
+        [ `Shadows_local; `Shadows_param; `Shadows_global; `Duplicate_global ])
+    [ 7; 2019 ]
+
+let test_shadowing_matches_reference_edges () =
+  let cases =
+    [
+      ( "local named like a global",
+        [ parsed_file "int g_v = 0;\nvoid F() { int g_v = 1; g_v++; }" ] );
+      ( "parameter named like a global wins",
+        [ parsed_file "int g_v = 0;\nvoid F(int g_v) { int g_v = 1; g_v++; }" ] );
+      ( "global from another file",
+        [ parsed_file ~path:"a.cc" "int g_a = 0;";
+          parsed_file ~path:"b.cc" "void F() { for (int g_a = 0; g_a < 3; ++g_a) { int g_a = 2; } }" ] );
+      ( "const globals are not shadowed",
+        [ parsed_file "const int k_v = 0;\nvoid F() { int k_v = 1; k_v++; }" ] );
+      ( "name defined in several files",
+        [ parsed_file ~path:"a.cc" "int g_s = 0;";
+          parsed_file ~path:"b.cc" "int g_s = 1;\nint g_t = 2;";
+          parsed_file ~path:"c.cc" "int g_s = 2;\nvoid F() { int g_s = 3; g_s++; }" ] );
+    ]
+  in
+  List.iter (fun (label, pfs) -> check_shadowing_matches_reference label pfs) cases;
+  let kinds pfs =
+    List.map (fun (f : Metrics.Shadowing.finding) -> f.Metrics.Shadowing.kind)
+      (Metrics.Shadowing.of_files pfs)
+  in
+  Alcotest.(check bool) "local named like a global shadows it" true
+    (kinds (List.assoc "local named like a global" cases) = [ `Shadows_global ]);
+  Alcotest.(check int) "each file of a redefined global is flagged" 3
+    (List.length
+       (List.filter (( = ) `Duplicate_global)
+          (kinds (List.assoc "name defined in several files" cases))))
+
 (* ------------------------------------------------------------------ *)
 (* Naming                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -399,10 +552,18 @@ let two_module_project () =
         "namespace app {\nint Use(int a) { return Base(a) + Base(a + 1); }\n\
          int Local(int a) { return Use(a); }\n}" ]
 
+let module_loc_of parsed =
+  List.map
+    (fun m ->
+      ( m,
+        (Metrics.Loc_metrics.of_files (Cfront.Project.parsed_files_of_module parsed m))
+          .Metrics.Loc_metrics.physical ))
+    (Cfront.Project.module_names parsed.Cfront.Project.project)
+
 let architecture_of parsed =
   Metrics.Architecture.build
     ~graph:(Cfront.Callgraph.build (Cfront.Project.all_functions parsed))
-    ~parsed
+    ~parsed ~module_loc:(module_loc_of parsed)
 
 let test_architecture_coupling () =
   let comps = architecture_of (Cfront.Project.parse (two_module_project ())) in
@@ -422,6 +583,36 @@ let test_architecture_thread_marker () =
   let comps = architecture_of (Cfront.Project.parse project) in
   Alcotest.(check bool) "threads detected" true
     (List.exists (fun c -> c.Metrics.Architecture.uses_threads) comps)
+
+(* Project_metrics counts each file's lines once and reads the globals
+   off the rule context; every module's figures must still equal a
+   fresh count over that module's files. *)
+let test_module_counts_match_per_module_walks () =
+  let parsed = small_parsed 2019 in
+  let pm = Iso26262.Project_metrics.of_parsed parsed in
+  List.iter
+    (fun m ->
+      let pfs = Cfront.Project.parsed_files_of_module parsed m in
+      let loc = Metrics.Loc_metrics.of_files pfs in
+      let mm = Option.get (Iso26262.Project_metrics.find_module pm m) in
+      Alcotest.(check bool) (m ^ " loc") true (mm.Iso26262.Project_metrics.loc = loc);
+      Alcotest.(check int) (m ^ " globals")
+        (List.length (Metrics.Globals.of_files pfs))
+        mm.Iso26262.Project_metrics.globals;
+      let comp =
+        List.find
+          (fun c -> c.Metrics.Architecture.name = m)
+          pm.Iso26262.Project_metrics.architecture
+      in
+      Alcotest.(check int) (m ^ " component loc") loc.Metrics.Loc_metrics.physical
+        comp.Metrics.Architecture.loc)
+    (Cfront.Project.module_names parsed.Cfront.Project.project);
+  Alcotest.(check int) "total loc"
+    (Metrics.Loc_metrics.of_files parsed.Cfront.Project.files).Metrics.Loc_metrics.physical
+    pm.Iso26262.Project_metrics.total_loc;
+  Alcotest.(check int) "total globals"
+    (List.length (Metrics.Globals.of_files parsed.Cfront.Project.files))
+    pm.Iso26262.Project_metrics.globals_total
 
 let test_namespace_depth () =
   let pf = parsed_file "namespace a { namespace b { int F() { return 1; } } }" in
@@ -492,6 +683,10 @@ let () =
           Alcotest.test_case "kinds" `Quick test_shadowing_kinds;
           Alcotest.test_case "duplicate globals" `Quick test_duplicate_globals_across_files;
           Alcotest.test_case "clean" `Quick test_no_shadowing_clean;
+          Alcotest.test_case "matches List.mem oracle, corpus"
+            `Quick test_shadowing_matches_reference_corpus;
+          Alcotest.test_case "matches List.mem oracle, edges"
+            `Quick test_shadowing_matches_reference_edges;
         ] );
       ( "naming",
         [
@@ -520,5 +715,7 @@ let () =
           Alcotest.test_case "coupling" `Quick test_architecture_coupling;
           Alcotest.test_case "thread marker" `Quick test_architecture_thread_marker;
           Alcotest.test_case "namespace depth" `Quick test_namespace_depth;
+          Alcotest.test_case "module loc and globals equal per-module walks" `Quick
+            test_module_counts_match_per_module_walks;
         ] );
     ]

@@ -26,6 +26,116 @@ let case name rule_id src expected =
 (* handy snippets *)
 let fn body = Printf.sprintf "int F(int a, int b) {\n%s\n}" body
 
+(* Rule 8.9 as it stood before it tracked only the globals: a list of
+   users per identifier, extended after a [List.mem] test on every use.
+   It is the oracle the linear rule must reproduce violation for
+   violation, in order. *)
+let reference_8_9 (ctx : Misra.Rule.context) =
+  let users = Hashtbl.create 64 in
+  List.iter
+    (fun (fn : Cfront.Ast.func) ->
+      Cfront.Ast.iter_exprs_of_func
+        (fun e ->
+          match e.Cfront.Ast.e with
+          | Cfront.Ast.Id name ->
+            let cur = Option.value ~default:[] (Hashtbl.find_opt users name) in
+            let q = Cfront.Ast.qualified_name fn in
+            if not (List.mem q cur) then Hashtbl.replace users name (q :: cur)
+          | _ -> ())
+        fn)
+    ctx.Misra.Rule.functions;
+  List.filter_map
+    (fun (g : Metrics.Globals.record) ->
+      match Hashtbl.find_opt users g.Metrics.Globals.name with
+      | Some [ only ] ->
+        Some
+          (Misra.Rule.v ~rule_id:"8.9" ~loc:g.Metrics.Globals.loc
+             "global %s used only by %s" g.Metrics.Globals.name only)
+      | _ -> None)
+    ctx.Misra.Rule.globals
+
+let rule_8_9 = Option.get (Misra.Registry.find_rule "8.9")
+
+let check_8_9_matches_reference label ctx =
+  let got = rule_8_9.Misra.Rule.check ctx in
+  Alcotest.(check (list string)) (label ^ ": same messages")
+    (List.map (fun v -> v.Misra.Rule.message) (reference_8_9 ctx))
+    (List.map (fun v -> v.Misra.Rule.message) got);
+  Alcotest.(check bool) (label ^ ": same violations") true (reference_8_9 ctx = got);
+  got
+
+(* The generated corpus has no single-user global, so each seed is
+   checked twice: as generated, and with one more file in which every
+   second global gets a new user, and every sixth a second new user. *)
+let with_users_file (pfs : Cfront.Project.parsed_file list) =
+  let names =
+    List.sort_uniq compare
+      (List.map (fun (g : Metrics.Globals.record) -> g.Metrics.Globals.name)
+         (Metrics.Globals.of_files pfs))
+  in
+  let src =
+    String.concat "\n"
+      (List.concat
+         (List.mapi
+            (fun i name ->
+              (if i mod 2 = 0 then [ Printf.sprintf "int Use%d() { return %s; }" i name ]
+               else [])
+              @
+              if i mod 6 = 0 then [ Printf.sprintf "int Again%d() { return %s; }" i name ]
+              else [])
+            names))
+  in
+  let path = "users.cc" in
+  pfs
+  @ [ { Cfront.Project.file =
+          { Cfront.Project.path; modname = "users"; header = false; content = src };
+        tu = Cfront.Parser.parse_file ~file:path src } ]
+
+let test_8_9_matches_reference_corpus () =
+  List.iter
+    (fun seed ->
+      let parsed =
+        Cfront.Project.parse (Corpus.Generator.generate ~seed Corpus.Apollo_profile.small)
+      in
+      ignore
+        (check_8_9_matches_reference (Printf.sprintf "small seed %d" seed)
+           (Misra.Rule.build_context parsed));
+      let got =
+        check_8_9_matches_reference
+          (Printf.sprintf "small seed %d with a users file" seed)
+          (Misra.Rule.context_of_files (with_users_file parsed.Cfront.Project.files))
+      in
+      Alcotest.(check bool) "single-user globals are found" true (got <> []))
+    [ 7; 2019 ]
+
+let test_8_9_matches_reference_edges () =
+  let cases =
+    [
+      ( "overloads sharing a qualified name are one user",
+        "int g_o = 0;\nint F(int a) { return g_o + a; }\nint F(double a) { return g_o; }",
+        1 );
+      ("global used by two functions", "int g_t = 0;\nint F() { return g_t; }\nint G() { return g_t; }", 0);
+      ("global used by none", "int g_n = 0;\nint F(int a) { return a; }", 0);
+      ( "local named like a global counts its function",
+        "int g_l = 0;\nint F(int a) { int g_l = a; return g_l; }\nint G() { return g_l; }",
+        0 );
+      ( "local named like a global, one function",
+        "int g_m = 0;\nint F(int a) { int g_m = a; return g_m; }",
+        1 );
+      ( "same function twice counts once",
+        "int g_r = 0;\nint F(int a) { g_r = a; return g_r + g_r; }",
+        1 );
+      ( "methods of two classes are two users",
+        "int g_c = 0;\nclass A { int M() { return g_c; } };\nclass B { int M() { return g_c; } };",
+        0 );
+    ]
+  in
+  List.iter
+    (fun (label, src, expected) ->
+      let got = check_8_9_matches_reference label (ctx_of src) in
+      Alcotest.(check int) (label ^ ": violations") expected (List.length got))
+    cases
+
 let control_cases =
   [
     case "2.1 unreachable after return" "2.1" (fn "return a; a = 1;") 1;
@@ -92,6 +202,10 @@ let function_cases =
       "int g_only = 0;\nint F(int a) { return g_only + a; }" 1;
     case "8.9 shared global clean" "8.9"
       "int g_two = 0;\nint F(int a) { return g_two + a; }\nint G(int a) { return g_two - a; }" 0;
+    Alcotest.test_case "8.9 matches List.mem oracle, corpus" `Quick
+      test_8_9_matches_reference_corpus;
+    Alcotest.test_case "8.9 matches List.mem oracle, edges" `Quick
+      test_8_9_matches_reference_edges;
     case "8.10 inline not static" "8.10" "inline int F(int a) { return a; }" 1;
     case "8.10 static inline ok" "8.10" "static inline int F(int a) { return a; }" 0;
     case "9.1 uninitialized read" "9.1" (fn "int x; return a + x;") 1;
