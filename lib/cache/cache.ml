@@ -5,9 +5,13 @@
       (temp + rename) so a killed process never leaves a half artifact
       under a valid name.
     - Every read re-validates the whole header (magic, salt, kind, key,
-      length, payload digest, owner syntax) before [Marshal.from_string]
+      length, payload digest, owner syntax) before [Marshal.from_bytes]
       runs, so flipped bits surface as a counted corrupt entry rather
       than a wrong-typed value handed to the analyzer.
+    - A read fills a buffer owned by the reading domain, so a hit
+      leaves no copy of the file behind as garbage; only the bytes that
+      read returned are ever examined, never a stale tail of the
+      buffer.
     - Counters are atomics: lookups may come from any worker domain
       (parse fan-out, pipelined audit phases).  Telemetry counters
       [cache.hit/miss/store/corrupt/evict] mirror them in the work
@@ -18,17 +22,17 @@
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-(* FNV-1a of [s.[pos .. pos+len-1]], so an artifact's payload is hashed
-   in place rather than copied out of the file contents first. *)
-let fnv1a64_sub s pos len =
+(* FNV-1a of [b.[pos .. pos+len-1]], so an artifact's payload is hashed
+   in place rather than copied out of the read buffer first. *)
+let fnv1a64_sub b pos len =
   let h = ref fnv_offset in
   for i = pos to pos + len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)));
+    h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)));
     h := Int64.mul !h fnv_prime
   done;
   Printf.sprintf "%016Lx" !h
 
-let fnv1a64 s = fnv1a64_sub s 0 (String.length s)
+let fnv1a64 s = fnv1a64_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let magic = "adcheck-cache/1"
 
@@ -143,41 +147,61 @@ let render_artifact ~kind ~key ~owner payload =
     (if owner = "" then "-" else owner)
     payload
 
-(* Parse and validate; [Ok offset] of the payload in [raw], [Error
-   reason] on any mismatch. *)
-let parse_artifact ~kind ~key raw =
+(* Parse and validate the [len] bytes at the start of [raw]; [Ok
+   offset] of the payload, [Error reason] on any mismatch.  Bytes of
+   [raw] past [len] are never read. *)
+let parse_artifact ~kind ~key raw len =
   let line_end from =
-    match String.index_from_opt raw from '\n' with
-    | Some i -> Ok i
-    | None -> Error "truncated header"
+    let rec go i =
+      if i >= len then Error "truncated header"
+      else if Bytes.get raw i = '\n' then Ok i
+      else go (i + 1)
+    in
+    go from
   in
   let ( let* ) = Result.bind in
   let* e1 = line_end 0 in
   let* e2 = line_end (e1 + 1) in
   let* e3 = line_end (e2 + 1) in
-  let l1 = String.sub raw 0 e1 in
-  let l2 = String.sub raw (e1 + 1) (e2 - e1 - 1) in
-  let l3 = String.sub raw (e2 + 1) (e3 - e2 - 1) in
+  let l1 = Bytes.sub_string raw 0 e1 in
+  let l2 = Bytes.sub_string raw (e1 + 1) (e2 - e1 - 1) in
+  let l3 = Bytes.sub_string raw (e2 + 1) (e3 - e2 - 1) in
   if l1 <> magic then Error "bad magic"
   else if l2 <> version_salt then Error "version salt mismatch"
   else
     match String.split_on_char ' ' l3 with
-    | k :: ky :: len :: digest :: _owner_words ->
+    | k :: ky :: size :: digest :: _owner_words ->
       if k <> kind then Error "kind mismatch"
       else if ky <> key then Error "key mismatch"
       else begin
-        match int_of_string_opt len with
+        match int_of_string_opt size with
         | None -> Error "bad payload length"
         | Some n ->
           let payload_start = e3 + 1 in
-          if String.length raw - payload_start <> n then
-            Error "payload length mismatch"
-          else
-            if fnv1a64_sub raw payload_start n <> digest then
-              Error "payload digest mismatch"
-            else Ok payload_start
+          if len - payload_start <> n then Error "payload length mismatch"
+          else if fnv1a64_sub raw payload_start n <> digest then
+            Error "payload digest mismatch"
+          else Ok payload_start
       end
     | _ -> Error "bad header line"
+
+(* Each domain reads artifacts into its own buffer, grown to the largest
+   artifact it has read, so a hit allocates no copy of the file. *)
+let read_buffer = Domain.DLS.new_key (fun () -> ref (Bytes.create 65536))
+
+(* The whole file at [path] into the domain's buffer; returns the buffer
+   and the number of bytes read. *)
+let read_artifact path =
+  let buf = Domain.DLS.get read_buffer in
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let len = in_channel_length ic in
+      if Bytes.length !buf < len then
+        buf := Bytes.create (Stdlib.max len (2 * Bytes.length !buf));
+      really_input ic !buf 0 len;
+      (!buf, len))
 
 (* Owner of an artifact file, reading only the header; None when the
    header itself is unreadable. *)
@@ -206,15 +230,19 @@ let find (t : t) ~kind ~key =
   end
   else begin
     let validated =
-      match read_file path with
-      | exception Sys_error e -> Error e
-      | raw -> (
-        match parse_artifact ~kind ~key raw with
+      match read_artifact path with
+      | exception (Sys_error e) -> Error e
+      | exception End_of_file -> Error "file shrank while read"
+      | raw, len -> (
+        match parse_artifact ~kind ~key raw len with
         | Ok payload_start ->
-          (* the digest matched, so from_string sees exactly the bytes
+          (* the digest matched, so from_bytes sees exactly the bytes
              to_string produced — but guard anyway: a schema change that
              escaped the salt bump must degrade to a miss, not an abort *)
-          (try Ok (Marshal.from_string raw payload_start)
+          (try
+             if Marshal.total_size raw payload_start <> len - payload_start
+             then Error "marshaled size mismatch"
+             else Ok (Marshal.from_bytes raw payload_start)
            with _ -> Error "unmarshal failure")
         | Error _ as e -> e)
     in

@@ -4,15 +4,19 @@
     (constant branch conditions).
 
     All four power MISRA rules 2.1/2.2/9.1 plus the DF-1/DF-2 extended
-    rules and the [adcheck dataflow] report. *)
+    rules and the [adcheck dataflow] report.
+
+    A function is lowered once ({!lower}): every instruction's uses,
+    defs and address-takings are extracted a single time, and the names
+    they mention are numbered densely per function.  Each fixpoint then
+    runs over {!Bitset}s: an instruction is a [(kill, gen)] pair, a
+    block is its instructions' pairs composed once, and a transfer is
+    [(x \ kill) ∪ gen]. *)
 
 open Cfront
 
-module SS = Set.Make (String)
-module IS = Set.Make (Int)
-
 (* ------------------------------------------------------------------ *)
-(* Variable domains                                                    *)
+(* Lowering: one record per function                                   *)
 (* ------------------------------------------------------------------ *)
 
 let rec strip_const = function Ast.Tconst t -> strip_const t | t -> t
@@ -26,25 +30,141 @@ let tracked_type t =
   | Ast.Tarray _ | Ast.Tnamed _ | Ast.Ttemplate _ | Ast.Tref _ | Ast.Tauto -> false
   | _ -> true
 
-(** Declarations of tracked locals in the function: name -> decl loc
-    (first declaration wins, name-level granularity as in the original
-    syntactic analysis). *)
-let tracked_decls (cfg : Cfg.t) =
-  let tbl = Hashtbl.create 16 in
+module Names = Hashtbl.Make (String)
+
+(** One instruction with the variables it touches, by name number. *)
+type linstr = {
+  instr : Cfg.instr;
+  uses : (int * Loc.t) list;  (** {!Cfg.uses_of_instr} *)
+  defs : int list;  (** the names of {!Cfg.defs_of_instr} *)
+  addr : int list;  (** {!Cfg.addr_taken_of_instr} *)
+  undecl : int list;  (** the local a declaration without an initializer
+                          introduces, if any *)
+}
+
+type lowered = {
+  cfg : Cfg.t;
+  fname : string;  (** qualified name *)
+  code : linstr array array;  (** [code.(bid)], in execution order *)
+  names : string array;
+      (** every name an instruction uses, defines, takes the address of
+          or declares, by number.  The tracked locals come first, in
+          first-declaration order: [0 .. n_tracked - 1]. *)
+  n_tracked : int;
+  numbers : int Names.t;  (** the inverse of [names] *)
+  decl_locs : Loc.t array;
+      (** first declaration of each tracked local (name-level
+          granularity, as in the original syntactic analysis) *)
+  escaped : Bitset.t;
+      (** address-taken anywhere in the function, so a store may be
+          observed through the pointer *)
+  reach : bool array;  (** {!Cfg.reachable} *)
+}
+
+let lower (cfg : Cfg.t) =
+  let numbers = Names.create 32 in
+  let number n =
+    match Names.find_opt numbers n with
+    | Some i -> i
+    | None ->
+      let i = Names.length numbers in
+      Names.add numbers n i;
+      i
+  in
+  let decl_locs = ref [] in
   Array.iter
-    (fun blk ->
+    (fun (blk : Cfg.block) ->
       List.iter
         (fun (instr : Cfg.instr) ->
           match instr.Cfg.i with
-          | Cfg.Idecl d when tracked_type d.Ast.v_type ->
-            if not (Hashtbl.mem tbl d.Ast.v_name) then
-              Hashtbl.add tbl d.Ast.v_name d.Ast.v_loc
+          | Cfg.Idecl d
+            when tracked_type d.Ast.v_type && not (Names.mem numbers d.Ast.v_name) ->
+            ignore (number d.Ast.v_name);
+            decl_locs := d.Ast.v_loc :: !decl_locs
           | _ -> ())
         blk.Cfg.instrs)
     cfg.Cfg.blocks;
-  tbl
+  let n_tracked = Names.length numbers in
+  let escaped = ref [] in
+  let lower_instr (instr : Cfg.instr) =
+    let uses = List.map (fun (n, loc) -> (number n, loc)) (Cfg.uses_of_instr instr) in
+    let defs = List.map (fun (n, _) -> number n) (Cfg.defs_of_instr instr) in
+    let addr = List.map number (Cfg.addr_taken_of_instr instr) in
+    let undecl =
+      match instr.Cfg.i with
+      | Cfg.Idecl d when d.Ast.v_init = None -> [ number d.Ast.v_name ]
+      | _ -> []
+    in
+    escaped := List.rev_append addr !escaped;
+    { instr; uses; defs; addr; undecl }
+  in
+  let code =
+    Array.map
+      (fun (blk : Cfg.block) -> Array.of_list (List.map lower_instr blk.Cfg.instrs))
+      cfg.Cfg.blocks
+  in
+  let names = Array.make (Names.length numbers) "" in
+  Names.iter (fun n i -> names.(i) <- n) numbers;
+  {
+    cfg;
+    fname = Ast.qualified_name cfg.Cfg.func;
+    code;
+    names;
+    n_tracked;
+    numbers;
+    decl_locs = Array.of_list (List.rev !decl_locs);
+    escaped = Bitset.of_list !escaped;
+    reach = Cfg.reachable cfg;
+  }
 
-let names l = List.map fst l
+let is_tracked lw i = i < lw.n_tracked
+
+(** [mem lw n fact]: the name [n] is in [fact]. *)
+let mem lw n fact =
+  match Names.find_opt lw.numbers n with Some i -> Bitset.mem fact i | None -> false
+
+(* A tracked local that is never address-taken. *)
+let private_local lw n =
+  match Names.find_opt lw.numbers n with
+  | Some i -> is_tracked lw i && not (Bitset.mem lw.escaped i)
+  | None -> false
+
+(* ------------------------------------------------------------------ *)
+(* Gen/kill transfers and the shared solver                            *)
+(* ------------------------------------------------------------------ *)
+
+(** A transfer [x ↦ (x \ kill) ∪ gen]. *)
+type step = { kill : Bitset.t; gen : Bitset.t }
+
+let identity = { kill = Bitset.empty; gen = Bitset.empty }
+
+let step ~kill ~gen =
+  if kill == Bitset.empty && gen == Bitset.empty then identity else { kill; gen }
+
+let apply s x = Bitset.apply x ~kill:s.kill ~gen:s.gen
+
+(* [s] then [t]: kill' = kill ∪ d, gen' = (gen \ d) ∪ u for [t = (d, u)]. *)
+let compose s t =
+  if s == identity then t
+  else if t == identity then s
+  else { kill = Bitset.union s.kill t.kill; gen = apply t s.gen }
+
+module Solver = Framework.Make (Bitset)
+
+(** [solve lw direction steps] solves from the empty boundary fact,
+    [steps.(bid)] holding one transfer per instruction of block [bid]
+    in execution order.  Each block is summarized once. *)
+let solve lw direction (steps : step array array) =
+  let summary =
+    Array.map
+      (fun s ->
+        match direction with
+        | Framework.Forward -> Array.fold_left compose identity s
+        | Framework.Backward -> Array.fold_right (fun t acc -> compose acc t) s identity)
+      steps
+  in
+  Solver.solve ~cfg:lw.cfg ~direction ~boundary:Bitset.empty
+    ~transfer:(fun bid fact -> apply summary.(bid) fact)
 
 (* ------------------------------------------------------------------ *)
 (* Definite assignment / may-be-uninitialized reads                    *)
@@ -57,68 +177,45 @@ type uninit_finding = {
   u_function : string;
 }
 
-module VarSet = struct
-  type t = SS.t
-
-  let bottom = SS.empty
-  let equal = SS.equal
-  let join = SS.union
-end
-
-module VarSolver = Framework.Make (VarSet)
+(** The may-uninit transfer of one instruction over the tracked locals:
+    the names in [clears] become assigned, and a declaration without an
+    initializer makes its variable possibly uninitialized. *)
+let uninit_step lw (li : linstr) clears =
+  let tracked = List.filter (is_tracked lw) in
+  step ~kill:(Bitset.of_list (tracked clears)) ~gen:(Bitset.of_list (tracked li.undecl))
 
 (* The fact is the set of tracked locals that are declared but possibly
    not yet assigned (the dual of definite assignment; union join makes
    "maybe uninitialized" a may-property, so a variable assigned on every
-   path into a use is NOT in the fact there). *)
-let uninit_transfer tracked (blk : Cfg.block) fact =
-  List.fold_left
-    (fun fact (instr : Cfg.instr) ->
-      let fact =
-        (* assignments and address-taking initialize *)
-        List.fold_left
-          (fun fact n -> SS.remove n fact)
-          fact
-          (names (Cfg.defs_of_instr instr) @ Cfg.addr_taken_of_instr instr)
-      in
-      match instr.Cfg.i with
-      | Cfg.Idecl d when d.Ast.v_init = None && Hashtbl.mem tracked d.Ast.v_name ->
-        SS.add d.Ast.v_name fact
-      | _ -> fact)
-    fact blk.Cfg.instrs
+   path into a use is NOT in the fact there).  Assignments and
+   address-taking initialize. *)
+let uninit_steps lw =
+  Array.map (Array.map (fun li -> uninit_step lw li (li.defs @ li.addr))) lw.code
 
 (** Flow-sensitive uninitialized-read findings, one per variable (the
     earliest use in source order). *)
-let uninit_reads (cfg : Cfg.t) =
-  let tracked = tracked_decls cfg in
-  if Hashtbl.length tracked = 0 then []
+let uninit_reads_of_lowered lw =
+  if lw.n_tracked = 0 then []
   else begin
-    let result =
-      VarSolver.solve ~cfg ~direction:Framework.Forward ~boundary:SS.empty
-        ~transfer:(fun bid fact ->
-          uninit_transfer tracked cfg.Cfg.blocks.(bid) fact)
-    in
-    let fname = Ast.qualified_name cfg.Cfg.func in
+    let steps = uninit_steps lw in
+    let result = solve lw Framework.Forward steps in
     let candidates = ref [] in
-    Array.iter
-      (fun (blk : Cfg.block) ->
-        let fact = ref result.VarSolver.before.(blk.Cfg.bid) in
-        List.iter
-          (fun (instr : Cfg.instr) ->
+    Array.iteri
+      (fun bid code ->
+        let fact = ref result.Solver.before.(bid) in
+        Array.iteri
+          (fun idx li ->
             List.iter
-              (fun (n, use_loc) ->
-                if SS.mem n !fact then
-                  match Hashtbl.find_opt tracked n with
-                  | Some decl_loc ->
-                    candidates :=
-                      { u_var = n; u_decl_loc = decl_loc; u_use_loc = use_loc;
-                        u_function = fname }
-                      :: !candidates
-                  | None -> ())
-              (Cfg.uses_of_instr instr);
-            fact := uninit_transfer tracked { blk with Cfg.instrs = [ instr ] } !fact)
-          blk.Cfg.instrs)
-      cfg.Cfg.blocks;
+              (fun (i, use_loc) ->
+                if is_tracked lw i && Bitset.mem !fact i then
+                  candidates :=
+                    { u_var = lw.names.(i); u_decl_loc = lw.decl_locs.(i);
+                      u_use_loc = use_loc; u_function = lw.fname }
+                    :: !candidates)
+              li.uses;
+            fact := apply steps.(bid).(idx) !fact)
+          code)
+      lw.code;
     (* earliest use per variable, in source order *)
     let by_pos a b =
       compare
@@ -137,6 +234,9 @@ let uninit_reads (cfg : Cfg.t) =
       sorted
   end
 
+(** For a caller holding only a CFG. *)
+let uninit_reads cfg = uninit_reads_of_lowered (lower cfg)
+
 (* ------------------------------------------------------------------ *)
 (* Liveness and dead stores                                            *)
 (* ------------------------------------------------------------------ *)
@@ -152,25 +252,15 @@ type dead_store = {
 
 (* live := (live \ defs) ∪ uses; address-taken variables escape and are
    treated as used. *)
-let live_transfer (blk : Cfg.block) fact =
-  List.fold_left
-    (fun fact (instr : Cfg.instr) ->
-      let fact =
-        List.fold_left
-          (fun fact n -> SS.remove n fact)
-          fact
-          (names (Cfg.defs_of_instr instr))
-      in
-      List.fold_left
-        (fun fact n -> SS.add n fact)
-        fact
-        (names (Cfg.uses_of_instr instr) @ Cfg.addr_taken_of_instr instr))
-    fact (List.rev blk.Cfg.instrs)
+let live_steps lw =
+  Array.map
+    (Array.map (fun li ->
+         step ~kill:(Bitset.of_list li.defs)
+           ~gen:(Bitset.of_list (List.rev_append (List.map fst li.uses) li.addr))))
+    lw.code
 
-(** Live variables at block boundaries. *)
-let liveness (cfg : Cfg.t) =
-  VarSolver.solve ~cfg ~direction:Framework.Backward ~boundary:SS.empty
-    ~transfer:(fun bid fact -> live_transfer cfg.Cfg.blocks.(bid) fact)
+(** Live variables at block boundaries, by name number. *)
+let liveness lw = solve lw Framework.Backward (live_steps lw)
 
 (* The store a single instruction performs on a simple local, if any:
    a top-level assignment statement or a declaration initializer. *)
@@ -187,34 +277,28 @@ let store_of_instr (instr : Cfg.instr) =
     is taken anywhere in the function are exempt (the store may be
     observed through the pointer), as are stores in unreachable blocks
     (those are rule 2.1's findings, not dead stores). *)
-let dead_stores (cfg : Cfg.t) =
-  let tracked = tracked_decls cfg in
-  if Hashtbl.length tracked = 0 then []
+let dead_stores lw =
+  if lw.n_tracked = 0 then []
   else begin
-    let escaped = SS.of_list (Cfg.addr_taken_of_cfg cfg) in
-    let live = liveness cfg in
-    let reach = Cfg.reachable cfg in
-    let fname = Ast.qualified_name cfg.Cfg.func in
+    let steps = live_steps lw in
+    let live = solve lw Framework.Backward steps in
     let acc = ref [] in
-    Array.iter
-      (fun (blk : Cfg.block) ->
-        if reach.(blk.Cfg.bid) then begin
+    Array.iteri
+      (fun bid code ->
+        if lw.reach.(bid) then begin
           (* walk the block backwards tracking liveness per instruction *)
-          let fact = ref live.VarSolver.after.(blk.Cfg.bid) in
-          List.iter
-            (fun (instr : Cfg.instr) ->
-              (match store_of_instr instr with
-               | Some (n, loc, kind)
-                 when Hashtbl.mem tracked n
-                      && (not (SS.mem n escaped))
-                      && not (SS.mem n !fact) ->
-                 acc := { d_var = n; d_loc = loc; d_kind = kind; d_function = fname }
-                        :: !acc
-               | _ -> ());
-              fact := live_transfer { blk with Cfg.instrs = [ instr ] } !fact)
-            (List.rev blk.Cfg.instrs)
+          let fact = ref live.Solver.after.(bid) in
+          for idx = Array.length code - 1 downto 0 do
+            (match store_of_instr code.(idx).instr with
+             | Some (n, loc, kind)
+               when private_local lw n && not (mem lw n !fact) ->
+               acc :=
+                 { d_var = n; d_loc = loc; d_kind = kind; d_function = lw.fname } :: !acc
+             | _ -> ());
+            fact := apply steps.(bid).(idx) !fact
+          done
         end)
-      cfg.Cfg.blocks;
+      lw.code;
     List.sort
       (fun a b ->
         compare
@@ -226,13 +310,6 @@ let dead_stores (cfg : Cfg.t) =
 (* ------------------------------------------------------------------ *)
 (* Reaching definitions and trivial constant propagation               *)
 (* ------------------------------------------------------------------ *)
-
-type def_site = {
-  site_id : int;
-  site_var : string;
-  site_const : int64 option;  (** [Some c] when the definition assigns a
-                                  compile-time literal constant *)
-}
 
 (* Syntactic constant folding of side-effect-free expressions. *)
 let rec fold_literal (e : Ast.expr) =
@@ -285,33 +362,21 @@ and fold_binop op x y =
   | Ast.Lor -> bool_ (x <> 0L || y <> 0L)
   | Ast.Comma -> None
 
-module DefSet = struct
-  type t = IS.t
+type reaching = {
+  defs_result : Solver.result;  (** sets of def-site ids *)
+  def_steps : step array array;
+  site_const : int64 option array;
+      (** by site id: [Some c] when the definition assigns a
+          compile-time literal constant *)
+  sites_of_var : int list array;  (** by name number, ascending site ids *)
+}
 
-  let bottom = IS.empty
-  let equal = IS.equal
-  let join = IS.union
-end
-
-module DefSolver = Framework.Make (DefSet)
-
-(** Reaching definitions: per-instruction def sites keyed by a dense id,
-    with the standard gen/kill fixpoint.  Returns the site table, a map
-    var -> all site ids, and the solver result. *)
-let reaching_definitions (cfg : Cfg.t) =
-  let gen = Hashtbl.create 32 in  (* (bid, instr index) -> def_site list *)
-  let all_sites = ref [] in
-  let sites_of_var = Hashtbl.create 16 in
-  let next = ref 0 in
-  let new_site var const =
-    let s = { site_id = !next; site_var = var; site_const = const } in
-    incr next;
-    Hashtbl.replace sites_of_var var
-      (IS.add s.site_id
-         (Option.value ~default:IS.empty (Hashtbl.find_opt sites_of_var var)));
-    all_sites := s :: !all_sites;
-    s
-  in
+(** Reaching definitions: per-instruction def sites numbered densely in
+    program order, with the standard gen/kill fixpoint (a definition
+    strongly kills every other site of its variables). *)
+let reaching_definitions lw =
+  let consts = ref [] and next = ref 0 in
+  let sites_of_var = Array.make (Array.length lw.names) [] in
   let const_of_instr (instr : Cfg.instr) var =
     match instr.Cfg.i with
     | Cfg.Idecl d when d.Ast.v_name = var ->
@@ -321,52 +386,42 @@ let reaching_definitions (cfg : Cfg.t) =
       fold_literal rhs
     | _ -> None
   in
-  Array.iter
-    (fun (blk : Cfg.block) ->
-      List.iteri
-        (fun idx (instr : Cfg.instr) ->
-          let defined =
-            names (Cfg.defs_of_instr instr)
-            @ Cfg.addr_taken_of_instr instr
-            @ (match instr.Cfg.i with
-               | Cfg.Idecl d when d.Ast.v_init = None -> [ d.Ast.v_name ]
-               | _ -> [])
-          in
-          match List.sort_uniq compare defined with
-          | [] -> ()
-          | vars ->
-            Hashtbl.replace gen (blk.Cfg.bid, idx)
-              (List.map (fun var -> new_site var (const_of_instr instr var)) vars))
-        blk.Cfg.instrs)
-    cfg.Cfg.blocks;
-  let site_ids_of_var var =
-    Option.value ~default:IS.empty (Hashtbl.find_opt sites_of_var var)
+  (* first pass: each instruction's variables, and their site ids *)
+  let sites =
+    Array.map
+      (Array.map (fun li ->
+           List.map
+             (fun var ->
+               let id = !next in
+               incr next;
+               consts := const_of_instr li.instr lw.names.(var) :: !consts;
+               sites_of_var.(var) <- id :: sites_of_var.(var);
+               (var, id))
+             (List.sort_uniq Int.compare (li.defs @ li.addr @ li.undecl))))
+      lw.code
   in
-  let site_by_id = Array.make (Stdlib.max 1 !next) None in
-  List.iter (fun s -> site_by_id.(s.site_id) <- Some s) !all_sites;
-  let transfer_instr bid idx (_ : Cfg.instr) fact =
-    match Hashtbl.find_opt gen (bid, idx) with
-    | None | Some [] -> fact
-    | Some this ->
-      (* strong kill: every older definition of the same variables dies *)
-      let killed =
-        List.fold_left (fun acc s -> IS.union acc (site_ids_of_var s.site_var)) IS.empty this
-      in
-      let fact = IS.diff fact killed in
-      List.fold_left (fun fact s -> IS.add s.site_id fact) fact this
+  let sites_of_var = Array.map List.rev sites_of_var in
+  let kill_of_var = Array.map Bitset.of_list sites_of_var in
+  let def_steps =
+    Array.map
+      (Array.map (function
+         | [] -> identity
+         | this ->
+           {
+             kill =
+               List.fold_left
+                 (fun acc (var, _) -> Bitset.union acc kill_of_var.(var))
+                 Bitset.empty this;
+             gen = Bitset.of_list (List.map snd this);
+           }))
+      sites
   in
-  let transfer_block bid fact =
-    let blk = cfg.Cfg.blocks.(bid) in
-    List.fold_left
-      (fun (idx, fact) instr -> (idx + 1, transfer_instr bid idx instr fact))
-      (0, fact) blk.Cfg.instrs
-    |> snd
-  in
-  let result =
-    DefSolver.solve ~cfg ~direction:Framework.Forward ~boundary:IS.empty
-      ~transfer:transfer_block
-  in
-  (result, site_by_id, site_ids_of_var, transfer_instr)
+  {
+    defs_result = solve lw Framework.Forward def_steps;
+    def_steps;
+    site_const = Array.of_list (List.rev !consts);
+    sites_of_var;
+  }
 
 type const_cond = {
   c_loc : Loc.t;
@@ -382,39 +437,30 @@ type const_cond = {
     definition reaching the use assigns the same literal.  Only locals
     declared in the function whose address is never taken participate
     (anything else can change behind the analysis's back). *)
-let constant_conditions (cfg : Cfg.t) =
-  let tracked = tracked_decls cfg in
-  let escaped = SS.of_list (Cfg.addr_taken_of_cfg cfg) in
-  let result, site_by_id, site_ids_of_var, transfer_instr =
-    reaching_definitions cfg
-  in
-  let reach = Cfg.reachable cfg in
-  let fname = Ast.qualified_name cfg.Cfg.func in
+let constant_conditions lw =
+  let rd = reaching_definitions lw in
   let acc = ref [] in
-  Array.iter
-    (fun (blk : Cfg.block) ->
-      if reach.(blk.Cfg.bid) then begin
-        let fact = ref result.DefSolver.before.(blk.Cfg.bid) in
-        List.iteri
-          (fun idx (instr : Cfg.instr) ->
-            (match instr.Cfg.i with
+  Array.iteri
+    (fun bid code ->
+      if lw.reach.(bid) then begin
+        let fact = ref rd.defs_result.Solver.before.(bid) in
+        Array.iteri
+          (fun idx li ->
+            (match li.instr.Cfg.i with
              | Cfg.Icond (e, origin) ->
                let env var =
-                 if
-                   Hashtbl.mem tracked var && not (SS.mem var escaped)
-                 then begin
-                   let reaching = IS.inter !fact (site_ids_of_var var) in
-                   if IS.is_empty reaching then None
-                   else
-                     IS.fold
-                       (fun id acc ->
-                         match (acc, site_by_id.(id)) with
-                         | `Start, Some { site_const = Some c; _ } -> `Const c
-                         | `Const c, Some { site_const = Some c'; _ } when c = c' ->
-                           `Const c
+                 if private_local lw var then begin
+                   List.fold_left
+                     (fun acc id ->
+                       if not (Bitset.mem !fact id) then acc
+                       else
+                         match (acc, rd.site_const.(id)) with
+                         | `Start, Some c -> `Const c
+                         | `Const c, Some c' when c = c' -> `Const c
                          | _ -> `Varies)
-                       reaching `Start
-                     |> function `Const c -> Some c | _ -> None
+                     `Start
+                     rd.sites_of_var.(Names.find lw.numbers var)
+                   |> function `Const c -> Some c | _ -> None
                  end
                  else None
                in
@@ -439,14 +485,14 @@ let constant_conditions (cfg : Cfg.t) =
                 | Some c ->
                   acc :=
                     { c_loc = e.Ast.eloc; c_value = c <> 0L; c_origin = origin;
-                      c_function = fname; c_propagated = not literal }
+                      c_function = lw.fname; c_propagated = not literal }
                     :: !acc
                 | None -> ())
              | _ -> ());
-            fact := transfer_instr blk.Cfg.bid idx instr !fact)
-          blk.Cfg.instrs
+            fact := apply rd.def_steps.(bid).(idx) !fact)
+          code
       end)
-    cfg.Cfg.blocks;
+    lw.code;
   List.sort
     (fun a b ->
       compare (a.c_loc.Loc.line, a.c_loc.Loc.col) (b.c_loc.Loc.line, b.c_loc.Loc.col))
@@ -460,8 +506,8 @@ let constant_conditions (cfg : Cfg.t) =
     instruction, reported by the source location of the first instruction
     in the region.  One region yields one finding, however many blocks
     the dead construct lowered to. *)
-let unreachable_regions (cfg : Cfg.t) =
-  let reach = Cfg.reachable cfg in
+let unreachable_regions lw =
+  let cfg = lw.cfg and reach = lw.reach in
   let n = Cfg.n_blocks cfg in
   let visited = Array.make n false in
   let regions = ref [] in
@@ -518,20 +564,21 @@ type func_facts = {
 }
 
 let facts_of_func (fn : Ast.func) =
-  let cfg = Cfg.of_func fn in
+  let lw = lower (Cfg.of_func fn) in
   {
-    x_function = Ast.qualified_name fn;
-    x_blocks = Cfg.n_blocks cfg;
-    x_edges = Cfg.n_edges cfg;
-    x_unreachable = unreachable_regions cfg;
-    x_dead_stores = dead_stores cfg;
-    x_uninit_reads = uninit_reads cfg;
+    x_function = lw.fname;
+    x_blocks = Cfg.n_blocks lw.cfg;
+    x_edges = Cfg.n_edges lw.cfg;
+    x_unreachable = unreachable_regions lw;
+    x_dead_stores = dead_stores lw;
+    x_uninit_reads = uninit_reads_of_lowered lw;
     x_const_conditions =
-      List.filter (fun c -> c.c_propagated) (constant_conditions cfg);
+      List.filter (fun c -> c.c_propagated) (constant_conditions lw);
   }
 
 (** For a caller that needs only the uninit reads of one function. *)
 let uninit_reads_of_func fn = uninit_reads (Cfg.of_func fn)
+
 
 (** [pair_facts fns facts] pairs each defined function with its fact
     record; the two lists must be in the same order.

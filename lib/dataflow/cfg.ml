@@ -424,14 +424,3 @@ let defs_of_instr instr =
 
 let addr_taken_of_instr instr =
   List.concat_map addr_taken_of_expr (exprs_of_instr instr)
-
-(** All address-taken variables anywhere in the function: their stores can
-    be observed through the pointer, so dead-store clients skip them. *)
-let addr_taken_of_cfg cfg =
-  Array.fold_left
-    (fun acc blk ->
-      List.fold_left
-        (fun acc instr -> addr_taken_of_instr instr @ acc)
-        acc blk.instrs)
-    [] cfg.blocks
-  |> List.sort_uniq compare

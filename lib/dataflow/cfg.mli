@@ -71,7 +71,3 @@ val uses_of_instr : instr -> (string * Loc.t) list
 val defs_of_instr : instr -> (string * Loc.t) list
 
 val addr_taken_of_instr : instr -> string list
-
-(** All address-taken variables anywhere in the function (their stores
-    may be observed through the pointer). *)
-val addr_taken_of_cfg : t -> string list

@@ -51,13 +51,13 @@ module Make (L : LATTICE) = struct
     in
     for id = 0 to n - 1 do enqueue id done;
     let transfers = ref 0 in
+    let join_output acc src = L.join acc output.(src) in
     while not (Queue.is_empty queue) do
       let id = Queue.take queue in
       queued.(id) <- false;
       Stdlib.incr transfers;
       let in_fact =
-        List.fold_left
-          (fun acc src -> L.join acc output.(src))
+        List.fold_left join_output
           (if id = boundary_block then boundary else L.bottom)
           sources.(id)
       in
@@ -65,12 +65,10 @@ module Make (L : LATTICE) = struct
       let out_fact = transfer id in_fact in
       if not (L.equal out_fact output.(id)) then begin
         output.(id) <- out_fact;
-        let dependents =
-          match direction with
-          | Forward -> List.map fst cfg.Cfg.blocks.(id).Cfg.succs
-          | Backward -> cfg.Cfg.blocks.(id).Cfg.preds
-        in
-        List.iter enqueue dependents
+        match direction with
+        | Forward ->
+          List.iter (fun (dst, _) -> enqueue dst) cfg.Cfg.blocks.(id).Cfg.succs
+        | Backward -> List.iter enqueue cfg.Cfg.blocks.(id).Cfg.preds
       end
     done;
     Telemetry.incr "dataflow.solves";

@@ -393,14 +393,6 @@ let summarize_scc ~graph ~owner ~params ~directs ~unresolved ~tbl ~scc_index
 (* Interprocedural definite assignment (cross-call uninit)             *)
 (* ------------------------------------------------------------------ *)
 
-module VarSolver = Dataflow.Framework.Make (struct
-  type t = SS.t
-
-  let bottom = SS.empty
-  let equal = SS.equal
-  let join = SS.union
-end)
-
 (* Does parameter [j] of resolved callee [q] provably NOT initialize its
    pointee?  Anything unknown answers [false] (may initialize), so the
    analysis can only get MORE conservative than the intraprocedural one,
@@ -477,27 +469,6 @@ let noinit_addr_args ~summaries ~resolve_call (instr : Dataflow.Cfg.instr) =
   in
   (SS.of_list (List.map (fun (x, _, _) -> x) pure), pure)
 
-(* Like Analyses.uninit_transfer, except address-takings classified as
-   non-initializing call arguments keep the variable possibly-uninit. *)
-let flow_transfer ~tracked ~summaries ~resolve_call (blk : Dataflow.Cfg.block)
-    fact =
-  List.fold_left
-    (fun fact (instr : Dataflow.Cfg.instr) ->
-      let noinit, _ = noinit_addr_args ~summaries ~resolve_call instr in
-      let clears =
-        List.map fst (Dataflow.Cfg.defs_of_instr instr)
-        @ List.filter
-            (fun n -> not (SS.mem n noinit))
-            (Dataflow.Cfg.addr_taken_of_instr instr)
-      in
-      let fact = List.fold_left (fun f n -> SS.remove n f) fact clears in
-      match instr.Dataflow.Cfg.i with
-      | Dataflow.Cfg.Idecl d
-        when d.Ast.v_init = None && Hashtbl.mem tracked d.Ast.v_name ->
-        SS.add d.Ast.v_name fact
-      | _ -> fact)
-    fact blk.Dataflow.Cfg.instrs
-
 (* Only a direct call with a [&x] argument can make an address-taking
    non-initializing, so a function without one has no cross-call flow. *)
 let passes_address (fn : Ast.func) =
@@ -514,72 +485,77 @@ let passes_address (fn : Ast.func) =
 (* Cross-call uninit flows in one function, over the CFG phase 1 built.
    [resolve_call] maps a raw direct-callee name in this caller to its
    resolved qualified name; [uninit] is the function's intraprocedural
-   uninit reads when the dataflow layer already computed them. *)
+   uninit reads when the dataflow layer already computed them.  The
+   solve is the intraprocedural may-uninit one, except that
+   address-takings classified as non-initializing call arguments keep
+   the variable possibly uninitialized; each instruction is classified
+   once. *)
 let uninit_flows_of_func ~summaries ~resolve_call ~uninit (fn : Ast.func)
     (cfg : Dataflow.Cfg.t) =
-  let tracked = Dataflow.Analyses.tracked_decls cfg in
-  if Hashtbl.length tracked = 0 then []
+  let module A = Dataflow.Analyses in
+  let lw = A.lower cfg in
+  if lw.A.n_tracked = 0 then []
   else begin
-    let result =
-      VarSolver.solve ~cfg ~direction:Dataflow.Framework.Forward
-        ~boundary:SS.empty ~transfer:(fun bid fact ->
-          flow_transfer ~tracked ~summaries ~resolve_call
-            cfg.Dataflow.Cfg.blocks.(bid) fact)
+    let noinit =
+      Array.map
+        (Array.map (fun (li : A.linstr) ->
+             noinit_addr_args ~summaries ~resolve_call li.A.instr))
+        lw.A.code
     in
+    let steps =
+      Array.map2
+        (Array.map2 (fun (li : A.linstr) (skip, _) ->
+             A.uninit_step lw li
+               (li.A.defs
+               @ List.filter (fun i -> not (SS.mem lw.A.names.(i) skip)) li.A.addr)))
+        lw.A.code noinit
+    in
+    let result = A.solve lw Dataflow.Framework.Forward steps in
     let fname = Ast.qualified_name fn in
     (* first non-initializing call per variable, for attribution *)
     let attr = Hashtbl.create 8 in
     Array.iter
-      (fun (blk : Dataflow.Cfg.block) ->
-        List.iter
-          (fun instr ->
-            let _, attrs = noinit_addr_args ~summaries ~resolve_call instr in
-            List.iter
-              (fun (x, q, loc) ->
-                if not (Hashtbl.mem attr x) then Hashtbl.add attr x (q, loc))
-              attrs)
-          blk.Dataflow.Cfg.instrs)
-      cfg.Dataflow.Cfg.blocks;
+      (Array.iter (fun (_, attrs) ->
+           List.iter
+             (fun (x, q, loc) ->
+               if not (Hashtbl.mem attr x) then Hashtbl.add attr x (q, loc))
+             attrs))
+      noinit;
     if Hashtbl.length attr = 0 then []
     else begin
       (* variables the intraprocedural analysis already reports *)
       let base =
         SS.of_list
           (List.map
-             (fun (f : Dataflow.Analyses.uninit_finding) ->
-               f.Dataflow.Analyses.u_var)
+             (fun (f : A.uninit_finding) -> f.A.u_var)
              (match uninit with
               | Some reads -> reads
-              | None -> Dataflow.Analyses.uninit_reads cfg))
+              | None -> A.uninit_reads_of_lowered lw))
       in
       let candidates = ref [] in
-      Array.iter
-        (fun (blk : Dataflow.Cfg.block) ->
-          let fact = ref result.VarSolver.before.(blk.Dataflow.Cfg.bid) in
-          List.iter
-            (fun (instr : Dataflow.Cfg.instr) ->
+      Array.iteri
+        (fun bid code ->
+          let fact = ref result.A.Solver.before.(bid) in
+          Array.iteri
+            (fun idx (li : A.linstr) ->
               List.iter
-                (fun (n, use_loc) ->
+                (fun (i, use_loc) ->
+                  let n = lw.A.names.(i) in
                   if
-                    SS.mem n !fact && Hashtbl.mem attr n
-                    && not (SS.mem n base)
-                  then
-                    match Hashtbl.find_opt tracked n with
-                    | Some decl_loc ->
-                      let callee, call_loc = Hashtbl.find attr n in
-                      candidates :=
-                        { ip_var = n; ip_function = fname;
-                          ip_callee = callee; ip_call_loc = call_loc;
-                          ip_use_loc = use_loc; ip_decl_loc = decl_loc }
-                        :: !candidates
-                    | None -> ())
-                (Dataflow.Cfg.uses_of_instr instr);
-              fact :=
-                flow_transfer ~tracked ~summaries ~resolve_call
-                  { blk with Dataflow.Cfg.instrs = [ instr ] }
-                  !fact)
-            blk.Dataflow.Cfg.instrs)
-        cfg.Dataflow.Cfg.blocks;
+                    A.is_tracked lw i && Dataflow.Bitset.mem !fact i
+                    && Hashtbl.mem attr n && not (SS.mem n base)
+                  then begin
+                    let callee, call_loc = Hashtbl.find attr n in
+                    candidates :=
+                      { ip_var = n; ip_function = fname;
+                        ip_callee = callee; ip_call_loc = call_loc;
+                        ip_use_loc = use_loc; ip_decl_loc = lw.A.decl_locs.(i) }
+                      :: !candidates
+                  end)
+                li.A.uses;
+              fact := A.apply steps.(bid).(idx) !fact)
+            code)
+        lw.A.code;
       (* earliest use per variable *)
       let by_pos a b =
         compare

@@ -234,6 +234,71 @@ let test_corrupt_salt_mismatch () =
         String.sub s 0 (i + 1) ^ "adcheck-cache/0 schema=0"
         ^ String.sub rest j (String.length rest - j))
 
+let test_corrupt_extended () =
+  check_corrupt_recovers "extended" ~mutate:(fun s -> s ^ "\x00")
+
+(* one bit of the payload's last byte *)
+let test_corrupt_flipped_bit () =
+  check_corrupt_recovers "flipped-bit" ~mutate:(fun s ->
+      let b = Bytes.of_string s in
+      let i = Bytes.length b - 1 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+      Bytes.to_string b)
+
+(* Reads share one buffer per domain.  A small artifact read right
+   after a large one is validated against its own length: it hits with
+   its own value, and a large artifact truncated in place after a hit
+   is a corrupt miss even though the buffer still holds its old tail. *)
+let test_small_after_large () =
+  let dir = fresh_dir "adcheck-buffer" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let c = Cache.open_dir dir in
+  let large = List.init 20_000 (fun i -> (i, string_of_int i)) in
+  let small = [ (7, "seven") ] in
+  let klarge = Cache.key ~kind:"misra" [ "large" ] in
+  let ksmall = Cache.key ~kind:"misra" [ "small" ] in
+  Cache.store c ~kind:"misra" ~key:klarge large;
+  Cache.store c ~kind:"misra" ~key:ksmall small;
+  let find key : (int * string) list option = Cache.find c ~kind:"misra" ~key in
+  Alcotest.(check bool) "large hits" true (find klarge = Some large);
+  Alcotest.(check bool) "small hits with its own value" true (find ksmall = Some small);
+  Alcotest.(check bool) "large hits again" true (find klarge = Some large);
+  let path = Filename.concat dir ("misra-" ^ klarge ^ ".art") in
+  let raw = read_file path in
+  write_file path (String.sub raw 0 (String.length raw - 1));
+  Alcotest.(check bool) "truncated in place: a miss" true (find klarge = None);
+  let s = Cache.stats c in
+  Alcotest.(check int) "three hits" 3 s.Cache.hits;
+  Alcotest.(check int) "one corrupt" 1 s.Cache.corrupt;
+  Alcotest.(check bool) "recompute matches the stored value" true
+    (Cache.memo c ~kind:"misra" ~key:klarge (fun () -> large) = large)
+
+(* Hits from 2 and 8 worker domains, each reading into its own buffer,
+   equal the sequential reads of artifacts of mixed sizes. *)
+let test_parallel_hits () =
+  let dir = fresh_dir "adcheck-par-hits" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let c = Cache.open_dir dir in
+  let value i = List.init (1 + (i * 997 mod 5000)) (fun j -> (i, j)) in
+  let keys = List.init 48 (fun i -> (i, Cache.key ~kind:"parse" [ string_of_int i ])) in
+  List.iter (fun (i, key) -> Cache.store c ~kind:"parse" ~key (value i)) keys;
+  let read (_, key) : (int * int) list option = Cache.find c ~kind:"parse" ~key in
+  let oracle = List.map read keys in
+  Alcotest.(check bool) "jobs=1 hits every value" true
+    (oracle = List.map (fun (i, _) -> Some (value i)) keys);
+  List.iter
+    (fun jobs ->
+      let pool = Util.Pool.create ~jobs in
+      Fun.protect ~finally:(fun () -> Util.Pool.shutdown pool) @@ fun () ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d == jobs=1" jobs)
+        true
+        (Util.Pool.map_chunked ~chunk_size:1 pool read keys = oracle))
+    [ 2; 8 ];
+  let s = Cache.stats c in
+  Alcotest.(check int) "every read a hit" (3 * List.length keys) s.Cache.hits;
+  Alcotest.(check int) "no corrupt read" 0 s.Cache.corrupt
+
 let test_remove_owned () =
   let dir = fresh_dir "adcheck-owned" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -995,6 +1060,14 @@ let () =
             test_corrupt_garbage;
           Alcotest.test_case "foreign salt recovers" `Quick
             test_corrupt_salt_mismatch;
+          Alcotest.test_case "extended artifact recovers" `Quick
+            test_corrupt_extended;
+          Alcotest.test_case "flipped bit recovers" `Quick
+            test_corrupt_flipped_bit;
+          Alcotest.test_case "small read after large" `Quick
+            test_small_after_large;
+          Alcotest.test_case "hits from 2 and 8 domains" `Quick
+            test_parallel_hits;
           Alcotest.test_case "owner-scoped removal" `Quick test_remove_owned;
           Alcotest.test_case "version mismatch wipes the store" `Quick
             test_version_salt_wipe;
