@@ -88,7 +88,11 @@ check-coverage: build
 # audit-full-evidence.sha256, seed 7 by audit-full-7.txt and
 # audit-full-7-evidence.sha256 (each journal is about 68 MB); the two
 # add roughly 15 s.  A change that means to alter the report
-# regenerates the goldens and says why.
+# regenerates the goldens and says why.  The context-less path is
+# locked too: `adcheck misra --scale small --seed 7` must print
+# test/golden/misra-small-7.txt, and its journal's findings must be the
+# seed-7 audit journal's findings without the coverage and metric ones
+# (both get their rule context from the same producer).
 check-report: build
 	for s in 7 2019; do \
 	  dune exec bin/adcheck.exe -- audit --scale small --seed $$s \
@@ -97,6 +101,15 @@ check-report: build
 	  diff test/golden/audit-small-$$s.txt _build/check-report-$$s.out || exit 1; \
 	done
 	sha256sum -c test/golden/audit-small-evidence.sha256
+	dune exec bin/adcheck.exe -- misra --scale small --seed 7 \
+	  --evidence _build/check-report-misra-7.jsonl \
+	  > _build/check-report-misra-7.out
+	diff test/golden/misra-small-7.txt _build/check-report-misra-7.out
+	tail -n +2 _build/check-report-evidence-7.jsonl \
+	  | grep -v -E '^\{"id":"[^"]*","kind":"(coverage|metric)"' \
+	  > _build/check-report-audit-7.findings
+	tail -n +2 _build/check-report-misra-7.jsonl > _build/check-report-misra-7.findings
+	cmp _build/check-report-audit-7.findings _build/check-report-misra-7.findings
 	dune exec bin/adcheck.exe -- audit --scale full --seed 2019 \
 	  --evidence _build/check-report-evidence-full-2019.jsonl \
 	  > _build/check-report-full-2019.out
@@ -168,8 +181,6 @@ check-par:
 # recompute measurably fewer artifacts than the cold pass.
 bench:
 	dune build bench/main.exe
-	dune exec bench/main.exe -- --scale small --out BENCH_1.json \
-	  table1 table2 table3 fig3 fig4 fig5 fig6 fig7 fig8a fig8b observations
 	dune exec bench/main.exe -- --scale small --out BENCH_5.json \
 	  --metrics METRICS_5.json overhead table1
 	dune exec bench/main.exe -- --scale small --jobs 1,4 --out BENCH_6.json \

@@ -1,12 +1,12 @@
-(** Benchmark harness: regenerates every table and figure of the paper,
-    micro-benchmarks the analysis kernels with Bechamel, and (with
-    [--out]) writes a machine-readable BENCH_*.json performance record.
+(** Benchmark harness: regenerates every table and figure of the paper
+    and (with [--out]) writes a machine-readable BENCH_*.json
+    performance record.
 
     Usage:
       dune exec bench/main.exe -- [OPTIONS] [NAMES]
 
     NAMES select experiments (default: all), among: table1 table2 table3
-    fig3 fig4 fig5 fig6 fig7 fig8a fig8b observations ... micro.  An
+    fig3 fig4 fig5 fig6 fig7 fig8a fig8b observations ... incremental.  An
     unknown name aborts with the valid list before anything runs.
 
     Options:
@@ -16,7 +16,7 @@
                            each selected experiment is re-run per value on
                            a fresh audit (default: ADCHECK_JOBS, else 1)
       --out FILE           write per-experiment wall time + telemetry
-                           counter snapshots as JSON (e.g. BENCH_1.json)
+                           counter snapshots as JSON (e.g. BENCH_7.json)
       --metrics FILE       write the flight-recorder adcheck-metrics/1
                            record of the whole run (counters, latency
                            histograms, GC phases, pool stats); compare
@@ -782,122 +782,6 @@ let run_incremental () =
     /. Float.max 1.0 (float_of_int (edit_hits + edit_misses)))
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure            *)
-(* ------------------------------------------------------------------ *)
-
-let small_project = lazy (Corpus.Generator.generate ~seed:7 Corpus.Apollo_profile.small)
-let small_parsed = lazy (Cfront.Project.parse (Lazy.force small_project))
-let small_metrics = lazy (Iso26262.Project_metrics.of_parsed (Lazy.force small_parsed))
-let yolo_tus = lazy (Corpus.Yolo_src.parse_all ())
-let stencil_tus = lazy (Corpus.Stencil_src.parse_all ())
-
-let micro_tests () =
-  let open Bechamel in
-  let m = Lazy.force small_metrics in
-  let parsed = Lazy.force small_parsed in
-  let one_file =
-    match Cfront.Project.all_files (Lazy.force small_project) with
-    | f :: _ -> f.Cfront.Project.content
-    | [] -> ""
-  in
-  [
-    (* table1: the coding-guideline assessment pass *)
-    Test.make ~name:"table1/assess-coding"
-      (Staged.stage (fun () -> Iso26262.Assess.assess_coding m));
-    (* table2: architecture metrics (call graph + coupling) *)
-    Test.make ~name:"table2/architecture"
-      (Staged.stage (fun () ->
-           let module_loc =
-             List.map
-               (fun m ->
-                 ( m,
-                   (Metrics.Loc_metrics.of_files
-                      (Cfront.Project.parsed_files_of_module parsed m))
-                     .Metrics.Loc_metrics.physical ))
-               (Cfront.Project.module_names parsed.Cfront.Project.project)
-           in
-           Metrics.Architecture.build
-             ~graph:(Cfront.Callgraph.build (Cfront.Project.all_functions parsed))
-             ~parsed ~module_loc));
-    (* table3: unit-design assessment *)
-    Test.make ~name:"table3/assess-unit"
-      (Staged.stage (fun () -> Iso26262.Assess.assess_unit_design m));
-    (* fig3: lex+parse+complexity over one generated file *)
-    Test.make ~name:"fig3/parse-and-cc"
-      (Staged.stage (fun () ->
-           let tu = Cfront.Parser.parse_file ~file:"bench.cc" one_file in
-           Metrics.Complexity.of_functions (Cfront.Ast.functions_of_tu tu)));
-    (* fig4: CUDA census *)
-    Test.make ~name:"fig4/cuda-census"
-      (Staged.stage (fun () ->
-           Cudasim.Census.of_files parsed.Cfront.Project.files));
-    (* fig5: interpreted YOLO inference scenario under coverage *)
-    Test.make ~name:"fig5/yolo-coverage-run"
-      (Staged.stage (fun () ->
-           let measured = List.map fst Corpus.Yolo_src.measured_files in
-           Cudasim.Runner.run ~entry:Corpus.Yolo_src.entry ~measured
-             (Lazy.force yolo_tus)));
-    (* fig6: stencils on CPU *)
-    Test.make ~name:"fig6/stencil-run"
-      (Staged.stage (fun () ->
-           let measured = List.map fst Corpus.Stencil_src.measured_files in
-           Cudasim.Runner.run ~entry:Corpus.Stencil_src.entry ~measured
-             (Lazy.force stencil_tus)));
-    (* fig7: whole-network timing under six libraries *)
-    Test.make ~name:"fig7/yolo-perf-model"
-      (Staged.stage (fun () -> Gpuperf.Yolo_bench.run ~gpu ~cpu ()));
-    (* fig8a / fig8b: library comparison sweeps *)
-    Test.make ~name:"fig8a/gemm-sweep"
-      (Staged.stage (fun () -> Gpuperf.Suites.gemm_comparison ~device:gpu));
-    Test.make ~name:"fig8b/conv-sweep"
-      (Staged.stage (fun () -> Gpuperf.Suites.conv_comparison ~device:gpu));
-    (* observations: MISRA engine over the small corpus *)
-    Test.make ~name:"observations/misra-pass"
-      (Staged.stage (fun () ->
-           Misra.Registry.run (Misra.Rule.build_context parsed)));
-  ]
-
-let run_micro () =
-  heading "Bechamel micro-benchmarks of the analysis kernels";
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~stabilize:true ~quota:(Time.second 0.25) ()
-  in
-  let tests = micro_tests () in
-  let tbl =
-    Util.Table.make ~title:"estimated time per run (OLS on monotonic clock)"
-      ~header:[ "benchmark"; "time/run" ]
-      ~aligns:[ Util.Table.Left; Util.Table.Right ] ()
-  in
-  let tbl =
-    List.fold_left
-      (fun tbl test ->
-        let raw = Benchmark.all cfg instances test in
-        let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-        Hashtbl.fold
-          (fun name ols_result tbl ->
-            let ns =
-              match Analyze.OLS.estimates ols_result with
-              | Some (e :: _) -> e
-              | _ -> nan
-            in
-            let human =
-              if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-              else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-              else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-              else Printf.sprintf "%.0f ns" ns
-            in
-            Util.Table.add_row tbl [ name; human ])
-          results tbl)
-      tbl tests
-  in
-  print_string (Util.Table.render tbl)
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -929,7 +813,6 @@ let experiments =
     ("plan", run_plan);
     ("overhead", run_overhead);
     ("incremental", run_incremental);
-    ("micro", run_micro);
   ]
 
 (* ------------------------------------------------------------------ *)

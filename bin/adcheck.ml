@@ -587,7 +587,7 @@ let interproc_cmd =
     with_telemetry ~cmd:"interproc" tele @@ fun () ->
     let project = Corpus.Generator.generate ~seed (specs_of scale) in
     let parsed = Cfront.Project.parse project in
-    let ip = Interproc.Summary.analyze parsed in
+    let ip = (Misra.Rule.build_context parsed).Misra.Rule.interproc in
     (match format with
      | Util.Table.Text -> print_string (Iso26262.Report.render_interproc ip)
      | (Util.Table.Markdown | Util.Table.Csv) as fmt ->

@@ -44,8 +44,16 @@ int main() {
 |}
 
 let () =
-  (* 1. Parse (preprocess, lex, build the AST). *)
-  let tu = Cfront.Parser.parse_file ~file:"snippet.cu" source in
+  (* 1. Parse (preprocess, lex, build the AST) a one-file project. *)
+  let parsed =
+    Cfront.Project.parse
+      (Cfront.Project.make ~name:"demo"
+         [ { Cfront.Project.m_name = "demo";
+             m_files =
+               [ { Cfront.Project.path = "snippet.cu"; modname = "demo";
+                   header = false; content = source } ] } ])
+  in
+  let tu = (List.hd parsed.Cfront.Project.files).Cfront.Project.tu in
   assert (tu.Cfront.Ast.diags = []);
   Printf.printf "parsed %d functions\n\n" (List.length (Cfront.Ast.functions_of_tu tu));
 
@@ -60,13 +68,7 @@ let () =
     (Metrics.Complexity.of_functions (Cfront.Ast.functions_of_tu tu));
 
   (* 3. Rule checking: the MISRA subset plus the CUDA extension rules. *)
-  let files =
-    [ { Cfront.Project.file =
-          { Cfront.Project.path = "snippet.cu"; modname = "demo"; header = false;
-            content = source };
-        tu } ]
-  in
-  let report = Misra.Registry.run (Misra.Rule.context_of_files files) in
+  let report = Misra.Registry.run_project parsed in
   Printf.printf "\nMISRA subset: %d violations across %d rules\n"
     report.Misra.Registry.total_violations report.Misra.Registry.rules_checked;
   List.iter

@@ -234,9 +234,6 @@ let uninit_reads_of_lowered lw =
       sorted
   end
 
-(** For a caller holding only a CFG. *)
-let uninit_reads cfg = uninit_reads_of_lowered (lower cfg)
-
 (* ------------------------------------------------------------------ *)
 (* Liveness and dead stores                                            *)
 (* ------------------------------------------------------------------ *)
@@ -576,10 +573,6 @@ let facts_of_func (fn : Ast.func) =
       List.filter (fun c -> c.c_propagated) (constant_conditions lw);
   }
 
-(** For a caller that needs only the uninit reads of one function. *)
-let uninit_reads_of_func fn = uninit_reads (Cfg.of_func fn)
-
-
 (** [pair_facts fns facts] pairs each defined function with its fact
     record; the two lists must be in the same order.
     @raise Invalid_argument when they do not match. *)
@@ -761,11 +754,6 @@ let facts_of_parsed (parsed : Project.parsed) =
           ~key:(fun () -> Project.file_key parsed pf)
           (Project.defined_functions [ pf ]) ))
     parsed.Project.files
-
-let summarize_functions fns = List.map summary_of_facts (facts_of_functions fns)
-
-let summarize_file ~path ~key fns =
-  List.map summary_of_facts (facts_of_file ~path ~key:(fun () -> key) fns)
 
 type totals = {
   t_functions : int;

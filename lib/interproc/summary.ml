@@ -528,9 +528,7 @@ let uninit_flows_of_func ~summaries ~resolve_call ~uninit (fn : Ast.func)
         SS.of_list
           (List.map
              (fun (f : A.uninit_finding) -> f.A.u_var)
-             (match uninit with
-              | Some reads -> reads
-              | None -> A.uninit_reads_of_lowered lw))
+             uninit)
       in
       let candidates = ref [] in
       Array.iteri
@@ -579,7 +577,7 @@ let uninit_flows_of_func ~summaries ~resolve_call ~uninit (fn : Ast.func)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let of_files ?facts (files : Project.parsed_file list) =
+let of_files ~facts (files : Project.parsed_file list) =
   Telemetry.with_span ~cat:"interproc" "interproc" (fun () ->
       let functions =
         List.concat_map
@@ -587,16 +585,12 @@ let of_files ?facts (files : Project.parsed_file list) =
           files
       in
       let defined = List.filter (fun f -> f.Ast.f_body <> None) functions in
-      (* per defined function: its intraprocedural uninit reads, when
-         the dataflow layer supplied them *)
+      (* per defined function: its intraprocedural uninit reads, as the
+         dataflow layer found them *)
       let uninit_of =
-        match facts with
-        | None -> List.map (fun _ -> None) defined
-        | Some facts ->
-          List.map
-            (fun (_, (x : Dataflow.Analyses.func_facts)) ->
-              Some x.Dataflow.Analyses.x_uninit_reads)
-            (Dataflow.Analyses.pair_facts defined facts)
+        List.map
+          (fun (_, (x : Dataflow.Analyses.func_facts)) -> x.Dataflow.Analyses.x_uninit_reads)
+          (Dataflow.Analyses.pair_facts defined facts)
       in
       let graph = Callgraph.build functions in
       let globals = mutable_globals_of_files files in
@@ -779,11 +773,11 @@ let of_files ?facts (files : Project.parsed_file list) =
       let cycles = Callgraph.recursion_cycles graph in
       (* Journal the whole-program conclusions with their witnesses: the
          cycle itself for recursion, the decl -> call -> use chain for
-         cross-call uninit, the witness cycle for unbounded depth.  An
-         audit runs [of_files] once and hands the result to the IP-1
-         rule and the metrics walk; a caller that runs it again (a
-         standalone MISRA context) journals the same findings, which the
-         journal dedups by content id. *)
+         cross-call uninit, the witness cycle for unbounded depth.  The
+         rule context runs the engine once and hands the result to the
+         IP-1 rule and the metrics walk; a caller that runs it again
+         journals the same findings, which the journal dedups by
+         content id. *)
       let cycle_steps cycle =
         match cycle with
         | [ q ] -> [ Provenance.step "call" "%s calls itself directly" q ]
@@ -849,7 +843,15 @@ let of_files ?facts (files : Project.parsed_file list) =
         globals_total = SS.cardinal globals;
       })
 
-let analyze ?facts (parsed : Project.parsed) = of_files ?facts parsed.Project.files
+(* Without [facts] (the ledger's traced interproc layer), the producer's
+   first step supplies them. *)
+let analyze ?facts (parsed : Project.parsed) =
+  let facts =
+    match facts with
+    | Some facts -> facts
+    | None -> List.concat_map snd (Dataflow.Analyses.facts_of_parsed parsed)
+  in
+  of_files ~facts parsed.Project.files
 
 let find_summary t name =
   List.find_opt (fun s -> s.s_name = name) t.summaries

@@ -71,15 +71,13 @@ val depth_max : depth -> depth -> depth
 val depth_add : depth -> int -> depth
 val render_depth : depth -> string
 
-(** Run the engine over parsed files / a parsed project.  [facts], one
-    record per defined function of the files in order (as
-    {!Dataflow.Analyses.facts_of_parsed} produces them), supplies the
-    intraprocedural uninit reads the cross-call check excludes;
-    without it they are solved here.  Either way each defined function
-    is lowered to a CFG once.
+(** Run the engine over a parsed project.  [facts], one record per
+    defined function in {!Cfront.Project.all_functions} order (as
+    {!Misra.Rule.build_context} passes them), supplies the
+    intraprocedural uninit reads the cross-call check excludes.  Only
+    the ledger's traced interproc layer (bench/ledger/run.ml) omits
+    them; {!Dataflow.Analyses.facts_of_parsed} then computes them.
     @raise Invalid_argument when [facts] does not match the functions. *)
-val of_files :
-  ?facts:Dataflow.Analyses.func_facts list -> Project.parsed_file list -> t
-
 val analyze : ?facts:Dataflow.Analyses.func_facts list -> Project.parsed -> t
+
 val find_summary : t -> string -> func_summary option

@@ -235,34 +235,23 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
    | None -> ());
   let parsed = Telemetry.gc_phase "parse" (fun () -> Cfront.Project.parse project) in
   (* The producers run once, on this domain, before anything fans out:
-     the dataflow layer solves every defined function (per-file cache
-     artifacts), interproc runs over those facts and builds the call
-     graph, and the rule context adds the globals and the shadowing
-     findings.  MISRA, the core metric walk and the manifest only read
-     them.  They are plain values rather than lazy ones or once-cells:
-     a lazy forced from two domains raises
-     [Lazy.Undefined], a worker blocked on a once-cell deadlocks a
-     one-worker pool whose main domain waits on the queue, and a solve
-     forced inside a rule's timed region would change that rule's
-     tick-clock histogram. *)
-  let file_facts =
-    Telemetry.gc_phase "dataflow" (fun () -> Dataflow.Analyses.facts_of_parsed parsed)
-  in
-  let facts = List.concat_map snd file_facts in
-  let interproc =
-    Telemetry.gc_phase "interproc" (fun () -> Interproc.Summary.analyze ~facts parsed)
-  in
+     [Misra.Rule.build_context] solves the dataflow, runs interproc and
+     adds the globals and the shadowing findings.  MISRA, the core
+     metric walk and the manifest only read the context.  Its facts are
+     plain values rather than lazy ones or once-cells: a lazy forced
+     from two domains raises [Lazy.Undefined], a worker blocked on a
+     once-cell deadlocks a one-worker pool whose main domain waits on
+     the queue, and a solve forced inside a rule's timed region would
+     change that rule's tick-clock histogram. *)
+  let context = Misra.Rule.build_context parsed in
   (* Record the new tree's manifest for the next run's diff. *)
   (match cache with
    | Some c ->
      Cache.Manifest.save c ~name:project.Cfront.Project.p_name
-       (manifest_of_parsed ~graph:interproc.Interproc.Summary.graph parsed)
+       (manifest_of_parsed
+          ~graph:context.Misra.Rule.interproc.Interproc.Summary.graph parsed)
    | None -> ());
-  let context =
-    Telemetry.with_span ~cat:"misra" "misra.context" (fun () ->
-        Misra.Rule.build_context ~facts ~interproc parsed)
-  in
-  let module_dataflow = Project_metrics.module_dataflow_of_facts parsed file_facts in
+  let module_dataflow = Project_metrics.module_dataflow parsed context.Misra.Rule.facts in
   let misra_phase () = Project_metrics.misra_of_parsed ~context parsed in
   let metrics_phase misra =
     Telemetry.gc_phase "metrics" (fun () ->

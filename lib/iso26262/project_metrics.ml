@@ -54,28 +54,35 @@ type t = {
    heavyweight consumers of the parsed project that nothing else in this
    record depends on.  They are exposed as standalone functions so the
    pipelined audit can run MISRA on a pool worker concurrently with the
-   core metric walk.  Both read the audit's one rule context; without
-   it they build their own, as a standalone call must -- for MISRA only
-   when some rule's stored result is missing. *)
+   core metric walk.  Both read the facts of the audit's one rule
+   context.  The context-less forms below exist because the ledger's
+   traced layers time each phase on its own (bench/ledger/run.ml). *)
 
 let misra_of_parsed ?context parsed = Misra.Registry.run_project ?context parsed
 
-let module_dataflow_of_facts (parsed : Cfront.Project.parsed) file_facts =
+(* The flat facts follow [Project.all_functions]: file by file, each
+   file's defined functions in order, so one module name per fact is
+   enough to split them. *)
+let module_dataflow (parsed : Cfront.Project.parsed) facts =
+  let module A = Dataflow.Analyses in
+  let by_module = Hashtbl.create 16 in
+  List.iter2
+    (fun m x ->
+      Hashtbl.replace by_module m
+        (A.summary_of_facts x :: Option.value ~default:[] (Hashtbl.find_opt by_module m)))
+    (List.concat_map
+       (fun (pf : Cfront.Project.parsed_file) ->
+         List.map
+           (fun _ -> pf.Cfront.Project.file.Cfront.Project.modname)
+           (Cfront.Project.defined_functions [ pf ]))
+       parsed.Cfront.Project.files)
+    facts;
   List.map
-    (fun m ->
-      let facts =
-        List.concat_map
-          (fun (pf : Cfront.Project.parsed_file) ->
-            List.assoc pf.Cfront.Project.file.Cfront.Project.path file_facts)
-          (Cfront.Project.parsed_files_of_module parsed m)
-      in
-      ( m,
-        Dataflow.Analyses.totals_of
-          (List.map Dataflow.Analyses.summary_of_facts facts) ))
+    (fun m -> (m, A.totals_of (Option.value ~default:[] (Hashtbl.find_opt by_module m))))
     (Cfront.Project.module_names parsed.Cfront.Project.project)
 
 let module_dataflow_of_parsed parsed =
-  module_dataflow_of_facts parsed (Dataflow.Analyses.facts_of_parsed parsed)
+  module_dataflow parsed (List.concat_map snd (Dataflow.Analyses.facts_of_parsed parsed))
 
 let of_parsed_with ?context ~(misra : unit -> Misra.Registry.report)
     ~(module_dataflow : (string * Dataflow.Analyses.totals) list)
@@ -189,13 +196,10 @@ let of_parsed_with ?context ~(misra : unit -> Misra.Registry.report)
         Dataflow.Analyses.zero_totals per_module;
   }
 
-let of_parsed (parsed : Cfront.Project.parsed) =
-  let file_facts = Dataflow.Analyses.facts_of_parsed parsed in
-  let facts = List.concat_map snd file_facts in
-  let interproc = Interproc.Summary.analyze ~facts parsed in
-  let context = Misra.Rule.build_context ~facts ~interproc parsed in
+let of_parsed parsed =
+  let context = Misra.Rule.build_context parsed in
   of_parsed_with ~context
     ~misra:(fun () -> misra_of_parsed ~context parsed)
-    ~module_dataflow:(module_dataflow_of_facts parsed file_facts) parsed
+    ~module_dataflow:(module_dataflow parsed context.Misra.Rule.facts) parsed
 
 let find_module t name = List.find_opt (fun m -> m.modname = name) t.modules

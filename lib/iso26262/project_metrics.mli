@@ -51,32 +51,41 @@ type t = {
           global coupling, cross-call uninit flows *)
 }
 
-(** Extract everything from a parsed project: the dataflow facts, the
-    interproc summaries and the rule context are computed first, then
-    every phase reads them. *)
+(** Extract everything from a parsed project: [of_parsed_with] over the
+    one context {!Misra.Rule.build_context} builds, with every phase
+    reading it. *)
 val of_parsed : Cfront.Project.parsed -> t
 
 (** The two heavyweight phases nothing else in the record depends on,
     exposed standalone so the pipelined audit can run MISRA on a pool
     worker concurrently with the core metric walk.
 
-    [misra_of_parsed ?context parsed] is
-    {!Misra.Registry.run_project}: the rules read [context], the rule
-    context {!Audit.run} built before the fan-out.  Without it the
-    context is built only when some rule misses the artifact cache
-    (see {!Misra.Registry.run_deferred}). *)
+    Every fact here comes from {!Misra.Rule.build_context}.  The
+    context-less forms of [misra_of_parsed], [module_dataflow_of_parsed]
+    and [of_parsed_with] are kept only because the ledger's traced
+    layers (bench/ledger/run.ml) time each phase on its own; each is
+    one line that calls the producer (or, for the dataflow totals, its
+    first step).
+
+    [misra_of_parsed ?context parsed] is {!Misra.Registry.run_project}:
+    the rules read [context], the rule context {!Audit.run} built before
+    the fan-out, and without it the one {!Misra.Rule.build_context}
+    builds when some rule misses the artifact cache. *)
 val misra_of_parsed :
   ?context:Misra.Rule.context -> Cfront.Project.parsed -> Misra.Registry.report
 
-(** Per-module dataflow totals from per-file facts (path -> facts, as
-    {!Dataflow.Analyses.facts_of_parsed} returns them). *)
-val module_dataflow_of_facts :
+(** Per-module dataflow totals from the context's flat [facts], one
+    record per function of {!Cfront.Project.all_functions}, split per
+    file in that order.
+    @raise Invalid_argument when [facts] has another length. *)
+val module_dataflow :
   Cfront.Project.parsed ->
-  (string * Dataflow.Analyses.func_facts list) list ->
+  Dataflow.Analyses.func_facts list ->
   (string * Dataflow.Analyses.totals) list
 
-(** [module_dataflow_of_facts] over a fresh
-    {!Dataflow.Analyses.facts_of_parsed}. *)
+(** [module_dataflow] over {!Dataflow.Analyses.facts_of_parsed}, the
+    producer's first step and the only one the ledger's traced
+    [dataflow.solve] layer times and counts. *)
 val module_dataflow_of_parsed :
   Cfront.Project.parsed -> (string * Dataflow.Analyses.totals) list
 
@@ -87,9 +96,8 @@ val module_dataflow_of_parsed :
     [module_dataflow], which must hold every module.  The uninit
     findings, the shadowing counts, the recursion list, the
     architecture's call edges and the whole-program record all come
-    from [context]; without it, {!Misra.Rule.build_context} builds one
-    here.  [of_parsed] is exactly this with every phase computed
-    sequentially first. *)
+    from [context], or from {!Misra.Rule.build_context} when the ledger
+    calls it without one. *)
 val of_parsed_with :
   ?context:Misra.Rule.context ->
   misra:(unit -> Misra.Registry.report) ->

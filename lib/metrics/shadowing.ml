@@ -122,5 +122,3 @@ let of_globals ~(globals : Globals.record list) (pfs : Cfront.Project.parsed_fil
       pfs
   in
   per_func @ duplicate_globals globals
-
-let of_files pfs = of_globals ~globals:(Globals.of_files pfs) pfs

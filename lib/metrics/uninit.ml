@@ -28,13 +28,6 @@ let of_uninit_reads =
         in_function = u.Dataflow.Analyses.u_function;
       })
 
-let of_func (fn : Cfront.Ast.func) =
-  match fn.Cfront.Ast.f_body with
-  | None -> []
-  | Some _ -> of_uninit_reads (Dataflow.Analyses.uninit_reads_of_func fn)
-
-let of_functions fns = List.concat_map of_func fns
-
 (** The findings already computed by the dataflow layer, one fact
     record per defined function. *)
 let of_facts facts =

@@ -50,20 +50,14 @@ val run :
   Rule.context ->
   report
 
-(** [run] with the context built on demand: [build] is called at most
-    once, on the calling domain before the rules fan out, and only when
-    some rule's stored violation list is missing (always, without the
-    cache).  A warm run therefore never builds the context's dataflow
-    facts or interproc summaries. *)
-val run_deferred :
-  ?rules:Rule.t list ->
-  ?deviations:deviation list ->
-  ?cache_key:string ->
-  (unit -> Rule.context) ->
-  report
-
-(** [run_deferred] over the whole project, keyed by its content, reading
-    [context] when given and otherwise building one on demand. *)
+(** [run] over the whole project, keyed by its content.  Every rule's
+    stored violation list is looked up first; the rules then read
+    [context] when given, and otherwise the one context
+    {!Rule.build_context} builds, on the calling domain, only when some
+    rule missed (always, without the cache), so a warm run builds
+    nothing.  A cold run without [context] therefore solves the dataflow,
+    journals its findings and fills its per-file artifacts exactly as an
+    audit does. *)
 val run_project :
   ?rules:Rule.t list -> ?context:Rule.context -> Cfront.Project.parsed -> report
 

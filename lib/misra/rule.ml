@@ -40,31 +40,26 @@ type t = {
 let make ~id ~title ~category ?(decidable = true) check =
   { id; title; category; decidable; check }
 
-(* Every fact is a plain value computed here, on the calling domain,
-   before the registry fans the rules out: nothing is forced lazily from
-   a worker. *)
-let make_context ?facts ?interproc files =
-  let functions = Cfront.Project.defined_functions files in
+(* The one producer of the rule context, in the audit's order: the
+   dataflow layer solves every defined function (per-file cache
+   artifacts and journal findings), interproc runs over those facts and
+   builds the call graph, and the globals and the shadowing findings
+   complete the record.  Every fact is a plain value computed here, on
+   the calling domain, before the registry fans the rules out: nothing
+   is forced lazily from a worker. *)
+let build_context (parsed : Cfront.Project.parsed) =
   let facts =
-    match facts with
-    | Some facts ->
-      ignore (Dataflow.Analyses.pair_facts functions facts);
-      facts
-    | None -> Telemetry.parallel_map Dataflow.Analyses.facts_of_func functions
+    List.concat_map snd
+      (Telemetry.gc_phase "dataflow" (fun () -> Dataflow.Analyses.facts_of_parsed parsed))
   in
   let interproc =
-    match interproc with
-    | Some t -> t
-    | None -> Interproc.Summary.of_files ~facts files
+    Telemetry.gc_phase "interproc" (fun () -> Interproc.Summary.analyze ~facts parsed)
   in
+  Telemetry.with_span ~cat:"misra" "misra.context" @@ fun () ->
+  let files = parsed.Cfront.Project.files in
   let globals = Metrics.Globals.of_files files in
-  { files; functions; facts; interproc; globals;
-    shadowing = Metrics.Shadowing.of_globals ~globals files }
-
-let build_context ?facts ?interproc (parsed : Cfront.Project.parsed) =
-  make_context ?facts ?interproc parsed.Cfront.Project.files
-
-let context_of_files files = make_context files
+  { files; functions = Cfront.Project.defined_functions files; facts; interproc;
+    globals; shadowing = Metrics.Shadowing.of_globals ~globals files }
 
 let v ?(witness = []) ~rule_id ~loc fmt =
   Printf.ksprintf (fun message -> { rule_id; loc; message; witness }) fmt

@@ -50,18 +50,16 @@ val make :
   (context -> violation list) ->
   t
 
-(** [build_context ?facts ?interproc parsed] takes the facts and
-    summaries an audit already computed; whichever is missing is
-    computed here.  The globals and the shadowing findings are always
-    computed here.
-    @raise Invalid_argument when [facts] does not match the functions. *)
-val build_context :
-  ?facts:Dataflow.Analyses.func_facts list ->
-  ?interproc:Interproc.Summary.t ->
-  Cfront.Project.parsed ->
-  context
-
-val context_of_files : Cfront.Project.parsed_file list -> context
+(** [build_context parsed] is the one function that computes a rule
+    context.  It runs, in this order and under these span and GC-phase
+    names, {!Dataflow.Analyses.facts_of_parsed} ([dataflow]: per-file
+    cache artifacts and [dataflow] journal findings),
+    {!Interproc.Summary.analyze} over those facts ([interproc]), then
+    the globals and the shadowing findings ([misra.context]).  The
+    audit, the metrics, the standalone MISRA run and the CLI all get
+    their context here, so a fact has one producer and one journal
+    trail whichever entry point asked for it. *)
+val build_context : Cfront.Project.parsed -> context
 
 (** Printf-style violation constructor.  [witness] carries the
     rule-specific provenance steps (empty for purely syntactic rules —

@@ -378,11 +378,24 @@ let project_of files =
                 header = Filename.check_suffix path ".h"; content })
             files } ]
 
+let stats_delta c f =
+  let b = Cache.stats c in
+  let r = f () in
+  let a = Cache.stats c in
+  ( r,
+    { Cache.hits = a.Cache.hits - b.Cache.hits;
+      misses = a.Cache.misses - b.Cache.misses;
+      stores = a.Cache.stores - b.Cache.stores;
+      corrupt = a.Cache.corrupt - b.Cache.corrupt;
+      invalidated = a.Cache.invalidated - b.Cache.invalidated } )
+
 (* A standalone MISRA run looks every rule's artifact up before it
    builds the rule context: the cold run lowers every function twice
    (the dataflow facts, then interproc's own CFG) and runs interproc
    once, the warm run over the same store
-   does neither and reports the same violations. *)
+   does neither and reports the same violations.  The cold context comes
+   from the audit's producer, so it also stores every file's dataflow
+   artifact: the per-file facts of the same tree are all hits. *)
 let test_warm_misra_builds_no_context () =
   let dir = fresh_dir "adcheck-misra-warm" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -403,6 +416,14 @@ let test_warm_misra_builds_no_context () =
           Telemetry.counter "interproc.functions" ))
   in
   let cold, cold_cfgs, cold_ip = run () in
+  let _, facts =
+    stats_delta c (fun () ->
+        P.collect (fun () ->
+            Cache.with_global c (fun () -> Dataflow.Analyses.facts_of_parsed parsed)))
+  in
+  Alcotest.(check int) "cold context stored every file's facts"
+    (List.length parsed.Cfront.Project.files) facts.Cache.hits;
+  Alcotest.(check int) "per-file facts: no miss" 0 facts.Cache.misses;
   let warm, warm_cfgs, warm_ip = run () in
   Telemetry.reset ();
   Alcotest.(check int) "cold: two CFGs per function" 8 cold_cfgs;
@@ -415,7 +436,9 @@ let test_warm_misra_builds_no_context () =
    cache discipline: diff against the stored manifest (sweeping only
    paths that left the tree), parse, save the new manifest, then MISRA +
    per-file dataflow.  Returns a rendering that covers every cached
-   artifact kind plus the finding ids. *)
+   artifact kind plus the finding ids, each once, as the journal holds
+   them: a cold rule context journals the dataflow findings that the
+   per-file pass then replays from the store. *)
 let lib_run c tree =
   let hashes =
     List.map
@@ -442,10 +465,11 @@ let lib_run c tree =
         let summaries =
           List.concat_map
             (fun (pf : Cfront.Project.parsed_file) ->
-              Dataflow.Analyses.summarize_file
-                ~path:pf.Cfront.Project.file.Cfront.Project.path
-                ~key:(Cfront.Project.file_key parsed pf)
-                (Cfront.Project.defined_functions [ pf ]))
+              List.map Dataflow.Analyses.summary_of_facts
+                (Dataflow.Analyses.facts_of_file
+                   ~path:pf.Cfront.Project.file.Cfront.Project.path
+                   ~key:(fun () -> Cfront.Project.file_key parsed pf)
+                   (Cfront.Project.defined_functions [ pf ])))
             parsed.Cfront.Project.files
         in
         (parsed, misra, summaries))
@@ -464,18 +488,7 @@ let lib_run c tree =
               s.Dataflow.Analyses.s_uninit_reads
               s.Dataflow.Analyses.s_const_conditions)
           summaries
-     @ List.map (fun f -> f.P.f_id) findings)
-
-let stats_delta c f =
-  let b = Cache.stats c in
-  let r = f () in
-  let a = Cache.stats c in
-  ( r,
-    { Cache.hits = a.Cache.hits - b.Cache.hits;
-      misses = a.Cache.misses - b.Cache.misses;
-      stores = a.Cache.stores - b.Cache.stores;
-      corrupt = a.Cache.corrupt - b.Cache.corrupt;
-      invalidated = a.Cache.invalidated - b.Cache.invalidated } )
+     @ List.sort_uniq compare (List.map (fun f -> f.P.f_id) findings))
 
 let test_manifest_of_parsed_edges () =
   let parsed = Cfront.Project.parse (project_of base_sources) in

@@ -64,7 +64,7 @@ let test_quota_casts_at_least () =
     (casts <= spec.Corpus.Apollo_profile.casts + (2 * spec.Corpus.Apollo_profile.cuda_kernels))
 
 let test_quota_uninit_bounded () =
-  let n = List.length (Metrics.Uninit.of_functions (fns ())) in
+  let n = List.length (Metrics.Uninit.of_facts (List.map Dataflow.Analyses.facts_of_func (fns ()))) in
   Alcotest.(check bool) "within quota" true (n <= spec.Corpus.Apollo_profile.uninit_vars);
   Alcotest.(check bool) "some emitted" true (n > 0)
 
@@ -138,7 +138,7 @@ let test_crossval_cuda1_vs_census () =
 
 let test_crossval_uninit_rule_vs_metric () =
   Alcotest.(check int) "MISRA 9.1 agrees with the uninitialized-read analysis"
-    (List.length (Metrics.Uninit.of_functions (fns ())))
+    (List.length (Metrics.Uninit.of_facts (List.map Dataflow.Analyses.facts_of_func (fns ()))))
     (rule_count "9.1")
 
 let test_crossval_ignored_returns () =

@@ -194,7 +194,7 @@ let ctx_of src =
           content = src };
       tu = Cfront.Parser.parse_file ~file:"r.cc" src }
   in
-  Misra.Rule.context_of_files [ pf ]
+  Fixture.context_of_files [ pf ]
 
 let rule_hits rule_id src =
   match Misra.Registry.find_rule rule_id with
@@ -209,7 +209,7 @@ let test_91_false_positive_fixed () =
   in
   Alcotest.(check int) "9.1 clean" 0 (rule_hits "9.1" src);
   Alcotest.(check int) "metrics wrapper agrees" 0
-    (List.length (Metrics.Uninit.of_functions [ parse_fn src ]))
+    (List.length (Metrics.Uninit.of_facts [ Analyses.facts_of_func (parse_fn src) ]))
 
 let test_91_one_branch_still_flagged () =
   let src = "int F(int a) { int x; if (a > 0) { x = 1; } return x; }" in
@@ -287,8 +287,9 @@ let rule_count id =
 
 let summaries =
   lazy
-    (Analyses.summarize_functions
-       (Cfront.Project.all_functions (Lazy.force parsed_small)))
+    (List.map Analyses.summary_of_facts
+       (Analyses.facts_of_functions
+          (Cfront.Project.all_functions (Lazy.force parsed_small))))
 
 let totals () = Analyses.totals_of (Lazy.force summaries)
 

@@ -699,7 +699,7 @@ let () =
                       content = src };
                   tu = Cfront.Parser.parse_file ~file:"d.cc" src }
               in
-              let ctx = Misra.Rule.context_of_files [ pf ] in
+              let ctx = Fixture.context_of_files [ pf ] in
               let dev =
                 { Misra.Registry.dev_rule = "15.1";
                   justification = "legacy error-handling exit, reviewed";
@@ -725,7 +725,7 @@ let () =
                       content = src };
                   tu = Cfront.Parser.parse_file ~file:"d.cc" src }
               in
-              let ctx = Misra.Rule.context_of_files [ pf ] in
+              let ctx = Fixture.context_of_files [ pf ] in
               let dev =
                 { Misra.Registry.dev_rule = "15.1"; justification = "one allowed";
                   max_instances = Some 1 }
@@ -744,7 +744,7 @@ let () =
                       content = src };
                   tu = Cfront.Parser.parse_file ~file:"d.cc" src }
               in
-              let ctx = Misra.Rule.context_of_files [ pf ] in
+              let ctx = Fixture.context_of_files [ pf ] in
               let dev =
                 { Misra.Registry.dev_rule = "9.1"; justification = "nope";
                   max_instances = None }

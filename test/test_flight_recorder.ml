@@ -310,7 +310,8 @@ let metrics_at ~jobs =
   let parsed = Cfront.Project.parse project in
   let (_ : Misra.Registry.report) = Misra.Registry.run_project parsed in
   let (_ : Dataflow.Analyses.func_summary list) =
-    Dataflow.Analyses.summarize_functions (Cfront.Project.all_functions parsed)
+    List.map Dataflow.Analyses.summary_of_facts
+      (Dataflow.Analyses.facts_of_functions (Cfront.Project.all_functions parsed))
   in
   Telemetry.metrics_json ~runtime:false ()
 

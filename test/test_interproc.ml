@@ -22,7 +22,8 @@ let graph_of_files pfs =
        pfs)
 
 let graph_of src = graph_of_files [ pf ~path:"g.cc" src ]
-let summary_of src = IP.of_files [ pf ~path:"s.cc" src ]
+let summary_of_files pfs = (Fixture.context_of_files pfs).Misra.Rule.interproc
+let summary_of src = summary_of_files [ pf ~path:"s.cc" src ]
 
 let outcome_name = function
   | CG.Resolved q -> "resolved:" ^ q
@@ -219,7 +220,7 @@ let test_module_coupling () =
       "int g_shared = 0;\nint W() { g_shared = 1; return 0; }"
   in
   let b = pf ~modname:"beta" ~path:"beta.cc" "int R2() { return g_shared; }" in
-  let ip = IP.of_files [ a; b ] in
+  let ip = summary_of_files [ a; b ] in
   let coupling name =
     match
       List.find_opt (fun c -> c.IP.mc_module = name) ip.IP.coupling
@@ -279,7 +280,7 @@ let test_corpus_ip1_disjoint_from_91 () =
           List.map
             (fun (u : Dataflow.Analyses.uninit_finding) ->
               (Cfront.Ast.qualified_name fn, u.Dataflow.Analyses.u_var))
-            (Dataflow.Analyses.uninit_reads (Dataflow.Cfg.of_func fn)))
+            (Dataflow.Analyses.facts_of_func fn).Dataflow.Analyses.x_uninit_reads)
       (Cfront.Project.all_functions (Lazy.force parsed_small))
   in
   List.iter

@@ -200,7 +200,10 @@ let test_globals_uninitialized () =
 (* Uninitialized locals                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let uninit_of src = Metrics.Uninit.of_functions (funcs src)
+let uninit_of src =
+  Metrics.Uninit.of_facts
+    (List.map Dataflow.Analyses.facts_of_func
+       (List.filter (fun (fn : Cfront.Ast.func) -> fn.Cfront.Ast.f_body <> None) (funcs src)))
 
 let test_uninit_basic () =
   Alcotest.(check int) "flagged" 1
@@ -264,11 +267,15 @@ let test_dyn_alloc_kinds () =
 (* Shadowing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The shadowing findings of [pfs] over their own mutable globals, as
+   the rule context computes them. *)
+let shadowing_of pfs = Metrics.Shadowing.of_globals ~globals:(Metrics.Globals.of_files pfs) pfs
+
 let test_shadowing_kinds () =
   let src =
     "int g_v = 0;\nvoid F(int p) {\n  int local = 1;\n  if (p > 0) {\n    int local = 2;\n    int p = 3;\n    int g_v = 4;\n    local = p + g_v;\n  }\n}"
   in
-  let findings = Metrics.Shadowing.of_files [ parsed_file src ] in
+  let findings = shadowing_of [ parsed_file src ] in
   let kinds = List.map (fun (f : Metrics.Shadowing.finding) -> f.Metrics.Shadowing.kind) findings in
   Alcotest.(check bool) "local shadow" true (List.mem `Shadows_local kinds);
   Alcotest.(check bool) "param shadow" true (List.mem `Shadows_param kinds);
@@ -280,13 +287,13 @@ let test_duplicate_globals_across_files () =
   let dups =
     List.filter
       (fun (f : Metrics.Shadowing.finding) -> f.Metrics.Shadowing.kind = `Duplicate_global)
-      (Metrics.Shadowing.of_files [ a; b ])
+      (shadowing_of [ a; b ])
   in
   Alcotest.(check int) "both flagged" 2 (List.length dups)
 
 let test_no_shadowing_clean () =
   let findings =
-    Metrics.Shadowing.of_files
+    shadowing_of
       [ parsed_file "void F(int p) { int a = p; if (a > 0) { int b = a; b++; } }" ]
   in
   Alcotest.(check int) "clean" 0 (List.length findings)
@@ -361,7 +368,7 @@ let reference_shadowing (pfs : Cfront.Project.parsed_file list) =
   @ Metrics.Shadowing.duplicate_globals globals
 
 let check_shadowing_matches_reference label pfs =
-  let got = Metrics.Shadowing.of_files pfs in
+  let got = shadowing_of pfs in
   Alcotest.(check int) (label ^ ": count") (List.length (reference_shadowing pfs))
     (List.length got);
   Alcotest.(check bool) (label ^ ": same findings, same order") true
@@ -406,7 +413,7 @@ let test_shadowing_matches_reference_corpus () =
         (Printf.sprintf "small seed %d with shadowing file" seed) pfs;
       let kinds =
         List.map (fun (f : Metrics.Shadowing.finding) -> f.Metrics.Shadowing.kind)
-          (Metrics.Shadowing.of_files pfs)
+          (shadowing_of pfs)
       in
       List.iter
         (fun kind ->
@@ -435,7 +442,7 @@ let test_shadowing_matches_reference_edges () =
   List.iter (fun (label, pfs) -> check_shadowing_matches_reference label pfs) cases;
   let kinds pfs =
     List.map (fun (f : Metrics.Shadowing.finding) -> f.Metrics.Shadowing.kind)
-      (Metrics.Shadowing.of_files pfs)
+      (shadowing_of pfs)
   in
   Alcotest.(check bool) "local named like a global shadows it" true
     (kinds (List.assoc "local named like a global" cases) = [ `Shadows_global ]);

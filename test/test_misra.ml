@@ -7,7 +7,7 @@ let ctx_of src =
         { Cfront.Project.path = "r.cc"; modname = "r"; header = false; content = src };
       tu = Cfront.Parser.parse_file ~file:"r.cc" src }
   in
-  Misra.Rule.context_of_files [ pf ]
+  Fixture.context_of_files [ pf ]
 
 let violations rule_id src =
   match Misra.Registry.find_rule rule_id with
@@ -103,7 +103,7 @@ let test_8_9_matches_reference_corpus () =
       let got =
         check_8_9_matches_reference
           (Printf.sprintf "small seed %d with a users file" seed)
-          (Misra.Rule.context_of_files (with_users_file parsed.Cfront.Project.files))
+          (Fixture.context_of_files (with_users_file parsed.Cfront.Project.files))
       in
       Alcotest.(check bool) "single-user globals are found" true (got <> []))
     [ 7; 2019 ]
@@ -330,6 +330,41 @@ let test_render_summary () =
   let s = Misra.Registry.render_summary report in
   Alcotest.(check bool) "mentions a rule id" true (Util.Strutil.contains_sub ~sub:"15.1" s)
 
+(* The producer sequence [Audit.run] ran inline before
+   [Rule.build_context] took it over, kept as the oracle: the dataflow
+   facts, interproc over them, then the context record the former
+   [make_context ~facts ~interproc] assembled. *)
+let reference_context (parsed : Cfront.Project.parsed) =
+  let facts = List.concat_map snd (Dataflow.Analyses.facts_of_parsed parsed) in
+  let interproc = Interproc.Summary.analyze ~facts parsed in
+  let files = parsed.Cfront.Project.files in
+  let functions = Cfront.Project.defined_functions files in
+  ignore (Dataflow.Analyses.pair_facts functions facts);
+  let globals = Metrics.Globals.of_files files in
+  { Misra.Rule.files; functions; facts; interproc; globals;
+    shadowing = Metrics.Shadowing.of_globals ~globals files }
+
+let test_build_context_matches_reference () =
+  List.iter
+    (fun seed ->
+      let parsed =
+        Cfront.Project.parse (Corpus.Generator.generate ~seed Corpus.Apollo_profile.small)
+      in
+      let label what = Printf.sprintf "small seed %d: %s" seed what in
+      let got = Misra.Rule.build_context parsed and want = reference_context parsed in
+      Alcotest.(check bool) (label "facts") true (compare got.Misra.Rule.facts want.Misra.Rule.facts = 0);
+      Alcotest.(check bool) (label "interproc") true
+        (compare got.Misra.Rule.interproc want.Misra.Rule.interproc = 0);
+      Alcotest.(check bool) (label "globals") true
+        (compare got.Misra.Rule.globals want.Misra.Rule.globals = 0);
+      Alcotest.(check bool) (label "shadowing") true
+        (compare got.Misra.Rule.shadowing want.Misra.Rule.shadowing = 0);
+      (* [compare], not [=]: the reports hold the registry's (shared) rule
+         closures. *)
+      Alcotest.(check bool) (label "MISRA report") true
+        (compare (Misra.Registry.run got) (Misra.Registry.run want) = 0))
+    [ 7; 2019 ]
+
 let prop_rules_never_fire_on_minimal =
   QCheck.Test.make ~name:"rule engine is deterministic" ~count:10
     QCheck.(int_range 1 100)
@@ -360,5 +395,7 @@ let () =
           Alcotest.test_case "rule subset" `Quick test_registry_rule_subset;
           Alcotest.test_case "render summary" `Quick test_render_summary;
           QCheck_alcotest.to_alcotest prop_rules_never_fire_on_minimal;
+          Alcotest.test_case "build_context matches the former audit sequence" `Quick
+            test_build_context_matches_reference;
         ] );
     ]

@@ -43,7 +43,8 @@ let run_pipeline ~jobs =
   let parsed = Cfront.Project.parse project in
   let report = Misra.Registry.run_project parsed in
   let summaries =
-    Dataflow.Analyses.summarize_functions (Cfront.Project.all_functions parsed)
+    List.map Dataflow.Analyses.summary_of_facts
+      (Dataflow.Analyses.facts_of_functions (Cfront.Project.all_functions parsed))
   in
   {
     violations =
