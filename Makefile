@@ -69,8 +69,9 @@ check-cache: build
 
 # CLI coverage goldens: `adcheck coverage` for the Figure 5 (yolo) and
 # Figure 6 (stencil) subjects, printed output and coverage tables.  The
-# goldens were captured from the tree-walking oracle; the shipped CLI
-# runs the bytecode engine and must reproduce them byte for byte.
+# goldens were first captured from the tree-walking evaluator that is
+# now the test oracle (test/oracle); the CLI runs the bytecode engine,
+# the only one it has, and must reproduce them byte for byte.
 check-coverage: build
 	for s in yolo stencil; do \
 	  dune exec bin/adcheck.exe -- coverage --subject $$s \

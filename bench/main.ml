@@ -335,8 +335,8 @@ let run_ablations () =
   (* 2. MC/DC pairing discipline *)
   let tus = Corpus.Yolo_src.parse_all () in
   let col = Coverage.Collector.create () in
-  let env = Coverage.Interp.create ~hooks:(Coverage.Collector.hooks col) () in
-  (match Coverage.Interp.run env tus ~entry:Corpus.Yolo_src.entry ~args:[] with
+  let env = Coverage.Runtime.create ~hooks:(Coverage.Collector.hooks col) () in
+  (match Coverage.Exec.run env (Coverage.Compile.compile tus) ~entry:Corpus.Yolo_src.entry ~args:[] with
    | Ok _ -> ()
    | Error e -> Printf.printf "  (yolo run failed: %s)\n" e);
   let measured = List.map fst Corpus.Yolo_src.measured_files in
@@ -539,11 +539,11 @@ let run_scheduling () =
      else "NOT schedulable");
   (* pipeline closed-loop demo: the Figure 1 system actually runs *)
   let tus = Corpus.Pipeline_src.parse_all () in
-  let env = Coverage.Interp.create () in
-  (match Coverage.Interp.run env tus ~entry:Corpus.Pipeline_src.entry ~args:[] with
+  let env = Coverage.Runtime.create () in
+  (match Coverage.Exec.run env (Coverage.Compile.compile tus) ~entry:Corpus.Pipeline_src.entry ~args:[] with
    | Ok v ->
      Printf.printf "\nmini AD pipeline closed-loop run (12 ticks): %s collisions\n%s"
-       (Coverage.Value.to_string v) (Coverage.Interp.output env)
+       (Coverage.Value.to_string v) (Coverage.Runtime.output env)
    | Error e -> Printf.printf "pipeline run failed: %s\n" e)
 
 
@@ -581,12 +581,12 @@ let run_compile () =
   (* Same scenario set through both engines.  The per-engine step totals
      (env.steps: AST nodes visited vs instructions dispatched) are the
      work-tier counters — independent of jobs and wall clock, gated
-     exactly by `adcheck bench-diff`; the wall times are gauges. *)
-  let time_engine engine =
+     exactly by `adcheck bench-diff`; the wall times are gauges.  The
+     tree-walking oracle (test/oracle) runs the set sequentially, the
+     bytecode engine across the pool. *)
+  let time_engine run_all =
     let t0 = Telemetry.now_us () in
-    let outcomes =
-      Coverage.Scenario.run_all ~engine set.Corpus.Scenario_set.scenarios
-    in
+    let outcomes = run_all set.Corpus.Scenario_set.scenarios in
     let wall_ms = (Telemetry.now_us () -. t0) /. 1e3 in
     let steps =
       List.fold_left
@@ -595,12 +595,8 @@ let run_compile () =
     in
     (outcomes, wall_ms, steps)
   in
-  let tree_outcomes, tree_ms, tree_steps =
-    time_engine Coverage.Scenario.Tree
-  in
-  let bc_outcomes, bc_ms, bc_steps =
-    time_engine Coverage.Scenario.Bytecode
-  in
+  let tree_outcomes, tree_ms, tree_steps = time_engine Oracle.Tree.run_scenarios in
+  let bc_outcomes, bc_ms, bc_steps = time_engine Coverage.Scenario.run_all in
   Telemetry.incr ~by:tree_steps "coverage.engine.tree.steps";
   Telemetry.incr ~by:bc_steps "coverage.engine.bytecode.steps";
   Telemetry.set_gauge "bench.compile.tree_ms" tree_ms;

@@ -25,12 +25,12 @@ let () =
 
   (* 3. annotated listing of the lowest-coverage file after the probes *)
   let collector = Coverage.Collector.create () in
-  let env = Coverage.Interp.create ~hooks:(Coverage.Collector.hooks collector) () in
+  let env = Coverage.Runtime.create ~hooks:(Coverage.Collector.hooks collector) () in
   let gap_tu =
     Cfront.Parser.parse_file ~file:"testgen/gap_driver.c" r.Coverage.Testgen.driver
   in
   let tus2 = tus @ [ gap_tu ] in
-  (match Coverage.Interp.run env tus2 ~entry:Corpus.Yolo_src.entry ~args:[] with
+  (match Coverage.Exec.run env (Coverage.Compile.compile tus2) ~entry:Corpus.Yolo_src.entry ~args:[] with
    | Ok _ -> ()
    | Error e -> failwith e);
   let parser_tu =

@@ -81,11 +81,11 @@ let () =
 
   (* 4. Execute under coverage: the CUDA kernel runs on the CPU. *)
   let collector = Coverage.Collector.create () in
-  let env = Coverage.Interp.create ~hooks:(Coverage.Collector.hooks collector) () in
-  (match Coverage.Interp.run env [ tu ] ~entry:"main" ~args:[] with
+  let env = Coverage.Runtime.create ~hooks:(Coverage.Collector.hooks collector) () in
+  (match Coverage.Exec.run env (Coverage.Compile.compile [ tu ]) ~entry:"main" ~args:[] with
    | Ok v -> Printf.printf "\nprogram exited with %s\n" (Coverage.Value.to_string v)
    | Error e -> Printf.printf "\nexecution error: %s\n" e);
-  print_string (Coverage.Interp.output env);
+  print_string (Coverage.Runtime.output env);
   let fc =
     Coverage.Collector.score_file collector ~file:"snippet.cu"
       (Coverage.Instrument.of_tu tu)

@@ -38,7 +38,7 @@ let magic = "adcheck-cache/1"
 
 (* Bump on any change to the marshaled layout of a cached artifact
    (AST, dataflow facts, violations, bytecode, coverage outcomes). *)
-let version_salt = "adcheck-cache/1 schema=3"
+let version_salt = "adcheck-cache/1 schema=4"
 
 type t = {
   cache_dir : string;

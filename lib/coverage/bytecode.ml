@@ -93,6 +93,8 @@ type instr =
   | Ideclare_const of { slot : int; ty : Cfront.Ast.ctype; cidx : int; sid : int option }
   | Ideclare_alloc of { ty : Cfront.Ast.ctype; sid : int option }
   | Ideclare_init of { slot : int; ty : Cfront.Ast.ctype }
+  | Istore_global of string
+      (** pop a value into the global cell of this qualified name *)
   | Iswitch of {
       cases : (int64 * int ref) array;  (** in clause order *)
       case_clauses : int array;
@@ -127,18 +129,23 @@ type cfn = {
   cf_code : instr array;
   cf_locs : Cfront.Loc.t array;  (** per-instruction location, for [tick] *)
   cf_n_slots : int;
-  cf_slot_names : string array;
   cf_param_slots : int array;  (** slot of each parameter, in order *)
   cf_max_stack : int;
+}
+
+type init = {
+  i_code : instr array;
+  i_locs : Cfront.Loc.t array;
+  i_max_stack : int;
 }
 
 type program = {
   p_tus : Cfront.Ast.tu list;
   p_fns : cfn array;
+  p_init : init;
   p_pool : (Value.t * Cfront.Ast.ctype) array;
   p_index : (string, int) Hashtbl.t;
-      (** replica of [Interp.env.funcs] built with the identical
-          insertion sequence, mapping both qualified and simple names *)
+      (** function table, mapping both qualified and simple names *)
 }
 
 exception Invalid of string
@@ -166,6 +173,7 @@ let opname = function
   | Idec_report _ -> "dec_report" | Iprobe _ -> "probe"
   | Ideclare _ -> "declare" | Ideclare_const _ -> "declare_const"
   | Ideclare_alloc _ -> "declare_alloc" | Ideclare_init _ -> "declare_init"
+  | Istore_global _ -> "store_global"
   | Iswitch _ -> "switch" | Iswitch_dyn _ -> "switch_dyn"
   | Icall _ -> "call" | Ibuiltin _ -> "builtin"
   | Ikernel_prep _ -> "kernel_prep" | Ikernel_run _ -> "kernel_run"
@@ -209,6 +217,7 @@ let effect instr =
   | Ideclare _ | Ideclare_const _ -> (0, 0, n)
   | Ideclare_alloc _ -> (0, 1, n)
   | Ideclare_init _ -> (2, 0, n)
+  | Istore_global _ -> (1, 0, n)
   | Iswitch { cases; default; end_; _ } ->
     let succ =
       `To end_

@@ -1,19 +1,19 @@
-(** Flat bytecode for the coverage interpreter.
+(** Flat bytecode for the coverage engine.
 
     {!Compile} lowers the shared Cfront AST to this instruction set once
-    per parse; {!Exec} runs it with a tight dispatch loop against the
-    same {!Interp.env} the tree-walker uses.  Design constraints, in
-    order:
+    per parse; {!Exec} runs it with a tight dispatch loop against a
+    {!Runtime.env}.  Design constraints, in order:
 
     - {b Oracle equivalence.}  Every hook event ([on_stmt],
       [on_decision] with the full MC/DC condition vector, [on_switch],
       [on_call], [on_kernel_launch], [on_function_stmt]), every memory
       effect, every printed byte and every error message must be
-      byte-identical to the tree-walker on the same input.  Coverage
-      probes are explicit instructions ({!Iprobe}, {!Idecide},
-      {!Idec_report}, the switch dispatchers) so the {!Collector} and
-      {!Mcdc} layers are fed unchanged.
-    - {b Fewer ticks.}  The dispatch loop calls {!Interp.tick} exactly
+      byte-identical to the tree-walking oracle the differential tests
+      run ([test/oracle]) on the same input.  Coverage probes are
+      explicit instructions ({!Iprobe}, {!Idecide}, {!Idec_report}, the
+      switch dispatchers) so the {!Collector} and {!Mcdc} layers are fed
+      unchanged.
+    - {b Fewer ticks.}  The dispatch loop calls {!Runtime.tick} exactly
       once per instruction, so [env.steps] doubles as the dispatch
       counter.  The tree-walker ticks once per visited AST node;
       structural statements compile to zero instructions, constants fold
@@ -115,6 +115,9 @@ type instr =
   | Ideclare_const of { slot : int; ty : Cfront.Ast.ctype; cidx : int; sid : int option }
   | Ideclare_alloc of { ty : Cfront.Ast.ctype; sid : int option }
   | Ideclare_init of { slot : int; ty : Cfront.Ast.ctype }
+  | Istore_global of string
+      (** pop a value, convert it to the global's declared type and store
+          it in the cell of this qualified name ({!Runtime.store_global}) *)
   | Iswitch of {
       cases : (int64 * int ref) array;
       case_clauses : int array;
@@ -143,22 +146,31 @@ type instr =
 
 (** One compiled function. *)
 type cfn = {
-  cf_func : Cfront.Ast.func;  (** source AST (identity ties into [env.funcs]) *)
+  cf_func : Cfront.Ast.func;  (** source AST *)
   cf_qname : string;
   cf_code : instr array;
   cf_locs : Cfront.Loc.t array;
   cf_n_slots : int;
-  cf_slot_names : string array;
   cf_param_slots : int array;
   cf_max_stack : int;
 }
 
+(** The global initializers: straight-line code outside any function
+    (no slots, no [on_call]), run once when the program is loaded. *)
+type init = {
+  i_code : instr array;
+  i_locs : Cfront.Loc.t array;
+  i_max_stack : int;
+}
+
 (** A compiled program: every function with a body from the shared
-    parse, plus the constant pool and the name-resolution table (an
-    exact replica of how {!Interp.load_tu} populates [env.funcs]). *)
+    parse, the global initializers, the constant pool and the function
+    table (qualified and simple names, in load order; a simple name maps
+    to the first function loaded under it). *)
 type program = {
   p_tus : Cfront.Ast.tu list;
   p_fns : cfn array;
+  p_init : init;
   p_pool : (Value.t * Cfront.Ast.ctype) array;
   p_index : (string, int) Hashtbl.t;
 }

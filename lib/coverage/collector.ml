@@ -37,9 +37,9 @@ let attribute t tbl key =
   if t.origin <> "" && not (Hashtbl.mem tbl key) then
     Hashtbl.replace tbl key t.origin
 
-let hooks t : Interp.hooks =
+let hooks t : Runtime.hooks =
   {
-    Interp.on_stmt =
+    Runtime.on_stmt =
       (fun sid ->
         bump t.stmt_hits sid;
         attribute t t.stmt_first sid);

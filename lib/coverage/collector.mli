@@ -21,8 +21,8 @@ type t = {
     single-run tools) behave exactly as before. *)
 val create : ?origin:string -> unit -> t
 
-(** Hooks that feed this collector; pass to {!Interp.create}. *)
-val hooks : t -> Interp.hooks
+(** Hooks that feed this collector; pass to {!Runtime.create}. *)
+val hooks : t -> Runtime.hooks
 
 val function_called : t -> string -> bool
 

@@ -1,21 +1,20 @@
 (** One-pass compiler from the shared Cfront AST to {!Bytecode}.
 
-    The compiler is a transcription of {!Interp}'s tree-walking rules
-    into a flat instruction stream; anything the tree-walker resolves
-    per execution that is statically knowable — enum constants, call
-    targets (including the namespace-suffix fallback), switch case
-    values, single-slot local bindings — is resolved here once.  The
-    replica symbol tables are built with the {e same} insertion sequence
-    [Interp.load_tu] uses on [env.funcs]/[env.enums], so compile-time
-    suffix resolution walks the very same bucket order the tree-walker
-    walks at run time.
+    Anything that is statically knowable — enum constants, call targets
+    (including the namespace-suffix fallback), switch case values,
+    single-slot local bindings — is resolved here once.  The enum and
+    function tables are the only ones the engine has: a simple name maps
+    to the last enum item and the first function loaded under it, and
+    suffix resolution walks the table's bucket order.  The tree-walking
+    oracle of the differential tests ([test/oracle]) builds its tables
+    with the same insertion sequence, so both resolve every name alike.
 
     Evaluation-order discipline for operand fusion: a fused operand is
     resolved at dispatch time, i.e. {e after} any stacked sub-expression
     instructions have run.  The left-hand side of a binary operator (or
     the base of an index) is therefore only fused when the right-hand
-    side is fused too, keeping the tree-walker's left-to-right effect
-    and error order intact. *)
+    side is fused too, keeping the left-to-right effect and error order
+    of source evaluation intact. *)
 
 module A = Cfront.Ast
 module B = Bytecode
@@ -207,7 +206,7 @@ let rec compile_value c (e : A.expr) =
   | A.Index (a, i) -> compile_index c a i ~want_load:true
   | A.Member { obj; arrow; field } -> (
       match obj.A.e with
-      | A.Id base when (not arrow) && List.mem base Interp.cuda_builtin_names ->
+      | A.Id base when (not arrow) && List.mem base Runtime.cuda_builtin_names ->
         emit c (B.Icuda_dim (base ^ "." ^ field)) loc
       | _ -> compile_member c obj arrow field ~want_load:true ~loc)
   | A.C_cast (ty, a) | A.Cpp_cast (_, ty, a) ->
@@ -755,7 +754,6 @@ let compile_fn p (fn : A.func) : B.cfn =
       cf_code = Array.sub c.code 0 c.len;
       cf_locs = Array.sub c.locs 0 c.len;
       cf_n_slots = List.length names;
-      cf_slot_names = Array.of_list names;
       cf_param_slots =
         Array.of_list
           (List.map (fun (prm : A.param) -> Hashtbl.find slots prm.A.p_name) fn.A.f_params);
@@ -781,13 +779,33 @@ let check_id_tags (tus : A.tu list) =
       | None -> Hashtbl.replace seen tag tu.A.tu_file)
     tus
 
+(* The global initializers of every unit, in load order, as one
+   straight-line sequence.  Each stores through the global's qualified
+   name, so same-named globals in different namespaces each get their
+   own value. *)
+let compile_init p (tus : A.tu list) : B.init =
+  let c = { p; slots = Hashtbl.create 1; code = [||]; locs = [||]; len = 0 } in
+  List.iter
+    (fun (tu : A.tu) ->
+      List.iter
+        (fun (g : A.global_var) ->
+          match g.A.g_decl.A.v_init with
+          | Some init when not g.A.g_extern ->
+            compile_value c init;
+            emit c (B.Istore_global (Runtime.global_name g)) g.A.g_decl.A.v_loc
+          | _ -> ())
+        (A.globals_of_tu tu))
+    tus;
+  let code = Array.sub c.code 0 c.len in
+  {
+    B.i_code = code;
+    i_locs = Array.sub c.locs 0 c.len;
+    i_max_stack = B.validate_code code;
+  }
+
 let compile_uncached (tus : A.tu list) : B.program =
   check_id_tags tus;
-  (* pass 1: replica symbol tables.  [findex] receives exactly the key
-     operations [Interp.load_tu] performs on [env.funcs] (same initial
-     capacity, same replace/mem sequence), so Hashtbl.fold visits keys
-     in the same order and compile-time suffix resolution picks the
-     same function the tree-walker would. *)
+  (* pass 1: the enum and function tables, unit by unit *)
   let enums = Hashtbl.create 16 in
   let findex = Hashtbl.create 64 in
   let fns_rev = ref [] in
@@ -823,11 +841,14 @@ let compile_uncached (tus : A.tu list) : B.program =
   let p =
     { enums; findex; fns; pool_rev = []; pool_len = 0; pool_tbl = Hashtbl.create 64 }
   in
-  (* pass 2: compile every body against the complete tables *)
+  (* pass 2: compile every body and the initializers against the
+     complete tables *)
   let cfns = Array.map (compile_fn p) fns in
+  let init = compile_init p tus in
   {
     B.p_tus = tus;
     p_fns = cfns;
+    p_init = init;
     p_pool = Array.of_list (List.rev p.pool_rev);
     p_index = findex;
   }

@@ -1,11 +1,11 @@
 (** One-pass compiler from the shared Cfront AST to {!Bytecode}.
 
-    [compile tus] lowers every function with a body (in
-    [Interp.load_tu]'s load order) to a {!Bytecode.program}.  The result
-    is immutable: compile once per shared parse and reuse it across
-    scenarios, entry points and worker domains.  With the artifact cache
-    on, the program is memoized as a [bytecode] artifact keyed by the
-    hash of the marshaled units. *)
+    [compile tus] lowers every function with a body, in load order, and
+    every non-extern global's initializer, in load order, to a
+    {!Bytecode.program}.  The result is immutable: compile once per
+    shared parse and reuse it across scenarios, entry points and worker
+    domains.  With the artifact cache on, the program is memoized as a
+    [bytecode] artifact keyed by the hash of the marshaled units. *)
 
 val compile : Cfront.Ast.tu list -> Bytecode.program
 

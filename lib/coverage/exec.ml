@@ -1,60 +1,51 @@
-(** Bytecode dispatch loop for the coverage interpreter.
+(** Bytecode dispatch loop of the coverage engine.
 
-    Runs a {!Bytecode.program} against the same {!Interp.env} the
-    tree-walker uses: same memory, same symbol tables (loading is
-    [Interp.load_tu] itself), same hooks, same exception protocol, same
-    step counter.  The loop calls {!Interp.tick} exactly once per
+    Runs a {!Bytecode.program} against a {!Runtime.env}: the runtime
+    holds the memory, globals, hooks, exception protocol and step
+    counter, and the loop calls {!Runtime.tick} exactly once per
     dispatched instruction, so [env.steps] is the dispatch count the
-    `compile` bench compares against the tree-walker's node count.
+    `compile` bench compares against the tree-walking oracle's node
+    count.
 
     Semantic helpers ([size_of], [convert_to], [arith_binop],
-    [find_var], …) are shared with {!Interp} rather than duplicated, so
-    the two engines can only diverge in evaluation order — and the
-    compiler's operand-fusion rules keep even that aligned on every
-    non-error path. *)
+    [find_global], …) live in {!Runtime}, which the oracle of the
+    differential tests shares, so the two can only diverge in
+    evaluation order — and the compiler's operand-fusion rules keep
+    even that aligned on every non-error path. *)
 
 module A = Cfront.Ast
 module B = Bytecode
-module I = Interp
-
-(* an empty tree-walker frame: the bytecode engine keeps locals in slot
-   arrays, so shared lookups ([find_var], [builtin_ctx]) see no frame *)
-let no_frame () : I.frame = { I.vars = [] }
-
-(* load: the tree-walker's loader verbatim, so global layout, enum
-   values, global-initializer evaluation (and its ticks) are identical *)
-let load (env : I.env) (prog : B.program) =
-  List.iter (I.load_tu env) prog.B.p_tus
+module R = Runtime
 
 (* rvalue decay for an identifier: arrays decay to a pointer to their
    first cell, struct values are their block *)
 let decay_id env (p, ty) =
-  match I.strip_const ty with
+  match R.strip_const ty with
   | A.Tarray (elem, _) -> (Value.Vptr p, A.Tptr elem)
   | A.Tnamed _ -> (Value.Vptr p, ty)
-  | _ -> (Memory.load env.I.mem p, ty)
+  | _ -> (Memory.load env.R.mem p, ty)
 
 (* rvalue load through a member/index cell: aggregates stay a pointer
    with their own type (no array decay — matches the tree-walker) *)
 let load_or_ptr env (p, ty) =
-  match I.strip_const ty with
+  match R.strip_const ty with
   | A.Tnamed _ | A.Tarray _ -> (Value.Vptr p, ty)
-  | _ -> (Memory.load env.I.mem p, ty)
+  | _ -> (Memory.load env.R.mem p, ty)
 
 let global_rvalue env name loc =
-  match I.find_var env (no_frame ()) name with
+  match R.find_global env name with
   | Some cell -> decay_id env cell
   | None ->
     if name = "NULL" then (Value.Vnull, A.Tptr A.Tvoid)
-    else raise (I.Runtime_error ("unbound identifier " ^ name, loc))
+    else raise (R.Runtime_error ("unbound identifier " ^ name, loc))
 
 let global_lvalue env name loc =
-  match I.find_var env (no_frame ()) name with
+  match R.find_global env name with
   | Some cell -> cell
-  | None -> raise (I.Runtime_error ("unbound identifier " ^ name, loc))
+  | None -> raise (R.Runtime_error ("unbound identifier " ^ name, loc))
 
 type activation = {
-  env : I.env;
+  env : R.env;
   prog : B.program;
   slots : (Value.ptr * A.ctype) option array;
   stack : (Value.t * A.ctype) array;
@@ -91,16 +82,16 @@ let pop act =
 let take act = function Some op -> operand_rvalue act op | None -> pop act
 
 (* typed binary operator: pointer +/- int uses the pointee stride, the
-   rest is [Interp.arith_binop]; result type from the result value *)
+   rest is [Runtime.arith_binop]; result type from the result value *)
 let binop_apply env op (va, ta) (vb, _) loc =
   let result =
     match (op, va, vb) with
     | (A.Add | A.Sub), Value.Vptr p, _
       when not (match vb with Value.Vptr _ -> true | _ -> false) ->
-      let stride = I.size_of env (I.pointee env ta) in
+      let stride = R.size_of env (R.pointee env ta) in
       let n = Int64.to_int (Value.as_int vb) * stride in
       Value.Vptr (Memory.shift p (if op = A.Add then n else -n))
-    | _ -> I.arith_binop env op va vb loc
+    | _ -> R.arith_binop env op va vb loc
   in
   let ty =
     match result with
@@ -132,56 +123,56 @@ let assign_op_binop = function
 
 (* store into an lvalue cell; whole-struct assignment copies the block *)
 let assign_store env op (p, ty) rv loc =
-  match (I.strip_const ty, rv) with
-  | A.Tnamed name, Value.Vptr src when Hashtbl.mem env.I.layouts name ->
-    Memory.copy env.I.mem ~src ~dst:p (I.size_of env ty);
+  match (R.strip_const ty, rv) with
+  | A.Tnamed name, Value.Vptr src when Hashtbl.mem env.R.layouts name ->
+    Memory.copy env.R.mem ~src ~dst:p (R.size_of env ty);
     (Value.Vptr p, ty)
   | _ ->
     let newv =
       match op with
-      | A.A_eq -> I.convert_to ty rv
+      | A.A_eq -> R.convert_to ty rv
       | _ ->
-        let old = Memory.load env.I.mem p in
-        I.convert_to ty (I.arith_binop env (assign_op_binop op) old rv loc)
+        let old = Memory.load env.R.mem p in
+        R.convert_to ty (R.arith_binop env (assign_op_binop op) old rv loc)
     in
-    Memory.store env.I.mem p newv;
+    Memory.store env.R.mem p newv;
     (newv, ty)
 
 let member_cell env (p, record_ty) field loc =
   let record_name =
-    match I.strip_const record_ty with
+    match R.strip_const record_ty with
     | A.Tnamed n -> n
-    | _ -> raise (I.Runtime_error ("member access on non-struct", loc))
+    | _ -> raise (R.Runtime_error ("member access on non-struct", loc))
   in
-  match Hashtbl.find_opt env.I.layouts record_name with
-  | None -> raise (I.Runtime_error ("unknown struct " ^ record_name, loc))
+  match Hashtbl.find_opt env.R.layouts record_name with
+  | None -> raise (R.Runtime_error ("unknown struct " ^ record_name, loc))
   | Some l -> (
-      match List.assoc_opt field l.I.l_fields with
+      match List.assoc_opt field l.R.l_fields with
       | None ->
         raise
-          (I.Runtime_error (Printf.sprintf "no field %s in %s" field record_name, loc))
+          (R.Runtime_error (Printf.sprintf "no field %s in %s" field record_name, loc))
       | Some (off, fty) -> (Memory.shift p off, fty))
 
 let arrow_base env (v, ty) loc =
   match v with
-  | Value.Vptr p -> (p, I.pointee env ty)
-  | Value.Vnull -> raise (I.Runtime_error ("null -> access", loc))
-  | _ -> raise (I.Runtime_error ("-> on non-pointer", loc))
+  | Value.Vptr p -> (p, R.pointee env ty)
+  | Value.Vnull -> raise (R.Runtime_error ("null -> access", loc))
+  | _ -> raise (R.Runtime_error ("-> on non-pointer", loc))
 
 let index_cell env (va, ta) idx loc =
   match va with
   | Value.Vptr p ->
-    let elem = I.pointee env ta in
-    (Memory.shift p (idx * I.size_of env elem), elem)
-  | Value.Vnull -> raise (I.Runtime_error ("index of null pointer", loc))
-  | _ -> raise (I.Runtime_error ("index of non-pointer", loc))
+    let elem = R.pointee env ta in
+    (Memory.shift p (idx * R.size_of env elem), elem)
+  | Value.Vnull -> raise (R.Runtime_error ("index of null pointer", loc))
+  | _ -> raise (R.Runtime_error ("index of non-pointer", loc))
 
 let declare_cell env ty =
-  Memory.alloc env.I.mem ~init:(I.default_value ty) (Stdlib.max 1 (I.size_of env ty))
+  Memory.alloc env.R.mem ~init:(R.default_value ty) (Stdlib.max 1 (R.size_of env ty))
 
-let probe (env : I.env) sid =
-  env.I.hooks.I.on_stmt sid;
-  if env.I.cur_fn <> "" then env.I.hooks.I.on_function_stmt env.I.cur_fn
+let probe (env : R.env) sid =
+  env.R.hooks.R.on_stmt sid;
+  if env.R.cur_fn <> "" then env.R.hooks.R.on_function_stmt env.R.cur_fn
 
 let probe_opt env = function Some sid -> probe env sid | None -> ()
 
@@ -193,52 +184,56 @@ let truncate_decs act depth =
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : Value.t
+let rec exec_call (env : R.env) (prog : B.program) fidx (args : Value.t list) : Value.t
     =
   let cf = prog.B.p_fns.(fidx) in
   let fn = cf.B.cf_func in
-  env.I.hooks.I.on_call cf.B.cf_qname;
-  let caller_fn = env.I.cur_fn in
-  env.I.cur_fn <- cf.B.cf_qname;
-  Fun.protect ~finally:(fun () -> env.I.cur_fn <- caller_fn) @@ fun () ->
+  env.R.hooks.R.on_call cf.B.cf_qname;
+  let caller_fn = env.R.cur_fn in
+  env.R.cur_fn <- cf.B.cf_qname;
+  Fun.protect ~finally:(fun () -> env.R.cur_fn <- caller_fn) @@ fun () ->
   let slots = Array.make (Stdlib.max 1 cf.B.cf_n_slots) None in
   List.iteri
     (fun i (p : A.param) ->
-      let v = try List.nth args i with _ -> I.default_value p.A.p_type in
+      let v = try List.nth args i with _ -> R.default_value p.A.p_type in
       let ty = p.A.p_type in
       let slot = cf.B.cf_param_slots.(i) in
       match (ty, v) with
       | A.Tref inner, Value.Vptr ptr -> slots.(slot) <- Some (ptr, inner)
       | _ -> (
-          match (I.strip_const ty, v) with
+          match (R.strip_const ty, v) with
           | A.Tnamed _, Value.Vptr src ->
-            let size = I.size_of env ty in
-            let dst = Memory.alloc env.I.mem size in
-            Memory.copy env.I.mem ~src ~dst size;
+            let size = R.size_of env ty in
+            let dst = Memory.alloc env.R.mem size in
+            Memory.copy env.R.mem ~src ~dst size;
             slots.(slot) <- Some (dst, ty)
           | _ ->
-            let cell = Memory.alloc env.I.mem 1 in
-            Memory.store env.I.mem cell (I.convert_to ty v);
+            let cell = Memory.alloc env.R.mem 1 in
+            Memory.store env.R.mem cell (R.convert_to ty v);
             slots.(slot) <- Some (cell, ty)))
     fn.A.f_params;
+  exec_code env prog ~code:cf.B.cf_code ~locs:cf.B.cf_locs ~max_stack:cf.B.cf_max_stack
+    slots
+
+(* run one code sequence (a function body or the global initializers)
+   in a fresh activation over [slots] *)
+and exec_code env prog ~code ~locs ~max_stack slots : Value.t =
   let act =
     {
       env;
       prog;
       slots;
-      stack = Array.make (Stdlib.max 1 cf.B.cf_max_stack) (Value.Vvoid, A.Tvoid);
+      stack = Array.make (Stdlib.max 1 max_stack) (Value.Vvoid, A.Tvoid);
       sp = 0;
       decs = [];
       handlers = [];
     }
   in
-  let code = cf.B.cf_code in
-  let locs = cf.B.cf_locs in
   let len = Array.length code in
   let rec step pc : Value.t =
     if pc >= len then Value.Vvoid
     else begin
-      I.tick env locs.(pc);
+      R.tick env;
       match code.(pc) with
       | B.Iconst i ->
         push act prog.B.p_pool.(i);
@@ -251,7 +246,7 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
         step (pc + 1)
       | B.Icuda_dim key ->
         push act
-          ( Value.Vint (Option.value ~default:0L (List.assoc_opt key env.I.cuda_dims)),
+          ( Value.Vint (Option.value ~default:0L (List.assoc_opt key env.R.cuda_dims)),
             A.int_t );
         step (pc + 1)
       | B.Ilv_local { slot; name; loc } ->
@@ -264,9 +259,9 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
         step (pc + 1)
       | B.Ilv_deref loc ->
         (match pop act with
-         | Value.Vptr p, ty -> push act (Value.Vptr p, I.pointee env ty)
-         | Value.Vnull, _ -> raise (I.Runtime_error ("null pointer dereference", loc))
-         | _ -> raise (I.Runtime_error ("dereference of non-pointer", loc)));
+         | Value.Vptr p, ty -> push act (Value.Vptr p, R.pointee env ty)
+         | Value.Vnull, _ -> raise (R.Runtime_error ("null pointer dereference", loc))
+         | _ -> raise (R.Runtime_error ("dereference of non-pointer", loc)));
         step (pc + 1)
       | B.Iindex { base; idx; want_load; loc } ->
         (* stack order is base below idx, so the index pops first *)
@@ -286,12 +281,12 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
               (* a constant can never be a struct lvalue; report exactly
                  what the tree-walker's member lookup would *)
               ignore prog.B.p_pool.(i);
-              raise (I.Runtime_error ("expression is not an lvalue", loc))
+              raise (R.Runtime_error ("expression is not an lvalue", loc))
             | None ->
               let v, ty = pop act in
               (match v with
                | Value.Vptr p -> (p, ty)
-               | _ -> raise (I.Runtime_error ("expression is not an lvalue", loc)))
+               | _ -> raise (R.Runtime_error ("expression is not an lvalue", loc)))
         in
         let cell = member_cell env cell field loc in
         push act (if want_load then load_or_ptr env cell else (Value.Vptr (fst cell), snd cell));
@@ -302,19 +297,19 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
         step (pc + 1)
       | B.Ilv_load ->
         (match pop act with
-         | Value.Vptr p, ty -> push act (Memory.load env.I.mem p, ty)
-         | _ -> raise (I.Runtime_error ("dereference of non-pointer", locs.(pc))));
+         | Value.Vptr p, ty -> push act (Memory.load env.R.mem p, ty)
+         | _ -> raise (R.Runtime_error ("dereference of non-pointer", locs.(pc))));
         step (pc + 1)
       | B.Ideref_load loc ->
         (match pop act with
          | Value.Vptr p, ty ->
-           let elem = I.pointee env ty in
+           let elem = R.pointee env ty in
            push act
-             (match I.strip_const elem with
+             (match R.strip_const elem with
               | A.Tnamed _ -> (Value.Vptr p, elem)
-              | _ -> (Memory.load env.I.mem p, elem))
-         | Value.Vnull, _ -> raise (I.Runtime_error ("null pointer dereference", loc))
-         | _ -> raise (I.Runtime_error ("dereference of non-pointer", loc)));
+              | _ -> (Memory.load env.R.mem p, elem))
+         | Value.Vnull, _ -> raise (R.Runtime_error ("null pointer dereference", loc))
+         | _ -> raise (R.Runtime_error ("dereference of non-pointer", loc)));
         step (pc + 1)
       | B.Iaddr_of ->
         let v, ty = pop act in
@@ -335,21 +330,21 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
          | A.Lnot -> push act (Value.Vbool (not (Value.truthy v)), A.Tbool)
          | A.Bnot -> push act (Value.Vint (Int64.lognot (Value.as_int v)), A.int_t)
          | A.Pos | A.Pre_inc | A.Pre_dec | A.Deref | A.Addr_of ->
-           raise (I.Runtime_error ("unexpected unary opcode", loc)));
+           raise (R.Runtime_error ("unexpected unary opcode", loc)));
         step (pc + 1)
       | B.Iincdec { pre; delta; drop } ->
         let pv, ty = pop act in
         let p = match pv with Value.Vptr p -> p | _ -> assert false in
-        let old = Memory.load env.I.mem p in
+        let old = Memory.load env.R.mem p in
         let nv = incdec_new old delta in
-        Memory.store env.I.mem p nv;
+        Memory.store env.R.mem p nv;
         if not drop then push act ((if pre then nv else old), ty);
         step (pc + 1)
       | B.Iincdec_local { slot; name; pre; delta; drop; loc } ->
         let p, ty = slot_cell act slot name loc in
-        let old = Memory.load env.I.mem p in
+        let old = Memory.load env.R.mem p in
         let nv = incdec_new old delta in
-        Memory.store env.I.mem p nv;
+        Memory.store env.R.mem p nv;
         if not drop then push act ((if pre then nv else old), ty);
         step (pc + 1)
       | B.Ibinop { op; rhs; loc } ->
@@ -380,29 +375,29 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
         step (pc + 1)
       | B.Icast ty ->
         let v, _ = pop act in
-        push act (I.convert_to ty v, ty);
+        push act (R.convert_to ty v, ty);
         step (pc + 1)
       | B.Isizeof_type ty ->
-        push act (Value.Vint (Int64.of_int (I.size_of env ty)), A.int_t);
+        push act (Value.Vint (Int64.of_int (R.size_of env ty)), A.int_t);
         step (pc + 1)
       | B.Isizeof_expr ->
         let _, ty = pop act in
-        push act (Value.Vint (Int64.of_int (I.size_of env ty)), A.int_t);
+        push act (Value.Vint (Int64.of_int (R.size_of env ty)), A.int_t);
         step (pc + 1)
       | B.Inew { ty; has_size } ->
         let n = if has_size then Int64.to_int (Value.as_int (fst (pop act))) else 1 in
-        let p = Memory.alloc env.I.mem ~init:(I.default_value ty) (n * I.size_of env ty) in
+        let p = Memory.alloc env.R.mem ~init:(R.default_value ty) (n * R.size_of env ty) in
         push act (Value.Vptr p, A.Tptr ty);
         step (pc + 1)
       | B.Idelete { drop; loc } ->
         (match fst (pop act) with
-         | Value.Vptr p -> Memory.free env.I.mem p
+         | Value.Vptr p -> Memory.free env.R.mem p
          | Value.Vnull -> ()
-         | _ -> raise (I.Runtime_error ("delete of non-pointer", loc)));
+         | _ -> raise (R.Runtime_error ("delete of non-pointer", loc)));
         if not drop then push act (Value.Vvoid, A.Tvoid);
         step (pc + 1)
       | B.Ithrow { has_value } ->
-        raise (I.Cxx_throw (if has_value then fst (pop act) else Value.Vint 0L))
+        raise (R.Cxx_throw (if has_value then fst (pop act) else Value.Vint 0L))
       | B.Ias_int ->
         let v, _ = pop act in
         push act (Value.Vint (Value.as_int v), A.int_t);
@@ -413,7 +408,7 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
       | B.Idecide { deid; leid; negate; value; jt; jf } ->
         let v = Value.truthy (fst (take act value)) in
         let outcome = if negate then not v else v in
-        env.I.hooks.I.on_decision deid [ (leid, Some v) ] outcome;
+        env.R.hooks.R.on_decision deid [ (leid, Some v) ] outcome;
         step (if outcome then !jt else !jf)
       | B.Idec_begin n ->
         act.decs <- Array.make n None :: act.decs;
@@ -426,7 +421,7 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
         let vec = List.hd act.decs in
         act.decs <- List.tl act.decs;
         let vector = Array.to_list (Array.mapi (fun i o -> (leids.(i), o)) vec) in
-        env.I.hooks.I.on_decision deid vector outcome;
+        env.R.hooks.R.on_decision deid vector outcome;
         step !next
       | B.Iprobe sid ->
         probe env sid;
@@ -439,7 +434,7 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
       | B.Ideclare_const { slot; ty; cidx; sid } ->
         probe_opt env sid;
         let p = declare_cell env ty in
-        Memory.store env.I.mem p (I.convert_to ty (fst prog.B.p_pool.(cidx)));
+        Memory.store env.R.mem p (R.convert_to ty (fst prog.B.p_pool.(cidx)));
         if slot >= 0 then act.slots.(slot) <- Some (p, ty);
         step (pc + 1)
       | B.Ideclare_alloc { ty; sid } ->
@@ -451,11 +446,14 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
         let v, _ = pop act in
         let pv, _ = pop act in
         let p = match pv with Value.Vptr p -> p | _ -> assert false in
-        (match (I.strip_const ty, v) with
+        (match (R.strip_const ty, v) with
          | A.Tnamed _, Value.Vptr src ->
-           Memory.copy env.I.mem ~src ~dst:p (I.size_of env ty)
-         | _ -> Memory.store env.I.mem p (I.convert_to ty v));
+           Memory.copy env.R.mem ~src ~dst:p (R.size_of env ty)
+         | _ -> Memory.store env.R.mem p (R.convert_to ty v));
         if slot >= 0 then act.slots.(slot) <- Some (p, ty);
+        step (pc + 1)
+      | B.Istore_global name ->
+        R.store_global env name (fst (pop act));
         step (pc + 1)
       | B.Iswitch { cases; case_clauses; default; sid; end_ } ->
         let v = Value.as_int (fst (pop act)) in
@@ -467,12 +465,12 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
         in
         (match find 0 with
          | Some i ->
-           env.I.hooks.I.on_switch sid case_clauses.(i);
+           env.R.hooks.R.on_switch sid case_clauses.(i);
            step !(snd cases.(i))
          | None -> (
              match default with
              | Some (t, clause) ->
-               env.I.hooks.I.on_switch sid clause;
+               env.R.hooks.R.on_switch sid clause;
                step !t
              | None -> step !end_))
       | B.Iswitch_dyn { ncases; targets; case_clauses; default; sid; end_ } ->
@@ -489,12 +487,12 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
         in
         (match find 0 with
          | Some i ->
-           env.I.hooks.I.on_switch sid case_clauses.(i);
+           env.R.hooks.R.on_switch sid case_clauses.(i);
            step !(targets.(i))
          | None -> (
              match default with
              | Some (t, clause) ->
-               env.I.hooks.I.on_switch sid clause;
+               env.R.hooks.R.on_switch sid clause;
                step !t
              | None -> step !end_))
       | B.Icall { fidx; nargs; drop } ->
@@ -514,7 +512,7 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
         let bfn =
           match Builtins.lookup name with Some b -> b | None -> assert false
         in
-        let v = Builtins.apply bfn (I.builtin_ctx env (no_frame ())) !args loc in
+        let v = Builtins.apply bfn (R.builtin_ctx env) !args loc in
         if not drop then push act (v, A.Tauto);
         step (pc + 1)
       | B.Ikernel_prep { fidx; nargs = _; loc } ->
@@ -524,8 +522,8 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
         let gridv = Int64.to_int (Value.as_int (fst act.stack.(gi))) in
         let blockv = Int64.to_int (Value.as_int (fst act.stack.(bi))) in
         if gridv <= 0 || blockv <= 0 then
-          raise (I.Runtime_error ("non-positive launch configuration", loc));
-        env.I.hooks.I.on_kernel_launch
+          raise (R.Runtime_error ("non-positive launch configuration", loc));
+        env.R.hooks.R.on_kernel_launch
           prog.B.p_fns.(fidx).B.cf_qname
           ~grid:gridv ~block:blockv;
         act.stack.(gi) <- (Value.Vint (Int64.of_int gridv), A.int_t);
@@ -538,11 +536,11 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
         done;
         let blockv = Int64.to_int (Value.as_int (fst (pop act))) in
         let gridv = Int64.to_int (Value.as_int (fst (pop act))) in
-        let saved = env.I.cuda_dims in
+        let saved = env.R.cuda_dims in
         (try
            for b = 0 to gridv - 1 do
              for t = 0 to blockv - 1 do
-               env.I.cuda_dims <-
+               env.R.cuda_dims <-
                  [
                    ("threadIdx.x", Int64.of_int t);
                    ("blockIdx.x", Int64.of_int b);
@@ -555,9 +553,9 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
              done
            done
          with ex ->
-           env.I.cuda_dims <- saved;
+           env.R.cuda_dims <- saved;
            raise ex);
-        env.I.cuda_dims <- saved;
+        env.R.cuda_dims <- saved;
         step (pc + 1)
       | B.Ipush_handler t ->
         act.handlers <- (!t, act.sp, List.length act.decs) :: act.handlers;
@@ -567,10 +565,10 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
           act.handlers <- List.tl act.handlers
         done;
         step (pc + 1)
-      | B.Iraise { msg; loc } -> raise (I.Runtime_error (msg, loc))
-      | B.Iraise_goto l -> raise (I.Goto_signal l)
-      | B.Iraise_sig `Break -> raise I.Break_signal
-      | B.Iraise_sig `Continue -> raise I.Continue_signal
+      | B.Iraise { msg; loc } -> raise (R.Runtime_error (msg, loc))
+      | B.Iraise_goto l -> raise (R.Goto_signal l)
+      | B.Iraise_sig `Break -> raise R.Break_signal
+      | B.Iraise_sig `Continue -> raise R.Continue_signal
       | B.Ireturn { value; has_value; sid } ->
         probe_opt env sid;
         (match value with
@@ -585,14 +583,14 @@ let rec exec_call (env : I.env) (prog : B.program) fidx (args : Value.t list) : 
      tree-walker's [Stry] *)
   let rec guarded pc =
     try step pc with
-    | I.Cxx_throw v -> (
+    | R.Cxx_throw v -> (
         match act.handlers with
         | (tpc, tsp, tdec) :: rest ->
           act.handlers <- rest;
           act.sp <- tsp;
           truncate_decs act tdec;
           guarded tpc
-        | [] -> raise (I.Cxx_throw v))
+        | [] -> raise (R.Cxx_throw v))
   in
   guarded 0
 
@@ -612,23 +610,24 @@ let resolve_fidx (prog : B.program) name =
           if Util.Strutil.ends_with ~suffix:("::" ^ name) key then Some i else None)
       prog.B.p_index None
 
-(* the same result protocol as [Interp.run], minus the loading (a
-   program is loaded once with [load] and reused across entries) *)
-let run_entry (env : I.env) (prog : B.program) ~entry ~args =
+(* declare the program's layouts and globals, then run its global
+   initializers in load order, under the entry result protocol *)
+let load env (prog : B.program) =
+  let init = prog.B.p_init in
+  R.to_result (fun () ->
+      R.declare env prog.B.p_tus;
+      exec_code env prog ~code:init.B.i_code ~locs:init.B.i_locs
+        ~max_stack:init.B.i_max_stack [||])
+
+let run_entry env (prog : B.program) ~entry ~args =
   match resolve_fidx prog entry with
   | None -> Error (Printf.sprintf "entry function %s not found" entry)
-  | Some fidx -> (
-      try Ok (exec_call env prog fidx args) with
-      | I.Runtime_error (msg, loc) ->
-        Error (Printf.sprintf "%s: %s" (Cfront.Loc.to_string loc) msg)
-      | Memory.Fault msg -> Error ("memory fault: " ^ msg)
-      | Builtins.Builtin_error msg -> Error ("builtin error: " ^ msg)
-      | I.Step_limit_exceeded -> Error "step limit exceeded"
-      | I.Cxx_throw v -> Error ("uncaught C++ exception: " ^ Value.to_string v))
+  | Some fidx -> R.to_result (fun () -> exec_call env prog fidx args)
 
-let run (env : I.env) (prog : B.program) ~entry ~args =
-  load env prog;
-  run_entry env prog ~entry ~args
+let run env prog ~entry ~args =
+  Result.bind (load env prog) (fun _ -> run_entry env prog ~entry ~args)
 
-let run_entries (env : I.env) (prog : B.program) ~entries =
-  List.map (fun entry -> (entry, run_entry env prog ~entry ~args:[])) entries
+let run_entries env prog ~entries =
+  match load env prog with
+  | Error e -> List.map (fun entry -> (entry, Error e)) entries
+  | Ok _ -> List.map (fun entry -> (entry, run_entry env prog ~entry ~args:[])) entries

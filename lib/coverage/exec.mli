@@ -1,37 +1,31 @@
-(** Bytecode dispatch loop: runs a {!Bytecode.program} against an
-    {!Interp.env} with hook events, memory effects, output and error
-    messages byte-identical to the tree-walker, in strictly fewer
-    {!Interp.tick} steps.  [test/test_bytecode_diff.ml] holds the two
-    engines to that contract. *)
+(** Bytecode dispatch loop: runs a {!Bytecode.program} against a
+    {!Runtime.env}.  Hook events, memory effects, output and error
+    messages are byte-identical to the tree-walking oracle of the
+    differential tests, in strictly fewer {!Runtime.tick} steps;
+    [test/test_bytecode_diff.ml] holds the engine to that contract.
 
-(** Load the program's translation units into the environment — this is
-    [Interp.load_tu] verbatim, so globals, enums, layouts and the
-    function table match the tree-walker's exactly. *)
-val load : Interp.env -> Bytecode.program -> unit
+    Loading declares the program's struct layouts and global cells
+    ({!Runtime.declare}) and then runs its compiled global initializers
+    once, in load order.  An error in an initializer is reported with
+    the entry result protocol, as the result of every entry. *)
 
-(** Call one entry point in an already-loaded environment.  Same result
-    protocol as {!Interp.run}: runtime errors, memory faults, builtin
-    errors, step-limit exhaustion and uncaught C++ exceptions come back
-    as the same [Error] strings. *)
-val run_entry :
-  Interp.env ->
-  Bytecode.program ->
-  entry:string ->
-  args:Value.t list ->
-  (Value.t, string) result
-
-(** [load] then [run_entry] — the {!Interp.run} shape. *)
+(** Load the program into a fresh environment and call [entry].
+    Runtime errors, memory faults, builtin errors, step-limit exhaustion
+    and uncaught C++ exceptions come back as [Error] strings
+    ({!Runtime.to_result}). *)
 val run :
-  Interp.env ->
+  Runtime.env ->
   Bytecode.program ->
   entry:string ->
   args:Value.t list ->
   (Value.t, string) result
 
-(** Call each entry in order in the same (already loaded) environment;
-    a failing entry does not stop the rest. *)
+(** Load the program into a fresh environment once, then call each
+    entry in order with no arguments.  A failing entry does not stop the
+    rest: the fault-injection and gap-probe scenarios count the coverage
+    reached before a fault. *)
 val run_entries :
-  Interp.env ->
+  Runtime.env ->
   Bytecode.program ->
   entries:string list ->
   (string * (Value.t, string) result) list

@@ -2,7 +2,7 @@
 
     A scenario is one independent dynamic experiment: a set of
     translation units plus the entry points to drive through them, in
-    order, inside one fresh interpreter environment with its own
+    order, inside one fresh environment with its own
     {!Collector}.  Because scenarios share no mutable state, {!run_all}
     fans them out over the worker pool ([Telemetry.parallel_map], so
     jobs=1 is literally [List.map] — the sequential oracle) and the
@@ -39,30 +39,21 @@ type outcome = {
           fault-injection scenarios expect them), not exceptions *)
   o_output : string;  (** everything the scenario printed *)
   o_steps : int;
-      (** [env.steps] after the run — AST nodes visited (tree) or
-          instructions dispatched (bytecode); the `compile` bench's
-          work-tier counter *)
+      (** [env.steps] after the run — instructions dispatched; the
+          `compile` bench's work-tier counter *)
 }
 
-(** Which interpreter executes the scenario's entries.  Both engines
-    produce byte-identical coverage, results and output
-    ([test/test_bytecode_diff.ml] enforces it); [Bytecode] does so in
-    fewer [env.steps] and is the default.  [Tree] is the tree-walking
-    differential oracle: only that harness and the [compile] bench
-    experiment select it. *)
-type engine = Tree | Bytecode
-
 (** Run one scenario in a fresh environment (telemetry hooks layered over
-    the collector's).  Under [Bytecode] (the default), [?program]
-    supplies a pre-compiled program for the scenario's exact tu list
-    (compiled on the spot otherwise). *)
-val run_one : ?engine:engine -> ?program:Bytecode.program -> t -> outcome
+    the collector's) on the bytecode engine.  [?program] supplies a
+    pre-compiled program for the scenario's exact tu list (compiled on
+    the spot otherwise). *)
+val run_one : ?program:Bytecode.program -> t -> outcome
 
 (** Run every scenario across the pool; outcomes in input order.  At
-    jobs=1 this is exactly [List.map run_one].  Under [Bytecode], each
-    distinct parse in the list is compiled once up front and the
-    immutable program is shared by all worker domains. *)
-val run_all : ?engine:engine -> t list -> outcome list
+    jobs=1 this is exactly [List.map run_one].  Each distinct parse in
+    the list is compiled once up front and the immutable program is
+    shared by all worker domains. *)
+val run_all : t list -> outcome list
 
 (** Union of all outcome collectors, merged in list order. *)
 val merged_collector : outcome list -> Collector.t

@@ -177,7 +177,7 @@ let close_gaps ~entry ~measured (tus : Cfront.Ast.tu list) =
   in
   (* pass 1: the original tests *)
   let c1 = Collector.create () in
-  let env1 = Interp.create ~hooks:(Collector.hooks c1) () in
+  let env1 = Runtime.create ~hooks:(Collector.hooks c1) () in
   (match Exec.run env1 (Compile.compile tus) ~entry ~args:[] with
    | Ok _ -> ()
    | Error e -> failwith ("baseline run failed: " ^ e));
@@ -187,15 +187,13 @@ let close_gaps ~entry ~measured (tus : Cfront.Ast.tu list) =
   (* pass 2: original tests + synthesized probes, fresh collector *)
   let gap_tu = Cfront.Parser.parse_file ~file:"testgen/gap_driver.c" driver in
   let c2 = Collector.create () in
-  let env2 = Interp.create ~hooks:(Collector.hooks c2) () in
+  let env2 = Runtime.create ~hooks:(Collector.hooks c2) () in
+  (* the baseline entry first, then each probe in isolation: a probe may
+     legitimately fault while exercising an unchecked error path, and
+     coverage reached before the fault still counts *)
   let prog2 = Compile.compile (tus @ [ gap_tu ]) in
-  Exec.load env2 prog2;
-  (match Exec.run_entry env2 prog2 ~entry ~args:[] with
-   | Ok _ -> ()
-   | Error e -> failwith ("baseline rerun failed: " ^ e));
-  (* each probe runs in isolation: a probe may legitimately fault while
-     exercising an unchecked error path, and coverage reached before the
-     fault still counts *)
-  ignore (Exec.run_entries env2 prog2 ~entries);
+  (match Exec.run_entries env2 prog2 ~entries:(entry :: entries) with
+   | (_, Error e) :: _ -> failwith ("baseline rerun failed: " ^ e)
+   | _ -> ());
   let after_stmt, after_branch = score c2 in
   { before_stmt; before_branch; after_stmt; after_branch; plans; driver }

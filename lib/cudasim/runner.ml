@@ -25,8 +25,8 @@ let run ?origin ?(entry = "main") ~measured (tus : Cfront.Ast.tu list) =
   let origin = match origin with Some o -> o | None -> "run:" ^ entry in
   let collector = Coverage.Collector.create ~origin () in
   let env =
-    Coverage.Interp.create
-      ~hooks:(Coverage.Interp.telemetry_hooks ~base:(Coverage.Collector.hooks collector) ())
+    Coverage.Runtime.create
+      ~hooks:(Coverage.Runtime.telemetry_hooks ~base:(Coverage.Collector.hooks collector) ())
       ()
   in
   let exit_value =
@@ -45,4 +45,4 @@ let run ?origin ?(entry = "main") ~measured (tus : Cfront.Ast.tu list) =
   let census =
     List.fold_left (fun acc tu -> Census.add acc (Census.of_tu tu)) Census.zero tus
   in
-  { exit_value; output = Coverage.Interp.output env; files; census }
+  { exit_value; output = Coverage.Runtime.output env; files; census }

@@ -25,3 +25,11 @@ let parsed_of_files (files : Cfront.Project.parsed_file list) =
 
 (* The rule context of hand-parsed files, from the one producer. *)
 let context_of_files files = Misra.Rule.build_context (parsed_of_files files)
+
+(* Run [tus] from [entry] on the shipped coverage engine: compile them
+   into one program (so each unit needs its own path), load it into a
+   fresh environment and call the entry.  Returns the result and the
+   environment, for the printed output and the step count. *)
+let run_coverage ?hooks ?max_steps ?(entry = "main") tus =
+  let env = Coverage.Runtime.create ?hooks ?max_steps () in
+  (Coverage.Exec.run env (Coverage.Compile.compile tus) ~entry ~args:[], env)

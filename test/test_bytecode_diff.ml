@@ -1,24 +1,27 @@
 (* Differential oracle harness for the bytecode coverage engine.
 
-   The tree-walking interpreter is the oracle: every behaviour the
-   bytecode engine exhibits — entry results, printed output, the full
-   collector state (statement hits, branch outcomes, MC/DC condition
-   vectors, switch clauses), provenance finding ids — must be
-   byte-identical to the tree-walker on the same shared parse.  The one
-   permitted difference is [env.steps]: the bytecode engine must execute
-   the corpus scenario set in strictly *fewer* ticks (each dispatched
-   instruction ticks once, versus once per visited AST node).
+   The tree-walking evaluator of test/oracle is the oracle: every
+   behaviour the bytecode engine exhibits — entry results, printed
+   output, the full collector state (statement hits, branch outcomes,
+   MC/DC condition vectors, switch clauses), provenance finding ids —
+   must be byte-identical to the tree-walker on the same shared parse.
+   The one permitted difference is [env.steps]: the bytecode engine must
+   execute the corpus scenario set in strictly *fewer* ticks (each
+   dispatched instruction ticks once, versus once per visited AST
+   node).
 
    Four layers of evidence:
 
    - directed micro-programs covering every language corner (logical
      operators in value position, switch fallthrough, goto, try/throw,
-     struct copies, kernels, error paths) run on both engines;
-   - QCheck: random structured programs (assignments, compound ops,
-     nested ifs with multi-leaf decisions, bounded loops with
-     break/continue, division, printf) agree on result, output and
-     collector fingerprint; every compiled function passes
-     [Bytecode.validate] (jump-target bounds + consistent stack depth);
+     struct copies, kernels, error paths, global initializers) run on
+     both engines;
+   - QCheck: random structured programs (globals with initializer
+     expressions, assignments, compound ops, nested ifs with multi-leaf
+     decisions, bounded loops with break/continue, division, printf)
+     agree on result, output and collector fingerprint; every compiled
+     function and the init sequence pass [Bytecode.validate]
+     (jump-target bounds + consistent stack depth);
    - the embedded sources the audit runs (YOLO, the stencils, the mini
      pipeline) through the micro differential, and [Cudasim.Runner.run]
      against a tree-walking oracle on per-function coverage, output,
@@ -46,25 +49,21 @@ type micro = {
   m_steps : int;
 }
 
+type engine = Tree | Bytecode
+
 (* Both engines observe the SAME parse (statement/decision ids are
    assigned at parse time), each through a fresh env + collector. *)
 let run_micro ~engine tus ~entries =
   let col = Coverage.Collector.create () in
-  let env = Coverage.Interp.create ~hooks:(Coverage.Collector.hooks col) () in
-  let results =
+  let hooks = Coverage.Collector.hooks col in
+  let results, env =
     match engine with
-    | Coverage.Scenario.Tree -> (
-      match entries with
-      | [] -> []
-      | first :: rest ->
-        (* bind the head first: [::] evaluates right-to-left and the
-           remaining entries need the units the first run loads *)
-        let head = (first, Coverage.Interp.run env tus ~entry:first ~args:[]) in
-        head :: Coverage.Interp.run_entries env ~entries:rest)
-    | Coverage.Scenario.Bytecode ->
-      let prog = Coverage.Compile.compile tus in
-      Coverage.Exec.load env prog;
-      Coverage.Exec.run_entries env prog ~entries
+    | Tree ->
+      let o = Oracle.Tree.create ~hooks () in
+      (Oracle.Tree.run_entries o tus ~entries, Oracle.Tree.env o)
+    | Bytecode ->
+      let env = Coverage.Runtime.create ~hooks () in
+      (Coverage.Exec.run_entries env (Coverage.Compile.compile tus) ~entries, env)
   in
   {
     m_results =
@@ -77,21 +76,22 @@ let run_micro ~engine tus ~entries =
              | Ok v -> "ok " ^ Coverage.Value.to_string v
              | Error e -> "error " ^ e)
            results);
-    m_output = Coverage.Interp.output env;
+    m_output = Coverage.Runtime.output env;
     m_fingerprint = Coverage.Collector.fingerprint col;
-    m_steps = env.Coverage.Interp.steps;
+    m_steps = env.Coverage.Runtime.steps;
   }
 
 let check_micro_tus name tus entries =
-  let tree = run_micro ~engine:Coverage.Scenario.Tree tus ~entries in
-  let bc = run_micro ~engine:Coverage.Scenario.Bytecode tus ~entries in
+  let tree = run_micro ~engine:Tree tus ~entries in
+  let bc = run_micro ~engine:Bytecode tus ~entries in
   Alcotest.(check string) (name ^ ": results") tree.m_results bc.m_results;
   Alcotest.(check string) (name ^ ": output") tree.m_output bc.m_output;
   Alcotest.(check string)
     (name ^ ": collector fingerprint") tree.m_fingerprint bc.m_fingerprint;
   Alcotest.(check bool)
     (name ^ ": both engines did work") true
-    (tree.m_steps > 0 && bc.m_steps > 0)
+    (tree.m_steps > 0 && bc.m_steps > 0);
+  bc
 
 let check_micro name src entries =
   let tu = parse src in
@@ -205,29 +205,90 @@ let micro_error_programs =
   ]
 
 let test_micro_programs () =
-  List.iter (fun (name, src, entries) -> check_micro name src entries)
+  List.iter (fun (name, src, entries) -> ignore (check_micro name src entries))
     micro_programs
 
 let test_micro_error_programs () =
   List.iter
     (fun (name, src, entries) ->
-      check_micro name src entries;
+      ignore (check_micro name src entries);
       (* and the tree run really did error, so the equality is not vacuous *)
       let tu = parse src in
-      let t = run_micro ~engine:Coverage.Scenario.Tree [ tu ] ~entries in
+      let t = run_micro ~engine:Tree [ tu ] ~entries in
       Alcotest.(check bool)
         (name ^ " errors") true
         (Util.Strutil.contains_sub ~sub:"error " t.m_results))
     micro_error_programs
 
+(* Global initializers run once at load, before any entry, in load
+   order and through each global's qualified name: compiled to one init
+   sequence by the bytecode engine, evaluated in place by the oracle.
+   Each case also pins the result both engines must reach; [main] has no
+   decision of its own, so any decision the collector holds was fired by
+   an initializer. *)
+let init_programs =
+  [
+    ( "namespaced-globals",
+      "namespace a { int x = 1; }\nnamespace b { int x = 2; }\n\
+       int main() { return a::x * 10 + b::x; }",
+      "main = ok 12",
+      false );
+    ( "initializer-reads-earlier-global",
+      "int g_base = 5;\nint g_twice = g_base * 2 + 1;\n\
+       int main() { return g_twice; }",
+      "main = ok 11",
+      false );
+    ( "initializer-calls-function",
+      "int Seed() { return 7; }\nint g_seed = Seed() + 1;\n\
+       int main() { return g_seed; }",
+      "main = ok 8",
+      false );
+    ( "ternary-initializer",
+      "int g_a = 3;\nint g_pick = g_a > 2 ? 10 : 20;\n\
+       int main() { return g_pick; }",
+      "main = ok 10",
+      true );
+    ( "logical-and-initializer",
+      "int g_a = 3;\nint g_b = 0;\nint g_both = g_a > 2 && g_b == 0;\n\
+       int g_gate = (g_a > 2 && g_b == 1) ? 4 : 6;\n\
+       int main() { return g_both * 10 + g_gate; }",
+      "main = ok 16",
+      true );
+  ]
+
+let test_global_initializers () =
+  List.iter
+    (fun (name, src, expected, fires_decision) ->
+      let bc = check_micro name src [ "main" ] in
+      Alcotest.(check string) (name ^ ": value") expected bc.m_results;
+      Alcotest.(check bool)
+        (name ^ ": initializer decision hooks") fires_decision
+        (not (Util.Strutil.contains_sub ~sub:"decision:\n" bc.m_fingerprint)))
+    init_programs
+
+(* An initializer that fails at load fails every entry with the same
+   message, location included, on both engines. *)
+let test_global_initializer_error () =
+  let src =
+    "int g_zero = 0;\nint g_bad = 10 / g_zero;\n\
+     int main() { return g_bad; }\nint other() { return 1; }"
+  in
+  let bc = check_micro "initializer-error" src [ "main"; "other" ] in
+  Alcotest.(check string) "initializer-error: every entry fails"
+    "main = error bc.cu:2:16: integer division by zero; \
+     other = error bc.cu:2:16: integer division by zero"
+    bc.m_results
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: random structured programs                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A little statement language over four int locals x0..x3.  Loops are
-   bounded by literal trip counts and loop variables are unique per
-   nesting depth, so every generated program terminates and never
-   shadows a name. *)
+(* A little statement language over four ints x0..x3: a prefix of them
+   are globals whose initializers are generated expressions over the
+   globals (a later global reads its default 0), the rest are locals of
+   [main] initialized to literals.  Loops are bounded by literal trip
+   counts and loop variables are unique per nesting depth, so every
+   generated program terminates and never shadows a name. *)
 type gexpr =
   | Glit of int
   | Gvar of int  (* x0..x3 *)
@@ -249,6 +310,10 @@ type gstmt =
   | Gfor of int * gstmt list * gcond option
       (* for (int lD = 0; lD < trip; ++lD) { body; if (c) break; } *)
   | Gprint of int  (* printf("%d\n", xN); *)
+
+type gdecl =
+  | Gglobal of gexpr  (* int xN = e; at file scope *)
+  | Glocal of int  (* int xN = lit; in main *)
 
 let rec c_of_gexpr = function
   | Glit n -> string_of_int n
@@ -299,54 +364,74 @@ let rec c_of_gstmt ~depth ~indent s =
       trip v inner escape pad
   | Gprint i -> Printf.sprintf "%sprintf(\"%%d\\n\", x%d);" pad i
 
-let c_of_gprog (inits, stmts) =
-  let decls =
+let c_of_gprog (decls, stmts) =
+  let globals =
+    String.concat ""
+      (List.mapi
+         (fun i d ->
+           match d with
+           | Gglobal e -> Printf.sprintf "int x%d = %s;\n" i (c_of_gexpr e)
+           | Glocal _ -> "")
+         decls)
+  in
+  let locals =
     String.concat " "
-      (List.mapi (fun i v -> Printf.sprintf "int x%d = %d;" i v) inits)
+      (List.concat
+         (List.mapi
+            (fun i d ->
+              match d with
+              | Glocal v -> [ Printf.sprintf "int x%d = %d;" i v ]
+              | Gglobal _ -> [])
+            decls))
   in
   let body = String.concat "\n" (List.map (c_of_gstmt ~depth:0 ~indent:2) stmts) in
   Printf.sprintf
-    "int main() {\n  %s\n%s\n  printf(\"%%d %%d %%d %%d\\n\", x0, x1, x2, x3);\n\
+    "%sint main() {\n  %s\n%s\n  printf(\"%%d %%d %%d %%d\\n\", x0, x1, x2, x3);\n\
     \  return x0 + x1 * 3 + x2 * 5 + x3 * 7;\n}\n"
-    decls body
+    globals locals body
 
 let gprog_gen =
   let open QCheck.Gen in
-  let var = int_range 0 3 in
-  let rec expr n =
-    if n <= 0 then
-      oneof [ map (fun i -> Glit i) (int_range (-20) 20); map (fun i -> Gvar i) var ]
-    else
-      frequency
-        [
-          (2, map (fun i -> Glit i) (int_range (-20) 20));
-          (3, map (fun i -> Gvar i) var);
-          ( 4,
-            map3
-              (fun op a b -> Gbin (op, a, b))
-              (oneofl [ "+"; "-"; "*"; "/"; "%" ])
-              (expr (n / 2)) (expr (n / 2)) );
-          (1, map (fun a -> Gneg a) (expr (n - 1)));
-          ( 2,
-            map3 (fun c a b -> Gite (c, a, b)) (cond (n / 2)) (expr (n / 2))
-              (expr (n / 2)) );
-        ]
-  and cond n =
-    if n <= 0 then
-      map3 (fun op a b -> Gcmp (op, a, b))
-        (oneofl [ "<"; "<="; "=="; "!=" ]) (expr 0) (expr 0)
-    else
-      frequency
-        [
-          ( 3,
-            map3 (fun op a b -> Gcmp (op, a, b))
-              (oneofl [ "<"; "<="; "=="; "!=" ])
-              (expr (n / 2)) (expr (n / 2)) );
-          (2, map2 (fun a b -> Gand (a, b)) (cond (n / 2)) (cond (n / 2)));
-          (2, map2 (fun a b -> Gor (a, b)) (cond (n / 2)) (cond (n / 2)));
-          (1, map (fun a -> Gnot a) (cond (n - 1)));
-        ]
+  (* expressions and conditions over the variables [var] draws from *)
+  let exprs_over var =
+    let rec expr n =
+      if n <= 0 then
+        oneof [ map (fun i -> Glit i) (int_range (-20) 20); map (fun i -> Gvar i) var ]
+      else
+        frequency
+          [
+            (2, map (fun i -> Glit i) (int_range (-20) 20));
+            (3, map (fun i -> Gvar i) var);
+            ( 4,
+              map3
+                (fun op a b -> Gbin (op, a, b))
+                (oneofl [ "+"; "-"; "*"; "/"; "%" ])
+                (expr (n / 2)) (expr (n / 2)) );
+            (1, map (fun a -> Gneg a) (expr (n - 1)));
+            ( 2,
+              map3 (fun c a b -> Gite (c, a, b)) (cond (n / 2)) (expr (n / 2))
+                (expr (n / 2)) );
+          ]
+    and cond n =
+      if n <= 0 then
+        map3 (fun op a b -> Gcmp (op, a, b))
+          (oneofl [ "<"; "<="; "=="; "!=" ]) (expr 0) (expr 0)
+      else
+        frequency
+          [
+            ( 3,
+              map3 (fun op a b -> Gcmp (op, a, b))
+                (oneofl [ "<"; "<="; "=="; "!=" ])
+                (expr (n / 2)) (expr (n / 2)) );
+            (2, map2 (fun a b -> Gand (a, b)) (cond (n / 2)) (cond (n / 2)));
+            (2, map2 (fun a b -> Gor (a, b)) (cond (n / 2)) (cond (n / 2)));
+            (1, map (fun a -> Gnot a) (cond (n - 1)));
+          ]
+    in
+    (expr, cond)
   in
+  let var = int_range 0 3 in
+  let expr, cond = exprs_over var in
   let rec stmt n =
     if n <= 0 then map2 (fun i e -> Gset (i, e)) var (expr 2)
     else
@@ -367,8 +452,15 @@ let gprog_gen =
               (oneof [ return None; map (fun c -> Some c) (cond 2) ]) );
         ]
   and stmts n = list_size (int_range 1 (max 1 (min 4 n))) (stmt (n / 2)) in
-  let inits = list_repeat 4 (int_range (-9) 9) in
-  sized (fun n -> pair inits (stmts (min (max n 2) 10)))
+  (* x0..x(k-1) are globals, initialized over the globals only *)
+  let decls =
+    frequency [ (2, return 0); (3, int_range 1 4) ] >>= fun k ->
+    flatten_l
+      (List.init 4 (fun i ->
+           if i < k then map (fun e -> Gglobal e) (fst (exprs_over (int_range 0 (k - 1))) 2)
+           else map (fun v -> Glocal v) (int_range (-9) 9)))
+  in
+  sized (fun n -> pair decls (stmts (min (max n 2) 10)))
 
 let gprog_arb = QCheck.make ~print:c_of_gprog gprog_gen
 
@@ -385,10 +477,8 @@ let prop_engines_agree =
       let tu = parse (c_of_gprog prog) in
       tu.Cfront.Ast.diags = []
       &&
-      let t = run_micro ~engine:Coverage.Scenario.Tree [ tu ] ~entries:[ "main" ] in
-      let b =
-        run_micro ~engine:Coverage.Scenario.Bytecode [ tu ] ~entries:[ "main" ]
-      in
+      let t = run_micro ~engine:Tree [ tu ] ~entries:[ "main" ] in
+      let b = run_micro ~engine:Bytecode [ tu ] ~entries:[ "main" ] in
       t.m_results = b.m_results && t.m_output = b.m_output
       && t.m_fingerprint = b.m_fingerprint)
 
@@ -406,7 +496,9 @@ let prop_compiled_well_formed =
       Array.for_all
         (fun (f : Coverage.Bytecode.cfn) ->
           Coverage.Bytecode.validate f = f.Coverage.Bytecode.cf_max_stack)
-        p.Coverage.Bytecode.p_fns)
+        p.Coverage.Bytecode.p_fns
+      && Coverage.Bytecode.validate_code p.Coverage.Bytecode.p_init.Coverage.Bytecode.i_code
+         = p.Coverage.Bytecode.p_init.Coverage.Bytecode.i_max_stack)
 
 (* ------------------------------------------------------------------ *)
 (* The audited coverage phases                                          *)
@@ -430,7 +522,7 @@ let audited_sources =
 
 let test_audited_sources_micro () =
   List.iter
-    (fun (name, tus, _, entry) -> check_micro_tus name (Lazy.force tus) [ entry ])
+    (fun (name, tus, _, entry) -> ignore (check_micro_tus name (Lazy.force tus) [ entry ]))
     audited_sources
 
 (* Everything a [Cudasim.Runner.result] reports, plus the provenance
@@ -474,15 +566,13 @@ let view_of ~exit_value ~output ~files ~census findings =
   }
 
 (* The tree-walking oracle for [Cudasim.Runner.run]: same origin, same
-   collector, same scoring, executed by [Interp.run]. *)
+   collector, same scoring, executed by [Oracle.Tree.run]. *)
 let tree_runner ~entry ~measured tus =
   let (exit_value, output, files), findings =
     Provenance.collect (fun () ->
         let collector = Coverage.Collector.create ~origin:("run:" ^ entry) () in
-        let env =
-          Coverage.Interp.create ~hooks:(Coverage.Collector.hooks collector) ()
-        in
-        let exit_value = Coverage.Interp.run env tus ~entry ~args:[] in
+        let o = Oracle.Tree.create ~hooks:(Coverage.Collector.hooks collector) () in
+        let exit_value = Oracle.Tree.run o tus ~entry ~args:[] in
         let files =
           List.filter_map
             (fun (tu : Cfront.Ast.tu) ->
@@ -493,7 +583,7 @@ let tree_runner ~entry ~measured tus =
               else None)
             tus
         in
-        (exit_value, Coverage.Interp.output env, files))
+        (exit_value, Coverage.Runtime.output (Oracle.Tree.env o), files))
   in
   let census =
     List.fold_left
@@ -560,7 +650,10 @@ let run_coverage ~engine ~jobs =
   let (outcomes, files), findings =
     Provenance.collect (fun () ->
         let outcomes =
-          Coverage.Scenario.run_all ~engine set.Corpus.Scenario_set.scenarios
+          (match engine with
+           | Tree -> Oracle.Tree.run_scenarios
+           | Bytecode -> Coverage.Scenario.run_all)
+            set.Corpus.Scenario_set.scenarios
         in
         let merged = Coverage.Scenario.merged_collector outcomes in
         let files =
@@ -614,7 +707,7 @@ let run_coverage ~engine ~jobs =
   }
 
 (* The tree oracle runs sequentially: jobs=1 is literally List.map. *)
-let tree_oracle = lazy (run_coverage ~engine:Coverage.Scenario.Tree ~jobs:1)
+let tree_oracle = lazy (run_coverage ~engine:Tree ~jobs:1)
 
 let check_engine_equal ~name bc =
   let oracle = Lazy.force tree_oracle in
@@ -632,7 +725,7 @@ let check_engine_equal ~name bc =
 
 let test_oracle_stable () =
   let a = Lazy.force tree_oracle in
-  let b = run_coverage ~engine:Coverage.Scenario.Tree ~jobs:1 in
+  let b = run_coverage ~engine:Tree ~jobs:1 in
   Alcotest.(check string) "sequential fingerprints agree" a.c_fingerprint
     b.c_fingerprint;
   Alcotest.(check (list string)) "sequential file lines agree" a.c_files
@@ -644,22 +737,22 @@ let test_oracle_stable () =
 (* At the ambient jobs value: under `make check-par` this runs the
    bytecode engine at ADCHECK_JOBS=1, 2 and 8 against the same oracle. *)
 let test_bytecode_ambient_jobs () =
-  let bc = run_coverage ~engine:Coverage.Scenario.Bytecode ~jobs:restore_jobs in
+  let bc = run_coverage ~engine:Bytecode ~jobs:restore_jobs in
   check_engine_equal
     ~name:(Printf.sprintf "bytecode at jobs=%d" restore_jobs)
     bc
 
 let test_bytecode_jobs2 () =
   check_engine_equal ~name:"bytecode at jobs=2"
-    (run_coverage ~engine:Coverage.Scenario.Bytecode ~jobs:2)
+    (run_coverage ~engine:Bytecode ~jobs:2)
 
 (* The acceptance claim: the bytecode engine executes the whole
    scenario set in strictly fewer recorded ticks than the tree walker
    at jobs=1 (steps are jobs-invariant; both engines tick through the
-   same [Interp.tick]). *)
+   same [Runtime.tick]). *)
 let test_bytecode_fewer_steps () =
   let tree = Lazy.force tree_oracle in
-  let bc = run_coverage ~engine:Coverage.Scenario.Bytecode ~jobs:1 in
+  let bc = run_coverage ~engine:Bytecode ~jobs:1 in
   Alcotest.(check bool)
     (Printf.sprintf "bytecode steps (%d) < tree steps (%d)" bc.c_steps
        tree.c_steps)
@@ -710,6 +803,9 @@ let () =
         [
           Alcotest.test_case "directed programs" `Quick test_micro_programs;
           Alcotest.test_case "error paths" `Quick test_micro_error_programs;
+          Alcotest.test_case "global initializers" `Quick test_global_initializers;
+          Alcotest.test_case "global initializer error" `Quick
+            test_global_initializer_error;
         ] );
       ( "qcheck",
         [

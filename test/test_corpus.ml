@@ -238,10 +238,10 @@ let test_split_scenarios_golden () =
   let measured = List.map fst Corpus.Yolo_src.measured_files in
   let run_entries entries =
     let col = Coverage.Collector.create () in
-    let env = Coverage.Interp.create ~hooks:(Coverage.Collector.hooks col) () in
     List.iter
       (fun e ->
-        match Coverage.Interp.run env tus ~entry:e ~args:[] with
+        let hooks = Coverage.Collector.hooks col in
+        match fst (Fixture.run_coverage ~hooks ~entry:e tus) with
         | Ok _ -> ()
         | Error err -> Alcotest.failf "entry %s failed: %s" e err)
       entries;

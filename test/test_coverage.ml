@@ -8,9 +8,10 @@ let run ?(entry = "main") src =
   let tu = parse src in
   Alcotest.(check (list string)) "parses clean" [] tu.Cfront.Ast.diags;
   let col = Coverage.Collector.create () in
-  let env = Coverage.Interp.create ~hooks:(Coverage.Collector.hooks col) () in
-  let result = Coverage.Interp.run env [ tu ] ~entry ~args:[] in
-  (result, Coverage.Interp.output env, col, tu)
+  let result, env =
+    Fixture.run_coverage ~hooks:(Coverage.Collector.hooks col) ~entry [ tu ]
+  in
+  (result, Coverage.Runtime.output env, col, tu)
 
 let run_ok ?entry src =
   match run ?entry src with
@@ -214,8 +215,7 @@ let test_interp_cuda_memcpy_roundtrip () =
 
 let test_interp_step_limit () =
   let tu = parse "int main() { while (1) { } return 0; }" in
-  let env = Coverage.Interp.create ~max_steps:10_000 () in
-  match Coverage.Interp.run env [ tu ] ~entry:"main" ~args:[] with
+  match fst (Fixture.run_coverage ~max_steps:10_000 [ tu ]) with
   | Error e -> Alcotest.(check bool) "step limit" true (Util.Strutil.contains_sub ~sub:"step" e)
   | Ok _ -> Alcotest.fail "expected step limit"
 
@@ -236,10 +236,12 @@ let test_interp_null_deref () =
   | Ok _, _, _, _ -> Alcotest.fail "expected error"
 
 let test_interp_multi_tu_program () =
-  let tu1 = parse "int Helper(int a) { return a * 2; }" in
+  (* one compiled program takes each unit under its own path *)
+  let tu1 =
+    Cfront.Parser.parse_file ~file:"helper.cu" "int Helper(int a) { return a * 2; }"
+  in
   let tu2 = parse "int main() { return Helper(21); }" in
-  let env = Coverage.Interp.create () in
-  match Coverage.Interp.run env [ tu1; tu2 ] ~entry:"main" ~args:[] with
+  match fst (Fixture.run_coverage [ tu1; tu2 ]) with
   | Ok v -> Alcotest.(check int64) "cross-unit call" 42L (Coverage.Value.as_int v)
   | Error e -> Alcotest.failf "error: %s" e
 
@@ -466,8 +468,7 @@ let prop_interpreter_matches_reference =
       let tu = parse src in
       tu.Cfront.Ast.diags = []
       &&
-      let env = Coverage.Interp.create () in
-      match Coverage.Interp.run env [ tu ] ~entry:"F" ~args:[] with
+      match fst (Fixture.run_coverage ~entry:"F" [ tu ]) with
       | Ok v -> Int64.equal (Coverage.Value.as_int v) (eval_rexpr e)
       | Error _ -> false)
 
@@ -479,8 +480,7 @@ let prop_mcdc_never_exceeds_branch_opportunities =
       ignore seed;
       let tus = Corpus.Yolo_src.parse_all () in
       let col = Coverage.Collector.create () in
-      let env = Coverage.Interp.create ~hooks:(Coverage.Collector.hooks col) () in
-      match Coverage.Interp.run env tus ~entry:"main" ~args:[] with
+      match fst (Fixture.run_coverage ~hooks:(Coverage.Collector.hooks col) tus) with
       | Error _ -> false
       | Ok _ ->
         List.for_all
@@ -504,8 +504,7 @@ let test_mcdc_suggest_vector () =
   in
   let tu = parse src in
   let col = Coverage.Collector.create () in
-  let env = Coverage.Interp.create ~hooks:(Coverage.Collector.hooks col) () in
-  (match Coverage.Interp.run env [ tu ] ~entry:"main" ~args:[] with
+  (match fst (Fixture.run_coverage ~hooks:(Coverage.Collector.hooks col) [ tu ]) with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "run: %s" e);
   let fp =
@@ -539,8 +538,7 @@ let annotate_fixture () =
   in
   let tu = parse src in
   let col = Coverage.Collector.create () in
-  let env = Coverage.Interp.create ~hooks:(Coverage.Collector.hooks col) () in
-  (match Coverage.Interp.run env [ tu ] ~entry:"main" ~args:[] with
+  (match fst (Fixture.run_coverage ~hooks:(Coverage.Collector.hooks col) [ tu ]) with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "run: %s" e);
   (col, tu)

@@ -253,8 +253,7 @@ let test_mcdc_strict_at_most_masking () =
   in
   let tu = parse src in
   let col = Coverage.Collector.create () in
-  let env = Coverage.Interp.create ~hooks:(Coverage.Collector.hooks col) () in
-  (match Coverage.Interp.run env [ tu ] ~entry:"main" ~args:[] with
+  (match fst (Fixture.run_coverage ~hooks:(Coverage.Collector.hooks col) [ tu ]) with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "run: %s" e);
   let fps =

@@ -426,14 +426,14 @@ let test_explain_excerpt () =
 let test_attribution_first_wins () =
   let col = Coverage.Collector.create ~origin:"sc-a" () in
   let hooks = Coverage.Collector.hooks col in
-  hooks.Coverage.Interp.on_stmt 7;
-  hooks.Coverage.Interp.on_stmt 7;
+  hooks.Coverage.Runtime.on_stmt 7;
+  hooks.Coverage.Runtime.on_stmt 7;
   Alcotest.(check (option string)) "stmt attributed to the origin"
     (Some "sc-a")
     (Coverage.Collector.first_covering_stmt col 7);
   Alcotest.(check (option string)) "unseen stmt unattributed" None
     (Coverage.Collector.first_covering_stmt col 8);
-  hooks.Coverage.Interp.on_decision 3 [] true;
+  hooks.Coverage.Runtime.on_decision 3 [] true;
   Alcotest.(check (option string)) "decision outcome attributed"
     (Some "sc-a")
     (Coverage.Collector.first_covering_decision col 3 true);
@@ -442,7 +442,7 @@ let test_attribution_first_wins () =
   (* unnamed collectors never attribute — the pre-existing behavior *)
   let anon = Coverage.Collector.create () in
   let ah = Coverage.Collector.hooks anon in
-  ah.Coverage.Interp.on_stmt 7;
+  ah.Coverage.Runtime.on_stmt 7;
   Alcotest.(check (option string)) "anonymous collector stays empty" None
     (Coverage.Collector.first_covering_stmt anon 7)
 
@@ -450,7 +450,7 @@ let test_attribution_merge_least () =
   let make_col origin sids =
     let col = Coverage.Collector.create ~origin () in
     let hooks = Coverage.Collector.hooks col in
-    List.iter hooks.Coverage.Interp.on_stmt sids;
+    List.iter hooks.Coverage.Runtime.on_stmt sids;
     col
   in
   let a = make_col "beta" [ 1; 2 ] in

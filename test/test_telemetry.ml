@@ -333,12 +333,10 @@ let test_interp_hot_function_profile () =
      helper(10); } return total; }\n"
   in
   let tu = Cfront.Parser.parse_file ~file:"profile.cc" src in
-  let env =
-    Coverage.Interp.create ~hooks:(Coverage.Interp.telemetry_hooks ()) ()
-  in
-  (match Coverage.Interp.run env [ tu ] ~entry:"main" ~args:[] with
+  let hooks = Coverage.Runtime.telemetry_hooks () in
+  (match fst (Fixture.run_coverage ~hooks [ tu ]) with
    | Ok _ -> ()
-   | Error e -> Alcotest.failf "interp run failed: %s" e);
+   | Error e -> Alcotest.failf "coverage run failed: %s" e);
   Alcotest.(check bool) "statements counted" true (Telemetry.counter "interp.stmts" > 0);
   Alcotest.(check bool) "calls counted" true (Telemetry.counter "interp.calls" >= 6);
   let helper = Telemetry.counter "interp.fn.helper" in
