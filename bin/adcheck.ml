@@ -825,8 +825,12 @@ let bench_diff_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD" ~doc)
   in
   let new_arg =
-    let doc = "Candidate record to gate (same schema as $(b,OLD))." in
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW" ~doc)
+    let doc =
+      "Candidate records to gate (same schema as $(b,OLD)): repeated runs of \
+       one export.  Counters must match in every one; each latency is compared \
+       by its median across them."
+    in
+    Arg.(non_empty & pos_right 0 file [] & info [] ~docv:"NEW" ~doc)
   in
   let pct_arg =
     let doc =
@@ -836,20 +840,26 @@ let bench_diff_cmd =
     in
     Arg.(value & opt float 10.0 & info [ "fail-on-regress" ] ~docv:"PCT" ~doc)
   in
-  let run old_path new_path pct =
-    match (Benchdiff.load old_path, Benchdiff.load new_path) with
-    | Error e, _ | _, Error e ->
-      Util.Log.error "%s" e;
-      exit 2
-    | Ok old_r, Ok new_r ->
-      let findings = Benchdiff.diff ~fail_on_regress_pct:pct old_r new_r in
-      print_string (Benchdiff.render findings);
-      if not (Benchdiff.ok findings) then exit 1
+  let run old_path new_paths pct =
+    let load path =
+      match Benchdiff.load path with
+      | Ok r -> r
+      | Error e ->
+        Util.Log.error "%s" e;
+        exit 2
+    in
+    let old_r = load old_path in
+    let findings =
+      Benchdiff.diff_runs ~fail_on_regress_pct:pct old_r (List.map load new_paths)
+    in
+    print_string (Benchdiff.render findings);
+    if not (Benchdiff.ok findings) then exit 1
   in
   let doc =
-    "Compare two performance records and fail on regression: counters and \
-     histogram bucket contents exactly, latencies with a threshold.  Exit \
-     status 0 when clean, 1 on findings, 2 on unreadable records."
+    "Compare a baseline with one or more runs of a performance record and \
+     fail on regression: counters and histogram bucket contents exactly in \
+     every run, latencies by their median across the runs, with a threshold.  \
+     Exit status 0 when clean, 1 on findings, 2 on unreadable records."
   in
   Cmd.v (Cmd.info "bench-diff" ~doc)
     Term.(const run $ old_arg $ new_arg $ pct_arg)

@@ -336,6 +336,40 @@ let diff ~fail_on_regress_pct old_r new_r =
     List.rev !exact @ regressions
   end
 
+(* Each latency key's median across the runs that have it, under the
+   floor of the first of them. *)
+let median_latencies runs =
+  let keys =
+    List.sort_uniq compare
+      (List.concat_map (fun r -> List.map (fun (k, _, _) -> k) r.r_latencies) runs)
+  in
+  List.map
+    (fun k ->
+      let found =
+        List.filter_map (fun r -> List.find_opt (fun (k', _, _) -> k' = k) r.r_latencies) runs
+      in
+      let _, _, floor = List.hd found in
+      (k, Util.Stats.median (List.map (fun (_, v, _) -> v) found), floor))
+    keys
+
+let is_latency = function Latency_regression _ -> true | _ -> false
+
+let diff_runs ~fail_on_regress_pct old_r runs =
+  match runs with
+  | [] -> invalid_arg "Benchdiff.diff_runs: no new record"
+  | first :: _ ->
+    let exact =
+      List.fold_left
+        (fun acc r ->
+          List.fold_left
+            (fun acc f -> if is_latency f || List.mem f acc then acc else f :: acc)
+            acc (diff ~fail_on_regress_pct old_r r))
+        [] runs
+      |> List.rev
+    in
+    let median = { first with r_latencies = median_latencies runs } in
+    exact @ List.filter is_latency (diff ~fail_on_regress_pct old_r median)
+
 let ok findings = findings = []
 
 let render_finding = function

@@ -20,7 +20,9 @@
       silently.
 
     A self-compare of any record yields no findings — [make check]
-    runs exactly that as a schema sanity gate. *)
+    runs exactly that as a schema sanity gate.  Given several new
+    records ({!diff_runs}), the gate takes each latency's median across
+    them, so one slow run does not fail it. *)
 
 (** Minimal JSON reader (no external dependency); shared by the tests
     to parse the exporters' output back. *)
@@ -69,6 +71,14 @@ type finding =
     findings (experiments legitimately come and go between runs);
     counter keys are. *)
 val diff : fail_on_regress_pct:float -> record -> record -> finding list
+
+(** [diff_runs ~fail_on_regress_pct old_r runs] gates several runs of
+    the same record: counters must match exactly in every run (each
+    distinct finding reported once), and each latency is compared by its
+    median across the runs that have it.  [diff_runs ~fail_on_regress_pct
+    old_r [ r ]] is [diff ~fail_on_regress_pct old_r r].
+    @raise Invalid_argument on an empty [runs]. *)
+val diff_runs : fail_on_regress_pct:float -> record -> record list -> finding list
 
 (** No findings. *)
 val ok : finding list -> bool

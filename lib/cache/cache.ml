@@ -38,7 +38,7 @@ let magic = "adcheck-cache/1"
 
 (* Bump on any change to the marshaled layout of a cached artifact
    (AST, dataflow facts, violations, bytecode, coverage outcomes). *)
-let version_salt = "adcheck-cache/1 schema=4"
+let version_salt = "adcheck-cache/1 schema=5"
 
 type t = {
   cache_dir : string;
@@ -198,8 +198,7 @@ let read_artifact path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let len = in_channel_length ic in
-      if Bytes.length !buf < len then
-        buf := Bytes.create (Stdlib.max len (2 * Bytes.length !buf));
+      if Bytes.length !buf < len then buf := Bytes.create len;
       really_input ic !buf 0 len;
       (!buf, len))
 

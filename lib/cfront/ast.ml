@@ -162,7 +162,7 @@ type top =
 type tu = {
   tu_file : string;
   tops : top list;
-  tokens : Token.t list;
+  tokens : Token.table;
   raw_source : string;
   comment_lines : int;
   directives : (int * Preproc.directive) list;

@@ -8,12 +8,14 @@
     that token-level checkers can still see it.
 
     The lexer is linear in the input: each character is looked at a
-    bounded number of times, keywords are a hash-table lookup, and
-    punctuators are matched on characters without building candidate
-    strings. *)
+    bounded number of times, punctuators are matched on characters
+    without building candidate strings, and identifier, keyword and
+    punctuator spellings are interned ({!Token.intern_word}), so a
+    spelling seen before allocates nothing.  Tokens go straight into a
+    {!Token.table}. *)
 
 type result = {
-  tokens : Token.t list;
+  tokens : Token.table;  (** ends in one [Eof] *)
   comment_lines : int;  (** number of source lines containing a comment *)
   diagnostics : string list;
 }
@@ -22,6 +24,7 @@ type state = {
   src : string;
   len : int;
   file : string;
+  names : Token.names;
   mutable pos : int;
   mutable line : int;
   mutable line_start : int;  (** offset of the first character of [line] *)
@@ -30,8 +33,8 @@ type state = {
   mutable diags : string list;
 }
 
-let make_state ~file src =
-  { src; len = String.length src; file; pos = 0; line = 1; line_start = 0;
+let make_state names ~file src =
+  { src; len = String.length src; file; names; pos = 0; line = 1; line_start = 0;
     comment_lines = 0; last_comment_line = 0; diags = [] }
 
 let eof st = st.pos >= st.len
@@ -50,6 +53,7 @@ let advance st =
   end
 
 let here st = Loc.make ~file:st.file ~line:st.line ~col:(st.pos - st.line_start + 1)
+let here_pos st = Token.pack ~line:st.line ~col:(st.pos - st.line_start + 1)
 
 let diag st msg = st.diags <- msg :: st.diags
 
@@ -96,17 +100,18 @@ let skip_while st p = while st.pos < st.len && p (String.unsafe_get st.src st.po
 let lex_ident st =
   let start = st.pos in
   skip_while st Util.Strutil.is_ident_char;
-  String.sub st.src start (st.pos - start)
+  Token.intern_word st.names st.src start (st.pos - start)
 
 (* The value of an integer body (suffixes stripped).  C reads a leading
    [0x] as hex and a leading [0] as octal; an octal body with an 8 or 9
    in it is reported and read as decimal. *)
-let int_value st ~loc body =
+let int_value st ~pos body =
   let n = String.length body in
   if n > 1 && body.[0] = '0' && Util.Strutil.is_digit body.[1] then
     if Util.Strutil.for_all (fun c -> c >= '0' && c <= '7') body then
       Option.value ~default:0L (Int64.of_string_opt ("0o" ^ body))
     else begin
+      let loc = Loc.make ~file:st.file ~line:(Token.line_of_pos pos) ~col:(Token.col_of_pos pos) in
       diag st (Printf.sprintf "%s: invalid digit in octal constant %s" (Loc.to_string loc) body);
       Option.value ~default:0L (Int64.of_string_opt body)
     end
@@ -115,7 +120,7 @@ let int_value st ~loc body =
     | Some v -> v
     | None -> (try Int64.of_float (float_of_string body) with _ -> 0L)
 
-let lex_number st ~loc =
+let lex_number st ~pos =
   let start = st.pos in
   let is_float = ref false in
   let hex = peek st = '0' && (peek_at st 1 = 'x' || peek_at st 1 = 'X') in
@@ -164,7 +169,7 @@ let lex_number st ~loc =
   in
   let body = strip_suffix raw in
   if !is_float then Token.Float_lit ((try float_of_string body with _ -> 0.0), raw)
-  else Token.Int_lit (int_value st ~loc body, raw)
+  else Token.Int_lit (int_value st ~pos body, raw)
 
 let lex_escaped st =
   (* After the backslash: translate the escape, defaulting to the raw char. *)
@@ -216,10 +221,16 @@ let punct_length st =
   | ('+', ('+' | '='), _) | ('-', ('-' | '=' | '>'), _) | (':', ':', _) -> 2
   | _ -> 1
 
-let tokenize ~file src =
-  let st = make_state ~file src in
-  let toks = ref [] in
-  let emit kind loc = toks := { Token.kind; loc } :: !toks in
+(* Each domain lexes into one builder that it keeps: a unit's tokens are
+   allocated once, in its trimmed table, and no per-file builder arrays
+   are left for the major heap to collect. *)
+let scratch = Domain.DLS.new_key (fun () -> Token.builder ~capacity:4096)
+
+(** Lex [src] into a table whose identifier, keyword and punctuator
+    kinds are interned in [names]. *)
+let tokenize_with names ~file src =
+  let st = make_state names ~file src in
+  let out = Domain.DLS.get scratch in
   while not (eof st) do
     let c = peek st in
     if c = ' ' || c = '\t' || c = '\r' || c = '\n' then advance st
@@ -230,22 +241,27 @@ let tokenize ~file src =
       skip_to_newline st
     end
     else begin
-      let loc = here st in
-      if Util.Strutil.is_ident_start c then begin
-        let s = lex_ident st in
-        emit (if Token.is_keyword s then Token.Keyword s else Token.Ident s) loc
-      end
-      else if Util.Strutil.is_digit c || (c = '.' && Util.Strutil.is_digit (peek_at st 1)) then
-        emit (lex_number st ~loc) loc
-      else if c = '"' then emit (lex_string st) loc
-      else if c = '\'' then emit (lex_char st) loc
-      else begin
-        (* a punctuator never spans a newline: '\n' is whitespace above *)
-        let n = punct_length st in
-        emit (Token.Punct (String.sub src st.pos n)) loc;
-        st.pos <- st.pos + n
-      end
+      let pos = here_pos st in
+      let kind =
+        if Util.Strutil.is_ident_start c then lex_ident st
+        else if Util.Strutil.is_digit c || (c = '.' && Util.Strutil.is_digit (peek_at st 1)) then
+          lex_number st ~pos
+        else if c = '"' then lex_string st
+        else if c = '\'' then lex_char st
+        else begin
+          (* a punctuator never spans a newline: '\n' is whitespace above *)
+          let n = punct_length st in
+          let k = Token.intern_punct st.names src st.pos n in
+          st.pos <- st.pos + n;
+          k
+        end
+      in
+      Token.push out kind pos
     end
   done;
-  emit Token.Eof (here st);
-  { tokens = List.rev !toks; comment_lines = st.comment_lines; diagnostics = List.rev st.diags }
+  Token.push out Token.Eof (here_pos st);
+  { tokens = Token.contents out ~file; comment_lines = st.comment_lines;
+    diagnostics = List.rev st.diags }
+
+(** [tokenize_with] over names of its own. *)
+let tokenize ~file src = tokenize_with (Token.names ()) ~file src

@@ -14,7 +14,11 @@
 exception Parse_error of string * Loc.t
 
 type state = {
-  toks : Token.t array;
+  toks : Token.table;
+  last : int;  (** index of the final [Eof]; [pos] never passes it *)
+  locs : Loc.t array;
+      (** [locs.(i)] is token [i]'s location once a node has asked for
+          it, [Loc.dummy] before *)
   tag : int;  (** [id_tag] of the unit's path *)
   mutable pos : int;
   mutable n_eids : int;
@@ -39,26 +43,41 @@ let builtin_type_names =
     "cudaStream_t"; "string"; "std::string";
   ]
 
-let make_state ~file toks =
+let make_state ~file (toks : Token.table) =
   let type_names = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace type_names n ()) builtin_type_names;
-  { toks = Array.of_list toks; tag = id_tag file; pos = 0; n_eids = 0;
-    n_sids = 0; type_names; diags = []; pending_tops = [] }
+  let n = Token.length toks in
+  { toks; last = n - 1; locs = Array.make n Loc.dummy; tag = id_tag file;
+    pos = 0; n_eids = 0; n_sids = 0; type_names; diags = []; pending_tops = [] }
 
-let cur st = st.toks.(Stdlib.min st.pos (Array.length st.toks - 1))
-let cur_kind st = (cur st).Token.kind
-let cur_loc st = (cur st).Token.loc
-let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
+let cur_kind st = Token.kind st.toks st.pos
+let advance st = if st.pos < st.last then st.pos <- st.pos + 1
 
-let peek_kind_at st n =
-  let i = Stdlib.min (st.pos + n) (Array.length st.toks - 1) in
-  st.toks.(i).Token.kind
+let peek_kind_at st n = Token.kind st.toks (Stdlib.min (st.pos + n) st.last)
+
+(* Nodes that start at the same token share one location, built when
+   the first of them asks.  The tokens spliced in for one macro use all
+   sit at the use's position and share the location of the first. *)
+let rec first_at_position positions i =
+  if i > 0 && positions.(i - 1) = positions.(i) then first_at_position positions (i - 1) else i
+
+let loc_at st i =
+  let i = first_at_position st.toks.Token.positions i in
+  let l = st.locs.(i) in
+  if l != Loc.dummy then l
+  else begin
+    let l = Token.loc st.toks i in
+    st.locs.(i) <- l;
+    l
+  end
+
+let cur_loc st = loc_at st st.pos
 
 let err st msg = raise (Parse_error (msg, cur_loc st))
 
 (* Location of the last consumed token: the closing brace of a body just
    parsed, used for function end lines. *)
-let prev_loc st = st.toks.(Stdlib.max 0 (st.pos - 1)).Token.loc
+let prev_loc st = loc_at st (Stdlib.max 0 (st.pos - 1))
 
 let is_punct st p = match cur_kind st with Token.Punct q -> q = p | _ -> false
 let is_keyword st k = match cur_kind st with Token.Keyword q -> q = k | _ -> false
@@ -68,16 +87,16 @@ let accept_keyword st k = if is_keyword st k then (advance st; true) else false
 
 let expect_punct st p =
   if not (accept_punct st p) then
-    err st (Printf.sprintf "expected '%s', found %s" p (Token.to_string (cur st)))
+    err st (Printf.sprintf "expected '%s', found %s" p (Token.kind_to_string (cur_kind st)))
 
 let expect_keyword st k =
   if not (accept_keyword st k) then
-    err st (Printf.sprintf "expected '%s', found %s" k (Token.to_string (cur st)))
+    err st (Printf.sprintf "expected '%s', found %s" k (Token.kind_to_string (cur_kind st)))
 
 let expect_ident st =
   match cur_kind st with
   | Token.Ident s -> advance st; s
-  | _ -> err st (Printf.sprintf "expected identifier, found %s" (Token.to_string (cur st)))
+  | _ -> err st (Printf.sprintf "expected identifier, found %s" (Token.kind_to_string (cur_kind st)))
 
 let fresh_eid st =
   let id = st.tag lor st.n_eids in
@@ -222,7 +241,7 @@ and parse_base_type st =
       go ();
       Ast.Tint { unsigned = !unsigned; width = !width }
     | Token.Ident _ -> parse_named_type st
-    | _ -> err st (Printf.sprintf "expected type, found %s" (Token.to_string (cur st)))
+    | _ -> err st (Printf.sprintf "expected type, found %s" (Token.kind_to_string (cur_kind st)))
   in
   (* trailing const: [int const] *)
   let quals2 = fresh_quals () in
@@ -508,7 +527,7 @@ and parse_primary st =
     let e = parse_expr st in
     expect_punct st ")";
     e
-  | _ -> err st (Printf.sprintf "expected expression, found %s" (Token.to_string (cur st)))
+  | _ -> err st (Printf.sprintf "expected expression, found %s" (Token.kind_to_string (cur_kind st)))
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -580,7 +599,7 @@ and parse_stmt st =
     advance st;
     let stmts = ref [] in
     while not (is_punct st "}") do
-      if (cur st).Token.kind = Token.Eof then err st "unterminated block";
+      if cur_kind st = Token.Eof then err st "unterminated block";
       stmts := parse_stmt st :: !stmts
     done;
     expect_punct st "}";
@@ -760,7 +779,7 @@ let parse_params st =
 let skip_ctor_initializers st =
   if accept_punct st ":" then begin
     let rec go () =
-      if is_punct st "{" || (cur st).Token.kind = Token.Eof then ()
+      if is_punct st "{" || cur_kind st = Token.Eof then ()
       else begin
         advance st;
         go ()
@@ -801,7 +820,7 @@ let rec parse_record st scope kind =
     let methods = ref [] in
     let access = ref (match kind with Ast.Rstruct -> Ast.Pub | Ast.Rclass -> Ast.Priv) in
     while not (is_punct st "}") do
-      if (cur st).Token.kind = Token.Eof then err st "unterminated record";
+      if cur_kind st = Token.Eof then err st "unterminated record";
       match cur_kind st with
       | Token.Keyword "public" -> advance st; expect_punct st ":"; access := Ast.Pub
       | Token.Keyword "private" -> advance st; expect_punct st ":"; access := Ast.Priv
@@ -934,7 +953,7 @@ and parse_top st scope =
     expect_punct st "{";
     let tops = ref [] in
     while not (is_punct st "}") do
-      if (cur st).Token.kind = Token.Eof then err st "unterminated namespace";
+      if cur_kind st = Token.Eof then err st "unterminated namespace";
       tops := parse_top_tolerant st (scope @ [ name ]) :: !tops
     done;
     expect_punct st "}";
@@ -1096,7 +1115,7 @@ and parse_top_tolerant st scope =
 type lexed = {
   lx_file : string;
   lx_source : string;
-  lx_tokens : Token.t list;
+  lx_tokens : Token.table;
   lx_directives : (int * Preproc.directive) list;
   lx_comment_lines : int;
   lx_diags : string list;
@@ -1104,7 +1123,8 @@ type lexed = {
 
 let lex_file ~file source =
   let pre = Preproc.run ~file source in
-  let lexed = Lexer.tokenize ~file pre.Preproc.text in
+  let names = Token.names () in
+  let lexed = Lexer.tokenize_with names ~file pre.Preproc.text in
   let defines =
     List.filter_map
       (fun (_, d) ->
@@ -1117,7 +1137,7 @@ let lex_file ~file source =
   {
     lx_file = file;
     lx_source = source;
-    lx_tokens = Preproc.expand_macros ~defines lexed.Lexer.tokens;
+    lx_tokens = Preproc.expand_macros ~names ~defines lexed.Lexer.tokens;
     lx_directives = pre.Preproc.directives;
     lx_comment_lines = lexed.Lexer.comment_lines;
     lx_diags = lexed.Lexer.diagnostics @ pre.Preproc.diagnostics;
@@ -1127,7 +1147,7 @@ let parse_lexed ?(extra_types = []) lx =
   let st = make_state ~file:lx.lx_file lx.lx_tokens in
   List.iter (register_type st) extra_types;
   let tops = ref [] in
-  while (cur st).Token.kind <> Token.Eof do
+  while cur_kind st <> Token.Eof do
     st.pending_tops <- [];
     let top = parse_top_tolerant st [] in
     tops := List.rev_append st.pending_tops (top :: !tops)

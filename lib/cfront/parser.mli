@@ -38,7 +38,7 @@ val parse_file : ?extra_types:string list -> file:string -> string -> Ast.tu
 type lexed = {
   lx_file : string;  (** the [~file] it was lexed under *)
   lx_source : string;  (** the raw text, becomes [tu.raw_source] *)
-  lx_tokens : Token.t list;
+  lx_tokens : Token.table;
       (** the final stream: directives stripped, conditionally excluded
           lines blanked, object-like macros expanded; ends in one [Eof] *)
   lx_directives : (int * Preproc.directive) list;

@@ -167,28 +167,30 @@ let run ~file src =
   if !stack <> [] then diags := "unterminated #if block" :: !diags;
   { text = Buffer.contents out; directives = List.rev !directives; diagnostics = List.rev !diags }
 
-(** Object-like macro substitution on the token stream.  Each expansion
-    re-lexes the macro body once (cached) and splices it in; recursive
-    references expand up to a small depth bound to guarantee termination.
-    Without defines the stream is returned as it is. *)
-let expand_macros ~(defines : (string * string) list) (tokens : Token.t list) =
+(** Object-like macro substitution on the token table.  Each macro body
+    is lexed once, through the unit's [names], so its kinds are the
+    unit's; every token spliced in for a use takes the use's position.
+    Recursive references expand up to a small depth bound to guarantee
+    termination.  Without defines the table is returned as it is. *)
+let expand_macros ~names ~(defines : (string * string) list) (tokens : Token.table) =
   if defines = [] then tokens
   else begin
-    let table = Hashtbl.create 16 in
+    let bodies = Hashtbl.create 16 in
     List.iter
       (fun (name, body) ->
-        let lexed = (Lexer.tokenize ~file:"<macro>" body).tokens in
-        let toks = List.filter (fun t -> t.Token.kind <> Token.Eof) lexed in
-        Hashtbl.replace table name toks)
+        Hashtbl.replace bodies name (Lexer.tokenize_with names ~file:"<macro>" body).tokens)
       defines;
-    (* prepends the expansion of [tok], reversed, to [acc] *)
-    let rec expand depth acc tok =
-      match tok.Token.kind with
-      | Token.Ident name when depth < 8 && Hashtbl.mem table name ->
-        List.fold_left
-          (fun acc t -> expand (depth + 1) acc { t with Token.loc = tok.Token.loc })
-          acc (Hashtbl.find table name)
-      | _ -> tok :: acc
+    let out = Token.builder ~capacity:(Token.length tokens + 64) in
+    (* the body's last token is its [Eof] *)
+    let rec splice depth kind pos =
+      match kind with
+      | Token.Ident name when depth < 8 && Hashtbl.mem bodies name ->
+        let body = Hashtbl.find bodies name in
+        for j = 0 to Token.length body - 2 do
+          splice (depth + 1) (Token.kind body j) pos
+        done
+      | _ -> Token.push out kind pos
     in
-    List.rev (List.fold_left (expand 0) [] tokens)
+    Array.iteri (fun i kind -> splice 0 kind tokens.Token.positions.(i)) tokens.Token.kinds;
+    Token.contents out ~file:tokens.Token.file
   end

@@ -38,28 +38,29 @@ let file_count t = List.length (all_files t)
    scan, so [struct X] defined in one file parses as a type in all.  It
    reads the final token stream of {!Parser.lex_file}, so names in
    inactive [#if] regions do not count. *)
-let type_names_of_tokens toks =
+let type_names_of_tokens (toks : Token.table) =
+  let n = Token.length toks in
   let names = ref [] in
-  let rec go = function
-    | { Token.kind = Token.Keyword ("struct" | "class" | "enum"); _ }
-      :: ({ Token.kind = Token.Ident name; _ } :: _ as rest) ->
-      names := name :: !names;
-      go rest
-    | { Token.kind = Token.Keyword "typedef"; _ } :: rest ->
-      (* the identifier just before the terminating ';' *)
-      let rec find_name last = function
-        | { Token.kind = Token.Punct ";"; _ } :: rest' ->
-          (match last with Some n -> names := n :: !names | None -> ());
-          go rest'
-        | { Token.kind = Token.Ident n; _ } :: rest' -> find_name (Some n) rest'
-        | _ :: rest' -> find_name last rest'
-        | [] -> ()
-      in
-      find_name None rest
-    | _ :: rest -> go rest
-    | [] -> ()
+  let rec go i =
+    if i < n then
+      match Token.kind toks i with
+      | Token.Keyword ("struct" | "class" | "enum") when i + 1 < n -> (
+        match Token.kind toks (i + 1) with
+        | Token.Ident name -> names := name :: !names; go (i + 1)
+        | _ -> go (i + 1))
+      | Token.Keyword "typedef" -> find_name None (i + 1)
+      | _ -> go (i + 1)
+  (* the identifier just before the terminating ';' *)
+  and find_name last i =
+    if i < n then
+      match Token.kind toks i with
+      | Token.Punct ";" ->
+        (match last with Some name -> names := name :: !names | None -> ());
+        go (i + 1)
+      | Token.Ident name -> find_name (Some name) (i + 1)
+      | _ -> find_name last (i + 1)
   in
-  go toks;
+  go 0;
   List.rev !names
 
 let lex (f : source_file) = Parser.lex_file ~file:f.path f.content
@@ -91,11 +92,10 @@ let file_key parsed (pf : parsed_file) =
    shared names are known.  Results come back in file order, and at
    --jobs 1 the map *is* List.map.
 
-   Without a store every file is parsed, so each keeps its lexed stream
+   Without a store every file is parsed, so each keeps its lexed table
    for the parse.  With a store most parses are hits that unmarshal a
    unit holding its own tokens, so a file keeps only its names and is
-   lexed again only on a miss; keeping every stream as well costs a warm
-   audit about a tenth of its peak RSS (DESIGN.md, section 3a). *)
+   lexed again only on a miss (DESIGN.md, section 3a). *)
 let parse t =
   let sp = Telemetry.start_span ~cat:"cfront" "parse" in
   let t0 = Telemetry.now_us () in
@@ -129,11 +129,14 @@ let parse t =
               Cache.key ~kind:"parse"
                 [ f.path; Cache.fnv1a64 f.content; types_key ]
             in
+            (* The key holds the content's hash, so the artifact leaves
+               the source out and a hit shares the file's own string. *)
             (match Cache.find c ~kind:"parse" ~key with
-             | Some (tu : Ast.tu) -> { file = f; tu }
+             | Some (tu : Ast.tu) -> { file = f; tu = { tu with Ast.raw_source = f.content } }
              | None ->
                let pf = fresh () in
-               Cache.store c ~owner:f.path ~kind:"parse" ~key pf.tu;
+               Cache.store c ~owner:f.path ~kind:"parse" ~key
+                 { pf.tu with Ast.raw_source = "" };
                pf)
         in
         Telemetry.observe "parse.file_ast_nodes"

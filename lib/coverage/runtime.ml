@@ -286,5 +286,8 @@ let to_result f =
   | Builtins.Builtin_error msg -> Error ("builtin error: " ^ msg)
   | Step_limit_exceeded -> Error "step limit exceeded"
   | Cxx_throw v -> Error ("uncaught C++ exception: " ^ Value.to_string v)
+  | Goto_signal label -> Error ("goto " ^ label ^ ": no such label in the function")
+  | Break_signal -> Error "break outside a loop or switch"
+  | Continue_signal -> Error "continue outside a loop"
 
 let output env = Buffer.contents env.output

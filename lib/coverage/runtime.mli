@@ -122,8 +122,9 @@ val declare : env -> Cfront.Ast.tu list -> unit
 val store_global : env -> string -> Value.t -> unit
 
 (** [to_result f] runs [f] under the engine's result protocol: runtime
-    errors, memory faults, builtin errors, step-limit exhaustion and
-    uncaught C++ exceptions come back as [Error] strings. *)
+    errors, memory faults, builtin errors, step-limit exhaustion,
+    uncaught C++ exceptions, and a [goto] to no label or a [break] or
+    [continue] outside a loop come back as [Error] strings. *)
 val to_result : (unit -> Value.t) -> (Value.t, string) result
 
 (** Everything the program printed via printf/puts so far. *)

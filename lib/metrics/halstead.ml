@@ -24,34 +24,49 @@ let grouping_puncts = [ "("; ")"; "{"; "}"; ";"; ","; "["; "]" ]
 
 let non_operator_keywords = [ "true"; "false"; "nullptr" ]
 
-let of_tokens (tokens : Cfront.Token.t list) =
-  let ops = Hashtbl.create 32 and opnds = Hashtbl.create 64 in
-  let total_ops = ref 0 and total_opnds = ref 0 in
-  List.iter
-    (fun (t : Cfront.Token.t) ->
-      match t.Cfront.Token.kind with
-      | Cfront.Token.Keyword k when not (List.mem k non_operator_keywords) ->
-        Hashtbl.replace ops k ();
-        incr total_ops
-      | Cfront.Token.Punct p when not (List.mem p grouping_puncts) ->
-        Hashtbl.replace ops p ();
-        incr total_ops
-      | Cfront.Token.Ident name ->
-        Hashtbl.replace opnds name ();
-        incr total_opnds
-      | Cfront.Token.Int_lit (_, raw) | Cfront.Token.Float_lit (_, raw) ->
-        Hashtbl.replace opnds raw ();
-        incr total_opnds
-      | Cfront.Token.String_lit s ->
-        Hashtbl.replace opnds ("\"" ^ s) ();
-        incr total_opnds
-      | Cfront.Token.Char_lit c ->
-        Hashtbl.replace opnds (Printf.sprintf "'%c'" c) ();
-        incr total_opnds
-      | Cfront.Token.Keyword _ | Cfront.Token.Punct _ | Cfront.Token.Eof -> ())
-    tokens;
+(* Distinct and total operators and operands, tallied token by token. *)
+type tally = {
+  ops : (string, unit) Hashtbl.t;
+  opnds : (string, unit) Hashtbl.t;
+  mutable total_ops : int;
+  mutable total_opnds : int;
+}
+
+let tally () =
+  { ops = Hashtbl.create 32; opnds = Hashtbl.create 64; total_ops = 0; total_opnds = 0 }
+
+let count t = function
+  | Cfront.Token.Keyword k when not (List.mem k non_operator_keywords) ->
+    Hashtbl.replace t.ops k ();
+    t.total_ops <- t.total_ops + 1
+  | Cfront.Token.Punct p when not (List.mem p grouping_puncts) ->
+    Hashtbl.replace t.ops p ();
+    t.total_ops <- t.total_ops + 1
+  | Cfront.Token.Ident name ->
+    Hashtbl.replace t.opnds name ();
+    t.total_opnds <- t.total_opnds + 1
+  | Cfront.Token.Int_lit (_, raw) | Cfront.Token.Float_lit (_, raw) ->
+    Hashtbl.replace t.opnds raw ();
+    t.total_opnds <- t.total_opnds + 1
+  | Cfront.Token.String_lit s ->
+    Hashtbl.replace t.opnds ("\"" ^ s) ();
+    t.total_opnds <- t.total_opnds + 1
+  | Cfront.Token.Char_lit c ->
+    Hashtbl.replace t.opnds (Printf.sprintf "'%c'" c) ();
+    t.total_opnds <- t.total_opnds + 1
+  | Cfront.Token.Keyword _ | Cfront.Token.Punct _ | Cfront.Token.Eof -> ()
+
+(* tokens [lo, hi) of a table *)
+let count_range t toks lo hi =
+  for i = lo to hi - 1 do
+    count t (Cfront.Token.kind toks i)
+  done
+
+let count_all t toks = count_range t toks 0 (Cfront.Token.length toks)
+
+let of_tally { ops; opnds; total_ops; total_opnds } =
   let n1 = Hashtbl.length ops and n2 = Hashtbl.length opnds in
-  let big_n1 = !total_ops and big_n2 = !total_opnds in
+  let big_n1 = total_ops and big_n2 = total_opnds in
   let vocabulary = n1 + n2 in
   let length = big_n1 + big_n2 in
   let volume =
@@ -75,11 +90,17 @@ let of_tokens (tokens : Cfront.Token.t list) =
     estimated_bugs = volume /. 3000.0;
   }
 
+let of_tokens toks =
+  let t = tally () in
+  count_all t toks;
+  of_tally t
+
 let of_tu (tu : Cfront.Ast.tu) = of_tokens tu.Cfront.Ast.tokens
 
 let of_files (pfs : Cfront.Project.parsed_file list) =
-  of_tokens
-    (List.concat_map (fun pf -> pf.Cfront.Project.tu.Cfront.Ast.tokens) pfs)
+  let t = tally () in
+  List.iter (fun pf -> count_all t pf.Cfront.Project.tu.Cfront.Ast.tokens) pfs;
+  of_tally t
 
 (** SEI maintainability index, clamped to [0, 100].  Above ~85 is
     conventionally "highly maintainable", below 65 "difficult to
@@ -93,17 +114,26 @@ let maintainability_index ~volume ~mean_cc ~loc =
     in
     Util.Stats.clamp ~lo:0.0 ~hi:100.0 (raw *. 100.0 /. 171.0)
 
+(* The first token at or after [line], or the table's length: a binary
+   search, since a table's lines never decrease. *)
+let first_on_or_after toks line =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Cfront.Token.line toks mid < line then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Cfront.Token.length toks)
+
 (** Halstead metrics of one function, from the tokens inside its line
     span. *)
 let of_func ~(tu : Cfront.Ast.tu) (fn : Cfront.Ast.func) =
-  let first = fn.Cfront.Ast.f_loc.Cfront.Loc.line in
-  let last = fn.Cfront.Ast.f_end_line in
-  of_tokens
-    (List.filter
-       (fun (t : Cfront.Token.t) ->
-         let l = t.Cfront.Token.loc.Cfront.Loc.line in
-         l >= first && l <= last)
-       tu.Cfront.Ast.tokens)
+  let toks = tu.Cfront.Ast.tokens in
+  let t = tally () in
+  count_range t toks
+    (first_on_or_after toks fn.Cfront.Ast.f_loc.Cfront.Loc.line)
+    (first_on_or_after toks (fn.Cfront.Ast.f_end_line + 1));
+  of_tally t
 
 (** Maintainability index of one function. *)
 let mi_of_func ~tu (fn : Cfront.Ast.func) =

@@ -14,7 +14,7 @@ type t = {
   estimated_bugs : float;  (** volume / 3000, Halstead's delivered-bug estimate *)
 }
 
-val of_tokens : Cfront.Token.t list -> t
+val of_tokens : Cfront.Token.table -> t
 val of_tu : Cfront.Ast.tu -> t
 val of_files : Cfront.Project.parsed_file list -> t
 
@@ -22,7 +22,8 @@ val of_files : Cfront.Project.parsed_file list -> t
     rescaled to [0, 100]. *)
 val maintainability_index : volume:float -> mean_cc:float -> loc:int -> float
 
-(** Halstead metrics of one function, from the tokens in its line span. *)
+(** Halstead metrics of one function, from the tokens in its line span,
+    found by binary search over the unit's table. *)
 val of_func : tu:Cfront.Ast.tu -> Cfront.Ast.func -> t
 
 val mi_of_func : tu:Cfront.Ast.tu -> Cfront.Ast.func -> float

@@ -68,13 +68,13 @@ let r19_2 =
     (fun ctx ->
       List.concat_map
         (fun pf ->
-          List.filter_map
-            (fun (tok : Token.t) ->
-              match tok.Token.kind with
+          let toks = pf.Project.tu.Ast.tokens in
+          Token.filter_mapi
+            (fun i -> function
               | Token.Keyword "union" ->
-                Some (Rule.v ~rule_id:"19.2" ~loc:tok.Token.loc "union keyword")
+                Some (Rule.v ~rule_id:"19.2" ~loc:(Token.loc toks i) "union keyword")
               | _ -> None)
-            pf.Project.tu.Ast.tokens)
+            toks)
         ctx.Rule.files)
 
 (* Dir 4.4: sections of code should not be commented out — approximated by

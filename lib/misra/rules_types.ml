@@ -10,16 +10,16 @@ let r7_1 =
     ~category:Rule.Required (fun ctx ->
       List.concat_map
         (fun pf ->
-          List.filter_map
-            (fun (tok : Token.t) ->
-              match tok.Token.kind with
+          let toks = pf.Project.tu.Ast.tokens in
+          Token.filter_mapi
+            (fun i -> function
               | Token.Int_lit (_, raw)
                 when String.length raw > 1 && raw.[0] = '0'
                      && raw.[1] <> 'x' && raw.[1] <> 'X'
                      && Util.Strutil.for_all Util.Strutil.is_digit raw ->
-                Some (Rule.v ~rule_id:"7.1" ~loc:tok.Token.loc "octal constant %s" raw)
+                Some (Rule.v ~rule_id:"7.1" ~loc:(Token.loc toks i) "octal constant %s" raw)
               | _ -> None)
-            pf.Project.tu.Ast.tokens)
+            toks)
         ctx.Rule.files)
 
 (* 5.1: external identifiers shall be distinct within limits (we flag

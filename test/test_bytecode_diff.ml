@@ -220,6 +220,53 @@ let test_micro_error_programs () =
         (Util.Strutil.contains_sub ~sub:"error " t.m_results))
     micro_error_programs
 
+(* A jump with no target: the signal ends the run as an [Error] naming
+   the construct on both engines, not as an exception out of the run. *)
+let stray_jump_programs =
+  [
+    ("stray-goto", "int main() { goto nowhere; return 0; }",
+     "main = error goto nowhere: no such label in the function");
+    ("stray-break", "int main() { break; return 0; }",
+     "main = error break outside a loop or switch");
+    ("stray-continue", "int main() { continue; return 0; }",
+     "main = error continue outside a loop");
+  ]
+
+let test_stray_jumps () =
+  List.iter
+    (fun (name, src, expected) ->
+      let tu = parse src in
+      let tree = run_micro ~engine:Tree [ tu ] ~entries:[ "main" ] in
+      let bc = run_micro ~engine:Bytecode [ tu ] ~entries:[ "main" ] in
+      Alcotest.(check string) (name ^ ": tree") expected tree.m_results;
+      Alcotest.(check string) (name ^ ": bytecode") expected bc.m_results)
+    stray_jump_programs
+
+(* One such scenario in a [run_all] does not stop the others. *)
+let test_stray_jump_in_run_all () =
+  let scenario name src =
+    { Coverage.Scenario.sc_name = name; sc_tus = [ parse src ]; sc_entries = [ "main" ] }
+  in
+  let outcomes =
+    Coverage.Scenario.run_all
+      (scenario "before" "int main() { return 1; }"
+       :: List.map (fun (name, src, _) -> scenario name src) stray_jump_programs
+       @ [ scenario "after" "int main() { return 2; }" ])
+  in
+  let result o =
+    match o.Coverage.Scenario.o_results with
+    | [ (_, Ok v) ] -> "ok " ^ Coverage.Value.to_string v
+    | [ (_, Error e) ] -> "error " ^ e
+    | _ -> "?"
+  in
+  Alcotest.(check (list string)) "every scenario ran"
+    ([ "ok 1" ]
+     @ List.map
+         (fun (_, _, expected) -> String.sub expected 7 (String.length expected - 7))
+         stray_jump_programs
+     @ [ "ok 2" ])
+    (List.map result outcomes)
+
 (* Global initializers run once at load, before any entry, in load
    order and through each global's qualified name: compiled to one init
    sequence by the bytecode engine, evaluated in place by the oracle.
@@ -803,6 +850,9 @@ let () =
         [
           Alcotest.test_case "directed programs" `Quick test_micro_programs;
           Alcotest.test_case "error paths" `Quick test_micro_error_programs;
+          Alcotest.test_case "stray goto, break and continue" `Quick test_stray_jumps;
+          Alcotest.test_case "stray jump does not stop run_all" `Quick
+            test_stray_jump_in_run_all;
           Alcotest.test_case "global initializers" `Quick test_global_initializers;
           Alcotest.test_case "global initializer error" `Quick
             test_global_initializer_error;

@@ -325,8 +325,10 @@ let test_remove_owned () =
    including schema=1, whose covphase payload is a 4-tuple that would
    unmarshal unsafely at today's 2-tuple type, and schema=2, whose
    dataflow payload holds per-function counts where today's holds the
-   per-function fact lists, and schema=3, whose bytecode payload has no
-   global-initializer sequence. *)
+   per-function fact lists, schema=3, whose bytecode payload has no
+   global-initializer sequence, and schema=4, whose parse payload holds
+   a [Token.t list] and the source text where today's holds a token
+   table and leaves the source out. *)
 let test_version_salt_wipe () =
   List.iter
     (fun foreign ->
@@ -346,7 +348,8 @@ let test_version_salt_wipe () =
       Alcotest.(check int) "wipe is not a corruption event" 0
         (Cache.stats c2).Cache.corrupt)
     [ "adcheck-cache/0 schema=0"; "adcheck-cache/1 schema=1";
-      "adcheck-cache/1 schema=2"; "adcheck-cache/1 schema=3" ]
+      "adcheck-cache/1 schema=2"; "adcheck-cache/1 schema=3";
+      "adcheck-cache/1 schema=4" ]
 
 (* ------------------------------------------------------------------ *)
 (* A small real project: parse + MISRA + dataflow through one store    *)

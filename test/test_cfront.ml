@@ -3,11 +3,10 @@
 
 let lex src = (Cfront.Lexer.tokenize ~file:"t.c" src).Cfront.Lexer.tokens
 
+(* every kind but the final [Eof] *)
 let kinds src =
-  List.filter_map
-    (fun (t : Cfront.Token.t) ->
-      match t.Cfront.Token.kind with Cfront.Token.Eof -> None | k -> Some k)
-    (lex src)
+  let t = lex src in
+  List.init (Cfront.Token.length t - 1) (Cfront.Token.kind t)
 
 let parse src = Cfront.Parser.parse_file ~file:"t.cc" src
 
@@ -59,7 +58,7 @@ let test_lex_char_literal () =
 let test_lex_comments_counted () =
   let r = Cfront.Lexer.tokenize ~file:"t.c" "int a; // one\n/* two\nthree */ int b;" in
   Alcotest.(check int) "comment lines" 3 r.Cfront.Lexer.comment_lines;
-  Alcotest.(check int) "tokens survive" 7 (List.length r.Cfront.Lexer.tokens)
+  Alcotest.(check int) "tokens survive" 7 (Cfront.Token.length r.Cfront.Lexer.tokens)
 
 let test_lex_multichar_puncts () =
   match kinds "<<< >>> <<= :: -> && ||" with
@@ -73,12 +72,12 @@ let test_lex_unterminated_string_diag () =
   Alcotest.(check bool) "diagnostic emitted" true (r.Cfront.Lexer.diagnostics <> [])
 
 let test_lex_locations () =
-  match lex "a\n  b" with
-  | [ t1; t2; _eof ] ->
-    Alcotest.(check int) "a line" 1 t1.Cfront.Token.loc.Cfront.Loc.line;
-    Alcotest.(check int) "b line" 2 t2.Cfront.Token.loc.Cfront.Loc.line;
-    Alcotest.(check int) "b col" 3 t2.Cfront.Token.loc.Cfront.Loc.col
-  | _ -> Alcotest.fail "locations"
+  let t = lex "a\n  b" in
+  Alcotest.(check int) "a, b, eof" 3 (Cfront.Token.length t);
+  Alcotest.(check int) "a line" 1 (Cfront.Token.line t 0);
+  Alcotest.(check int) "b line" 2 (Cfront.Token.line t 1);
+  Alcotest.(check int) "b col" 3 (Cfront.Token.col t 1);
+  Alcotest.(check string) "b loc" "t.c:2:3" (Cfront.Loc.to_string (Cfront.Token.loc t 1))
 
 let puncts src =
   List.map
@@ -143,8 +142,9 @@ let test_lex_octal_literals () =
   Alcotest.(check (list int64)) "octal values" [ 8L; 493L; 0L; 0L; 8L; 16L; 7L; 0L ]
     (int_values "010 0755 0 00 010u 0x10 07L 0u");
   let r = Cfront.Lexer.tokenize ~file:"t.c" "010.5 0e1" in
-  (match r.Cfront.Lexer.tokens with
-   | [ { kind = Cfront.Token.Float_lit (a, _); _ }; { kind = Cfront.Token.Float_lit (b, _); _ }; _ ] ->
+  let t = r.Cfront.Lexer.tokens in
+  (match List.init (Cfront.Token.length t) (Cfront.Token.kind t) with
+   | [ Cfront.Token.Float_lit (a, _); Cfront.Token.Float_lit (b, _); _ ] ->
      Alcotest.(check (float 1e-9)) "010.5 is decimal" 10.5 a;
      Alcotest.(check (float 1e-9)) "0e1" 0.0 b
    | _ -> Alcotest.fail "octal-looking floats");
@@ -173,19 +173,18 @@ let test_parse_octal_constants () =
    every token, then the diagnostics and the comment-line count. *)
 let stream_digest tokens ~comment_lines ~diags =
   let b = Buffer.create 65536 in
-  List.iter
-    (fun (t : Cfront.Token.t) ->
-      let value =
-        match t.Cfront.Token.kind with
-        | Cfront.Token.Int_lit (v, _) -> Int64.to_string v
-        | Cfront.Token.Float_lit (f, _) -> Printf.sprintf "%h" f
-        | _ -> ""
-      in
-      Printf.bprintf b "%s\x00%s\x00%s\x00%d:%d\n"
-        (Cfront.Token.kind_to_string t.Cfront.Token.kind)
-        (Cfront.Token.spelling t.Cfront.Token.kind)
-        value t.Cfront.Token.loc.Cfront.Loc.line t.Cfront.Token.loc.Cfront.Loc.col)
-    tokens;
+  for i = 0 to Cfront.Token.length tokens - 1 do
+    let kind = Cfront.Token.kind tokens i in
+    let value =
+      match kind with
+      | Cfront.Token.Int_lit (v, _) -> Int64.to_string v
+      | Cfront.Token.Float_lit (f, _) -> Printf.sprintf "%h" f
+      | _ -> ""
+    in
+    Printf.bprintf b "%s\x00%s\x00%s\x00%d:%d\n"
+      (Cfront.Token.kind_to_string kind) (Cfront.Token.spelling kind)
+      value (Cfront.Token.line tokens i) (Cfront.Token.col tokens i)
+  done;
   List.iter (fun d -> Printf.bprintf b "diag %s\n" d) diags;
   Printf.bprintf b "comment_lines %d\n" comment_lines;
   Digest.to_hex (Digest.string (Buffer.contents b))
@@ -248,23 +247,78 @@ let test_lex_pinned_corpus () =
            ~comment_lines:lx.Cfront.Parser.lx_comment_lines ~diags:lx.Cfront.Parser.lx_diags))
     files pinned_streams
 
+(* A position is one immediate int; lines up to 2^31 and columns up to
+   2^32 survive the packing. *)
+let test_position_round_trip () =
+  List.iter
+    (fun (line, col) ->
+      let p = Cfront.Token.pack ~line ~col in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%d:%d" line col) (line, col)
+        (Cfront.Token.line_of_pos p, Cfront.Token.col_of_pos p))
+    [ (1, 1); (2, 3); (1, (1 lsl 24) + 1); ((1 lsl 24) + 1, 1); (1 lsl 31, 1);
+      (1, (1 lsl 31) + 1); ((1 lsl 30) + 7, (1 lsl 30) + 9); (1 lsl 31, 1 lsl 32) ]
+
+(* A column past 2^24 through the lexer, the table and [Token.loc]. *)
+let test_lex_column_past_2_24 () =
+  let pad = (1 lsl 24) + 5 in
+  let t = lex ("a\n" ^ String.make pad ' ' ^ "b") in
+  Alcotest.(check int) "a, b, eof" 3 (Cfront.Token.length t);
+  Alcotest.(check int) "b line" 2 (Cfront.Token.line t 1);
+  Alcotest.(check int) "b col" (pad + 1) (Cfront.Token.col t 1);
+  Alcotest.(check string) "b loc" (Printf.sprintf "t.c:2:%d" (pad + 1))
+    (Cfront.Loc.to_string (Cfront.Token.loc t 1));
+  Alcotest.(check int) "eof col" (pad + 2) (Cfront.Token.col t 2)
+
+(* Each distinct identifier, keyword and punctuator spelling is one kind
+   value in a unit's table, macro expansions included. *)
+let test_table_interns_spellings () =
+  let lx = Cfront.Parser.lex_file ~file:"t.c" "#define N x\nint x; int y = x + N + x;" in
+  let t = lx.Cfront.Parser.lx_tokens in
+  let positions k =
+    List.filter (fun i -> Cfront.Token.kind t i = k) (List.init (Cfront.Token.length t) Fun.id)
+  in
+  let shared k =
+    match positions k with
+    | i :: rest -> List.for_all (fun j -> Cfront.Token.kind t j == Cfront.Token.kind t i) rest
+    | [] -> false
+  in
+  Alcotest.(check int) "four x" 4 (List.length (positions (Cfront.Token.Ident "x")));
+  Alcotest.(check bool) "x shared" true (shared (Cfront.Token.Ident "x"));
+  Alcotest.(check bool) "int shared" true (shared (Cfront.Token.Keyword "int"));
+  Alcotest.(check bool) "; shared" true (shared (Cfront.Token.Punct ";"));
+  Alcotest.(check bool) "+ shared" true (shared (Cfront.Token.Punct "+"))
+
+(* The units' tables of the small seed-2019 corpus hold at most 4
+   reachable words per token (a boxed token list held about 15). *)
+let test_tables_compact () =
+  let project = Corpus.Generator.generate ~seed:2019 Corpus.Apollo_profile.small in
+  let parsed = Cfront.Project.parse project in
+  let tables = List.map (fun pf -> pf.Cfront.Project.tu.Cfront.Ast.tokens) parsed.Cfront.Project.files in
+  let words = Obj.reachable_words (Obj.repr tables) - (3 * List.length tables) in
+  let tokens = List.fold_left (fun acc t -> acc + Cfront.Token.length t) 0 tables in
+  let per_token = float_of_int words /. float_of_int tokens in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per token <= 4" per_token) true
+    (per_token <= 4.0)
+
 (* Totality: whatever bytes arrive, the lexer and [Parser.lex_file]
    return, the stream ends in exactly one [Eof], and every token lies
    inside the input (a line of it, at most one column past its end). *)
 let stream_well_formed ~file src tokens =
   let lines = Array.of_list (String.split_on_char '\n' src) in
-  let inside (t : Cfront.Token.t) =
-    let l = t.Cfront.Token.loc in
+  let n = Cfront.Token.length tokens in
+  let inside i =
+    let l = Cfront.Token.loc tokens i in
     l.Cfront.Loc.file = file && l.Cfront.Loc.line >= 1
     && l.Cfront.Loc.line <= Array.length lines
     && l.Cfront.Loc.col >= 1
     && l.Cfront.Loc.col <= String.length lines.(l.Cfront.Loc.line - 1) + 1
   in
-  let eofs = List.filter (fun t -> t.Cfront.Token.kind = Cfront.Token.Eof) tokens in
-  (match List.rev tokens with
-   | { Cfront.Token.kind = Cfront.Token.Eof; _ } :: _ -> true
-   | _ -> false)
-  && List.length eofs = 1 && List.for_all inside tokens
+  let is_eof i = Cfront.Token.kind tokens i = Cfront.Token.Eof in
+  let indices = List.init n Fun.id in
+  n > 0 && is_eof (n - 1)
+  && List.length (List.filter is_eof indices) = 1
+  && List.for_all inside indices
 
 let lexes_totally src =
   let file = "fuzz.cc" in
@@ -327,9 +381,7 @@ let test_preproc_line_preservation () =
   (* stripped directives must keep later tokens on their original lines *)
   let r = Cfront.Preproc.run ~file:"t.c" "#define X 1\n#include <a.h>\nint a;" in
   let toks = (Cfront.Lexer.tokenize ~file:"t.c" r.Cfront.Preproc.text).Cfront.Lexer.tokens in
-  (match toks with
-   | t :: _ -> Alcotest.(check int) "int on line 3" 3 t.Cfront.Token.loc.Cfront.Loc.line
-   | [] -> Alcotest.fail "no tokens")
+  Alcotest.(check int) "int on line 3" 3 (Cfront.Token.line toks 0)
 
 let test_preproc_ifdef () =
   let src = "#define FEATURE 1\n#ifdef FEATURE\nint yes;\n#else\nint no;\n#endif" in
@@ -365,9 +417,12 @@ let test_preproc_macro_expansion () =
 
 let test_preproc_recursive_macro_terminates () =
   let r = Cfront.Preproc.run ~file:"t.c" "#define A A\nint x = A;" in
-  let lexed = Cfront.Lexer.tokenize ~file:"t.c" r.Cfront.Preproc.text in
-  let toks = Cfront.Preproc.expand_macros ~defines:[ ("A", "A") ] lexed.Cfront.Lexer.tokens in
-  Alcotest.(check bool) "terminates" true (List.length toks > 0)
+  let names = Cfront.Token.names () in
+  let lexed = Cfront.Lexer.tokenize_with names ~file:"t.c" r.Cfront.Preproc.text in
+  let toks =
+    Cfront.Preproc.expand_macros ~names ~defines:[ ("A", "A") ] lexed.Cfront.Lexer.tokens
+  in
+  Alcotest.(check bool) "terminates" true (Cfront.Token.length toks > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Parser: declarations                                                 *)
@@ -850,6 +905,10 @@ let () =
           Alcotest.test_case "bad octal diagnosed" `Quick test_lex_bad_octal_diag;
           Alcotest.test_case "octal constants in the AST" `Quick test_parse_octal_constants;
           Alcotest.test_case "pinned corpus streams" `Quick test_lex_pinned_corpus;
+          Alcotest.test_case "position round trip" `Quick test_position_round_trip;
+          Alcotest.test_case "column past 2^24" `Quick test_lex_column_past_2_24;
+          Alcotest.test_case "table interns spellings" `Quick test_table_interns_spellings;
+          Alcotest.test_case "tables compact" `Quick test_tables_compact;
           QCheck_alcotest.to_alcotest prop_lexer_total_on_bytes;
           QCheck_alcotest.to_alcotest prop_lexer_total_on_truncations;
         ] );

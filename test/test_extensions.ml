@@ -52,6 +52,33 @@ let test_mi_module_report () =
   Alcotest.(check bool) "MI in a plausible band" true
     (r.Metrics.Halstead.mi > 20.0 && r.Metrics.Halstead.mi < 90.0)
 
+(* [of_func] finds a function's tokens by binary search; the former
+   filter scanned every token of the unit for its line span.  On every
+   function of the small corpus the two agree. *)
+let test_halstead_of_func_matches_filter () =
+  let project = Corpus.Generator.generate ~seed:2019 Corpus.Apollo_profile.small in
+  let parsed = Cfront.Project.parse project in
+  let checked = ref 0 in
+  List.iter
+    (fun (pf : Cfront.Project.parsed_file) ->
+      let tu = pf.Cfront.Project.tu in
+      let toks = tu.Cfront.Ast.tokens in
+      List.iter
+        (fun (fn : Cfront.Ast.func) ->
+          let first = fn.Cfront.Ast.f_loc.Cfront.Loc.line and last = fn.Cfront.Ast.f_end_line in
+          let b = Cfront.Token.builder ~capacity:64 in
+          for i = 0 to Cfront.Token.length toks - 1 do
+            let l = Cfront.Token.line toks i in
+            if l >= first && l <= last then
+              Cfront.Token.push b (Cfront.Token.kind toks i) toks.Cfront.Token.positions.(i)
+          done;
+          incr checked;
+          if Metrics.Halstead.of_func ~tu fn <> Metrics.Halstead.of_tokens (Cfront.Token.contents b ~file:toks.Cfront.Token.file)
+          then Alcotest.failf "%s: %s differs from the filter" tu.Cfront.Ast.tu_file fn.Cfront.Ast.f_name)
+        (Cfront.Ast.functions_of_tu tu))
+    parsed.Cfront.Project.files;
+  Alcotest.(check bool) "functions checked" true (!checked > 100)
+
 (* ------------------------------------------------------------------ *)
 (* Brook Auto                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -579,6 +606,8 @@ let () =
           Alcotest.test_case "volume grows" `Quick test_halstead_volume_grows;
           Alcotest.test_case "MI bounds and ordering" `Quick test_mi_bounds_and_ordering;
           Alcotest.test_case "module report" `Quick test_mi_module_report;
+          Alcotest.test_case "of_func equals the line filter" `Quick
+            test_halstead_of_func_matches_filter;
         ] );
       ( "brook-auto",
         [

@@ -480,6 +480,37 @@ let test_benchdiff_counter_exact () =
   | Benchdiff.Schema_mismatch _ :: _ -> ()
   | fs -> Alcotest.failf "expected schema mismatch, got: %s" (Benchdiff.render fs)
 
+(* Several runs of one export: a latency is gated on its median across
+   them, so one slow run passes and two of three fail; a counter must
+   match in every run, and a change in two runs is one finding. *)
+let test_benchdiff_median_of_runs () =
+  let run ?(a = 1) t =
+    { Benchdiff.r_schema = "adcheck-metrics/1";
+      r_counters = [ ("a", a) ];
+      r_latencies = [ ("t/sum", t, 1000.0) ] }
+  in
+  let base = run 10_000.0 in
+  Alcotest.(check bool) "one slow run of three passes" true
+    (Benchdiff.ok
+       (Benchdiff.diff_runs ~fail_on_regress_pct:50.0 base
+          [ run 25_000.0; run 10_500.0; run 9_800.0 ]));
+  (match
+     Benchdiff.diff_runs ~fail_on_regress_pct:50.0 base
+       [ run 25_000.0; run 10_500.0; run 16_000.0 ]
+   with
+   | [ Benchdiff.Latency_regression ("t/sum", 10_000.0, 16_000.0, _) ] -> ()
+   | fs -> Alcotest.failf "expected the median to regress, got: %s" (Benchdiff.render fs));
+  (match
+     Benchdiff.diff_runs ~fail_on_regress_pct:50.0 base
+       [ run 10_000.0; run ~a:2 10_000.0; run ~a:2 10_000.0 ]
+   with
+   | [ Benchdiff.Counter_changed ("a", 1, 2) ] -> ()
+   | fs -> Alcotest.failf "expected one counter finding, got: %s" (Benchdiff.render fs));
+  let slow = run 25_000.0 in
+  Alcotest.(check bool) "one run is diff" true
+    (Benchdiff.diff_runs ~fail_on_regress_pct:50.0 base [ slow ]
+     = Benchdiff.diff ~fail_on_regress_pct:50.0 base slow)
+
 let test_benchdiff_bench_schema () =
   let bench =
     {|{"schema": "adcheck-bench/1",
@@ -568,6 +599,7 @@ let () =
           Alcotest.test_case "latency policy" `Quick
             test_benchdiff_latency_regression;
           Alcotest.test_case "counter policy" `Quick test_benchdiff_counter_exact;
+          Alcotest.test_case "median of runs" `Quick test_benchdiff_median_of_runs;
           Alcotest.test_case "bench schema" `Quick test_benchdiff_bench_schema;
           Alcotest.test_case "load errors" `Quick test_benchdiff_load_errors;
         ] );
