@@ -68,9 +68,11 @@ let evidence_arg =
 let cache_arg =
   let doc =
     "Persistent content-addressed artifact cache in $(docv) (created if \
-     missing).  Analysis artifacts — parse trees, per-file dataflow \
-     fixpoints, per-rule MISRA results, compiled bytecode, coverage-phase \
-     outcomes — are served warm when their content keys match and \
+     missing).  Analysis artifacts — per-file type names and parse trees, \
+     per-file dataflow fixpoints, the whole-tree interproc summary and \
+     core metric record, per-rule MISRA results, compiled bytecode, \
+     coverage-phase outcomes — are served warm when their content keys \
+     match (a warm run lexes no file and re-runs none of them) and \
      invalidated when a file or one of its include/call-graph dependencies \
      changes.  Off by default: the cold jobs=1 run stays the oracle, and \
      warm runs are byte-identical to it (reports, evidence journals, \
@@ -693,25 +695,32 @@ let serve_cmd =
         s.Cache.hits s.Cache.misses s.Cache.stores s.Cache.invalidated
         s.Cache.corrupt
     in
-    (* one request: audit [seed=N] [scale=full|small] *)
+    (* one request: audit [seed=N] [scale=full|small], each key at most
+       once; the first bad or repeated argument is the answer *)
     let handle_audit args =
       let seed = ref default_seed and scale = ref default_scale in
-      let bad = ref None in
+      let seen = ref [] and err = ref None in
+      let fail fmt =
+        Printf.ksprintf (fun e -> if !err = None then err := Some e) fmt
+      in
       List.iter
         (fun arg ->
           match String.index_opt arg '=' with
+          | Some i when List.mem (String.sub arg 0 i) !seen ->
+            fail "duplicate argument %S" arg
           | Some i -> (
             let k = String.sub arg 0 i in
             let v = String.sub arg (i + 1) (String.length arg - i - 1) in
+            seen := k :: !seen;
             match (k, v, int_of_string_opt v) with
             | "seed", _, Some n -> seed := n
             | "scale", "full", _ -> scale := `Full
             | "scale", "small", _ -> scale := `Small
-            | _ -> bad := Some arg)
-          | None -> bad := Some arg)
+            | _ -> fail "bad argument %S" arg)
+          | None -> fail "bad argument %S" arg)
         args;
-      match !bad with
-      | Some arg -> Printf.printf "err bad argument %S\n" arg
+      match !err with
+      | Some e -> Printf.printf "err %s\n" e
       | None ->
         let before = cache_stats () in
         let t0 = Telemetry.now_us () in
@@ -760,7 +769,8 @@ let serve_cmd =
      $(b,ping) -> $(b,pong); $(b,stats) -> cumulative cache counters; \
      $(b,audit [seed=N] [scale=full|small]) -> $(b,report <bytes>) followed \
      by the report and a $(b,done) line with the request's cache \
-     hit/miss/invalidation deltas; $(b,quit) ends the session.  With \
+     hit/miss/invalidation deltas, or one $(b,err) line for a bad or \
+     repeated argument; $(b,quit) ends the session.  With \
      $(b,--cache DIR) repeated requests answer warm from the artifact \
      cache — byte-identical to a cold run — so the service can absorb \
      continuous audit traffic from a CI fleet."

@@ -1,9 +1,13 @@
 (** Persistent content-addressed artifact store.
 
-    Analysis artifacts (parse trees, per-file dataflow fixpoints,
-    per-rule MISRA results, compiled bytecode programs, coverage-phase
-    outcomes) are keyed by a FNV-1a hash of their inputs — file path +
-    content hash + whatever analysis context the producer folds in — and
+    Analysis artifacts are keyed by a FNV-1a hash of their inputs —
+    file path + content hash + whatever analysis context the producer
+    folds in.  The kinds: per-file type names ([types]) and parse trees
+    ([parse]), per-file dataflow fixpoints ([dataflow]), the whole-tree
+    interproc summary ([interproc]) and core metric record ([metrics]),
+    per-rule MISRA results ([misra]), compiled bytecode programs
+    ([bytecode]), coverage phases and scenario batches ([covphase],
+    [scenario]), and the dependency {!Manifest}.  Each is
     serialized with [Marshal] under a header that names the schema salt,
     the kind, the key, the payload length and digest, and an optional
     {e owner} path used for invalidation.  A lookup re-validates every

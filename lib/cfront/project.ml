@@ -25,6 +25,9 @@ type parsed = {
       (** hash of the shared type-name scan — part of every per-file
           cache key, since the parse of one file depends on type names
           declared in every other *)
+  hashes : string list;
+      (** FNV-1a of each file's content, in [files] order, hashed once
+          when the parse ran under a store; [] otherwise *)
 }
 
 let make ~name modules = { p_name = name; p_modules = modules }
@@ -73,47 +76,91 @@ let scan_type_names (files : source_file list) =
        (fun f -> type_names_of_tokens (lex f).Parser.lx_tokens)
        files)
 
-(* Cache keys.  A file's parse depends on its path (locations), its
-   content, and the project-wide type-name scan; the project key folds
-   every path + content, in order.  All hashing is FNV-1a via Cache. *)
+let file_hashes t = List.map (fun f -> Cache.fnv1a64 f.content) (all_files t)
 
-let content_key t =
+(* Cache keys.  Every key below folds the per-file content hashes of
+   one list, so an audit hashes each file's bytes once.  A parse made
+   without a store carries no hashes; its keys hash the files then, so
+   a key never depends on where the parse ran.  All hashing is FNV-1a
+   via Cache. *)
+let hashes parsed =
+  if parsed.hashes <> [] then parsed.hashes
+  else List.map (fun pf -> Cache.fnv1a64 pf.file.content) parsed.files
+
+let fold_key parts_of parsed =
   Cache.fnv1a64
     (String.concat "\x00"
-       (List.concat_map (fun f -> [ f.path; f.content ]) (all_files t)))
+       (List.concat (List.map2 parts_of parsed.files (hashes parsed))))
 
-let file_key parsed (pf : parsed_file) =
-  Cache.fnv1a64
-    (String.concat "\x00"
-       [ pf.file.path; Cache.fnv1a64 pf.file.content; parsed.types_key ])
+let content_key = fold_key (fun pf h -> [ pf.file.path; h ])
 
-(* Each file is lexed once, in one fan-out over [Telemetry.parallel_map]
-   that also collects its type names; the parse fans out again once the
-   shared names are known.  Results come back in file order, and at
-   --jobs 1 the map *is* List.map.
+let tree_key =
+  fold_key (fun pf h ->
+      [ pf.file.path; pf.file.modname; string_of_bool pf.file.header; h ])
 
-   Without a store every file is parsed, so each keeps its lexed table
-   for the parse.  With a store most parses are hits that unmarshal a
-   unit holding its own tokens, so a file keeps only its names and is
-   lexed again only on a miss (DESIGN.md, section 3a). *)
-let parse t =
+let file_keys parsed =
+  List.map2
+    (fun pf h -> Cache.fnv1a64 (String.concat "\x00" [ pf.file.path; h; parsed.types_key ]))
+    parsed.files (hashes parsed)
+
+(* One fan-out over [Telemetry.parallel_map] collects every file's type
+   names; the parse fans out again once the shared names are known.
+   Results come back in file order, and at --jobs 1 the map *is*
+   List.map.
+
+   Without a store every file is lexed, once, and keeps its table for
+   the parse.  With a store a file's names are a [types] artifact keyed
+   on its path and content hash, and its unit a [parse] artifact; a
+   file is lexed only where one of them misses, at most once, and keeps
+   its table only when its names missed (DESIGN.md, section 3a). *)
+let parse ?hashes t =
   let sp = Telemetry.start_span ~cat:"cfront" "parse" in
   let t0 = Telemetry.now_us () in
   let store = Cache.global () in
-  let lexed =
-    Telemetry.with_span ~cat:"cfront" "parse.lex" (fun () ->
-        Telemetry.parallel_map
-          (fun f ->
-            let lx = lex f in
-            let names = type_names_of_tokens lx.Parser.lx_tokens in
-            (f, (if Option.is_none store then Some lx else None), names))
-          (all_files t))
+  let sources = all_files t in
+  let hashes =
+    match (store, hashes) with
+    | None, _ -> []
+    | Some _, Some hashes -> hashes
+    | Some _, None -> file_hashes t
   in
-  let extra_types = merge_type_names (List.map (fun (_, _, names) -> names) lexed) in
+  let names_key f h = Cache.key ~kind:"types" [ f.path; h ] in
+  (* (file, its content hash, its type names if the store has them) *)
+  let found =
+    match store with
+    | None -> List.map (fun f -> (f, "", None)) sources
+    | Some c ->
+      Telemetry.parallel_map
+        (fun (f, h) -> (f, h, Cache.find c ~kind:"types" ~key:(names_key f h)))
+        (List.combine sources hashes)
+  in
+  (* (file, its content hash, its lexed table if it was lexed, its type names) *)
+  let lex_missing () =
+    Telemetry.parallel_map
+      (fun (f, h, names) ->
+        match names with
+        | Some names -> (f, h, None, names)
+        | None ->
+          let lx = lex f in
+          let names = type_names_of_tokens lx.Parser.lx_tokens in
+          Option.iter
+            (fun c ->
+              Cache.store c ~owner:f.path ~kind:"types" ~key:(names_key f h)
+                (names : string list))
+            store;
+          (f, h, Some lx, names))
+      found
+  in
+  let lexed =
+    if Option.is_none store || List.exists (fun (_, _, names) -> names = None) found then
+      Telemetry.with_span ~cat:"cfront" "parse.lex" lex_missing
+    else lex_missing ()
+  in
+  let extra_types = merge_type_names (List.map (fun (_, _, _, names) -> names) lexed) in
   let types_key = Cache.fnv1a64 (String.concat "\x00" extra_types) in
   let files =
     Telemetry.parallel_map
-      (fun (f, lx, _) ->
+      (fun (f, h, lx, _) ->
         let pf =
           Telemetry.timed "parse.file_us" @@ fun () ->
           let fresh () =
@@ -125,10 +172,7 @@ let parse t =
           | Some c ->
             (* Content-addressed parse artifact: a parse depends only on
                the path, the content and the shared type names. *)
-            let key =
-              Cache.key ~kind:"parse"
-                [ f.path; Cache.fnv1a64 f.content; types_key ]
-            in
+            let key = Cache.key ~kind:"parse" [ f.path; h; types_key ] in
             (* The key holds the content's hash, so the artifact leaves
                the source out and a hit shares the file's own string. *)
             (match Cache.find c ~kind:"parse" ~key with
@@ -161,7 +205,7 @@ let parse t =
   Telemetry.end_span sp
     ~attrs:[ ("files", string_of_int n_files);
              ("ast_nodes", string_of_int ast_nodes) ];
-  { project = t; files; types_key }
+  { project = t; files; types_key; hashes }
 
 let parsed_files_of_module parsed modname =
   List.filter (fun pf -> pf.file.modname = modname) parsed.files

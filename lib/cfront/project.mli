@@ -22,6 +22,9 @@ type parsed = {
   project : t;
   files : parsed_file list;
   types_key : string;  (** hash of the shared type-name scan *)
+  hashes : string list;
+      (** {!Cache.fnv1a64} of each file's content, in [files] order,
+          when {!parse} ran under a store; [] otherwise *)
 }
 
 val make : name:string -> modul list -> t
@@ -36,27 +39,43 @@ val file_count : t -> int
     does the same scan without lexing any file twice. *)
 val scan_type_names : source_file list -> string list
 
+(** {!Cache.fnv1a64} of each file's content, in {!all_files} order. *)
+val file_hashes : t -> string list
+
 (** Parse every file, seeding each unit's type registry with
     {!scan_type_names} of the whole project.  The result equals
     [Parser.parse_file ~extra_types:(scan_type_names files)] on each file,
     in file order, at any [--jobs].
 
-    Each file is lexed once ({!Parser.lex_file}), and its type names come
-    from that stream.  Without a store every file keeps its stream for
-    {!Parser.parse_lexed}, so no file is lexed twice.  With a store
-    ([Cache.global ()]) a file keeps only its names and is lexed again
-    only if its [parse] artifact misses; a hit is served from the store. *)
-val parse : t -> parsed
+    Without a store every file is lexed once ({!Parser.lex_file}); its
+    type names come from that stream, and it keeps the stream for
+    {!Parser.parse_lexed}.  With a store ([Cache.global ()]) each file's
+    content is hashed once (or [hashes], its {!file_hashes}, is taken
+    from the caller) and two artifacts per file, both owned by its path,
+    are looked up: its type names ([types], keyed on path and content
+    hash) and its unit ([parse], keyed on those and the shared type
+    names).  A file is lexed only when one of them misses, and at most
+    once.  When every [types] artifact hits, no file is lexed and no
+    [parse.lex] span is opened. *)
+val parse : ?hashes:string list -> t -> parsed
 
-(** Cache key for the whole source tree: every path + content, in
-    order.  Whole-project artifacts (per-rule MISRA results) key on
-    this. *)
-val content_key : t -> string
+(** The per-file content hashes every cache key folds: [parsed.hashes],
+    or {!Cache.fnv1a64} of each file for a parse made without a store. *)
+val hashes : parsed -> string list
 
-(** Cache key for one parsed file: path + content hash + the shared
-    type-name scan.  Per-file artifacts (dataflow summaries) key on
-    this. *)
-val file_key : parsed -> parsed_file -> string
+(** Whole-tree cache keys.  [content_key] folds every path and content
+    hash, in file order; artifacts that read only the sources (per-rule
+    MISRA results) key on it.  [tree_key] also folds each file's module
+    name and header flag; artifacts whose result names modules (the
+    interproc summary, the core metric record) key on it. *)
+val content_key : parsed -> string
+
+val tree_key : parsed -> string
+
+(** One key per file of [parsed.files]: path, content hash and the
+    shared type-name scan.  Per-file artifacts (dataflow facts) key on
+    it. *)
+val file_keys : parsed -> string list
 
 val parsed_files_of_module : parsed -> string -> parsed_file list
 val module_names : t -> string list

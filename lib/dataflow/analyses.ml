@@ -716,8 +716,8 @@ let facts_of_functions fns =
 
 (** [facts_of_file ~path ~key fns] is {!facts_of_functions} memoized
     in the global artifact cache (when enabled) under the per-file cache
-    key [key ()] (path + content hash + type-scan hash, see
-    [Cfront.Project.file_key]), which is derived only when the cache is
+    key [key] (path + content hash + type-scan hash, see
+    [Cfront.Project.file_keys]), which is read only when the cache is
     on.  The artifact stores the facts {e and} the provenance findings
     the solves recorded, so a hit replays the findings and the evidence
     journal stays byte-identical to a cold run.  [path] owns the
@@ -726,7 +726,7 @@ let facts_of_file ~path ~key fns =
   match Cache.global () with
   | None -> facts_of_functions fns
   | Some c ->
-    let ckey = Cache.key ~kind:"dataflow" [ key () ] in
+    let ckey = Cache.key ~kind:"dataflow" [ key ] in
     (match Cache.find c ~kind:"dataflow" ~key:ckey with
      | Some ((facts : func_facts list), findings) ->
        Provenance.absorb findings;
@@ -746,14 +746,13 @@ let facts_of_file ~path ~key fns =
     [Project.all_functions parsed].  With the cache on, each file is
     one {!facts_of_file} artifact. *)
 let facts_of_parsed (parsed : Project.parsed) =
-  List.map
-    (fun (pf : Project.parsed_file) ->
-      let path = pf.Project.file.Project.path in
-      ( path,
-        facts_of_file ~path
-          ~key:(fun () -> Project.file_key parsed pf)
-          (Project.defined_functions [ pf ]) ))
-    parsed.Project.files
+  let file (pf : Project.parsed_file) key =
+    let path = pf.Project.file.Project.path in
+    (path, facts_of_file ~path ~key (Project.defined_functions [ pf ]))
+  in
+  match Cache.global () with
+  | None -> List.map (fun pf -> file pf "") parsed.Project.files
+  | Some _ -> List.map2 file parsed.Project.files (Project.file_keys parsed)
 
 type totals = {
   t_functions : int;

@@ -57,7 +57,10 @@ let include_deps_of_content ~paths content =
    against it to invalidate exactly the changed files and their
    transitive reverse-dependents before consulting any artifact. *)
 let manifest_of_parsed ~(graph : Cfront.Callgraph.t) (parsed : Cfront.Project.parsed) =
-  let files = Cfront.Project.all_files parsed.Cfront.Project.project in
+  let files =
+    List.map (fun (pf : Cfront.Project.parsed_file) -> pf.Cfront.Project.file)
+      parsed.Cfront.Project.files
+  in
   let paths = List.map (fun f -> f.Cfront.Project.path) files in
   let file_of_fn = Hashtbl.create 256 in
   List.iter
@@ -80,17 +83,15 @@ let manifest_of_parsed ~(graph : Cfront.Callgraph.t) (parsed : Cfront.Project.pa
       | _ -> ())
     graph.Cfront.Callgraph.edges;
   Cache.Manifest.make
-    (List.map
-       (fun (f : Cfront.Project.source_file) ->
+    (List.map2
+       (fun (f : Cfront.Project.source_file) hash ->
          let deps =
            include_deps_of_content ~paths f.Cfront.Project.content
            @ Option.value ~default:[]
                (Hashtbl.find_opt call_deps f.Cfront.Project.path)
          in
-         ( f.Cfront.Project.path,
-           Cache.fnv1a64 f.Cfront.Project.content,
-           List.filter (fun d -> d <> f.Cfront.Project.path) deps ))
-       files)
+         (f.Cfront.Project.path, hash, List.filter (fun d -> d <> f.Cfront.Project.path) deps))
+       files (Cfront.Project.hashes parsed))
 
 (* Diff the incoming tree against the stored manifest: the invalidation
    set is every changed file plus its transitive reverse-dependents
@@ -101,17 +102,17 @@ let manifest_of_parsed ~(graph : Cfront.Callgraph.t) (parsed : Cfront.Project.pa
    Only artifacts owned by paths that left the tree entirely (deletes,
    the old side of a rename) are physically removed: no future tree can
    ever hit them.  Runs BEFORE the parse so the fresh artifacts the
-   parse stores are never swept. *)
-let invalidate_against_manifest c (project : Cfront.Project.t) =
+   parse stores are never swept.  [hashes] are the files' content
+   hashes in [all_files] order; returns the manifest it loaded. *)
+let invalidate_against_manifest c (project : Cfront.Project.t) ~hashes =
   let hashes =
-    List.map
-      (fun (f : Cfront.Project.source_file) ->
-        (f.Cfront.Project.path, Cache.fnv1a64 f.Cfront.Project.content))
-      (Cfront.Project.all_files project)
+    List.map2
+      (fun (f : Cfront.Project.source_file) h -> (f.Cfront.Project.path, h))
+      (Cfront.Project.all_files project) hashes
   in
   match Cache.Manifest.load c ~name:project.Cfront.Project.p_name with
-  | None -> []
-  | Some old ->
+  | None -> None
+  | Some old as loaded ->
     let inv = Cache.Manifest.invalidated ~old hashes in
     if inv <> [] then begin
       let gone =
@@ -127,7 +128,7 @@ let invalidate_against_manifest c (project : Cfront.Project.t) =
          artifact(s) removed"
         (List.length inv) removed
     end;
-    inv
+    loaded
 
 (* Memoize a whole coverage phase (parse embedded sources, run the
    scenarios, score).  The phase's parse, and so every collector
@@ -227,13 +228,20 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
     | None ->
       Telemetry.gc_phase "corpus" (fun () -> Corpus.Generator.generate ~seed specs)
   in
-  (* Invalidation happens before the parse, against the previous run's
-     manifest: changed files and their transitive reverse-dependents
-     lose their artifacts, everything else stays warm. *)
-  (match cache with
-   | Some c -> ignore (invalidate_against_manifest c project)
-   | None -> ());
-  let parsed = Telemetry.gc_phase "parse" (fun () -> Cfront.Project.parse project) in
+  (* With a store, each file's content is hashed once, here, and every
+     key of the run derives from these hashes.  Invalidation happens
+     before the parse, against the previous run's manifest: changed
+     files and their transitive reverse-dependents lose their
+     artifacts, everything else stays warm. *)
+  let hashes = Option.map (fun _ -> Cfront.Project.file_hashes project) cache in
+  let loaded =
+    match (cache, hashes) with
+    | Some c, Some hashes -> invalidate_against_manifest c project ~hashes
+    | _ -> None
+  in
+  let parsed =
+    Telemetry.gc_phase "parse" (fun () -> Cfront.Project.parse ?hashes project)
+  in
   (* The producers run once, on this domain, before anything fans out:
      [Misra.Rule.build_context] solves the dataflow, runs interproc and
      adds the globals and the shadowing findings.  MISRA, the core
@@ -244,12 +252,15 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
      the queue, and a solve forced inside a rule's timed region would
      change that rule's tick-clock histogram. *)
   let context = Misra.Rule.build_context parsed in
-  (* Record the new tree's manifest for the next run's diff. *)
+  (* Record the new tree's manifest for the next run's diff, unless the
+     one just loaded already is. *)
   (match cache with
    | Some c ->
-     Cache.Manifest.save c ~name:project.Cfront.Project.p_name
-       (manifest_of_parsed
-          ~graph:context.Misra.Rule.interproc.Interproc.Summary.graph parsed)
+     let manifest =
+       manifest_of_parsed ~graph:context.Misra.Rule.interproc.Interproc.Summary.graph parsed
+     in
+     if loaded <> Some manifest then
+       Cache.Manifest.save c ~name:project.Cfront.Project.p_name manifest
    | None -> ());
   let module_dataflow = Project_metrics.module_dataflow parsed context.Misra.Rule.facts in
   let misra_phase () = Project_metrics.misra_of_parsed ~context parsed in

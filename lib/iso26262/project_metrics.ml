@@ -84,15 +84,21 @@ let module_dataflow (parsed : Cfront.Project.parsed) facts =
 let module_dataflow_of_parsed parsed =
   module_dataflow parsed (List.concat_map snd (Dataflow.Analyses.facts_of_parsed parsed))
 
-let of_parsed_with ?context ~(misra : unit -> Misra.Registry.report)
-    ~(module_dataflow : (string * Dataflow.Analyses.totals) list)
-    (parsed : Cfront.Project.parsed) =
-  Telemetry.with_span ~cat:"metrics" "metrics"
-    ~attrs:[ ("files", string_of_int (List.length parsed.Cfront.Project.files)) ]
-  @@ fun () ->
-  let ctx =
-    match context with Some ctx -> ctx | None -> Misra.Rule.build_context parsed
-  in
+(* The [metrics] artifact stores the record without the two fields
+   that have artifacts of their own: the MISRA report (per-rule
+   artifacts, and its rules hold closures) and the interproc summary
+   (the [interproc] artifact).  These stand in for them. *)
+let no_misra =
+  { Misra.Registry.per_rule = []; total_violations = 0; rules_violated = 0;
+    rules_checked = 0; deviations = [] }
+
+let no_interproc () =
+  { Interproc.Summary.graph = Cfront.Callgraph.build []; summaries = []; cycles = [];
+    n_sccs = 0; n_levels = 0; max_call_depth = Finite 0; max_stack_words = Finite 0;
+    coupling = []; uninit_flows = []; globals_total = 0 }
+
+(* The core metric walk: every field but [misra], read off [ctx]. *)
+let core ~(ctx : Misra.Rule.context) ~module_dataflow (parsed : Cfront.Project.parsed) =
   let graph = ctx.Misra.Rule.interproc.Interproc.Summary.graph in
   let module_names = Cfront.Project.module_names parsed.Cfront.Project.project in
   let files = parsed.Cfront.Project.files in
@@ -189,12 +195,38 @@ let of_parsed_with ?context ~(misra : unit -> Misra.Registry.report)
     namespace_depth = Metrics.Architecture.namespace_depth files;
     cuda = Cudasim.Census.of_files files;
     interproc = ctx.Misra.Rule.interproc;
-    misra = misra ();
+    misra = no_misra;
     dataflow =
       List.fold_left
         (fun t (m : module_metrics) -> Dataflow.Analyses.add_totals t m.dataflow)
         Dataflow.Analyses.zero_totals per_module;
   }
+
+let of_parsed_with ?context ~(misra : unit -> Misra.Registry.report)
+    ~(module_dataflow : (string * Dataflow.Analyses.totals) list)
+    (parsed : Cfront.Project.parsed) =
+  Telemetry.with_span ~cat:"metrics" "metrics"
+    ~attrs:[ ("files", string_of_int (List.length parsed.Cfront.Project.files)) ]
+  @@ fun () ->
+  let ctx =
+    match context with Some ctx -> ctx | None -> Misra.Rule.build_context parsed
+  in
+  let core () = core ~ctx ~module_dataflow parsed in
+  let m =
+    match Cache.global () with
+    | None -> core ()
+    | Some c ->
+      (* One whole-tree artifact, keyed like interproc on the tree key
+         (the record names modules) and with no owner.  The walk
+         journals no finding, so there is none to replay, and a hit
+         counts no [metrics.*] work. *)
+      Cache.memo c ~kind:"metrics"
+        ~key:(Cache.key ~kind:"metrics" [ Cfront.Project.tree_key parsed ])
+        (fun () -> { (core ()) with interproc = no_interproc () })
+  in
+  (* The MISRA report comes last, so a pipelined caller blocks on its
+     future only here. *)
+  { m with interproc = ctx.Misra.Rule.interproc; misra = misra () }
 
 let of_parsed parsed =
   let context = Misra.Rule.build_context parsed in

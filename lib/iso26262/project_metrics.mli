@@ -97,7 +97,9 @@ val module_dataflow_of_parsed :
     findings, the shadowing counts, the recursion list, the
     architecture's call edges and the whole-program record all come
     from [context], or from {!Misra.Rule.build_context} when the ledger
-    calls it without one. *)
+    calls it without one.  Under a store the record without its MISRA
+    report is one whole-tree [metrics] artifact keyed on
+    {!Cfront.Project.tree_key}; a hit counts no [metrics.*] work. *)
 val of_parsed_with :
   ?context:Misra.Rule.context ->
   misra:(unit -> Misra.Registry.report) ->

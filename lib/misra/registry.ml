@@ -175,7 +175,7 @@ let run_project ?(rules = all_rules) ?context parsed =
   let cache_key =
     match Cache.global () with
     | None -> None
-    | Some _ -> Some (Cfront.Project.content_key parsed.Cfront.Project.project)
+    | Some _ -> Some (Cfront.Project.content_key parsed)
   in
   run_deferred ~rules ?cache_key (fun () ->
       match context with Some ctx -> ctx | None -> Rule.build_context parsed)

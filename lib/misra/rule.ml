@@ -40,6 +40,26 @@ type t = {
 let make ~id ~title ~category ?(decidable = true) check =
   { id; title; category; decidable; check }
 
+(* The whole-program summary of [parsed], memoized whole under a store
+   as the [interproc] artifact.  Interproc reads every file and names
+   each function's module, so the key is the tree key (paths, module
+   names, header flags and content hashes, in order).  The artifact has
+   no owner, so reverting an edit finds it again.  It holds the summary
+   and the findings the run journaled (recursion cycles, cross-call
+   uninit flows, unbounded depth), which a hit replays; a hit adds no
+   [interproc.*] work counters, because no work was done. *)
+let interproc_of ~facts parsed =
+  let analyze () = Interproc.Summary.analyze ~facts parsed in
+  match Cache.global () with
+  | None -> analyze ()
+  | Some c ->
+    let key = Cache.key ~kind:"interproc" [ Cfront.Project.tree_key parsed ] in
+    let (summary : Interproc.Summary.t), findings =
+      Cache.memo c ~kind:"interproc" ~key (fun () -> Provenance.collect analyze)
+    in
+    Provenance.absorb findings;
+    summary
+
 (* The one producer of the rule context, in the audit's order: the
    dataflow layer solves every defined function (per-file cache
    artifacts and journal findings), interproc runs over those facts and
@@ -52,9 +72,7 @@ let build_context (parsed : Cfront.Project.parsed) =
     List.concat_map snd
       (Telemetry.gc_phase "dataflow" (fun () -> Dataflow.Analyses.facts_of_parsed parsed))
   in
-  let interproc =
-    Telemetry.gc_phase "interproc" (fun () -> Interproc.Summary.analyze ~facts parsed)
-  in
+  let interproc = Telemetry.gc_phase "interproc" (fun () -> interproc_of ~facts parsed) in
   Telemetry.with_span ~cat:"misra" "misra.context" @@ fun () ->
   let files = parsed.Cfront.Project.files in
   let globals = Metrics.Globals.of_files files in

@@ -54,8 +54,11 @@ val make :
     context.  It runs, in this order and under these span and GC-phase
     names, {!Dataflow.Analyses.facts_of_parsed} ([dataflow]: per-file
     cache artifacts and [dataflow] journal findings),
-    {!Interproc.Summary.analyze} over those facts ([interproc]), then
-    the globals and the shadowing findings ([misra.context]).  The
+    {!Interproc.Summary.analyze} over those facts ([interproc]; under a
+    store one whole-tree [interproc] artifact keyed on
+    {!Cfront.Project.tree_key}, whose hit replays the journal findings
+    and counts no [interproc.*] work), then the globals and the
+    shadowing findings ([misra.context]).  The
     audit, the metrics, the standalone MISRA run and the CLI all get
     their context here, so a fact has one producer and one journal
     trail whichever entry point asked for it. *)

@@ -3,8 +3,8 @@
 (* [parsed_of_files files] wraps hand-parsed files as a project, one
    module per [modname] in first-seen order, so that a test can hand
    them to the producers that take a [Cfront.Project.parsed].  The
-   type-scan hash stays empty: it only keys cache artifacts, and no
-   fixture runs under a store. *)
+   type-scan hash and the content hashes stay empty: they only key
+   cache artifacts, and no fixture runs under a store. *)
 let parsed_of_files (files : Cfront.Project.parsed_file list) =
   let modname (pf : Cfront.Project.parsed_file) = pf.Cfront.Project.file.Cfront.Project.modname in
   let modnames =
@@ -21,7 +21,8 @@ let parsed_of_files (files : Cfront.Project.parsed_file list) =
   in
   { Cfront.Project.project = Cfront.Project.make ~name:"fixture" (List.map modul modnames);
     files;
-    types_key = "" }
+    types_key = "";
+    hashes = [] }
 
 (* The rule context of hand-parsed files, from the one producer. *)
 let context_of_files files = Misra.Rule.build_context (parsed_of_files files)

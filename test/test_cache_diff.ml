@@ -438,12 +438,14 @@ let test_warm_misra_builds_no_context () =
 
 (* One warm run over [tree] against store [c], replaying the audit's
    cache discipline: diff against the stored manifest (sweeping only
-   paths that left the tree), parse, save the new manifest, then MISRA +
+   paths that left the tree), parse, save the new manifest, then the
+   metric record (rule context, interproc, core metrics and MISRA) +
    per-file dataflow.  Returns a rendering that covers every cached
    artifact kind plus the finding ids, each once, as the journal holds
    them: a cold rule context journals the dataflow findings that the
-   per-file pass then replays from the store. *)
-let lib_run c tree =
+   per-file pass then replays from the store.  Also returns the metric
+   record, for comparison with {!metrics_oracle}. *)
+let lib_run_metrics c tree =
   let hashes =
     List.map
       (fun (f : Cfront.Project.source_file) ->
@@ -462,37 +464,54 @@ let lib_run c tree =
      in
      if gone <> [] then ignore (Cache.remove_owned c gone));
   Cache.with_global c @@ fun () ->
-  let (parsed, misra, summaries), findings =
+  let (parsed, metrics, summaries), findings =
     P.collect (fun () ->
         let parsed = Cfront.Project.parse tree in
-        let misra = Misra.Registry.run_project parsed in
+        let metrics = Iso26262.Project_metrics.of_parsed parsed in
         let summaries =
-          List.concat_map
-            (fun (pf : Cfront.Project.parsed_file) ->
-              List.map Dataflow.Analyses.summary_of_facts
-                (Dataflow.Analyses.facts_of_file
-                   ~path:pf.Cfront.Project.file.Cfront.Project.path
-                   ~key:(fun () -> Cfront.Project.file_key parsed pf)
-                   (Cfront.Project.defined_functions [ pf ])))
-            parsed.Cfront.Project.files
+          List.concat
+            (List.map2
+               (fun (pf : Cfront.Project.parsed_file) key ->
+                 List.map Dataflow.Analyses.summary_of_facts
+                   (Dataflow.Analyses.facts_of_file
+                      ~path:pf.Cfront.Project.file.Cfront.Project.path ~key
+                      (Cfront.Project.defined_functions [ pf ])))
+               parsed.Cfront.Project.files
+               (Cfront.Project.file_keys parsed))
         in
-        (parsed, misra, summaries))
+        (parsed, metrics, summaries))
   in
   Cache.Manifest.save c ~name:tree.Cfront.Project.p_name
     (manifest_of parsed);
-  String.concat "\n"
-    (Misra.Registry.render_summary misra
-     :: List.map
-          (fun (s : Dataflow.Analyses.func_summary) ->
-            Printf.sprintf "%s blocks=%d edges=%d unreachable=%d dead=%d \
-                            uninit=%d const=%d"
-              s.Dataflow.Analyses.s_function s.Dataflow.Analyses.s_blocks
-              s.Dataflow.Analyses.s_edges s.Dataflow.Analyses.s_unreachable
-              s.Dataflow.Analyses.s_dead_stores
-              s.Dataflow.Analyses.s_uninit_reads
-              s.Dataflow.Analyses.s_const_conditions)
-          summaries
-     @ List.sort_uniq compare (List.map (fun f -> f.P.f_id) findings))
+  ( String.concat "\n"
+      (Misra.Registry.render_summary metrics.Iso26262.Project_metrics.misra
+       :: List.map
+            (fun (s : Dataflow.Analyses.func_summary) ->
+              Printf.sprintf "%s blocks=%d edges=%d unreachable=%d dead=%d \
+                              uninit=%d const=%d"
+                s.Dataflow.Analyses.s_function s.Dataflow.Analyses.s_blocks
+                s.Dataflow.Analyses.s_edges s.Dataflow.Analyses.s_unreachable
+                s.Dataflow.Analyses.s_dead_stores
+                s.Dataflow.Analyses.s_uninit_reads
+                s.Dataflow.Analyses.s_const_conditions)
+            summaries
+       @ List.sort_uniq compare (List.map (fun f -> f.P.f_id) findings)),
+    metrics )
+
+let lib_run c tree = fst (lib_run_metrics c tree)
+
+(* The metric record of a no-cache run over [tree]. *)
+let metrics_oracle tree =
+  fst (P.collect (fun () -> Iso26262.Project_metrics.of_parsed (Cfront.Project.parse tree)))
+
+(* [compare], not [=]: a record holds floats, and the MISRA report's
+   rules hold closures.  Each side's report is set to the oracle's own,
+   which [compare] then skips as physically equal; the reports are
+   compared through their rendering in {!lib_run}'s output. *)
+let same_metrics ~(oracle : Iso26262.Project_metrics.t) (m : Iso26262.Project_metrics.t) =
+  let module PM = Iso26262.Project_metrics in
+  compare m.PM.interproc oracle.PM.interproc = 0
+  && compare { m with PM.misra = oracle.PM.misra } oracle = 0
 
 let test_manifest_of_parsed_edges () =
   let parsed = Cfront.Project.parse (project_of base_sources) in
@@ -618,11 +637,20 @@ let prop_edit_sequence_converges =
       @@ fun () ->
       let warm = Cache.open_dir warm_dir in
       let state = ref ([| 0; 0; 0; 0 |], false) in
-      let last = ref (lib_run warm (tree_of_state !state)) in
+      (* every step's interproc summary and metric record (both
+         whole-tree artifacts) must equal a no-cache run's *)
+      let step () =
+        let tree = tree_of_state !state in
+        let out, metrics = lib_run_metrics warm tree in
+        if not (same_metrics ~oracle:(metrics_oracle tree) metrics) then
+          QCheck.Test.fail_report "metric record <> no-cache record";
+        out
+      in
+      let last = ref (step ()) in
       List.iter
         (fun e ->
           state := apply_edit !state e;
-          last := lib_run warm (tree_of_state !state))
+          last := step ())
         edits;
       let cold = Cache.open_dir cold_dir in
       let cold_out = lib_run cold (tree_of_state !state) in
@@ -681,7 +709,14 @@ type audit_obs = {
   a_ids : string list;
   a_stats : Cache.stats option;  (** this run's counter deltas *)
   a_invalidate : int;  (** [cache.invalidate] work-tier counter *)
+  a_work : (string * int) list;  (** the {!work_counters} of this run *)
+  a_lexed : bool;  (** the run opened a [parse.lex] span *)
 }
+
+(* Work counters that only a computed (not a looked-up) layer adds:
+   interproc's, the core metric walk's, and the CFGs that dataflow and
+   interproc build. *)
+let work_counters = [ "interproc.functions"; "metrics.cc_functions"; "dataflow.cfgs" ]
 
 (* One audit under the tick clock at [jobs], optionally against [cache]
    and over an explicit [project] tree. *)
@@ -720,6 +755,9 @@ let audit_obs ?project ~jobs ~cache () =
     a_ids = List.map (fun f -> f.P.f_id) audit.Iso26262.Audit.journal;
     a_stats = delta;
     a_invalidate = Telemetry.counter "cache.invalidate";
+    a_work = List.map (fun k -> (k, Telemetry.counter k)) work_counters;
+    a_lexed =
+      List.exists (fun e -> e.Telemetry.ev_name = "parse.lex") (Telemetry.events ());
   }
 
 let oracle = lazy (audit_obs ~jobs:1 ~cache:None ())
@@ -749,14 +787,24 @@ let test_audit_cold_with_cache () =
     cold_misses := d.Cache.misses;
     Alcotest.(check bool) "cold run computes everything" true
       (d.Cache.misses > 0 && d.Cache.stores > 0);
-    Alcotest.(check int) "no invalidation on first contact" 0 obs.a_invalidate
+    Alcotest.(check int) "no invalidation on first contact" 0 obs.a_invalidate;
+    Alcotest.(check bool) "cold run lexes" true obs.a_lexed;
+    List.iter
+      (fun (k, n) -> Alcotest.(check bool) ("cold run counts " ^ k) true (n > 0))
+      obs.a_work
 
 (* Warm from the store the cold jobs=1 run filled: oracle bytes, no
-   recomputation, no invalidation — at every jobs value. *)
+   recomputation, no invalidation — at every jobs value.  A warm audit
+   only looks up: it lexes no file, runs no interproc, walks no metric
+   and builds no CFG, so none of their work counters moves. *)
 let check_warm ~jobs =
   let name = Printf.sprintf "warm jobs=%d" jobs in
   let obs = audit_obs ~jobs ~cache:(Some (Lazy.force audit_store)) () in
   check_matches_oracle ~name obs;
+  Alcotest.(check bool) (name ^ " lexes no file") false obs.a_lexed;
+  List.iter
+    (fun (k, n) -> Alcotest.(check int) (name ^ " counts no " ^ k) 0 n)
+    obs.a_work;
   match obs.a_stats with
   | None -> Alcotest.fail "no cache stats"
   | Some d ->
@@ -929,6 +977,59 @@ let test_audit_incremental_edit () =
   check_matches_oracle_against ~name:"incremental jobs=8" edit_oracle
     (audit_obs ~jobs:8 ~project:edited ~cache:(Some c) ())
 
+(* The tree key covers module names.  Moving the first module's last
+   file to the front of the second keeps every path, every byte and the
+   file order, so the content key (and with it every MISRA rule, parse,
+   type-name and dataflow artifact) is unchanged; only the interproc
+   summary (each function's module) and the metric record (per-module
+   figures) differ.  Against a store filled from the unmoved tree, the
+   moved tree must miss exactly those two and still match its own
+   no-cache oracle. *)
+let test_audit_module_move () =
+  let project = Lazy.force base_project in
+  let moved =
+    match project.Cfront.Project.p_modules with
+    | m1 :: m2 :: rest ->
+      let keep, last =
+        match List.rev m1.Cfront.Project.m_files with
+        | last :: keep -> (List.rev keep, last)
+        | [] -> Alcotest.fail "first module has no files"
+      in
+      let last = { last with Cfront.Project.modname = m2.Cfront.Project.m_name } in
+      { project with
+        Cfront.Project.p_modules =
+          { m1 with Cfront.Project.m_files = keep }
+          :: { m2 with Cfront.Project.m_files = last :: m2.Cfront.Project.m_files }
+          :: rest }
+    | _ -> Alcotest.fail "corpus has fewer than two modules"
+  in
+  let view p =
+    List.map
+      (fun (f : Cfront.Project.source_file) -> (f.Cfront.Project.path, f.Cfront.Project.content))
+      (Cfront.Project.all_files p)
+  in
+  Alcotest.(check bool) "same paths, bytes and order" true (view project = view moved);
+  let dir = fresh_dir "adcheck-move" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let c = Cache.open_dir dir in
+  let before = audit_obs ~jobs:1 ~project ~cache:(Some c) () in
+  let arts_before = artifact_files dir in
+  let obs = audit_obs ~jobs:1 ~project:moved ~cache:(Some c) () in
+  let oracle = audit_obs ~jobs:1 ~project:moved ~cache:None () in
+  check_matches_oracle_against ~name:"moved module" oracle obs;
+  Alcotest.(check bool) "the move changes the report" true
+    (before.a_report <> obs.a_report);
+  Alcotest.(check (list string)) "new artifacts: one interproc, one metric record"
+    [ "interproc"; "metrics" ]
+    (List.filter_map
+       (fun f ->
+         if List.mem f arts_before then None
+         else Some (String.sub f 0 (String.index f '-')))
+       (artifact_files dir));
+  match obs.a_stats with
+  | Some d -> Alcotest.(check int) "exactly the two whole-tree artifacts miss" 2 d.Cache.misses
+  | None -> Alcotest.fail "no cache stats"
+
 (* A damaged store slows the audit down but cannot change it: truncate
    or scribble over half the artifacts, then re-run warm. *)
 let test_audit_corrupted_store () =
@@ -1028,7 +1129,8 @@ let test_cli_serve_protocol () =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let rc, out, _ =
     run_capture
-      (Printf.sprintf "printf 'ping\\nstats\\nbogus\\nquit\\n' | %s serve --cache %s"
+      (Printf.sprintf
+         "printf 'ping\\nstats\\nbogus\\naudit seed=7 seed=8\\nping\\nquit\\n' | %s serve --cache %s"
          (Filename.quote adcheck_exe) (Filename.quote dir))
   in
   Alcotest.(check int) "serve session exits 0" 0 rc;
@@ -1048,6 +1150,12 @@ let test_cli_serve_protocol () =
   Alcotest.(check bool) "ping answered" true (has "pong");
   Alcotest.(check bool) "stats line carries counters" true (has "stats hits=");
   Alcotest.(check bool) "unknown command rejected in-band" true (has "err ");
+  (* a repeated key is a diagnostic, not a silent override, and the
+     session keeps serving *)
+  Alcotest.(check (list string)) "transcript, stats line aside"
+    [ "adcheck-serve/1 ready"; "pong"; "err unknown command \"bogus\"";
+      "err duplicate argument \"seed=8\""; "pong"; "bye" ]
+    (List.filter (fun l -> not (String.starts_with ~prefix:"stats " l)) lines);
   Alcotest.(check bool) "quit acknowledged" true (has "bye")
 
 (* ------------------------------------------------------------------ *)
@@ -1110,6 +1218,8 @@ let () =
             test_audit_warm_jobs8;
           Alcotest.test_case "incremental edit == oracle, exact set" `Slow
             test_audit_incremental_edit;
+          Alcotest.test_case "module move misses interproc and metrics" `Slow
+            test_audit_module_move;
           Alcotest.test_case "corrupted store == oracle" `Slow
             test_audit_corrupted_store;
         ] );
