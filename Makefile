@@ -48,7 +48,11 @@ check: build test check-par check-cache check-coverage check-report
 # four ways — no cache (the jobs=1 oracle), cold against an empty
 # store, then warm from the store the cold run just populated, at
 # jobs 1 and at jobs 8 — must produce byte-identical reports and
-# adcheck-evidence/1 journals.
+# adcheck-evidence/1 journals.  The warm runs must also leave the
+# store's file listing as the cold run left it: a warm audit writes
+# nothing, neither a new path list nor a stray temp file.  The listing
+# carries inode numbers, so an artifact rewritten under its old name
+# (a new file renamed over it) also shows.
 # test_cache_diff locks the same contract in-process (plus incremental
 # edits, corrupt stores and QCheck edit sequences); this target locks
 # the shipped binary's --cache threading.
@@ -59,12 +63,17 @@ check-cache: build
 	dune exec bin/adcheck.exe -- audit --scale small --seed 7 --jobs 1 \
 	  --cache _build/check-cache-store \
 	  --evidence _build/cc-cold.jsonl > _build/cc-cold.out
+	ls -i _build/check-cache-store > _build/cc-cold.ls
 	dune exec bin/adcheck.exe -- audit --scale small --seed 7 --jobs 1 \
 	  --cache _build/check-cache-store \
 	  --evidence _build/cc-warm.jsonl > _build/cc-warm.out
+	ls -i _build/check-cache-store > _build/cc-warm.ls
+	cmp _build/cc-cold.ls _build/cc-warm.ls
 	dune exec bin/adcheck.exe -- audit --scale small --seed 7 --jobs 8 \
 	  --cache _build/check-cache-store \
 	  --evidence _build/cc-warm8.jsonl > _build/cc-warm8.out
+	ls -i _build/check-cache-store > _build/cc-warm8.ls
+	cmp _build/cc-cold.ls _build/cc-warm8.ls
 	cmp _build/cc-oracle.out _build/cc-cold.out
 	cmp _build/cc-oracle.out _build/cc-warm.out
 	cmp _build/cc-oracle.out _build/cc-warm8.out
@@ -181,7 +190,7 @@ check-par:
 # and the bench.compile.*_ms gauges hold the wall times.
 # BENCH_7.json measures the incremental audit cache: the same audit
 # cold (empty store), warm (same tree) and after a one-file edit; the
-# cache.{hit,miss,invalidate} counters are the work-tier record and
+# cache.{hit,miss,store} counters are the work-tier record and
 # the bench.incremental.{cold,warm,edit}_ms / *_misses gauges hold the
 # per-pass wall times and recompute counts.  The edit pass must
 # recompute measurably fewer artifacts than the cold pass.

@@ -694,7 +694,7 @@ let append_probe (p : Cfront.Project.t) path =
 let run_incremental () =
   heading "Incremental audit - cold vs warm vs one-file edit under the cache";
   (* A scratch store under the system temp dir, wiped before the passes
-     so the hit/miss/invalidate counts are deterministic across bench
+     so the hit/miss/store counts are deterministic across bench
      runs, and removed again afterwards. *)
   let dir =
     Filename.concat (Filename.get_temp_dir_name ()) "adcheck-bench-cache"
@@ -731,44 +731,37 @@ let run_incremental () =
   Cache.set_global (Some store);
   let pass project =
     let b = Cache.stats store in
-    let inv0 = Telemetry.counter "cache.invalidate" in
     let t0 = Telemetry.now_us () in
     ignore
       (Iso26262.Audit.run ~seed:!bench_seed ~specs ~project
          ~open_vs_closed:ratios ());
     let ms = (Telemetry.now_us () -. t0) /. 1e3 in
     let a = Cache.stats store in
-    ( ms,
-      a.Cache.hits - b.Cache.hits,
-      a.Cache.misses - b.Cache.misses,
-      Telemetry.counter "cache.invalidate" - inv0 )
+    (ms, a.Cache.hits - b.Cache.hits, a.Cache.misses - b.Cache.misses)
   in
-  let cold_ms, cold_hits, cold_misses, _ = pass project in
-  let warm_ms, warm_hits, warm_misses, _ = pass project in
-  let edit_ms, edit_hits, edit_misses, edit_inv = pass edited in
+  let cold_ms, cold_hits, cold_misses = pass project in
+  let warm_ms, warm_hits, warm_misses = pass project in
+  let edit_ms, edit_hits, edit_misses = pass edited in
   Telemetry.set_gauge "bench.incremental.cold_ms" cold_ms;
   Telemetry.set_gauge "bench.incremental.warm_ms" warm_ms;
   Telemetry.set_gauge "bench.incremental.edit_ms" edit_ms;
   Telemetry.set_gauge "bench.incremental.cold_misses" (float_of_int cold_misses);
   Telemetry.set_gauge "bench.incremental.warm_misses" (float_of_int warm_misses);
   Telemetry.set_gauge "bench.incremental.edit_misses" (float_of_int edit_misses);
-  Telemetry.set_gauge "bench.incremental.edit_invalidated" (float_of_int edit_inv);
   let tbl =
     Util.Table.make ~title:"audit wall time and cache traffic per pass"
-      ~header:[ "pass"; "wall"; "hits"; "misses"; "invalidated" ]
+      ~header:[ "pass"; "wall"; "hits"; "misses" ]
       ~aligns:
-        [ Util.Table.Left; Util.Table.Right; Util.Table.Right;
-          Util.Table.Right; Util.Table.Right ]
+        [ Util.Table.Left; Util.Table.Right; Util.Table.Right; Util.Table.Right ]
       ()
   in
-  let row tbl name ms hits misses inv =
+  let row tbl name ms hits misses =
     Util.Table.add_row tbl
-      [ name; Printf.sprintf "%.1f ms" ms; string_of_int hits;
-        string_of_int misses; string_of_int inv ]
+      [ name; Printf.sprintf "%.1f ms" ms; string_of_int hits; string_of_int misses ]
   in
-  let tbl = row tbl "cold (empty store)" cold_ms cold_hits cold_misses 0 in
-  let tbl = row tbl "warm (same tree)" warm_ms warm_hits warm_misses 0 in
-  let tbl = row tbl "one-file edit" edit_ms edit_hits edit_misses edit_inv in
+  let tbl = row tbl "cold (empty store)" cold_ms cold_hits cold_misses in
+  let tbl = row tbl "warm (same tree)" warm_ms warm_hits warm_misses in
+  let tbl = row tbl "one-file edit" edit_ms edit_hits edit_misses in
   print_string (Util.Table.render tbl);
   Printf.printf
     "\none-file edit recomputes %d artifact(s) vs %d cold (%.0f%% served warm)\n"

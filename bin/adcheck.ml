@@ -73,11 +73,12 @@ let cache_arg =
      core metric record, per-rule MISRA results, compiled bytecode, \
      coverage-phase outcomes — are served warm when their content keys \
      match (a warm run lexes no file and re-runs none of them) and \
-     invalidated when a file or one of its include/call-graph dependencies \
-     changes.  Off by default: the cold jobs=1 run stays the oracle, and \
-     warm runs are byte-identical to it (reports, evidence journals, \
-     finding ids).  Hit/miss/invalidation counters flow through the \
-     $(b,cache.*) flight-recorder counters ($(b,--metrics))."
+     recomputed when the content they fold changes; artifacts of files \
+     that left the tree are removed.  Off by default: the cold jobs=1 run \
+     stays the oracle, and warm runs are byte-identical to it (reports, \
+     evidence journals, finding ids).  Hit/miss/store/eviction counters \
+     flow through the $(b,cache.*) flight-recorder counters \
+     ($(b,--metrics))."
   in
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
 

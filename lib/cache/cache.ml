@@ -15,9 +15,9 @@
     - Counters are atomics: lookups may come from any worker domain
       (parse fan-out, pipelined audit phases).  Telemetry counters
       [cache.hit/miss/store/corrupt/evict] mirror them in the work
-      tier — deterministic for a deterministic workload.  The audit
-      layer adds [cache.invalidate]: the size of the manifest-diff
-      invalidation set (changed files + transitive dependents). *)
+      tier — deterministic for a deterministic workload.
+    - Temp files carry the process id and a per-process sequence, so
+      two processes sharing one store never write the same temp file. *)
 
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
@@ -38,7 +38,7 @@ let magic = "adcheck-cache/1"
 
 (* Bump on any change to the marshaled layout of a cached artifact
    (AST, dataflow facts, violations, bytecode, coverage outcomes). *)
-let version_salt = "adcheck-cache/1 schema=5"
+let version_salt = "adcheck-cache/1 schema=6"
 
 type t = {
   cache_dir : string;
@@ -49,8 +49,6 @@ type t = {
   invalidated : int Atomic.t;
   tmp_seq : int Atomic.t;
 }
-
-type store = t
 
 type stats = {
   hits : int;
@@ -94,12 +92,16 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-(* Wipe every artifact (schema change): the manifest and all .art files
-   share the suffix, so one sweep resets the store to empty-but-valid. *)
+(* A writer's temp file, [<artifact>.tmp.<pid>.<seq>]; one that is still
+   present was left by a killed writer. *)
+let is_temp name = Util.Strutil.contains_sub ~sub:(art_suffix ^ ".tmp.") name
+
+(* Wipe every artifact and stray temp file (schema change), resetting
+   the store to empty-but-valid. *)
 let wipe_artifacts dirname =
   Array.iter
     (fun name ->
-      if is_artifact name then
+      if is_artifact name || is_temp name then
         try Sys.remove (Filename.concat dirname name) with Sys_error _ -> ())
     (Sys.readdir dirname)
 
@@ -271,7 +273,8 @@ let store (t : t) ?(owner = "") ~kind ~key v =
   | payload ->
     let path = art_path t ~kind ~key in
     let tmp =
-      Printf.sprintf "%s.tmp.%d" path (Atomic.fetch_and_add t.tmp_seq 1)
+      Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
+        (Atomic.fetch_and_add t.tmp_seq 1)
     in
     (try
        write_file tmp (render_artifact ~kind ~key ~owner payload);
@@ -309,6 +312,20 @@ let remove_owned (t : t) paths =
   Telemetry.add "cache.evict" !removed;
   !removed
 
+(* The path list is sorted, so equal trees give equal lists and an
+   unchanged tree writes nothing. *)
+let sweep t ~name paths =
+  let key = key ~kind:"manifest" [ name ] in
+  let paths = List.sort_uniq compare paths in
+  let previous : string list option = find t ~kind:"manifest" ~key in
+  if previous <> Some paths then begin
+    let gone =
+      List.filter (fun p -> not (List.mem p paths)) (Option.value ~default:[] previous)
+    in
+    if gone <> [] then ignore (remove_owned t gone);
+    store t ~kind:"manifest" ~key paths
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Process-global store                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -320,78 +337,3 @@ let global () = Atomic.get global_store
 let with_global c f =
   set_global (Some c);
   Fun.protect ~finally:(fun () -> set_global None) f
-
-(* ------------------------------------------------------------------ *)
-(* Dependency manifest                                                  *)
-(* ------------------------------------------------------------------ *)
-
-module Manifest = struct
-  type entry = { e_path : string; e_hash : string; e_deps : string list }
-  type t = { entries : entry list }
-
-  let make triples =
-    {
-      entries =
-        List.sort
-          (fun a b -> compare a.e_path b.e_path)
-          (List.map
-             (fun (p, h, deps) ->
-               { e_path = p; e_hash = h; e_deps = List.sort_uniq compare deps })
-             triples);
-    }
-
-  let changed ~old hashes =
-    let old_tbl = Hashtbl.create 64 in
-    List.iter (fun e -> Hashtbl.replace old_tbl e.e_path e.e_hash) old.entries;
-    let new_tbl = Hashtbl.create 64 in
-    List.iter (fun (p, h) -> Hashtbl.replace new_tbl p h) hashes;
-    let changed = ref [] in
-    (* modified or added *)
-    List.iter
-      (fun (p, h) ->
-        match Hashtbl.find_opt old_tbl p with
-        | Some h' when h' = h -> ()
-        | _ -> changed := p :: !changed)
-      hashes;
-    (* removed *)
-    List.iter
-      (fun e -> if not (Hashtbl.mem new_tbl e.e_path) then changed := e.e_path :: !changed)
-      old.entries;
-    List.sort_uniq compare !changed
-
-  let dependents t seeds =
-    (* reverse edges: dep -> the files that depend on it *)
-    let rev = Hashtbl.create 64 in
-    List.iter
-      (fun e ->
-        List.iter
-          (fun d ->
-            Hashtbl.replace rev d
-              (e.e_path :: Option.value ~default:[] (Hashtbl.find_opt rev d)))
-          e.e_deps)
-      t.entries;
-    let seen = Hashtbl.create 64 in
-    List.iter (fun s -> Hashtbl.replace seen s ()) seeds;
-    let out = ref [] in
-    let rec visit p =
-      List.iter
-        (fun q ->
-          if not (Hashtbl.mem seen q) then begin
-            Hashtbl.replace seen q ();
-            out := q :: !out;
-            visit q
-          end)
-        (Option.value ~default:[] (Hashtbl.find_opt rev p))
-    in
-    List.iter visit seeds;
-    List.sort_uniq compare !out
-
-  let invalidated ~old hashes =
-    let ch = changed ~old hashes in
-    List.sort_uniq compare (ch @ dependents old ch)
-
-  let manifest_key name = key ~kind:"manifest" [ name ]
-
-  let save c ~name m = store c ~kind:"manifest" ~key:(manifest_key name) m
-  let load c ~name : t option = find c ~kind:"manifest" ~key:(manifest_key name)
-end

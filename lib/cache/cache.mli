@@ -7,14 +7,17 @@
     interproc summary ([interproc]) and core metric record ([metrics]),
     per-rule MISRA results ([misra]), compiled bytecode programs
     ([bytecode]), coverage phases and scenario batches ([covphase],
-    [scenario]), and the dependency {!Manifest}.  Each is
+    [scenario]), and each project's path list ([manifest], see
+    {!sweep}).  Because every key folds the content it depends on, a
+    stale artifact can never hit: an edit needs no invalidation, and
+    reverting it finds the original artifacts again.  Each artifact is
     serialized with [Marshal] under a header that names the schema salt,
     the kind, the key, the payload length and digest, and an optional
-    {e owner} path used for invalidation.  A lookup re-validates every
-    header field and the payload digest; any mismatch (truncation,
-    garbage, a salt from another tool version) is logged, counted as
-    corrupt, deleted and reported as a miss, so a damaged cache can slow
-    an audit down but never change its output.
+    {e owner} path whose departure from the tree sweeps it.  A lookup
+    re-validates every header field and the payload digest; any mismatch
+    (truncation, garbage, a salt from another tool version) is logged,
+    counted as corrupt, deleted and reported as a miss, so a damaged
+    cache can slow an audit down but never change its output.
 
     The exactness contract is the caller's: an artifact may only be
     served where recomputing it would produce byte-identical results.
@@ -37,9 +40,6 @@ val version_salt : string
 
 type t
 
-(** Alias for {!t}, usable inside {!Manifest} where [t] is shadowed. *)
-type store = t
-
 (** Monotone per-store counters (process lifetime, all domains). *)
 type stats = {
   hits : int;
@@ -50,8 +50,9 @@ type stats = {
 }
 
 (** Open (creating if needed) a store rooted at [dir].  A VERSION file
-    carrying another {!version_salt} wipes all artifacts first.  Raises
-    [Sys_error] if the directory cannot be created or written. *)
+    carrying another {!version_salt} first wipes all artifacts and any
+    temp file a killed writer left.  Raises [Sys_error] if the directory
+    cannot be created or written. *)
 val open_dir : string -> t
 
 val dir : t -> string
@@ -68,11 +69,13 @@ val key : kind:string -> string list -> string
     with the [store] of the same [kind]. *)
 val find : t -> kind:string -> key:string -> 'a option
 
-(** Store an artifact (atomic write-then-rename).  [owner] names the
-    source path whose edit invalidates the artifact; artifacts without
-    an owner are self-validating through their key alone.  Serialization
-    or filesystem failures are logged and skipped — the cache never
-    fails the computation it memoizes. *)
+(** Store an artifact (atomic write-then-rename through a temp file
+    named after the process id, so processes sharing the store never
+    write the same temp file).  [owner] names the source path whose
+    departure from the tree sweeps the artifact; artifacts without an
+    owner live until the store is wiped.  Serialization or filesystem
+    failures are logged and skipped — the cache never fails the
+    computation it memoizes. *)
 val store : t -> ?owner:string -> kind:string -> key:string -> 'a -> unit
 
 (** [memo t ?owner ~kind ~key f] is [find] else [f () |> store]. *)
@@ -86,6 +89,14 @@ val memo : t -> ?owner:string -> kind:string -> key:string -> (unit -> 'a) -> 'a
     finds the original artifacts warm. *)
 val remove_owned : t -> string list -> int
 
+(** [sweep t ~name paths] records [paths] as project [name]'s tree and
+    removes ({!remove_owned}) every artifact owned by a path of the
+    previously recorded tree that [paths] lacks.  The list is written
+    only when it differs from the recorded one, so a run over an
+    unchanged path set stores nothing.  Call it before computing any
+    artifact of the new tree. *)
+val sweep : t -> name:string -> string list -> unit
+
 (** Process-global store consulted by the analysis libraries. *)
 val set_global : t option -> unit
 
@@ -93,38 +104,3 @@ val global : unit -> t option
 
 (** Run [f] with the global store bound to [c], restoring [None] after. *)
 val with_global : t -> (unit -> 'a) -> 'a
-
-(** Dependency manifest: the previous run's view of the source tree —
-    per-file content hashes plus the project-internal files each file
-    depends on (includes and resolved call-graph callees) — so the next
-    run can invalidate exactly the changed files and their transitive
-    reverse-dependents before any artifact is consulted. *)
-module Manifest : sig
-  type entry = {
-    e_path : string;
-    e_hash : string;  (** {!fnv1a64} of the file content *)
-    e_deps : string list;  (** project paths this file depends on *)
-  }
-
-  type t = { entries : entry list }
-
-  (** Build from [(path, content_hash, deps)] triples; entries are
-      stored sorted by path so equal trees give equal manifests. *)
-  val make : (string * string * string list) list -> t
-
-  (** Paths added, removed or content-changed between the old manifest
-      and the new [(path, hash)] view.  Sorted. *)
-  val changed : old:t -> (string * string) list -> string list
-
-  (** Transitive reverse-dependents of [seeds] under [t]'s dependency
-      edges (excluding the seeds themselves).  Sorted. *)
-  val dependents : t -> string list -> string list
-
-  (** [changed] plus their transitive reverse-dependents under the old
-      edges — the exact set of files whose cached artifacts must be
-      dropped before a warm run over the new tree.  Sorted. *)
-  val invalidated : old:t -> (string * string) list -> string list
-
-  val save : store -> name:string -> t -> unit
-  val load : store -> name:string -> t option
-end

@@ -76,8 +76,6 @@ let scan_type_names (files : source_file list) =
        (fun f -> type_names_of_tokens (lex f).Parser.lx_tokens)
        files)
 
-let file_hashes t = List.map (fun f -> Cache.fnv1a64 f.content) (all_files t)
-
 (* Cache keys.  Every key below folds the per-file content hashes of
    one list, so an audit hashes each file's bytes once.  A parse made
    without a store carries no hashes; its keys hash the files then, so
@@ -113,16 +111,14 @@ let file_keys parsed =
    on its path and content hash, and its unit a [parse] artifact; a
    file is lexed only where one of them misses, at most once, and keeps
    its table only when its names missed (DESIGN.md, section 3a). *)
-let parse ?hashes t =
+let parse t =
   let sp = Telemetry.start_span ~cat:"cfront" "parse" in
   let t0 = Telemetry.now_us () in
   let store = Cache.global () in
   let sources = all_files t in
   let hashes =
-    match (store, hashes) with
-    | None, _ -> []
-    | Some _, Some hashes -> hashes
-    | Some _, None -> file_hashes t
+    if Option.is_none store then []
+    else List.map (fun f -> Cache.fnv1a64 f.content) sources
   in
   let names_key f h = Cache.key ~kind:"types" [ f.path; h ] in
   (* (file, its content hash, its type names if the store has them) *)

@@ -39,9 +39,6 @@ val file_count : t -> int
     does the same scan without lexing any file twice. *)
 val scan_type_names : source_file list -> string list
 
-(** {!Cache.fnv1a64} of each file's content, in {!all_files} order. *)
-val file_hashes : t -> string list
-
 (** Parse every file, seeding each unit's type registry with
     {!scan_type_names} of the whole project.  The result equals
     [Parser.parse_file ~extra_types:(scan_type_names files)] on each file,
@@ -50,18 +47,13 @@ val file_hashes : t -> string list
     Without a store every file is lexed once ({!Parser.lex_file}); its
     type names come from that stream, and it keeps the stream for
     {!Parser.parse_lexed}.  With a store ([Cache.global ()]) each file's
-    content is hashed once (or [hashes], its {!file_hashes}, is taken
-    from the caller) and two artifacts per file, both owned by its path,
-    are looked up: its type names ([types], keyed on path and content
+    content is hashed once and two artifacts per file, both owned by its
+    path, are looked up: its type names ([types], keyed on path and content
     hash) and its unit ([parse], keyed on those and the shared type
     names).  A file is lexed only when one of them misses, and at most
     once.  When every [types] artifact hits, no file is lexed and no
     [parse.lex] span is opened. *)
-val parse : ?hashes:string list -> t -> parsed
-
-(** The per-file content hashes every cache key folds: [parsed.hashes],
-    or {!Cache.fnv1a64} of each file for a parse made without a store. *)
-val hashes : parsed -> string list
+val parse : t -> parsed
 
 (** Whole-tree cache keys.  [content_key] folds every path and content
     hash, in file order; artifacts that read only the sources (per-rule

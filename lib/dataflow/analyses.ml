@@ -721,7 +721,7 @@ let facts_of_functions fns =
     on.  The artifact stores the facts {e and} the provenance findings
     the solves recorded, so a hit replays the findings and the evidence
     journal stays byte-identical to a cold run.  [path] owns the
-    artifact for invalidation. *)
+    artifact, which is swept when the path leaves the tree. *)
 let facts_of_file ~path ~key fns =
   match Cache.global () with
   | None -> facts_of_functions fns

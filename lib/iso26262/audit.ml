@@ -17,119 +17,6 @@ type t = {
   journal : Provenance.finding list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Incremental caching support                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Project-internal include edges: [#include "x"] resolved against the
-   project's own paths.  The generated corpus includes module headers as
-   "modules/<mod>/common.h" while project paths are "<mod>/common.h", so
-   resolution accepts exact matches and suffix containment either way. *)
-let include_deps_of_content ~paths content =
-  let deps = ref [] in
-  let resolve inc =
-    List.iter
-      (fun p ->
-        if
-          p = inc
-          || String.ends_with ~suffix:("/" ^ p) inc
-          || String.ends_with ~suffix:("/" ^ inc) p
-        then deps := p :: !deps)
-      paths
-  in
-  String.split_on_char '\n' content
-  |> List.iter (fun line ->
-         let line = String.trim line in
-         if String.length line > 8 && String.sub line 0 8 = "#include" then
-           match String.index_opt line '"' with
-           | None -> ()
-           | Some q0 -> (
-             match String.index_from_opt line (q0 + 1) '"' with
-             | None -> ()
-             | Some q1 -> resolve (String.sub line (q0 + 1) (q1 - q0 - 1))));
-  List.sort_uniq compare !deps
-
-(* Dependency manifest of a parsed tree: per-file content hash plus the
-   project files each file depends on — its quoted includes and the
-   files defining functions it calls in [graph] (caller depends on callee: editing
-   the callee's file invalidates the caller's whole-program artifacts).
-   Saved after every cache-enabled audit; the next audit diffs its tree
-   against it to invalidate exactly the changed files and their
-   transitive reverse-dependents before consulting any artifact. *)
-let manifest_of_parsed ~(graph : Cfront.Callgraph.t) (parsed : Cfront.Project.parsed) =
-  let files =
-    List.map (fun (pf : Cfront.Project.parsed_file) -> pf.Cfront.Project.file)
-      parsed.Cfront.Project.files
-  in
-  let paths = List.map (fun f -> f.Cfront.Project.path) files in
-  let file_of_fn = Hashtbl.create 256 in
-  List.iter
-    (fun (pf : Cfront.Project.parsed_file) ->
-      List.iter
-        (fun (fn : Cfront.Ast.func) ->
-          if fn.Cfront.Ast.f_body <> None then
-            Hashtbl.replace file_of_fn
-              (Cfront.Ast.qualified_name fn)
-              pf.Cfront.Project.file.Cfront.Project.path)
-        (Cfront.Ast.functions_of_tu pf.Cfront.Project.tu))
-    parsed.Cfront.Project.files;
-  let call_deps = Hashtbl.create 256 in
-  List.iter
-    (fun (caller, callee) ->
-      match (Hashtbl.find_opt file_of_fn caller, Hashtbl.find_opt file_of_fn callee) with
-      | Some cf, Some ce when cf <> ce ->
-        Hashtbl.replace call_deps cf
-          (ce :: Option.value ~default:[] (Hashtbl.find_opt call_deps cf))
-      | _ -> ())
-    graph.Cfront.Callgraph.edges;
-  Cache.Manifest.make
-    (List.map2
-       (fun (f : Cfront.Project.source_file) hash ->
-         let deps =
-           include_deps_of_content ~paths f.Cfront.Project.content
-           @ Option.value ~default:[]
-               (Hashtbl.find_opt call_deps f.Cfront.Project.path)
-         in
-         (f.Cfront.Project.path, hash, List.filter (fun d -> d <> f.Cfront.Project.path) deps))
-       files (Cfront.Project.hashes parsed))
-
-(* Diff the incoming tree against the stored manifest: the invalidation
-   set is every changed file plus its transitive reverse-dependents
-   under the OLD edges.  Because artifact keys are content-addressed, a
-   stale entry can never falsely hit — the set is reported (counter
-   [cache.invalidate], one per invalidated path) rather than swept, so
-   reverting an edit restores the original artifacts as cache hits.
-   Only artifacts owned by paths that left the tree entirely (deletes,
-   the old side of a rename) are physically removed: no future tree can
-   ever hit them.  Runs BEFORE the parse so the fresh artifacts the
-   parse stores are never swept.  [hashes] are the files' content
-   hashes in [all_files] order; returns the manifest it loaded. *)
-let invalidate_against_manifest c (project : Cfront.Project.t) ~hashes =
-  let hashes =
-    List.map2
-      (fun (f : Cfront.Project.source_file) h -> (f.Cfront.Project.path, h))
-      (Cfront.Project.all_files project) hashes
-  in
-  match Cache.Manifest.load c ~name:project.Cfront.Project.p_name with
-  | None -> None
-  | Some old as loaded ->
-    let inv = Cache.Manifest.invalidated ~old hashes in
-    if inv <> [] then begin
-      let gone =
-        List.filter
-          (fun p -> not (List.mem_assoc p hashes))
-          (List.map (fun (e : Cache.Manifest.entry) -> e.Cache.Manifest.e_path)
-             old.Cache.Manifest.entries)
-      in
-      let removed = if gone = [] then 0 else Cache.remove_owned c gone in
-      Telemetry.add "cache.invalidate" (List.length inv);
-      Util.Log.info
-        "cache: %d changed/dependent file(s) invalidated, %d orphaned \
-         artifact(s) removed"
-        (List.length inv) removed
-    end;
-    loaded
-
 (* Memoize a whole coverage phase (parse embedded sources, run the
    scenarios, score).  The phase's parse, and so every collector
    fingerprint it produces, depends only on the source paths and
@@ -175,11 +62,6 @@ let stencil_phase () =
   cached_coverage_phase ~name:"coverage.stencil"
     ~src_files:Corpus.Stencil_src.files run_stencil_coverage
 
-(** [run ()] audits the default full-scale Apollo-profile corpus.
-
-    [open_vs_closed] supplies the open/closed library performance ratios
-    for Observation 12 (computed by the [gpuperf] library; passing them in
-    keeps this library independent of the performance model). *)
 (* Journal a verdict that falls short of its guideline threshold; the
    witness quotes the topic, the measured evidence sentence and the
    headline number the assessment compared. *)
@@ -228,40 +110,27 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
     | None ->
       Telemetry.gc_phase "corpus" (fun () -> Corpus.Generator.generate ~seed specs)
   in
-  (* With a store, each file's content is hashed once, here, and every
-     key of the run derives from these hashes.  Invalidation happens
-     before the parse, against the previous run's manifest: changed
-     files and their transitive reverse-dependents lose their
-     artifacts, everything else stays warm. *)
-  let hashes = Option.map (fun _ -> Cfront.Project.file_hashes project) cache in
-  let loaded =
-    match (cache, hashes) with
-    | Some c, Some hashes -> invalidate_against_manifest c project ~hashes
-    | _ -> None
-  in
-  let parsed =
-    Telemetry.gc_phase "parse" (fun () -> Cfront.Project.parse ?hashes project)
-  in
+  (* Artifacts owned by paths that left the tree are swept before the
+     parse, so nothing the parse stores is swept.  Every key folds the
+     content it depends on, so an edited file needs no invalidation. *)
+  Option.iter
+    (fun c ->
+      Cache.sweep c ~name:project.Cfront.Project.p_name
+        (List.map
+           (fun (f : Cfront.Project.source_file) -> f.Cfront.Project.path)
+           (Cfront.Project.all_files project)))
+    cache;
+  let parsed = Telemetry.gc_phase "parse" (fun () -> Cfront.Project.parse project) in
   (* The producers run once, on this domain, before anything fans out:
      [Misra.Rule.build_context] solves the dataflow, runs interproc and
-     adds the globals and the shadowing findings.  MISRA, the core
-     metric walk and the manifest only read the context.  Its facts are
-     plain values rather than lazy ones or once-cells: a lazy forced
-     from two domains raises [Lazy.Undefined], a worker blocked on a
-     once-cell deadlocks a one-worker pool whose main domain waits on
-     the queue, and a solve forced inside a rule's timed region would
-     change that rule's tick-clock histogram. *)
+     adds the globals and the shadowing findings.  MISRA and the core
+     metric walk only read the context.  Its facts are plain values
+     rather than lazy ones or once-cells: a lazy forced from two domains
+     raises [Lazy.Undefined], a worker blocked on a once-cell deadlocks
+     a one-worker pool whose main domain waits on the queue, and a solve
+     forced inside a rule's timed region would change that rule's
+     tick-clock histogram. *)
   let context = Misra.Rule.build_context parsed in
-  (* Record the new tree's manifest for the next run's diff, unless the
-     one just loaded already is. *)
-  (match cache with
-   | Some c ->
-     let manifest =
-       manifest_of_parsed ~graph:context.Misra.Rule.interproc.Interproc.Summary.graph parsed
-     in
-     if loaded <> Some manifest then
-       Cache.Manifest.save c ~name:project.Cfront.Project.p_name manifest
-   | None -> ());
   let module_dataflow = Project_metrics.module_dataflow parsed context.Misra.Rule.facts in
   let misra_phase () = Project_metrics.misra_of_parsed ~context parsed in
   let metrics_phase misra =

@@ -41,11 +41,10 @@ val run_stencil_coverage :
     broken.
 
     When the global artifact cache is enabled ([Cache.set_global] /
-    [--cache DIR]), the run diffs the tree against the stored
-    dependency manifest, invalidates exactly the changed files and their
-    transitive reverse-dependents, and serves every other artifact warm.
-    Either way MISRA, the metrics and the manifest read one rule context,
-    built once per run.  The contract — enforced by
+    [--cache DIR]), the run first sweeps the artifacts of paths that
+    left the tree ([Cache.sweep]), then serves every artifact whose
+    content key matches warm and recomputes the rest.  Either way MISRA
+    and the metrics read one rule context, built once per run.  The contract — enforced by
     [test/test_cache_diff.ml] — is that report bytes, the evidence
     journal and every finding id are identical to a cold jobs=1 run. *)
 val run :
@@ -56,13 +55,6 @@ val run :
   ?project:Cfront.Project.t ->
   unit ->
   t
-
-(** Dependency manifest of a parsed tree: per-file content hash plus
-    project-internal include + call-graph dependencies (caller depends
-    on callee, over [graph]).  Saved under the project's name after every
-    cache-enabled audit; exposed for the differential tests. *)
-val manifest_of_parsed :
-  graph:Cfront.Callgraph.t -> Cfront.Project.parsed -> Cache.Manifest.t
 
 (** The 25 findings of all three tables, in table order. *)
 val all_findings : t -> Assess.finding list

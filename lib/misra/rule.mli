@@ -19,8 +19,8 @@ type violation = {
 }
 
 (** The audit's project-wide facts, computed once before any rule runs
-    and shared read-only by the rules on every pool worker, the metrics
-    and the manifest.  No rule solves, walks globals or builds a graph:
+    and shared read-only by the rules on every pool worker and the
+    metrics.  No rule solves, walks globals or builds a graph:
     2.1, 2.2, 9.1, DF-1 and DF-2 read [facts]; IP-1 reads [interproc],
     17.2 and CUDA-5 its [graph]; 8.9 reads [globals], 5.3 [shadowing]. *)
 type context = {

@@ -8,20 +8,20 @@
 
    Four layers of evidence:
 
-   - unit tests on the dependency manifest (diff, transitive
-     reverse-dependents, persistence) and on the store itself
-     (roundtrip, truncation/garbage/salt-mismatch detection,
-     owner-scoped removal, version-salt wipe);
+   - unit tests on the store (roundtrip, truncation/garbage/salt-mismatch
+     detection, owner-scoped removal, version-salt wipe) and on each
+     project's [manifest] path list (the sweep of departed paths);
    - QCheck: random edit sequences (touch / revert / rename) over a
      small project, each step running warm against one store, must end
      behaviorally equal to a cold run from the final tree — same
-     output, every cold artifact already present, zero misses on a
-     re-run — and reverting an edit must restore cache hits;
+     output, every cold artifact already present, no artifact owned by
+     a path outside the final tree, zero misses on a re-run — and
+     reverting an edit must restore cache hits;
    - the full audit pipeline on a trimmed corpus under the tick clock:
      cold-with-cache, warm at jobs 1/2/8, and incremental-after-edit
      runs compared byte-for-byte against the no-cache oracle, with the
-     invalidation set checked against an independent transitive
-     closure computed here;
+     warm runs storing nothing and the edit storing only what it
+     recomputes;
    - the real binary: `misra --cache` cold/warm/corrupted stdout versus
      the cacheless run, and an `adcheck serve` session smoke test. *)
 
@@ -59,100 +59,39 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+(* The owner field of an artifact's header (its third line, after the
+   kind, key, length and digest), or None for "-". *)
+let artifact_owner path =
+  match String.split_on_char '\n' (read_file path) with
+  | _magic :: _salt :: header :: _ -> (
+    match String.split_on_char ' ' header with
+    | _ :: _ :: _ :: _ :: (_ :: _ as owner) ->
+      let owner = String.concat " " owner in
+      if owner = "-" then None else Some owner
+    | _ -> None)
+  | _ -> None
+
 let artifact_files dir =
   List.sort compare
     (List.filter
        (fun f -> Filename.check_suffix f ".art")
        (Array.to_list (Sys.readdir dir)))
 
-(* ------------------------------------------------------------------ *)
-(* Manifest: diff, dependents, invalidation closure                    *)
-(* ------------------------------------------------------------------ *)
+let paths_of tree =
+  List.map
+    (fun (f : Cfront.Project.source_file) -> f.Cfront.Project.path)
+    (Cfront.Project.all_files tree)
 
-let mk_manifest = Cache.Manifest.make
-
-(* The audit's manifest of a parsed tree, over the call graph the audit
-   reads from interproc (equal to this build, see test_interproc). *)
-let manifest_of parsed =
-  Iso26262.Audit.manifest_of_parsed
-    ~graph:(Cfront.Callgraph.build (Cfront.Project.all_functions parsed))
-    parsed
-
-let base_view =
-  [ ("a.h", "h1"); ("a.cc", "h2"); ("b.cc", "h3"); ("c.cc", "h4");
-    ("d.cc", "h5") ]
-
-let manifest =
-  mk_manifest
-    [ ("a.h", "h1", []);
-      ("a.cc", "h2", [ "a.h" ]);
-      ("b.cc", "h3", [ "a.h"; "a.cc" ]);
-      ("c.cc", "h4", [ "b.cc" ]);
-      ("d.cc", "h5", []) ]
-
-let test_manifest_changed () =
-  Alcotest.(check (list string))
-    "identical view: nothing changed" []
-    (Cache.Manifest.changed ~old:manifest base_view);
-  let touch p h = List.map (fun (q, g) -> if q = p then (q, h) else (q, g)) in
-  Alcotest.(check (list string))
-    "content edit detected" [ "b.cc" ]
-    (Cache.Manifest.changed ~old:manifest (touch "b.cc" "hX" base_view));
-  Alcotest.(check (list string))
-    "added file detected" [ "e.cc" ]
-    (Cache.Manifest.changed ~old:manifest (base_view @ [ ("e.cc", "h6") ]));
-  Alcotest.(check (list string))
-    "removed file detected" [ "d.cc" ]
-    (Cache.Manifest.changed ~old:manifest
-       (List.remove_assoc "d.cc" base_view
-        |> List.map (fun (p, h) -> (p, h))));
-  Alcotest.(check (list string))
-    "rename is remove + add" [ "d.cc"; "d2.cc" ]
-    (Cache.Manifest.changed ~old:manifest
-       (touch "d.cc" "h5" base_view
-        |> List.map (fun (p, h) -> if p = "d.cc" then ("d2.cc", h) else (p, h))))
-
-let test_manifest_dependents () =
-  Alcotest.(check (list string))
-    "transitive reverse-dependents of the header"
-    [ "a.cc"; "b.cc"; "c.cc" ]
-    (Cache.Manifest.dependents manifest [ "a.h" ]);
-  Alcotest.(check (list string))
-    "mid-chain edit pulls only downstream" [ "c.cc" ]
-    (Cache.Manifest.dependents manifest [ "b.cc" ]);
-  Alcotest.(check (list string))
-    "leaf has no dependents" []
-    (Cache.Manifest.dependents manifest [ "c.cc" ]);
-  Alcotest.(check (list string))
-    "isolated file has no dependents" []
-    (Cache.Manifest.dependents manifest [ "d.cc" ])
-
-let test_manifest_invalidated () =
-  let touch p h = List.map (fun (q, g) -> if q = p then (q, h) else (q, g)) in
-  Alcotest.(check (list string))
-    "invalidation = changed + transitive dependents"
-    [ "a.cc"; "a.h"; "b.cc"; "c.cc" ]
-    (Cache.Manifest.invalidated ~old:manifest (touch "a.h" "hX" base_view));
-  Alcotest.(check (list string))
-    "isolated edit invalidates only itself" [ "d.cc" ]
-    (Cache.Manifest.invalidated ~old:manifest (touch "d.cc" "hX" base_view));
-  Alcotest.(check (list string))
-    "clean tree invalidates nothing" []
-    (Cache.Manifest.invalidated ~old:manifest base_view)
-
-let test_manifest_persistence () =
-  let dir = fresh_dir "adcheck-manifest" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let c = Cache.open_dir dir in
-  Alcotest.(check bool) "missing manifest loads as None" true
-    (Cache.Manifest.load c ~name:"proj" = None);
-  Cache.Manifest.save c ~name:"proj" manifest;
-  (match Cache.Manifest.load c ~name:"proj" with
-   | None -> Alcotest.fail "saved manifest did not load"
-   | Some m -> Alcotest.(check bool) "manifest round-trips" true (m = manifest));
-  (* a second project name is an independent slot *)
-  Alcotest.(check bool) "names are independent" true
-    (Cache.Manifest.load c ~name:"other" = None)
+let stats_delta c f =
+  let b = Cache.stats c in
+  let r = f () in
+  let a = Cache.stats c in
+  ( r,
+    { Cache.hits = a.Cache.hits - b.Cache.hits;
+      misses = a.Cache.misses - b.Cache.misses;
+      stores = a.Cache.stores - b.Cache.stores;
+      corrupt = a.Cache.corrupt - b.Cache.corrupt;
+      invalidated = a.Cache.invalidated - b.Cache.invalidated } )
 
 (* ------------------------------------------------------------------ *)
 (* Store: roundtrip and corruption robustness                          *)
@@ -321,6 +260,35 @@ let test_remove_owned () =
   Alcotest.(check int) "removals counted as invalidated" 2
     (Cache.stats c).Cache.invalidated
 
+(* The path list is written when it changes and only then; a path that
+   leaves the list takes its artifacts with it, and the rest stay. *)
+let test_sweep () =
+  let dir = fresh_dir "adcheck-sweep" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let c = Cache.open_dir dir in
+  let key owner = Cache.key ~kind:"parse" [ owner ] in
+  let put owner = Cache.store c ~owner ~kind:"parse" ~key:(key owner) owner in
+  let has owner = Cache.find c ~kind:"parse" ~key:(key owner) = Some owner in
+  let sweep ?(name = "proj") paths =
+    snd (stats_delta c (fun () -> Cache.sweep c ~name paths))
+  in
+  Alcotest.(check int) "first sweep records the list" 1
+    (sweep [ "b.cc"; "a.cc" ]).Cache.stores;
+  put "a.cc";
+  put "b.cc";
+  let d = sweep [ "a.cc"; "b.cc" ] in
+  Alcotest.(check int) "same paths in another order: no write" 0 d.Cache.stores;
+  Alcotest.(check int) "same paths: nothing removed" 0 d.Cache.invalidated;
+  let d = sweep [ "a.cc"; "c.cc" ] in
+  Alcotest.(check int) "changed list is written" 1 d.Cache.stores;
+  Alcotest.(check int) "the departed path's artifact is removed" 1
+    d.Cache.invalidated;
+  Alcotest.(check bool) "departed path misses" false (has "b.cc");
+  Alcotest.(check bool) "remaining path hits" true (has "a.cc");
+  let d = sweep ~name:"other" [ "z.cc" ] in
+  Alcotest.(check int) "another project has its own list" 1 d.Cache.stores;
+  Alcotest.(check int) "another project removes nothing" 0 d.Cache.invalidated
+
 (* A store written by another tool version is wiped, not trusted —
    including schema=1, whose covphase payload is a 4-tuple that would
    unmarshal unsafely at today's 2-tuple type, and schema=2, whose
@@ -328,7 +296,9 @@ let test_remove_owned () =
    per-function fact lists, schema=3, whose bytecode payload has no
    global-initializer sequence, and schema=4, whose parse payload holds
    a [Token.t list] and the source text where today's holds a token
-   table and leaves the source out. *)
+   table and leaves the source out, and schema=5, whose [manifest]
+   payload is a dependency record where today's is a path list.  The
+   wipe also removes a temp file that a killed writer left. *)
 let test_version_salt_wipe () =
   List.iter
     (fun foreign ->
@@ -339,25 +309,27 @@ let test_version_salt_wipe () =
       Cache.store c ~kind:"parse" ~key "V";
       Alcotest.(check bool) "artifact present before reopen" true
         (artifact_files dir <> []);
+      write_file (Filename.concat dir ("parse-" ^ key ^ ".art.tmp.4242.0")) "half";
       write_file (Filename.concat dir "VERSION") (foreign ^ "\n");
       let c2 = Cache.open_dir dir in
       Alcotest.(check (list string))
-        (foreign ^ ": salt mismatch wipes the store") [] (artifact_files dir);
+        (foreign ^ ": salt mismatch wipes the store and its temp files")
+        [ "VERSION" ] (Array.to_list (Sys.readdir dir));
       Alcotest.(check bool) "old artifact is a clean miss" true
         (Cache.find c2 ~kind:"parse" ~key = (None : string option));
       Alcotest.(check int) "wipe is not a corruption event" 0
         (Cache.stats c2).Cache.corrupt)
     [ "adcheck-cache/0 schema=0"; "adcheck-cache/1 schema=1";
       "adcheck-cache/1 schema=2"; "adcheck-cache/1 schema=3";
-      "adcheck-cache/1 schema=4" ]
+      "adcheck-cache/1 schema=4"; "adcheck-cache/1 schema=5" ]
 
 (* ------------------------------------------------------------------ *)
 (* A small real project: parse + MISRA + dataflow through one store    *)
 (* ------------------------------------------------------------------ *)
 
 (* defs.h <- alpha.cc (include + call) <- beta.cc (include + call)
-   <- gamma.cc (call only): edits to defs.h must invalidate everything,
-   edits to gamma.cc only itself. *)
+   <- gamma.cc (call only): the files depend on each other through
+   includes and calls, which content keys alone must keep exact. *)
 let base_sources =
   [ ("m/defs.h", "int shared_limit() { return 10; }\n");
     ( "m/alpha.cc",
@@ -381,17 +353,6 @@ let project_of files =
               { Cfront.Project.path; modname = "m";
                 header = Filename.check_suffix path ".h"; content })
             files } ]
-
-let stats_delta c f =
-  let b = Cache.stats c in
-  let r = f () in
-  let a = Cache.stats c in
-  ( r,
-    { Cache.hits = a.Cache.hits - b.Cache.hits;
-      misses = a.Cache.misses - b.Cache.misses;
-      stores = a.Cache.stores - b.Cache.stores;
-      corrupt = a.Cache.corrupt - b.Cache.corrupt;
-      invalidated = a.Cache.invalidated - b.Cache.invalidated } )
 
 (* A standalone MISRA run looks every rule's artifact up before it
    builds the rule context: the cold run lowers every function twice
@@ -437,34 +398,18 @@ let test_warm_misra_builds_no_context () =
   Alcotest.(check string) "warm report == cold report" cold warm
 
 (* One warm run over [tree] against store [c], replaying the audit's
-   cache discipline: diff against the stored manifest (sweeping only
-   paths that left the tree), parse, save the new manifest, then the
-   metric record (rule context, interproc, core metrics and MISRA) +
-   per-file dataflow.  Returns a rendering that covers every cached
+   cache discipline: sweep the artifacts of paths that left the tree
+   ({!Cache.sweep}, as [Audit.run] does), parse, then the metric record
+   (rule context, interproc, core metrics and MISRA) + per-file
+   dataflow.  Returns a rendering that covers every cached
    artifact kind plus the finding ids, each once, as the journal holds
    them: a cold rule context journals the dataflow findings that the
    per-file pass then replays from the store.  Also returns the metric
    record, for comparison with {!metrics_oracle}. *)
 let lib_run_metrics c tree =
-  let hashes =
-    List.map
-      (fun (f : Cfront.Project.source_file) ->
-        (f.Cfront.Project.path, Cache.fnv1a64 f.Cfront.Project.content))
-      (Cfront.Project.all_files tree)
-  in
-  (match Cache.Manifest.load c ~name:tree.Cfront.Project.p_name with
-   | None -> ()
-   | Some old ->
-     let gone =
-       List.filter
-         (fun p -> not (List.mem_assoc p hashes))
-         (List.map
-            (fun (e : Cache.Manifest.entry) -> e.Cache.Manifest.e_path)
-            old.Cache.Manifest.entries)
-     in
-     if gone <> [] then ignore (Cache.remove_owned c gone));
+  Cache.sweep c ~name:tree.Cfront.Project.p_name (paths_of tree);
   Cache.with_global c @@ fun () ->
-  let (parsed, metrics, summaries), findings =
+  let (metrics, summaries), findings =
     P.collect (fun () ->
         let parsed = Cfront.Project.parse tree in
         let metrics = Iso26262.Project_metrics.of_parsed parsed in
@@ -479,10 +424,8 @@ let lib_run_metrics c tree =
                parsed.Cfront.Project.files
                (Cfront.Project.file_keys parsed))
         in
-        (parsed, metrics, summaries))
+        (metrics, summaries))
   in
-  Cache.Manifest.save c ~name:tree.Cfront.Project.p_name
-    (manifest_of parsed);
   ( String.concat "\n"
       (Misra.Registry.render_summary metrics.Iso26262.Project_metrics.misra
        :: List.map
@@ -512,33 +455,6 @@ let same_metrics ~(oracle : Iso26262.Project_metrics.t) (m : Iso26262.Project_me
   let module PM = Iso26262.Project_metrics in
   compare m.PM.interproc oracle.PM.interproc = 0
   && compare { m with PM.misra = oracle.PM.misra } oracle = 0
-
-let test_manifest_of_parsed_edges () =
-  let parsed = Cfront.Project.parse (project_of base_sources) in
-  let m = manifest_of parsed in
-  let deps p =
-    match
-      List.find_opt
-        (fun (e : Cache.Manifest.entry) -> e.Cache.Manifest.e_path = p)
-        m.Cache.Manifest.entries
-    with
-    | Some e -> e.Cache.Manifest.e_deps
-    | None -> Alcotest.failf "manifest lacks %s" p
-  in
-  Alcotest.(check (list string)) "alpha: include + callee both resolve to defs.h"
-    [ "m/defs.h" ] (deps "m/alpha.cc");
-  Alcotest.(check (list string)) "beta: include edge + cross-file call edge"
-    [ "m/alpha.cc"; "m/defs.h" ] (deps "m/beta.cc");
-  Alcotest.(check (list string)) "gamma: call-graph edge only"
-    [ "m/beta.cc" ] (deps "m/gamma.cc");
-  Alcotest.(check (list string)) "header depends on nothing" []
-    (deps "m/defs.h");
-  (* the closure the audit will invalidate with *)
-  Alcotest.(check (list string)) "header edit fans out to every file"
-    [ "m/alpha.cc"; "m/beta.cc"; "m/gamma.cc" ]
-    (Cache.Manifest.dependents m [ "m/defs.h" ]);
-  Alcotest.(check (list string)) "leaf edit fans out to nothing" []
-    (Cache.Manifest.dependents m [ "m/gamma.cc" ])
 
 let test_revert_restores_hits () =
   let dir = fresh_dir "adcheck-revert" in
@@ -627,8 +543,9 @@ let apply_edit (variants, renamed) = function
 (* After any edit sequence, the store must be behaviorally identical to
    one populated by a single cold run from the final tree: the final
    warm output matches the cold output, every artifact the cold run
-   writes is already present, and a re-run over the final tree answers
-   without a single miss. *)
+   writes is already present, no artifact is owned by a path that left
+   the tree (a renamed file's old name), and a re-run over the final
+   tree answers without a single miss. *)
 let prop_edit_sequence_converges =
   QCheck.Test.make ~name:"random edit sequences: warm == cold from final tree"
     ~count:15 edits_arb (fun edits ->
@@ -658,6 +575,15 @@ let prop_edit_sequence_converges =
       let cold_covered =
         List.for_all (fun f -> List.mem f warm_arts) (artifact_files cold_dir)
       in
+      let final_paths = paths_of (tree_of_state !state) in
+      let orphans =
+        List.filter
+          (fun f ->
+            match artifact_owner (Filename.concat warm_dir f) with
+            | Some owner -> not (List.mem owner final_paths)
+            | None -> false)
+          warm_arts
+      in
       let rerun, d =
         stats_delta warm (fun () -> lib_run warm (tree_of_state !state))
       in
@@ -665,6 +591,9 @@ let prop_edit_sequence_converges =
         QCheck.Test.fail_report "final warm output <> cold output";
       if not cold_covered then
         QCheck.Test.fail_report "cold run wrote an artifact the warm store lacks";
+      if orphans <> [] then
+        QCheck.Test.fail_reportf "artifact(s) owned outside the final tree: %s"
+          (String.concat ", " orphans);
       if rerun <> cold_out then
         QCheck.Test.fail_report "warm re-run diverged from cold output";
       if d.Cache.misses <> 0 then
@@ -708,7 +637,6 @@ type audit_obs = {
   a_journal : string;
   a_ids : string list;
   a_stats : Cache.stats option;  (** this run's counter deltas *)
-  a_invalidate : int;  (** [cache.invalidate] work-tier counter *)
   a_work : (string * int) list;  (** the {!work_counters} of this run *)
   a_lexed : bool;  (** the run opened a [parse.lex] span *)
 }
@@ -734,27 +662,19 @@ let audit_obs ?project ~jobs ~cache () =
       Telemetry.set_enabled false;
       Util.Pool.set_default_jobs restore_jobs)
   @@ fun () ->
-  let before = Option.map Cache.stats cache in
-  let audit =
-    Iso26262.Audit.run ~seed:diff_seed ~specs:trimmed_specs ?project ()
-  in
-  let delta =
-    match (before, Option.map Cache.stats cache) with
-    | Some b, Some a ->
-      Some
-        { Cache.hits = a.Cache.hits - b.Cache.hits;
-          misses = a.Cache.misses - b.Cache.misses;
-          stores = a.Cache.stores - b.Cache.stores;
-          corrupt = a.Cache.corrupt - b.Cache.corrupt;
-          invalidated = a.Cache.invalidated - b.Cache.invalidated }
-    | _ -> None
+  let run () = Iso26262.Audit.run ~seed:diff_seed ~specs:trimmed_specs ?project () in
+  let audit, delta =
+    match cache with
+    | None -> (run (), None)
+    | Some c ->
+      let audit, d = stats_delta c run in
+      (audit, Some d)
   in
   {
     a_report = Iso26262.Audit.render audit;
     a_journal = P.journal ();
     a_ids = List.map (fun f -> f.P.f_id) audit.Iso26262.Audit.journal;
     a_stats = delta;
-    a_invalidate = Telemetry.counter "cache.invalidate";
     a_work = List.map (fun k -> (k, Telemetry.counter k)) work_counters;
     a_lexed =
       List.exists (fun e -> e.Telemetry.ev_name = "parse.lex") (Telemetry.events ());
@@ -787,16 +707,16 @@ let test_audit_cold_with_cache () =
     cold_misses := d.Cache.misses;
     Alcotest.(check bool) "cold run computes everything" true
       (d.Cache.misses > 0 && d.Cache.stores > 0);
-    Alcotest.(check int) "no invalidation on first contact" 0 obs.a_invalidate;
     Alcotest.(check bool) "cold run lexes" true obs.a_lexed;
     List.iter
       (fun (k, n) -> Alcotest.(check bool) ("cold run counts " ^ k) true (n > 0))
       obs.a_work
 
 (* Warm from the store the cold jobs=1 run filled: oracle bytes, no
-   recomputation, no invalidation — at every jobs value.  A warm audit
-   only looks up: it lexes no file, runs no interproc, walks no metric
-   and builds no CFG, so none of their work counters moves. *)
+   recomputation and no write — at every jobs value.  A warm audit only
+   looks up: it lexes no file, runs no interproc, walks no metric and
+   builds no CFG, so none of their work counters moves, and the
+   unchanged path list is not rewritten. *)
 let check_warm ~jobs =
   let name = Printf.sprintf "warm jobs=%d" jobs in
   let obs = audit_obs ~jobs ~cache:(Some (Lazy.force audit_store)) () in
@@ -811,15 +731,14 @@ let check_warm ~jobs =
     Alcotest.(check int) (name ^ " recomputes nothing") 0 d.Cache.misses;
     Alcotest.(check bool) (name ^ " answers from the store") true
       (d.Cache.hits > 0);
-    Alcotest.(check int) "identical tree invalidates nothing" 0
-      obs.a_invalidate
+    Alcotest.(check int) (name ^ " stores nothing") 0 d.Cache.stores
 
 let test_audit_warm_jobs1 () = check_warm ~jobs:1
 let test_audit_warm_jobs2 () = check_warm ~jobs:2
 let test_audit_warm_jobs8 () = check_warm ~jobs:8
 
 (* ------------------------------------------------------------------ *)
-(* Incremental: one edit, exact invalidation set, oracle equality      *)
+(* Incremental: one edit, exact recompute set, oracle equality         *)
 (* ------------------------------------------------------------------ *)
 
 let base_project = lazy (Corpus.Generator.generate ~seed:diff_seed trimmed_specs)
@@ -842,47 +761,6 @@ let edit_file (p : Cfront.Project.t) path =
                 m.Cfront.Project.m_files })
         p.Cfront.Project.p_modules }
 
-(* Independent transitive closure, written against the naive definition
-   rather than the Manifest implementation: changed files, then keep
-   adding any file with a dependency edge into the set until fixpoint. *)
-let naive_invalidated (old : Cache.Manifest.t) view =
-  let changed =
-    List.filter
-      (fun (p, h) ->
-        match
-          List.find_opt
-            (fun (e : Cache.Manifest.entry) -> e.Cache.Manifest.e_path = p)
-            old.Cache.Manifest.entries
-        with
-        | None -> true
-        | Some e -> e.Cache.Manifest.e_hash <> h)
-      view
-    |> List.map fst
-  in
-  let removed =
-    List.filter_map
-      (fun (e : Cache.Manifest.entry) ->
-        if List.mem_assoc e.Cache.Manifest.e_path view then None
-        else Some e.Cache.Manifest.e_path)
-      old.Cache.Manifest.entries
-  in
-  let set = ref (List.sort_uniq compare (changed @ removed)) in
-  let grew = ref true in
-  while !grew do
-    grew := false;
-    List.iter
-      (fun (e : Cache.Manifest.entry) ->
-        if
-          (not (List.mem e.Cache.Manifest.e_path !set))
-          && List.exists (fun d -> List.mem d !set) e.Cache.Manifest.e_deps
-        then begin
-          set := List.sort compare (e.Cache.Manifest.e_path :: !set);
-          grew := true
-        end)
-      old.Cache.Manifest.entries
-  done;
-  !set
-
 let test_audit_incremental_edit () =
   let project = Lazy.force base_project in
   (* the first non-header file of the corpus is the edit target *)
@@ -896,33 +774,6 @@ let test_audit_incremental_edit () =
     | None -> Alcotest.fail "corpus has no implementation files"
   in
   let edited = edit_file project target in
-  let old_manifest =
-    manifest_of (Cfront.Project.parse project)
-  in
-  let view =
-    List.map
-      (fun (f : Cfront.Project.source_file) ->
-        (f.Cfront.Project.path, Cache.fnv1a64 f.Cfront.Project.content))
-      (Cfront.Project.all_files edited)
-  in
-  let inv = Cache.Manifest.invalidated ~old:old_manifest view in
-  (* the exact invalidation set: the edited file plus its transitive
-     reverse-dependents, independently recomputed here *)
-  Alcotest.(check (list string)) "invalidation set = naive closure"
-    (naive_invalidated old_manifest view)
-    inv;
-  Alcotest.(check bool) "edited file is in its own invalidation set" true
-    (List.mem target inv);
-  Alcotest.(check bool) "invalidation is not the whole tree" true
-    (List.length inv < List.length view);
-  List.iter
-    (fun p ->
-      if p <> target then
-        Alcotest.(check bool)
-          (Printf.sprintf "%s is a transitive dependent of %s" p target)
-          true
-          (List.mem p (Cache.Manifest.dependents old_manifest [ target ])))
-    inv;
   (* populate the store from the ORIGINAL tree, then audit the edit *)
   let dir = fresh_dir "adcheck-incr" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -940,8 +791,6 @@ let test_audit_incremental_edit () =
     edit_oracle.a_journal incr.a_journal;
   Alcotest.(check (list string)) "incremental finding ids == oracle"
     edit_oracle.a_ids incr.a_ids;
-  Alcotest.(check int) "cache.invalidate counts the invalidation set"
-    (List.length inv) incr.a_invalidate;
   (match (cold.a_stats, incr.a_stats) with
    | Some dc, Some di ->
      Alcotest.(check bool)
@@ -951,7 +800,9 @@ let test_audit_incremental_edit () =
        true
        (di.Cache.misses > 0 && di.Cache.misses < dc.Cache.misses);
      Alcotest.(check bool) "incremental run stays mostly warm" true
-       (di.Cache.hits > 0)
+       (di.Cache.hits > 0);
+     Alcotest.(check int) "incremental run stores exactly what it recomputes"
+       di.Cache.misses di.Cache.stores
    | _ -> Alcotest.fail "missing cache stats");
   (* artifact-level accounting: the edit recomputes exactly one parse
      and one dataflow artifact (the edited file; its dependents' keys
@@ -1163,19 +1014,6 @@ let test_cli_serve_protocol () =
 let () =
   Alcotest.run "cache-diff"
     [
-      ( "manifest",
-        [
-          Alcotest.test_case "diff detects edits/adds/removes" `Quick
-            test_manifest_changed;
-          Alcotest.test_case "transitive reverse-dependents" `Quick
-            test_manifest_dependents;
-          Alcotest.test_case "invalidation closure" `Quick
-            test_manifest_invalidated;
-          Alcotest.test_case "persistence round-trip" `Quick
-            test_manifest_persistence;
-          Alcotest.test_case "edges from includes + callgraph" `Quick
-            test_manifest_of_parsed_edges;
-        ] );
       ( "store",
         [
           Alcotest.test_case "roundtrip, keys, memo" `Quick test_store_roundtrip;
@@ -1197,6 +1035,7 @@ let () =
           Alcotest.test_case "version mismatch wipes the store" `Quick
             test_version_salt_wipe;
         ] );
+      ("manifest", [ Alcotest.test_case "path-list sweep" `Quick test_sweep ]);
       ( "edits",
         [
           Alcotest.test_case "revert every file restores hits" `Quick
