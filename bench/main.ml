@@ -6,8 +6,11 @@
       dune exec bench/main.exe -- [OPTIONS] [NAMES]
 
     NAMES select experiments (default: all), among: table1 table2 table3
-    fig3 fig4 fig5 fig6 fig7 fig8a fig8b observations ... incremental.  An
-    unknown name aborts with the valid list before anything runs.
+    fig3 fig4 fig5 fig6 fig7 fig8a fig8b observations fig1 fig2 testgen
+    traceability compile overhead incremental.  An unknown name aborts
+    with the valid list before anything runs.  The extensions that
+    [adcheck] prints (wcet, brook, faults, interproc, combined coverage)
+    are its subcommands, not experiments here.
 
     Options:
       --scale small|full   corpus scale for the audit (default full)
@@ -257,7 +260,6 @@ let run_observations () =
   print_string (Iso26262.Report.render_observations a.Iso26262.Audit.observations);
   print_string (Iso26262.Report.render_compliance (Iso26262.Audit.all_findings a))
 
-
 let run_fig1 () =
   heading "Figure 1 - the AD pipeline";
   print_string (Iso26262.Taxonomy.render_pipeline ())
@@ -267,212 +269,6 @@ let run_fig2 () =
   print_string (Iso26262.Taxonomy.render_taxonomy ());
   Printf.printf "closed-source dependencies on the critical path: %d\n"
     (Iso26262.Taxonomy.closed_count Iso26262.Taxonomy.taxonomy)
-
-let run_halstead () =
-  heading "Extension - Halstead metrics and maintainability index per module";
-  let parsed = (force_audit ()).Iso26262.Audit.parsed in
-  let tbl =
-    Util.Table.make ~title:"Halstead software science + SEI maintainability index"
-      ~header:[ "module"; "vocabulary"; "length"; "volume"; "difficulty"; "est. bugs"; "MI" ]
-      ~aligns:[ Util.Table.Left; Util.Table.Right; Util.Table.Right; Util.Table.Right;
-                Util.Table.Right; Util.Table.Right; Util.Table.Right ]
-      ()
-  in
-  let tbl =
-    List.fold_left
-      (fun tbl modname ->
-        let pfs = Cfront.Project.parsed_files_of_module parsed modname in
-        let r = Metrics.Halstead.report_of_module ~modname pfs in
-        let h = r.Metrics.Halstead.halstead in
-        Util.Table.add_row tbl
-          [ modname;
-            string_of_int h.Metrics.Halstead.vocabulary;
-            string_of_int h.Metrics.Halstead.length;
-            Printf.sprintf "%.0f" h.Metrics.Halstead.volume;
-            Printf.sprintf "%.1f" h.Metrics.Halstead.difficulty;
-            Printf.sprintf "%.1f" h.Metrics.Halstead.estimated_bugs;
-            Printf.sprintf "%.1f" r.Metrics.Halstead.mi ])
-      tbl
-      (Cfront.Project.module_names parsed.Cfront.Project.project)
-  in
-  print_string (Util.Table.render tbl)
-
-let run_brook () =
-  heading "Extension - Brook Auto portability of the CUDA kernels (cf. paper ref [14])";
-  let parsed = (force_audit ()).Iso26262.Audit.parsed in
-  let reports = Cudasim.Brook_auto.of_files parsed.Cfront.Project.files in
-  let s = Cudasim.Brook_auto.summarize reports in
-  Printf.printf
-    "of %d kernels: %d pure stream (portable as-is), %d need gather streams, %d not portable\n\n"
-    s.Cudasim.Brook_auto.total s.Cudasim.Brook_auto.pure_stream
-    s.Cudasim.Brook_auto.needs_gather s.Cudasim.Brook_auto.not_portable;
-  List.iteri
-    (fun i (r : Cudasim.Brook_auto.report) ->
-      if i < 12 then
-        Printf.printf "  %-55s %s\n" r.Cudasim.Brook_auto.kernel
-          (Cudasim.Brook_auto.classification_name r.Cudasim.Brook_auto.classification))
-    reports;
-  print_string
-    "\nThe stream subset makes the certification check the paper says is impossible\n\
-     for raw CUDA (Observation 3) mechanically decidable.\n"
-
-let run_ablations () =
-  heading "Ablations - what each modelling/measurement choice contributes";
-  (* 1. GPU model refinements *)
-  Printf.printf "GPU model (Figure 7/8 sensitivity):\n";
-  List.iter
-    (fun (r : Gpuperf.Ablation.row) ->
-      Printf.printf "  %-36s fig8a=%s fig8b=%s  yolo=%.2f ms\n"
-        r.Gpuperf.Ablation.label
-        (match r.Gpuperf.Ablation.fig8a_geomean with
-         | Some g -> Printf.sprintf "%.2f" g
-         | None -> "  - ")
-        (match r.Gpuperf.Ablation.fig8b_geomean with
-         | Some g -> Printf.sprintf "%.2f" g
-         | None -> "  - ")
-        r.Gpuperf.Ablation.yolo_ms)
-    (Gpuperf.Ablation.run ~device:gpu);
-  (* 2. MC/DC pairing discipline *)
-  let tus = Corpus.Yolo_src.parse_all () in
-  let col = Coverage.Collector.create () in
-  let env = Coverage.Runtime.create ~hooks:(Coverage.Collector.hooks col) () in
-  (match Coverage.Exec.run env (Coverage.Compile.compile tus) ~entry:Corpus.Yolo_src.entry ~args:[] with
-   | Ok _ -> ()
-   | Error e -> Printf.printf "  (yolo run failed: %s)\n" e);
-  let measured = List.map fst Corpus.Yolo_src.measured_files in
-  let avg mode =
-    let files =
-      List.filter_map
-        (fun (tu : Cfront.Ast.tu) ->
-          if List.mem tu.Cfront.Ast.tu_file measured then
-            Some
-              (Coverage.Collector.score_file ~mcdc_mode:mode col
-                 ~file:tu.Cfront.Ast.tu_file (Coverage.Instrument.of_tu tu))
-          else None)
-        tus
-    in
-    let _, _, mcdc = Coverage.Collector.averages files in
-    mcdc
-  in
-  Printf.printf "\nMC/DC pairing discipline (Figure 5 sensitivity):\n";
-  Printf.printf "  masking (short-circuit aware, default)  MC/DC avg = %.1f%%\n" (avg `Masking);
-  Printf.printf "  strict unique-cause                     MC/DC avg = %.1f%%\n" (avg `Strict);
-  (* 3. cyclomatic-complexity counting convention *)
-  let fns = Cfront.Project.all_functions (force_audit ()).Iso26262.Audit.parsed in
-  let over10 ~ssc =
-    List.length
-      (List.filter
-         (fun (c : Metrics.Complexity.func_cc) -> c.Metrics.Complexity.cc > 10)
-         (Metrics.Complexity.of_functions ~count_short_circuit:ssc fns))
-  in
-  Printf.printf "\nComplexity counting convention (Figure 3 sensitivity):\n";
-  Printf.printf "  Lizard convention (with && || ?:)       functions over CC 10 = %d\n"
-    (over10 ~ssc:true);
-  Printf.printf "  plain McCabe (control statements only)  functions over CC 10 = %d\n"
-    (over10 ~ssc:false)
-
-
-let run_wcet () =
-  heading "Extension - WCET analyzability (the timing-analysis cost of Observation 1)";
-  let parsed = (force_audit ()).Iso26262.Audit.parsed in
-  let tbl =
-    Util.Table.make
-      ~title:"static WCET-analyzability per module (standard timing analysis)"
-      ~header:[ "module"; "functions"; "analyzable"; "parametric"; "unanalyzable"; "% analyzable" ]
-      ~aligns:[ Util.Table.Left; Util.Table.Right; Util.Table.Right; Util.Table.Right;
-                Util.Table.Right; Util.Table.Right ]
-      ()
-  in
-  let tbl =
-    List.fold_left
-      (fun tbl modname ->
-        let pfs = Cfront.Project.parsed_files_of_module parsed modname in
-        let s = Metrics.Wcet.summarize (Metrics.Wcet.of_functions (Cfront.Project.defined_functions pfs)) in
-        Util.Table.add_row tbl
-          [ modname;
-            string_of_int s.Metrics.Wcet.total;
-            string_of_int s.Metrics.Wcet.analyzable;
-            string_of_int s.Metrics.Wcet.parametric;
-            string_of_int s.Metrics.Wcet.unanalyzable;
-            Printf.sprintf "%.1f%%"
-              (100.0 *. float_of_int s.Metrics.Wcet.analyzable
-               /. float_of_int (Stdlib.max 1 s.Metrics.Wcet.total)) ])
-      tbl
-      (Cfront.Project.module_names parsed.Cfront.Project.project)
-  in
-  print_string (Util.Table.render tbl);
-  print_string
-    "parametric bounds need input-range evidence; unanalyzable functions need redesign\n\
-     before any WCET bound exists - the verification cost Observation 1 warns about.\n"
-
-let run_frameworks () =
-  heading "Extension - cross-framework adherence (Section 2: conclusions hold for all AD frameworks)";
-  let tbl =
-    Util.Table.make ~title:"ISO 26262-6 adherence across AD frameworks"
-      ~header:[ "framework"; "LOC"; "functions"; "CC>10"; "casts"; "globals";
-                "ASIL-D pass"; "binding" ]
-      ~aligns:[ Util.Table.Left; Util.Table.Right; Util.Table.Right; Util.Table.Right;
-                Util.Table.Right; Util.Table.Right; Util.Table.Right; Util.Table.Right ]
-      ()
-  in
-  let tbl =
-    List.fold_left
-      (fun tbl (fw : Corpus.Other_frameworks.framework) ->
-        let project =
-          Corpus.Generator.generate ~seed:fw.Corpus.Other_frameworks.fw_seed
-            fw.Corpus.Other_frameworks.fw_specs
-        in
-        let parsed = Cfront.Project.parse project in
-        let m = Iso26262.Project_metrics.of_parsed parsed in
-        let findings = Iso26262.Assess.assess_all m in
-        let passed, binding = Iso26262.Assess.compliance_at ~asil:Iso26262.Asil.D findings in
-        Util.Table.add_row tbl
-          [ fw.Corpus.Other_frameworks.fw_name;
-            string_of_int m.Iso26262.Project_metrics.total_loc;
-            string_of_int m.Iso26262.Project_metrics.total_functions;
-            string_of_int m.Iso26262.Project_metrics.over10;
-            string_of_int m.Iso26262.Project_metrics.explicit_casts;
-            string_of_int m.Iso26262.Project_metrics.globals_total;
-            string_of_int passed;
-            string_of_int binding ])
-      tbl Corpus.Other_frameworks.all_frameworks
-  in
-  print_string (Util.Table.render tbl);
-  print_string
-    "the adherence gap is framework-independent: every framework passes only the\n\
-     style/naming-class guidelines at ASIL-D, as Section 2 of the paper claims.\n"
-
-
-let run_faults () =
-  heading "Extension - fault injection: the dynamic cost of missing defensive code (Obs 6)";
-  let outcomes = Corpus.Fault_src.run_all () in
-  let tbl =
-    Util.Table.make ~title:"invalid-input scenarios against the YOLO entry points"
-      ~header:[ "scenario"; "expectation"; "result"; "as expected"; "detail" ]
-      ~aligns:[ Util.Table.Left; Util.Table.Left; Util.Table.Left; Util.Table.Left;
-                Util.Table.Left ]
-      ()
-  in
-  let tbl =
-    List.fold_left
-      (fun tbl (o : Corpus.Fault_src.outcome) ->
-        Util.Table.add_row tbl
-          [ o.Corpus.Fault_src.scenario.Corpus.Fault_src.sc_name;
-            (match o.Corpus.Fault_src.scenario.Corpus.Fault_src.sc_expect with
-             | Corpus.Fault_src.Expect_fault -> "fault (no validation)"
-             | Corpus.Fault_src.Expect_survive -> "survive (validated)");
-            (if o.Corpus.Fault_src.faulted then "FAULT" else "ok");
-            (if o.Corpus.Fault_src.as_expected then "yes" else "NO");
-            o.Corpus.Fault_src.detail ])
-      tbl outcomes
-  in
-  print_string (Util.Table.render tbl);
-  let realized, expected, as_expected, total = Corpus.Fault_src.summary outcomes in
-  Printf.printf
-    "%d of %d undefended scenarios fault; %d of %d scenarios behave as the static\n\
-     defensive-implementation analysis (Table 1 item 4) predicts.\n"
-    realized expected as_expected total
-
 
 let run_testgen () =
   heading "Extension - gap-driven test generation (Observation 10: additional test cases)";
@@ -493,7 +289,6 @@ let run_testgen () =
   Printf.printf
     "\nthe remaining gap needs pointer/struct inputs - the part that stays manual.\n"
 
-
 let run_traceability () =
   heading "Extension - safety-requirement traceability matrix";
   let a = force_audit () in
@@ -508,71 +303,6 @@ let run_traceability () =
         Printf.printf "allocation defect: %s references missing components\n"
           sr.Iso26262.Traceability.sr_id)
       missing
-
-
-let run_scheduling () =
-  heading "Extension - schedulability evidence for Table 2 item 6";
-  (* perception WCET from the Figure 7 model: the deployed library on the
-     embedded DRIVE PX2 target *)
-  let rows =
-    Gpuperf.Yolo_bench.run ~gpu:Gpuperf.Device.drive_px2_gpu ~cpu:Gpuperf.Device.xeon_e5 ()
-  in
-  let perception_wcet =
-    match List.find_opt (fun r -> r.Gpuperf.Yolo_bench.impl = "ISAAC") rows with
-    | Some r -> r.Gpuperf.Yolo_bench.total_ms *. 1.3  (* WCET margin over mean *)
-    | None -> 30.0
-  in
-  Printf.printf "perception WCET from Figure 7 model (ISAAC on DRIVE PX2, +30%% margin): %.1f ms\n\n"
-    perception_wcet;
-  let a = Iso26262.Scheduling.analyze (Iso26262.Scheduling.ad_task_set ~perception_wcet_ms:perception_wcet ()) in
-  print_string (Iso26262.Scheduling.render a);
-  (* the counter-case: CPU BLAS perception blows every budget *)
-  let cpu_wcet =
-    match List.find_opt (fun r -> r.Gpuperf.Yolo_bench.impl = "OpenBLAS") rows with
-    | Some r -> r.Gpuperf.Yolo_bench.total_ms
-    | None -> 300.0
-  in
-  let b = Iso26262.Scheduling.analyze (Iso26262.Scheduling.ad_task_set ~perception_wcet_ms:cpu_wcet ()) in
-  Printf.printf "\nwith CPU-BLAS perception (%.0f ms): %s - the quantitative form of Figure 7's verdict\n"
-    cpu_wcet
-    (if b.Iso26262.Scheduling.all_schedulable then "still schedulable"
-     else "NOT schedulable");
-  (* pipeline closed-loop demo: the Figure 1 system actually runs *)
-  let tus = Corpus.Pipeline_src.parse_all () in
-  let env = Coverage.Runtime.create () in
-  (match Coverage.Exec.run env (Coverage.Compile.compile tus) ~entry:Corpus.Pipeline_src.entry ~args:[] with
-   | Ok v ->
-     Printf.printf "\nmini AD pipeline closed-loop run (12 ticks): %s collisions\n%s"
-       (Coverage.Value.to_string v) (Coverage.Runtime.output env)
-   | Error e -> Printf.printf "pipeline run failed: %s\n" e)
-
-
-let run_scenarios () =
-  heading "Scenario-parallel coverage - full set (real scenarios + faults + testgen probes)";
-  let set = Corpus.Scenario_set.full () in
-  let n_scenarios = List.length set.Corpus.Scenario_set.scenarios in
-  (* Time just the scenario execution (the coverage phase proper); set
-     construction above includes the baseline run the gap planner needs. *)
-  let t0 = Telemetry.now_us () in
-  let outcomes = Coverage.Scenario.run_all set.Corpus.Scenario_set.scenarios in
-  let coverage_ms = (Telemetry.now_us () -. t0) /. 1e3 in
-  Telemetry.set_gauge "bench.scenarios.count" (float_of_int n_scenarios);
-  Telemetry.set_gauge "bench.scenarios.coverage_phase_ms" coverage_ms;
-  let merged = Coverage.Scenario.merged_collector outcomes in
-  let files =
-    Coverage.Scenario.score merged ~measured:set.Corpus.Scenario_set.measured
-      set.Corpus.Scenario_set.tus
-  in
-  let stmt, branch, mcdc = Coverage.Collector.averages files in
-  Printf.printf
-    "%d scenarios on %d worker domain(s): coverage phase %.1f ms\n\
-     merged coverage (identical at every --jobs value):\n"
-    n_scenarios (Util.Pool.default_jobs ()) coverage_ms;
-  print_string
-    (Iso26262.Report.render_coverage
-       ~title:"merged combined coverage (statement / branch / MC/DC)" files);
-  Printf.printf "averages: statement %.1f%%, branch %.1f%%, MC/DC %.1f%%\n"
-    stmt branch mcdc
 
 let run_compile () =
   heading "Coverage engines - tree-walking oracle vs compiled bytecode";
@@ -616,24 +346,6 @@ let run_compile () =
     (Util.Pool.default_jobs ())
     tree_steps tree_ms bc_steps bc_ms
     (float_of_int tree_steps /. float_of_int (max 1 bc_steps))
-
-let run_interproc () =
-  heading "Extension - whole-program summary engine (SCC-level parallel bottom-up)";
-  let ip = (metrics ()).Iso26262.Project_metrics.interproc in
-  print_string (Iso26262.Report.render_interproc ip);
-  let r = ip.Interproc.Summary.graph.Cfront.Callgraph.resolution in
-  Printf.printf
-    "\n%d summaries over %d SCCs in %d bottom-up levels on %d worker domain(s);\n\
-     resolution confidence: %d of %d call sites resolved.\n"
-    (List.length ip.Interproc.Summary.summaries) ip.Interproc.Summary.n_sccs
-    ip.Interproc.Summary.n_levels
-    (Util.Pool.default_jobs ())
-    r.Cfront.Callgraph.resolved r.Cfront.Callgraph.total_sites
-
-let run_plan () =
-  heading "Extension - effort-classified remediation plan (the paper's conclusion, actionable)";
-  let a = force_audit () in
-  print_string (Iso26262.Cert_plan.render (Iso26262.Cert_plan.build (Iso26262.Audit.all_findings a)))
 
 let run_overhead () =
   heading "Telemetry overhead - the audit with the flight recorder off vs on";
@@ -787,19 +499,9 @@ let experiments =
     ("observations", run_observations);
     ("fig1", run_fig1);
     ("fig2", run_fig2);
-    ("halstead", run_halstead);
-    ("brook", run_brook);
-    ("ablations", run_ablations);
-    ("wcet", run_wcet);
-    ("frameworks", run_frameworks);
-    ("faults", run_faults);
     ("testgen", run_testgen);
     ("traceability", run_traceability);
-    ("scheduling", run_scheduling);
-    ("scenarios", run_scenarios);
     ("compile", run_compile);
-    ("interproc", run_interproc);
-    ("plan", run_plan);
     ("overhead", run_overhead);
     ("incremental", run_incremental);
   ]

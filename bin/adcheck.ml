@@ -666,13 +666,19 @@ let brook_cmd =
 let faults_cmd =
   let run tele =
     with_telemetry ~cmd:"faults" tele @@ fun () ->
+    let outcomes = Corpus.Fault_src.run_all () in
     List.iter
       (fun (o : Corpus.Fault_src.outcome) ->
         Printf.printf "%-26s %-7s %s\n"
           o.Corpus.Fault_src.scenario.Corpus.Fault_src.sc_name
           (if o.Corpus.Fault_src.faulted then "FAULT" else "ok")
           o.Corpus.Fault_src.detail)
-      (Corpus.Fault_src.run_all ())
+      outcomes;
+    let realized, expected, as_expected, total = Corpus.Fault_src.summary outcomes in
+    Printf.printf
+      "\n%d of %d undefended scenarios fault; %d of %d scenarios behave as the static\n\
+       defensive-implementation analysis (Table 1 item 4) predicts.\n"
+      realized expected as_expected total
   in
   let doc = "Run the fault-injection scenarios (invalid inputs against the YOLO entry points)." in
   Cmd.v (Cmd.info "faults" ~doc) Term.(const run $ telemetry_term)

@@ -2,8 +2,7 @@
     coverage the standard expects.  This example closes part of that gap
     automatically: it finds the reachable-by-construction coverage holes
     (uncalled scalar functions, parameter-driven switch clauses, one-sided
-    comparisons), synthesizes C probes for them, and re-measures —
-    then prints a gcov-style annotated listing of what is still cold.
+    comparisons), synthesizes C probes for them, and re-measures.
 
     Run with: [dune exec examples/close_coverage_gap.exe] *)
 
@@ -21,25 +20,4 @@ let () =
   (* 2. show the synthesized driver — these are the "additional test
      cases" the paper calls for, ready to be reviewed and kept *)
   print_endline "synthesized driver:";
-  print_endline r.Coverage.Testgen.driver;
-
-  (* 3. annotated listing of the lowest-coverage file after the probes *)
-  let collector = Coverage.Collector.create () in
-  let env = Coverage.Runtime.create ~hooks:(Coverage.Collector.hooks collector) () in
-  let gap_tu =
-    Cfront.Parser.parse_file ~file:"testgen/gap_driver.c" r.Coverage.Testgen.driver
-  in
-  let tus2 = tus @ [ gap_tu ] in
-  (match Coverage.Exec.run env (Coverage.Compile.compile tus2) ~entry:Corpus.Yolo_src.entry ~args:[] with
-   | Ok _ -> ()
-   | Error e -> failwith e);
-  let parser_tu =
-    List.find (fun (tu : Cfront.Ast.tu) -> tu.Cfront.Ast.tu_file = "yolo/parser_cfg.c") tus
-  in
-  print_endline "annotated listing (before probes) of the coldest file:";
-  print_string
-    (Coverage.Annotate.render ~only_functions:[ "parse_learning_param" ] collector
-       parser_tu);
-  Printf.printf "\nlines still never executed in %s: %d\n"
-    parser_tu.Cfront.Ast.tu_file
-    (List.length (Coverage.Annotate.missed_lines collector parser_tu))
+  print_endline r.Coverage.Testgen.driver

@@ -83,7 +83,5 @@ val diff_runs : fail_on_regress_pct:float -> record -> record list -> finding li
 (** No findings. *)
 val ok : finding list -> bool
 
-val render_finding : finding -> string
-
 (** One line per finding plus a verdict line. *)
 val render : finding list -> string

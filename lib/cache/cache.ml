@@ -38,7 +38,7 @@ let magic = "adcheck-cache/1"
 
 (* Bump on any change to the marshaled layout of a cached artifact
    (AST, dataflow facts, violations, bytecode, coverage outcomes). *)
-let version_salt = "adcheck-cache/1 schema=6"
+let version_salt = "adcheck-cache/1 schema=7"
 
 type t = {
   cache_dir : string;
@@ -285,12 +285,12 @@ let store (t : t) ?(owner = "") ~kind ~key v =
        Util.Log.warn "cache %s: cannot write %s artifact: %s" t.cache_dir kind e;
        (try Sys.remove tmp with Sys_error _ -> ()))
 
-let memo t ?owner ~kind ~key f =
+let memo t ~kind ~key f =
   match find t ~kind ~key with
   | Some v -> v
   | None ->
     let v = f () in
-    store t ?owner ~kind ~key v;
+    store t ~kind ~key v;
     v
 
 let remove_owned (t : t) paths =

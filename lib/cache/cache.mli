@@ -33,11 +33,6 @@
     digits — the same discipline provenance uses for finding ids. *)
 val fnv1a64 : string -> string
 
-(** Schema salt baked into every artifact header and the store's VERSION
-    file.  Bump it whenever the marshaled layout of any cached artifact
-    changes; stores written under another salt are wiped on open. *)
-val version_salt : string
-
 type t
 
 (** Monotone per-store counters (process lifetime, all domains). *)
@@ -50,7 +45,7 @@ type stats = {
 }
 
 (** Open (creating if needed) a store rooted at [dir].  A VERSION file
-    carrying another {!version_salt} first wipes all artifacts and any
+    carrying another tool version's salt first wipes all artifacts and any
     temp file a killed writer left.  Raises [Sys_error] if the directory
     cannot be created or written. *)
 val open_dir : string -> t
@@ -78,8 +73,9 @@ val find : t -> kind:string -> key:string -> 'a option
     computation it memoizes. *)
 val store : t -> ?owner:string -> kind:string -> key:string -> 'a -> unit
 
-(** [memo t ?owner ~kind ~key f] is [find] else [f () |> store]. *)
-val memo : t -> ?owner:string -> kind:string -> key:string -> (unit -> 'a) -> 'a
+(** [memo t ~kind ~key f] is [find] else [f () |> store], with no
+    owner. *)
+val memo : t -> kind:string -> key:string -> (unit -> 'a) -> 'a
 
 (** Remove every artifact owned by one of [paths]; returns the number
     removed (also counted as invalidated and added to the

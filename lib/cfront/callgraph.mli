@@ -59,10 +59,8 @@ val calls_in_body : Ast.func -> string list
 
 val build : Ast.func list -> t
 
-(** Resolved callees/callers of a qualified name (with multiplicity). *)
+(** Resolved callees of a qualified name (with multiplicity). *)
 val callees : t -> string -> string list
-
-val callers : t -> string -> string list
 
 (** Distinct-callee / distinct-caller counts. *)
 val fan_out : t -> string -> int

@@ -27,6 +27,7 @@ type state = {
   mutable diags : string list;
   mutable pending_tops : Ast.top list;
       (** extra declarators of the top currently being parsed *)
+  mutable cast_scan_steps : int;  (** tokens [looks_like_cast] examined *)
 }
 
 (* Expression/statement ids are dense per translation unit (0, 1, 2, ...
@@ -48,7 +49,8 @@ let make_state ~file (toks : Token.table) =
   List.iter (fun n -> Hashtbl.replace type_names n ()) builtin_type_names;
   let n = Token.length toks in
   { toks; last = n - 1; locs = Array.make n Loc.dummy; tag = id_tag file;
-    pos = 0; n_eids = 0; n_sids = 0; type_names; diags = []; pending_tops = [] }
+    pos = 0; n_eids = 0; n_sids = 0; type_names; diags = []; pending_tops = [];
+    cast_scan_steps = 0 }
 
 let cur_kind st = Token.kind st.toks st.pos
 let advance st = if st.pos < st.last then st.pos <- st.pos + 1
@@ -291,8 +293,14 @@ let assign_op_of_punct = function
 let looks_like_cast st =
   (* current token is '(' *)
   let rec scan i depth saw_type =
+    st.cast_scan_steps <- st.cast_scan_steps + 1;
     match peek_kind_at st i with
     | Token.Punct ")" when depth = 0 -> saw_type
+    (* A type name never starts with '(' (a function-pointer cast such
+       as [(void ( * )(int))] has seen [void] first).  Stopping here keeps
+       the scan constant per level of a nested parenthesized expression,
+       which would otherwise rescan every level inside it. *)
+    | Token.Punct "(" when not saw_type -> false
     | Token.Punct "(" -> scan (i + 1) (depth + 1) saw_type
     | Token.Punct ")" -> scan (i + 1) (depth - 1) saw_type
     | Token.Keyword k when List.mem k type_keywords -> scan (i + 1) depth true
@@ -1152,6 +1160,7 @@ let parse_lexed ?(extra_types = []) lx =
     let top = parse_top_tolerant st [] in
     tops := List.rev_append st.pending_tops (top :: !tops)
   done;
+  Telemetry.add "parse.cast_scan_steps" st.cast_scan_steps;
   {
     Ast.tu_file = lx.lx_file;
     tops = List.rev !tops;
@@ -1175,9 +1184,3 @@ let parse_expr_string src =
   let lexed = Lexer.tokenize ~file:"<expr>" src in
   let st = make_state ~file:"<expr>" lexed.Lexer.tokens in
   parse_expr st
-
-(** Parse a statement in isolation (used by tests). *)
-let parse_stmt_string src =
-  let lexed = Lexer.tokenize ~file:"<stmt>" src in
-  let st = make_state ~file:"<stmt>" lexed.Lexer.tokens in
-  parse_stmt st

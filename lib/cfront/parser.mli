@@ -60,6 +60,3 @@ val id_tag : string -> int
 
 (** Parse an expression in isolation (tests and tooling). *)
 val parse_expr_string : string -> Ast.expr
-
-(** Parse a statement in isolation (tests and tooling). *)
-val parse_stmt_string : string -> Ast.stmt

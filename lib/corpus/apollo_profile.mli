@@ -23,14 +23,6 @@ type module_spec = {
 }
 
 val perception : module_spec
-val planning : module_spec
-val prediction : module_spec
-val localization : module_spec
-val hdmap : module_spec
-val routing : module_spec
-val control : module_spec
-val canbus : module_spec
-val common : module_spec
 
 (** The full framework: nine modules, >220k LOC, exactly 554 CC>10
     functions, >1,400 casts, 900 perception globals. *)

@@ -12,8 +12,6 @@ type scenario = {
   sc_driver : string;  (** C source defining [int scenario()] *)
 }
 
-val scenarios : scenario list
-
 (** Engine form over a shared parse of the YOLO sources, so the hit sets
     different fault scenarios collect merge on identical ids. *)
 val to_scenarios : yolo_tus:Cfront.Ast.tu list -> Coverage.Scenario.t list
@@ -24,9 +22,6 @@ type outcome = {
   detail : string;  (** fault message or return value *)
   as_expected : bool;
 }
-
-(** Reinterpret an engine outcome against the scenario's expectation. *)
-val outcome_of : scenario -> Coverage.Scenario.outcome -> outcome
 
 (** Run every scenario, each in a fresh interpreter, fanned out over the
     worker pool (sequential at jobs=1). *)

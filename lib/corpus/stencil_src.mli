@@ -2,7 +2,6 @@
     via the interpreter's kernel-launch loop, their halo/saturation
     branches keep statement and branch coverage below 100%. *)
 
-val extra_types : string list
 val files : (string * string) list
 val parse_all : unit -> Cfront.Ast.tu list
 val measured_files : (string * string) list

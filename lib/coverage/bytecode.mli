@@ -177,9 +177,6 @@ type program = {
 
 exception Invalid of string
 
-(** Mnemonic for an instruction (diagnostics and tests). *)
-val opname : instr -> string
-
 (** [validate_code code] checks every jump target is in range and the
     value-stack depth is consistent at every pc (and 0 at fall-off);
     returns the maximum stack depth.  Raises {!Invalid} otherwise. *)

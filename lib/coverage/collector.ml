@@ -169,7 +169,7 @@ type func_coverage = {
 let first_covering_stmt t sid = Hashtbl.find_opt t.stmt_first sid
 let first_covering_decision t eid outcome = Hashtbl.find_opt t.decision_first (eid, outcome)
 
-let score_function ?(mcdc_mode = `Masking) t (fp : Instrument.func_points) =
+let score_function t (fp : Instrument.func_points) =
   let stmts_hit =
     List.length (List.filter (fun sid -> Hashtbl.mem t.stmt_hits sid) fp.Instrument.stmts)
   in
@@ -195,7 +195,7 @@ let score_function ?(mcdc_mode = `Masking) t (fp : Instrument.func_points) =
   let cond_scores =
     List.map
       (fun (d : Instrument.decision) ->
-        Mcdc.decision_score ~mode:mcdc_mode t.mcdc ~decision_eid:d.Instrument.d_eid
+        Mcdc.decision_score t.mcdc ~decision_eid:d.Instrument.d_eid
           ~conditions:d.Instrument.conditions)
       fp.Instrument.decisions
   in
@@ -286,8 +286,8 @@ let record_gap_findings ~file scored =
              ()))
     scored
 
-let score_file ?(mcdc_mode = `Masking) t ~file (fps : Instrument.func_points list) =
-  let scored = List.map (score_function ~mcdc_mode t) fps in
+let score_file t ~file (fps : Instrument.func_points list) =
+  let scored = List.map (score_function t) fps in
   record_gap_findings ~file scored;
   let called, not_called = List.partition (fun fc -> fc.called) scored in
   let sum f = Util.Stats.sum_int (List.map f called) in

@@ -63,10 +63,6 @@ type func_coverage = {
 val first_covering_stmt : t -> int -> string option
 val first_covering_decision : t -> int -> bool -> string option
 
-(** Score one function.  [mcdc_mode] selects the MC/DC pairing
-    discipline (see {!Mcdc.mode}); the default is short-circuit masking. *)
-val score_function : ?mcdc_mode:Mcdc.mode -> t -> Instrument.func_points -> func_coverage
-
 type file_coverage = {
   file : string;
   functions : func_coverage list;  (** called functions only *)
@@ -79,8 +75,7 @@ type file_coverage = {
 
 (** Score a file: percentages aggregate over called functions only (the
     paper "excluded all those functions that were not called"). *)
-val score_file :
-  ?mcdc_mode:Mcdc.mode -> t -> file:string -> Instrument.func_points list -> file_coverage
+val score_file : t -> file:string -> Instrument.func_points list -> file_coverage
 
 (** Unweighted per-file means of (statement, branch, MC/DC) percentages,
     matching the paper's Figure 5 averages. *)

@@ -105,23 +105,3 @@ let of_func ~file (fn : Cfront.Ast.func) =
 
 let of_tu (tu : Cfront.Ast.tu) =
   List.filter_map (of_func ~file:tu.Cfront.Ast.tu_file) (Cfront.Ast.functions_of_tu tu)
-
-(** Totals across a set of function points. *)
-let totals fps =
-  let stmts = Util.Stats.sum_int (List.map (fun fp -> List.length fp.stmts) fps) in
-  let branch_outcomes =
-    Util.Stats.sum_int
-      (List.map
-         (fun fp ->
-           (2 * List.length fp.decisions)
-           + Util.Stats.sum_int (List.map (fun sw -> sw.clauses) fp.switches))
-         fps)
-  in
-  let conditions =
-    Util.Stats.sum_int
-      (List.map
-         (fun fp ->
-           Util.Stats.sum_int (List.map (fun d -> List.length d.conditions) fp.decisions))
-         fps)
-  in
-  (stmts, branch_outcomes, conditions)

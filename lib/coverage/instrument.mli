@@ -27,14 +27,8 @@ type func_points = {
 (** Leaves of a decision's [&&]/[||] tree ([!] is transparent). *)
 val leaves_of : Cfront.Ast.expr -> int list
 
-val decision_of : Cfront.Ast.expr -> decision
-
 (** Blocks, labels, case markers and empty statements are structural;
     everything else counts for statement coverage. *)
 val is_executable : Cfront.Ast.stmt -> bool
 
-val of_func : file:string -> Cfront.Ast.func -> func_points option
 val of_tu : Cfront.Ast.tu -> func_points list
-
-(** [(statements, branch outcomes, conditions)] across the set. *)
-val totals : func_points list -> int * int * int

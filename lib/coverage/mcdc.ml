@@ -56,32 +56,24 @@ let canonical t =
   Hashtbl.fold (fun eid log acc -> (eid, List.sort compare log.vectors) :: acc) t.logs []
   |> List.sort compare
 
-(** Pairing discipline for the independence pairs:
-    - [`Masking]: a short-circuit-masked (unevaluated) condition agrees
-      with anything — the practical discipline for C's lazy operators;
-    - [`Strict]: unique-cause in the strict sense — every other condition
-      must have the identical recorded value, including maskedness. *)
-type mode = [ `Masking | `Strict ]
-
-let agree_except ~mode ~except v1 v2 =
+(* The independence pairs use short-circuit masking: a masked
+   (unevaluated) condition agrees with anything. *)
+let agree_except ~except v1 v2 =
   List.for_all2
     (fun (id1, b1) (id2, b2) ->
       assert (id1 = id2);
       if id1 = except then true
       else
-        match mode with
-        | `Strict -> b1 = b2
-        | `Masking -> (
-            match (b1, b2) with
-            | None, _ | _, None -> true  (* masked conditions agree with anything *)
-            | Some x, Some y -> x = y))
+        match (b1, b2) with
+        | None, _ | _, None -> true
+        | Some x, Some y -> x = y)
     v1.conds v2.conds
 
 let value_of cond_id v = Option.join (List.assoc_opt cond_id v.conds)
 
 (** Is condition [cond_id] of this decision MC/DC-covered by the observed
     vectors? *)
-let condition_covered ?(mode = `Masking) log cond_id =
+let condition_covered log cond_id =
   let vs = log.vectors in
   List.exists
     (fun v1 ->
@@ -91,7 +83,7 @@ let condition_covered ?(mode = `Masking) log cond_id =
           && (match (value_of cond_id v1, value_of cond_id v2) with
               | Some a, Some b -> a <> b
               | _ -> false)
-          && agree_except ~mode ~except:cond_id v1 v2)
+          && agree_except ~except:cond_id v1 v2)
         vs)
     vs
 
@@ -122,11 +114,11 @@ let suggest_vector t ~decision_eid ~cond_id =
 
 (** (covered, total) conditions for one decision given its static
     condition list. *)
-let decision_score ?(mode = `Masking) t ~decision_eid ~conditions =
+let decision_score t ~decision_eid ~conditions =
   match Hashtbl.find_opt t.logs decision_eid with
   | None -> (0, List.length conditions)
   | Some log ->
     let covered =
-      List.length (List.filter (fun c -> condition_covered ~mode log c) conditions)
+      List.length (List.filter (condition_covered log) conditions)
     in
     (covered, List.length conditions)

@@ -3,8 +3,9 @@
     For each decision the collector retains the deduplicated set of
     observed test vectors: each leaf condition's truth value ([None] when
     short-circuit skipped it) plus the decision outcome.  A condition is
-    covered when an independence pair exists under the chosen pairing
-    {!mode}. *)
+    covered when an independence pair exists under short-circuit
+    masking: a condition that short-circuit skipped agrees with any
+    value (the practical discipline for C's lazy operators). *)
 
 type vector = { conds : (int * bool option) list; outcome : bool }
 
@@ -28,15 +29,6 @@ val merge_into : into:t -> t -> unit
     canonical views are equal — the merge property tests compare these. *)
 val canonical : t -> (int * vector list) list
 
-(** Pairing discipline:
-    [`Masking] — a short-circuit-masked condition agrees with anything
-    (the practical discipline for C's lazy operators);
-    [`Strict] — strict unique-cause: every other condition must carry the
-    identical recorded value, including maskedness. *)
-type mode = [ `Masking | `Strict ]
-
-val condition_covered : ?mode:mode -> decision_log -> int -> bool
-
 (** For an uncovered condition, a starting point for the missing test:
     [(value to force the condition to, an observed base vector to
     replicate)].  [None] when the decision never executed. *)
@@ -44,5 +36,4 @@ val suggest_vector :
   t -> decision_eid:int -> cond_id:int -> (bool * vector) option
 
 (** [(covered, total)] conditions for one decision. *)
-val decision_score :
-  ?mode:mode -> t -> decision_eid:int -> conditions:int list -> int * int
+val decision_score : t -> decision_eid:int -> conditions:int list -> int * int

@@ -45,8 +45,6 @@ type hooks = {
           profile *)
 }
 
-val null_hooks : hooks
-
 (** [telemetry_hooks ?base ()] layers global-telemetry recording
     (statement / call / kernel-launch counters, per-function statement
     counts under ["interp.fn."]) over [base].  Returns [base] unchanged

@@ -12,8 +12,6 @@ type call_plan = {
   reason : string;
 }
 
-val boundary_values : int list
-
 (** Does every parameter have a scalar type (so an int battery applies)? *)
 val all_scalar_params : Cfront.Ast.func -> bool
 

@@ -28,9 +28,7 @@ type report = {
   gather_reads : int;
 }
 
-val blocker_name : blocker -> string
 val classification_name : classification -> string
-val analyze_kernel : Cfront.Ast.func -> report
 val of_files : Cfront.Project.parsed_file list -> report list
 
 type summary = {

@@ -17,7 +17,6 @@ type t = {
 
 val zero : t
 val add : t -> t -> t
-val has_bound_check : Cfront.Ast.func -> bool
 val of_tu : Cfront.Ast.tu -> t
 val of_files : Cfront.Project.parsed_file list -> t
 

@@ -51,15 +51,6 @@ val reachable : t -> bool array
 (** First source location of a block, if it holds any instruction. *)
 val first_loc : block -> Loc.t option
 
-(** Simple-variable reads: every [Id] occurrence except plain-assignment
-    targets and address-of operands; compound assignments and
-    increments read their target. *)
-val uses_of_expr : Ast.expr -> (string * Loc.t) list
-
-(** Simple variables written: assignment to a bare [Id] (any operator)
-    and pre/post increment/decrement. *)
-val defs_of_expr : Ast.expr -> (string * Loc.t) list
-
 (** Variables whose address is taken ([&x]) in the expression. *)
 val addr_taken_of_expr : Ast.expr -> string list
 

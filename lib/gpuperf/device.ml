@@ -61,5 +61,3 @@ let xeon_e5 =
     sm_count = 10;
     l2_kb = 2560;
   }
-
-let all = [ titan_v; gtx_1080ti; drive_px2_gpu; xeon_e5 ]

@@ -24,5 +24,3 @@ val drive_px2_gpu : t
 
 (** Server CPU for the ATLAS/OpenBLAS baselines. *)
 val xeon_e5 : t
-
-val all : t list

@@ -13,10 +13,6 @@ let gemm m n k = Gemm { m; n; k }
 
 let of_conv c = Conv c
 
-let name = function
-  | Gemm g -> Printf.sprintf "GEMM %dx%dx%d" g.m g.n g.k
-  | Conv c -> Dnn.Layer.name (Dnn.Layer.Conv c)
-
 let flops = function
   | Gemm g -> 2.0 *. float_of_int g.m *. float_of_int g.n *. float_of_int g.k
   | Conv c -> float_of_int (Dnn.Layer.conv_flops c)

@@ -9,7 +9,6 @@ type t =
 
 val gemm : int -> int -> int -> t
 val of_conv : Dnn.Layer.conv -> t
-val name : t -> string
 
 (** 2·M·N·K for GEMM; the im2col equivalent for convolutions. *)
 val flops : t -> float

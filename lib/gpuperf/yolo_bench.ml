@@ -22,14 +22,14 @@ let implementations ~gpu ~cpu =
     Library_model.atlas cpu;
   ]
 
-let run ?(net = Dnn.Yolo.yolov2) ?(gpu = Device.titan_v) ?(cpu = Device.xeon_e5) () =
+let run ?(gpu = Device.titan_v) ?(cpu = Device.xeon_e5) () =
   Telemetry.with_span ~cat:"gpuperf" "gpuperf.yolo"
     ~attrs:[ ("gpu", gpu.Device.name); ("cpu", cpu.Device.name) ]
   @@ fun () ->
   Telemetry.incr "gpuperf.yolo_benches";
   let libs = implementations ~gpu ~cpu in
   let times =
-    List.map (fun lib -> (lib, Library_model.network_time_ms lib net)) libs
+    List.map (fun lib -> (lib, Library_model.network_time_ms lib Dnn.Yolo.yolov2)) libs
   in
   let baseline =
     match times with (_, t) :: _ -> t | [] -> 1.0

@@ -11,14 +11,9 @@ type row = {
   vs_baseline : float;  (** runtime relative to cuDNN; >1 means slower *)
 }
 
-(** The six implementations compared in Figure 7, on the given devices. *)
-val implementations :
-  gpu:Device.t -> cpu:Device.t -> Library_model.t list
-
-(** Time the network under all six implementations.  Defaults: YOLOv2 on
-    TITAN V vs the Xeon CPU baseline. *)
-val run :
-  ?net:Dnn.Layer.t list -> ?gpu:Device.t -> ?cpu:Device.t -> unit -> row list
+(** Time YOLOv2 under all six implementations.  Defaults: TITAN V vs
+    the Xeon CPU baseline. *)
+val run : ?gpu:Device.t -> ?cpu:Device.t -> unit -> row list
 
 (** Per-layer (name, milliseconds) breakdown under one library. *)
 val per_layer : Library_model.t -> Dnn.Layer.t list -> (string * float) list

@@ -1,4 +1,3 @@
 (** Graphviz export of the call graph with recursion-cycle clusters. *)
 
-val render : Cfront.Callgraph.t -> string
 val write : path:string -> Cfront.Callgraph.t -> unit

@@ -67,8 +67,6 @@ type t = {
   globals_total : int;  (** mutable globals in the program *)
 }
 
-val depth_max : depth -> depth -> depth
-val depth_add : depth -> int -> depth
 val render_depth : depth -> string
 
 (** Run the engine over a parsed project.  [facts], one record per

@@ -92,7 +92,7 @@ let record_metric_findings (findings : Assess.finding list) =
     findings
 
 let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
-    ?(thresholds = Assess.default_thresholds) ?(open_vs_closed = []) ?project () =
+    ?(open_vs_closed = []) ?project () =
   (* The audit owns the journal: every run starts it afresh, so [t.journal]
      is exactly this run's evidence. *)
   Provenance.reset ();
@@ -186,9 +186,9 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
    | Error e -> failwith ("stencil coverage scenario failed: " ^ e));
   let coding, architecture, unit_design, observations =
     Telemetry.with_span ~cat:"audit" "audit.assess" @@ fun () ->
-    let coding = Assess.assess_coding ~th:thresholds metrics in
-    let architecture = Assess.assess_architecture ~th:thresholds metrics in
-    let unit_design = Assess.assess_unit_design ~th:thresholds metrics in
+    let coding = Assess.assess_coding metrics in
+    let architecture = Assess.assess_architecture metrics in
+    let unit_design = Assess.assess_unit_design metrics in
     record_metric_findings (coding @ architecture @ unit_design);
     ( coding,
       architecture,

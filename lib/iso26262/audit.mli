@@ -33,7 +33,7 @@ val run_stencil_coverage :
   unit -> Coverage.Collector.file_coverage list * (Coverage.Value.t, string) result
 
 (** Audit a corpus.  Defaults: [seed 2019], the paper-scale Apollo
-    profile, the paper's thresholds, no GPU ratios (Observation 12 then
+    profile, no GPU ratios (Observation 12 then
     reports over an empty set).  [project] supplies the source tree
     directly (edited trees for incremental audits); [seed]/[specs] then
     only label the run.  Raises [Failure] if an embedded coverage
@@ -50,7 +50,6 @@ val run_stencil_coverage :
 val run :
   ?seed:int ->
   ?specs:Corpus.Apollo_profile.module_spec list ->
-  ?thresholds:Assess.thresholds ->
   ?open_vs_closed:(string * float) list ->
   ?project:Cfront.Project.t ->
   unit ->

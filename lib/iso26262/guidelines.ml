@@ -74,10 +74,5 @@ let unit_design =
 
 let all = coding @ architecture @ unit_design
 
-let of_table = function
-  | Coding -> coding
-  | Architecture -> architecture
-  | Unit_design -> unit_design
-
 let find ~table ~index =
   List.find_opt (fun tp -> tp.table = table && tp.index = index) all

@@ -10,9 +10,6 @@ type table = Coding | Architecture | Unit_design
 
 val table_name : table -> string
 
-(** Short tag used in reports and finding ids: "T1" / "T3" / "T8". *)
-val table_tag : table -> string
-
 (** One guideline topic: its table, 1-based row index, title, and
     per-ASIL recommendation strengths. *)
 type topic = {
@@ -37,5 +34,4 @@ val unit_design : topic list
 (** All 25 topics, in table order. *)
 val all : topic list
 
-val of_table : table -> topic list
 val find : table:table -> index:int -> topic option

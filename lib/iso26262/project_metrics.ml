@@ -90,7 +90,7 @@ let module_dataflow_of_parsed parsed =
    (the [interproc] artifact).  These stand in for them. *)
 let no_misra =
   { Misra.Registry.per_rule = []; total_violations = 0; rules_violated = 0;
-    rules_checked = 0; deviations = [] }
+    rules_checked = 0 }
 
 let no_interproc () =
   { Interproc.Summary.graph = Cfront.Callgraph.build []; summaries = []; cycles = [];

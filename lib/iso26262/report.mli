@@ -3,8 +3,6 @@
 
 (** A findings table in the paper's Table 1-3 layout: topic, the four
     per-ASIL recommendation cells, verdict, evidence. *)
-val table_of_findings : title:string -> Assess.finding list -> Util.Table.t
-
 val render_findings : title:string -> Assess.finding list -> string
 
 (** Per-ASIL "N of M binding guidelines satisfied" summary. *)

@@ -26,7 +26,6 @@ type lib_node = {
 (** The Figure 2 dependency tree rooted at the perception module. *)
 val taxonomy : lib_node
 
-val availability_name : availability -> string
 val render_taxonomy : unit -> string
 
 (** Closed-source nodes in the subtree — the certification dependency

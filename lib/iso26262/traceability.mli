@@ -16,15 +16,10 @@ type software_requirement = {
   sr_verified_by : (Guidelines.table * int) list;  (** verifying guideline topics *)
 }
 
-(** The modelled goal set (G1..G4, all ASIL-D). *)
-val goals : safety_goal list
-
 (** The software safety requirements refined from the goals. *)
 val requirements : software_requirement list
 
 type req_status = Verified | Partially_verified | Not_verified
-
-val status_name : req_status -> string
 
 type req_trace = {
   requirement : software_requirement;

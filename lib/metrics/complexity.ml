@@ -14,12 +14,6 @@ let bucket_of_cc cc =
   else if cc <= 50 then Risky
   else Unstable
 
-let bucket_name = function
-  | Low -> "1-10"
-  | Moderate -> "11-20"
-  | Risky -> "21-50"
-  | Unstable -> ">50"
-
 let decisions_in_expr expr =
   let n = ref 0 in
   Cfront.Ast.iter_exprs_of_expr
@@ -31,14 +25,11 @@ let decisions_in_expr expr =
     expr;
   !n
 
-(** [count_short_circuit:false] gives plain McCabe (control statements
-    only), the older convention; the default counts [&&]/[||]/[?:] the way
-    Lizard and most modern tools do. *)
-let of_stmt ?(count_short_circuit = true) body =
+(* Counts [&&]/[||]/[?:] in every condition and expression statement,
+   the way Lizard and most modern tools do. *)
+let of_stmt body =
   let n = ref 0 in
-  let count_expr e =
-    if count_short_circuit then n := !n + decisions_in_expr e
-  in
+  let count_expr e = n := !n + decisions_in_expr e in
   Cfront.Ast.iter_stmts
     (fun s ->
       match s.Cfront.Ast.s with
@@ -66,10 +57,10 @@ let of_stmt ?(count_short_circuit = true) body =
     body;
   !n + 1
 
-let of_func ?(count_short_circuit = true) (fn : Cfront.Ast.func) =
+let of_func (fn : Cfront.Ast.func) =
   match fn.Cfront.Ast.f_body with
   | None -> 1
-  | Some body -> of_stmt ~count_short_circuit body
+  | Some body -> of_stmt body
 
 (** Maximum control-structure nesting depth of a body — the other face of
     "low complexity": deeply nested code resists review and MC/DC
@@ -98,10 +89,10 @@ let nesting_of_func (fn : Cfront.Ast.func) =
 
 type func_cc = { fn : Cfront.Ast.func; cc : int }
 
-let of_functions ?(count_short_circuit = true) fns =
+let of_functions fns =
   let ccs =
     List.map
-      (fun fn -> { fn; cc = of_func ~count_short_circuit fn })
+      (fun fn -> { fn; cc = of_func fn })
       (List.filter (fun f -> f.Cfront.Ast.f_body <> None) fns)
   in
   Telemetry.add "metrics.cc_functions" (List.length ccs);

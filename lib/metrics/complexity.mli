@@ -9,24 +9,13 @@
 type bucket = Low | Moderate | Risky | Unstable
 
 val bucket_of_cc : int -> bucket
-val bucket_name : bucket -> string
-val decisions_in_expr : Cfront.Ast.expr -> int
-
-(** [count_short_circuit:false] gives plain McCabe (control statements
-    only), the older convention used by the ablation experiment. *)
-val of_stmt : ?count_short_circuit:bool -> Cfront.Ast.stmt -> int
-
-val of_func : ?count_short_circuit:bool -> Cfront.Ast.func -> int
-
-(** Maximum control-structure nesting depth of a function body. *)
-val nesting_depth : Cfront.Ast.stmt -> int
 
 val nesting_of_func : Cfront.Ast.func -> int
 
 type func_cc = { fn : Cfront.Ast.func; cc : int }
 
 (** Complexity of every defined function in the list. *)
-val of_functions : ?count_short_circuit:bool -> Cfront.Ast.func list -> func_cc list
+val of_functions : Cfront.Ast.func list -> func_cc list
 
 type module_summary = {
   modname : string;

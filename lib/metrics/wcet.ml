@@ -32,11 +32,6 @@ type func_report = {
   wcet_expr : string;  (** symbolic statement-count bound, best effort *)
 }
 
-let classification_name = function
-  | Analyzable -> "analyzable"
-  | Parametric_bound -> "parametric"
-  | Unanalyzable -> "unanalyzable"
-
 (* Recognize the canonical counted loop: for (i = 0; i < BOUND; ++i). *)
 let for_bound (init : Cfront.Ast.for_init) cond update =
   let counter =

@@ -24,11 +24,6 @@ type func_report = {
   wcet_expr : string;  (** symbolic iteration bound, e.g. ["O(width * height)"] *)
 }
 
-val classification_name : classification -> string
-
-(** Classify one function given the project's recursive-function set. *)
-val of_func : recursive_names:string list -> Cfront.Ast.func -> func_report option
-
 (** Classify every defined function (builds the call graph internally). *)
 val of_functions : Cfront.Ast.func list -> func_report list
 

@@ -17,55 +17,12 @@ let all_rules = c_rules @ cuda_rules @ dataflow_rules @ interproc_rules
 
 let find_rule id = List.find_opt (fun (r : Rule.t) -> r.Rule.id = id) all_rules
 
-(** A documented deviation, the mechanism MISRA compliance actually uses:
-    a rule may be violated up to [max_instances] times (unbounded when
-    [None]) given a recorded justification.  Deviations of [Mandatory]
-    rules are not permitted and are ignored with a note. *)
-type deviation = {
-  dev_rule : string;
-  justification : string;
-  max_instances : int option;
-}
-
-type deviation_outcome = {
-  deviation : deviation;
-  suppressed : int;  (** violations covered by the deviation *)
-  residual : int;  (** violations beyond [max_instances] *)
-  rejected : bool;  (** deviation targeted a mandatory rule *)
-}
-
 type report = {
   per_rule : (Rule.t * Rule.violation list) list;
   total_violations : int;
   rules_violated : int;
   rules_checked : int;
-  deviations : deviation_outcome list;
 }
-
-let apply_deviations deviations per_rule =
-  let outcomes = ref [] in
-  let per_rule =
-    List.map
-      (fun ((r : Rule.t), vs) ->
-        match List.find_opt (fun d -> d.dev_rule = r.Rule.id) deviations with
-        | None -> (r, vs)
-        | Some d when r.Rule.category = Rule.Mandatory ->
-          outcomes := { deviation = d; suppressed = 0; residual = List.length vs;
-                        rejected = true } :: !outcomes;
-          (r, vs)
-        | Some d ->
-          let n = List.length vs in
-          let allowed = Option.value ~default:n d.max_instances in
-          let suppressed = Stdlib.min n allowed in
-          outcomes :=
-            { deviation = d; suppressed; residual = n - suppressed;
-              rejected = false }
-            :: !outcomes;
-          (* keep only the residual (oldest-first excess) *)
-          (r, List.filteri (fun i _ -> i >= suppressed) vs))
-      per_rule
-  in
-  (per_rule, List.rev !outcomes)
 
 (* Journal entry for one violation: the rule metadata and the violation
    site frame whatever rule-specific steps the check attached (dataflow
@@ -84,7 +41,7 @@ let finding_of_violation ~rule_step (r : Rule.t) (v : Rule.violation) =
   Provenance.make ~kind:"misra" ~analysis:r.Rule.id ~loc:v.Rule.loc
     ~message:v.Rule.message ~witness:(rule_step :: site :: v.Rule.witness) ()
 
-let run_deferred ?(rules = all_rules) ?(deviations = []) ?cache_key build =
+let run_deferred ~rules ?cache_key build =
   Telemetry.with_span ~cat:"misra" "misra"
     ~attrs:[ ("rules", string_of_int (List.length rules)) ]
     (fun () ->
@@ -146,11 +103,8 @@ let run_deferred ?(rules = all_rules) ?(deviations = []) ?cache_key build =
             (r, vs))
           (List.combine rules stored)
       in
-      let per_rule, outcomes = apply_deviations deviations per_rule in
-      (* Journal after deviations so the evidence matches the report:
-         suppressed violations leave no finding.  This runs on the
-         calling domain in registration order, so the journal is
-         identical at every --jobs value. *)
+      (* Journal on the calling domain in registration order, so the
+         journal is identical at every --jobs value. *)
       List.iter
         (fun (r, vs) ->
           let rule_step = rule_step r in
@@ -168,20 +122,18 @@ let run_deferred ?(rules = all_rules) ?(deviations = []) ?cache_key build =
         rules_violated =
           List.length (List.filter (fun (_, vs) -> vs <> []) per_rule);
         rules_checked = List.length rules;
-        deviations = outcomes;
       })
 
-let run_project ?(rules = all_rules) ?context parsed =
+let run_project ?context parsed =
   let cache_key =
     match Cache.global () with
     | None -> None
     | Some _ -> Some (Cfront.Project.content_key parsed)
   in
-  run_deferred ~rules ?cache_key (fun () ->
+  run_deferred ~rules:all_rules ?cache_key (fun () ->
       match context with Some ctx -> ctx | None -> Rule.build_context parsed)
 
-let run ?rules ?deviations ?cache_key ctx =
-  run_deferred ?rules ?deviations ?cache_key (fun () -> ctx)
+let run ?(rules = all_rules) ctx = run_deferred ~rules (fun () -> ctx)
 
 (** Violations grouped by category. *)
 let by_category report =
@@ -198,7 +150,7 @@ let by_category report =
     [ Rule.Mandatory; Rule.Required; Rule.Advisory ]
 
 (** Compliance ratio over rules: rules with zero violations / rules
-    checked.  MISRA compliance is per-rule (a deviation on any instance
+    checked.  MISRA compliance is per-rule (a violation on any instance
     breaks the rule). *)
 let rule_compliance report =
   if report.rules_checked = 0 then 1.0

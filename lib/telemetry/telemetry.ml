@@ -24,11 +24,7 @@ let span_clock = ref wall_clock
 let now_us () = !clock ()
 let span_now_us () = !span_clock ()
 
-let set_clock c =
-  clock := c;
-  span_clock := c
-
-let install_tick_clock ?(step_us = 1.0) () =
+let install_tick_clock () =
   (* One tick counter per domain: a clock read on a worker domain must
      not perturb main-domain timestamps (or vice versa), so that a timed
      region's duration depends only on the clock reads made *inside* the
@@ -36,10 +32,10 @@ let install_tick_clock ?(step_us = 1.0) () =
      histogram samples identical at every --jobs value: a region with no
      nested reads always measures exactly one tick, wherever it ran. *)
   let tick_stream () =
-    let key = Domain.DLS.new_key (fun () -> ref (-.step_us)) in
+    let key = Domain.DLS.new_key (fun () -> ref (-1.0)) in
     fun () ->
       let t = Domain.DLS.get key in
-      t := !t +. step_us;
+      t := !t +. 1.0;
       !t
   in
   clock := tick_stream ();
@@ -282,6 +278,8 @@ let gc_phase name f =
 (* Per-domain aggregation and the parallel map veneer                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Metrics collected on one domain: counters and histograms, each
+   sorted by name. *)
 type batch = {
   batch_counters : (string * int) list;
   batch_hists : (string * Util.Histogram.t) list;
@@ -370,9 +368,6 @@ let histograms () =
         (Hashtbl.fold
            (fun k h acc -> (k, Util.Histogram.copy h) :: acc)
            hists_tbl []))
-
-let histogram name =
-  locked (fun () -> Option.map Util.Histogram.copy (Hashtbl.find_opt hists_tbl name))
 
 let gc_phases () =
   locked (fun () ->
@@ -578,9 +573,9 @@ let metrics_json ?(runtime = true) () =
   Buffer.add_string b "}\n";
   Buffer.contents b
 
-let write_metrics ?runtime ~path () =
+let write_metrics ~path () =
   let oc = open_out path in
-  output_string oc (metrics_json ?runtime ());
+  output_string oc (metrics_json ());
   close_out oc
 
 (* ------------------------------------------------------------------ *)

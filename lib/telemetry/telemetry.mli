@@ -28,22 +28,16 @@
 (** Current time in microseconds from the active clock. *)
 val now_us : unit -> float
 
-(** Install a clock returning microseconds (monotonically
-    non-decreasing).  Microseconds, not seconds: the tick clock's small
-    integer readings subtract exactly, so a one-tick region is exactly
-    one tick on every domain. *)
-val set_clock : (unit -> float) -> unit
-
-(** Deterministic test clock: each reading advances by [step_us]
-    (default 1.0) starting from 0 — per domain.  Giving every domain its
-    own tick counter makes a timed region's duration a pure function of
+(** Deterministic test clock: each reading advances by one microsecond
+    starting from 0 — per domain.  Giving every domain its own tick
+    counter makes a timed region's duration a pure function of
     the clock reads inside the region on its own domain, so
     attributed-timing histogram samples are identical at every [--jobs]
     value.  Spans get an independent tick stream: span creation is
     suppressed on buffering workers, so if spans consumed work-tier
     ticks, a timed body that opens a span would measure differently
     sequentially than on a worker. *)
-val install_tick_clock : ?step_us:float -> unit -> unit
+val install_tick_clock : unit -> unit
 
 (** Restore the default wall clock. *)
 val use_wall_clock : unit -> unit
@@ -129,15 +123,6 @@ type gc_delta = {
     the pooled path (spans suppressed on workers). *)
 val gc_phase : string -> (unit -> 'a) -> 'a
 
-(** Recorded GC phases, sorted by name. *)
-val gc_phases : unit -> (string * gc_delta) list
-
-(** All histograms (copies), sorted by name. *)
-val histograms : unit -> (string * Util.Histogram.t) list
-
-(** One histogram by exact name (a copy). *)
-val histogram : string -> Util.Histogram.t option
-
 (** True for runtime-tier metric names (["pool."], ["gc."] or
     ["phase."] prefixed): excluded from the deterministic sections of
     {!metrics_json}. *)
@@ -147,35 +132,12 @@ val is_runtime_metric : string -> bool
 (* Per-domain aggregation and parallel mapping                         *)
 (* ------------------------------------------------------------------ *)
 
-(** Metrics collected on one domain: counters and histograms, each
-    sorted by name.  Counter merge is integer addition and histogram
-    merge is per-bucket addition — both commutative and associative, so
-    absorbing batches in submission order reproduces the sequential
-    sink state exactly. *)
-type batch = {
-  batch_counters : (string * int) list;
-  batch_hists : (string * Util.Histogram.t) list;
-}
-
-(** [collect_metrics f] runs [f] with counter increments and histogram
-    samples redirected to a fresh per-domain buffer (no global-sink
-    mutex traffic) and returns the buffered batch alongside [f]'s
-    result.  While the buffer is active span creation is suppressed —
-    worker domains contribute counters and samples only, keeping the
-    event list a single-domain record.  Nests: an inner collection
-    shadows the outer one, and {!absorb_metrics} feeds whichever sink
-    is active. *)
-val collect_metrics : (unit -> 'a) -> 'a * batch
-
-(** Merge a collected batch into the active sink (the global one, or
-    the enclosing collection buffer). *)
-val absorb_metrics : batch -> unit
-
 (** Order-preserving parallel map over {!Util.Pool.global}.  Each
     element's counters and histogram samples are buffered on its worker
-    domain via {!collect_metrics} and merged on the calling domain in
-    input order, so the final sink state is identical to a sequential
-    run.  When the pool default is 1 job this *is* [List.map f xs] —
+    domain and merged on the calling domain in input order (counter
+    merge is integer addition and histogram merge is per-bucket
+    addition, both commutative and associative), so the final sink
+    state is identical to a sequential run.  When the pool default is 1 job this *is* [List.map f xs] —
     the exact sequential oracle the differential tests compare
     against. *)
 val parallel_map : ?chunk_size:int -> ('a -> 'b) -> 'a list -> 'b list
@@ -242,11 +204,8 @@ val write_chrome_trace : path:string -> unit
     oracle. *)
 val metrics_json : ?runtime:bool -> unit -> string
 
-val write_metrics : ?runtime:bool -> path:string -> unit -> unit
-
-(** Per-name aggregation: (name, count, total_us, max_us), largest
-    total first. *)
-val span_summary : unit -> (string * int * float * float) list
+(** Write {!metrics_json}[ ()] (runtime section included) to [path]. *)
+val write_metrics : path:string -> unit -> unit
 
 (** Summary tables: span aggregation, counters, histograms (hottest
     total first — the "which rule/scenario is hot" view), interpreter

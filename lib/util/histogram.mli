@@ -53,10 +53,6 @@ val merge_into : into:t -> t -> unit
 (** Left-to-right merge into a fresh histogram; [merge [] ] is empty. *)
 val merge : t list -> t
 
-(** Quantile estimate: geometric midpoint of the bucket holding the
-    rank, clamped to the observed extrema.  Monotone in [q]. *)
-val quantile : t -> float -> float
-
 val p50 : t -> float
 val p90 : t -> float
 val p99 : t -> float

@@ -7,14 +7,8 @@
 
 type level = Error | Warn | Info | Debug
 
-val level_of_string : string -> level option
-val level_name : level -> string
-
 val set_level : level -> unit
 val level : unit -> level
-
-(** [true] when a message at [level] would be printed. *)
-val logs : level -> bool
 
 val error : ('a, unit, string, unit) format4 -> 'a
 val warn : ('a, unit, string, unit) format4 -> 'a

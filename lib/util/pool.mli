@@ -115,9 +115,6 @@ type stats = {
   st_since_us : float;  (** clock reading at pool creation *)
 }
 
-(** Snapshot of a pool's counters and latency histograms (histograms
-    are copies; safe to read while workers run). *)
-val stats : t -> stats
-
-(** [stats] of the running global pool, without creating one. *)
+(** A snapshot of the running global pool's counters and latency
+    histograms (copies), without creating a pool. *)
 val global_stats : unit -> stats option

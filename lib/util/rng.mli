@@ -9,7 +9,6 @@
 type t
 
 val create : int -> t
-val next_int64 : t -> int64
 
 (** An independent stream derived from (and advancing) this one. *)
 val split : t -> t

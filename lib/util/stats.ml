@@ -46,6 +46,4 @@ let geomean = function
     let logsum = List.fold_left (fun acc x -> acc +. log x) 0.0 xs in
     exp (logsum /. float_of_int (List.length xs))
 
-let ratio a b = if b = 0.0 then 0.0 else a /. b
-
 let clamp ~lo ~hi x = Stdlib.max lo (Stdlib.min hi x)

@@ -25,7 +25,4 @@ val histogram : buckets:(int * int) list -> int list -> ((int * int) * int) list
 (** Geometric mean; all inputs must be positive.  0.0 on the empty list. *)
 val geomean : float list -> float
 
-(** [ratio a b] is [a /. b], or 0.0 when [b = 0.0]. *)
-val ratio : float -> float -> float
-
 val clamp : lo:float -> hi:float -> float -> float

@@ -111,5 +111,4 @@ let render_as = function
 
 (** Formatting helpers shared by experiment printers. *)
 let fmt_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
-let fmt_pct ?(decimals = 1) x = Printf.sprintf "%.*f%%" decimals x
-let fmt_int = string_of_int
+let fmt_pct x = Printf.sprintf "%.1f%%" x

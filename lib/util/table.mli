@@ -38,5 +38,4 @@ val render_as : format -> t -> string
 (** Formatting helpers shared by experiment printers. *)
 val fmt_float : ?decimals:int -> float -> string
 
-val fmt_pct : ?decimals:int -> float -> string
-val fmt_int : int -> string
+val fmt_pct : float -> string

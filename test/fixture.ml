@@ -34,3 +34,24 @@ let context_of_files files = Misra.Rule.build_context (parsed_of_files files)
 let run_coverage ?hooks ?max_steps ?(entry = "main") tus =
   let env = Coverage.Runtime.create ?hooks ?max_steps () in
   (Coverage.Exec.run env (Coverage.Compile.compile tus) ~entry ~args:[], env)
+
+(* The shipped binary: the suites depend on it, and dune builds it next
+   to them. *)
+let adcheck_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/adcheck.exe"
+
+(* Run [adcheck args] (a shell-quoted argument string) and return its
+   exit code and standard output. *)
+let run_adcheck args =
+  let out = Filename.temp_file "adcheck-out" ".txt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+  @@ fun () ->
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s %s > %s" (Filename.quote adcheck_exe) args
+         (Filename.quote out))
+  in
+  let ic = open_in_bin out in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (rc, s)

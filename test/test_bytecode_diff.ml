@@ -563,8 +563,8 @@ let audited_sources =
        Corpus.Yolo_src.entry);
       ("stencil", Corpus.Stencil_src.parse_all, Corpus.Stencil_src.measured_files,
        Corpus.Stencil_src.entry);
-      ("pipeline", Corpus.Pipeline_src.parse_all,
-       Corpus.Pipeline_src.measured_files, Corpus.Pipeline_src.entry);
+      ("pipeline", Pipeline_src.parse_all,
+       Pipeline_src.measured_files, Pipeline_src.entry);
     ]
 
 let test_audited_sources_micro () =

@@ -296,8 +296,10 @@ let test_sweep () =
    per-function fact lists, schema=3, whose bytecode payload has no
    global-initializer sequence, and schema=4, whose parse payload holds
    a [Token.t list] and the source text where today's holds a token
-   table and leaves the source out, and schema=5, whose [manifest]
-   payload is a dependency record where today's is a path list.  The
+   table and leaves the source out, schema=5, whose [manifest]
+   payload is a dependency record where today's is a path list, and
+   schema=6, whose [metrics] payload embeds a MISRA report record with
+   a deviation-outcome field that today's record no longer has.  The
    wipe also removes a temp file that a killed writer left. *)
 let test_version_salt_wipe () =
   List.iter
@@ -321,7 +323,8 @@ let test_version_salt_wipe () =
         (Cache.stats c2).Cache.corrupt)
     [ "adcheck-cache/0 schema=0"; "adcheck-cache/1 schema=1";
       "adcheck-cache/1 schema=2"; "adcheck-cache/1 schema=3";
-      "adcheck-cache/1 schema=4"; "adcheck-cache/1 schema=5" ]
+      "adcheck-cache/1 schema=4"; "adcheck-cache/1 schema=5";
+      "adcheck-cache/1 schema=6" ]
 
 (* ------------------------------------------------------------------ *)
 (* A small real project: parse + MISRA + dataflow through one store    *)
@@ -911,8 +914,7 @@ let test_audit_corrupted_store () =
 (* The real binary: misra --cache differential and adcheck serve       *)
 (* ------------------------------------------------------------------ *)
 
-let adcheck_exe =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/adcheck.exe"
+let adcheck_exe = Fixture.adcheck_exe
 
 let run_capture cmd =
   let out = Filename.temp_file "adcheck-out" ".txt" in
@@ -962,6 +964,51 @@ let test_cli_misra_cache_diff () =
     oracle_out corrupt_out;
   Alcotest.(check bool) "corruption is logged" true
     (Util.Strutil.contains_sub ~sub:"corrupt" corrupt_err)
+
+(* Two audit processes -- two, no more -- fill one empty store at the
+   same time.  A writer's temp name carries its process id, so neither
+   renames the other's half-written artifact into place: both print the
+   cacheless report, a third run then finds every artifact (no miss),
+   and no temp file is left in the store. *)
+let test_cli_two_processes_share_store () =
+  let dir = fresh_dir "cli-shared" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let base =
+    Printf.sprintf "%s audit --scale small --seed 7" (Filename.quote adcheck_exe)
+  in
+  let cached = Printf.sprintf "%s --cache %s" base (Filename.quote dir) in
+  let rc0, oracle_out, _ = run_capture base in
+  Alcotest.(check int) "oracle run exits 0" 0 rc0;
+  let tmp what = Filename.temp_file ("adcheck-shared-" ^ what) ".txt" in
+  let out1 = tmp "out1" and out2 = tmp "out2" in
+  let rc1 = tmp "rc1" and rc2 = tmp "rc2" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ out1; out2; rc1; rc2 ])
+  @@ fun () ->
+  let writer out rc =
+    Printf.sprintf "(%s > %s 2>/dev/null; echo $? > %s)" cached (Filename.quote out)
+      (Filename.quote rc)
+  in
+  let rc =
+    Sys.command (Printf.sprintf "%s & %s & wait" (writer out1 rc1) (writer out2 rc2))
+  in
+  Alcotest.(check int) "both writers ran" 0 rc;
+  List.iter
+    (fun (name, out, rc) ->
+      Alcotest.(check string) (name ^ " exits 0") "0" (String.trim (read_file rc));
+      Alcotest.(check string) (name ^ " stdout == cacheless stdout") oracle_out
+        (read_file out))
+    [ ("first writer", out1, rc1); ("second writer", out2, rc2) ];
+  let rc3, warm_out, warm_err = run_capture (cached ^ " --verbose") in
+  Alcotest.(check int) "warm run exits 0" 0 rc3;
+  Alcotest.(check string) "warm stdout == cacheless stdout" oracle_out warm_out;
+  Alcotest.(check bool) "warm run misses nothing" true
+    (Util.Strutil.contains_sub ~sub:" 0 miss(es)," warm_err);
+  Alcotest.(check (list string)) "no temp file left" []
+    (List.filter
+       (fun f -> Util.Strutil.contains_sub ~sub:".art.tmp." f)
+       (Array.to_list (Sys.readdir dir)))
 
 let test_cli_cache_open_failure () =
   (* a path under /dev/null can never be created, even running as root *)
@@ -1066,6 +1113,8 @@ let () =
         [
           Alcotest.test_case "misra cold/warm/corrupt == cacheless" `Slow
             test_cli_misra_cache_diff;
+          Alcotest.test_case "two processes share one store" `Slow
+            test_cli_two_processes_share_store;
           Alcotest.test_case "unopenable cache dir fails fast" `Quick
             test_cli_cache_open_failure;
           Alcotest.test_case "serve line protocol" `Slow

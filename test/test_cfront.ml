@@ -579,6 +579,30 @@ let test_parse_paren_not_cast () =
       | _ -> Alcotest.fail "parsed as cast, expected multiplication")
   | _ -> Alcotest.fail "three decls"
 
+(* The cast check reads a constant number of tokens per '(' of a nested
+   parenthesized expression: it stops at a '(' seen before any type
+   word.  When it rescanned every level inside, N levels cost O(N^2)
+   token reads (about 4 s of parse at N = 20,000). *)
+let test_parse_nested_parens_linear () =
+  let steps n =
+    let src =
+      "int f(void) { return " ^ String.make n '(' ^ "1" ^ String.make n ')' ^ "; }"
+    in
+    Telemetry.reset ();
+    Telemetry.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.set_enabled false;
+        Telemetry.reset ())
+    @@ fun () ->
+    let tu = Cfront.Parser.parse_file ~file:"nest.c" src in
+    Alcotest.(check (list string)) "parses clean" [] tu.Cfront.Ast.diags;
+    Telemetry.counter "parse.cast_scan_steps"
+  in
+  List.iter
+    (fun n -> Alcotest.(check int) (Printf.sprintf "%d levels" n) n (steps n))
+    [ 1; 100; 10_000 ]
+
 let test_parse_kernel_launch () =
   match body_stmts "K<<<2, 64>>>(1, 2);" with
   | [ { s = Cfront.Ast.Sexpr { e = Cfront.Ast.Kernel_launch { grid; block; args; _ }; _ }; _ } ] ->
@@ -954,6 +978,8 @@ let () =
           Alcotest.test_case "logical precedence" `Quick test_parse_logical_precedence;
           Alcotest.test_case "casts" `Quick test_parse_casts;
           Alcotest.test_case "paren is not cast" `Quick test_parse_paren_not_cast;
+          Alcotest.test_case "nested parens scan linearly" `Quick
+            test_parse_nested_parens_linear;
           Alcotest.test_case "kernel launch" `Quick test_parse_kernel_launch;
           Alcotest.test_case "new/delete" `Quick test_parse_new_delete;
           Alcotest.test_case "sizeof" `Quick test_parse_sizeof;

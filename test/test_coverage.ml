@@ -528,47 +528,6 @@ let test_mcdc_suggest_vector () =
   | _ -> Alcotest.fail "one decision expected"
 
 (* ------------------------------------------------------------------ *)
-(* Annotated listings                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let annotate_fixture () =
-  let src =
-    "int Pick(int a) {\n  if (a > 0) {\n    return 1;\n  }\n  return 2;\n}\n\
-     int main() { return Pick(5); }"
-  in
-  let tu = parse src in
-  let col = Coverage.Collector.create () in
-  (match fst (Fixture.run_coverage ~hooks:(Coverage.Collector.hooks col) [ tu ]) with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "run: %s" e);
-  (col, tu)
-
-let test_annotate_listing () =
-  let col, tu = annotate_fixture () in
-  let s = Coverage.Annotate.render col tu in
-  let lines = Util.Strutil.lines s in
-  let find sub =
-    List.find (fun l -> Util.Strutil.contains_sub ~sub l) lines
-  in
-  Alcotest.(check bool) "taken branch hit" true
-    (Util.Strutil.starts_with ~prefix:"     1|" (find "return 1"));
-  Alcotest.(check bool) "untaken return missed" true
-    (Util.Strutil.starts_with ~prefix:" #####|" (find "return 2"));
-  Alcotest.(check bool) "signature line not executable" true
-    (Util.Strutil.starts_with ~prefix:"      |" (find "int Pick"))
-
-let test_annotate_missed_lines () =
-  let col, tu = annotate_fixture () in
-  Alcotest.(check int) "one missed line" 1
-    (List.length (Coverage.Annotate.missed_lines col tu))
-
-let test_annotate_function_filter () =
-  let col, tu = annotate_fixture () in
-  let s = Coverage.Annotate.render ~only_functions:[ "Pick" ] col tu in
-  Alcotest.(check bool) "includes Pick" true (Util.Strutil.contains_sub ~sub:"Pick" s);
-  Alcotest.(check bool) "excludes main" false (Util.Strutil.contains_sub ~sub:"main" s)
-
-(* ------------------------------------------------------------------ *)
 (* Gap-driven test generation                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -851,12 +810,6 @@ let () =
             prop_merge_empty_identity;
           QCheck_alcotest.to_alcotest ~rand:merge_prop_rand
             prop_mcdc_union_deduplicates;
-        ] );
-      ( "annotate",
-        [
-          Alcotest.test_case "listing" `Quick test_annotate_listing;
-          Alcotest.test_case "missed lines" `Quick test_annotate_missed_lines;
-          Alcotest.test_case "function filter" `Quick test_annotate_function_filter;
         ] );
       ( "testgen",
         [

@@ -1,83 +1,9 @@
-(* Tests for the extension modules: Halstead metrics + maintainability
-   index, the Brook Auto portability checker, the Figure 1/2 structural
-   models, the GPU-model ablations, and the MC/DC pairing-mode ablation. *)
+(* Tests for the extension modules: the Brook Auto portability checker,
+   the CUDA census, the Figure 1/2 structural models, the MC/DC and
+   cyclomatic counting conventions, WCET analyzability, fault injection,
+   table export, the mini AD pipeline and the traceability matrix. *)
 
 let parse src = Cfront.Parser.parse_file ~file:"x.cu" src
-
-(* ------------------------------------------------------------------ *)
-(* Halstead                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_halstead_counts () =
-  (* a = a + 1;  operators: =, +, ; is grouping -> {=, +}; operands: a, 1 *)
-  let h = Metrics.Halstead.of_tokens (Cfront.Lexer.tokenize ~file:"h.c" "a = a + 1;").Cfront.Lexer.tokens in
-  Alcotest.(check int) "distinct operators" 2 h.Metrics.Halstead.n1;
-  Alcotest.(check int) "distinct operands" 2 h.Metrics.Halstead.n2;
-  Alcotest.(check int) "total operators" 2 h.Metrics.Halstead.big_n1;
-  Alcotest.(check int) "total operands" 3 h.Metrics.Halstead.big_n2;
-  Alcotest.(check int) "length" 5 h.Metrics.Halstead.length;
-  Alcotest.(check bool) "volume positive" true (h.Metrics.Halstead.volume > 0.0)
-
-let test_halstead_volume_grows () =
-  let vol src =
-    (Metrics.Halstead.of_tu (parse src)).Metrics.Halstead.volume
-  in
-  Alcotest.(check bool) "more code, more volume" true
-    (vol "int F(int a) { return a + a * a - a / 2; }" > vol "int F(int a) { return a; }")
-
-let test_mi_bounds_and_ordering () =
-  let tu_simple = parse "int F(int a) { return a; }" in
-  let tu_complex =
-    parse
-      "int G(int a, int b) {\n  int r = 0;\n  for (int i = 0; i < a; ++i) {\n    \
-       if (i % 2 == 0 && b > i || a < 3) { r += i * b - a / 2; } else { r -= i; }\n    \
-       switch (r % 5) { case 0: r++; break; case 1: r--; break; default: break; }\n  }\n  return r;\n}"
-  in
-  let mi tu =
-    match Cfront.Ast.functions_of_tu tu with
-    | [ fn ] -> Metrics.Halstead.mi_of_func ~tu fn
-    | _ -> Alcotest.fail "one function"
-  in
-  let simple = mi tu_simple and complex = mi tu_complex in
-  Alcotest.(check bool) "in [0,100]" true
-    (simple >= 0.0 && simple <= 100.0 && complex >= 0.0 && complex <= 100.0);
-  Alcotest.(check bool) "complex code is less maintainable" true (complex < simple)
-
-let test_mi_module_report () =
-  let project = Corpus.Generator.generate ~seed:11 [ List.hd Corpus.Apollo_profile.small ] in
-  let parsed = Cfront.Project.parse project in
-  let r =
-    Metrics.Halstead.report_of_module ~modname:"perception" parsed.Cfront.Project.files
-  in
-  Alcotest.(check bool) "MI in a plausible band" true
-    (r.Metrics.Halstead.mi > 20.0 && r.Metrics.Halstead.mi < 90.0)
-
-(* [of_func] finds a function's tokens by binary search; the former
-   filter scanned every token of the unit for its line span.  On every
-   function of the small corpus the two agree. *)
-let test_halstead_of_func_matches_filter () =
-  let project = Corpus.Generator.generate ~seed:2019 Corpus.Apollo_profile.small in
-  let parsed = Cfront.Project.parse project in
-  let checked = ref 0 in
-  List.iter
-    (fun (pf : Cfront.Project.parsed_file) ->
-      let tu = pf.Cfront.Project.tu in
-      let toks = tu.Cfront.Ast.tokens in
-      List.iter
-        (fun (fn : Cfront.Ast.func) ->
-          let first = fn.Cfront.Ast.f_loc.Cfront.Loc.line and last = fn.Cfront.Ast.f_end_line in
-          let b = Cfront.Token.builder ~capacity:64 in
-          for i = 0 to Cfront.Token.length toks - 1 do
-            let l = Cfront.Token.line toks i in
-            if l >= first && l <= last then
-              Cfront.Token.push b (Cfront.Token.kind toks i) toks.Cfront.Token.positions.(i)
-          done;
-          incr checked;
-          if Metrics.Halstead.of_func ~tu fn <> Metrics.Halstead.of_tokens (Cfront.Token.contents b ~file:toks.Cfront.Token.file)
-          then Alcotest.failf "%s: %s differs from the filter" tu.Cfront.Ast.tu_file fn.Cfront.Ast.f_name)
-        (Cfront.Ast.functions_of_tu tu))
-    parsed.Cfront.Project.files;
-  Alcotest.(check bool) "functions checked" true (!checked > 100)
 
 (* ------------------------------------------------------------------ *)
 (* Brook Auto                                                           *)
@@ -245,70 +171,50 @@ let test_taxonomy_renders () =
     [ "cuDNN"; "cuBLAS"; "TensorRT"; "CUTLASS"; "ISAAC"; "CLOSED" ]
 
 (* ------------------------------------------------------------------ *)
-(* Ablations                                                            *)
+(* Metric conventions: MC/DC pairing and cyclomatic counting            *)
 (* ------------------------------------------------------------------ *)
 
-let test_ablation_single_tile_hurts_cublas () =
-  (* restricting cuBLAS to one tile makes CUTLASS (with its menu) look
-     much better than it really is: the CUTLASS/cuBLAS geomean jumps *)
-  let rows = Gpuperf.Ablation.run ~device:Gpuperf.Device.titan_v in
-  let geo label =
+let test_mcdc_masking_convention () =
+  (* The pairing discipline is short-circuit masking: an unevaluated
+     condition agrees with anything, where strict unique-cause would
+     demand identical recorded values. *)
+  let pct main =
+    let tu =
+      parse
+        ("int F(int a, int b) { if (a > 0 || b > 0) { return 1; } return 0; }\n"
+        ^ main)
+    in
+    let col = Coverage.Collector.create () in
+    (match fst (Fixture.run_coverage ~hooks:(Coverage.Collector.hooks col) [ tu ]) with
+     | Ok _ -> ()
+     | Error e -> Alcotest.failf "run: %s" e);
+    let fps =
+      List.filter
+        (fun fp -> fp.Coverage.Instrument.fp_name = "F")
+        (Coverage.Instrument.of_tu tu)
+    in
+    (Coverage.Collector.score_file col ~file:"x.cu" fps).Coverage.Collector.mcdc_pct
+  in
+  Alcotest.(check (float 1e-6)) "masking full" 100.0
+    (pct "int main() { return F(-1, -1) + F(-1, 1) + F(1, -1); }");
+  (* (T,-)->T against (F,F)->F shows a independent only because the
+     masked b agrees with F; strict unique-cause would score 0 here *)
+  Alcotest.(check (float 1e-6)) "masked pair counts" 50.0
+    (pct "int main() { return F(-1, -1) + F(1, -1); }")
+
+let test_complexity_convention () =
+  let cc cond =
     match
-      List.find_opt (fun r -> r.Gpuperf.Ablation.label = label) rows
+      Metrics.Complexity.of_functions
+        (Cfront.Ast.functions_of_tu
+           (parse ("int F(int a, int b) { if (" ^ cond ^ ") { return 1; } return 0; }")))
     with
-    | Some { Gpuperf.Ablation.fig8a_geomean = Some g; _ } -> g
-    | _ -> Alcotest.failf "row %s missing" label
-  in
-  Alcotest.(check bool) "menu matters" true
-    (geo "CUTLASS vs cuBLAS single-tile" > geo "CUTLASS vs cuBLAS (full model)" +. 0.2)
-
-let test_ablation_winograd_matters () =
-  let rows = Gpuperf.Ablation.run ~device:Gpuperf.Device.titan_v in
-  let geo label =
-    match List.find_opt (fun r -> r.Gpuperf.Ablation.label = label) rows with
-    | Some { Gpuperf.Ablation.fig8b_geomean = Some g; _ } -> g
-    | _ -> Alcotest.failf "row %s missing" label
-  in
-  Alcotest.(check bool) "winograd is cuDNN's edge" true
-    (geo "ISAAC vs cuDNN no-winograd" > geo "ISAAC vs cuDNN (full model)")
-
-let test_mcdc_strict_at_most_masking () =
-  (* strict unique-cause can only reject pairs that masking accepts *)
-  let src =
-    "int F(int a, int b) { if (a > 0 || b > 0) { return 1; } return 0; }\n\
-     int main() { return F(-1, -1) + F(-1, 1) + F(1, -1); }"
-  in
-  let tu = parse src in
-  let col = Coverage.Collector.create () in
-  (match fst (Fixture.run_coverage ~hooks:(Coverage.Collector.hooks col) [ tu ]) with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "run: %s" e);
-  let fps =
-    List.filter
-      (fun fp -> fp.Coverage.Instrument.fp_name = "F")
-      (Coverage.Instrument.of_tu tu)
-  in
-  let pct mode =
-    (Coverage.Collector.score_file ~mcdc_mode:mode col ~file:"x.cu" fps)
-      .Coverage.Collector.mcdc_pct
-  in
-  Alcotest.(check bool) "strict <= masking" true (pct `Strict <= pct `Masking);
-  (* for a||b with these vectors: masking covers both, strict only b *)
-  Alcotest.(check (float 1e-6)) "masking full" 100.0 (pct `Masking);
-  Alcotest.(check (float 1e-6)) "strict half" 50.0 (pct `Strict)
-
-let test_complexity_convention_ablation () =
-  let fns =
-    Cfront.Ast.functions_of_tu
-      (parse "int F(int a, int b) { if (a > 0 && b > 0 || a < -1) { return 1; } return 0; }")
-  in
-  let cc ssc =
-    match Metrics.Complexity.of_functions ~count_short_circuit:ssc fns with
     | [ c ] -> c.Metrics.Complexity.cc
     | _ -> Alcotest.fail "one function"
   in
-  Alcotest.(check int) "lizard convention" 4 (cc true);
-  Alcotest.(check int) "plain mccabe" 2 (cc false)
+  (* Lizard convention: each && and || is a decision point of its own *)
+  Alcotest.(check int) "lizard convention" 4 (cc "a > 0 && b > 0 || a < -1");
+  Alcotest.(check int) "single condition" 2 (cc "a > 0")
 
 (* ------------------------------------------------------------------ *)
 (* WCET analyzability                                                   *)
@@ -352,44 +258,6 @@ let test_wcet_recursion_unanalyzable () =
 let test_wcet_straight_line () =
   let r = wcet_of "int F(int a) { return a * 2; }" in
   Alcotest.(check string) "O(1)" "O(1)" r.Metrics.Wcet.wcet_expr
-
-(* ------------------------------------------------------------------ *)
-(* Other frameworks                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_frameworks_generate_and_assess () =
-  List.iter
-    (fun (fw : Corpus.Other_frameworks.framework) ->
-      if fw.Corpus.Other_frameworks.fw_name <> "Apollo" then begin
-        let project =
-          Corpus.Generator.generate ~seed:fw.Corpus.Other_frameworks.fw_seed
-            fw.Corpus.Other_frameworks.fw_specs
-        in
-        let parsed = Cfront.Project.parse project in
-        let diags =
-          List.concat_map
-            (fun pf -> pf.Cfront.Project.tu.Cfront.Ast.diags)
-            parsed.Cfront.Project.files
-        in
-        Alcotest.(check (list string))
-          (fw.Corpus.Other_frameworks.fw_name ^ " parses clean") [] diags;
-        let m = Iso26262.Project_metrics.of_parsed parsed in
-        let findings = Iso26262.Assess.assess_all m in
-        let passed, binding =
-          Iso26262.Assess.compliance_at ~asil:Iso26262.Asil.D findings
-        in
-        (* the framework-independence claim: non-compliant at ASIL-D, but
-           the style/naming class of guidelines passes *)
-        Alcotest.(check bool) "not ASIL-D compliant" true (passed < binding);
-        Alcotest.(check bool) "some guidelines pass" true (passed >= 5)
-      end)
-    Corpus.Other_frameworks.all_frameworks
-
-let test_framework_scale_ordering () =
-  let loc specs = Corpus.Apollo_profile.total_loc specs in
-  Alcotest.(check bool) "Apollo > Autoware > Udacity" true
-    (loc Corpus.Apollo_profile.full > loc Corpus.Other_frameworks.autoware
-     && loc Corpus.Other_frameworks.autoware > loc Corpus.Other_frameworks.udacity)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                      *)
@@ -459,9 +327,9 @@ let test_render_as_dispatch () =
 
 let pipeline_run =
   lazy
-    (let tus = Corpus.Pipeline_src.parse_all () in
-     let measured = List.map fst Corpus.Pipeline_src.measured_files in
-     (tus, Cudasim.Runner.run ~entry:Corpus.Pipeline_src.entry ~measured tus))
+    (let tus = Pipeline_src.parse_all () in
+     let measured = List.map fst Pipeline_src.measured_files in
+     (tus, Cudasim.Runner.run ~entry:Pipeline_src.entry ~measured tus))
 
 let test_pipeline_parses_and_runs () =
   let tus, result = Lazy.force pipeline_run in
@@ -496,7 +364,7 @@ let test_pipeline_cross_file_types () =
     List.map
       (fun (path, content) ->
         { Cfront.Project.path; modname = "mini"; header = false; content })
-      Corpus.Pipeline_src.files
+      Pipeline_src.files
   in
   let project =
     Cfront.Project.make ~name:"mini"
@@ -505,55 +373,6 @@ let test_pipeline_cross_file_types () =
   let parsed = Cfront.Project.parse project in
   Alcotest.(check int) "all nine functions found" 9
     (List.length (Cfront.Project.all_functions parsed))
-
-(* ------------------------------------------------------------------ *)
-(* Scheduling (response-time analysis)                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_rta_default_schedulable () =
-  let a = Iso26262.Scheduling.analyze (Iso26262.Scheduling.ad_task_set ()) in
-  Alcotest.(check bool) "GPU perception fits" true a.Iso26262.Scheduling.all_schedulable;
-  Alcotest.(check bool) "utilization below 1" true
-    (a.Iso26262.Scheduling.total_utilization < 1.0)
-
-let test_rta_cpu_perception_fails () =
-  let a =
-    Iso26262.Scheduling.analyze
-      (Iso26262.Scheduling.ad_task_set ~perception_wcet_ms:295.0 ())
-  in
-  Alcotest.(check bool) "CPU BLAS perception misses deadlines" false
-    a.Iso26262.Scheduling.all_schedulable
-
-let test_rta_response_ordering () =
-  let a = Iso26262.Scheduling.analyze (Iso26262.Scheduling.ad_task_set ()) in
-  List.iter
-    (fun (r : Iso26262.Scheduling.task_result) ->
-      if r.Iso26262.Scheduling.schedulable then begin
-        Alcotest.(check bool) "response >= wcet" true
-          (r.Iso26262.Scheduling.response_ms
-           >= r.Iso26262.Scheduling.task.Iso26262.Scheduling.wcet_ms -. 1e-9);
-        Alcotest.(check bool) "response <= deadline" true
-          (r.Iso26262.Scheduling.response_ms
-           <= r.Iso26262.Scheduling.task.Iso26262.Scheduling.period_ms +. 1e-9)
-      end)
-    a.Iso26262.Scheduling.tasks
-
-let test_rta_exact_fixed_point () =
-  (* two tasks with known response times: C1=1,T1=4; C2=2,T2=10 ->
-     R2 = 2 + ceil(R2/4)*1 ; fixed point at R2 = 3 *)
-  let tasks =
-    [ { Iso26262.Scheduling.t_name = "hi"; period_ms = 4.0; wcet_ms = 1.0 };
-      { Iso26262.Scheduling.t_name = "lo"; period_ms = 10.0; wcet_ms = 2.0 } ]
-  in
-  let a = Iso26262.Scheduling.analyze tasks in
-  let lo =
-    List.find
-      (fun (r : Iso26262.Scheduling.task_result) ->
-        r.Iso26262.Scheduling.task.Iso26262.Scheduling.t_name = "lo")
-      a.Iso26262.Scheduling.tasks
-  in
-  Alcotest.(check (float 1e-9)) "textbook fixed point" 3.0
-    lo.Iso26262.Scheduling.response_ms
 
 (* ------------------------------------------------------------------ *)
 (* Traceability                                                         *)
@@ -600,15 +419,6 @@ let test_traceability_render () =
 let () =
   Alcotest.run "extensions"
     [
-      ( "halstead",
-        [
-          Alcotest.test_case "token counts" `Quick test_halstead_counts;
-          Alcotest.test_case "volume grows" `Quick test_halstead_volume_grows;
-          Alcotest.test_case "MI bounds and ordering" `Quick test_mi_bounds_and_ordering;
-          Alcotest.test_case "module report" `Quick test_mi_module_report;
-          Alcotest.test_case "of_func equals the line filter" `Quick
-            test_halstead_of_func_matches_filter;
-        ] );
       ( "brook-auto",
         [
           Alcotest.test_case "pure stream" `Quick test_brook_pure_stream;
@@ -632,12 +442,9 @@ let () =
         ] );
       ( "ablations",
         [
-          Alcotest.test_case "single tile hurts cuBLAS" `Quick
-            test_ablation_single_tile_hurts_cublas;
-          Alcotest.test_case "winograd matters" `Quick test_ablation_winograd_matters;
-          Alcotest.test_case "strict vs masking MC/DC" `Quick test_mcdc_strict_at_most_masking;
+          Alcotest.test_case "strict vs masking MC/DC" `Quick test_mcdc_masking_convention;
           Alcotest.test_case "complexity convention" `Quick
-            test_complexity_convention_ablation;
+            test_complexity_convention;
         ] );
       ( "wcet",
         [
@@ -647,11 +454,6 @@ let () =
           Alcotest.test_case "unbounded while" `Quick test_wcet_unbounded_while;
           Alcotest.test_case "recursion" `Quick test_wcet_recursion_unanalyzable;
           Alcotest.test_case "straight line" `Quick test_wcet_straight_line;
-        ] );
-      ( "frameworks",
-        [
-          Alcotest.test_case "generate and assess" `Slow test_frameworks_generate_and_assess;
-          Alcotest.test_case "scale ordering" `Quick test_framework_scale_ordering;
         ] );
       ( "fault-injection",
         [
@@ -672,117 +474,6 @@ let () =
           Alcotest.test_case "telemetry" `Quick test_pipeline_output;
           Alcotest.test_case "high coverage" `Quick test_pipeline_coverage_high;
           Alcotest.test_case "cross-file types" `Quick test_pipeline_cross_file_types;
-        ] );
-      ( "scheduling",
-        [
-          Alcotest.test_case "default schedulable" `Quick test_rta_default_schedulable;
-          Alcotest.test_case "cpu perception fails" `Quick test_rta_cpu_perception_fails;
-          Alcotest.test_case "response ordering" `Quick test_rta_response_ordering;
-          Alcotest.test_case "exact fixed point" `Quick test_rta_exact_fixed_point;
-        ] );
-      ( "cert-plan",
-        [
-          Alcotest.test_case "orders by effort then size" `Quick (fun () ->
-              let _, findings = Lazy.force small_findings in
-              let plan = Iso26262.Cert_plan.build findings in
-              let ranks =
-                List.map
-                  (fun (i : Iso26262.Cert_plan.work_item) ->
-                    Iso26262.Cert_plan.effort_rank i.Iso26262.Cert_plan.effort)
-                  plan.Iso26262.Cert_plan.items
-              in
-              Alcotest.(check (list int)) "non-decreasing effort"
-                (List.sort compare ranks) ranks);
-          Alcotest.test_case "only failing findings planned" `Quick (fun () ->
-              let _, findings = Lazy.force small_findings in
-              let plan = Iso26262.Cert_plan.build findings in
-              List.iter
-                (fun (i : Iso26262.Cert_plan.work_item) ->
-                  Alcotest.(check bool) "not a pass" true
-                    (i.Iso26262.Cert_plan.finding.Iso26262.Assess.verdict
-                     <> Iso26262.Assess.Pass))
-                plan.Iso26262.Cert_plan.items);
-          Alcotest.test_case "gpu topics are research class" `Quick (fun () ->
-              let topic =
-                Option.get
-                  (Iso26262.Guidelines.find ~table:Iso26262.Guidelines.Unit_design
-                     ~index:6)
-              in
-              Alcotest.(check bool) "pointers need research" true
-                (Iso26262.Cert_plan.effort_of_topic topic
-                 = Iso26262.Cert_plan.Research_needed));
-          Alcotest.test_case "render mentions classes" `Quick (fun () ->
-              let _, findings = Lazy.force small_findings in
-              let s = Iso26262.Cert_plan.render (Iso26262.Cert_plan.build findings) in
-              Alcotest.(check bool) "research row" true
-                (Util.Strutil.contains_sub ~sub:"research needed" s));
-        ] );
-      ( "misra-deviations",
-        [
-          Alcotest.test_case "deviation suppresses violations" `Quick (fun () ->
-              let src = "int F(int a) { goto out; out: return a; }" in
-              let pf =
-                { Cfront.Project.file =
-                    { Cfront.Project.path = "d.cc"; modname = "d"; header = false;
-                      content = src };
-                  tu = Cfront.Parser.parse_file ~file:"d.cc" src }
-              in
-              let ctx = Fixture.context_of_files [ pf ] in
-              let dev =
-                { Misra.Registry.dev_rule = "15.1";
-                  justification = "legacy error-handling exit, reviewed";
-                  max_instances = None }
-              in
-              let plain = Misra.Registry.run ctx in
-              let with_dev = Misra.Registry.run ~deviations:[ dev ] ctx in
-              Alcotest.(check bool) "fewer violations with deviation" true
-                (with_dev.Misra.Registry.total_violations
-                 < plain.Misra.Registry.total_violations);
-              match with_dev.Misra.Registry.deviations with
-              | [ o ] ->
-                Alcotest.(check int) "one suppressed" 1 o.Misra.Registry.suppressed;
-                Alcotest.(check bool) "accepted" false o.Misra.Registry.rejected
-              | _ -> Alcotest.fail "one outcome expected");
-          Alcotest.test_case "bounded deviation leaves residual" `Quick (fun () ->
-              let src =
-                "int F(int a) { goto one; one: goto two; two: return a; }"
-              in
-              let pf =
-                { Cfront.Project.file =
-                    { Cfront.Project.path = "d.cc"; modname = "d"; header = false;
-                      content = src };
-                  tu = Cfront.Parser.parse_file ~file:"d.cc" src }
-              in
-              let ctx = Fixture.context_of_files [ pf ] in
-              let dev =
-                { Misra.Registry.dev_rule = "15.1"; justification = "one allowed";
-                  max_instances = Some 1 }
-              in
-              let r = Misra.Registry.run ~deviations:[ dev ] ctx in
-              match r.Misra.Registry.deviations with
-              | [ o ] ->
-                Alcotest.(check int) "suppressed" 1 o.Misra.Registry.suppressed;
-                Alcotest.(check int) "residual" 1 o.Misra.Registry.residual
-              | _ -> Alcotest.fail "one outcome expected");
-          Alcotest.test_case "mandatory rules cannot be deviated" `Quick (fun () ->
-              let src = "int F(int a) { int x; return a + x; }" in
-              let pf =
-                { Cfront.Project.file =
-                    { Cfront.Project.path = "d.cc"; modname = "d"; header = false;
-                      content = src };
-                  tu = Cfront.Parser.parse_file ~file:"d.cc" src }
-              in
-              let ctx = Fixture.context_of_files [ pf ] in
-              let dev =
-                { Misra.Registry.dev_rule = "9.1"; justification = "nope";
-                  max_instances = None }
-              in
-              let r = Misra.Registry.run ~deviations:[ dev ] ctx in
-              (match r.Misra.Registry.deviations with
-               | [ o ] -> Alcotest.(check bool) "rejected" true o.Misra.Registry.rejected
-               | _ -> Alcotest.fail "one outcome expected");
-              Alcotest.(check bool) "violation kept" true
-                (r.Misra.Registry.total_violations > 0));
         ] );
       ( "traceability",
         [

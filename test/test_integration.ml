@@ -123,6 +123,47 @@ let test_full_scale_headlines () =
   Alcotest.(check bool) "component size fails at full scale" true
     (comp_size.Iso26262.Assess.verdict = Iso26262.Assess.Fail)
 
+(* The subcommands that print the extension rows of EXPERIMENTS.md, run
+   through the shipped binary: each must exit 0 and print its headline
+   lines (the small-scale values of the rows' full-scale figures). *)
+let check_cli args lines =
+  let rc, out = Fixture.run_adcheck args in
+  Alcotest.(check int) (args ^ ": exit code") 0 rc;
+  let printed = String.split_on_char '\n' out in
+  List.iter
+    (fun l ->
+      if not (List.mem l printed) then
+        Alcotest.failf "adcheck %s: no line %S in\n%s" args l out)
+    lines
+
+let test_cli_wcet () =
+  check_cli "wcet --scale small"
+    [ "perception      120 functions:   67 analyzable,   52 parametric,   1 unanalyzable";
+      "common           28 functions:   15 analyzable,   12 parametric,   1 unanalyzable" ]
+
+let test_cli_brook () =
+  check_cli "brook --scale small"
+    [ "1 kernels: 0 pure stream, 1 need gather, 0 not portable" ]
+
+let test_cli_faults () =
+  check_cli "faults"
+    [ "4 of 4 undefended scenarios fault; 7 of 7 scenarios behave as the static";
+      "defensive-implementation analysis (Table 1 item 4) predicts." ]
+
+let test_cli_interproc () =
+  check_cli "interproc --scale small"
+    [ "call graph: 453 functions, 1708 call sites (1700 resolved, 0 guessed, \
+       0 ambiguous, 8 unresolved, 0 indirect, 1 kernel launches, 0 function \
+       pointers taken)";
+      "condensation: 453 SCCs in 15 levels";
+      "recursion cycles: 6";
+      "side effects: 448 of 453 functions pure" ]
+
+let test_cli_combined_coverage () =
+  check_cli "coverage --subject combined"
+    [ "scenarios run: 17";
+      "average: statement 91.3%, branch 88.1%, MC/DC 68.0%" ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -137,6 +178,14 @@ let () =
             test_cross_artifact_consistency;
           Alcotest.test_case "gpu ratios feed obs 12" `Quick
             test_gpu_ratios_feed_observation12;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "wcet" `Quick test_cli_wcet;
+          Alcotest.test_case "brook" `Quick test_cli_brook;
+          Alcotest.test_case "faults" `Quick test_cli_faults;
+          Alcotest.test_case "interproc" `Quick test_cli_interproc;
+          Alcotest.test_case "combined coverage" `Quick test_cli_combined_coverage;
         ] );
       ( "full-scale",
         [ Alcotest.test_case "paper headline numbers" `Slow test_full_scale_headlines ] );

@@ -590,8 +590,7 @@ let test_journal_jobs8 () = check_journal_identical ~jobs:8
 (* CLI unwritable-output policy (spawns the real binary)               *)
 (* ------------------------------------------------------------------ *)
 
-let adcheck_exe =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/adcheck.exe"
+let adcheck_exe = Fixture.adcheck_exe
 
 let read_file path =
   let ic = open_in_bin path in
