@@ -13,11 +13,12 @@ test:
 # (exercises generator -> parser -> CFG -> fixpoint -> report), a
 # bench-diff self-compare of a freshly exported adcheck-metrics/1
 # record (a record that fails to self-compare means the exporter or
-# the gate's schema reader regressed), and a regression gate of a
-# METRICS_5-shaped export, run three times, against the committed
-# METRICS_5.json: work-tier counters must match exactly in every run and
-# each attributed-timing sum, taken as its median over the three runs,
-# may regress at most 50% (wall time on a shared CI box is noisy; the
+# the gate's schema reader regressed), and regression gates of the
+# METRICS_5, BENCH_5, BENCH_6 and BENCH_7-shaped records, each run
+# three times, against the committed records: work-tier counters must
+# match exactly in every run and each latency (attributed-timing sum or
+# experiment wall time), taken as its median over the three runs, may
+# regress at most 50% (wall time on a shared CI box is noisy; the
 # median drops one slow run, the threshold catches step changes, not
 # jitter — see `adcheck bench-diff --help` for the floor that also
 # ignores sub-millisecond drift).  The
@@ -42,14 +43,23 @@ check: build test check-par check-cache check-coverage check-report
 	dune exec bin/adcheck.exe -- bench-diff METRICS_5.json \
 	  _build/check-metrics5-1.json _build/check-metrics5-2.json \
 	  _build/check-metrics5-3.json --fail-on-regress 50
-	dune exec bench/main.exe -- --scale small --jobs 1,4 \
-	  --out _build/check-bench6.json compile
-	dune exec bin/adcheck.exe -- bench-diff \
-	  BENCH_6.json _build/check-bench6.json --fail-on-regress 50
-	dune exec bench/main.exe -- --scale small \
-	  --out _build/check-bench7.json incremental
-	dune exec bin/adcheck.exe -- bench-diff \
-	  BENCH_7.json _build/check-bench7.json --fail-on-regress 50
+	dune exec bin/adcheck.exe -- bench-diff BENCH_5.json \
+	  _build/check-bench5-1.json _build/check-bench5-2.json \
+	  _build/check-bench5-3.json --fail-on-regress 50
+	for i in 1 2 3; do \
+	  dune exec bench/main.exe -- --scale small --jobs 1,4 \
+	    --out _build/check-bench6-$$i.json compile || exit 1; \
+	done
+	dune exec bin/adcheck.exe -- bench-diff BENCH_6.json \
+	  _build/check-bench6-1.json _build/check-bench6-2.json \
+	  _build/check-bench6-3.json --fail-on-regress 50
+	for i in 1 2 3; do \
+	  dune exec bench/main.exe -- --scale small \
+	    --out _build/check-bench7-$$i.json incremental || exit 1; \
+	done
+	dune exec bin/adcheck.exe -- bench-diff BENCH_7.json \
+	  _build/check-bench7-1.json _build/check-bench7-2.json \
+	  _build/check-bench7-3.json --fail-on-regress 50
 
 # Cache differential gate, end-to-end through the CLI: the same audit
 # four ways — no cache (the jobs=1 oracle), cold against an empty
@@ -200,7 +210,8 @@ check-par:
 # cache.{hit,miss,store} counters are the work-tier record and
 # the bench.incremental.{cold,warm,edit}_ms / *_misses gauges hold the
 # per-pass wall times and recompute counts.  The edit pass must
-# recompute measurably fewer artifacts than the cold pass.
+# recompute measurably fewer artifacts than the cold pass.  `make check`
+# gates three fresh runs of each record against the committed one.
 bench:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- --scale small --out BENCH_5.json \

@@ -517,7 +517,7 @@ let check_cmd =
     let parsed = Cfront.Project.parse project in
     List.iter
       (fun (pf : Cfront.Project.parsed_file) ->
-        let tu = pf.Cfront.Project.tu in
+        let tu = (Cfront.Project.tu pf) in
         Printf.printf "== %s\n" tu.Cfront.Ast.tu_file;
         List.iter (fun d -> Printf.printf "  parse: %s\n" d) tu.Cfront.Ast.diags;
         List.iter
@@ -590,7 +590,7 @@ let interproc_cmd =
     with_telemetry ~cmd:"interproc" tele @@ fun () ->
     let project = Corpus.Generator.generate ~seed (specs_of scale) in
     let parsed = Cfront.Project.parse project in
-    let ip = (Misra.Rule.build_context parsed).Misra.Rule.interproc in
+    let _, ip = Misra.Rule.producers parsed in
     (match format with
      | Util.Table.Text -> print_string (Iso26262.Report.render_interproc ip)
      | (Util.Table.Markdown | Util.Table.Csv) as fmt ->

@@ -53,7 +53,7 @@ let () =
                [ { Cfront.Project.path = "snippet.cu"; modname = "demo";
                    header = false; content = source } ] } ])
   in
-  let tu = (List.hd parsed.Cfront.Project.files).Cfront.Project.tu in
+  let tu = Cfront.Project.tu (List.hd parsed.Cfront.Project.files) in
   assert (tu.Cfront.Ast.diags = []);
   Printf.printf "parsed %d functions\n\n" (List.length (Cfront.Ast.functions_of_tu tu));
 

@@ -37,8 +37,8 @@ let fnv1a64 s = fnv1a64_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 let magic = "adcheck-cache/1"
 
 (* Bump on any change to the marshaled layout of a cached artifact
-   (AST, dataflow facts, violations, bytecode, coverage outcomes). *)
-let version_salt = "adcheck-cache/1 schema=7"
+   (AST, dataflow facts, MISRA findings, bytecode, coverage outcomes). *)
+let version_salt = "adcheck-cache/1 schema=8"
 
 type t = {
   cache_dir : string;

@@ -5,7 +5,7 @@
     folds in.  The kinds: per-file type names ([types]) and parse trees
     ([parse]), per-file dataflow fixpoints ([dataflow]), the whole-tree
     interproc summary ([interproc]) and core metric record ([metrics]),
-    per-rule MISRA results ([misra]), compiled bytecode programs
+    per-rule MISRA journal findings ([misra]), compiled bytecode programs
     ([bytecode]), coverage phases and scenario batches ([covphase],
     [scenario]), and each project's path list ([manifest], see
     {!sweep}).  Because every key folds the content it depends on, a

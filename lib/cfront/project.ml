@@ -16,7 +16,15 @@ type modul = { m_name : string; m_files : source_file list }
 
 type t = { p_name : string; p_modules : modul list }
 
-type parsed_file = { file : source_file; tu : Ast.tu }
+(* A unit's once-cell.  [Deferred] holds the lock that serialises its
+   first force and the computation; the force swaps in [Ready], which
+   drops both.  The computation must not submit pool work: a worker
+   blocked on the lock would then wait on its own queue. *)
+type unit_state = Ready of Ast.tu | Deferred of Mutex.t * (unit -> Ast.tu)
+
+type unit_cell = unit_state Atomic.t
+
+type parsed_file = { file : source_file; cell : unit_cell }
 
 type parsed = {
   project : t;
@@ -31,6 +39,28 @@ type parsed = {
 }
 
 let make ~name modules = { p_name = name; p_modules = modules }
+
+let parsed_file file tu = { file; cell = Atomic.make (Ready tu) }
+
+(* The fast path reads the cell without the lock; the first force takes
+   it, so concurrent forces compute once and all see the same unit. *)
+let tu pf =
+  match Atomic.get pf.cell with
+  | Ready tu -> tu
+  | Deferred (lock, compute) ->
+    Mutex.protect lock (fun () ->
+        match Atomic.get pf.cell with
+        | Ready tu -> tu
+        | Deferred _ ->
+          let tu = compute () in
+          Atomic.set pf.cell (Ready tu);
+          tu)
+
+let count_unit (tu : Ast.tu) =
+  let nodes = tu.Ast.n_exprs + tu.Ast.n_stmts in
+  Telemetry.observe "parse.file_ast_nodes" (float_of_int nodes);
+  Telemetry.add "parse.ast_nodes" nodes;
+  Telemetry.add "parse.diagnostics" (List.length tu.Ast.diags)
 
 let all_files t = List.concat_map (fun m -> m.m_files) t.p_modules
 
@@ -108,9 +138,12 @@ let file_keys parsed =
 
    Without a store every file is lexed, once, and keeps its table for
    the parse.  With a store a file's names are a [types] artifact keyed
-   on its path and content hash, and its unit a [parse] artifact; a
-   file is lexed only where one of them misses, at most once, and keeps
-   its table only when its names missed (DESIGN.md, section 3a). *)
+   on its path and content hash, and its unit a [parse] artifact.  A
+   file whose names missed is lexed, once, and its unit is parsed from
+   that table or read from the store at once.  A file whose names hit
+   is not lexed: its unit is deferred to the first [tu] call, which
+   reads the artifact, or lexes and parses the file if the artifact has
+   gone (DESIGN.md, section 3a). *)
 let parse t =
   let sp = Telemetry.start_span ~cat:"cfront" "parse" in
   let t0 = Telemetry.now_us () in
@@ -154,53 +187,60 @@ let parse t =
   in
   let extra_types = merge_type_names (List.map (fun (_, _, _, names) -> names) lexed) in
   let types_key = Cache.fnv1a64 (String.concat "\x00" extra_types) in
+  (* A unit counts its work where it is parsed or forced; one read
+     eagerly from the store counts none. *)
+  let fresh lx =
+    let tu = Parser.parse_lexed ~extra_types lx in
+    count_unit tu;
+    tu
+  in
   let files =
     Telemetry.parallel_map
       (fun (f, h, lx, _) ->
-        let pf =
-          Telemetry.timed "parse.file_us" @@ fun () ->
-          let fresh () =
-            let lx = match lx with Some lx -> lx | None -> lex f in
-            { file = f; tu = Parser.parse_lexed ~extra_types lx }
+        Telemetry.timed "parse.file_us" @@ fun () ->
+        match (store, lx) with
+        | None, lx ->
+          (* without a store every file was lexed *)
+          parsed_file f (fresh (Option.get lx))
+        | Some c, _ ->
+          (* Content-addressed parse artifact: a parse depends only on
+             the path, the content and the shared type names.  The key
+             holds the content's hash, so the artifact leaves the source
+             out and a hit shares the file's own string. *)
+          let key = Cache.key ~kind:"parse" [ f.path; h; types_key ] in
+          let find () =
+            Option.map
+              (fun (tu : Ast.tu) -> { tu with Ast.raw_source = f.content })
+              (Cache.find c ~kind:"parse" ~key)
           in
-          match store with
-          | None -> fresh ()
-          | Some c ->
-            (* Content-addressed parse artifact: a parse depends only on
-               the path, the content and the shared type names. *)
-            let key = Cache.key ~kind:"parse" [ f.path; h; types_key ] in
-            (* The key holds the content's hash, so the artifact leaves
-               the source out and a hit shares the file's own string. *)
-            (match Cache.find c ~kind:"parse" ~key with
-             | Some (tu : Ast.tu) -> { file = f; tu = { tu with Ast.raw_source = f.content } }
-             | None ->
-               let pf = fresh () in
-               Cache.store c ~owner:f.path ~kind:"parse" ~key
-                 { pf.tu with Ast.raw_source = "" };
-               pf)
-        in
-        Telemetry.observe "parse.file_ast_nodes"
-          (float_of_int (pf.tu.Ast.n_exprs + pf.tu.Ast.n_stmts));
-        pf)
+          let parse_and_store lx =
+            let tu = fresh lx in
+            Cache.store c ~owner:f.path ~kind:"parse" ~key { tu with Ast.raw_source = "" };
+            tu
+          in
+          (match lx with
+           | Some lx ->
+             parsed_file f (match find () with Some tu -> tu | None -> parse_and_store lx)
+           | None ->
+             (* Its type names hit: the unit is read the first time a
+                consumer asks for it, and parsed afresh if the artifact
+                has gone by then. *)
+             let force () =
+               Telemetry.incr "parse.forced";
+               match find () with
+               | Some tu -> count_unit tu; tu
+               | None -> parse_and_store (lex f)
+             in
+             { file = f; cell = Atomic.make (Deferred (Mutex.create (), force)) }))
       lexed
   in
   let n_files = List.length files in
-  let ast_nodes =
-    List.fold_left
-      (fun acc pf -> acc + pf.tu.Ast.n_exprs + pf.tu.Ast.n_stmts)
-      0 files
-  in
   Telemetry.add "parse.files" n_files;
-  Telemetry.add "parse.ast_nodes" ast_nodes;
-  Telemetry.add "parse.diagnostics"
-    (List.fold_left (fun acc pf -> acc + List.length pf.tu.Ast.diags) 0 files);
   let dt_s = (Telemetry.now_us () -. t0) /. 1e6 in
   if Telemetry.enabled () then
     Telemetry.set_gauge "parse.files_per_s"
       (float_of_int n_files /. Stdlib.max 1e-9 dt_s);
-  Telemetry.end_span sp
-    ~attrs:[ ("files", string_of_int n_files);
-             ("ast_nodes", string_of_int ast_nodes) ];
+  Telemetry.end_span sp ~attrs:[ ("files", string_of_int n_files) ];
   { project = t; files; types_key; hashes }
 
 let parsed_files_of_module parsed modname =
@@ -212,7 +252,7 @@ let module_names t = List.map (fun m -> m.m_name) t.p_modules
 let defined_functions pfs =
   List.concat_map
     (fun pf ->
-      List.filter (fun f -> f.Ast.f_body <> None) (Ast.functions_of_tu pf.tu))
+      List.filter (fun f -> f.Ast.f_body <> None) (Ast.functions_of_tu (tu pf)))
     pfs
 
 let all_functions parsed = defined_functions parsed.files

@@ -16,7 +16,11 @@ type modul = { m_name : string; m_files : source_file list }
 
 type t = { p_name : string; p_modules : modul list }
 
-type parsed_file = { file : source_file; tu : Ast.tu }
+(** A unit's once-cell: the unit itself, or the deferred read of its
+    [parse] artifact. *)
+type unit_cell
+
+type parsed_file = private { file : source_file; cell : unit_cell }
 
 type parsed = {
   project : t;
@@ -28,6 +32,18 @@ type parsed = {
 }
 
 val make : name:string -> modul list -> t
+
+(** A parsed file whose unit is already at hand. *)
+val parsed_file : source_file -> Ast.tu -> parsed_file
+
+(** The file's unit, forced on first use when {!parse} deferred it.  The
+    force is domain-safe: concurrent callers wait for one read and all
+    get the same unit.  It reads the [parse] artifact, or lexes and
+    parses the file afresh when the artifact has gone (swept, corrupt,
+    or removed by another process), and never submits pool work.  A
+    force counts [parse.forced] and the unit's [parse.ast_nodes],
+    [parse.diagnostics] and [parse.file_ast_nodes]. *)
+val tu : parsed_file -> Ast.tu
 val all_files : t -> source_file list
 val file_count : t -> int
 
@@ -40,7 +56,7 @@ val file_count : t -> int
 val scan_type_names : source_file list -> string list
 
 (** Parse every file, seeding each unit's type registry with
-    {!scan_type_names} of the whole project.  The result equals
+    {!scan_type_names} of the whole project.  The units equal
     [Parser.parse_file ~extra_types:(scan_type_names files)] on each file,
     in file order, at any [--jobs].
 
@@ -50,9 +66,14 @@ val scan_type_names : source_file list -> string list
     content is hashed once and two artifacts per file, both owned by its
     path, are looked up: its type names ([types], keyed on path and content
     hash) and its unit ([parse], keyed on those and the shared type
-    names).  A file is lexed only when one of them misses, and at most
-    once.  When every [types] artifact hits, no file is lexed and no
-    [parse.lex] span is opened. *)
+    names).  A file is lexed only when its [types] artifact misses, and
+    then at most once; its unit is then parsed, or read from the store,
+    at once.  A file whose [types] artifact hits keeps only its [parse]
+    key: {!tu} reads the unit the first time a consumer asks for it.
+    When every [types] artifact hits, no file is lexed, no unit is read
+    and no [parse.lex] span is opened.  [parse.ast_nodes],
+    [parse.diagnostics] and [parse.file_ast_nodes] count the units
+    parsed here; a deferred unit counts them when it is forced. *)
 val parse : t -> parsed
 
 (** Whole-tree cache keys.  [content_key] folds every path and content

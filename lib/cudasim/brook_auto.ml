@@ -172,7 +172,7 @@ let kernels_of_tu (tu : Cfront.Ast.tu) =
 
 let of_files (pfs : Cfront.Project.parsed_file list) =
   List.concat_map
-    (fun pf -> List.map analyze_kernel (kernels_of_tu pf.Cfront.Project.tu))
+    (fun pf -> List.map analyze_kernel (kernels_of_tu (Cfront.Project.tu pf)))
     pfs
 
 type summary = {

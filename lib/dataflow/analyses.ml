@@ -714,17 +714,18 @@ let facts_of_functions fns =
       Telemetry.add "dataflow.functions" (List.length facts);
       facts)
 
-(** [facts_of_file ~path ~key fns] is {!facts_of_functions} memoized
-    in the global artifact cache (when enabled) under the per-file cache
-    key [key] (path + content hash + type-scan hash, see
+(** [facts_of_file ~path ~key fns] is {!facts_of_functions} [(fns ())]
+    memoized in the global artifact cache (when enabled) under the
+    per-file cache key [key] (path + content hash + type-scan hash, see
     [Cfront.Project.file_keys]), which is read only when the cache is
     on.  The artifact stores the facts {e and} the provenance findings
     the solves recorded, so a hit replays the findings and the evidence
-    journal stays byte-identical to a cold run.  [path] owns the
-    artifact, which is swept when the path leaves the tree. *)
+    journal stays byte-identical to a cold run.  A hit does not call
+    [fns], so it forces no unit.  [path] owns the artifact, which is
+    swept when the path leaves the tree. *)
 let facts_of_file ~path ~key fns =
   match Cache.global () with
-  | None -> facts_of_functions fns
+  | None -> facts_of_functions (fns ())
   | Some c ->
     let ckey = Cache.key ~kind:"dataflow" [ key ] in
     (match Cache.find c ~kind:"dataflow" ~key:ckey with
@@ -733,6 +734,7 @@ let facts_of_file ~path ~key fns =
        Telemetry.add "dataflow.functions" (List.length facts);
        facts
      | None ->
+       let fns = fns () in
        let facts, findings =
          Provenance.collect (fun () -> facts_of_functions fns)
        in
@@ -744,11 +746,13 @@ let facts_of_file ~path ~key fns =
     [parsed.files] order; each file's list follows
     [Project.defined_functions [pf]], so the concatenation follows
     [Project.all_functions parsed].  With the cache on, each file is
-    one {!facts_of_file} artifact. *)
+    one {!facts_of_file} artifact, and a file whose artifact hits is
+    not forced.  Files are taken one at a time on the calling domain,
+    so a unit is only ever forced there. *)
 let facts_of_parsed (parsed : Project.parsed) =
   let file (pf : Project.parsed_file) key =
     let path = pf.Project.file.Project.path in
-    (path, facts_of_file ~path ~key (Project.defined_functions [ pf ]))
+    (path, facts_of_file ~path ~key (fun () -> Project.defined_functions [ pf ]))
   in
   match Cache.global () with
   | None -> List.map (fun pf -> file pf "") parsed.Project.files

@@ -220,7 +220,7 @@ let mutable_globals_of_files (files : Project.parsed_file list) =
           if Ast.is_mutable_global g then SS.add g.Ast.g_decl.Ast.v_name acc
           else acc)
         acc
-        (Ast.globals_of_tu pf.Project.tu))
+        (Ast.globals_of_tu (Project.tu pf)))
     SS.empty files
 
 let owner_table (files : Project.parsed_file list) =
@@ -232,7 +232,7 @@ let owner_table (files : Project.parsed_file list) =
         (fun (f : Ast.func) ->
           if f.Ast.f_body <> None then
             Hashtbl.replace tbl (Ast.qualified_name f) m)
-        (Ast.functions_of_tu pf.Project.tu))
+        (Ast.functions_of_tu (Project.tu pf)))
     files;
   tbl
 
@@ -581,7 +581,7 @@ let of_files ~facts (files : Project.parsed_file list) =
   Telemetry.with_span ~cat:"interproc" "interproc" (fun () ->
       let functions =
         List.concat_map
-          (fun (pf : Project.parsed_file) -> Ast.functions_of_tu pf.Project.tu)
+          (fun (pf : Project.parsed_file) -> Ast.functions_of_tu (Project.tu pf))
           files
       in
       let defined = List.filter (fun f -> f.Ast.f_body <> None) functions in
@@ -713,7 +713,7 @@ let of_files ~facts (files : Project.parsed_file list) =
                 if not (g.Ast.g_const || g.Ast.g_extern) then
                   Hashtbl.replace t m
                     (1 + Option.value ~default:0 (Hashtbl.find_opt t m)))
-              (Ast.globals_of_tu pf.Project.tu))
+              (Ast.globals_of_tu (Project.tu pf)))
           files;
         t
       in

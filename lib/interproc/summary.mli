@@ -71,7 +71,7 @@ val render_depth : depth -> string
 
 (** Run the engine over a parsed project.  [facts], one record per
     defined function in {!Cfront.Project.all_functions} order (as
-    {!Misra.Rule.build_context} passes them), supplies the
+    {!Misra.Rule.producers} passes them), supplies the
     intraprocedural uninit reads the cross-call check excludes.  Only
     the ledger's traced interproc layer (bench/ledger/run.ml) omits
     them; {!Dataflow.Analyses.facts_of_parsed} then computes them.

@@ -121,21 +121,30 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
            (Cfront.Project.all_files project)))
     cache;
   let parsed = Telemetry.gc_phase "parse" (fun () -> Cfront.Project.parse project) in
-  (* The producers run once, on this domain, before anything fans out:
-     [Misra.Rule.build_context] solves the dataflow, runs interproc and
-     adds the globals and the shadowing findings.  MISRA and the core
-     metric walk only read the context.  Its facts are plain values
-     rather than lazy ones or once-cells: a lazy forced from two domains
+  (* Everything below the parse runs on this domain before anything
+     fans out.  The dataflow and interproc producers run on every audit,
+     because their hits replay journal findings; a hit forces no unit.
+     The 68 rule artifacts and the [metrics] artifact are then looked
+     up, and only when one of them misses is every unit forced and the
+     rest of the rule context built ([Misra.Rule.context_of]): a warm
+     audit reads no AST.  The context's facts are plain values, and no
+     pool worker ever forces a unit: a [Lazy] forced from two domains
      raises [Lazy.Undefined], a worker blocked on a once-cell deadlocks
-     a one-worker pool whose main domain waits on the queue, and a solve
-     forced inside a rule's timed region would change that rule's
-     tick-clock histogram. *)
-  let context = Misra.Rule.build_context parsed in
-  let module_dataflow = Project_metrics.module_dataflow parsed context.Misra.Rule.facts in
-  let misra_phase () = Project_metrics.misra_of_parsed ~context parsed in
+     a one-worker pool whose main domain waits on the queue, and a force
+     inside a rule's timed region would change that rule's tick-clock
+     histogram.  MISRA and the core metric walk only read the context. *)
+  let ((facts, interproc) as producers) = Misra.Rule.producers parsed in
+  let module_dataflow = Project_metrics.module_dataflow parsed facts in
+  let rules = Misra.Registry.lookup parsed in
+  let core = Project_metrics.lookup_core parsed in
+  let context =
+    if Misra.Registry.all_hit rules && Option.is_some core then None
+    else Some (Misra.Rule.context_of parsed producers)
+  in
+  let misra_phase () = Misra.Registry.run_project ~lookup:rules ?context parsed in
   let metrics_phase misra =
     Telemetry.gc_phase "metrics" (fun () ->
-        Project_metrics.of_parsed_with ~context ~misra ~module_dataflow parsed)
+        Project_metrics.assemble ?core ?context ~interproc ~misra ~module_dataflow parsed)
   in
   let metrics, (yolo_coverage, yolo_run_output, yolo_exit),
       (stencil_coverage, stencil_exit) =
@@ -151,7 +160,7 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
       (* Pipelined phases: misra and the two coverage scenarios fan out
          to pool workers while the main domain runs the core metric
          walk, and everything joins before report assembly.  Phases only
-         read [parsed] and [context] and merge into telemetry
+         read [context] and the looked-up artifacts, and merge into telemetry
          counters (mutex-protected sums, so totals are independent of
          interleaving); spans emitted on workers carry the worker's
          domain id and overlap in a [--trace] timeline.  GC deltas

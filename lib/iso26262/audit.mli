@@ -43,8 +43,14 @@ val run_stencil_coverage :
     When the global artifact cache is enabled ([Cache.set_global] /
     [--cache DIR]), the run first sweeps the artifacts of paths that
     left the tree ([Cache.sweep]), then serves every artifact whose
-    content key matches warm and recomputes the rest.  Either way MISRA
-    and the metrics read one rule context, built once per run.  The contract — enforced by
+    content key matches warm and recomputes the rest.  The dataflow and
+    interproc producers always run (their hits replay journal
+    findings); the rule and core-metric artifacts are then looked up on
+    the calling domain, and only if one of them misses are the units
+    forced and the rest of the rule context built, once, for MISRA and
+    the metrics to share.  A fully warm run therefore reads no parse
+    tree ([t.parsed]'s units are read when a caller asks for them,
+    {!Cfront.Project.tu}).  The contract — enforced by
     [test/test_cache_diff.ml] — is that report bytes, the evidence
     journal and every finding id are identical to a cold jobs=1 run. *)
 val run :

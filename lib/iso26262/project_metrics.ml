@@ -60,29 +60,22 @@ type t = {
 
 let misra_of_parsed ?context parsed = Misra.Registry.run_project ?context parsed
 
-(* The flat facts follow [Project.all_functions]: file by file, each
-   file's defined functions in order, so one module name per fact is
-   enough to split them. *)
 let module_dataflow (parsed : Cfront.Project.parsed) facts =
   let module A = Dataflow.Analyses in
   let by_module = Hashtbl.create 16 in
+  let totals m = Option.value ~default:A.zero_totals (Hashtbl.find_opt by_module m) in
   List.iter2
-    (fun m x ->
+    (fun (pf : Cfront.Project.parsed_file) (_, xs) ->
+      let m = pf.Cfront.Project.file.Cfront.Project.modname in
       Hashtbl.replace by_module m
-        (A.summary_of_facts x :: Option.value ~default:[] (Hashtbl.find_opt by_module m)))
-    (List.concat_map
-       (fun (pf : Cfront.Project.parsed_file) ->
-         List.map
-           (fun _ -> pf.Cfront.Project.file.Cfront.Project.modname)
-           (Cfront.Project.defined_functions [ pf ]))
-       parsed.Cfront.Project.files)
-    facts;
+        (A.add_totals (totals m) (A.totals_of (List.map A.summary_of_facts xs))))
+    parsed.Cfront.Project.files facts;
   List.map
-    (fun m -> (m, A.totals_of (Option.value ~default:[] (Hashtbl.find_opt by_module m))))
+    (fun m -> (m, totals m))
     (Cfront.Project.module_names parsed.Cfront.Project.project)
 
 let module_dataflow_of_parsed parsed =
-  module_dataflow parsed (List.concat_map snd (Dataflow.Analyses.facts_of_parsed parsed))
+  module_dataflow parsed (Dataflow.Analyses.facts_of_parsed parsed)
 
 (* The [metrics] artifact stores the record without the two fields
    that have artifacts of their own: the MISRA report (per-rule
@@ -105,7 +98,7 @@ let core ~(ctx : Misra.Rule.context) ~module_dataflow (parsed : Cfront.Project.p
   (* Each file's lines are counted once and its mutable globals are
      read off the context; the module and project figures are sums. *)
   let file_loc =
-    List.map (fun pf -> (pf, Metrics.Loc_metrics.of_tu pf.Cfront.Project.tu)) files
+    List.map (fun pf -> (pf, Metrics.Loc_metrics.of_tu (Cfront.Project.tu pf))) files
   in
   let sum_loc keep =
     List.fold_left
@@ -139,7 +132,7 @@ let core ~(ctx : Misra.Rule.context) ~module_dataflow (parsed : Cfront.Project.p
                  (fun (pf : Cfront.Project.parsed_file) ->
                    Option.value ~default:0
                      (Hashtbl.find_opt globals_in_file
-                        pf.Cfront.Project.tu.Cfront.Ast.tu_file))
+                        (Cfront.Project.tu pf).Cfront.Ast.tu_file))
                  pfs);
           multi_exit_frac = Metrics.Func_shape.multi_exit_fraction fns;
           gotos = Metrics.Func_shape.total_gotos fns;
@@ -202,36 +195,56 @@ let core ~(ctx : Misra.Rule.context) ~module_dataflow (parsed : Cfront.Project.p
         Dataflow.Analyses.zero_totals per_module;
   }
 
-let of_parsed_with ?context ~(misra : unit -> Misra.Registry.report)
+(* One whole-tree artifact, keyed like interproc on the tree key (the
+   record names modules) and with no owner.  The walk journals no
+   finding, so there is none to replay, and a hit counts no [metrics.*]
+   work. *)
+let core_key parsed = Cache.key ~kind:"metrics" [ Cfront.Project.tree_key parsed ]
+
+let lookup_core parsed =
+  match Cache.global () with
+  | None -> None
+  | Some c -> Cache.find c ~kind:"metrics" ~key:(core_key parsed)
+
+let assemble ?core:stored ?context ~interproc ~(misra : unit -> Misra.Registry.report)
     ~(module_dataflow : (string * Dataflow.Analyses.totals) list)
     (parsed : Cfront.Project.parsed) =
   Telemetry.with_span ~cat:"metrics" "metrics"
     ~attrs:[ ("files", string_of_int (List.length parsed.Cfront.Project.files)) ]
   @@ fun () ->
-  let ctx =
-    match context with Some ctx -> ctx | None -> Misra.Rule.build_context parsed
-  in
-  let core () = core ~ctx ~module_dataflow parsed in
   let m =
-    match Cache.global () with
-    | None -> core ()
-    | Some c ->
-      (* One whole-tree artifact, keyed like interproc on the tree key
-         (the record names modules) and with no owner.  The walk
-         journals no finding, so there is none to replay, and a hit
-         counts no [metrics.*] work. *)
-      Cache.memo c ~kind:"metrics"
-        ~key:(Cache.key ~kind:"metrics" [ Cfront.Project.tree_key parsed ])
-        (fun () -> { (core ()) with interproc = no_interproc () })
+    match stored with
+    | Some m -> m
+    | None ->
+      let ctx =
+        match context with
+        | Some ctx -> ctx
+        | None -> invalid_arg "Project_metrics.assemble: no stored core and no context"
+      in
+      let m = core ~ctx ~module_dataflow parsed in
+      Option.iter
+        (fun c ->
+          Cache.store c ~kind:"metrics" ~key:(core_key parsed)
+            { m with interproc = no_interproc () })
+        (Cache.global ());
+      m
   in
   (* The MISRA report comes last, so a pipelined caller blocks on its
      future only here. *)
-  { m with interproc = ctx.Misra.Rule.interproc; misra = misra () }
+  { m with interproc; misra = misra () }
+
+let of_parsed_with ?context ~misra ~module_dataflow parsed =
+  let ctx =
+    match context with Some ctx -> ctx | None -> Misra.Rule.build_context parsed
+  in
+  assemble ?core:(lookup_core parsed) ~context:ctx ~interproc:ctx.Misra.Rule.interproc
+    ~misra ~module_dataflow parsed
 
 let of_parsed parsed =
-  let context = Misra.Rule.build_context parsed in
+  let producers = Misra.Rule.producers parsed in
+  let context = Misra.Rule.context_of parsed producers in
   of_parsed_with ~context
     ~misra:(fun () -> misra_of_parsed ~context parsed)
-    ~module_dataflow:(module_dataflow parsed context.Misra.Rule.facts) parsed
+    ~module_dataflow:(module_dataflow parsed (fst producers)) parsed
 
 let find_module t name = List.find_opt (fun m -> m.modname = name) t.modules

@@ -56,31 +56,27 @@ type t = {
     reading it. *)
 val of_parsed : Cfront.Project.parsed -> t
 
-(** The two heavyweight phases nothing else in the record depends on,
-    exposed standalone so the pipelined audit can run MISRA on a pool
-    worker concurrently with the core metric walk.
-
-    Every fact here comes from {!Misra.Rule.build_context}.  The
-    context-less forms of [misra_of_parsed], [module_dataflow_of_parsed]
-    and [of_parsed_with] are kept only because the ledger's traced
-    layers (bench/ledger/run.ml) time each phase on its own; each is
-    one line that calls the producer (or, for the dataflow totals, its
-    first step).
+(** The MISRA pass and the per-module dataflow totals, the two phases
+    nothing else in the record depends on, exposed standalone because
+    the ledger's traced layers (bench/ledger/run.ml) time each phase on
+    its own.  The audit calls {!Misra.Registry.run_project} and
+    {!assemble} itself, over the artifacts it looked up.
 
     [misra_of_parsed ?context parsed] is {!Misra.Registry.run_project}:
-    the rules read [context], the rule context {!Audit.run} built before
-    the fan-out, and without it the one {!Misra.Rule.build_context}
-    builds when some rule misses the artifact cache. *)
+    the rules that miss the artifact cache read [context], and without
+    it the one context {!Misra.Rule.build_context} builds when some rule
+    misses. *)
 val misra_of_parsed :
   ?context:Misra.Rule.context -> Cfront.Project.parsed -> Misra.Registry.report
 
-(** Per-module dataflow totals from the context's flat [facts], one
-    record per function of {!Cfront.Project.all_functions}, split per
-    file in that order.
+(** Per-module dataflow totals from the per-file facts
+    {!Dataflow.Analyses.facts_of_parsed} returns, one entry per file of
+    [parsed.files] in that order, each summed into its file's module.
+    Reads no unit.
     @raise Invalid_argument when [facts] has another length. *)
 val module_dataflow :
   Cfront.Project.parsed ->
-  Dataflow.Analyses.func_facts list ->
+  (string * Dataflow.Analyses.func_facts list) list ->
   (string * Dataflow.Analyses.totals) list
 
 (** [module_dataflow] over {!Dataflow.Analyses.facts_of_parsed}, the
@@ -89,17 +85,35 @@ val module_dataflow :
 val module_dataflow_of_parsed :
   Cfront.Project.parsed -> (string * Dataflow.Analyses.totals) list
 
-(** [of_parsed_with ?context ~misra ~module_dataflow parsed] assembles
-    the record.  The MISRA report comes from the [misra] thunk, called
-    last so that a pipelined caller blocks on that future only at the
-    join.  The per-module dataflow totals are looked up in
-    [module_dataflow], which must hold every module.  The uninit
-    findings, the shadowing counts, the recursion list, the
-    architecture's call edges and the whole-program record all come
-    from [context], or from {!Misra.Rule.build_context} when the ledger
-    calls it without one.  Under a store the record without its MISRA
-    report is one whole-tree [metrics] artifact keyed on
-    {!Cfront.Project.tree_key}; a hit counts no [metrics.*] work. *)
+(** The [metrics] artifact of [parsed] under the global store: the
+    record without its MISRA report and interproc summary, keyed on
+    {!Cfront.Project.tree_key}.  [None] on a miss or without a store. *)
+val lookup_core : Cfront.Project.parsed -> t option
+
+(** [assemble ?core ?context ~interproc ~misra ~module_dataflow parsed]
+    completes the record: [core] when the artifact hit, and otherwise
+    the core metric walk over [context], stored as the [metrics]
+    artifact.  A hit reads no unit and counts no [metrics.*] work.  The
+    interproc summary is [interproc]; the MISRA report comes from the
+    [misra] thunk, called last so that a pipelined caller blocks on that
+    future only at the join.  The per-module dataflow totals are looked
+    up in [module_dataflow], which must hold every module.
+    @raise Invalid_argument when neither [core] nor [context] is given. *)
+val assemble :
+  ?core:t ->
+  ?context:Misra.Rule.context ->
+  interproc:Interproc.Summary.t ->
+  misra:(unit -> Misra.Registry.report) ->
+  module_dataflow:(string * Dataflow.Analyses.totals) list ->
+  Cfront.Project.parsed ->
+  t
+
+(** [of_parsed_with ?context ~misra ~module_dataflow parsed] is
+    {!assemble} over {!lookup_core}, with [context] (or the one
+    {!Misra.Rule.build_context} builds when the ledger calls it without
+    one) as the context and its interproc summary.  The uninit findings,
+    the shadowing counts, the recursion list, the architecture's call
+    edges and the whole-program record all come from that context. *)
 val of_parsed_with :
   ?context:Misra.Rule.context ->
   misra:(unit -> Misra.Registry.report) ->

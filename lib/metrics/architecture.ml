@@ -115,5 +115,5 @@ let namespace_depth (pfs : Cfront.Project.parsed_file list) =
       d tops
   in
   List.fold_left
-    (fun acc pf -> Stdlib.max acc (depth_of_tops 0 pf.Cfront.Project.tu.Cfront.Ast.tops))
+    (fun acc pf -> Stdlib.max acc (depth_of_tops 0 (Cfront.Project.tu pf).Cfront.Ast.tops))
     0 pfs

@@ -32,7 +32,7 @@ let of_tu (tu : Cfront.Ast.tu) =
     (Cfront.Ast.globals_of_tu tu)
 
 let of_files pfs =
-  List.concat_map (fun pf -> of_tu pf.Cfront.Project.tu) pfs
+  List.concat_map (fun pf -> of_tu (Cfront.Project.tu pf)) pfs
 
 (** Count of globals that are uninitialized at their declaration — feeds
     the "initialization of variables" guideline. *)
@@ -42,5 +42,5 @@ let uninitialized_globals (pfs : Cfront.Project.parsed_file list) =
       List.filter
         (fun (g : Cfront.Ast.global_var) ->
           Cfront.Ast.is_mutable_global g && g.Cfront.Ast.g_decl.Cfront.Ast.v_init = None)
-        (Cfront.Ast.globals_of_tu pf.Cfront.Project.tu))
+        (Cfront.Ast.globals_of_tu (Cfront.Project.tu pf)))
     pfs

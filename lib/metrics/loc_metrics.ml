@@ -52,7 +52,7 @@ let of_tu (tu : Cfront.Ast.tu) =
   }
 
 let of_files (pfs : Cfront.Project.parsed_file list) =
-  List.fold_left (fun acc pf -> add acc (of_tu pf.Cfront.Project.tu)) zero pfs
+  List.fold_left (fun acc pf -> add acc (of_tu (Cfront.Project.tu pf))) zero pfs
 
 (** Comment density: comment lines / physical lines. *)
 let comment_density c =

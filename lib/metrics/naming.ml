@@ -109,7 +109,7 @@ let of_tu (tu : Cfront.Ast.tu) =
     (Cfront.Ast.functions_of_tu tu);
   List.rev !acc
 
-let of_files pfs = List.concat_map (fun pf -> of_tu pf.Cfront.Project.tu) pfs
+let of_files pfs = List.concat_map (fun pf -> of_tu (Cfront.Project.tu pf)) pfs
 
 (** Compliance ratio: 1 - violations / checked items (approximated by
     identifier count). *)

@@ -118,7 +118,7 @@ let of_globals ~(globals : Globals.record list) (pfs : Cfront.Project.parsed_fil
     List.concat_map
       (fun pf ->
         List.concat_map (of_func ~globals:names)
-          (Cfront.Ast.functions_of_tu pf.Cfront.Project.tu))
+          (Cfront.Ast.functions_of_tu (Cfront.Project.tu pf)))
       pfs
   in
   per_func @ duplicate_globals globals

@@ -45,7 +45,7 @@ let of_source ~file source =
 
 let of_tu (tu : Cfront.Ast.tu) = of_source ~file:tu.tu_file tu.Cfront.Ast.raw_source
 
-let of_files pfs = List.concat_map (fun pf -> of_tu pf.Cfront.Project.tu) pfs
+let of_files pfs = List.concat_map (fun pf -> of_tu (Cfront.Project.tu pf)) pfs
 
 (** Violations per thousand physical lines — the pass criterion used in
     the compliance mapping ("style very well achieved" in the paper). *)

@@ -41,33 +41,48 @@ let finding_of_violation ~rule_step (r : Rule.t) (v : Rule.violation) =
   Provenance.make ~kind:"misra" ~analysis:r.Rule.id ~loc:v.Rule.loc
     ~message:v.Rule.message ~witness:(rule_step :: site :: v.Rule.witness) ()
 
-let run_deferred ~rules ?cache_key build =
+(* The violation a stored finding journals: its location and message,
+   and its witness without the leading rule and site steps. *)
+let violation_of_finding (r : Rule.t) (f : Provenance.finding) =
+  match (f.Provenance.f_loc, f.Provenance.f_witness) with
+  | Some loc, _rule :: _site :: witness ->
+    { Rule.rule_id = r.Rule.id; loc; message = f.Provenance.f_message; witness }
+  | _ -> invalid_arg ("Misra.Registry: malformed stored finding of rule " ^ r.Rule.id)
+
+(* Per-rule artifact, keyed by rule id + the whole-tree content key:
+   rules see the whole project through the context, so any edit re-runs
+   them.  The stored value is the rule's journal findings, ids computed,
+   so a hit derives its violations and journals without hashing. *)
+type lookup = {
+  cache : (Cache.t * string) option;  (** the store and the content key *)
+  stored : Provenance.finding list option list;  (** per rule of [all_rules] *)
+}
+
+let rule_key (r : Rule.t) ck = Cache.key ~kind:"misra" [ r.Rule.id; ck ]
+
+let no_store rules = { cache = None; stored = List.map (fun _ -> None) rules }
+
+let lookup parsed =
+  match Cache.global () with
+  | None -> no_store all_rules
+  | Some c ->
+    Telemetry.with_span ~cat:"misra" "misra.lookup" @@ fun () ->
+    let ck = Cfront.Project.content_key parsed in
+    { cache = Some (c, ck);
+      stored =
+        Telemetry.parallel_map ~chunk_size:1
+          (fun r -> Cache.find c ~kind:"misra" ~key:(rule_key r ck))
+          all_rules }
+
+let all_hit l = List.for_all Option.is_some l.stored
+
+let run_deferred ~rules ~lookup:{ cache; stored } build =
   Telemetry.with_span ~cat:"misra" "misra"
     ~attrs:[ ("rules", string_of_int (List.length rules)) ]
     (fun () ->
-      (* Per-rule artifact, keyed by rule id + the whole-tree content
-         key: rules see the whole project through the context, so any
-         edit re-runs them.  The stored value is only the violation
-         list -- journaling below re-derives findings on the calling
-         domain, so the evidence journal is byte-identical on hits.
-         Every rule is looked up before the context is built, and
-         [build] (the dataflow facts and interproc summaries included)
+      (* [build] (the dataflow facts and interproc summaries included)
          runs once, on the calling domain, only when some rule missed:
-         a warm run solves nothing. *)
-      let cache =
-        match (Cache.global (), cache_key) with
-        | Some c, Some ck -> Some (c, ck)
-        | _ -> None
-      in
-      let rule_key (r : Rule.t) ck = Cache.key ~kind:"misra" [ r.Rule.id; ck ] in
-      let stored =
-        match cache with
-        | None -> List.map (fun _ -> None) rules
-        | Some (c, ck) ->
-          Telemetry.parallel_map ~chunk_size:1
-            (fun r -> Cache.find c ~kind:"misra" ~key:(rule_key r ck))
-            rules
-      in
+         a warm run builds nothing. *)
       let ctx =
         if List.exists Option.is_none stored then Some (build ()) else None
       in
@@ -75,11 +90,13 @@ let run_deferred ~rules ?cache_key build =
          chunking); the context is shared read-only across domains and
          results come back in registration order, making the report
          identical at every --jobs value.  At --jobs 1 this is List.map,
-         per-rule spans included. *)
+         per-rule spans included.  Under a store a miss makes its
+         findings and stores them outside the timed region, so a rule's
+         timing measures its check alone. *)
       let per_rule =
         Telemetry.parallel_map ~chunk_size:1
           (fun ((r : Rule.t), hit) ->
-            let vs =
+            let outcome =
               Telemetry.with_span ~cat:"misra" ("misra.rule." ^ r.Rule.id)
                 (fun () ->
                   (* timed region innermost so the measured ticks are the
@@ -88,28 +105,41 @@ let run_deferred ~rules ?cache_key build =
                   Telemetry.timed ("misra.rule_us." ^ r.Rule.id)
                     (fun () ->
                       match hit with
-                      | Some vs -> vs
-                      | None ->
-                        let vs = r.Rule.check (Option.get ctx) in
-                        Option.iter
-                          (fun (c, ck) ->
-                            Cache.store c ~kind:"misra" ~key:(rule_key r ck) vs)
-                          cache;
-                        vs))
+                      | Some findings -> `Stored findings
+                      | None -> `Checked (r.Rule.check (Option.get ctx))))
+            in
+            let vs, findings =
+              match outcome with
+              | `Stored findings -> (List.map (violation_of_finding r) findings, Some findings)
+              | `Checked vs ->
+                ( vs,
+                  Option.map
+                    (fun (c, ck) ->
+                      let rule_step = rule_step r in
+                      let findings = List.map (finding_of_violation ~rule_step r) vs in
+                      Cache.store c ~kind:"misra" ~key:(rule_key r ck) findings;
+                      findings)
+                    cache )
             in
             Telemetry.add ("misra.violations." ^ r.Rule.id) (List.length vs);
             Telemetry.observe "misra.rule_violations"
               (float_of_int (List.length vs));
-            (r, vs))
+            ((r, vs), findings))
           (List.combine rules stored)
       in
       (* Journal on the calling domain in registration order, so the
-         journal is identical at every --jobs value. *)
+         journal is identical at every --jobs value.  Without a store
+         the findings are made here, one at a time, so no list of them
+         is held next to the journal. *)
       List.iter
-        (fun (r, vs) ->
-          let rule_step = rule_step r in
-          List.iter (fun v -> Provenance.record (finding_of_violation ~rule_step r v)) vs)
+        (fun (((r : Rule.t), vs), findings) ->
+          match findings with
+          | Some findings -> List.iter Provenance.record findings
+          | None ->
+            let rule_step = rule_step r in
+            List.iter (fun v -> Provenance.record (finding_of_violation ~rule_step r v)) vs)
         per_rule;
+      let per_rule = List.map fst per_rule in
       let total_violations =
         Util.Stats.sum_int (List.map (fun (_, vs) -> List.length vs) per_rule)
       in
@@ -124,16 +154,12 @@ let run_deferred ~rules ?cache_key build =
         rules_checked = List.length rules;
       })
 
-let run_project ?context parsed =
-  let cache_key =
-    match Cache.global () with
-    | None -> None
-    | Some _ -> Some (Cfront.Project.content_key parsed)
-  in
-  run_deferred ~rules:all_rules ?cache_key (fun () ->
+let run_project ?lookup:l ?context parsed =
+  let l = match l with Some l -> l | None -> lookup parsed in
+  run_deferred ~rules:all_rules ~lookup:l (fun () ->
       match context with Some ctx -> ctx | None -> Rule.build_context parsed)
 
-let run ?(rules = all_rules) ctx = run_deferred ~rules (fun () -> ctx)
+let run ?(rules = all_rules) ctx = run_deferred ~rules ~lookup:(no_store rules) (fun () -> ctx)
 
 (** Violations grouped by category. *)
 let by_category report =

@@ -40,6 +40,8 @@ type t = {
 let make ~id ~title ~category ?(decidable = true) check =
   { id; title; category; decidable; check }
 
+type producers = (string * Dataflow.Analyses.func_facts list) list * Interproc.Summary.t
+
 (* The whole-program summary of [parsed], memoized whole under a store
    as the [interproc] artifact.  Interproc reads every file and names
    each function's module, so the key is the tree key (paths, module
@@ -60,24 +62,34 @@ let interproc_of ~facts parsed =
     Provenance.absorb findings;
     summary
 
-(* The one producer of the rule context, in the audit's order: the
-   dataflow layer solves every defined function (per-file cache
-   artifacts and journal findings), interproc runs over those facts and
-   builds the call graph, and the globals and the shadowing findings
-   complete the record.  Every fact is a plain value computed here, on
-   the calling domain, before the registry fans the rules out: nothing
-   is forced lazily from a worker. *)
-let build_context (parsed : Cfront.Project.parsed) =
+(* The two producers whose hits replay journal findings, in the audit's
+   order: the dataflow layer solves every defined function (per-file
+   cache artifacts and journal findings), and interproc runs over those
+   facts and builds the call graph.  A file whose dataflow artifact hits
+   is not forced, so a warm run reads no unit here. *)
+let producers (parsed : Cfront.Project.parsed) =
   let facts =
-    List.concat_map snd
-      (Telemetry.gc_phase "dataflow" (fun () -> Dataflow.Analyses.facts_of_parsed parsed))
+    Telemetry.gc_phase "dataflow" (fun () -> Dataflow.Analyses.facts_of_parsed parsed)
   in
-  let interproc = Telemetry.gc_phase "interproc" (fun () -> interproc_of ~facts parsed) in
+  let interproc =
+    Telemetry.gc_phase "interproc" (fun () ->
+        interproc_of ~facts:(List.concat_map snd facts) parsed)
+  in
+  (facts, interproc)
+
+(* The rest of the context: every unit is forced here, on the calling
+   domain, for the defined functions, the globals and the shadowing
+   findings.  Every fact is a plain value computed before the registry
+   fans the rules out: no worker forces a unit. *)
+let context_of (parsed : Cfront.Project.parsed) (facts, interproc) =
   Telemetry.with_span ~cat:"misra" "misra.context" @@ fun () ->
   let files = parsed.Cfront.Project.files in
+  let functions = Cfront.Project.defined_functions files in
   let globals = Metrics.Globals.of_files files in
-  { files; functions = Cfront.Project.defined_functions files; facts; interproc;
-    globals; shadowing = Metrics.Shadowing.of_globals ~globals files }
+  { files; functions; facts = List.concat_map snd facts; interproc; globals;
+    shadowing = Metrics.Shadowing.of_globals ~globals files }
+
+let build_context parsed = context_of parsed (producers parsed)
 
 let v ?(witness = []) ~rule_id ~loc fmt =
   Printf.ksprintf (fun message -> { rule_id; loc; message; witness }) fmt

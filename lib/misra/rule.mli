@@ -50,18 +50,32 @@ val make :
   (context -> violation list) ->
   t
 
-(** [build_context parsed] is the one function that computes a rule
-    context.  It runs, in this order and under these span and GC-phase
-    names, {!Dataflow.Analyses.facts_of_parsed} ([dataflow]: per-file
-    cache artifacts and [dataflow] journal findings),
+(** The dataflow facts of every file, by path in [parsed.files] order,
+    and the whole-program summary over them. *)
+type producers = (string * Dataflow.Analyses.func_facts list) list * Interproc.Summary.t
+
+(** [producers parsed] runs, in this order and under these span and
+    GC-phase names, {!Dataflow.Analyses.facts_of_parsed} ([dataflow]:
+    per-file cache artifacts and [dataflow] journal findings) and
     {!Interproc.Summary.analyze} over those facts ([interproc]; under a
     store one whole-tree [interproc] artifact keyed on
     {!Cfront.Project.tree_key}, whose hit replays the journal findings
-    and counts no [interproc.*] work), then the globals and the
-    shadowing findings ([misra.context]).  The
-    audit, the metrics, the standalone MISRA run and the CLI all get
-    their context here, so a fact has one producer and one journal
-    trail whichever entry point asked for it. *)
+    and counts no [interproc.*] work).  Both replay their findings on a
+    hit, so every audit runs them.  A hit forces no unit; a miss forces
+    the units it reads on the calling domain. *)
+val producers : Cfront.Project.parsed -> producers
+
+(** [context_of parsed producers] completes the context: it forces every
+    unit of [parsed] on the calling domain and adds the defined
+    functions, the globals and the shadowing findings ([misra.context]).
+    Only a caller whose rule or metric artifact missed needs it. *)
+val context_of : Cfront.Project.parsed -> producers -> context
+
+(** [build_context parsed] is [context_of parsed (producers parsed)],
+    the one producer of a rule context.  The audit, the metrics, the
+    standalone MISRA run and the CLI all get their context from these
+    functions, so a fact has one producer and one journal trail
+    whichever entry point asked for it. *)
 val build_context : Cfront.Project.parsed -> context
 
 (** Printf-style violation constructor.  [witness] carries the

@@ -81,7 +81,7 @@ let cuda_3 =
           let fns =
             List.filter
               (fun (f : Ast.func) -> f.Ast.f_body <> None)
-              (Ast.functions_of_tu pf.Project.tu)
+              (Ast.functions_of_tu (Project.tu pf))
           in
           let count name =
             let n = ref 0 in
@@ -100,9 +100,9 @@ let cuda_3 =
           let frees = count "cudaFree" in
           if mallocs > frees then
             [ Rule.v ~rule_id:"CUDA-3"
-                ~loc:(Loc.make ~file:pf.Project.tu.Ast.tu_file ~line:1 ~col:1)
+                ~loc:(Loc.make ~file:(Project.tu pf).Ast.tu_file ~line:1 ~col:1)
                 "%d cudaMalloc vs %d cudaFree in %s" mallocs frees
-                pf.Project.tu.Ast.tu_file ]
+                (Project.tu pf).Ast.tu_file ]
           else [])
         ctx.Rule.files)
 

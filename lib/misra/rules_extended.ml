@@ -303,8 +303,8 @@ let r8_7 =
             (fun (fn : Ast.func) ->
               if fn.Ast.f_body <> None then
                 Hashtbl.replace def_file (Ast.qualified_name fn)
-                  pf.Project.tu.Ast.tu_file)
-            (Ast.functions_of_tu pf.Project.tu))
+                  (Project.tu pf).Ast.tu_file)
+            (Ast.functions_of_tu (Project.tu pf)))
         ctx.Rule.files;
       let callers = Hashtbl.create 128 in
       List.iter
@@ -314,10 +314,10 @@ let r8_7 =
               List.iter
                 (fun callee ->
                   let cur = Option.value ~default:[] (Hashtbl.find_opt callers callee) in
-                  let f = pf.Project.tu.Ast.tu_file in
+                  let f = (Project.tu pf).Ast.tu_file in
                   if not (List.mem f cur) then Hashtbl.replace callers callee (f :: cur))
                 (Callgraph.calls_in_body fn))
-            (Ast.functions_of_tu pf.Project.tu))
+            (Ast.functions_of_tu (Project.tu pf)))
         ctx.Rule.files;
       List.filter_map
         (fun (fn : Ast.func) ->

@@ -14,10 +14,10 @@ let r20_5 =
               | Preproc.Other "undef" ->
                 Some
                   (Rule.v ~rule_id:"20.5"
-                     ~loc:(Loc.make ~file:pf.Project.tu.Ast.tu_file ~line ~col:1)
+                     ~loc:(Loc.make ~file:(Project.tu pf).Ast.tu_file ~line ~col:1)
                      "#undef directive")
               | _ -> None)
-            pf.Project.tu.Ast.directives)
+            (Project.tu pf).Ast.directives)
         ctx.Rule.files)
 
 (* 20.7: macro parameter expansion — we flag function-like macros entirely
@@ -33,10 +33,10 @@ let r4_9 =
               | Preproc.Define { name; function_like = true; _ } ->
                 Some
                   (Rule.v ~rule_id:"4.9"
-                     ~loc:(Loc.make ~file:pf.Project.tu.Ast.tu_file ~line ~col:1)
+                     ~loc:(Loc.make ~file:(Project.tu pf).Ast.tu_file ~line ~col:1)
                      "function-like macro %s" name)
               | _ -> None)
-            pf.Project.tu.Ast.directives)
+            (Project.tu pf).Ast.directives)
         ctx.Rule.files)
 
 (* 21.1: #define shall not redefine reserved identifiers. *)
@@ -56,10 +56,10 @@ let r21_1 =
               | Preproc.Define { name; _ } when reserved name ->
                 Some
                   (Rule.v ~rule_id:"21.1"
-                     ~loc:(Loc.make ~file:pf.Project.tu.Ast.tu_file ~line ~col:1)
+                     ~loc:(Loc.make ~file:(Project.tu pf).Ast.tu_file ~line ~col:1)
                      "reserved identifier %s redefined" name)
               | _ -> None)
-            pf.Project.tu.Ast.directives)
+            (Project.tu pf).Ast.directives)
         ctx.Rule.files)
 
 (* 19.2: the union keyword should not be used. *)
@@ -68,7 +68,7 @@ let r19_2 =
     (fun ctx ->
       List.concat_map
         (fun pf ->
-          let toks = pf.Project.tu.Ast.tokens in
+          let toks = (Project.tu pf).Ast.tokens in
           Token.filter_mapi
             (fun i -> function
               | Token.Keyword "union" ->
@@ -85,7 +85,7 @@ let d4_4 =
     ~decidable:false (fun ctx ->
       List.concat_map
         (fun pf ->
-          let lines = Util.Strutil.lines pf.Project.tu.Ast.raw_source in
+          let lines = Util.Strutil.lines (Project.tu pf).Ast.raw_source in
           List.concat
             (List.mapi
                (fun i line ->
@@ -94,7 +94,7 @@ let d4_4 =
                     && Util.Strutil.ends_with ~suffix:";" t
                  then
                    [ Rule.v ~rule_id:"D4.4"
-                       ~loc:(Loc.make ~file:pf.Project.tu.Ast.tu_file ~line:(i + 1) ~col:1)
+                       ~loc:(Loc.make ~file:(Project.tu pf).Ast.tu_file ~line:(i + 1) ~col:1)
                        "commented-out statement" ]
                  else [])
                lines))

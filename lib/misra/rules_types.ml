@@ -10,7 +10,7 @@ let r7_1 =
     ~category:Rule.Required (fun ctx ->
       List.concat_map
         (fun pf ->
-          let toks = pf.Project.tu.Ast.tokens in
+          let toks = (Project.tu pf).Ast.tokens in
           Token.filter_mapi
             (fun i -> function
               | Token.Int_lit (_, raw)

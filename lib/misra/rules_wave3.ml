@@ -13,7 +13,7 @@ let r3_1 =
     ~category:Rule.Required (fun ctx ->
       List.concat_map
         (fun pf ->
-          let src = pf.Project.tu.Ast.raw_source in
+          let src = (Project.tu pf).Ast.raw_source in
           let n = String.length src in
           let acc = ref [] in
           let line = ref 1 in
@@ -21,7 +21,7 @@ let r3_1 =
           let flag () =
             acc :=
               Rule.v ~rule_id:"3.1"
-                ~loc:(Loc.make ~file:pf.Project.tu.Ast.tu_file ~line:!line ~col:1)
+                ~loc:(Loc.make ~file:(Project.tu pf).Ast.tu_file ~line:!line ~col:1)
                 "comment marker inside a comment"
               :: !acc
           in

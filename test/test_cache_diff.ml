@@ -299,8 +299,10 @@ let test_sweep () =
    table and leaves the source out, schema=5, whose [manifest]
    payload is a dependency record where today's is a path list, and
    schema=6, whose [metrics] payload embeds a MISRA report record with
-   a deviation-outcome field that today's record no longer has.  The
-   wipe also removes a temp file that a killed writer left. *)
+   a deviation-outcome field that today's record no longer has, and
+   schema=7, whose [misra] payload is a violation list where today's is
+   the rule's journal findings.  The wipe also removes a temp file that
+   a killed writer left. *)
 let test_version_salt_wipe () =
   List.iter
     (fun foreign ->
@@ -324,7 +326,7 @@ let test_version_salt_wipe () =
     [ "adcheck-cache/0 schema=0"; "adcheck-cache/1 schema=1";
       "adcheck-cache/1 schema=2"; "adcheck-cache/1 schema=3";
       "adcheck-cache/1 schema=4"; "adcheck-cache/1 schema=5";
-      "adcheck-cache/1 schema=6" ]
+      "adcheck-cache/1 schema=6"; "adcheck-cache/1 schema=7" ]
 
 (* ------------------------------------------------------------------ *)
 (* A small real project: parse + MISRA + dataflow through one store    *)
@@ -363,7 +365,9 @@ let project_of files =
    once, the warm run over the same store
    does neither and reports the same violations.  The cold context comes
    from the audit's producer, so it also stores every file's dataflow
-   artifact: the per-file facts of the same tree are all hits. *)
+   artifact: the per-file facts of the same tree are all hits.  A warm
+   rule derives its violations from its stored findings, and they must
+   be the no-cache run's, field for field. *)
 let test_warm_misra_builds_no_context () =
   let dir = fresh_dir "adcheck-misra-warm" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -379,10 +383,21 @@ let test_warm_misra_builds_no_context () =
           P.collect (fun () ->
               Cache.with_global c (fun () -> Misra.Registry.run_project parsed))
         in
-        ( Misra.Registry.render_summary report,
+        ( report,
           Telemetry.counter "dataflow.cfgs",
           Telemetry.counter "interproc.functions" ))
   in
+  let nocache, _ = P.collect (fun () -> Misra.Registry.run_project parsed) in
+  Alcotest.(check bool) "the tree violates some rule" true
+    (nocache.Misra.Registry.total_violations > 0);
+  List.iter
+    (fun ((r : Misra.Rule.t), vs) ->
+      List.iter
+        (fun (v : Misra.Rule.violation) ->
+          Alcotest.(check string) "a violation names its rule" r.Misra.Rule.id
+            v.Misra.Rule.rule_id)
+        vs)
+    nocache.Misra.Registry.per_rule;
   let cold, cold_cfgs, cold_ip = run () in
   let _, facts =
     stats_delta c (fun () ->
@@ -398,7 +413,11 @@ let test_warm_misra_builds_no_context () =
   Alcotest.(check int) "cold: interproc ran once" 4 cold_ip;
   Alcotest.(check int) "warm: no CFG built" 0 warm_cfgs;
   Alcotest.(check int) "warm: interproc not run" 0 warm_ip;
-  Alcotest.(check string) "warm report == cold report" cold warm
+  Alcotest.(check string) "warm report == cold report"
+    (Misra.Registry.render_summary cold) (Misra.Registry.render_summary warm);
+  (* [compare], not [=]: the rules hold closures, physically shared *)
+  Alcotest.(check bool) "warm violations == no-cache violations" true
+    (compare warm.Misra.Registry.per_rule nocache.Misra.Registry.per_rule = 0)
 
 (* One warm run over [tree] against store [c], replaying the audit's
    cache discipline: sweep the artifacts of paths that left the tree
@@ -423,7 +442,7 @@ let lib_run_metrics c tree =
                  List.map Dataflow.Analyses.summary_of_facts
                    (Dataflow.Analyses.facts_of_file
                       ~path:pf.Cfront.Project.file.Cfront.Project.path ~key
-                      (Cfront.Project.defined_functions [ pf ])))
+                      (fun () -> Cfront.Project.defined_functions [ pf ])))
                parsed.Cfront.Project.files
                (Cfront.Project.file_keys parsed))
         in
@@ -629,6 +648,73 @@ let prop_revert_is_warm =
       d.Cache.hits > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Deferred units                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [base_sources] parsed cold into a fresh store, then parsed again:
+   every [types] artifact hits, so every unit of the second parse is
+   deferred.  Returns the store, its directory and the second parse. *)
+let with_deferred_parse f =
+  let dir = fresh_dir "adcheck-deferred" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let c = Cache.open_dir dir in
+  let project = project_of base_sources in
+  ignore (Cache.with_global c (fun () -> Cfront.Project.parse project));
+  let warm = Cache.with_global c (fun () -> Cfront.Project.parse project) in
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.reset ();
+      Telemetry.set_enabled false)
+    (fun () -> f c dir warm)
+
+let marshaled_tus pfs = Marshal.to_string (List.map Cfront.Project.tu pfs) []
+
+(* The files of a no-store parse of [base_sources]. *)
+let fresh_files () = (Cfront.Project.parse (project_of base_sources)).Cfront.Project.files
+
+(* Four domains force one deferred unit at once: the artifact is read
+   once, one force is counted, and every domain gets the same unit. *)
+let test_deferred_force_from_domains () =
+  with_deferred_parse @@ fun c _dir warm ->
+  let pf = List.nth warm.Cfront.Project.files 1 in
+  let ready = Atomic.make 0 in
+  let tus, d =
+    stats_delta c (fun () ->
+        List.map Domain.join
+          (List.init 4 (fun _ ->
+               Domain.spawn (fun () ->
+                   Atomic.incr ready;
+                   while Atomic.get ready < 4 do Domain.cpu_relax () done;
+                   Cfront.Project.tu pf))))
+  in
+  Alcotest.(check int) "the artifact is read once" 1 d.Cache.hits;
+  Alcotest.(check int) "and not missed" 0 d.Cache.misses;
+  Alcotest.(check int) "one force counted" 1 (Telemetry.counter "parse.forced");
+  Alcotest.(check bool) "every domain gets the same unit" true
+    (List.for_all (fun tu -> tu == List.hd tus) tus);
+  Alcotest.(check bool) "a later read is that unit" true (Cfront.Project.tu pf == List.hd tus);
+  Alcotest.(check bool) "the unit is the fresh parse's" true
+    (marshaled_tus [ pf ] = marshaled_tus [ List.nth (fresh_files ()) 1 ])
+
+(* A [parse] artifact that has gone between the parse and the force
+   (here: deleted) is a miss, and the unit is parsed afresh: the same
+   units as a no-store parse, each stored again. *)
+let test_deferred_artifact_gone () =
+  with_deferred_parse @@ fun c dir warm ->
+  List.iter
+    (fun f -> if String.starts_with ~prefix:"parse-" f then Sys.remove (Filename.concat dir f))
+    (artifact_files dir);
+  let n = List.length warm.Cfront.Project.files in
+  let tus, d = stats_delta c (fun () -> marshaled_tus warm.Cfront.Project.files) in
+  Alcotest.(check bool) "fresh parse of every unit" true
+    (tus = marshaled_tus (fresh_files ()));
+  Alcotest.(check int) "every force misses" n d.Cache.misses;
+  Alcotest.(check int) "and stores the unit again" n d.Cache.stores;
+  Alcotest.(check int) "every unit forced" n (Telemetry.counter "parse.forced")
+
+(* ------------------------------------------------------------------ *)
 (* Full audit differential on a trimmed corpus, jobs 1/2/8             *)
 (* ------------------------------------------------------------------ *)
 
@@ -642,6 +728,7 @@ type audit_obs = {
   a_stats : Cache.stats option;  (** this run's counter deltas *)
   a_work : (string * int) list;  (** the {!work_counters} of this run *)
   a_lexed : bool;  (** the run opened a [parse.lex] span *)
+  a_forced : int;  (** deferred units this run forced ([parse.forced]) *)
 }
 
 (* Work counters that only a computed (not a looked-up) layer adds:
@@ -681,6 +768,7 @@ let audit_obs ?project ~jobs ~cache () =
     a_work = List.map (fun k -> (k, Telemetry.counter k)) work_counters;
     a_lexed =
       List.exists (fun e -> e.Telemetry.ev_name = "parse.lex") (Telemetry.events ());
+    a_forced = Telemetry.counter "parse.forced";
   }
 
 let oracle = lazy (audit_obs ~jobs:1 ~cache:None ())
@@ -711,20 +799,22 @@ let test_audit_cold_with_cache () =
     Alcotest.(check bool) "cold run computes everything" true
       (d.Cache.misses > 0 && d.Cache.stores > 0);
     Alcotest.(check bool) "cold run lexes" true obs.a_lexed;
+    Alcotest.(check int) "cold run parses every unit it reads" 0 obs.a_forced;
     List.iter
       (fun (k, n) -> Alcotest.(check bool) ("cold run counts " ^ k) true (n > 0))
       obs.a_work
 
 (* Warm from the store the cold jobs=1 run filled: oracle bytes, no
    recomputation and no write — at every jobs value.  A warm audit only
-   looks up: it lexes no file, runs no interproc, walks no metric and
-   builds no CFG, so none of their work counters moves, and the
-   unchanged path list is not rewritten. *)
+   looks up: it lexes no file, forces no deferred unit, runs no
+   interproc, walks no metric and builds no CFG, so none of their work
+   counters moves, and the unchanged path list is not rewritten. *)
 let check_warm ~jobs =
   let name = Printf.sprintf "warm jobs=%d" jobs in
   let obs = audit_obs ~jobs ~cache:(Some (Lazy.force audit_store)) () in
   check_matches_oracle ~name obs;
   Alcotest.(check bool) (name ^ " lexes no file") false obs.a_lexed;
+  Alcotest.(check int) (name ^ " forces no unit") 0 obs.a_forced;
   List.iter
     (fun (k, n) -> Alcotest.(check int) (name ^ " counts no " ^ k) 0 n)
     obs.a_work;
@@ -739,6 +829,49 @@ let check_warm ~jobs =
 let test_audit_warm_jobs1 () = check_warm ~jobs:1
 let test_audit_warm_jobs2 () = check_warm ~jobs:2
 let test_audit_warm_jobs8 () = check_warm ~jobs:8
+
+(* A rule artifact stores its journal findings with their ids, and a hit
+   journals them as stored.  Marking every stored MISRA id shows it: a
+   warm audit over the marked store, at every jobs value, journals only
+   marked MISRA ids, as many as the oracle journals, so no id was
+   computed for a cached violation. *)
+let test_audit_warm_replays_ids () =
+  let dir = fresh_dir "adcheck-replay" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let c = Cache.open_dir dir in
+  ignore (audit_obs ~jobs:1 ~cache:(Some c) ());
+  let misra_arts =
+    List.filter (fun f -> String.starts_with ~prefix:"misra-" f) (artifact_files dir)
+  in
+  Alcotest.(check int) "one artifact per rule" (List.length Misra.Registry.all_rules)
+    (List.length misra_arts);
+  List.iter
+    (fun f ->
+      let key = String.sub f 6 (String.length f - 6 - String.length ".art") in
+      match (Cache.find c ~kind:"misra" ~key : P.finding list option) with
+      | Some findings ->
+        Cache.store c ~kind:"misra" ~key
+          (List.map (fun (x : P.finding) -> { x with P.f_id = "S" ^ x.P.f_id }) findings)
+      | None -> Alcotest.fail ("unreadable rule artifact " ^ f))
+    misra_arts;
+  let misra_lines journal =
+    List.filter
+      (fun l -> Util.Strutil.contains_sub ~sub:{|"kind":"misra"|} l)
+      (String.split_on_char '\n' journal)
+  in
+  let want = List.length (misra_lines (Lazy.force oracle).a_journal) in
+  Alcotest.(check bool) "the oracle journals MISRA findings" true (want > 0);
+  List.iter
+    (fun jobs ->
+      let obs = audit_obs ~jobs ~cache:(Some c) () in
+      let name = Printf.sprintf "jobs=%d" jobs in
+      let lines = misra_lines obs.a_journal in
+      Alcotest.(check int) (name ^ ": every MISRA finding journaled") want
+        (List.length lines);
+      Alcotest.(check (list string)) (name ^ ": no MISRA id computed") []
+        (List.filter (fun l -> not (String.starts_with ~prefix:{|{"id":"SF-|} l)) lines);
+      Alcotest.(check int) (name ^ ": no unit forced") 0 obs.a_forced)
+    [ 1; 2; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Incremental: one edit, exact recompute set, oracle equality         *)
@@ -807,6 +940,12 @@ let test_audit_incremental_edit () =
      Alcotest.(check int) "incremental run stores exactly what it recomputes"
        di.Cache.misses di.Cache.stores
    | _ -> Alcotest.fail "missing cache stats");
+  (* The edited file is lexed and parsed at once.  Its edit misses the
+     interproc summary, the rules and the metric record, which read
+     every unit, so each other unit is forced from the store, once. *)
+  Alcotest.(check int) "cold run forces no unit" 0 cold.a_forced;
+  Alcotest.(check int) "the edit forces every unit but the edited one"
+    (Cfront.Project.file_count edited - 1) incr.a_forced;
   (* artifact-level accounting: the edit recomputes exactly one parse
      and one dataflow artifact (the edited file; its dependents' keys
      are content-addressed and unchanged), the whole coverage layer
@@ -880,6 +1019,9 @@ let test_audit_module_move () =
          if List.mem f arts_before then None
          else Some (String.sub f 0 (String.index f '-')))
        (artifact_files dir));
+  (* no file is lexed; interproc and the metric walk read every unit *)
+  Alcotest.(check int) "the move forces every unit" (Cfront.Project.file_count moved)
+    obs.a_forced;
   match obs.a_stats with
   | Some d -> Alcotest.(check int) "exactly the two whole-tree artifacts miss" 2 d.Cache.misses
   | None -> Alcotest.fail "no cache stats"
@@ -1083,6 +1225,13 @@ let () =
             test_version_salt_wipe;
         ] );
       ("manifest", [ Alcotest.test_case "path-list sweep" `Quick test_sweep ]);
+      ( "deferred",
+        [
+          Alcotest.test_case "one force from 4 domains" `Quick
+            test_deferred_force_from_domains;
+          Alcotest.test_case "gone artifact parses afresh" `Quick
+            test_deferred_artifact_gone;
+        ] );
       ( "edits",
         [
           Alcotest.test_case "revert every file restores hits" `Quick
@@ -1102,6 +1251,8 @@ let () =
             test_audit_warm_jobs2;
           Alcotest.test_case "warm jobs=8 == oracle" `Slow
             test_audit_warm_jobs8;
+          Alcotest.test_case "warm replays stored finding ids" `Slow
+            test_audit_warm_replays_ids;
           Alcotest.test_case "incremental edit == oracle, exact set" `Slow
             test_audit_incremental_edit;
           Alcotest.test_case "module move misses interproc and metrics" `Slow

@@ -294,7 +294,7 @@ let test_table_interns_spellings () =
 let test_tables_compact () =
   let project = Corpus.Generator.generate ~seed:2019 Corpus.Apollo_profile.small in
   let parsed = Cfront.Project.parse project in
-  let tables = List.map (fun pf -> pf.Cfront.Project.tu.Cfront.Ast.tokens) parsed.Cfront.Project.files in
+  let tables = List.map (fun pf -> (Cfront.Project.tu pf).Cfront.Ast.tokens) parsed.Cfront.Project.files in
   let words = Obj.reachable_words (Obj.repr tables) - (3 * List.length tables) in
   let tokens = List.fold_left (fun acc t -> acc + Cfront.Token.length t) 0 tables in
   let per_token = float_of_int words /. float_of_int tokens in
@@ -718,9 +718,7 @@ let test_project_parse_jobs_independent () =
   let tus_at jobs =
     Util.Pool.set_default_jobs jobs;
     Marshal.to_string
-      (List.map
-         (fun pf -> pf.Cfront.Project.tu)
-         (Cfront.Project.parse project).Cfront.Project.files)
+      (List.map Cfront.Project.tu (Cfront.Project.parse project).Cfront.Project.files)
       []
   in
   let seq = tus_at 1 in
@@ -754,10 +752,10 @@ let test_scan_skips_inactive_regions () =
     (Cfront.Project.scan_type_names (Cfront.Project.all_files project));
   match (Cfront.Project.parse project).Cfront.Project.files with
   | [ _; use; use2 ] ->
-    (match first_body_stmt use.Cfront.Project.tu with
+    (match first_body_stmt (Cfront.Project.tu use) with
      | Cfront.Ast.Sexpr { e = Cfront.Ast.Binary (Cfront.Ast.Mul, _, _); _ } -> ()
      | _ -> Alcotest.fail "Hidden * p is a multiplication");
-    (match first_body_stmt use2.Cfront.Project.tu with
+    (match first_body_stmt (Cfront.Project.tu use2) with
      | Cfront.Ast.Sdecl [ d ] -> Alcotest.(check string) "declares q" "q" d.Cfront.Ast.v_name
      | _ -> Alcotest.fail "Shown * q declares q")
   | _ -> Alcotest.fail "three files"
@@ -788,7 +786,7 @@ let test_project_parse_equals_parse_file () =
         (Printf.sprintf "jobs=%d equals per-file parse_file" jobs)
         true
         (Marshal.to_string
-           (List.map (fun pf -> pf.Cfront.Project.tu) parsed.Cfront.Project.files)
+           (List.map Cfront.Project.tu parsed.Cfront.Project.files)
            []
          = expected))
     [ 1; 8 ]

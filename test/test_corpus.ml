@@ -24,7 +24,7 @@ let test_generator_parses_clean () =
   let parsed = Cfront.Project.parse (Corpus.Generator.generate ~seed:5 Corpus.Apollo_profile.small) in
   let diags =
     List.concat_map
-      (fun pf -> pf.Cfront.Project.tu.Cfront.Ast.diags)
+      (fun pf -> (Cfront.Project.tu pf).Cfront.Ast.diags)
       parsed.Cfront.Project.files
   in
   Alcotest.(check (list string)) "no diagnostics anywhere" [] diags

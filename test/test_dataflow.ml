@@ -189,10 +189,9 @@ let test_backward_direction_execution_order () =
 
 let ctx_of src =
   let pf =
-    { Cfront.Project.file =
-        { Cfront.Project.path = "r.cc"; modname = "r"; header = false;
-          content = src };
-      tu = Cfront.Parser.parse_file ~file:"r.cc" src }
+    Cfront.Project.parsed_file
+      { Cfront.Project.path = "r.cc"; modname = "r"; header = false; content = src }
+      (Cfront.Parser.parse_file ~file:"r.cc" src)
   in
   Fixture.context_of_files [ pf ]
 

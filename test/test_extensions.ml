@@ -11,9 +11,9 @@ let parse src = Cfront.Parser.parse_file ~file:"x.cu" src
 
 let classify src =
   match Cudasim.Brook_auto.of_files
-          [ { Cfront.Project.file =
-                { Cfront.Project.path = "k.cu"; modname = "k"; header = false; content = src };
-              tu = parse src } ]
+          [ Cfront.Project.parsed_file
+              { Cfront.Project.path = "k.cu"; modname = "k"; header = false; content = src }
+              (parse src) ]
   with
   | [ r ] -> r
   | _ -> Alcotest.fail "one kernel expected"

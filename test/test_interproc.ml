@@ -10,15 +10,15 @@ module IP = Interproc.Summary
 let parse ~file src = Cfront.Parser.parse_file ~file src
 
 let pf ?(modname = "m") ~path src =
-  { Cfront.Project.file =
-      { Cfront.Project.path; modname; header = false; content = src };
-    tu = parse ~file:path src }
+  Cfront.Project.parsed_file
+    { Cfront.Project.path; modname; header = false; content = src }
+    (parse ~file:path src)
 
 let graph_of_files pfs =
   CG.build
     (List.concat_map
        (fun (p : Cfront.Project.parsed_file) ->
-         Cfront.Ast.functions_of_tu p.Cfront.Project.tu)
+         Cfront.Ast.functions_of_tu (Cfront.Project.tu p))
        pfs)
 
 let graph_of src = graph_of_files [ pf ~path:"g.cc" src ]

@@ -12,8 +12,9 @@ let cc_of src =
   | _ -> Alcotest.fail "expected exactly one function"
 
 let parsed_file ?(path = "m.cc") ?(modname = "m") src =
-  { Cfront.Project.file = { Cfront.Project.path; modname; header = false; content = src };
-    tu = Cfront.Parser.parse_file ~file:path src }
+  Cfront.Project.parsed_file
+    { Cfront.Project.path; modname; header = false; content = src }
+    (Cfront.Parser.parse_file ~file:path src)
 
 (* ------------------------------------------------------------------ *)
 (* Cyclomatic complexity                                                *)
@@ -363,7 +364,7 @@ let reference_shadowing (pfs : Cfront.Project.parsed_file list) =
             List.rev
               (reference_check_stmt ~globals:names ~params
                  ~fname:(Cfront.Ast.qualified_name fn) ~outer:[] [] body))
-        (Cfront.Ast.functions_of_tu pf.Cfront.Project.tu))
+        (Cfront.Ast.functions_of_tu (Cfront.Project.tu pf)))
     pfs
   @ Metrics.Shadowing.duplicate_globals globals
 

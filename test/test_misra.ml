@@ -3,9 +3,9 @@
 
 let ctx_of src =
   let pf =
-    { Cfront.Project.file =
-        { Cfront.Project.path = "r.cc"; modname = "r"; header = false; content = src };
-      tu = Cfront.Parser.parse_file ~file:"r.cc" src }
+    Cfront.Project.parsed_file
+      { Cfront.Project.path = "r.cc"; modname = "r"; header = false; content = src }
+      (Cfront.Parser.parse_file ~file:"r.cc" src)
   in
   Fixture.context_of_files [ pf ]
 
@@ -87,9 +87,9 @@ let with_users_file (pfs : Cfront.Project.parsed_file list) =
   in
   let path = "users.cc" in
   pfs
-  @ [ { Cfront.Project.file =
-          { Cfront.Project.path; modname = "users"; header = false; content = src };
-        tu = Cfront.Parser.parse_file ~file:path src } ]
+  @ [ Cfront.Project.parsed_file
+        { Cfront.Project.path; modname = "users"; header = false; content = src }
+        (Cfront.Parser.parse_file ~file:path src) ]
 
 let test_8_9_matches_reference_corpus () =
   List.iter
