@@ -69,7 +69,9 @@ check: build test check-par check-cache check-coverage check-report
 # store's file listing as the cold run left it: a warm audit writes
 # nothing, neither a new path list nor a stray temp file.  The listing
 # carries inode numbers, so an artifact rewritten under its old name
-# (a new file renamed over it) also shows.
+# (a new file renamed over it) also shows.  The cold store must hold
+# exactly the artifact kinds listed below, so a new kind is added here
+# on purpose.
 # test_cache_diff locks the same contract in-process (plus incremental
 # edits, corrupt stores and QCheck edit sequences); this target locks
 # the shipped binary's --cache threading.
@@ -81,6 +83,10 @@ check-cache: build
 	  --cache _build/check-cache-store \
 	  --evidence _build/cc-cold.jsonl > _build/cc-cold.out
 	ls -i _build/check-cache-store > _build/cc-cold.ls
+	ls _build/check-cache-store | grep '\.art$$' | sed 's/-.*//' | LC_ALL=C sort -u \
+	  > _build/cc-cold.kinds
+	printf '%s\n' covphase dataflow interproc manifest metrics misra parse types \
+	  | diff - _build/cc-cold.kinds
 	dune exec bin/adcheck.exe -- audit --scale small --seed 7 --jobs 1 \
 	  --cache _build/check-cache-store \
 	  --evidence _build/cc-warm.jsonl > _build/cc-warm.out

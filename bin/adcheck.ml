@@ -70,7 +70,7 @@ let cache_arg =
     "Persistent content-addressed artifact cache in $(docv) (created if \
      missing).  Analysis artifacts — per-file type names and parse trees, \
      per-file dataflow fixpoints, the whole-tree interproc summary and \
-     core metric record, per-rule MISRA results, compiled bytecode, \
+     core metric record, per-rule MISRA results, the audit's two \
      coverage-phase outcomes — are served warm when their content keys \
      match (a warm run lexes no file and re-runs none of them) and \
      recomputed when the content they fold changes; artifacts of files \
@@ -117,15 +117,16 @@ let with_telemetry ~cmd (trace, stats, metrics, evidence, verbose, jobs, cache_d
         exit 1)
    | None -> ());
   let finish () =
-    (match (Cache.global (), cache_dir) with
-     | Some c, Some _ ->
+    (match cache_dir with
+     | Some _ ->
+       let c = Cache.global () in
        let s = Cache.stats c in
        Util.Log.info
          "cache %s: %d hit(s), %d miss(es), %d store(s), %d invalidated, %d \
           corrupt"
          (Cache.dir c) s.Cache.hits s.Cache.misses s.Cache.stores
          s.Cache.invalidated s.Cache.corrupt
-     | _ -> ());
+     | None -> ());
     (match trace with
      | Some path ->
        try_write "Chrome trace" (fun () -> Telemetry.write_chrome_trace ~path);
@@ -691,12 +692,7 @@ let serve_cmd =
   let run seed scale tele =
     with_telemetry ~cmd:"serve" tele @@ fun () ->
     let default_seed = seed and default_scale = scale in
-    let cache_stats () =
-      match Cache.global () with
-      | None -> { Cache.hits = 0; misses = 0; stores = 0; corrupt = 0;
-                  invalidated = 0 }
-      | Some c -> Cache.stats c
-    in
+    let cache_stats () = Cache.stats (Cache.global ()) in
     let stats_line (s : Cache.stats) =
       Printf.sprintf "hits=%d misses=%d stores=%d invalidated=%d corrupt=%d"
         s.Cache.hits s.Cache.misses s.Cache.stores s.Cache.invalidated

@@ -37,10 +37,12 @@ let fnv1a64 s = fnv1a64_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 let magic = "adcheck-cache/1"
 
 (* Bump on any change to the marshaled layout of a cached artifact
-   (AST, dataflow facts, MISRA findings, bytecode, coverage outcomes). *)
-let version_salt = "adcheck-cache/1 schema=8"
+   (AST, dataflow facts, MISRA findings, coverage phases), or on the
+   retirement of a kind: the wipe then removes its unowned files, which
+   no sweep would. *)
+let version_salt = "adcheck-cache/1 schema=9"
 
-type t = {
+type dir_store = {
   cache_dir : string;
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -50,6 +52,11 @@ type t = {
   tmp_seq : int Atomic.t;
 }
 
+(* [Null] is the store that always misses: it reads, writes and counts
+   nothing, so a run without [--cache] takes the same producer path as a
+   cold run with one. *)
+type t = Null | Dir of dir_store
+
 type stats = {
   hits : int;
   misses : int;
@@ -58,16 +65,20 @@ type stats = {
   invalidated : int;
 }
 
-let dir t = t.cache_dir
+let null = Null
 
-let stats (t : t) : stats =
-  {
-    hits = Atomic.get t.hits;
-    misses = Atomic.get t.misses;
-    stores = Atomic.get t.stores;
-    corrupt = Atomic.get t.corrupt;
-    invalidated = Atomic.get t.invalidated;
-  }
+let dir = function Null -> "" | Dir t -> t.cache_dir
+
+let stats : t -> stats = function
+  | Null -> { hits = 0; misses = 0; stores = 0; corrupt = 0; invalidated = 0 }
+  | Dir t ->
+    {
+      hits = Atomic.get t.hits;
+      misses = Atomic.get t.misses;
+      stores = Atomic.get t.stores;
+      corrupt = Atomic.get t.corrupt;
+      invalidated = Atomic.get t.invalidated;
+    }
 
 let art_suffix = ".art"
 let is_artifact name = Filename.check_suffix name art_suffix
@@ -121,15 +132,16 @@ let open_dir dirname =
      end
    end
    else write_file version_file (version_salt ^ "\n"));
-  {
-    cache_dir = dirname;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    stores = Atomic.make 0;
-    corrupt = Atomic.make 0;
-    invalidated = Atomic.make 0;
-    tmp_seq = Atomic.make 0;
-  }
+  Dir
+    {
+      cache_dir = dirname;
+      hits = Atomic.make 0;
+      misses = Atomic.make 0;
+      stores = Atomic.make 0;
+      corrupt = Atomic.make 0;
+      invalidated = Atomic.make 0;
+      tmp_seq = Atomic.make 0;
+    }
 
 let key ~kind parts =
   fnv1a64 (String.concat "\x00" (version_salt :: kind :: parts))
@@ -222,7 +234,7 @@ let owner_of_file path =
         | _ -> None)
   with Sys_error _ | End_of_file -> None
 
-let find (t : t) ~kind ~key =
+let find_in t ~kind ~key =
   let path = art_path t ~kind ~key in
   if not (Sys.file_exists path) then begin
     Atomic.incr t.misses;
@@ -263,7 +275,9 @@ let find (t : t) ~kind ~key =
       None
   end
 
-let store (t : t) ?(owner = "") ~kind ~key v =
+let find t ~kind ~key = match t with Null -> None | Dir d -> find_in d ~kind ~key
+
+let store_in t ~owner ~kind ~key v =
   match Marshal.to_string v [] with
   | exception Invalid_argument e ->
     (* abstract/closure value slipped into an artifact type: skip, the
@@ -285,6 +299,9 @@ let store (t : t) ?(owner = "") ~kind ~key v =
        Util.Log.warn "cache %s: cannot write %s artifact: %s" t.cache_dir kind e;
        (try Sys.remove tmp with Sys_error _ -> ()))
 
+let store t ?(owner = "") ~kind ~key v =
+  match t with Null -> () | Dir d -> store_in d ~owner ~kind ~key v
+
 let memo t ~kind ~key f =
   match find t ~kind ~key with
   | Some v -> v
@@ -293,7 +310,7 @@ let memo t ~kind ~key f =
     store t ~kind ~key v;
     v
 
-let remove_owned (t : t) paths =
+let remove_owned_in t paths =
   let removed = ref 0 in
   Array.iter
     (fun name ->
@@ -312,8 +329,11 @@ let remove_owned (t : t) paths =
   Telemetry.add "cache.evict" !removed;
   !removed
 
+let remove_owned t paths = match t with Null -> 0 | Dir d -> remove_owned_in d paths
+
 (* The path list is sorted, so equal trees give equal lists and an
-   unchanged tree writes nothing. *)
+   unchanged tree writes nothing.  On the null store the lookup misses,
+   nothing is gone and the store goes nowhere. *)
 let sweep t ~name paths =
   let key = key ~kind:"manifest" [ name ] in
   let paths = List.sort_uniq compare paths in
@@ -330,8 +350,8 @@ let sweep t ~name paths =
 (* Process-global store                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let global_store : t option Atomic.t = Atomic.make None
-let set_global c = Atomic.set global_store c
+let global_store : t Atomic.t = Atomic.make Null
+let set_global c = Atomic.set global_store (Option.value c ~default:Null)
 let global () = Atomic.get global_store
 
 let with_global c f =

@@ -5,9 +5,8 @@
     folds in.  The kinds: per-file type names ([types]) and parse trees
     ([parse]), per-file dataflow fixpoints ([dataflow]), the whole-tree
     interproc summary ([interproc]) and core metric record ([metrics]),
-    per-rule MISRA journal findings ([misra]), compiled bytecode programs
-    ([bytecode]), coverage phases and scenario batches ([covphase],
-    [scenario]), and each project's path list ([manifest], see
+    per-rule MISRA journal findings ([misra]), the two audited coverage
+    phases ([covphase]), and each project's path list ([manifest], see
     {!sweep}).  Because every key folds the content it depends on, a
     stale artifact can never hit: an edit needs no invalidation, and
     reverting it finds the original artifacts again.  Each artifact is
@@ -27,13 +26,21 @@
 
     The store is process-global by convention ([set_global]/[global]):
     analysis libraries consult [global ()] so that a single [--cache DIR]
-    flag threads through every layer without signature churn. *)
+    flag threads through every layer without signature churn.  Without
+    [--cache] the global store is {!null}, which always misses, so every
+    producer has one path: a run without a store is a cold run whose
+    stores go nowhere. *)
 
 (** 64-bit FNV-1a over the bytes of [s], rendered as 16 lowercase hex
     digits — the same discipline provenance uses for finding ids. *)
 val fnv1a64 : string -> string
 
 type t
+
+(** The store that always misses: {!find} returns [None], {!store},
+    {!sweep} and {!remove_owned} do nothing, and nothing is counted —
+    neither a [cache.*] telemetry counter nor a {!stats} field. *)
+val null : t
 
 (** Monotone per-store counters (process lifetime, all domains). *)
 type stats = {
@@ -50,7 +57,9 @@ type stats = {
     cannot be created or written. *)
 val open_dir : string -> t
 
+(** The store's directory; [""] for {!null}. *)
 val dir : t -> string
+
 val stats : t -> stats
 
 (** Derive an artifact key from the version salt, the artifact kind and
@@ -93,10 +102,12 @@ val remove_owned : t -> string list -> int
     artifact of the new tree. *)
 val sweep : t -> name:string -> string list -> unit
 
-(** Process-global store consulted by the analysis libraries. *)
+(** Process-global store consulted by the analysis libraries; [None]
+    installs {!null}. *)
 val set_global : t option -> unit
 
-val global : unit -> t option
+(** The global store, {!null} unless one was set. *)
+val global : unit -> t
 
-(** Run [f] with the global store bound to [c], restoring [None] after. *)
+(** Run [f] with the global store bound to [c], restoring {!null} after. *)
 val with_global : t -> (unit -> 'a) -> 'a

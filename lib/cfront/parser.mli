@@ -11,7 +11,7 @@
     {!id_tag}[ file].  Re-parsing a unit reproduces its ids whatever was
     parsed before it or alongside it, and units with different paths get
     disjoint ids (barring a tag collision, which
-    [Coverage.Compile.compile_uncached] rejects). *)
+    [Coverage.Compile.compile] rejects). *)
 
 exception Parse_error of string * Loc.t
 

@@ -35,7 +35,7 @@ type parsed = {
           declared in every other *)
   hashes : string list;
       (** FNV-1a of each file's content, in [files] order, hashed once
-          when the parse ran under a store; [] otherwise *)
+          by the parse *)
 }
 
 let make ~name modules = { p_name = name; p_modules = modules }
@@ -106,19 +106,13 @@ let scan_type_names (files : source_file list) =
        (fun f -> type_names_of_tokens (lex f).Parser.lx_tokens)
        files)
 
-(* Cache keys.  Every key below folds the per-file content hashes of
-   one list, so an audit hashes each file's bytes once.  A parse made
-   without a store carries no hashes; its keys hash the files then, so
-   a key never depends on where the parse ran.  All hashing is FNV-1a
-   via Cache. *)
-let hashes parsed =
-  if parsed.hashes <> [] then parsed.hashes
-  else List.map (fun pf -> Cache.fnv1a64 pf.file.content) parsed.files
-
+(* Cache keys.  Every key below folds the per-file content hashes the
+   parse took, so an audit hashes each file's bytes once.  All hashing
+   is FNV-1a via Cache. *)
 let fold_key parts_of parsed =
   Cache.fnv1a64
     (String.concat "\x00"
-       (List.concat (List.map2 parts_of parsed.files (hashes parsed))))
+       (List.concat (List.map2 parts_of parsed.files parsed.hashes)))
 
 let content_key = fold_key (fun pf h -> [ pf.file.path; h ])
 
@@ -129,39 +123,33 @@ let tree_key =
 let file_keys parsed =
   List.map2
     (fun pf h -> Cache.fnv1a64 (String.concat "\x00" [ pf.file.path; h; parsed.types_key ]))
-    parsed.files (hashes parsed)
+    parsed.files parsed.hashes
 
 (* One fan-out over [Telemetry.parallel_map] collects every file's type
    names; the parse fans out again once the shared names are known.
    Results come back in file order, and at --jobs 1 the map *is*
    List.map.
 
-   Without a store every file is lexed, once, and keeps its table for
-   the parse.  With a store a file's names are a [types] artifact keyed
-   on its path and content hash, and its unit a [parse] artifact.  A
-   file whose names missed is lexed, once, and its unit is parsed from
-   that table or read from the store at once.  A file whose names hit
-   is not lexed: its unit is deferred to the first [tu] call, which
-   reads the artifact, or lexes and parses the file if the artifact has
-   gone (DESIGN.md, section 3a). *)
+   A file's names are a [types] artifact keyed on its path and content
+   hash, and its unit a [parse] artifact.  A file whose names missed is
+   lexed, once, and its unit is parsed from that table or read from the
+   store at once; without a store every lookup misses, so every file
+   takes that path.  A file whose names hit is not lexed: its unit is
+   deferred to the first [tu] call, which reads the artifact, or lexes
+   and parses the file if the artifact has gone (DESIGN.md, section
+   3a). *)
 let parse t =
   let sp = Telemetry.start_span ~cat:"cfront" "parse" in
   let t0 = Telemetry.now_us () in
-  let store = Cache.global () in
+  let c = Cache.global () in
   let sources = all_files t in
-  let hashes =
-    if Option.is_none store then []
-    else List.map (fun f -> Cache.fnv1a64 f.content) sources
-  in
+  let hashes = List.map (fun f -> Cache.fnv1a64 f.content) sources in
   let names_key f h = Cache.key ~kind:"types" [ f.path; h ] in
   (* (file, its content hash, its type names if the store has them) *)
   let found =
-    match store with
-    | None -> List.map (fun f -> (f, "", None)) sources
-    | Some c ->
-      Telemetry.parallel_map
-        (fun (f, h) -> (f, h, Cache.find c ~kind:"types" ~key:(names_key f h)))
-        (List.combine sources hashes)
+    Telemetry.parallel_map
+      (fun (f, h) -> (f, h, Cache.find c ~kind:"types" ~key:(names_key f h)))
+      (List.combine sources hashes)
   in
   (* (file, its content hash, its lexed table if it was lexed, its type names) *)
   let lex_missing () =
@@ -172,16 +160,13 @@ let parse t =
         | None ->
           let lx = lex f in
           let names = type_names_of_tokens lx.Parser.lx_tokens in
-          Option.iter
-            (fun c ->
-              Cache.store c ~owner:f.path ~kind:"types" ~key:(names_key f h)
-                (names : string list))
-            store;
+          Cache.store c ~owner:f.path ~kind:"types" ~key:(names_key f h)
+            (names : string list);
           (f, h, Some lx, names))
       found
   in
   let lexed =
-    if Option.is_none store || List.exists (fun (_, _, names) -> names = None) found then
+    if List.exists (fun (_, _, names) -> names = None) found then
       Telemetry.with_span ~cat:"cfront" "parse.lex" lex_missing
     else lex_missing ()
   in
@@ -198,40 +183,35 @@ let parse t =
     Telemetry.parallel_map
       (fun (f, h, lx, _) ->
         Telemetry.timed "parse.file_us" @@ fun () ->
-        match (store, lx) with
-        | None, lx ->
-          (* without a store every file was lexed *)
-          parsed_file f (fresh (Option.get lx))
-        | Some c, _ ->
-          (* Content-addressed parse artifact: a parse depends only on
-             the path, the content and the shared type names.  The key
-             holds the content's hash, so the artifact leaves the source
-             out and a hit shares the file's own string. *)
-          let key = Cache.key ~kind:"parse" [ f.path; h; types_key ] in
-          let find () =
-            Option.map
-              (fun (tu : Ast.tu) -> { tu with Ast.raw_source = f.content })
-              (Cache.find c ~kind:"parse" ~key)
+        (* Content-addressed parse artifact: a parse depends only on the
+           path, the content and the shared type names.  The key holds
+           the content's hash, so the artifact leaves the source out and
+           a hit shares the file's own string. *)
+        let key = Cache.key ~kind:"parse" [ f.path; h; types_key ] in
+        let find () =
+          Option.map
+            (fun (tu : Ast.tu) -> { tu with Ast.raw_source = f.content })
+            (Cache.find c ~kind:"parse" ~key)
+        in
+        let parse_and_store lx =
+          let tu = fresh lx in
+          Cache.store c ~owner:f.path ~kind:"parse" ~key { tu with Ast.raw_source = "" };
+          tu
+        in
+        match lx with
+        | Some lx ->
+          parsed_file f (match find () with Some tu -> tu | None -> parse_and_store lx)
+        | None ->
+          (* Its type names hit: the unit is read the first time a
+             consumer asks for it, and parsed afresh if the artifact has
+             gone by then. *)
+          let force () =
+            Telemetry.incr "parse.forced";
+            match find () with
+            | Some tu -> count_unit tu; tu
+            | None -> parse_and_store (lex f)
           in
-          let parse_and_store lx =
-            let tu = fresh lx in
-            Cache.store c ~owner:f.path ~kind:"parse" ~key { tu with Ast.raw_source = "" };
-            tu
-          in
-          (match lx with
-           | Some lx ->
-             parsed_file f (match find () with Some tu -> tu | None -> parse_and_store lx)
-           | None ->
-             (* Its type names hit: the unit is read the first time a
-                consumer asks for it, and parsed afresh if the artifact
-                has gone by then. *)
-             let force () =
-               Telemetry.incr "parse.forced";
-               match find () with
-               | Some tu -> count_unit tu; tu
-               | None -> parse_and_store (lex f)
-             in
-             { file = f; cell = Atomic.make (Deferred (Mutex.create (), force)) }))
+          { file = f; cell = Atomic.make (Deferred (Mutex.create (), force)) })
       lexed
   in
   let n_files = List.length files in

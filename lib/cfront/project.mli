@@ -28,7 +28,8 @@ type parsed = {
   types_key : string;  (** hash of the shared type-name scan *)
   hashes : string list;
       (** {!Cache.fnv1a64} of each file's content, in [files] order,
-          when {!parse} ran under a store; [] otherwise *)
+          hashed once by {!parse}; every whole-tree and per-file key
+          folds them *)
 }
 
 val make : name:string -> modul list -> t
@@ -60,15 +61,15 @@ val scan_type_names : source_file list -> string list
     [Parser.parse_file ~extra_types:(scan_type_names files)] on each file,
     in file order, at any [--jobs].
 
-    Without a store every file is lexed once ({!Parser.lex_file}); its
-    type names come from that stream, and it keeps the stream for
-    {!Parser.parse_lexed}.  With a store ([Cache.global ()]) each file's
-    content is hashed once and two artifacts per file, both owned by its
-    path, are looked up: its type names ([types], keyed on path and content
-    hash) and its unit ([parse], keyed on those and the shared type
-    names).  A file is lexed only when its [types] artifact misses, and
-    then at most once; its unit is then parsed, or read from the store,
-    at once.  A file whose [types] artifact hits keeps only its [parse]
+    Each file's content is hashed once and two artifacts per file, both
+    owned by its path, are looked up in [Cache.global ()]: its type names
+    ([types], keyed on path and content hash) and its unit ([parse],
+    keyed on those and the shared type names).  A file is lexed
+    ({!Parser.lex_file}) only when its [types] artifact misses, and then
+    at most once; its unit is then parsed from that stream
+    ({!Parser.parse_lexed}), or read from the store, at once.  Without a
+    store every lookup misses, so every file is lexed once and parsed at
+    once, and no unit is deferred.  A file whose [types] artifact hits keeps only its [parse]
     key: {!tu} reads the unit the first time a consumer asks for it.
     When every [types] artifact hits, no file is lexed, no unit is read
     and no [parse.lex] span is opened.  [parse.ast_nodes],

@@ -803,7 +803,7 @@ let compile_init p (tus : A.tu list) : B.init =
     i_max_stack = B.validate_code code;
   }
 
-let compile_uncached (tus : A.tu list) : B.program =
+let compile (tus : A.tu list) : B.program =
   check_id_tags tus;
   (* pass 1: the enum and function tables, unit by unit *)
   let enums = Hashtbl.create 16 in
@@ -852,16 +852,3 @@ let compile_uncached (tus : A.tu list) : B.program =
     p_pool = Array.of_list (List.rev p.pool_rev);
     p_index = findex;
   }
-
-(* Cached entry point.  The key hashes the marshaled tu list, which
-   embeds every eid/sid operand the probe instructions will carry; ids
-   are a function of each unit's path and content, so re-parsing the
-   same sources hits.  No owner: the key alone decides validity. *)
-let compile (tus : A.tu list) : B.program =
-  match Cache.global () with
-  | None -> compile_uncached tus
-  | Some c ->
-    let key =
-      Cache.key ~kind:"bytecode" [ Cache.fnv1a64 (Marshal.to_string tus []) ]
-    in
-    Cache.memo c ~kind:"bytecode" ~key (fun () -> compile_uncached tus)

@@ -41,7 +41,7 @@ let run_one ?program sc =
     match sc.sc_entries with
     | [] -> []
     | entries ->
-      (* compile once per shared parse (the caller may hand in a cached
+      (* compile once per shared parse (the caller may hand in a compiled
          program), load once, run every entry against it *)
       let prog =
         match program with Some p -> p | None -> Compile.compile sc.sc_tus
@@ -62,53 +62,29 @@ let run_one ?program sc =
 (* chunk_size 1: scenarios are coarse units of work (each replays a whole
    program run), so one task per scenario keeps the pool balanced.
    Findings a scenario records on a worker come back with its outcome
-   and are absorbed in scenario order. *)
+   and are journaled in scenario order. *)
 let run_all scenarios =
   (* One group per distinct parse, compiled in first-seen order.
      Scenarios built over the same shared parse (possibly through
      different list spines) are grouped by per-element physical
      equality of the tu list.  Each group's program is compiled
      sequentially up front (compilation is pure and jobs-independent)
-     and shared read-only by the worker domains.  With the artifact
-     cache enabled the group also carries the hash of its marshaled
-     units, which embeds every eid/sid the collector will key on. *)
+     and shared read-only by the worker domains. *)
   let same_tus a b = List.compare_lengths a b = 0 && List.for_all2 ( == ) a b in
   let groups =
     List.fold_left
       (fun acc sc ->
-        if List.exists (fun (tus, _, _) -> same_tus tus sc.sc_tus) acc then acc
-        else
-          let hash =
-            Option.map
-              (fun _ -> Cache.fnv1a64 (Marshal.to_string sc.sc_tus []))
-              (Cache.global ())
-          in
-          (sc.sc_tus, Compile.compile sc.sc_tus, hash) :: acc)
+        if List.exists (fun (tus, _) -> same_tus tus sc.sc_tus) acc then acc
+        else (sc.sc_tus, Compile.compile sc.sc_tus) :: acc)
       [] scenarios
   in
-  let group_of sc = List.find (fun (tus, _, _) -> same_tus tus sc.sc_tus) groups in
-  (* With the cache enabled, whole outcomes are memoized.  The key is the
-     parse hash plus name and entries, so a cached outcome can only hit
-     when replaying it is byte-identical to re-running (fingerprints
-     included).  The stored value carries the findings the run recorded
-     (coverage runs journal through scoring, not here, but the capture
-     keeps the journal exact if that ever changes). *)
+  let program_of sc = snd (List.find (fun (tus, _) -> same_tus tus sc.sc_tus) groups) in
   List.map
     (fun (outcome, findings) ->
-      Provenance.absorb findings;
+      List.iter Provenance.record findings;
       outcome)
     (Telemetry.parallel_map ~chunk_size:1
-       (fun sc ->
-         let _, program, hash = group_of sc in
-         let cold () = Provenance.collect (fun () -> run_one ~program sc) in
-         match (Cache.global (), hash) with
-         | Some c, Some h ->
-           let key =
-             Cache.key ~kind:"scenario"
-               [ h; sc.sc_name; String.concat "\x00" sc.sc_entries ]
-           in
-           Cache.memo c ~kind:"scenario" ~key cold
-         | _ -> cold ())
+       (fun sc -> Provenance.collect (fun () -> run_one ~program:(program_of sc) sc))
        scenarios)
 
 let merged_collector outcomes =

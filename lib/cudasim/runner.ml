@@ -15,9 +15,8 @@ type result = {
 
 (** Execute from [entry] on the bytecode engine and score coverage for
     the files in [measured] (paths); other files (test drivers) run but
-    are not scored.  The units are compiled once, uncached: with the
-    artifact cache on, the audit memoizes the whole coverage phase, so a
-    separate bytecode artifact inside it would be redundant. *)
+    are not scored.  The units are compiled once; the audit memoizes
+    the whole coverage phase, not the program. *)
 let run ?origin ?(entry = "main") ~measured (tus : Cfront.Ast.tu list) =
   Telemetry.with_span ~cat:"coverage" "coverage"
     ~attrs:[ ("entry", entry); ("tus", string_of_int (List.length tus)) ]
@@ -30,7 +29,7 @@ let run ?origin ?(entry = "main") ~measured (tus : Cfront.Ast.tu list) =
       ()
   in
   let exit_value =
-    Coverage.Exec.run env (Coverage.Compile.compile_uncached tus) ~entry ~args:[]
+    Coverage.Exec.run env (Coverage.Compile.compile tus) ~entry ~args:[]
   in
   let files =
     List.filter_map

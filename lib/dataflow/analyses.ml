@@ -697,7 +697,7 @@ let facts_of_functions fns =
       (* Each function's CFG + four fixpoint solves is independent;
          fan out across the domain pool in input order (exact List.map
          at --jobs 1).  Findings recorded on workers come back with each
-         function's result and are absorbed in input order, so the
+         function's result and are journaled in input order, so the
          journal merge is deterministic. *)
       let results =
         Telemetry.parallel_map
@@ -707,7 +707,7 @@ let facts_of_functions fns =
       let facts =
         List.map
           (fun (x, findings) ->
-            Provenance.absorb findings;
+            List.iter Provenance.record findings;
             x)
           results
       in
@@ -715,48 +715,41 @@ let facts_of_functions fns =
       facts)
 
 (** [facts_of_file ~path ~key fns] is {!facts_of_functions} [(fns ())]
-    memoized in the global artifact cache (when enabled) under the
-    per-file cache key [key] (path + content hash + type-scan hash, see
-    [Cfront.Project.file_keys]), which is read only when the cache is
-    on.  The artifact stores the facts {e and} the provenance findings
-    the solves recorded, so a hit replays the findings and the evidence
-    journal stays byte-identical to a cold run.  A hit does not call
-    [fns], so it forces no unit.  [path] owns the artifact, which is
-    swept when the path leaves the tree. *)
+    memoized in the global artifact store under the per-file cache key
+    [key] (path + content hash + type-scan hash, see
+    [Cfront.Project.file_keys]).  The artifact stores the facts {e and}
+    the provenance findings the solves recorded, so a hit replays the
+    findings and the evidence journal stays byte-identical to a cold
+    run.  A hit does not call [fns], so it forces no unit.  [path] owns
+    the artifact, which is swept when the path leaves the tree. *)
 let facts_of_file ~path ~key fns =
-  match Cache.global () with
-  | None -> facts_of_functions (fns ())
-  | Some c ->
-    let ckey = Cache.key ~kind:"dataflow" [ key ] in
-    (match Cache.find c ~kind:"dataflow" ~key:ckey with
-     | Some ((facts : func_facts list), findings) ->
-       Provenance.absorb findings;
-       Telemetry.add "dataflow.functions" (List.length facts);
-       facts
-     | None ->
-       let fns = fns () in
-       let facts, findings =
-         Provenance.collect (fun () -> facts_of_functions fns)
-       in
-       Cache.store c ~owner:path ~kind:"dataflow" ~key:ckey (facts, findings);
-       Provenance.absorb findings;
-       facts)
+  let c = Cache.global () in
+  let ckey = Cache.key ~kind:"dataflow" [ key ] in
+  match Cache.find c ~kind:"dataflow" ~key:ckey with
+  | Some ((facts : func_facts list), findings) ->
+    List.iter Provenance.record findings;
+    Telemetry.add "dataflow.functions" (List.length facts);
+    facts
+  | None ->
+    let fns = fns () in
+    let facts, findings = Provenance.collect (fun () -> facts_of_functions fns) in
+    Cache.store c ~owner:path ~kind:"dataflow" ~key:ckey (facts, findings);
+    List.iter Provenance.record findings;
+    facts
 
 (** Facts of every defined function of [parsed], by file path in
     [parsed.files] order; each file's list follows
     [Project.defined_functions [pf]], so the concatenation follows
-    [Project.all_functions parsed].  With the cache on, each file is
-    one {!facts_of_file} artifact, and a file whose artifact hits is
-    not forced.  Files are taken one at a time on the calling domain,
-    so a unit is only ever forced there. *)
+    [Project.all_functions parsed].  Each file is one {!facts_of_file}
+    artifact, and a file whose artifact hits is not forced.  Files are
+    taken one at a time on the calling domain, so a unit is only ever
+    forced there. *)
 let facts_of_parsed (parsed : Project.parsed) =
-  let file (pf : Project.parsed_file) key =
-    let path = pf.Project.file.Project.path in
-    (path, facts_of_file ~path ~key (fun () -> Project.defined_functions [ pf ]))
-  in
-  match Cache.global () with
-  | None -> List.map (fun pf -> file pf "") parsed.Project.files
-  | Some _ -> List.map2 file parsed.Project.files (Project.file_keys parsed)
+  List.map2
+    (fun (pf : Project.parsed_file) key ->
+      let path = pf.Project.file.Project.path in
+      (path, facts_of_file ~path ~key (fun () -> Project.defined_functions [ pf ])))
+    parsed.Project.files (Project.file_keys parsed)
 
 type totals = {
   t_functions : int;

@@ -24,21 +24,17 @@ type t = {
    (coverage-gap findings from scoring) are captured and replayed so the
    evidence journal stays byte-identical. *)
 let cached_coverage_phase ~name ~(src_files : (string * string) list) f =
-  match Cache.global () with
-  | None -> f ()
-  | Some c ->
-    let key =
-      Cache.key ~kind:"covphase"
-        [ name;
-          Cache.fnv1a64
-            (String.concat "\x00"
-               (List.concat_map (fun (p, s) -> [ p; s ]) src_files)) ]
-    in
-    let result, findings =
-      Cache.memo c ~kind:"covphase" ~key (fun () -> Provenance.collect f)
-    in
-    Provenance.absorb findings;
-    result
+  let key =
+    Cache.key ~kind:"covphase"
+      [ name;
+        Cache.fnv1a64
+          (String.concat "\x00" (List.concat_map (fun (p, s) -> [ p; s ]) src_files)) ]
+  in
+  let result, findings =
+    Cache.memo (Cache.global ()) ~kind:"covphase" ~key (fun () -> Provenance.collect f)
+  in
+  List.iter Provenance.record findings;
+  result
 
 let run_yolo_coverage () =
   let tus = Corpus.Yolo_src.parse_all () in
@@ -53,7 +49,7 @@ let run_stencil_coverage () =
   let result = Cudasim.Runner.run ~entry:Corpus.Stencil_src.entry ~measured tus in
   (result.Cudasim.Runner.files, result.Cudasim.Runner.exit_value)
 
-(* The audited coverage phases, memoized whole when the cache is on. *)
+(* The audited coverage phases, each memoized whole. *)
 let yolo_phase () =
   cached_coverage_phase ~name:"coverage.yolo"
     ~src_files:Corpus.Yolo_src.files run_yolo_coverage
@@ -100,7 +96,6 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
     ~attrs:[ ("seed", string_of_int seed);
              ("modules", string_of_int (List.length specs)) ]
   @@ fun () ->
-  let cache = Cache.global () in
   (* [gc_phase] wraps each pipeline stage: runtime-tier GC deltas and
      phase wall time per stage (who allocates, who collects), without
      touching the deterministic work-tier data recorded inside. *)
@@ -113,13 +108,10 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
   (* Artifacts owned by paths that left the tree are swept before the
      parse, so nothing the parse stores is swept.  Every key folds the
      content it depends on, so an edited file needs no invalidation. *)
-  Option.iter
-    (fun c ->
-      Cache.sweep c ~name:project.Cfront.Project.p_name
-        (List.map
-           (fun (f : Cfront.Project.source_file) -> f.Cfront.Project.path)
-           (Cfront.Project.all_files project)))
-    cache;
+  Cache.sweep (Cache.global ()) ~name:project.Cfront.Project.p_name
+    (List.map
+       (fun (f : Cfront.Project.source_file) -> f.Cfront.Project.path)
+       (Cfront.Project.all_files project));
   let parsed = Telemetry.gc_phase "parse" (fun () -> Cfront.Project.parse project) in
   (* Everything below the parse runs on this domain before anything
      fans out.  The dataflow and interproc producers run on every audit,
@@ -169,23 +161,23 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
          per-process in the major ones — a pragmatic attribution,
          flagged runtime-tier for exactly that reason). *)
       (* Each future's findings come back with its result ([collect] on
-         the worker) and are absorbed at the await; the journal's
+         the worker) and are journaled at the await; the journal's
          canonical export order makes the different await orders at
          different jobs values invisible. *)
       let submit_collected name f =
         Util.Pool.submit pool (fun () ->
             Provenance.collect (fun () -> Telemetry.gc_phase name f))
       in
-      let await_absorb fut =
+      let await_journaled fut =
         let result, findings = Util.Pool.await fut in
-        Provenance.absorb findings;
+        List.iter Provenance.record findings;
         result
       in
       let f_misra = submit_collected "misra" misra_phase in
       let f_yolo = submit_collected "coverage.yolo" yolo_phase in
       let f_stencil = submit_collected "coverage.stencil" stencil_phase in
-      let metrics = metrics_phase (fun () -> await_absorb f_misra) in
-      (metrics, await_absorb f_yolo, await_absorb f_stencil)
+      let metrics = metrics_phase (fun () -> await_journaled f_misra) in
+      (metrics, await_journaled f_yolo, await_journaled f_stencil)
   in
   (match yolo_exit with
    | Ok _ -> ()

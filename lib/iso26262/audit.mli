@@ -40,10 +40,11 @@ val run_stencil_coverage :
     scenario fails to execute — that would mean the toolchain itself is
     broken.
 
-    When the global artifact cache is enabled ([Cache.set_global] /
-    [--cache DIR]), the run first sweeps the artifacts of paths that
-    left the tree ([Cache.sweep]), then serves every artifact whose
-    content key matches warm and recomputes the rest.  The dataflow and
+    The run consults the global artifact store ([Cache.set_global] /
+    [--cache DIR]; without one every lookup misses, so the run is a
+    cold one that stores nothing).  It first sweeps the artifacts of
+    paths that left the tree ([Cache.sweep]), then serves every artifact
+    whose content key matches warm and recomputes the rest.  The dataflow and
     interproc producers always run (their hits replay journal
     findings); the rule and core-metric artifacts are then looked up on
     the calling domain, and only if one of them misses are the units

@@ -201,10 +201,7 @@ let core ~(ctx : Misra.Rule.context) ~module_dataflow (parsed : Cfront.Project.p
    work. *)
 let core_key parsed = Cache.key ~kind:"metrics" [ Cfront.Project.tree_key parsed ]
 
-let lookup_core parsed =
-  match Cache.global () with
-  | None -> None
-  | Some c -> Cache.find c ~kind:"metrics" ~key:(core_key parsed)
+let lookup_core parsed = Cache.find (Cache.global ()) ~kind:"metrics" ~key:(core_key parsed)
 
 let assemble ?core:stored ?context ~interproc ~(misra : unit -> Misra.Registry.report)
     ~(module_dataflow : (string * Dataflow.Analyses.totals) list)
@@ -222,11 +219,8 @@ let assemble ?core:stored ?context ~interproc ~(misra : unit -> Misra.Registry.r
         | None -> invalid_arg "Project_metrics.assemble: no stored core and no context"
       in
       let m = core ~ctx ~module_dataflow parsed in
-      Option.iter
-        (fun c ->
-          Cache.store c ~kind:"metrics" ~key:(core_key parsed)
-            { m with interproc = no_interproc () })
-        (Cache.global ());
+      Cache.store (Cache.global ()) ~kind:"metrics" ~key:(core_key parsed)
+        { m with interproc = no_interproc () };
       m
   in
   (* The MISRA report comes last, so a pipelined caller blocks on its

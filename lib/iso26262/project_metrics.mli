@@ -63,7 +63,7 @@ val of_parsed : Cfront.Project.parsed -> t
     {!assemble} itself, over the artifacts it looked up.
 
     [misra_of_parsed ?context parsed] is {!Misra.Registry.run_project}:
-    the rules that miss the artifact cache read [context], and without
+    the rules that miss the artifact store read [context], and without
     it the one context {!Misra.Rule.build_context} builds when some rule
     misses. *)
 val misra_of_parsed :

@@ -54,29 +54,27 @@ let violation_of_finding (r : Rule.t) (f : Provenance.finding) =
    them.  The stored value is the rule's journal findings, ids computed,
    so a hit derives its violations and journals without hashing. *)
 type lookup = {
-  cache : (Cache.t * string) option;  (** the store and the content key *)
+  store : Cache.t;  (** where a missed rule's findings go *)
+  content_key : string;
   stored : Provenance.finding list option list;  (** per rule of [all_rules] *)
 }
 
 let rule_key (r : Rule.t) ck = Cache.key ~kind:"misra" [ r.Rule.id; ck ]
 
-let no_store rules = { cache = None; stored = List.map (fun _ -> None) rules }
-
 let lookup parsed =
-  match Cache.global () with
-  | None -> no_store all_rules
-  | Some c ->
-    Telemetry.with_span ~cat:"misra" "misra.lookup" @@ fun () ->
-    let ck = Cfront.Project.content_key parsed in
-    { cache = Some (c, ck);
-      stored =
-        Telemetry.parallel_map ~chunk_size:1
-          (fun r -> Cache.find c ~kind:"misra" ~key:(rule_key r ck))
-          all_rules }
+  Telemetry.with_span ~cat:"misra" "misra.lookup" @@ fun () ->
+  let store = Cache.global () in
+  let content_key = Cfront.Project.content_key parsed in
+  { store;
+    content_key;
+    stored =
+      Telemetry.parallel_map ~chunk_size:1
+        (fun r -> Cache.find store ~kind:"misra" ~key:(rule_key r content_key))
+        all_rules }
 
 let all_hit l = List.for_all Option.is_some l.stored
 
-let run_deferred ~rules ~lookup:{ cache; stored } build =
+let run_deferred ~rules ~lookup:{ store; content_key; stored } build =
   Telemetry.with_span ~cat:"misra" "misra"
     ~attrs:[ ("rules", string_of_int (List.length rules)) ]
     (fun () ->
@@ -90,9 +88,8 @@ let run_deferred ~rules ~lookup:{ cache; stored } build =
          chunking); the context is shared read-only across domains and
          results come back in registration order, making the report
          identical at every --jobs value.  At --jobs 1 this is List.map,
-         per-rule spans included.  Under a store a miss makes its
-         findings and stores them outside the timed region, so a rule's
-         timing measures its check alone. *)
+         per-rule spans included.  A rule's timing measures its check
+         alone. *)
       let per_rule =
         Telemetry.parallel_map ~chunk_size:1
           (fun ((r : Rule.t), hit) ->
@@ -108,36 +105,30 @@ let run_deferred ~rules ~lookup:{ cache; stored } build =
                       | Some findings -> `Stored findings
                       | None -> `Checked (r.Rule.check (Option.get ctx))))
             in
-            let vs, findings =
+            let vs =
               match outcome with
-              | `Stored findings -> (List.map (violation_of_finding r) findings, Some findings)
-              | `Checked vs ->
-                ( vs,
-                  Option.map
-                    (fun (c, ck) ->
-                      let rule_step = rule_step r in
-                      let findings = List.map (finding_of_violation ~rule_step r) vs in
-                      Cache.store c ~kind:"misra" ~key:(rule_key r ck) findings;
-                      findings)
-                    cache )
+              | `Stored findings -> List.map (violation_of_finding r) findings
+              | `Checked vs -> vs
             in
             Telemetry.add ("misra.violations." ^ r.Rule.id) (List.length vs);
             Telemetry.observe "misra.rule_violations"
               (float_of_int (List.length vs));
-            ((r, vs), findings))
+            ((r, vs), outcome))
           (List.combine rules stored)
       in
       (* Journal on the calling domain in registration order, so the
-         journal is identical at every --jobs value.  Without a store
-         the findings are made here, one at a time, so no list of them
-         is held next to the journal. *)
+         journal is identical at every --jobs value.  A missed rule's
+         findings are made here and stored once journaled, one rule at
+         a time, so no rule's list outlives its turn. *)
       List.iter
-        (fun (((r : Rule.t), vs), findings) ->
-          match findings with
-          | Some findings -> List.iter Provenance.record findings
-          | None ->
+        (fun (((r : Rule.t), _), outcome) ->
+          match outcome with
+          | `Stored findings -> List.iter Provenance.record findings
+          | `Checked vs ->
             let rule_step = rule_step r in
-            List.iter (fun v -> Provenance.record (finding_of_violation ~rule_step r v)) vs)
+            let findings = List.map (finding_of_violation ~rule_step r) vs in
+            List.iter Provenance.record findings;
+            Cache.store store ~kind:"misra" ~key:(rule_key r content_key) findings)
         per_rule;
       let per_rule = List.map fst per_rule in
       let total_violations =
@@ -159,7 +150,11 @@ let run_project ?lookup:l ?context parsed =
   run_deferred ~rules:all_rules ~lookup:l (fun () ->
       match context with Some ctx -> ctx | None -> Rule.build_context parsed)
 
-let run ?(rules = all_rules) ctx = run_deferred ~rules ~lookup:(no_store rules) (fun () -> ctx)
+(* A bare context has no content key, so its results go to no store. *)
+let run ?(rules = all_rules) ctx =
+  run_deferred ~rules
+    ~lookup:{ store = Cache.null; content_key = ""; stored = List.map (fun _ -> None) rules }
+    (fun () -> ctx)
 
 (** Violations grouped by category. *)
 let by_category report =

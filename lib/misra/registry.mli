@@ -10,8 +10,8 @@ type report = {
   rules_checked : int;
 }
 
-(** Run [rules] (default: all) over a context, without the artifact
-    cache. *)
+(** Run [rules] (default: all) over a context.  A bare context has no
+    content key, so the run reads and writes no artifact. *)
 val run : ?rules:Rule.t list -> Rule.context -> report
 
 (** The per-rule artifacts of a whole-project run, looked up.  Each
@@ -22,7 +22,9 @@ val run : ?rules:Rule.t list -> Rule.context -> report
 type lookup
 
 (** Look every rule's artifact up under the global store, keyed on
-    {!Cfront.Project.content_key}.  Without a store every rule misses. *)
+    {!Cfront.Project.content_key}.  A rule that misses journals its
+    findings and then stores them there.  Without a store every rule
+    misses. *)
 val lookup : Cfront.Project.parsed -> lookup
 
 (** Every rule hit: a run over this lookup reads no rule context. *)
@@ -32,7 +34,7 @@ val all_hit : lookup -> bool
     looked up first ([lookup], or {!lookup} when it is not given); the
     rules that missed then read [context] when given, and otherwise the
     one context {!Rule.build_context} builds, on the calling domain,
-    only when some rule missed (always, without the cache), so a warm
+    only when some rule missed (always, without a store), so a warm
     run builds nothing.  A cold run without [context] therefore solves
     the dataflow, journals its findings and fills its per-file artifacts
     exactly as an audit does. *)

@@ -42,8 +42,8 @@ let make ~id ~title ~category ?(decidable = true) check =
 
 type producers = (string * Dataflow.Analyses.func_facts list) list * Interproc.Summary.t
 
-(* The whole-program summary of [parsed], memoized whole under a store
-   as the [interproc] artifact.  Interproc reads every file and names
+(* The whole-program summary of [parsed], memoized whole as the
+   [interproc] artifact.  Interproc reads every file and names
    each function's module, so the key is the tree key (paths, module
    names, header flags and content hashes, in order).  The artifact has
    no owner, so reverting an edit finds it again.  It holds the summary
@@ -51,16 +51,13 @@ type producers = (string * Dataflow.Analyses.func_facts list) list * Interproc.S
    uninit flows, unbounded depth), which a hit replays; a hit adds no
    [interproc.*] work counters, because no work was done. *)
 let interproc_of ~facts parsed =
-  let analyze () = Interproc.Summary.analyze ~facts parsed in
-  match Cache.global () with
-  | None -> analyze ()
-  | Some c ->
-    let key = Cache.key ~kind:"interproc" [ Cfront.Project.tree_key parsed ] in
-    let (summary : Interproc.Summary.t), findings =
-      Cache.memo c ~kind:"interproc" ~key (fun () -> Provenance.collect analyze)
-    in
-    Provenance.absorb findings;
-    summary
+  let key = Cache.key ~kind:"interproc" [ Cfront.Project.tree_key parsed ] in
+  let (summary : Interproc.Summary.t), findings =
+    Cache.memo (Cache.global ()) ~kind:"interproc" ~key (fun () ->
+        Provenance.collect (fun () -> Interproc.Summary.analyze ~facts parsed))
+  in
+  List.iter Provenance.record findings;
+  summary
 
 (* The two producers whose hits replay journal findings, in the audit's
    order: the dataflow layer solves every defined function (per-file

@@ -57,8 +57,8 @@ type producers = (string * Dataflow.Analyses.func_facts list) list * Interproc.S
 (** [producers parsed] runs, in this order and under these span and
     GC-phase names, {!Dataflow.Analyses.facts_of_parsed} ([dataflow]:
     per-file cache artifacts and [dataflow] journal findings) and
-    {!Interproc.Summary.analyze} over those facts ([interproc]; under a
-    store one whole-tree [interproc] artifact keyed on
+    {!Interproc.Summary.analyze} over those facts ([interproc]; one
+    whole-tree [interproc] artifact keyed on
     {!Cfront.Project.tree_key}, whose hit replays the journal findings
     and counts no [interproc.*] work).  Both replay their findings on a
     hit, so every audit runs them.  A hit forces no unit; a miss forces

@@ -83,11 +83,16 @@ let global_rev : finding list ref = ref []
 let local_buf : finding list ref option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
+(* A finding is counted once, where it reaches the process journal: a
+   finding recorded into a buffer is counted when the orchestrator
+   records it again, and a stored finding that a cache hit replays is
+   counted like a computed one. *)
 let record f =
-  if Telemetry.enabled () then Telemetry.incr ("provenance.findings." ^ f.f_kind);
   match Domain.DLS.get local_buf with
   | Some buf -> buf := f :: !buf
-  | None -> locked (fun () -> global_rev := f :: !global_rev)
+  | None ->
+    if Telemetry.enabled () then Telemetry.incr ("provenance.findings." ^ f.f_kind);
+    locked (fun () -> global_rev := f :: !global_rev)
 
 let collect f =
   let prev = Domain.DLS.get local_buf in
@@ -101,11 +106,6 @@ let collect f =
   | exception e ->
     finish ();
     raise e
-
-let absorb fs =
-  match Domain.DLS.get local_buf with
-  | Some buf -> List.iter (fun f -> buf := f :: !buf) fs
-  | None -> locked (fun () -> List.iter (fun f -> global_rev := f :: !global_rev) fs)
 
 let reset () = locked (fun () -> global_rev := [])
 
@@ -137,8 +137,10 @@ let compare_keys a b =
         if c <> 0 then c else String.compare fa.f_id fb.f_id
 
 let findings () =
-  let all = locked (fun () -> List.rev !global_rev) in
-  let keyed = List.map (fun f -> { k_loc = loc_key f.f_loc; k_finding = f }) all in
+  (* keyed in record order straight off the newest-first journal, with
+     no reversed copy of it *)
+  let all = locked (fun () -> !global_rev) in
+  let keyed = List.rev_map (fun f -> { k_loc = loc_key f.f_loc; k_finding = f }) all in
   let sorted = List.stable_sort compare_keys keyed in
   let seen = Hashtbl.create 256 in
   List.filter_map

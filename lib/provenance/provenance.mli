@@ -14,9 +14,9 @@
     {b Determinism.}  The journal is part of the work tier: its exported
     bytes must be identical at every [--jobs] value.  Two mechanisms
     guarantee that.  First, analyses running on pool workers record into
-    a per-domain buffer ({!collect}) that the orchestrator absorbs in
-    submission order ({!absorb}) — the same discipline PR 3/4/7 applied
-    to telemetry counters and histograms.  Second, {!findings} returns
+    a per-domain buffer ({!collect}) whose findings the orchestrator
+    records in submission order — the same discipline applied to
+    telemetry counters and histograms.  Second, {!findings} returns
     the journal in a canonical order (sorted by content, deduplicated by
     id), so even entries recorded outside any buffer (for example by a
     pipelined audit phase) cannot perturb the export.  Recording the
@@ -61,19 +61,19 @@ val make :
 (* ------------------------------------------------------------------ *)
 
 (** Append to the journal (the active per-domain buffer when one is
-    installed, the process-global sink otherwise).  While telemetry is
-    enabled, also bumps the ["provenance.findings.<kind>"] counter. *)
+    installed, the process-global sink otherwise).  A finding that
+    reaches the process-global sink also bumps the
+    ["provenance.findings.<kind>"] counter while telemetry is enabled;
+    one recorded into a buffer counts nothing until it is recorded
+    again outside it, so each finding counts once. *)
 val record : finding -> unit
 
 (** [collect f] runs [f] with a fresh per-domain buffer installed and
     returns its findings in record order, without touching the global
-    sink — the worker-side half of the deterministic merge.  Buffers
-    nest: an inner [collect] shadows the outer one. *)
+    sink — the worker-side half of the deterministic merge; the
+    orchestrator then {!record}s them in order.  Buffers nest: an inner
+    [collect] shadows the outer one. *)
 val collect : (unit -> 'a) -> 'a * finding list
-
-(** Feed collected findings into the active sink (outer buffer or the
-    global journal), in order — the orchestrator-side half. *)
-val absorb : finding list -> unit
 
 (** Clear the global journal (buffers are unaffected). *)
 val reset : unit -> unit

@@ -2,9 +2,10 @@
 
 (* [parsed_of_files files] wraps hand-parsed files as a project, one
    module per [modname] in first-seen order, so that a test can hand
-   them to the producers that take a [Cfront.Project.parsed].  The
-   type-scan hash and the content hashes stay empty: they only key
-   cache artifacts, and no fixture runs under a store. *)
+   them to the producers that take a [Cfront.Project.parsed].  Each
+   file's content hash is the one [Cfront.Project.parse] takes, since
+   every producer keys its artifacts on them; the type-scan hash stays
+   empty, as no fixture runs under a store. *)
 let parsed_of_files (files : Cfront.Project.parsed_file list) =
   let modname (pf : Cfront.Project.parsed_file) = pf.Cfront.Project.file.Cfront.Project.modname in
   let modnames =
@@ -22,7 +23,11 @@ let parsed_of_files (files : Cfront.Project.parsed_file list) =
   { Cfront.Project.project = Cfront.Project.make ~name:"fixture" (List.map modul modnames);
     files;
     types_key = "";
-    hashes = [] }
+    hashes =
+      List.map
+        (fun (pf : Cfront.Project.parsed_file) ->
+          Cache.fnv1a64 pf.Cfront.Project.file.Cfront.Project.content)
+        files }
 
 (* The rule context of hand-parsed files, from the one producer. *)
 let context_of_files files = Misra.Rule.build_context (parsed_of_files files)

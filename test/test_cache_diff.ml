@@ -248,17 +248,56 @@ let test_remove_owned () =
     ~key:(Cache.key ~kind:"dataflow" [ "a" ]) "Adf";
   Cache.store c ~owner:"b.cc" ~kind:"parse"
     ~key:(Cache.key ~kind:"parse" [ "b" ]) "B";
-  Cache.store c ~kind:"bytecode" ~key:(Cache.key ~kind:"bytecode" [ "p" ]) "BC";
+  Cache.store c ~kind:"misra" ~key:(Cache.key ~kind:"misra" [ "p" ]) "M";
   Alcotest.(check int) "only a.cc's two artifacts removed" 2
     (Cache.remove_owned c [ "a.cc" ]);
   Alcotest.(check bool) "other owner survives" true
     (Cache.find c ~kind:"parse" ~key:(Cache.key ~kind:"parse" [ "b" ])
      = Some "B");
   Alcotest.(check bool) "unowned artifact survives" true
-    (Cache.find c ~kind:"bytecode" ~key:(Cache.key ~kind:"bytecode" [ "p" ])
-     = Some "BC");
+    (Cache.find c ~kind:"misra" ~key:(Cache.key ~kind:"misra" [ "p" ])
+     = Some "M");
   Alcotest.(check int) "removals counted as invalidated" 2
     (Cache.stats c).Cache.invalidated
+
+(* Without a store the global store is the null one: a lookup misses
+   even after a store, a store, sweep or removal writes and removes
+   nothing (run from an empty working directory, which stays empty),
+   and nothing is counted, neither a stats field nor a [cache.*]
+   telemetry counter.  [with_global] leaves it installed again. *)
+let test_null_store () =
+  let dir = fresh_dir "adcheck-null" in
+  let cwd = Sys.getcwd () in
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd; rm_rf dir) @@ fun () ->
+  Cache.with_global (Cache.open_dir (Filename.concat dir "store")) ignore;
+  rm_rf (Filename.concat dir "store");
+  Sys.chdir dir;
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false; Telemetry.reset ())
+  @@ fun () ->
+  let c = Cache.global () in
+  Alcotest.(check string) "with_global restores the null store" "" (Cache.dir c);
+  let key = Cache.key ~kind:"parse" [ "a.cc" ] in
+  Cache.store c ~owner:"a.cc" ~kind:"parse" ~key "A";
+  Alcotest.(check bool) "a stored artifact still misses" true
+    (Cache.find c ~kind:"parse" ~key = (None : string option));
+  let calls = ref 0 in
+  let compute () = incr calls; "A" in
+  ignore (Cache.memo c ~kind:"parse" ~key compute);
+  ignore (Cache.memo c ~kind:"parse" ~key compute);
+  Alcotest.(check int) "memo computes every time" 2 !calls;
+  Cache.sweep c ~name:"proj" [ "a.cc" ];
+  Cache.sweep c ~name:"proj" [ "b.cc" ];
+  Alcotest.(check int) "removal removes nothing" 0 (Cache.remove_owned c [ "a.cc" ]);
+  Alcotest.(check (list string)) "no file written" [] (Array.to_list (Sys.readdir "."));
+  Alcotest.(check bool) "stats are all zero" true
+    (Cache.stats c
+     = { Cache.hits = 0; misses = 0; stores = 0; corrupt = 0; invalidated = 0 });
+  Alcotest.(check (list string)) "no cache.* counter" []
+    (List.filter_map
+       (fun (k, _) -> if String.starts_with ~prefix:"cache." k then Some k else None)
+       (Telemetry.counters ()))
 
 (* The path list is written when it changes and only then; a path that
    leaves the list takes its artifacts with it, and the rest stay. *)
@@ -301,8 +340,10 @@ let test_sweep () =
    schema=6, whose [metrics] payload embeds a MISRA report record with
    a deviation-outcome field that today's record no longer has, and
    schema=7, whose [misra] payload is a violation list where today's is
-   the rule's journal findings.  The wipe also removes a temp file that
-   a killed writer left. *)
+   the rule's journal findings, and schema=8, which may hold [bytecode]
+   and [scenario] artifacts, kinds that no producer reads any more and,
+   having no owner, no sweep removes.  The wipe also removes a temp file
+   that a killed writer left. *)
 let test_version_salt_wipe () =
   List.iter
     (fun foreign ->
@@ -326,7 +367,8 @@ let test_version_salt_wipe () =
     [ "adcheck-cache/0 schema=0"; "adcheck-cache/1 schema=1";
       "adcheck-cache/1 schema=2"; "adcheck-cache/1 schema=3";
       "adcheck-cache/1 schema=4"; "adcheck-cache/1 schema=5";
-      "adcheck-cache/1 schema=6"; "adcheck-cache/1 schema=7" ]
+      "adcheck-cache/1 schema=6"; "adcheck-cache/1 schema=7";
+      "adcheck-cache/1 schema=8" ]
 
 (* ------------------------------------------------------------------ *)
 (* A small real project: parse + MISRA + dataflow through one store    *)
@@ -729,6 +771,9 @@ type audit_obs = {
   a_work : (string * int) list;  (** the {!work_counters} of this run *)
   a_lexed : bool;  (** the run opened a [parse.lex] span *)
   a_forced : int;  (** deferred units this run forced ([parse.forced]) *)
+  a_counted : (string * int) list;
+      (** this run's [provenance.findings.<kind>] counters, by kind *)
+  a_journaled : (string * int) list;  (** the journal's findings per kind *)
 }
 
 (* Work counters that only a computed (not a looked-up) layer adds:
@@ -769,6 +814,22 @@ let audit_obs ?project ~jobs ~cache () =
     a_lexed =
       List.exists (fun e -> e.Telemetry.ev_name = "parse.lex") (Telemetry.events ());
     a_forced = Telemetry.counter "parse.forced";
+    a_counted =
+      List.filter_map
+        (fun (k, n) ->
+          let prefix = "provenance.findings." in
+          if String.starts_with ~prefix k then
+            Some (String.sub k (String.length prefix) (String.length k - String.length prefix), n)
+          else None)
+        (Telemetry.counters ());
+    a_journaled =
+      List.map
+        (fun kind ->
+          ( kind,
+            List.length
+              (List.filter (fun f -> f.P.f_kind = kind) audit.Iso26262.Audit.journal) ))
+        (List.sort_uniq compare
+           (List.map (fun f -> f.P.f_kind) audit.Iso26262.Audit.journal));
   }
 
 let oracle = lazy (audit_obs ~jobs:1 ~cache:None ())
@@ -873,6 +934,25 @@ let test_audit_warm_replays_ids () =
       Alcotest.(check int) (name ^ ": no unit forced") 0 obs.a_forced)
     [ 1; 2; 8 ]
 
+(* A finding counts once, where it reaches the journal, whether it was
+   computed or replayed from the store: a cold audit and warm audits at
+   jobs 1, 2 and 8 read the same [provenance.findings.<kind>] counters
+   as the no-cache oracle, and each equals that kind's count in the
+   journal. *)
+let test_audit_warm_counts_findings () =
+  let dir = fresh_dir "adcheck-counted" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let c = Cache.open_dir dir in
+  let o = Lazy.force oracle in
+  let pairs = Alcotest.(list (pair string int)) in
+  Alcotest.(check pairs) "oracle: counters == journal" o.a_journaled o.a_counted;
+  List.iter
+    (fun (name, jobs) ->
+      let obs = audit_obs ~jobs ~cache:(Some c) () in
+      Alcotest.(check pairs) (name ^ ": counters == oracle's") o.a_counted obs.a_counted;
+      Alcotest.(check pairs) (name ^ ": counters == journal") obs.a_journaled obs.a_counted)
+    [ ("cold", 1); ("warm jobs=1", 1); ("warm jobs=2", 2); ("warm jobs=8", 8) ]
+
 (* ------------------------------------------------------------------ *)
 (* Incremental: one edit, exact recompute set, oracle equality         *)
 (* ------------------------------------------------------------------ *)
@@ -963,7 +1043,7 @@ let test_audit_incremental_edit () =
   Alcotest.(check int) "one new dataflow artifact (the edited file)" 1
     (count_kind "dataflow-");
   Alcotest.(check int) "coverage phases stay warm across a corpus edit" 0
-    (count_kind "covphase-" + count_kind "scenario-" + count_kind "bytecode-");
+    (count_kind "covphase-");
   Alcotest.(check bool) "whole-tree MISRA layer recomputes" true
     (count_kind "misra-" > 0);
   (* the same edited tree at jobs=8 against the now-twice-written store *)
@@ -1223,6 +1303,8 @@ let () =
           Alcotest.test_case "owner-scoped removal" `Quick test_remove_owned;
           Alcotest.test_case "version mismatch wipes the store" `Quick
             test_version_salt_wipe;
+          Alcotest.test_case "null store misses and writes nothing" `Quick
+            test_null_store;
         ] );
       ("manifest", [ Alcotest.test_case "path-list sweep" `Quick test_sweep ]);
       ( "deferred",
@@ -1253,6 +1335,8 @@ let () =
             test_audit_warm_jobs8;
           Alcotest.test_case "warm replays stored finding ids" `Slow
             test_audit_warm_replays_ids;
+          Alcotest.test_case "warm counts findings as cold" `Slow
+            test_audit_warm_counts_findings;
           Alcotest.test_case "incremental edit == oracle, exact set" `Slow
             test_audit_incremental_edit;
           Alcotest.test_case "module move misses interproc and metrics" `Slow

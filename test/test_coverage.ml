@@ -251,7 +251,7 @@ let test_interp_multi_tu_program () =
 let test_compile_rejects_shared_id_tag () =
   let tu1 = parse "int Helper(int a) { return a * 2; }" in
   let tu2 = parse "int main() { return Helper(21); }" in
-  match Coverage.Compile.compile_uncached [ tu1; tu2 ] with
+  match Coverage.Compile.compile [ tu1; tu2 ] with
   | _ -> Alcotest.fail "same path twice must not compile"
   | exception Invalid_argument msg ->
     Alcotest.(check string) "names both units"

@@ -164,6 +164,34 @@ let test_cli_combined_coverage () =
     [ "scenarios run: 17";
       "average: statement 91.3%, branch 88.1%, MC/DC 68.0%" ]
 
+(* Compiled programs and scenario outcomes are not artifacts: under
+   [--cache DIR] the coverage and fault subcommands print their no-cache
+   bytes and leave no artifact in [DIR]. *)
+let check_cli_stores_nothing args =
+  let dir = Filename.temp_file "adcheck-cli-cache" "" in
+  Sys.remove dir;
+  let rm_store () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  Fun.protect ~finally:rm_store @@ fun () ->
+  let rc, plain = Fixture.run_adcheck args in
+  Alcotest.(check int) (args ^ ": exit code") 0 rc;
+  let rc, cached = Fixture.run_adcheck (args ^ " --cache " ^ Filename.quote dir) in
+  Alcotest.(check int) (args ^ " --cache: exit code") 0 rc;
+  Alcotest.(check string) (args ^ " --cache: the no-cache bytes") plain cached;
+  Alcotest.(check (list string)) (args ^ " --cache: no artifact") []
+    (List.filter
+       (fun f -> Filename.check_suffix f ".art")
+       (Array.to_list (Sys.readdir dir)))
+
+let test_cli_combined_coverage_cache () =
+  check_cli_stores_nothing "coverage --subject combined"
+
+let test_cli_faults_cache () = check_cli_stores_nothing "faults"
+
 let () =
   Alcotest.run "integration"
     [
@@ -186,6 +214,9 @@ let () =
           Alcotest.test_case "faults" `Quick test_cli_faults;
           Alcotest.test_case "interproc" `Quick test_cli_interproc;
           Alcotest.test_case "combined coverage" `Quick test_cli_combined_coverage;
+          Alcotest.test_case "combined coverage stores nothing" `Quick
+            test_cli_combined_coverage_cache;
+          Alcotest.test_case "faults stores nothing" `Quick test_cli_faults_cache;
         ] );
       ( "full-scale",
         [ Alcotest.test_case "paper headline numbers" `Slow test_full_scale_headlines ] );

@@ -1,5 +1,5 @@
 (* Provenance journal test suite: content-derived id stability, the
-   collect/absorb buffering discipline, canonical export order and
+   collect/record buffering discipline, canonical export order and
    dedup, id/prefix lookup, the adcheck-evidence/1 JSONL exporter,
    explain rendering with source excerpts, first-covering-scenario
    attribution in the coverage collector, the audit round-trip (every
@@ -249,7 +249,7 @@ let prop_journal_matches_oracle =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Sink: collect / absorb / dedup / canonical order                    *)
+(* Sink: collect / record / dedup / canonical order                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_collect_absorb () =
@@ -264,8 +264,9 @@ let test_collect_absorb () =
   Alcotest.(check (list string)) "buffered finding not yet global"
     [ f1.P.f_id ]
     (List.map (fun f -> f.P.f_id) (P.findings ()));
-  P.absorb collected;
-  Alcotest.(check int) "absorb lands it" 2 (List.length (P.findings ()));
+  List.iter P.record collected;
+  Alcotest.(check int) "recording the collected finding lands it" 2
+    (List.length (P.findings ()));
   (* recording identical content again is invisible in the export *)
   P.record f1;
   P.record f2;
@@ -293,7 +294,10 @@ let test_canonical_order () =
   P.reset ()
 
 (* The per-kind counter is named and bumped only while the recorder is
-   on; the count with it on is one per recorded finding. *)
+   on; the count with it on is one per finding that reaches the
+   journal.  A finding recorded into a [collect] buffer counts nothing
+   until it is recorded again outside it, so it counts once, even
+   through nested buffers. *)
 let test_record_counter () =
   P.reset ();
   Telemetry.reset ();
@@ -309,6 +313,16 @@ let test_record_counter () =
   Alcotest.(check int) "recorder on: one per finding" 1
     (Telemetry.counter "provenance.findings.misra");
   Alcotest.(check int) "per kind" 1 (Telemetry.counter "provenance.findings.coverage");
+  let (), outer =
+    P.collect (fun () ->
+        let (), inner = P.collect (fun () -> P.record (mk ~kind:"dataflow" ~analysis:"x" "c")) in
+        List.iter P.record inner)
+  in
+  Alcotest.(check int) "a buffered finding counts nothing" 0
+    (Telemetry.counter "provenance.findings.dataflow");
+  List.iter P.record outer;
+  Alcotest.(check int) "it counts once on reaching the journal" 1
+    (Telemetry.counter "provenance.findings.dataflow");
   P.reset ()
 
 let test_find () =
