@@ -124,8 +124,12 @@ check-coverage: build
 # so finding ids and journal order are pinned on two paper-scale
 # journals: seed 2019 by test/golden/audit-full-2019.txt and
 # audit-full-evidence.sha256, seed 7 by audit-full-7.txt and
-# audit-full-7-evidence.sha256 (each journal is about 68 MB); the two
-# add roughly 15 s.  A change that means to alter the report
+# audit-full-7-evidence.sha256 (each journal is about 68 MB).  The
+# seed-2019 full audit runs again at --jobs 8 and must print the same
+# report and write the same journal byte for byte: check-par compares
+# journals across jobs values on the small profile only, and the export
+# sorts whatever order the audit's phases recorded in, which at --jobs
+# above 1 can differ.  The three full audits add roughly 20 s.  A change that means to alter the report
 # regenerates the goldens and says why.  The context-less path is
 # locked too: `adcheck misra --scale small --seed 7` must print
 # test/golden/misra-small-7.txt, and its journal's findings must be the
@@ -153,6 +157,12 @@ check-report: build
 	  > _build/check-report-full-2019.out
 	diff test/golden/audit-full-2019.txt _build/check-report-full-2019.out
 	sha256sum -c test/golden/audit-full-evidence.sha256
+	dune exec bin/adcheck.exe -- audit --scale full --seed 2019 --jobs 8 \
+	  --evidence _build/check-report-evidence-full-2019-j8.jsonl \
+	  > _build/check-report-full-2019-j8.out
+	cmp _build/check-report-full-2019.out _build/check-report-full-2019-j8.out
+	cmp _build/check-report-evidence-full-2019.jsonl \
+	  _build/check-report-evidence-full-2019-j8.jsonl
 	dune exec bin/adcheck.exe -- audit --scale full --seed 7 \
 	  --evidence _build/check-report-evidence-full-7.jsonl \
 	  > _build/check-report-full-7.out

@@ -197,7 +197,9 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
       Observations.of_metrics metrics ~yolo_coverage ~stencil_coverage ~open_vs_closed )
   in
   (* The journal export (sort and dedup) gets its own span, so --stats
-     and --trace show it apart from the assessment. *)
+     and --trace show it apart from the assessment.  It leaves the
+     journal canonical, so the CLI's --evidence write and explain
+     lookup after it sort nothing. *)
   let journal = Telemetry.with_span ~cat:"audit" "provenance.journal" Provenance.findings in
   {
     parsed;

@@ -191,14 +191,22 @@ type tool_evidence = {
   te_analysis : string;  (** analysis / checker identifier *)
   te_clause : string;  (** ISO 26262 clause the evidence addresses *)
   te_evidence : string;  (** measured result on this corpus *)
-  te_findings : string list;  (** journal finding ids substantiating the row *)
+  te_shown : string list;  (** the first [shown_ids] linked finding ids *)
+  te_count : int;  (** journal findings substantiating the row *)
 }
 
+(* The report prints this many ids of a row in full (they are
+   [adcheck explain] handles) and counts the rest: an observation row
+   over the MISRA journal links over a hundred thousand findings at full
+   scale, so no row keeps its whole id list. *)
+let shown_ids = 3
+
 (* Select journal findings by (kind, analysis prefix); "" matches every
-   analysis of the kind.  The ids returned are the [adcheck explain]
-   handles for the row. *)
-let finding_ids journal selectors =
-  List.filter_map
+   analysis of the kind.  Returns the first [shown_ids] ids in journal
+   order and the number of findings selected. *)
+let linked_findings journal selectors =
+  let shown = ref [] and count = ref 0 in
+  List.iter
     (fun (f : Provenance.finding) ->
       if
         List.exists
@@ -207,9 +215,12 @@ let finding_ids journal selectors =
             && (prefix = ""
                 || String.starts_with ~prefix f.Provenance.f_analysis))
           selectors
-      then Some f.Provenance.f_id
-      else None)
-    journal
+      then begin
+        if !count < shown_ids then shown := f.Provenance.f_id :: !shown;
+        incr count
+      end)
+    journal;
+  (List.rev !shown, !count)
 
 (* Which journal findings substantiate each numbered observation: the
    observation's claim is about the output of a specific analysis (or a
@@ -240,85 +251,68 @@ let tool_evidence_matrix ?(journal = []) ?(observations = [])
          (fun c -> c.Interproc.Summary.mc_shared)
          ip.Interproc.Summary.coupling)
   in
-  let ids = finding_ids journal in
+  let row te_analysis te_clause te_evidence selectors =
+    let te_shown, te_count = linked_findings journal selectors in
+    { te_analysis; te_clause; te_evidence; te_shown; te_count }
+  in
   let clause_rows =
     [
-      {
-        te_analysis = "callgraph + interproc SCC condensation";
-        te_clause = "ISO 26262-6 Table 8 1f (no recursion)";
-        te_evidence =
-          (match ip.Interproc.Summary.cycles with
-           | [] -> "0 recursion cycles"
-           | cycles ->
-             Printf.sprintf "%d recursion cycles (e.g. %s)" (List.length cycles)
-               (String.concat " -> " (List.hd cycles)));
-        te_findings = ids [ ("interproc", "recursion-cycle"); ("misra", "17.2") ];
-      };
-      {
-        te_analysis = "interproc bottom-up stack bound";
-        te_clause = "ISO 26262-6 7.4.14 / Table 3 1a (hierarchy, bounded resources)";
-        te_evidence =
-          Printf.sprintf "worst-case call depth %s, stack bound %s words"
-            (Interproc.Summary.render_depth ip.Interproc.Summary.max_call_depth)
-            (Interproc.Summary.render_depth ip.Interproc.Summary.max_stack_words);
-        te_findings = ids [ ("interproc", "unbounded-depth") ];
-      };
-      {
-        te_analysis = "interproc global coupling matrix";
-        te_clause = "ISO 26262-6 Table 3 1f/1g (restricted coupling, shared state)";
-        te_evidence =
-          Printf.sprintf "%d mutable globals, %d touched by several modules"
-            ip.Interproc.Summary.globals_total shared_globals;
-        te_findings = ids [ ("metric", "T3.") ];
-      };
-      {
-        te_analysis = "interproc definite assignment (IP-1)";
-        te_clause = "ISO 26262-6 Table 8 1d (initialization of variables)";
-        te_evidence =
-          Printf.sprintf "%d uninitialized values flowing through calls"
-            (List.length ip.Interproc.Summary.uninit_flows);
-        te_findings =
-          ids [ ("interproc", "cross-call-uninit"); ("misra", "IP-1") ];
-      };
-      {
-        te_analysis = "callgraph resolution accounting";
-        te_clause = "ISO 26262-8 11 (confidence in use of software tools)";
-        te_evidence =
-          Printf.sprintf
-            "%d call sites: %d resolved, %d guessed, %d ambiguous, %d \
-             unresolved, %d indirect"
-            r.Cfront.Callgraph.total_sites r.Cfront.Callgraph.resolved
-            r.Cfront.Callgraph.guessed r.Cfront.Callgraph.ambiguous
-            r.Cfront.Callgraph.unresolved r.Cfront.Callgraph.indirect;
-        te_findings = [];
-      };
+      row "callgraph + interproc SCC condensation"
+        "ISO 26262-6 Table 8 1f (no recursion)"
+        (match ip.Interproc.Summary.cycles with
+         | [] -> "0 recursion cycles"
+         | cycles ->
+           Printf.sprintf "%d recursion cycles (e.g. %s)" (List.length cycles)
+             (String.concat " -> " (List.hd cycles)))
+        [ ("interproc", "recursion-cycle"); ("misra", "17.2") ];
+      row "interproc bottom-up stack bound"
+        "ISO 26262-6 7.4.14 / Table 3 1a (hierarchy, bounded resources)"
+        (Printf.sprintf "worst-case call depth %s, stack bound %s words"
+           (Interproc.Summary.render_depth ip.Interproc.Summary.max_call_depth)
+           (Interproc.Summary.render_depth ip.Interproc.Summary.max_stack_words))
+        [ ("interproc", "unbounded-depth") ];
+      row "interproc global coupling matrix"
+        "ISO 26262-6 Table 3 1f/1g (restricted coupling, shared state)"
+        (Printf.sprintf "%d mutable globals, %d touched by several modules"
+           ip.Interproc.Summary.globals_total shared_globals)
+        [ ("metric", "T3.") ];
+      row "interproc definite assignment (IP-1)"
+        "ISO 26262-6 Table 8 1d (initialization of variables)"
+        (Printf.sprintf "%d uninitialized values flowing through calls"
+           (List.length ip.Interproc.Summary.uninit_flows))
+        [ ("interproc", "cross-call-uninit"); ("misra", "IP-1") ];
+      row "callgraph resolution accounting"
+        "ISO 26262-8 11 (confidence in use of software tools)"
+        (Printf.sprintf
+           "%d call sites: %d resolved, %d guessed, %d ambiguous, %d \
+            unresolved, %d indirect"
+           r.Cfront.Callgraph.total_sites r.Cfront.Callgraph.resolved
+           r.Cfront.Callgraph.guessed r.Cfront.Callgraph.ambiguous
+           r.Cfront.Callgraph.unresolved r.Cfront.Callgraph.indirect)
+        [];
     ]
   in
   let observation_rows =
     List.map
       (fun (o : Observations.t) ->
-        {
-          te_analysis = Printf.sprintf "observation %d" o.Observations.number;
-          te_clause = o.Observations.statement;
-          te_evidence =
-            Printf.sprintf "%s [%s]" o.Observations.evidence
-              (if o.Observations.holds then "holds" else "does not hold");
-          te_findings = ids (observation_selectors o.Observations.number);
-        })
+        row
+          (Printf.sprintf "observation %d" o.Observations.number)
+          o.Observations.statement
+          (Printf.sprintf "%s [%s]" o.Observations.evidence
+             (if o.Observations.holds then "holds" else "does not hold"))
+          (observation_selectors o.Observations.number))
       observations
   in
   clause_rows @ observation_rows
 
-(* Render a handful of ids in full (they are [adcheck explain] handles)
-   and summarize the rest — observation rows over the MISRA journal can
-   link hundreds of findings. *)
-let render_finding_ids = function
+let render_finding_ids te =
+  match te.te_shown with
   | [] -> "-"
-  | ids ->
-    let n = List.length ids in
-    let shown = List.filteri (fun i _ -> i < 3) ids in
+  | shown ->
     String.concat " " shown
-    ^ (if n > 3 then Printf.sprintf " +%d more" (n - 3) else "")
+    ^ (if te.te_count > shown_ids then
+         Printf.sprintf " +%d more" (te.te_count - shown_ids)
+       else "")
 
 let render_tool_evidence ?journal ?observations (m : Project_metrics.t) =
   let tbl =
@@ -334,7 +328,7 @@ let render_tool_evidence ?journal ?observations (m : Project_metrics.t) =
       (fun tbl te ->
         Util.Table.add_row tbl
           [ te.te_analysis; te.te_clause; te.te_evidence;
-            render_finding_ids te.te_findings ])
+            render_finding_ids te ])
       tbl
       (tool_evidence_matrix ?journal ?observations m)
   in

@@ -46,16 +46,18 @@ type tool_evidence = {
   te_analysis : string;
   te_clause : string;
   te_evidence : string;
-  te_findings : string list;
-      (** provenance finding ids — the [adcheck explain] handles *)
+  te_shown : string list;
+      (** the first three linked finding ids in journal order — the
+          [adcheck explain] handles the report prints *)
+  te_count : int;  (** how many journal findings the row links *)
 }
 
 (** Whole-program evidence rows (recursion, stack bound, global
     coupling, cross-call initialization, call-resolution confidence)
     traced to their ISO 26262 clauses, followed by one row per entry of
     [observations].  [journal] supplies the findings each row links to
-    (by kind and analysis); with no journal every [te_findings] is
-    empty. *)
+    (by kind and analysis); with no journal every [te_shown] is empty
+    and every [te_count] 0. *)
 val tool_evidence_matrix :
   ?journal:Provenance.finding list ->
   ?observations:Observations.t list ->

@@ -74,7 +74,14 @@ let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let global_rev : finding list ref = ref []
+(* The process journal: [!sink.(0)] to [!sink.(!sink_len - 1)], in
+   record order until an export puts them in export order.  The array
+   grows by doubling.  [canonical] holds while the live prefix is in
+   export order and nothing was recorded since, so a second export
+   sorts nothing. *)
+let sink : finding array ref = ref [||]
+let sink_len = ref 0
+let canonical = ref true
 
 (* Per-domain buffer, installed by [collect] around pool-worker task
    bodies so recording never contends on the global mutex and the
@@ -82,6 +89,18 @@ let global_rev : finding list ref = ref []
    the telemetry counter buffers. *)
 let local_buf : finding list ref option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
+
+let push f =
+  let n = !sink_len in
+  if n = Array.length !sink then begin
+    (* the new finding fills the spare slots: no dummy finding needed *)
+    let grown = Array.make (max 1024 (2 * n)) f in
+    Array.blit !sink 0 grown 0 n;
+    sink := grown
+  end;
+  !sink.(n) <- f;
+  sink_len := n + 1;
+  canonical := false
 
 (* A finding is counted once, where it reaches the process journal: a
    finding recorded into a buffer is counted when the orchestrator
@@ -92,7 +111,7 @@ let record f =
   | Some buf -> buf := f :: !buf
   | None ->
     if Telemetry.enabled () then Telemetry.incr ("provenance.findings." ^ f.f_kind);
-    locked (fun () -> global_rev := f :: !global_rev)
+    locked (fun () -> push f)
 
 let collect f =
   let prev = Domain.DLS.get local_buf in
@@ -107,66 +126,150 @@ let collect f =
     finish ();
     raise e
 
-let reset () = locked (fun () -> global_rev := [])
+let reset () =
+  locked (fun () ->
+      sink := [||];
+      sink_len := 0;
+      canonical := true)
 
-(* Canonical journal order: content-sorted, deduplicated by id.  The
-   sort key starts with the human-meaningful fields so the journal reads
-   grouped by kind and analysis; the id tiebreak makes the order total.
-   Dedup by id is sound because the id is derived from the full content:
-   equal id means equal finding (hash collisions aside).
+(* ------------------------------------------------------------------ *)
+(* Canonical order                                                     *)
+(* ------------------------------------------------------------------ *)
 
-   Each finding's location string is built once, before the sort, and
-   the keys are compared field by field with [String.compare] -- the
-   order polymorphic [compare] gives on the (kind, analysis, loc,
-   message, id) tuple.  The sort is stable, so among equal keys the
-   first recorded finding survives the dedup. *)
-type sort_key = { k_loc : string; k_finding : finding }
+(* The export order is (kind, analysis, location, message, id), each
+   field compared with [String.compare], a location as its
+   [Loc.to_string] ("-" for none).  No location string is built: the
+   comparators below give the order of those strings from the fields.
+   Top-level functions only, so a comparison allocates nothing. *)
 
-let compare_keys a b =
-  let fa = a.k_finding and fb = b.k_finding in
-  let c = String.compare fa.f_kind fb.f_kind in
+let rec decimal_digits n d = if n < 10 then d else decimal_digits (n / 10) (d + 1)
+let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1)
+
+(* The order of [string_of_int x ^ t] and [string_of_int y ^ t] for
+   x, y >= 0, where the terminator t is ":" after a line ([~colon]) and
+   the end of the string after a column.  Digit strings of one length
+   order as numbers.  Otherwise the longer one's prefix of the shorter
+   one's length decides, and if that ties, the terminator meets the
+   longer one's next digit: ':' sorts after every digit, the end of the
+   string before every byte.  So line 10 sorts before line 1, and
+   column 1 before column 10. *)
+let compare_decimal ~colon x y =
+  let dx = decimal_digits x 1 and dy = decimal_digits y 1 in
+  if dx = dy then Int.compare x y
+  else if dx < dy then
+    let c = Int.compare x (y / pow10 (dy - dx)) in
+    if c <> 0 then c else if colon then 1 else -1
+  else
+    let c = Int.compare (x / pow10 (dx - dy)) y in
+    if c <> 0 then c else if colon then -1 else 1
+
+let rec common_prefix a b n i =
+  if i < n && String.unsafe_get a i = String.unsafe_get b i then common_prefix a b n (i + 1)
+  else i
+
+let compare_loc (a : Cfront.Loc.t) (b : Cfront.Loc.t) =
+  let open Cfront.Loc in
+  if a.line < 0 || a.col < 0 || b.line < 0 || b.col < 0 then
+    (* a '-' sign: never in a parsed location, so not worth a fast path *)
+    String.compare (to_string a) (to_string b)
+  else
+    let fa = a.file and fb = b.file in
+    let la = String.length fa and lb = String.length fb in
+    let i = if fa == fb then la else common_prefix fa fb (min la lb) 0 in
+    if i < la && i < lb then Char.compare fa.[i] fb.[i]
+    else if la = lb then
+      let c = compare_decimal ~colon:true a.line b.line in
+      if c <> 0 then c else compare_decimal ~colon:false a.col b.col
+    else
+      (* one name is a prefix of the other: the shorter string goes on
+         with the ':' before its line, the longer with its next byte *)
+      let next = if la < lb then fb.[la] else fa.[lb] in
+      if next = ':' then String.compare (to_string a) (to_string b)
+      else if la < lb then Char.compare ':' next
+      else Char.compare next ':'
+
+(* [String.compare "-" (Loc.to_string l)]: the string starts with the
+   file name, or with ':' when that is empty, and is longer than "-". *)
+let compare_dash (l : Cfront.Loc.t) =
+  let file = l.Cfront.Loc.file in
+  if file = "" then Char.compare '-' ':'
+  else
+    let c = Char.compare '-' file.[0] in
+    if c <> 0 then c else -1
+
+let compare_loc_opt a b =
+  match (a, b) with
+  | None, None -> 0
+  | Some a, Some b -> compare_loc a b
+  | None, Some b -> compare_dash b
+  | Some a, None -> -compare_dash a
+
+let compare_findings a b =
+  let c = String.compare a.f_kind b.f_kind in
   if c <> 0 then c
   else
-    let c = String.compare fa.f_analysis fb.f_analysis in
+    let c = String.compare a.f_analysis b.f_analysis in
     if c <> 0 then c
     else
-      let c = String.compare a.k_loc b.k_loc in
+      let c = compare_loc_opt a.f_loc b.f_loc in
       if c <> 0 then c
       else
-        let c = String.compare fa.f_message fb.f_message in
-        if c <> 0 then c else String.compare fa.f_id fb.f_id
+        let c = String.compare a.f_message b.f_message in
+        if c <> 0 then c else String.compare a.f_id b.f_id
+
+(* Keep the first of each run of equal ids in [a.(0)] to [a.(n - 1)],
+   packed to the front; returns how many are kept.  Equal ids mean
+   equal content, hence equal sort keys, so they sort next to each
+   other (a 64-bit hash collision between different contents aside). *)
+let dedup_adjacent a n =
+  if n = 0 then 0
+  else begin
+    let kept = ref 1 in
+    for i = 1 to n - 1 do
+      let f = a.(i) in
+      if not (String.equal f.f_id a.(!kept - 1).f_id) then begin
+        a.(!kept) <- f;
+        incr kept
+      end
+    done;
+    !kept
+  end
+
+(* The journal in export order, as the sink and its live length.  The
+   first export after a record sorts a copy of the live prefix, stably,
+   so the first recorded of equal findings comes first and survives the
+   dedup, then makes the copy the sink.  Sorting a copy means an array
+   returned earlier never changes below its length: later records only
+   append past it. *)
+let canonical_sink () =
+  locked (fun () ->
+      if not !canonical then begin
+        let a = Array.sub !sink 0 !sink_len in
+        Array.stable_sort compare_findings a;
+        sink_len := dedup_adjacent a (Array.length a);
+        sink := a;
+        canonical := true
+      end;
+      (!sink, !sink_len))
 
 let findings () =
-  (* keyed in record order straight off the newest-first journal, with
-     no reversed copy of it *)
-  let all = locked (fun () -> !global_rev) in
-  let keyed = List.rev_map (fun f -> { k_loc = loc_key f.f_loc; k_finding = f }) all in
-  let sorted = List.stable_sort compare_keys keyed in
-  let seen = Hashtbl.create 256 in
-  List.filter_map
-    (fun { k_finding = f; _ } ->
-      if Hashtbl.mem seen f.f_id then None
-      else begin
-        Hashtbl.add seen f.f_id ();
-        Some f
-      end)
-    sorted
+  let a, n = canonical_sink () in
+  let rec to_list i acc = if i < 0 then acc else to_list (i - 1) (a.(i) :: acc) in
+  to_list (n - 1) []
 
 let find id =
-  let fs = findings () in
-  match List.find_opt (fun f -> f.f_id = id) fs with
+  let a, n = canonical_sink () in
+  let rec prefixed i acc =
+    if i < 0 then acc
+    else prefixed (i - 1) (if String.starts_with ~prefix:id a.(i).f_id then a.(i) :: acc else acc)
+  in
+  let matches = prefixed (n - 1) [] in
+  match List.find_opt (fun f -> f.f_id = id) matches with
   | Some f -> Ok f
   | None ->
     if String.length id < 4 then
       Error (Printf.sprintf "unknown finding id %s (prefixes need >= 4 characters)" id)
     else begin
-      let matches =
-        List.filter
-          (fun f ->
-            String.length f.f_id >= String.length id
-            && String.sub f.f_id 0 (String.length id) = id)
-          fs
-      in
       match matches with
       | [ f ] -> Ok f
       | [] -> Error (Printf.sprintf "unknown finding id %s" id)
@@ -242,17 +345,16 @@ let add_finding_json buf f =
 (* The journal line by line: [emit] receives the buffer holding each
    complete line, newline included, and the buffer is reused after. *)
 let iter_journal emit =
-  let fs = findings () in
+  let a, n = canonical_sink () in
   let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\"schema\":\"adcheck-evidence/1\",\"findings\":%d}\n" (List.length fs);
+  Printf.bprintf buf "{\"schema\":\"adcheck-evidence/1\",\"findings\":%d}\n" n;
   emit buf;
-  List.iter
-    (fun f ->
-      Buffer.clear buf;
-      add_finding_json buf f;
-      Buffer.add_char buf '\n';
-      emit buf)
-    fs
+  for i = 0 to n - 1 do
+    Buffer.clear buf;
+    add_finding_json buf a.(i);
+    Buffer.add_char buf '\n';
+    emit buf
+  done
 
 let journal () =
   let out = Buffer.create 4096 in

@@ -79,8 +79,29 @@ val collect : (unit -> 'a) -> 'a * finding list
 val reset : unit -> unit
 
 (** The journal in canonical order: sorted by (kind, analysis, location,
-    message, id), deduplicated by id.  This is the export order. *)
+    message, id), each compared with [String.compare] and a location as
+    its [Loc.to_string] (["-"] for none), then deduplicated by id.  This
+    is the export order.  The sort is stable over record order, so of
+    equal findings the first recorded is kept.  Dedup compares
+    neighbours: equal content means an equal id and an equal sort key,
+    so duplicates sort next to each other.  Two different contents
+    whose 64-bit ids collide are both kept (unless their other key
+    fields tie too), where a table of seen ids would have dropped the
+    later one.
+
+    The first export after a {!record} sorts the journal in place and
+    keeps it sorted; until the next {!record} or {!reset}, [findings],
+    {!find}, {!journal} and {!write_journal} walk it without sorting
+    again.  The export allocates the output list, one copy of the
+    journal's array and the sort's merge buffer, and nothing per
+    comparison. *)
 val findings : unit -> finding list
+
+(** [compare_loc a b] orders [a] and [b] exactly as [String.compare]
+    orders [Loc.to_string a] and [Loc.to_string b], without building
+    either string: line 10 sorts before line 9, and file ["a.c"] sorts
+    after ["a.c.x"] because ':' sorts after '.'. *)
+val compare_loc : Cfront.Loc.t -> Cfront.Loc.t -> int
 
 (** Look up by exact id, or by a unique id prefix of at least 4
     characters.  [Error] explains the failure (unknown / ambiguous). *)

@@ -91,7 +91,7 @@ let test_id_pinned () =
   List.iter (fun (what, id, f) -> Alcotest.(check string) what id f.P.f_id) cases
 
 (* ------------------------------------------------------------------ *)
-(* Differential: the streamed hash, keyed sort and buffered export    *)
+(* Differential: the streamed hash, in-place sort and buffered export *)
 (* against the straightforward versions they replaced                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -248,6 +248,45 @@ let prop_journal_matches_oracle =
         QCheck.Test.fail_reportf "journal bytes differ:\n%s" journal;
       true)
 
+(* [compare_loc] must order locations exactly as [String.compare]
+   orders their strings.  File names come from bytes on both sides of
+   ':' ('.', '/', '-', digits, ';', '~'), ':' itself and bytes >= 0x80,
+   and the second name is often a prefix or an extension of the first.
+   Lines and columns mix the digit-length boundaries (9/10, 99/100),
+   0, large values and a rare negative one. *)
+let gen_loc_pair =
+  let open QCheck.Gen in
+  let byte = oneofl [ 'a'; 'c'; '.'; '/'; '-'; '0'; '9'; ':'; ';'; '~'; '\x80'; '\xff' ] in
+  let name = string_size ~gen:byte (int_range 0 4) in
+  let related a =
+    oneof
+      [ return a;
+        map (fun s -> a ^ s) name;
+        map (fun k -> String.sub a 0 (min k (String.length a))) (int_range 0 4);
+        name ]
+  in
+  let num =
+    oneof
+      [ oneofl [ 0; 1; 9; 10; 11; 99; 100; 101; 12345; max_int; -1 ];
+        int_range 0 1_000_000 ]
+  in
+  let* fa = name in
+  let* fb = related fa in
+  let* la = num and* ca = num in
+  let* lb = oneof [ return la; num ] and* cb = oneof [ return ca; num ] in
+  return (loc fa la ca, loc fb lb cb)
+
+let prop_compare_loc =
+  QCheck.Test.make ~name:"compare_loc orders as String.compare of to_string" ~count:3000
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Printf.sprintf "%S vs %S" (Cfront.Loc.to_string a) (Cfront.Loc.to_string b))
+       gen_loc_pair)
+    (fun (a, b) ->
+      let sign c = compare c 0 in
+      sign (P.compare_loc a b)
+      = sign (String.compare (Cfront.Loc.to_string a) (Cfront.Loc.to_string b)))
+
 (* ------------------------------------------------------------------ *)
 (* Sink: collect / record / dedup / canonical order                    *)
 (* ------------------------------------------------------------------ *)
@@ -323,6 +362,56 @@ let test_record_counter () =
   List.iter P.record outer;
   Alcotest.(check int) "it counts once on reaching the journal" 1
     (Telemetry.counter "provenance.findings.dataflow");
+  P.reset ()
+
+(* A location against none ("-" in the sort key): names that start
+   with bytes below, at and above '-', and the empty name, whose string
+   starts with ':'. *)
+let test_location_order_edges () =
+  P.reset ();
+  let fs =
+    List.map
+      (fun l -> mk ?loc:l ~kind:"misra" ~analysis:"9.1" "same")
+      [ Some (loc "b.c" 1 1); None; Some (loc "-" 1 1); Some (loc "-x.c" 2 3);
+        Some (loc "," 1 1); Some (loc "" 1 1); Some (loc "." 9 9);
+        Some (loc "a.c" 10 1); Some (loc "a.c" 9 1); Some (loc "a.c.x" 1 1) ]
+  in
+  List.iter P.record fs;
+  Alcotest.(check (list string)) "export order = oracle order"
+    (List.map (fun f -> f.P.f_id) (Oracle.findings fs))
+    (List.map (fun f -> f.P.f_id) (P.findings ()));
+  P.reset ()
+
+(* The first export sorts the sink in place; the next one, with nothing
+   recorded since, returns the same findings ("export allocation per
+   finding" shows that it sorts nothing), and a later record lands in
+   canonical position on the export after it. *)
+let test_export_once () =
+  P.reset ();
+  let early = mk ~kind:"misra" ~analysis:"9.1" ~loc:(loc "b.c" 9 1) "late key" in
+  let fs =
+    [ early;
+      mk ~kind:"dataflow" ~analysis:"dead-store" ~loc:(loc "a.c" 10 2) "x";
+      mk ~kind:"coverage" ~analysis:"coverage-gap" "gap";
+      mk ~kind:"misra" ~analysis:"9.1" ~loc:(loc "a.c" 1 1) "first key" ]
+  in
+  List.iter P.record fs;
+  let first = P.findings () in
+  let second = P.findings () in
+  Alcotest.(check bool) "second export: the same physical findings" true
+    (List.length first = List.length second && List.for_all2 ( == ) first second);
+  Alcotest.(check string) "journal of the canonical sink"
+    (Oracle.journal (Oracle.findings fs)) (P.journal ());
+  let extra = mk ~kind:"misra" ~analysis:"10.3" ~loc:(loc "a.c" 2 1) "between" in
+  let dup = mk ~kind:"misra" ~analysis:"9.1" ~loc:(loc "b.c" 9 1) "late key" in
+  P.record extra;
+  P.record dup;
+  let last = P.findings () in
+  let want = Oracle.findings (fs @ [ extra; dup ]) in
+  Alcotest.(check bool) "record after export: canonical, first recorded kept" true
+    (List.length last = List.length want && List.for_all2 ( == ) last want);
+  Alcotest.(check bool) "the duplicate recorded later is dropped" true
+    (List.memq early last && not (List.memq dup last));
   P.reset ()
 
 let test_find () =
@@ -578,17 +667,107 @@ let test_audit_round_trip () =
       ~observations:audit.Iso26262.Audit.observations
       audit.Iso26262.Audit.metrics
   in
-  let linked =
-    List.concat_map
-      (fun r -> r.Iso26262.Traceability.te_findings)
-      matrix
+  (* Each row keeps its first three ids and a count.  The oracle filters
+     the journal directly with the row's (kind, analysis prefix)
+     selectors, written out here independently of the library's. *)
+  let selectors (r : Iso26262.Traceability.tool_evidence) =
+    match r.Iso26262.Traceability.te_analysis with
+    | "callgraph + interproc SCC condensation" ->
+      [ ("interproc", "recursion-cycle"); ("misra", "17.2") ]
+    | "interproc bottom-up stack bound" -> [ ("interproc", "unbounded-depth") ]
+    | "interproc global coupling matrix" -> [ ("metric", "T3.") ]
+    | "interproc definite assignment (IP-1)" ->
+      [ ("interproc", "cross-call-uninit"); ("misra", "IP-1") ]
+    | "callgraph resolution accounting" -> []
+    | row -> (
+      match Scanf.sscanf_opt row "observation %d%!" Fun.id with
+      | Some 1 -> [ ("metric", "T1.1") ]
+      | Some 2 -> [ ("misra", ""); ("dataflow", "") ]
+      | Some (3 | 4) -> [ ("misra", "CUDA-") ]
+      | Some 5 -> [ ("metric", "T1.3") ]
+      | Some 6 -> [ ("metric", "T1.4") ]
+      | Some 7 -> [ ("metric", "T8.5") ]
+      | Some 8 -> [ ("metric", "T1.7") ]
+      | Some 9 -> [ ("metric", "T1.8") ]
+      | Some (10 | 11) -> [ ("coverage", "") ]
+      | Some 13 -> [ ("metric", "T3.") ]
+      | Some 14 -> [ ("metric", "T8."); ("interproc", "") ]
+      | Some _ -> []
+      | None -> Alcotest.failf "unexpected matrix row %S" row)
   in
-  Alcotest.(check bool) "matrix links at least one finding" true (linked <> []);
+  let linked = ref 0 in
   List.iter
-    (fun id ->
-      if not (Hashtbl.mem ids id) then
-        Alcotest.failf "matrix links %s, absent from the journal" id)
-    linked
+    (fun (r : Iso26262.Traceability.tool_evidence) ->
+      let sel = selectors r in
+      let want =
+        List.filter
+          (fun f ->
+            List.exists
+              (fun (kind, prefix) ->
+                f.P.f_kind = kind && String.starts_with ~prefix f.P.f_analysis)
+              sel)
+          fs
+      in
+      let what = r.Iso26262.Traceability.te_analysis in
+      Alcotest.(check int) (what ^ ": count = direct filter") (List.length want)
+        r.Iso26262.Traceability.te_count;
+      Alcotest.(check (list string)) (what ^ ": first three ids shown")
+        (List.filteri (fun i _ -> i < 3) (List.map (fun f -> f.P.f_id) want))
+        r.Iso26262.Traceability.te_shown;
+      List.iter
+        (fun id ->
+          if not (Hashtbl.mem ids id) then
+            Alcotest.failf "matrix links %s, absent from the journal" id)
+        r.Iso26262.Traceability.te_shown;
+      linked := !linked + r.Iso26262.Traceability.te_count)
+    matrix;
+  Alcotest.(check bool) "matrix links at least one finding" true (!linked > 0)
+
+(* Words allocated by [f ()]: minor-heap words plus words allocated
+   directly in the major heap (major words minus promoted ones).  The
+   minor count is [Gc.minor_words], not the first component of
+   [Gc.counters]: on OCaml 5.1 that one undercounts the words still in
+   the minor heap. *)
+let allocated_words f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let v = f () in
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  (v, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* The export's allocation, per finding: the output list is 3 words,
+   the sorted copy of the sink 1, the merge buffer 1/2, and the
+   closures [Array.stable_sort] makes per merge about 2 more (6.8 in
+   all on OCaml 5.1), so the budget of 8 leaves no room for per-finding
+   keys: a sort over keyed copies (a location string per finding, a key
+   record, list cells, a table of seen ids) spends several times that.
+   A second export sorts nothing and allocates only its list. *)
+let test_export_allocation () =
+  let _, audit = Lazy.force oracle in
+  let journal = Array.of_list audit.Iso26262.Audit.journal in
+  let n = Array.length journal in
+  Alcotest.(check int) "the small seed-2019 journal" 10_585 n;
+  (* recorded in a seeded shuffle, so the export has real sorting to do *)
+  let rng = Random.State.make [| 2019 |] in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = journal.(i) in
+    journal.(i) <- journal.(j);
+    journal.(j) <- t
+  done;
+  P.reset ();
+  Array.iter P.record journal;
+  let first, first_words = allocated_words P.findings in
+  let _, second_words = allocated_words P.findings in
+  P.reset ();
+  Alcotest.(check bool) "export = the audit's journal" true
+    (List.length first = n && List.for_all2 ( == ) first audit.Iso26262.Audit.journal);
+  let per_finding w = w /. float_of_int n in
+  if per_finding first_words > 8. then
+    Alcotest.failf "first export allocated %.0f words, %.2f per finding (budget 8)"
+      first_words (per_finding first_words);
+  if second_words > float_of_int (3 * n + 256) then
+    Alcotest.failf "second export allocated %.0f words, %.2f per finding (the list is 3)"
+      second_words (per_finding second_words)
 
 let check_journal_identical ~jobs =
   let oracle_journal, _ = Lazy.force oracle in
@@ -651,6 +830,7 @@ let () =
             test_id_content_sensitive;
           Alcotest.test_case "pinned ids" `Quick test_id_pinned;
           QCheck_alcotest.to_alcotest prop_journal_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_compare_loc;
         ] );
       ( "sink",
         [
@@ -658,6 +838,9 @@ let () =
           Alcotest.test_case "canonical export order" `Quick
             test_canonical_order;
           Alcotest.test_case "find by id and prefix" `Quick test_find;
+          Alcotest.test_case "location order edges" `Quick
+            test_location_order_edges;
+          Alcotest.test_case "export sorts once" `Quick test_export_once;
           Alcotest.test_case "per-kind counter" `Quick test_record_counter;
         ] );
       ( "export",
@@ -678,6 +861,8 @@ let () =
         [
           Alcotest.test_case "round-trip: every finding explains" `Slow
             test_audit_round_trip;
+          Alcotest.test_case "export allocation per finding" `Slow
+            test_export_allocation;
           Alcotest.test_case "journal identical at jobs=2" `Slow
             test_journal_jobs2;
           Alcotest.test_case "journal identical at jobs=8" `Slow
