@@ -134,7 +134,10 @@ check-coverage: build
 # locked too: `adcheck misra --scale small --seed 7` must print
 # test/golden/misra-small-7.txt, and its journal's findings must be the
 # seed-7 audit journal's findings without the coverage and metric ones
-# (both get their rule context from the same producer).
+# (both get their rule context from the same producer).  The same run
+# at --jobs 8 must print the same report and write the same journal
+# byte for byte: the parallel unit of MISRA is a chunk of functions of
+# the shared walk as well as a rule.
 check-report: build
 	for s in 7 2019; do \
 	  dune exec bin/adcheck.exe -- audit --scale small --seed $$s \
@@ -143,10 +146,15 @@ check-report: build
 	  diff test/golden/audit-small-$$s.txt _build/check-report-$$s.out || exit 1; \
 	done
 	sha256sum -c test/golden/audit-small-evidence.sha256
-	dune exec bin/adcheck.exe -- misra --scale small --seed 7 \
+	dune exec bin/adcheck.exe -- misra --scale small --seed 7 --jobs 1 \
 	  --evidence _build/check-report-misra-7.jsonl \
 	  > _build/check-report-misra-7.out
 	diff test/golden/misra-small-7.txt _build/check-report-misra-7.out
+	dune exec bin/adcheck.exe -- misra --scale small --seed 7 --jobs 8 \
+	  --evidence _build/check-report-misra-7-j8.jsonl \
+	  > _build/check-report-misra-7-j8.out
+	cmp _build/check-report-misra-7.out _build/check-report-misra-7-j8.out
+	cmp _build/check-report-misra-7.jsonl _build/check-report-misra-7-j8.jsonl
 	tail -n +2 _build/check-report-evidence-7.jsonl \
 	  | grep -v -E '^\{"id":"[^"]*","kind":"(coverage|metric)"' \
 	  > _build/check-report-audit-7.findings

@@ -302,6 +302,14 @@ let store_in t ~owner ~kind ~key v =
 let store t ?(owner = "") ~kind ~key v =
   match t with Null -> () | Dir d -> store_in d ~owner ~kind ~key v
 
+let store_each t ?(owner = "") ~kind ~key iter =
+  match t with
+  | Null -> iter ignore
+  | Dir d ->
+    let kept = ref [] in
+    iter (fun x -> kept := x :: !kept);
+    store_in d ~owner ~kind ~key (List.rev !kept)
+
 let memo t ~kind ~key f =
   match find t ~kind ~key with
   | Some v -> v

@@ -90,7 +90,9 @@ let no_interproc () =
     n_sccs = 0; n_levels = 0; max_call_depth = Finite 0; max_stack_words = Finite 0;
     coupling = []; uninit_flows = []; globals_total = 0 }
 
-(* The core metric walk: every field but [misra], read off [ctx]. *)
+(* The core metric walk: every field but [misra], read off [ctx].  The
+   casts, dynamic allocations and ignored returns are the context's
+   records, which rules 10.3, 21.3 and 17.7 read too. *)
 let core ~(ctx : Misra.Rule.context) ~module_dataflow (parsed : Cfront.Project.parsed) =
   let graph = ctx.Misra.Rule.interproc.Interproc.Summary.graph in
   let module_names = Cfront.Project.module_names parsed.Cfront.Project.project in
@@ -141,7 +143,7 @@ let core ~(ctx : Misra.Rule.context) ~module_dataflow (parsed : Cfront.Project.p
       module_names
   in
   let all_fns = Cfront.Project.all_functions parsed in
-  let casts = Metrics.Casts.of_functions all_fns in
+  let casts = ctx.Misra.Rule.casts in
   let shadowing = ctx.Misra.Rule.shadowing in
   let loc_all = sum_loc (fun _ -> true) in
   let style = Metrics.Style.of_files files in
@@ -169,12 +171,11 @@ let core ~(ctx : Misra.Rule.context) ~module_dataflow (parsed : Cfront.Project.p
            shadowing);
     gotos_total = sum (fun m -> m.gotos);
     recursive_functions = Cfront.Callgraph.recursive_functions graph;
-    dyn_alloc_sites = List.length (Metrics.Pointers.dyn_allocs_of_functions all_fns);
+    dyn_alloc_sites = List.length ctx.Misra.Rule.dyn_allocs;
     pointer_usage = Metrics.Pointers.usage_of_functions all_fns;
     multi_exit_frac = Metrics.Func_shape.multi_exit_fraction all_fns;
     param_validation_ratio = Metrics.Defensive.param_validation_ratio all_fns;
-    ignored_returns =
-      List.length (Metrics.Defensive.ignored_returns ~funcs:all_fns all_fns);
+    ignored_returns = List.length ctx.Misra.Rule.ignored_returns;
     assertions = Metrics.Defensive.assertion_count all_fns;
     style_findings = List.length style;
     style_per_kloc = Metrics.Style.per_kloc style loc_all;

@@ -40,7 +40,11 @@ let rec scalar_of_type = function
   | Cfront.Ast.Tconst t | Cfront.Ast.Tref t -> scalar_of_type t
   | _ -> Kother
 
-let env_of_func (fn : Cfront.Ast.func) =
+(** The scalar kind of each parameter and local of a function, by name
+    (the last declaration of a name wins). *)
+type env = (string, scalar) Hashtbl.t
+
+let env_of_func (fn : Cfront.Ast.func) : env =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun p -> Hashtbl.replace tbl p.Cfront.Ast.p_name (scalar_of_type p.Cfront.Ast.p_type))
@@ -59,7 +63,7 @@ let env_of_func (fn : Cfront.Ast.func) =
        body);
   tbl
 
-let rec infer env (e : Cfront.Ast.expr) =
+let rec infer (env : env) (e : Cfront.Ast.expr) =
   match e.Cfront.Ast.e with
   | Cfront.Ast.Int_const _ | Cfront.Ast.Char_const _ -> Kint
   | Cfront.Ast.Float_const _ -> Kfloat

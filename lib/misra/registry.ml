@@ -74,6 +74,13 @@ let lookup parsed =
 
 let all_hit l = List.for_all Option.is_some l.stored
 
+(* What became of a rule in one run: its stored findings, or the
+   violations its [check] or the shared walk found. *)
+type outcome = Stored of Provenance.finding list | Checked of Rule.violation list
+
+(* One task of a run: a rule on its own, or one chunk of the walk. *)
+type task = Rule_task of int | Walk_chunk of int
+
 let run_deferred ~rules ~lookup:{ store; content_key; stored } build =
   Telemetry.with_span ~cat:"misra" "misra"
     ~attrs:[ ("rules", string_of_int (List.length rules)) ]
@@ -84,65 +91,121 @@ let run_deferred ~rules ~lookup:{ store; content_key; stored } build =
       let ctx =
         if List.exists Option.is_none stored then Some (build ()) else None
       in
-      (* One task per rule (costs vary by orders of magnitude, so no
-         chunking); the context is shared read-only across domains and
-         results come back in registration order, making the report
-         identical at every --jobs value.  At --jobs 1 this is List.map,
-         per-rule spans included.  A rule's timing measures its check
-         alone. *)
-      let per_rule =
+      let rules = Array.of_list rules and stored = Array.of_list stored in
+      (* The visitor rules that missed share one walk per function. *)
+      let walked =
+        List.filter
+          (fun i -> stored.(i) = None && rules.(i).Rule.visit <> None)
+          (List.init (Array.length rules) Fun.id)
+      in
+      let walk =
+        Rule.plan
+          (Array.of_list (List.map (fun i -> Option.get rules.(i).Rule.visit) walked))
+      in
+      let fns =
+        match (ctx, walked) with
+        | Some ctx, _ :: _ -> Some (Rule.functions_of ctx)
+        | _ -> None
+      in
+      let n_chunks = Option.fold ~none:0 ~some:Rule.n_chunks fns in
+      (* One task per rule that is not walked (costs vary by orders of
+         magnitude) and one per chunk of the walk (a fixed number of
+         functions); the context is shared read-only across domains and
+         results come back in task order, making the report identical
+         at every --jobs value.  At --jobs 1 this is List.map, spans
+         included.  A rule task's timing measures its check alone.  The
+         chunks come last: run first, the GC work their allocation
+         leaves lands in the check rules' timed regions (DF-1's sample
+         grew by two thirds on the small corpus). *)
+      let tasks =
+        List.filter_map
+          (fun i -> if List.mem i walked then None else Some (Rule_task i))
+          (List.init (Array.length rules) Fun.id)
+        @ List.init n_chunks (fun c -> Walk_chunk c)
+      in
+      let results =
         Telemetry.parallel_map ~chunk_size:1
-          (fun ((r : Rule.t), hit) ->
-            let outcome =
-              Telemetry.with_span ~cat:"misra" ("misra.rule." ^ r.Rule.id)
-                (fun () ->
-                  (* timed region innermost so the measured ticks are the
-                     same whether the span is live (jobs=1) or suppressed
-                     on a worker (jobs>1) *)
-                  Telemetry.timed ("misra.rule_us." ^ r.Rule.id)
-                    (fun () ->
-                      match hit with
-                      | Some findings -> `Stored findings
-                      | None -> `Checked (r.Rule.check (Option.get ctx))))
-            in
-            let vs =
-              match outcome with
-              | `Stored findings -> List.map (violation_of_finding r) findings
-              | `Checked vs -> vs
-            in
-            Telemetry.add ("misra.violations." ^ r.Rule.id) (List.length vs);
-            Telemetry.observe "misra.rule_violations"
-              (float_of_int (List.length vs));
-            ((r, vs), outcome))
-          (List.combine rules stored)
+          (function
+            | Walk_chunk c ->
+              `Chunk
+                (Telemetry.with_span ~cat:"misra" "misra.walk" (fun () ->
+                     Rule.run_chunk walk (Option.get fns) c))
+            | Rule_task i ->
+              let r = rules.(i) in
+              `Rule
+                (i,
+                 Telemetry.with_span ~cat:"misra" ("misra.rule." ^ r.Rule.id) (fun () ->
+                     (* timed region innermost so the measured ticks are
+                        the same whether the span is live (jobs=1) or
+                        suppressed on a worker (jobs>1) *)
+                     Telemetry.timed ("misra.rule_us." ^ r.Rule.id) (fun () ->
+                         match stored.(i) with
+                         | Some findings -> Stored findings
+                         | None -> Checked (r.Rule.check (Option.get ctx))))))
+          tasks
+      in
+      let outcomes = Array.make (Array.length rules) (Checked []) in
+      let chunks = ref [] in
+      List.iter
+        (function
+          | `Rule (i, o) -> outcomes.(i) <- o
+          | `Chunk c -> chunks := c :: !chunks)
+        results;
+      let chunks = List.rev !chunks in
+      (* A walked rule's violations are its chunks' in order, and its
+         one timing sample is the sum of its handlers' and [finish]'s
+         time over the chunks. *)
+      List.iteri
+        (fun k i ->
+          Telemetry.observe ("misra.rule_us." ^ rules.(i).Rule.id)
+            (List.fold_left (fun t (_, elapsed) -> t +. elapsed.(k)) 0.0 chunks);
+          outcomes.(i) <- Checked (List.concat_map (fun (found, _) -> found.(k)) chunks))
+        walked;
+      let per_rule =
+        Array.to_list
+          (Array.mapi
+             (fun i (r : Rule.t) ->
+               let vs =
+                 match outcomes.(i) with
+                 | Stored findings -> List.map (violation_of_finding r) findings
+                 | Checked vs -> vs
+               in
+               Telemetry.add ("misra.violations." ^ r.Rule.id) (List.length vs);
+               Telemetry.observe "misra.rule_violations" (float_of_int (List.length vs));
+               (r, vs))
+             rules)
       in
       (* Journal on the calling domain in registration order, so the
          journal is identical at every --jobs value.  A missed rule's
-         findings are made here and stored once journaled, one rule at
-         a time, so no rule's list outlives its turn. *)
-      List.iter
-        (fun (((r : Rule.t), _), outcome) ->
-          match outcome with
-          | `Stored findings -> List.iter Provenance.record findings
-          | `Checked vs ->
+         findings are made and journaled one at a time; only a real
+         store keeps them, as the rule's artifact. *)
+      List.iteri
+        (fun i ((r : Rule.t), vs) ->
+          match outcomes.(i) with
+          | Stored findings -> List.iter Provenance.record findings
+          | Checked _ ->
             let rule_step = rule_step r in
-            let findings = List.map (finding_of_violation ~rule_step r) vs in
-            List.iter Provenance.record findings;
-            Cache.store store ~kind:"misra" ~key:(rule_key r content_key) findings)
+            Cache.store_each store ~kind:"misra" ~key:(rule_key r content_key)
+              (fun keep ->
+                List.iter
+                  (fun v ->
+                    let f = finding_of_violation ~rule_step r v in
+                    Provenance.record f;
+                    keep f)
+                  vs))
         per_rule;
-      let per_rule = List.map fst per_rule in
       let total_violations =
         Util.Stats.sum_int (List.map (fun (_, vs) -> List.length vs) per_rule)
       in
       Telemetry.incr "misra.runs";
-      Telemetry.add "misra.rules_checked" (List.length rules);
+      Telemetry.add "misra.rules_checked" (Array.length rules);
       Telemetry.add "misra.violations" total_violations;
       {
         per_rule;
         total_violations;
         rules_violated =
           List.length (List.filter (fun (_, vs) -> vs <> []) per_rule);
-        rules_checked = List.length rules;
+        rules_checked = Array.length rules;
       })
 
 let run_project ?lookup:l ?context parsed =

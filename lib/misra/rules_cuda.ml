@@ -18,44 +18,49 @@ let device_fns ctx = List.filter is_device ctx.Rule.functions
 
 (* CUDA-1: a kernel that derives an index from threadIdx/blockIdx shall
    guard global-memory accesses with a bound check. *)
+type guard = {
+  g_info : Rule.fn_info;
+  kernel : bool;
+  mutable uses_thread_idx : bool;
+  mutable has_guard : bool;
+}
+
 let cuda_1 =
-  Rule.make ~id:"CUDA-1" ~title:"kernels shall bound-check thread indices"
-    ~category:Rule.Required (fun ctx ->
-      List.filter_map
-        (fun fn ->
-          let uses_thread_idx = ref false in
-          let has_guard = ref false in
-          Ast.iter_exprs_of_func
-            (fun e ->
-              match e.Ast.e with
-              | Ast.Member { obj = { e = Ast.Id ("threadIdx" | "blockIdx"); _ }; _ } ->
-                uses_thread_idx := true
-              | _ -> ())
-            fn;
-          (match fn.Ast.f_body with
-           | None -> ()
-           | Some body ->
-             Ast.iter_stmts
-               (fun s ->
-                 match s.Ast.s with
-                 | Ast.Sif { cond; _ } ->
-                   (* any comparison in an if counts as a guard *)
-                   Ast.iter_exprs_of_expr
-                     (fun e ->
-                       match e.Ast.e with
-                       | Ast.Binary ((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), _, _) ->
-                         has_guard := true
-                       | _ -> ())
-                     cond
-                 | _ -> ())
-               body);
-          if !uses_thread_idx && not !has_guard then
-            Some
-              (Rule.v ~rule_id:"CUDA-1" ~loc:fn.Ast.f_loc
-                 "kernel %s indexes by thread id without a bound check"
-                 (Ast.qualified_name fn))
-          else None)
-        (kernels ctx))
+  Rule.visitor ~id:"CUDA-1" ~title:"kernels shall bound-check thread indices"
+    ~category:Rule.Required
+    (Rule.Visit
+       { stmts = [ `Sif ];
+         exprs = [ `Member ];
+         start =
+           (fun g_info ->
+             { g_info; kernel = is_kernel g_info.Rule.fn; uses_thread_idx = false;
+               has_guard = false });
+         stmt =
+           (fun g s ->
+             match s.Ast.s with
+             | Ast.Sif { cond; _ } when g.kernel ->
+               (* any comparison in an if counts as a guard *)
+               Ast.iter_exprs_of_expr
+                 (fun e ->
+                   match e.Ast.e with
+                   | Ast.Binary ((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), _, _) ->
+                     g.has_guard <- true
+                   | _ -> ())
+                 cond
+             | _ -> ());
+         expr =
+           (fun g e ->
+             match e.Ast.e with
+             | Ast.Member { obj = { e = Ast.Id ("threadIdx" | "blockIdx"); _ }; _ } ->
+               g.uses_thread_idx <- true
+             | _ -> ());
+         finish =
+           (fun g ->
+             if g.kernel && g.uses_thread_idx && not g.has_guard then
+               [ Rule.v ~rule_id:"CUDA-1" ~loc:g.g_info.Rule.fn.Ast.f_loc
+                   "kernel %s indexes by thread id without a bound check"
+                   (Rule.name g.g_info) ]
+             else []) })
 
 (* CUDA-2: no dynamic allocation inside device code. *)
 let cuda_2 =
@@ -83,21 +88,15 @@ let cuda_3 =
               (fun (f : Ast.func) -> f.Ast.f_body <> None)
               (Ast.functions_of_tu (Project.tu pf))
           in
-          let count name =
-            let n = ref 0 in
-            List.iter
-              (fun fn ->
-                Ast.iter_exprs_of_func
-                  (fun e ->
-                    match e.Ast.e with
-                    | Ast.Call ({ e = Ast.Id callee; _ }, _) when callee = name -> incr n
-                    | _ -> ())
-                  fn)
-              fns;
-            !n
-          in
-          let mallocs = count "cudaMalloc" in
-          let frees = count "cudaFree" in
+          let mallocs = ref 0 and frees = ref 0 in
+          List.iter
+            (Ast.iter_exprs_of_func (fun e ->
+                 match e.Ast.e with
+                 | Ast.Call ({ e = Ast.Id "cudaMalloc"; _ }, _) -> incr mallocs
+                 | Ast.Call ({ e = Ast.Id "cudaFree"; _ }, _) -> incr frees
+                 | _ -> ()))
+            fns;
+          let mallocs = !mallocs and frees = !frees in
           if mallocs > frees then
             [ Rule.v ~rule_id:"CUDA-3"
                 ~loc:(Loc.make ~file:(Project.tu pf).Ast.tu_file ~line:1 ~col:1)
@@ -108,41 +107,42 @@ let cuda_3 =
 
 (* CUDA-4: kernel launches shall check for errors (a cudaGetLastError or
    cudaDeviceSynchronize call shall follow a launch in the same function). *)
+type launches = { l_info : Rule.fn_info; mutable has_launch : bool; mutable has_check : bool }
+
 let cuda_4 =
-  Rule.make ~id:"CUDA-4" ~title:"kernel launches shall be error-checked"
-    ~category:Rule.Required (fun ctx ->
-      List.filter_map
-        (fun (fn : Ast.func) ->
-          let has_launch = ref false in
-          let has_check = ref false in
-          Ast.iter_exprs_of_func
-            (fun e ->
-              match e.Ast.e with
-              | Ast.Kernel_launch _ -> has_launch := true
-              | Ast.Call ({ e = Ast.Id ("cudaGetLastError" | "cudaDeviceSynchronize"
-                                       | "cudaPeekAtLastError"); _ }, _) ->
-                has_check := true
-              | _ -> ())
-            fn;
-          if !has_launch && not !has_check then
-            Some
-              (Rule.v ~rule_id:"CUDA-4" ~loc:fn.Ast.f_loc
-                 "%s launches kernels without error checking" (Ast.qualified_name fn))
-          else None)
-        ctx.Rule.functions)
+  Rule.visitor ~id:"CUDA-4" ~title:"kernel launches shall be error-checked"
+    ~category:Rule.Required
+    (Rule.Visit
+       { stmts = [];
+         exprs = [ `Kernel_launch; `Call ];
+         start = (fun l_info -> { l_info; has_launch = false; has_check = false });
+         stmt = (fun _ _ -> ());
+         expr =
+           (fun l e ->
+             match e.Ast.e with
+             | Ast.Kernel_launch _ -> l.has_launch <- true
+             | Ast.Call
+                 ({ e = Ast.Id ("cudaGetLastError" | "cudaDeviceSynchronize"
+                               | "cudaPeekAtLastError"); _ }, _) ->
+               l.has_check <- true
+             | _ -> ());
+         finish =
+           (fun l ->
+             if l.has_launch && not l.has_check then
+               [ Rule.v ~rule_id:"CUDA-4" ~loc:l.l_info.Rule.fn.Ast.f_loc
+                   "%s launches kernels without error checking" (Rule.name l.l_info) ]
+             else []) })
 
 (* CUDA-5: device functions shall not be recursive (stack depth on GPU is
    severely limited and unanalyzable). *)
 let cuda_5 =
   Rule.make ~id:"CUDA-5" ~title:"no recursion in device code"
     ~category:Rule.Mandatory (fun ctx ->
-      let recursive =
-        Callgraph.recursive_functions ctx.Rule.interproc.Interproc.Summary.graph
-      in
+      let recursive = Rules_functions.recursive_functions ctx in
       List.filter_map
         (fun fn ->
           let q = Ast.qualified_name fn in
-          if List.mem q recursive then
+          if Hashtbl.mem recursive q then
             Some (Rule.v ~rule_id:"CUDA-5" ~loc:fn.Ast.f_loc "device function %s is recursive" q)
           else None)
         (device_fns ctx))

@@ -4,158 +4,134 @@
 
 open Cfront
 
-let each_func (ctx : Rule.context) f = List.concat_map f ctx.Rule.functions
-
 (* 14.4: the controlling expression of if/while shall have essentially
    boolean type.  [if (n)] with an arithmetic n is flagged; comparisons,
    logical operators and bool-typed expressions pass. *)
 let r14_4 =
-  Rule.make ~id:"14.4" ~title:"controlling expressions shall be boolean"
-    ~category:Rule.Required (fun ctx ->
-      each_func ctx (fun fn ->
-          match fn.Ast.f_body with
-          | None -> []
-          | Some body ->
-            let env = Metrics.Casts.env_of_func fn in
-            let acc = ref [] in
-            let boolish (e : Ast.expr) =
-              match e.Ast.e with
-              | Ast.Binary ((Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Ne
-                            | Ast.Land | Ast.Lor), _, _)
-              | Ast.Unary (Ast.Lnot, _)
-              | Ast.Bool_const _ -> true
-              | _ -> Metrics.Casts.infer env e = Metrics.Casts.Kbool
-            in
-            Ast.iter_stmts
-              (fun s ->
-                let flag loc =
-                  acc :=
-                    Rule.v ~rule_id:"14.4" ~loc
-                      "non-boolean controlling expression in %s"
-                      (Ast.qualified_name fn)
-                    :: !acc
-                in
-                match s.Ast.s with
-                | Ast.Sif { cond; _ } when not (boolish cond) -> flag s.Ast.sloc
-                | Ast.Swhile (c, _) when not (boolish c) -> flag s.Ast.sloc
-                | Ast.Sdo_while (_, c) when not (boolish c) -> (
-                    (* tolerate the do-while-zero idiom *)
-                    match c.Ast.e with
-                    | Ast.Int_const 0L -> ()
-                    | _ -> flag s.Ast.sloc)
-                | _ -> ())
-              body;
-            List.rev !acc))
+  let boolish info (e : Ast.expr) =
+    match e.Ast.e with
+    | Ast.Binary ((Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Ne | Ast.Land
+                  | Ast.Lor), _, _)
+    | Ast.Unary (Ast.Lnot, _)
+    | Ast.Bool_const _ -> true
+    | _ -> Metrics.Casts.infer (Rule.env info) e = Metrics.Casts.Kbool
+  in
+  Rule.visitor ~id:"14.4" ~title:"controlling expressions shall be boolean"
+    ~category:Rule.Required
+    (Rule.collecting ~stmts:[ `Sif; `Swhile; `Sdo_while ]
+       ~stmt:(fun a s ->
+         let flag loc =
+           Rule.emit a
+             (Rule.v ~rule_id:"14.4" ~loc "non-boolean controlling expression in %s"
+                (Rule.name a.Rule.info))
+         in
+         match s.Ast.s with
+         | Ast.Sif { cond; _ } when not (boolish a.Rule.info cond) -> flag s.Ast.sloc
+         | Ast.Swhile (c, _) when not (boolish a.Rule.info c) -> flag s.Ast.sloc
+         | Ast.Sdo_while (_, c) when not (boolish a.Rule.info c) -> (
+             (* tolerate the do-while-zero idiom *)
+             match c.Ast.e with Ast.Int_const 0L -> () | _ -> flag s.Ast.sloc)
+         | _ -> ())
+       ())
 
-(* 16.2: a case label shall only appear directly within the switch body. *)
+(* 16.2: a case label shall only appear directly within the switch body.
+   A case or default label is nested when its nearest enclosing switch
+   has it somewhere other than at the top level of a compound body.  A
+   switch marks the labels of its own region that are nested (its
+   region stops at inner switches, which mark their own), and the
+   labels are reported as the walk reaches them. *)
+type cases = { c_found : Rule.found; nested : (int, unit) Hashtbl.t  (** by [sid] *) }
+
 let r16_2 =
-  Rule.make ~id:"16.2" ~title:"case labels only at the top level of a switch"
-    ~category:Rule.Required (fun ctx ->
-      each_func ctx (fun fn ->
-          match fn.Ast.f_body with
-          | None -> []
-          | Some body ->
-            let acc = ref [] in
-            (* walk: any Scase/Sdefault reached through a non-switch
-               compound inside a switch body is nested *)
-            let rec walk ~depth_in_switch (s : Ast.stmt) =
-              match s.Ast.s with
-              | Ast.Sswitch (_, sw_body) -> (
-                  match sw_body.Ast.s with
-                  | Ast.Sblock ss ->
-                    List.iter
-                      (fun t ->
-                        match t.Ast.s with
-                        | Ast.Scase _ | Ast.Sdefault -> ()
-                        | _ -> walk ~depth_in_switch:true t)
-                      ss
-                  | _ -> walk ~depth_in_switch:true sw_body)
-              | Ast.Scase _ | Ast.Sdefault when depth_in_switch ->
-                acc :=
-                  Rule.v ~rule_id:"16.2" ~loc:s.Ast.sloc
-                    "nested case label in %s" (Ast.qualified_name fn)
-                  :: !acc
-              | Ast.Sblock ss -> List.iter (walk ~depth_in_switch) ss
-              | Ast.Sif { then_; else_; _ } ->
-                walk ~depth_in_switch then_;
-                Option.iter (walk ~depth_in_switch) else_
-              | Ast.Swhile (_, b) | Ast.Sdo_while (b, _) | Ast.Sfor { body = b; _ }
-              | Ast.Slabel (_, b) ->
-                walk ~depth_in_switch b
-              | Ast.Stry { body = b; catches } ->
-                walk ~depth_in_switch b;
-                List.iter (fun (_, h) -> walk ~depth_in_switch h) catches
-              | _ -> ()
-            in
-            walk ~depth_in_switch:false body;
-            List.rev !acc))
+  let rec mark nested (s : Ast.stmt) =
+    match s.Ast.s with
+    | Ast.Sswitch _ -> ()
+    | Ast.Scase _ | Ast.Sdefault -> Hashtbl.replace nested s.Ast.sid ()
+    | Ast.Sblock ss -> List.iter (mark nested) ss
+    | Ast.Sif { then_; else_; _ } ->
+      mark nested then_;
+      Option.iter (mark nested) else_
+    | Ast.Swhile (_, b) | Ast.Sdo_while (b, _) | Ast.Sfor { body = b; _ } | Ast.Slabel (_, b) ->
+      mark nested b
+    | Ast.Stry { body = b; catches } ->
+      mark nested b;
+      List.iter (fun (_, h) -> mark nested h) catches
+    | _ -> ()
+  in
+  Rule.visitor ~id:"16.2" ~title:"case labels only at the top level of a switch"
+    ~category:Rule.Required
+    (Rule.Visit
+       { stmts = [ `Sswitch; `Scase; `Sdefault ];
+         exprs = [];
+         start = (fun info -> { c_found = { Rule.info; found = [] }; nested = Hashtbl.create 4 });
+         stmt =
+           (fun c s ->
+             match s.Ast.s with
+             | Ast.Sswitch (_, { s = Ast.Sblock ss; _ }) ->
+               List.iter
+                 (fun t ->
+                   match t.Ast.s with
+                   | Ast.Scase _ | Ast.Sdefault -> ()
+                   | _ -> mark c.nested t)
+                 ss
+             | Ast.Sswitch (_, sw_body) -> mark c.nested sw_body
+             | _ ->
+               if Hashtbl.mem c.nested s.Ast.sid then
+                 Rule.emit c.c_found
+                   (Rule.v ~rule_id:"16.2" ~loc:s.Ast.sloc "nested case label in %s"
+                      (Rule.name c.c_found.Rule.info)));
+         expr = (fun _ _ -> ());
+         finish = (fun c -> List.rev c.c_found.Rule.found) })
 
 (* 16.5: a default label shall appear as the first or the last switch
    clause. *)
 let r16_5 =
-  Rule.make ~id:"16.5" ~title:"default shall be first or last switch clause"
-    ~category:Rule.Required (fun ctx ->
-      each_func ctx (fun fn ->
-          match fn.Ast.f_body with
-          | None -> []
-          | Some body ->
-            let acc = ref [] in
-            Ast.iter_stmts
-              (fun s ->
-                match s.Ast.s with
-                | Ast.Sswitch (_, { s = Ast.Sblock stmts; _ }) ->
-                  let labels =
-                    List.filter_map
-                      (fun t ->
-                        match t.Ast.s with
-                        | Ast.Scase _ -> Some (`Case, t.Ast.sloc)
-                        | Ast.Sdefault -> Some (`Default, t.Ast.sloc)
-                        | _ -> None)
-                      stmts
-                  in
-                  (match labels with
-                   | [] -> ()
-                   | _ ->
-                     List.iteri
-                       (fun i (kind, loc) ->
-                         if kind = `Default && i <> 0 && i <> List.length labels - 1
-                         then
-                           acc :=
-                             Rule.v ~rule_id:"16.5" ~loc
-                               "default label in the middle of a switch in %s"
-                               (Ast.qualified_name fn)
-                             :: !acc)
-                       labels)
-                | _ -> ())
-              body;
-            List.rev !acc))
+  Rule.visitor ~id:"16.5" ~title:"default shall be first or last switch clause"
+    ~category:Rule.Required
+    (Rule.collecting ~stmts:[ `Sswitch ]
+       ~stmt:(fun a s ->
+         match s.Ast.s with
+         | Ast.Sswitch (_, { s = Ast.Sblock stmts; _ }) ->
+           let labels =
+             List.filter_map
+               (fun t ->
+                 match t.Ast.s with
+                 | Ast.Scase _ -> Some (`Case, t.Ast.sloc)
+                 | Ast.Sdefault -> Some (`Default, t.Ast.sloc)
+                 | _ -> None)
+               stmts
+           in
+           let last = List.length labels - 1 in
+           List.iteri
+             (fun i (kind, loc) ->
+               if kind = `Default && i <> 0 && i <> last then
+                 Rule.emit a
+                   (Rule.v ~rule_id:"16.5" ~loc
+                      "default label in the middle of a switch in %s"
+                      (Rule.name a.Rule.info)))
+             labels
+         | _ -> ())
+       ())
 
 (* 16.7: the switch expression shall not be essentially boolean. *)
 let r16_7 =
-  Rule.make ~id:"16.7" ~title:"switch expression shall not be boolean"
-    ~category:Rule.Required (fun ctx ->
-      each_func ctx (fun fn ->
-          match fn.Ast.f_body with
-          | None -> []
-          | Some body ->
-            let acc = ref [] in
-            Ast.iter_stmts
-              (fun s ->
-                match s.Ast.s with
-                | Ast.Sswitch (e, _) -> (
-                    match e.Ast.e with
-                    | Ast.Binary ((Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Ne
-                                  | Ast.Land | Ast.Lor), _, _)
-                    | Ast.Unary (Ast.Lnot, _)
-                    | Ast.Bool_const _ ->
-                      acc :=
-                        Rule.v ~rule_id:"16.7" ~loc:s.Ast.sloc
-                          "boolean switch expression in %s" (Ast.qualified_name fn)
-                        :: !acc
-                    | _ -> ())
-                | _ -> ())
-              body;
-            List.rev !acc))
+  Rule.visitor ~id:"16.7" ~title:"switch expression shall not be boolean"
+    ~category:Rule.Required
+    (Rule.collecting ~stmts:[ `Sswitch ]
+       ~stmt:(fun a s ->
+         match s.Ast.s with
+         | Ast.Sswitch (e, _) -> (
+             match e.Ast.e with
+             | Ast.Binary ((Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Ne
+                           | Ast.Land | Ast.Lor), _, _)
+             | Ast.Unary (Ast.Lnot, _)
+             | Ast.Bool_const _ ->
+               Rule.emit a
+                 (Rule.v ~rule_id:"16.7" ~loc:s.Ast.sloc "boolean switch expression in %s"
+                    (Rule.name a.Rule.info))
+             | _ -> ())
+         | _ -> ())
+       ())
 
 (* 17.4: all exit paths of a non-void function shall return a value —
    approximated: the function body may fall off the end. *)
@@ -217,61 +193,40 @@ let r17_4 =
 (* 18.4: the +, -, += and -= operators shall not be applied to pointer
    operands. *)
 let r18_4 =
-  Rule.make ~id:"18.4" ~title:"no pointer arithmetic with +/-"
-    ~category:Rule.Advisory (fun ctx ->
-      each_func ctx (fun fn ->
-          let env = Metrics.Casts.env_of_func fn in
-          let acc = ref [] in
-          let is_ptr e = Metrics.Casts.infer env e = Metrics.Casts.Kptr in
-          Ast.iter_exprs_of_func
-            (fun e ->
-              match e.Ast.e with
-              | Ast.Binary ((Ast.Add | Ast.Sub), a, b) when is_ptr a || is_ptr b -> (
-                  (* string literals and null are not flagged *)
-                  match (a.Ast.e, b.Ast.e) with
-                  | (Ast.Str_const _ | Ast.Nullptr), _ | _, (Ast.Str_const _ | Ast.Nullptr) -> ()
-                  | _ ->
-                    acc :=
-                      Rule.v ~rule_id:"18.4" ~loc:e.Ast.eloc
-                        "pointer arithmetic in %s" (Ast.qualified_name fn)
-                      :: !acc)
-              | Ast.Assign ((Ast.A_add | Ast.A_sub), lhs, _) when is_ptr lhs ->
-                acc :=
-                  Rule.v ~rule_id:"18.4" ~loc:e.Ast.eloc
-                    "pointer compound assignment in %s" (Ast.qualified_name fn)
-                  :: !acc
-              | _ -> ())
-            fn;
-          List.rev !acc))
+  let is_ptr info e = Metrics.Casts.infer (Rule.env info) e = Metrics.Casts.Kptr in
+  Rule.visitor ~id:"18.4" ~title:"no pointer arithmetic with +/-"
+    ~category:Rule.Advisory
+    (Rule.collecting ~exprs:[ `Binary; `Assign ]
+       ~expr:(fun a e ->
+         match e.Ast.e with
+         | Ast.Binary ((Ast.Add | Ast.Sub), x, y)
+           when is_ptr a.Rule.info x || is_ptr a.Rule.info y -> (
+             (* string literals and null are not flagged *)
+             match (x.Ast.e, y.Ast.e) with
+             | (Ast.Str_const _ | Ast.Nullptr), _ | _, (Ast.Str_const _ | Ast.Nullptr) -> ()
+             | _ ->
+               Rule.emit a
+                 (Rule.v ~rule_id:"18.4" ~loc:e.Ast.eloc "pointer arithmetic in %s"
+                    (Rule.name a.Rule.info)))
+         | Ast.Assign ((Ast.A_add | Ast.A_sub), lhs, _) when is_ptr a.Rule.info lhs ->
+           Rule.emit a
+             (Rule.v ~rule_id:"18.4" ~loc:e.Ast.eloc "pointer compound assignment in %s"
+                (Rule.name a.Rule.info))
+         | _ -> ())
+       ())
 
 (* 21.7 / 21.9 / 21.10: banned stdlib families. *)
-let banned_call ~rule_id ~title ~names =
-  Rule.make ~id:rule_id ~title ~category:Rule.Required (fun ctx ->
-      each_func ctx (fun fn ->
-          let acc = ref [] in
-          Ast.iter_exprs_of_func
-            (fun e ->
-              match e.Ast.e with
-              | Ast.Call ({ e = Ast.Id name; _ }, _) when List.mem name names ->
-                acc :=
-                  Rule.v ~rule_id ~loc:e.Ast.eloc "%s called in %s" name
-                    (Ast.qualified_name fn)
-                  :: !acc
-              | _ -> ())
-            fn;
-          List.rev !acc))
-
 let r21_7 =
-  banned_call ~rule_id:"21.7" ~title:"atof/atoi/atol shall not be used"
-    ~names:[ "atof"; "atoi"; "atol"; "atoll" ]
+  Rules_functions.banned_call ~rule_id:"21.7" ~title:"atof/atoi/atol shall not be used"
+    [ "atof"; "atoi"; "atol"; "atoll" ]
 
 let r21_9 =
-  banned_call ~rule_id:"21.9" ~title:"bsearch and qsort shall not be used"
-    ~names:[ "bsearch"; "qsort" ]
+  Rules_functions.banned_call ~rule_id:"21.9" ~title:"bsearch and qsort shall not be used"
+    [ "bsearch"; "qsort" ]
 
 let r21_10 =
-  banned_call ~rule_id:"21.10" ~title:"date/time library shall not be used"
-    ~names:[ "time"; "clock"; "gettimeofday"; "localtime"; "mktime" ]
+  Rules_functions.banned_call ~rule_id:"21.10" ~title:"date/time library shall not be used"
+    [ "time"; "clock"; "gettimeofday"; "localtime"; "mktime" ]
 
 (* 8.2: function parameters shall be named in definitions. *)
 let r8_2 =

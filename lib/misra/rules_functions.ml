@@ -2,40 +2,45 @@
 
 open Cfront
 
-let each_func (ctx : Rule.context) f = List.concat_map f ctx.Rule.functions
-
 (* 17.1: the features of <stdarg.h> shall not be used. *)
+type variadic = { va_info : Rule.fn_info; mutable uses_va : bool }
+
 let r17_1 =
-  Rule.make ~id:"17.1" ~title:"no variadic functions" ~category:Rule.Required
-    (fun ctx ->
-      List.concat_map
-        (fun (fn : Ast.func) ->
-          let variadic =
-            List.exists (fun p -> p.Ast.p_name = "...") fn.Ast.f_params
-          in
-          let uses_va =
-            let found = ref false in
-            Ast.iter_exprs_of_func
-              (fun e ->
-                match e.Ast.e with
-                | Ast.Call ({ e = Ast.Id ("va_start" | "va_arg" | "va_end"); _ }, _) ->
-                  found := true
-                | _ -> ())
-              fn;
-            !found
-          in
-          if variadic || uses_va then
-            [ Rule.v ~rule_id:"17.1" ~loc:fn.Ast.f_loc "variadic function %s"
-                (Ast.qualified_name fn) ]
-          else [])
-        ctx.Rule.functions)
+  Rule.visitor ~id:"17.1" ~title:"no variadic functions" ~category:Rule.Required
+    (Rule.Visit
+       { stmts = [];
+         exprs = [ `Call ];
+         start = (fun va_info -> { va_info; uses_va = false });
+         stmt = (fun _ _ -> ());
+         expr =
+           (fun x e ->
+             match e.Ast.e with
+             | Ast.Call ({ e = Ast.Id ("va_start" | "va_arg" | "va_end"); _ }, _) ->
+               x.uses_va <- true
+             | _ -> ());
+         finish =
+           (fun x ->
+             let fn = x.va_info.Rule.fn in
+             if x.uses_va || List.exists (fun p -> p.Ast.p_name = "...") fn.Ast.f_params
+             then
+               [ Rule.v ~rule_id:"17.1" ~loc:fn.Ast.f_loc "variadic function %s"
+                   (Rule.name x.va_info) ]
+             else []) })
+
+(* The functions on a recursion cycle of the interproc summary (every
+   function of a multi-node SCC or with a self-call), by qualified name. *)
+let recursive_functions (ctx : Rule.context) =
+  let t = Hashtbl.create 16 in
+  List.iter
+    (List.iter (fun q -> Hashtbl.replace t q ()))
+    ctx.Rule.interproc.Interproc.Summary.cycles;
+  t
 
 (* 17.2: functions shall not call themselves, directly or indirectly. *)
 let r17_2 =
   Rule.make ~id:"17.2" ~title:"no recursion" ~category:Rule.Required (fun ctx ->
-      let graph = ctx.Rule.interproc.Interproc.Summary.graph in
-      let recursive = Callgraph.recursive_functions graph in
-      let cycles = Callgraph.recursion_cycles graph in
+      let cycles = ctx.Rule.interproc.Interproc.Summary.cycles in
+      let recursive = recursive_functions ctx in
       let cycle_of q = List.find_opt (fun c -> List.mem q c) cycles in
       let witness q =
         match cycle_of q with
@@ -47,7 +52,7 @@ let r17_2 =
       List.filter_map
         (fun (fn : Ast.func) ->
           let q = Ast.qualified_name fn in
-          if List.mem q recursive then
+          if Hashtbl.mem recursive q then
             let steps =
               match cycle_of q with
               | Some (_ :: _ :: _ as cycle) ->
@@ -71,29 +76,38 @@ let r17_7 =
       List.map
         (fun (caller, callee, loc) ->
           Rule.v ~rule_id:"17.7" ~loc "%s discards return value of %s" caller callee)
-        (Metrics.Defensive.ignored_returns ~funcs:ctx.Rule.functions ctx.Rule.functions))
+        ctx.Rule.ignored_returns)
 
-(* 17.8: a function parameter should not be modified. *)
+(* 17.8: a function parameter should not be modified.  The rule reports
+   tens of thousands of sites on the full corpus, so the message is
+   built without a format. *)
+type params = { p_found : Rule.found; names : string list }
+
 let r17_8 =
-  Rule.make ~id:"17.8" ~title:"function parameters shall not be modified"
-    ~category:Rule.Advisory (fun ctx ->
-      each_func ctx (fun fn ->
-          let params = List.map (fun p -> p.Ast.p_name) fn.Ast.f_params in
-          let acc = ref [] in
-          Ast.iter_exprs_of_func
-            (fun e ->
-              match e.Ast.e with
-              | Ast.Assign (_, { e = Ast.Id name; _ }, _)
-              | Ast.Unary ((Ast.Pre_inc | Ast.Pre_dec), { e = Ast.Id name; _ })
-              | Ast.Postfix (_, { e = Ast.Id name; _ })
-                when List.mem name params ->
-                acc :=
-                  Rule.v ~rule_id:"17.8" ~loc:e.Ast.eloc
-                    "parameter %s modified in %s" name (Ast.qualified_name fn)
-                  :: !acc
-              | _ -> ())
-            fn;
-          List.rev !acc))
+  Rule.visitor ~id:"17.8" ~title:"function parameters shall not be modified"
+    ~category:Rule.Advisory
+    (Rule.Visit
+       { stmts = [];
+         exprs = [ `Assign; `Unary; `Postfix ];
+         start =
+           (fun info ->
+             { p_found = { Rule.info; found = [] };
+               names = List.map (fun p -> p.Ast.p_name) info.Rule.fn.Ast.f_params });
+         stmt = (fun _ _ -> ());
+         expr =
+           (fun p e ->
+             match e.Ast.e with
+             | Ast.Assign (_, { e = Ast.Id name; _ }, _)
+             | Ast.Unary ((Ast.Pre_inc | Ast.Pre_dec), { e = Ast.Id name; _ })
+             | Ast.Postfix (_, { e = Ast.Id name; _ })
+               when List.mem name p.names ->
+               Rule.emit p.p_found
+                 { Rule.rule_id = "17.8"; loc = e.Ast.eloc; witness = [];
+                   message =
+                     String.concat ""
+                       [ "parameter "; name; " modified in "; Rule.name p.p_found.Rule.info ] }
+             | _ -> ());
+         finish = (fun p -> List.rev p.p_found.Rule.found) })
 
 (* 21.3: the memory allocation functions of <stdlib.h> shall not be used. *)
 let r21_3 =
@@ -103,45 +117,31 @@ let r21_3 =
         (fun (a : Metrics.Pointers.dyn_alloc) ->
           Rule.v ~rule_id:"21.3" ~loc:a.Metrics.Pointers.loc "%s used in %s"
             a.Metrics.Pointers.site a.Metrics.Pointers.in_function)
-        (Metrics.Pointers.dyn_allocs_of_functions ctx.Rule.functions))
+        ctx.Rule.dyn_allocs)
+
+(* [banned_call ~rule_id ~title names]: every call of one of [names]
+   by its plain name.  Rules 21.4–21.10 ban library families this way. *)
+let banned_call ~rule_id ~title names =
+  Rule.visitor ~id:rule_id ~title ~category:Rule.Required
+    (Rule.collecting ~exprs:[ `Call ]
+       ~expr:(fun a e ->
+         match e.Ast.e with
+         | Ast.Call ({ e = Ast.Id name; _ }, _) when List.mem name names ->
+           Rule.emit a
+             (Rule.v ~rule_id ~loc:e.Ast.eloc "%s called in %s" name
+                (Rule.name a.Rule.info))
+         | _ -> ())
+       ())
 
 (* 21.6: the standard I/O functions shall not be used. *)
 let r21_6 =
-  Rule.make ~id:"21.6" ~title:"no standard I/O in production code"
-    ~category:Rule.Required (fun ctx ->
-      let stdio = [ "printf"; "fprintf"; "sprintf"; "scanf"; "fscanf"; "gets"; "puts" ] in
-      each_func ctx (fun fn ->
-          let acc = ref [] in
-          Ast.iter_exprs_of_func
-            (fun e ->
-              match e.Ast.e with
-              | Ast.Call ({ e = Ast.Id name; _ }, _) when List.mem name stdio ->
-                acc :=
-                  Rule.v ~rule_id:"21.6" ~loc:e.Ast.eloc "%s called in %s" name
-                    (Ast.qualified_name fn)
-                  :: !acc
-              | _ -> ())
-            fn;
-          List.rev !acc))
+  banned_call ~rule_id:"21.6" ~title:"no standard I/O in production code"
+    [ "printf"; "fprintf"; "sprintf"; "scanf"; "fscanf"; "gets"; "puts" ]
 
 (* 21.8: the termination functions of <stdlib.h> shall not be used. *)
 let r21_8 =
-  Rule.make ~id:"21.8" ~title:"no abort/exit/system" ~category:Rule.Required
-    (fun ctx ->
-      let banned = [ "abort"; "exit"; "_Exit"; "quick_exit"; "system" ] in
-      each_func ctx (fun fn ->
-          let acc = ref [] in
-          Ast.iter_exprs_of_func
-            (fun e ->
-              match e.Ast.e with
-              | Ast.Call ({ e = Ast.Id name; _ }, _) when List.mem name banned ->
-                acc :=
-                  Rule.v ~rule_id:"21.8" ~loc:e.Ast.eloc "%s called in %s" name
-                    (Ast.qualified_name fn)
-                  :: !acc
-              | _ -> ())
-            fn;
-          List.rev !acc))
+  banned_call ~rule_id:"21.8" ~title:"no abort/exit/system"
+    [ "abort"; "exit"; "_Exit"; "quick_exit"; "system" ]
 
 (* 8.10: an inline function shall also be static. *)
 let r8_10 =
@@ -158,32 +158,44 @@ let r8_10 =
           else None)
         ctx.Rule.functions)
 
-(* 2.7: there should be no unused parameters. *)
+(* 2.7: there should be no unused parameters.  Only the parameters'
+   names are looked up, so each identifier is compared with those. *)
+type uses = { u_info : Rule.fn_info; params : string array; used : bool array }
+
 let r2_7 =
-  Rule.make ~id:"2.7" ~title:"no unused parameters" ~category:Rule.Advisory
-    (fun ctx ->
-      each_func ctx (fun fn ->
-          match fn.Ast.f_body with
-          | None -> []
-          | Some _ ->
-            let used = Hashtbl.create 8 in
-            Ast.iter_exprs_of_func
-              (fun e ->
-                match e.Ast.e with
-                | Ast.Id name -> Hashtbl.replace used name ()
-                | _ -> ())
-              fn;
-            List.filter_map
-              (fun (p : Ast.param) ->
-                if p.Ast.p_name <> "" && p.Ast.p_name <> "..."
-                   && not (Hashtbl.mem used p.Ast.p_name)
-                then
-                  Some
-                    (Rule.v ~rule_id:"2.7" ~loc:fn.Ast.f_loc
-                       "unused parameter %s in %s" p.Ast.p_name
-                       (Ast.qualified_name fn))
-                else None)
-              fn.Ast.f_params))
+  Rule.visitor ~id:"2.7" ~title:"no unused parameters" ~category:Rule.Advisory
+    (Rule.Visit
+       { stmts = [];
+         exprs = [ `Id ];
+         start =
+           (fun u_info ->
+             let params =
+               Array.of_list (List.map (fun p -> p.Ast.p_name) u_info.Rule.fn.Ast.f_params)
+             in
+             { u_info; params; used = Array.make (Array.length params) false });
+         stmt = (fun _ _ -> ());
+         expr =
+           (fun u e ->
+             match e.Ast.e with
+             | Ast.Id name ->
+               Array.iteri
+                 (fun i p -> if String.equal p name then u.used.(i) <- true)
+                 u.params
+             | _ -> ());
+         finish =
+           (fun u ->
+             let fn = u.u_info.Rule.fn in
+             match fn.Ast.f_body with
+             | None -> []
+             | Some _ ->
+               List.concat
+                 (List.mapi
+                    (fun i (p : Ast.param) ->
+                      if p.Ast.p_name <> "" && p.Ast.p_name <> "..." && not u.used.(i) then
+                        [ Rule.v ~rule_id:"2.7" ~loc:fn.Ast.f_loc "unused parameter %s in %s"
+                            p.Ast.p_name (Rule.name u.u_info) ]
+                      else [])
+                    fn.Ast.f_params)) })
 
 (* 8.9: an object should be declared at block scope if only used in one
    function.  Only the names of [ctx.globals] are tracked, each with the

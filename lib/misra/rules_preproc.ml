@@ -79,25 +79,34 @@ let r19_2 =
 
 (* Dir 4.4: sections of code should not be commented out — approximated by
    comment lines that end with ';' or contain '=' and parse as statements
-   (text heuristic: a comment line with a trailing semicolon). *)
+   (text heuristic: a line that, stripped of blanks, starts with "//"
+   and ends with ';').  Each line is scanned in place in the source. *)
 let d4_4 =
   Rule.make ~id:"D4.4" ~title:"no commented-out code" ~category:Rule.Advisory
     ~decidable:false (fun ctx ->
       List.concat_map
         (fun pf ->
-          let lines = Util.Strutil.lines (Project.tu pf).Ast.raw_source in
-          List.concat
-            (List.mapi
-               (fun i line ->
-                 let t = Util.Strutil.strip line in
-                 if Util.Strutil.starts_with ~prefix:"//" t
-                    && Util.Strutil.ends_with ~suffix:";" t
-                 then
-                   [ Rule.v ~rule_id:"D4.4"
-                       ~loc:(Loc.make ~file:(Project.tu pf).Ast.tu_file ~line:(i + 1) ~col:1)
-                       "commented-out statement" ]
-                 else [])
-               lines))
+          let tu = Project.tu pf in
+          let src = tu.Ast.raw_source in
+          let n = String.length src in
+          let acc = ref [] in
+          (* [a] starts line [line]; the last line ends at [n] *)
+          let rec scan a line =
+            if a <= n then begin
+              let b = Option.value ~default:n (String.index_from_opt src a '\n') in
+              let p = ref a and q = ref (b - 1) in
+              while !p < b && Util.Strutil.is_space src.[!p] do incr p done;
+              while !q > !p && Util.Strutil.is_space src.[!q] do decr q done;
+              if !q > !p && src.[!p] = '/' && src.[!p + 1] = '/' && src.[!q] = ';' then
+                acc :=
+                  Rule.v ~rule_id:"D4.4" ~loc:(Loc.make ~file:tu.Ast.tu_file ~line ~col:1)
+                    "commented-out statement"
+                  :: !acc;
+              scan (b + 1) (line + 1)
+            end
+          in
+          scan 0 1;
+          List.rev !acc)
         ctx.Rule.files)
 
 let all = [ r4_9; r19_2; r20_5; r21_1; d4_4 ]

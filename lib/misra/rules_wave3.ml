@@ -4,8 +4,6 @@
 
 open Cfront
 
-let each_func (ctx : Rule.context) f = List.concat_map f ctx.Rule.functions
-
 (* 3.1: the character sequences /* and // shall not be used within a
    comment (a nested opener usually means an unclosed comment ate code). *)
 let r3_1 =
@@ -59,152 +57,125 @@ let r3_1 =
 (* 10.4: both operands of an arithmetic operator shall have the same
    essential type category (no silent int/float mixing). *)
 let r10_4 =
-  Rule.make ~id:"10.4" ~title:"no mixed essential types in arithmetic"
-    ~category:Rule.Required (fun ctx ->
-      each_func ctx (fun fn ->
-          let env = Metrics.Casts.env_of_func fn in
-          let acc = ref [] in
-          Ast.iter_exprs_of_func
-            (fun e ->
-              match e.Ast.e with
-              | Ast.Binary ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div), a, b) -> (
-                  match (Metrics.Casts.infer env a, Metrics.Casts.infer env b) with
-                  | Metrics.Casts.Kint, Metrics.Casts.Kfloat
-                  | Metrics.Casts.Kfloat, Metrics.Casts.Kint ->
-                    acc :=
-                      Rule.v ~rule_id:"10.4" ~loc:e.Ast.eloc
-                        "int/float operands mixed in %s" (Ast.qualified_name fn)
-                      :: !acc
-                  | _ -> ())
-              | _ -> ())
-            fn;
-          List.rev !acc))
+  Rule.visitor ~id:"10.4" ~title:"no mixed essential types in arithmetic"
+    ~category:Rule.Required
+    (Rule.collecting ~exprs:[ `Binary ]
+       ~expr:(fun a e ->
+         match e.Ast.e with
+         | Ast.Binary ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div), x, y) -> (
+             let env = Rule.env a.Rule.info in
+             match (Metrics.Casts.infer env x, Metrics.Casts.infer env y) with
+             | Metrics.Casts.Kint, Metrics.Casts.Kfloat
+             | Metrics.Casts.Kfloat, Metrics.Casts.Kint ->
+               Rule.emit a
+                 (Rule.v ~rule_id:"10.4" ~loc:e.Ast.eloc "int/float operands mixed in %s"
+                    (Rule.name a.Rule.info))
+             | _ -> ())
+         | _ -> ())
+       ())
 
 (* 13.3: a full expression containing ++ or -- should have no other
    potential side effects. *)
 let r13_3 =
-  Rule.make ~id:"13.3" ~title:"++/-- shall be the only side effect"
-    ~category:Rule.Advisory (fun ctx ->
-      each_func ctx (fun fn ->
-          match fn.Ast.f_body with
-          | None -> []
-          | Some body ->
-            let acc = ref [] in
-            let count_effects e =
-              let incdec = ref 0 and others = ref 0 in
-              Ast.iter_exprs_of_expr
-                (fun x ->
-                  match x.Ast.e with
-                  | Ast.Postfix _ | Ast.Unary ((Ast.Pre_inc | Ast.Pre_dec), _) ->
-                    incr incdec
-                  | Ast.Assign _ | Ast.Call _ | Ast.Kernel_launch _ | Ast.New _
-                  | Ast.Delete _ ->
-                    incr others
-                  | _ -> ())
-                e;
-              (!incdec, !others)
-            in
-            Ast.iter_stmts
-              (fun s ->
-                match s.Ast.s with
-                | Ast.Sexpr e ->
-                  let incdec, others = count_effects e in
-                  if incdec > 0 && (others > 0 || incdec > 1) then
-                    acc :=
-                      Rule.v ~rule_id:"13.3" ~loc:s.Ast.sloc
-                        "increment mixed with other side effects in %s"
-                        (Ast.qualified_name fn)
-                      :: !acc
-                | _ -> ())
-              body;
-            List.rev !acc))
+  let count_effects e =
+    let incdec = ref 0 and others = ref 0 in
+    Ast.iter_exprs_of_expr
+      (fun x ->
+        match x.Ast.e with
+        | Ast.Postfix _ | Ast.Unary ((Ast.Pre_inc | Ast.Pre_dec), _) -> incr incdec
+        | Ast.Assign _ | Ast.Call _ | Ast.Kernel_launch _ | Ast.New _ | Ast.Delete _ ->
+          incr others
+        | _ -> ())
+      e;
+    (!incdec, !others)
+  in
+  Rule.visitor ~id:"13.3" ~title:"++/-- shall be the only side effect"
+    ~category:Rule.Advisory
+    (Rule.collecting ~stmts:[ `Sexpr ]
+       ~stmt:(fun a s ->
+         match s.Ast.s with
+         | Ast.Sexpr e ->
+           let incdec, others = count_effects e in
+           if incdec > 0 && (others > 0 || incdec > 1) then
+             Rule.emit a
+               (Rule.v ~rule_id:"13.3" ~loc:s.Ast.sloc
+                  "increment mixed with other side effects in %s" (Rule.name a.Rule.info))
+         | _ -> ())
+       ())
 
 (* 13.6: the operand of sizeof shall have no side effects. *)
 let r13_6 =
-  Rule.make ~id:"13.6" ~title:"sizeof operand shall be side-effect free"
-    ~category:Rule.Mandatory (fun ctx ->
-      each_func ctx (fun fn ->
-          let acc = ref [] in
-          Ast.iter_exprs_of_func
-            (fun e ->
-              match e.Ast.e with
-              | Ast.Sizeof_expr inner ->
-                let impure = ref false in
-                Ast.iter_exprs_of_expr
-                  (fun x ->
-                    match x.Ast.e with
-                    | Ast.Assign _ | Ast.Call _ | Ast.Postfix _
-                    | Ast.Unary ((Ast.Pre_inc | Ast.Pre_dec), _) ->
-                      impure := true
-                    | _ -> ())
-                  inner;
-                if !impure then
-                  acc :=
-                    Rule.v ~rule_id:"13.6" ~loc:e.Ast.eloc
-                      "side effect inside sizeof in %s" (Ast.qualified_name fn)
-                    :: !acc
-              | _ -> ())
-            fn;
-          List.rev !acc))
+  let impure inner =
+    let found = ref false in
+    Ast.iter_exprs_of_expr
+      (fun x ->
+        match x.Ast.e with
+        | Ast.Assign _ | Ast.Call _ | Ast.Postfix _
+        | Ast.Unary ((Ast.Pre_inc | Ast.Pre_dec), _) ->
+          found := true
+        | _ -> ())
+      inner;
+    !found
+  in
+  Rule.visitor ~id:"13.6" ~title:"sizeof operand shall be side-effect free"
+    ~category:Rule.Mandatory
+    (Rule.collecting ~exprs:[ `Sizeof_expr ]
+       ~expr:(fun a e ->
+         match e.Ast.e with
+         | Ast.Sizeof_expr inner when impure inner ->
+           Rule.emit a
+             (Rule.v ~rule_id:"13.6" ~loc:e.Ast.eloc "side effect inside sizeof in %s"
+                (Rule.name a.Rule.info))
+         | _ -> ())
+       ())
 
 (* 18.6: the address of an object with automatic storage shall not escape
-   its lifetime — the detectable core: returning &local. *)
-let r18_6 =
-  Rule.make ~id:"18.6" ~title:"no escaping addresses of locals"
-    ~category:Rule.Required (fun ctx ->
-      each_func ctx (fun fn ->
-          match fn.Ast.f_body with
-          | None -> []
-          | Some body ->
-            let locals = Hashtbl.create 8 in
-            Ast.iter_stmts
-              (fun s ->
-                match s.Ast.s with
-                | Ast.Sdecl ds | Ast.Sfor { init = Ast.Fi_decl ds; _ } ->
-                  List.iter
-                    (fun (d : Ast.var_decl) -> Hashtbl.replace locals d.Ast.v_name ())
-                    ds
-                | _ -> ())
-              body;
-            let acc = ref [] in
-            Ast.iter_stmts
-              (fun s ->
-                match s.Ast.s with
-                | Ast.Sreturn (Some { e = Ast.Unary (Ast.Addr_of, { e = Ast.Id name; _ }); _ })
-                  when Hashtbl.mem locals name ->
-                  acc :=
-                    Rule.v ~rule_id:"18.6" ~loc:s.Ast.sloc
-                      "address of local %s returned from %s" name
-                      (Ast.qualified_name fn)
-                    :: !acc
-                | _ -> ())
-              body;
-            List.rev !acc))
+   its lifetime — the detectable core: returning &local.  The locals are
+   all known at [finish], so a return may precede the declaration. *)
+type escapes = {
+  x_info : Rule.fn_info;
+  locals : (string, unit) Hashtbl.t;
+  mutable returned : (string * Ast.stmt) list;  (** [return &name;], reversed *)
+}
 
-let banned ~rule_id ~title names =
-  Rule.make ~id:rule_id ~title ~category:Rule.Required (fun ctx ->
-      each_func ctx (fun fn ->
-          let acc = ref [] in
-          Ast.iter_exprs_of_func
-            (fun e ->
-              match e.Ast.e with
-              | Ast.Call ({ e = Ast.Id name; _ }, _) when List.mem name names ->
-                acc :=
-                  Rule.v ~rule_id ~loc:e.Ast.eloc "%s called in %s" name
-                    (Ast.qualified_name fn)
-                  :: !acc
-              | _ -> ())
-            fn;
-          List.rev !acc))
+let r18_6 =
+  Rule.visitor ~id:"18.6" ~title:"no escaping addresses of locals"
+    ~category:Rule.Required
+    (Rule.Visit
+       { stmts = [ `Sdecl; `Sfor; `Sreturn ];
+         exprs = [];
+         start = (fun x_info -> { x_info; locals = Hashtbl.create 8; returned = [] });
+         stmt =
+           (fun x s ->
+             match s.Ast.s with
+             | Ast.Sdecl ds | Ast.Sfor { init = Ast.Fi_decl ds; _ } ->
+               List.iter
+                 (fun (d : Ast.var_decl) -> Hashtbl.replace x.locals d.Ast.v_name ())
+                 ds
+             | Ast.Sreturn
+                 (Some { e = Ast.Unary (Ast.Addr_of, { e = Ast.Id name; _ }); _ }) ->
+               x.returned <- (name, s) :: x.returned
+             | _ -> ());
+         expr = (fun _ _ -> ());
+         finish =
+           (fun x ->
+             List.filter_map
+               (fun (name, s) ->
+                 if Hashtbl.mem x.locals name then
+                   Some
+                     (Rule.v ~rule_id:"18.6" ~loc:s.Ast.sloc
+                        "address of local %s returned from %s" name (Rule.name x.x_info))
+                 else None)
+               (List.rev x.returned)) })
 
 (* 21.4: setjmp/longjmp shall not be used. *)
 let r21_4 =
-  banned ~rule_id:"21.4" ~title:"setjmp/longjmp shall not be used"
+  Rules_functions.banned_call ~rule_id:"21.4" ~title:"setjmp/longjmp shall not be used"
     [ "setjmp"; "longjmp"; "sigsetjmp"; "siglongjmp" ]
 
 (* 21.5: the signal-handling facilities shall not be used. *)
 let r21_5 =
-  banned ~rule_id:"21.5" ~title:"signal handling shall not be used"
+  Rules_functions.banned_call ~rule_id:"21.5" ~title:"signal handling shall not be used"
     [ "signal"; "sigaction"; "raise"; "kill" ]
 
 let all = [ r3_1; r10_4; r13_3; r13_6; r18_6; r21_4; r21_5 ]

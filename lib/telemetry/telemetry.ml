@@ -233,23 +233,26 @@ let timed name f =
     Fun.protect ~finally:(fun () -> observe name (now_us () -. t0)) f
   end
 
-(* GC sampling around a named phase: quick_stat deltas (minor/major/
-   promoted words, collection and compaction counts) accumulated per
-   phase name, plus the phase wall time as a "phase.<name>_us" histogram
-   sample.  Both are runtime telemetry — worker placement and allocation
+(* GC sampling around a named phase: minor words from [Gc.minor_words]
+   (which counts the words still in the minor heap, where quick_stat's
+   [minor_words] only counts them at the next minor collection), and
+   quick_stat deltas for the rest (major/promoted words, collection and
+   compaction counts), accumulated per phase name, plus the phase wall
+   time as a "phase.<name>_us" histogram sample.  Both are runtime telemetry — worker placement and allocation
    rates legitimately vary with --jobs — and live outside the
    deterministic oracle sections of the metrics export. *)
 let gc_phase name f =
   if not !on then f ()
   else begin
     let t0 = now_us () in
-    let a = Gc.quick_stat () in
+    let a = Gc.quick_stat () and minor0 = Gc.minor_words () in
     Fun.protect
       ~finally:(fun () ->
+        let minor1 = Gc.minor_words () in
         let b = Gc.quick_stat () in
         observe ("phase." ^ name ^ "_us") (now_us () -. t0);
         let d =
-          { gd_minor_words = b.Gc.minor_words -. a.Gc.minor_words;
+          { gd_minor_words = minor1 -. minor0;
             gd_promoted_words = b.Gc.promoted_words -. a.Gc.promoted_words;
             gd_major_words = b.Gc.major_words -. a.Gc.major_words;
             gd_minor_collections = b.Gc.minor_collections - a.Gc.minor_collections;

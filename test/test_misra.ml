@@ -342,7 +342,10 @@ let reference_context (parsed : Cfront.Project.parsed) =
   ignore (Dataflow.Analyses.pair_facts functions facts);
   let globals = Metrics.Globals.of_files files in
   { Misra.Rule.files; functions; facts; interproc; globals;
-    shadowing = Metrics.Shadowing.of_globals ~globals files }
+    shadowing = Metrics.Shadowing.of_globals ~globals files;
+    casts = Metrics.Casts.of_functions functions;
+    ignored_returns = Metrics.Defensive.ignored_returns ~funcs:functions functions;
+    dyn_allocs = Metrics.Pointers.dyn_allocs_of_functions functions }
 
 let test_build_context_matches_reference () =
   List.iter
@@ -359,11 +362,316 @@ let test_build_context_matches_reference () =
         (compare got.Misra.Rule.globals want.Misra.Rule.globals = 0);
       Alcotest.(check bool) (label "shadowing") true
         (compare got.Misra.Rule.shadowing want.Misra.Rule.shadowing = 0);
+      Alcotest.(check bool) (label "casts") true
+        (compare got.Misra.Rule.casts want.Misra.Rule.casts = 0);
+      Alcotest.(check bool) (label "ignored returns") true
+        (compare got.Misra.Rule.ignored_returns want.Misra.Rule.ignored_returns = 0);
+      Alcotest.(check bool) (label "dynamic allocations") true
+        (compare got.Misra.Rule.dyn_allocs want.Misra.Rule.dyn_allocs = 0);
       (* [compare], not [=]: the reports hold the registry's (shared) rule
          closures. *)
       Alcotest.(check bool) (label "MISRA report") true
         (compare (Misra.Registry.run got) (Misra.Registry.run want) = 0))
     [ 7; 2019 ]
+
+(* ------------------------------------------------------------------ *)
+(* The shared walk against the former rule bodies                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Hand-built sources for the constructs whose order or scope the walk
+   could get wrong: nested ternaries, nested lambdas (the parser drops
+   the function that holds them and goes on), sizeof with side effects,
+   a parameter modified by ++ and by =, switches without default and
+   with nested or middle labels, va_start, const_cast and NULL, gotos
+   both ways, returns of a local's address before and after its
+   declaration, kernels, a parameter modified in the condition and the
+   body of every compound statement (rule 17.8's order pins the walk
+   order), direct, mutual and device recursion, and unpaired cudaMalloc
+   calls. *)
+let edge_sources =
+  [ ( "edge_exprs.cc",
+      "typedef char *va_list;\n\
+       int Helper(int v) { return v + 1; }\n\
+       int Exprs(int a, int b, int *p, const char *c, ...) {\n\
+       va_list ap;\n\
+       va_start(ap, b);\n\
+       a++;\n\
+       b = a;\n\
+       --a;\n\
+       p += 2;\n\
+       int n = sizeof(a++) + sizeof(Helper(b)) + sizeof(b);\n\
+       int x = a > 0 ? (b > 0 ? a : (b < 0 ? -a : b)) : (a = b ? b++ : 0);\n\
+       float f = 1.5;\n\
+       int k = a + f * n - (x / f);\n\
+       char *s = (char *)0;\n\
+       char *t = NULL;\n\
+       char *u = const_cast<char *>(c);\n\
+       char *w = reinterpret_cast<char *>(p);\n\
+       int *pp = p + 1 - 0;\n\
+       int sh = a << 40;\n\
+       int cm = (a, b);\n\
+       if (a && (b = 2)) { x = 1; }\n\
+       x++ + Helper(x);\n\
+       a + b;\n\
+       Helper(a);\n\
+       printf(\"%d\", a); exit(1); atoi(s); qsort(0, 0, 0, 0); time(0);\n\
+       setjmp(0); signal(0, 0); puts(t); abort();\n\
+       int *dyn = (int *)malloc(4);\n\
+       va_end(ap);\n\
+       return x + k + sh + cm + n;\n\
+       }\n" );
+    ( "edge_stmts.cc",
+      "int Stmts(int a, int b, int unused) {\n\
+       int x = 0;\n\
+       if (a = b) { x = 1; }\n\
+       if (a) x = 2;\n\
+       else if (b) x = 3;\n\
+       while (b) b--;\n\
+       do { x++; } while (0);\n\
+       do { x++; } while (1);\n\
+       if (1) { x = 4; }\n\
+       for (float i = 0; i < 3; i++) { if (i > 1) break; if (i > 2) break; }\n\
+       for (int j = 0; j < 3; j++) x += j;\n\
+       switch (a) {\n\
+         case 1: x = 1;\n\
+         case 2: { x = 2; case 3: x = 3; } break;\n\
+       }\n\
+       switch (a > b) { default: break; }\n\
+       switch (b) { case 1: break; default: break; case 2: break; }\n\
+       switch (x) { case 0: switch (a) { case 1: { case 5: break; } default: break; } if (a) { default: ; } break; }\n\
+       goto done;\n\
+       back: x = 0;\n\
+       if (x) goto back;\n\
+       done: ;\n\
+       return x;\n\
+       return 0;\n\
+       }\n\
+       int *Escape(int c) {\n\
+       if (c) return &later;\n\
+       int later = c;\n\
+       int ***deep = 0;\n\
+       if (c > 1) throw c;\n\
+       return &later;\n\
+       }\n\
+       int Deep(int ***r) { return r ? 1 : 0; }\n\
+       int Order(int a, int b, int c) {\n\
+       int x = a++ + b--;\n\
+       if (a++) { b++; } else { c = 1; }\n\
+       while (b--) { a = 2; }\n\
+       do { c++; } while (a = 3);\n\
+       for (a = 0; b++; c++) { a--; }\n\
+       switch (c = 4) { case 1: b = 5; break; default: break; }\n\
+       try { a = 6; } catch (int e) { b = 7; }\n\
+       lbl: c = 8;\n\
+       return a = b + x;\n\
+       }\n\
+       // x = 1;\n\
+         //  y = 2 ;  \n\
+       /* z = 3; */\n" );
+    ( "edge_lambda.cc",
+      "int Lambdas(int a) {\n\
+       auto outer = [&](int y) { auto inner = [=](int z) { return z ? y : a; }; return inner(y); };\n\
+       return outer(a);\n\
+       }\n\
+       int After(int a, int b) { a = b; return a > 0 ? (b ? a : b) : a++; }\n" );
+    ( "edge_kernels.cu",
+      "__global__ void Kern(float *a, int n) { int i = threadIdx.x; a[i] = 0; }\n\
+       __global__ void Guarded(float *a, int n) { int i = blockIdx.x; if (i < n) { a[i] = 0; } }\n\
+       void Launch(float *a) { Kern<<<1, 1>>>(a, 1); }\n\
+       void Checked(float *a) { Kern<<<1, 1>>>(a, 1); cudaGetLastError(); }\n\
+       __device__ int Fact(int n) { return n ? n * Fact(n - 1) : 1; }\n\
+       int Ping(int n);\n\
+       int Pong(int n) { return n ? Ping(n - 1) : 0; }\n\
+       int Ping(int n) { return n ? Pong(n - 1) : 1; }\n\
+       void Alloc(float **d) { cudaMalloc(d, 4); cudaMalloc(d, 8); cudaFree(*d); }\n" ) ]
+
+let edge_context () =
+  Fixture.context_of_files
+    (List.map
+       (fun (path, src) ->
+         Cfront.Project.parsed_file
+           { Cfront.Project.path; modname = "edge"; header = false; content = src }
+           (Cfront.Parser.parse_file ~file:path src))
+       edge_sources)
+
+(* Every rule of [Misra_reference] gives, as shipped, the same
+   violations as its former body: run alone (a visitor's [check] is the
+   walk for that rule) and in the registry's shared walk of all rules.
+   Returns the number of violations compared. *)
+let check_against_reference label ctx =
+  let report = Misra.Registry.run ctx in
+  List.fold_left
+    (fun n (old : Misra.Rule.t) ->
+      let id = old.Misra.Rule.id in
+      let want = old.Misra.Rule.check ctx in
+      let shipped = Option.get (Misra.Registry.find_rule id) in
+      let alone = shipped.Misra.Rule.check ctx in
+      let walked =
+        snd
+          (List.find
+             (fun ((r : Misra.Rule.t), _) -> r.Misra.Rule.id = id)
+             report.Misra.Registry.per_rule)
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: %s messages" label id)
+        (List.map (fun v -> v.Misra.Rule.message) want)
+        (List.map (fun v -> v.Misra.Rule.message) walked);
+      Alcotest.(check bool) (Printf.sprintf "%s: %s alone" label id) true (want = alone);
+      Alcotest.(check bool) (Printf.sprintf "%s: %s in the walk" label id) true (want = walked);
+      n + List.length want)
+    0 Misra_reference.all
+
+let test_reference_corpus () =
+  List.iter
+    (fun seed ->
+      let parsed =
+        Cfront.Project.parse (Corpus.Generator.generate ~seed Corpus.Apollo_profile.small)
+      in
+      let n =
+        check_against_reference (Printf.sprintf "small seed %d" seed)
+          (Misra.Rule.build_context parsed)
+      in
+      Alcotest.(check bool) "violations compared" true (n > 1000))
+    [ 7; 2019 ]
+
+let test_reference_edges () =
+  let ctx = edge_context () in
+  ignore (check_against_reference "edge cases" ctx);
+  (* the edge cases reach the rules they are written for *)
+  let report = Misra.Registry.run ctx in
+  List.iter
+    (fun id ->
+      let vs = List.assoc id
+          (List.map (fun ((r : Misra.Rule.t), vs) -> (r.Misra.Rule.id, vs))
+             report.Misra.Registry.per_rule) in
+      Alcotest.(check bool) (id ^ " fires on the edge cases") true (vs <> []))
+    [ "2.2"; "2.7"; "10.4"; "11.3"; "11.8"; "11.9"; "12.2"; "12.3"; "13.3"; "13.4"; "13.5";
+      "13.6"; "14.1"; "14.3"; "14.4"; "15.1"; "15.2"; "15.4"; "15.5"; "15.6"; "15.7"; "16.2";
+      "16.3"; "16.4"; "16.5"; "16.6"; "16.7"; "17.1"; "17.7"; "17.8"; "18.4"; "18.5"; "18.6";
+      "21.3"; "21.4"; "21.5"; "21.6"; "21.7"; "21.8"; "21.9"; "21.10"; "CUDA-1"; "CUDA-4";
+      "D4.4"; "17.2"; "CUDA-3"; "CUDA-5" ]
+
+(* One miss visits each function body once: the nodes the shared walk
+   counts for all the rules are the nodes of one plain statement and
+   expression pass over the same functions. *)
+let test_walk_visits_each_node_once () =
+  let parsed =
+    Cfront.Project.parse (Corpus.Generator.generate ~seed:7 Corpus.Apollo_profile.small)
+  in
+  let ctx = Misra.Rule.build_context parsed in
+  let plain = ref 0 in
+  List.iter
+    (fun (fn : Cfront.Ast.func) ->
+      Option.iter (Cfront.Ast.iter_stmts (fun _ -> incr plain)) fn.Cfront.Ast.f_body;
+      Cfront.Ast.iter_exprs_of_func (fun _ -> incr plain) fn)
+    ctx.Misra.Rule.functions;
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.reset ();
+      Telemetry.set_enabled false)
+    (fun () ->
+      ignore (Misra.Registry.run ctx);
+      Alcotest.(check int) "nodes walked" !plain (Telemetry.counter "misra.walk.nodes"))
+
+(* Each kind's dispatch slot: a visitor registered for one kind gets
+   exactly the nodes of that constructor, as many as a plain pass sees. *)
+let stmt_kinds : (Misra.Rule.stmt_kind * (Cfront.Ast.stmt_desc -> bool)) list =
+  let open Cfront.Ast in
+  [ (`Sexpr, function Sexpr _ -> true | _ -> false);
+    (`Sempty, function Sempty -> true | _ -> false);
+    (`Sdecl, function Sdecl _ -> true | _ -> false);
+    (`Sblock, function Sblock _ -> true | _ -> false);
+    (`Sif, function Sif _ -> true | _ -> false);
+    (`Swhile, function Swhile _ -> true | _ -> false);
+    (`Sdo_while, function Sdo_while _ -> true | _ -> false);
+    (`Sfor, function Sfor _ -> true | _ -> false);
+    (`Sswitch, function Sswitch _ -> true | _ -> false);
+    (`Scase, function Scase _ -> true | _ -> false);
+    (`Sdefault, function Sdefault -> true | _ -> false);
+    (`Sbreak, function Sbreak -> true | _ -> false);
+    (`Scontinue, function Scontinue -> true | _ -> false);
+    (`Sreturn, function Sreturn _ -> true | _ -> false);
+    (`Sgoto, function Sgoto _ -> true | _ -> false);
+    (`Slabel, function Slabel _ -> true | _ -> false);
+    (`Stry, function Stry _ -> true | _ -> false) ]
+
+let expr_kinds : (Misra.Rule.expr_kind * (Cfront.Ast.expr_desc -> bool)) list =
+  let open Cfront.Ast in
+  [ (`Int_const, function Int_const _ -> true | _ -> false);
+    (`Float_const, function Float_const _ -> true | _ -> false);
+    (`Bool_const, function Bool_const _ -> true | _ -> false);
+    (`Str_const, function Str_const _ -> true | _ -> false);
+    (`Char_const, function Char_const _ -> true | _ -> false);
+    (`Nullptr, function Nullptr -> true | _ -> false);
+    (`Id, function Id _ -> true | _ -> false);
+    (`Unary, function Unary _ -> true | _ -> false);
+    (`Postfix, function Postfix _ -> true | _ -> false);
+    (`Binary, function Binary _ -> true | _ -> false);
+    (`Assign, function Assign _ -> true | _ -> false);
+    (`Ternary, function Ternary _ -> true | _ -> false);
+    (`Call, function Call _ -> true | _ -> false);
+    (`Kernel_launch, function Kernel_launch _ -> true | _ -> false);
+    (`Index, function Index _ -> true | _ -> false);
+    (`Member, function Member _ -> true | _ -> false);
+    (`C_cast, function C_cast _ -> true | _ -> false);
+    (`Cpp_cast, function Cpp_cast _ -> true | _ -> false);
+    (`Sizeof_type, function Sizeof_type _ -> true | _ -> false);
+    (`Sizeof_expr, function Sizeof_expr _ -> true | _ -> false);
+    (`New, function New _ -> true | _ -> false);
+    (`Delete, function Delete _ -> true | _ -> false);
+    (`Throw, function Throw _ -> true | _ -> false) ]
+
+let test_kind_dispatch () =
+  let parsed =
+    Cfront.Project.parse (Corpus.Generator.generate ~seed:2019 Corpus.Apollo_profile.small)
+  in
+  let ctx = Misra.Rule.build_context parsed in
+  let tally ~stmts ~exprs =
+    (* one violation per node received, a wrong kind flagged *)
+    let rule =
+      Misra.Rule.visitor ~id:"K" ~title:"kind" ~category:Misra.Rule.Advisory
+        (Misra.Rule.collecting ~stmts:(List.map fst stmts) ~exprs:(List.map fst exprs)
+           ~stmt:(fun a s ->
+             Misra.Rule.emit a
+               (Misra.Rule.v ~rule_id:"K" ~loc:s.Cfront.Ast.sloc "%b"
+                  (List.exists (fun (_, p) -> p s.Cfront.Ast.s) stmts)))
+           ~expr:(fun a e ->
+             Misra.Rule.emit a
+               (Misra.Rule.v ~rule_id:"K" ~loc:e.Cfront.Ast.eloc "%b"
+                  (List.exists (fun (_, p) -> p e.Cfront.Ast.e) exprs)))
+           ())
+    in
+    List.map (fun v -> v.Misra.Rule.message) (rule.Misra.Rule.check ctx)
+  in
+  let plain ~stmt ~expr =
+    let n = ref 0 in
+    List.iter
+      (fun (fn : Cfront.Ast.func) ->
+        Option.iter
+          (Cfront.Ast.iter_stmts (fun s -> if stmt s.Cfront.Ast.s then incr n))
+          fn.Cfront.Ast.f_body;
+        Cfront.Ast.iter_exprs_of_func (fun e -> if expr e.Cfront.Ast.e then incr n) fn)
+      ctx.Misra.Rule.functions;
+    !n
+  in
+  List.iter
+    (fun ((_, p) as k) ->
+      let got = tally ~stmts:[ k ] ~exprs:[] in
+      Alcotest.(check bool) "statements of the kind only" true
+        (List.for_all (String.equal "true") got);
+      Alcotest.(check int) "every statement of the kind" (plain ~stmt:p ~expr:(fun _ -> false))
+        (List.length got))
+    stmt_kinds;
+  List.iter
+    (fun ((_, p) as k) ->
+      let got = tally ~stmts:[] ~exprs:[ k ] in
+      Alcotest.(check bool) "expressions of the kind only" true
+        (List.for_all (String.equal "true") got);
+      Alcotest.(check int) "every expression of the kind" (plain ~stmt:(fun _ -> false) ~expr:p)
+        (List.length got))
+    expr_kinds
 
 let prop_rules_never_fire_on_minimal =
   QCheck.Test.make ~name:"rule engine is deterministic" ~count:10
@@ -397,5 +705,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_rules_never_fire_on_minimal;
           Alcotest.test_case "build_context matches the former audit sequence" `Quick
             test_build_context_matches_reference;
+        ] );
+      ( "shared walk",
+        [
+          Alcotest.test_case "visitor forms match their former bodies, corpus" `Quick
+            test_reference_corpus;
+          Alcotest.test_case "visitor forms match their former bodies, edges" `Quick
+            test_reference_edges;
+          Alcotest.test_case "one miss walks each node once" `Quick
+            test_walk_visits_each_node_once;
+          Alcotest.test_case "each kind gets its own nodes" `Quick test_kind_dispatch;
         ] );
     ]

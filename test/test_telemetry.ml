@@ -349,6 +349,28 @@ let test_interp_hot_function_profile () =
   | l -> Alcotest.failf "expected 1 top counter, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
+(* GC phases                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A phase's minor words include the words still in the minor heap when
+   it ends: a 10,000-cell list is 30,000 words (three per cons) that no
+   minor collection need have counted yet. *)
+let test_gc_phase_minor_words () =
+  with_fresh @@ fun () ->
+  let cells = Sys.opaque_identity 10_000 in
+  let l = Telemetry.gc_phase "build" (fun () -> List.init cells Fun.id) in
+  ignore (Sys.opaque_identity l);
+  let j = Benchdiff.Json.parse (Telemetry.metrics_json ~runtime:true ()) in
+  let member k = function
+    | Some o -> Benchdiff.Json.member k o
+    | None -> None
+  in
+  match member "minor_words" (member "build" (member "gc" (member "runtime" (Some j)))) with
+  | Some (Benchdiff.Json.Num w) ->
+    Alcotest.(check bool) (Printf.sprintf "%.0f minor words >= 30000" w) true (w >= 30_000.)
+  | _ -> Alcotest.fail "no runtime.gc.build.minor_words in the metrics record"
+
+(* ------------------------------------------------------------------ *)
 (* Golden stats on the small corpus                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -444,6 +466,11 @@ let () =
             test_chrome_trace_well_formed;
           Alcotest.test_case "deterministic modulo clock" `Quick
             test_determinism_modulo_clock;
+        ] );
+      ( "gc",
+        [
+          Alcotest.test_case "phase counts minor-heap words" `Quick
+            test_gc_phase_minor_words;
         ] );
       ( "interp",
         [
