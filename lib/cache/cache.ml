@@ -97,11 +97,11 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let write_file path contents =
+let write_file path chunks =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
+    (fun () -> List.iter (output_string oc) chunks)
 
 (* A writer's temp file, [<artifact>.tmp.<pid>.<seq>]; one that is still
    present was left by a killed writer. *)
@@ -128,10 +128,10 @@ let open_dir dirname =
          "cache %s: version salt mismatch (%S, want %S); wiping artifacts"
          dirname prior version_salt;
        wipe_artifacts dirname;
-       write_file version_file (version_salt ^ "\n")
+       write_file version_file [ version_salt; "\n" ]
      end
    end
-   else write_file version_file (version_salt ^ "\n"));
+   else write_file version_file [ version_salt; "\n" ]);
   Dir
     {
       cache_dir = dirname;
@@ -154,12 +154,13 @@ let art_path t ~kind ~key = Filename.concat t.cache_dir (kind ^ "-" ^ key ^ art_
      <kind> <key> <payload length> <payload digest> <owner>\n
      <payload bytes>
    The owner field runs to end of line (paths may contain spaces);
-   "-" means no owner. *)
-let render_artifact ~kind ~key ~owner payload =
-  Printf.sprintf "%s\n%s\n%s %s %d %s %s\n%s" magic version_salt kind key
+   "-" means no owner.  [artifact_header] renders the first three
+   lines; a store writes them and then the payload, never concatenated,
+   so storing a large artifact holds one copy of its payload. *)
+let artifact_header ~kind ~key ~owner payload =
+  Printf.sprintf "%s\n%s\n%s %s %d %s %s\n" magic version_salt kind key
     (String.length payload) (fnv1a64 payload)
     (if owner = "" then "-" else owner)
-    payload
 
 (* Parse and validate the [len] bytes at the start of [raw]; [Ok
    offset] of the payload, [Error reason] on any mismatch.  Bytes of
@@ -291,7 +292,7 @@ let store_in t ~owner ~kind ~key v =
         (Atomic.fetch_and_add t.tmp_seq 1)
     in
     (try
-       write_file tmp (render_artifact ~kind ~key ~owner payload);
+       write_file tmp [ artifact_header ~kind ~key ~owner payload; payload ];
        Sys.rename tmp path;
        Atomic.incr t.stores;
        Telemetry.incr "cache.store"
@@ -302,13 +303,13 @@ let store_in t ~owner ~kind ~key v =
 let store t ?(owner = "") ~kind ~key v =
   match t with Null -> () | Dir d -> store_in d ~owner ~kind ~key v
 
-let store_each t ?(owner = "") ~kind ~key iter =
+let store_each t ~kind ~key iter =
   match t with
   | Null -> iter ignore
   | Dir d ->
     let kept = ref [] in
     iter (fun x -> kept := x :: !kept);
-    store_in d ~owner ~kind ~key (List.rev !kept)
+    store_in d ~owner:"" ~kind ~key (List.rev !kept)
 
 let memo t ~kind ~key f =
   match find t ~kind ~key with

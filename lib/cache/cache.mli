@@ -82,13 +82,13 @@ val find : t -> kind:string -> key:string -> 'a option
     computation it memoizes. *)
 val store : t -> ?owner:string -> kind:string -> key:string -> 'a -> unit
 
-(** [store_each t ~kind ~key iter] stores, as one list artifact, the
-    elements [iter] passes to the function it is given, in that order.
+(** [store_each t ~kind ~key iter] stores, as one list artifact with no
+    owner, the elements [iter] passes to the function it is given, in
+    that order.
     {!null} gives [iter] a function that keeps nothing, so a caller that
     hands over each element as it makes it holds no list when there is
     no store. *)
-val store_each :
-  t -> ?owner:string -> kind:string -> key:string -> (('a -> unit) -> unit) -> unit
+val store_each : t -> kind:string -> key:string -> (('a -> unit) -> unit) -> unit
 
 (** [memo t ~kind ~key f] is [find] else [f () |> store], with no
     owner. *)

@@ -256,7 +256,11 @@ let replay (Visit v) q (infos : fn_info array) =
    expressions [Ast.iter_exprs_of_stmt] visits there, in its order,
    before the statement's children: a visitor registered only for
    statements sees them as [iter_stmts] does, one registered only for
-   expressions as [iter_exprs_of_func] does. *)
+   expressions as [iter_exprs_of_func] does.  The traversal is spelled
+   out rather than composed from those iterators, which allocate a
+   closure per block and per call: the walk allocates nothing per node,
+   so the GC work it would cause does not land in the visitors' timed
+   replays (DESIGN.md, "The rule engine"). *)
 let run_chunk w fs c =
   let lo = c * chunk_size in
   let hi = min (Array.length fs.fns) (lo + chunk_size) in
@@ -374,13 +378,13 @@ type t = {
 let make ~id ~title ~category ?(decidable = true) check =
   { id; title; category; decidable; check; visit = None }
 
-let visitor ~id ~title ~category ?(decidable = true) visit =
+let visitor ~id ~title ~category visit =
   let check ctx =
     match ctx.functions with
     | [] -> []
     | _ -> (walk_all (plan [| visit |]) (functions_of ctx)).(0)
   in
-  { id; title; category; decidable; check; visit = Some visit }
+  { id; title; category; decidable = true; check; visit = Some visit }
 
 (* ------------------------------------------------------------------ *)
 (* The context                                                         *)
@@ -427,6 +431,7 @@ let producers (parsed : Project.parsed) =
    out: no worker forces a unit. *)
 let context_of (parsed : Project.parsed) (facts, interproc) =
   Telemetry.with_span ~cat:"misra" "misra.context" @@ fun () ->
+  Telemetry.timed "misra.context_us" @@ fun () ->
   let files = parsed.Project.files in
   let functions = Project.defined_functions files in
   let globals = Metrics.Globals.of_files files in

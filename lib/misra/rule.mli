@@ -156,8 +156,7 @@ val make :
   t
 
 (** A visitor rule. *)
-val visitor :
-  id:string -> title:string -> category:category -> ?decidable:bool -> visit -> t
+val visitor : id:string -> title:string -> category:category -> visit -> t
 
 (** The dataflow facts of every file, by path in [parsed.files] order,
     and the whole-program summary over them. *)
@@ -177,7 +176,8 @@ val producers : Cfront.Project.parsed -> producers
 (** [context_of parsed producers] completes the context: it forces every
     unit of [parsed] on the calling domain and adds the defined
     functions, the globals, the shadowing findings and the casts,
-    ignored returns and dynamic allocations ([misra.context]).
+    ignored returns and dynamic allocations ([misra.context], timed as
+    the [misra.context_us] histogram).
     Only a caller whose rule or metric artifact missed needs it. *)
 val context_of : Cfront.Project.parsed -> producers -> context
 

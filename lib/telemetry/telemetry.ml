@@ -238,8 +238,9 @@ let timed name f =
    [minor_words] only counts them at the next minor collection), and
    quick_stat deltas for the rest (major/promoted words, collection and
    compaction counts), accumulated per phase name, plus the phase wall
-   time as a "phase.<name>_us" histogram sample.  Both are runtime telemetry — worker placement and allocation
-   rates legitimately vary with --jobs — and live outside the
+   time as a "phase.<name>_us" histogram sample.  Both are runtime
+   telemetry — worker placement and allocation rates legitimately vary
+   with --jobs — and live outside the
    deterministic oracle sections of the metrics export. *)
 let gc_phase name f =
   if not !on then f ()

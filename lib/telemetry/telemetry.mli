@@ -105,8 +105,9 @@ val observe : string -> float -> unit
     the samples are jobs-independent. *)
 val timed : string -> (unit -> 'a) -> 'a
 
-(** GC cost of a named phase: deltas of [Gc.quick_stat] around the
-    body, summed when the phase repeats. *)
+(** GC cost of a named phase: the delta of [Gc.minor_words ()] and of
+    the other [Gc.quick_stat] fields around the body, summed when the
+    phase repeats. *)
 type gc_delta = {
   gd_minor_words : float;
   gd_promoted_words : float;
