@@ -57,15 +57,16 @@ let () =
   assert (tu.Cfront.Ast.diags = []);
   Printf.printf "parsed %d functions\n\n" (List.length (Cfront.Ast.functions_of_tu tu));
 
-  (* 2. Static metrics: cyclomatic complexity and exit points. *)
-  List.iter
-    (fun (c : Metrics.Complexity.func_cc) ->
-      let shape = Metrics.Func_shape.of_func c.Metrics.Complexity.fn in
-      Printf.printf "%-24s CC=%d  exits=%d\n"
-        (Cfront.Ast.qualified_name c.Metrics.Complexity.fn)
-        c.Metrics.Complexity.cc
-        (match shape with Some s -> s.Metrics.Func_shape.returns | None -> 0))
-    (Metrics.Complexity.of_functions (Cfront.Ast.functions_of_tu tu));
+  (* 2. Static metrics: cyclomatic complexity and exit points, from one
+     census walk of each defined function. *)
+  let defined =
+    List.filter (fun f -> f.Cfront.Ast.f_body <> None) (Cfront.Ast.functions_of_tu tu)
+  in
+  List.iter2
+    (fun fn (c : Metrics.Census.counts) ->
+      Printf.printf "%-24s CC=%d  exits=%d\n" (Cfront.Ast.qualified_name fn)
+        c.Metrics.Census.cc c.Metrics.Census.returns)
+    defined (Metrics.Census.of_functions defined).Metrics.Census.counts;
 
   (* 3. Rule checking: the MISRA subset plus the CUDA extension rules. *)
   let report = Misra.Registry.run_project parsed in

@@ -40,7 +40,7 @@ let magic = "adcheck-cache/1"
    (AST, dataflow facts, MISRA findings, coverage phases), or on the
    retirement of a kind: the wipe then removes its unowned files, which
    no sweep would. *)
-let version_salt = "adcheck-cache/1 schema=9"
+let version_salt = "adcheck-cache/1 schema=10"
 
 type dir_store = {
   cache_dir : string;

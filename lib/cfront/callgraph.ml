@@ -63,20 +63,6 @@ type t = {
   resolution : resolution;
 }
 
-(** Raw callee names mentioned in a function body, in source order —
-    the historical interface several syntactic rules consume. *)
-let calls_in_body (fn : Ast.func) =
-  let acc = ref [] in
-  Ast.iter_exprs_of_func
-    (fun e ->
-      match e.Ast.e with
-      | Ast.Call ({ e = Ast.Id name; _ }, _) -> acc := name :: !acc
-      | Ast.Kernel_launch { kernel = { e = Ast.Id name; _ }; _ } -> acc := name :: !acc
-      | Ast.Call ({ e = Ast.Member { field; _ }; _ }, _) -> acc := field :: !acc
-      | _ -> ())
-    fn;
-  List.rev !acc
-
 (* Local declaration and parameter names of a function, used to tell a
    function-pointer variable call [fp()] apart from an unresolved named
    call, and to avoid reporting shadowed identifiers as address-taken

@@ -53,10 +53,6 @@ type t = {
   resolution : resolution;
 }
 
-(** Raw callee names (unresolved) mentioned in a function body, including
-    kernel launches and method-style calls. *)
-val calls_in_body : Ast.func -> string list
-
 val build : Ast.func list -> t
 
 (** Resolved callees of a qualified name (with multiplicity). *)

@@ -35,67 +35,24 @@ let add a b =
     device_globals = a.device_globals + b.device_globals;
   }
 
-let has_bound_check (fn : Cfront.Ast.func) =
-  let found = ref false in
-  (match fn.Cfront.Ast.f_body with
-   | None -> ()
-   | Some body ->
-     Cfront.Ast.iter_stmts
-       (fun s ->
-         match s.Cfront.Ast.s with
-         | Cfront.Ast.Sif { cond; _ } ->
-           Cfront.Ast.iter_exprs_of_expr
-             (fun e ->
-               match e.Cfront.Ast.e with
-               | Cfront.Ast.Binary ((Cfront.Ast.Lt | Cfront.Ast.Le | Cfront.Ast.Ge
-                                    | Cfront.Ast.Gt), _, _) ->
-                 found := true
-               | _ -> ())
-             cond
-         | _ -> ())
-       body);
-  !found
-
-let of_tu (tu : Cfront.Ast.tu) =
+(** The census of one unit, given the {!Metrics.Census} counts of its
+    defined functions in order.  Kernels, device functions and kernel
+    parameters count prototypes too. *)
+let of_unit (tu : Cfront.Ast.tu) (counts : Metrics.Census.counts list) =
   let fns = Cfront.Ast.functions_of_tu tu in
-  let kernels_l =
-    List.filter (fun f -> List.mem Cfront.Ast.Q_global f.Cfront.Ast.f_quals) fns
-  in
-  let device_fns =
-    List.filter (fun f -> List.mem Cfront.Ast.Q_device f.Cfront.Ast.f_quals) fns
-  in
-  let count_calls name =
-    let n = ref 0 in
-    List.iter
-      (fun fn ->
-        Cfront.Ast.iter_exprs_of_func
-          (fun e ->
-            match e.Cfront.Ast.e with
-            | Cfront.Ast.Call ({ e = Cfront.Ast.Id callee; _ }, _) when callee = name ->
-              incr n
-            | _ -> ())
-          fn)
-      fns;
-    !n
-  in
-  let launches = ref 0 in
-  List.iter
-    (fun fn ->
-      Cfront.Ast.iter_exprs_of_func
-        (fun e ->
-          match e.Cfront.Ast.e with
-          | Cfront.Ast.Kernel_launch _ -> incr launches
-          | _ -> ())
-        fn)
-    fns;
+  let is_kernel f = List.mem Cfront.Ast.Q_global f.Cfront.Ast.f_quals in
+  let kernels_l = List.filter is_kernel fns in
   let kparams = List.concat_map (fun f -> f.Cfront.Ast.f_params) kernels_l in
+  let defined = List.filter (fun f -> f.Cfront.Ast.f_body <> None) fns in
+  let sum f = Metrics.Census.sum f counts in
   {
     kernels = List.length kernels_l;
-    device_functions = List.length device_fns;
-    kernel_launches = !launches;
-    cuda_mallocs = count_calls "cudaMalloc";
-    cuda_memcpys = count_calls "cudaMemcpy";
-    cuda_frees = count_calls "cudaFree";
+    device_functions =
+      List.length (List.filter (fun f -> List.mem Cfront.Ast.Q_device f.Cfront.Ast.f_quals) fns);
+    kernel_launches = sum (fun c -> c.Metrics.Census.launches);
+    cuda_mallocs = sum (fun c -> c.Metrics.Census.cuda_mallocs);
+    cuda_memcpys = sum (fun c -> c.Metrics.Census.cuda_memcpys);
+    cuda_frees = sum (fun c -> c.Metrics.Census.cuda_frees);
     kernel_pointer_params =
       List.length
         (List.filter (fun p -> Cfront.Ast.is_pointer_type p.Cfront.Ast.p_type) kparams);
@@ -103,15 +60,18 @@ let of_tu (tu : Cfront.Ast.tu) =
     kernels_without_bound_check =
       List.length
         (List.filter
-           (fun f -> f.Cfront.Ast.f_body <> None && not (has_bound_check f))
-           kernels_l);
+           (fun (f, c) -> is_kernel f && not c.Metrics.Census.bound_check)
+           (List.combine defined counts));
     device_globals =
       List.length
         (List.filter (fun g -> g.Cfront.Ast.g_device) (Cfront.Ast.globals_of_tu tu));
   }
 
-let of_files (pfs : Cfront.Project.parsed_file list) =
-  List.fold_left (fun acc pf -> add acc (of_tu (Cfront.Project.tu pf))) zero pfs
+let of_tu (tu : Cfront.Ast.tu) =
+  let defined =
+    List.filter (fun f -> f.Cfront.Ast.f_body <> None) (Cfront.Ast.functions_of_tu tu)
+  in
+  of_unit tu (Metrics.Census.of_functions defined).Metrics.Census.counts
 
 (** Pointer-parameter density of kernels: the Figure 4 observation that
     CUDA kernels are driven by raw pointer pairs. *)

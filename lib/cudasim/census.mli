@@ -17,8 +17,13 @@ type t = {
 
 val zero : t
 val add : t -> t -> t
+
+(** The census of one unit, given the {!Metrics.Census.counts} of its
+    defined functions, in order. *)
+val of_unit : Cfront.Ast.tu -> Metrics.Census.counts list -> t
+
+(** [of_unit] over a census of the unit's own functions. *)
 val of_tu : Cfront.Ast.tu -> t
-val of_files : Cfront.Project.parsed_file list -> t
 
 (** Fraction of kernel parameters that are raw pointers. *)
 val pointer_param_ratio : t -> float

@@ -2,12 +2,13 @@
     graph.
 
     Per-function facts (direct global accesses, IO/allocation calls,
-    frame size) are computed independently per function; summaries are
-    then propagated bottom-up over the SCC DAG: the strongly-connected
-    components are grouped into levels (level 0 = components with no
-    callee component) and processed level by level.  Within a level
-    every component only reads summaries of strictly lower levels, so
-    components of one level are fanned out over the domain pool
+    frame size) are computed independently per function, by one walk of
+    its body; summaries are then propagated bottom-up over the SCC DAG:
+    the strongly-connected components are grouped into levels (level 0
+    = components with no callee component) and processed level by
+    level.  Within a level every component only reads summaries of
+    strictly lower levels, so components of one level are fanned out
+    over the domain pool
     ({!Telemetry.parallel_map}); at [--jobs 1] that is exactly the
     sequential topological walk, which is the oracle every other worker
     count must reproduce bit for bit.
@@ -127,83 +128,122 @@ let rec decl_words = function
 
 type direct = {
   dr_reads : SS.t;
-  dr_writes : SS.t;
+  dr_writes : SS.t;  (** address-taken counts as a write *)
   dr_io : bool;
   dr_alloc : bool;
   dr_frame : int;  (** frame words: 2 overhead + params + locals *)
-  dr_mentions : SS.t;  (** every identifier occurring in the body *)
+  dr_params_mentioned : SS.t;  (** parameters named anywhere in the body *)
+  dr_passes_address : bool;  (** a direct call has a [&x] argument *)
 }
 
-(* Local declaration and parameter names, to separate global accesses
-   from local ones of the same simple name. *)
-let local_names (fn : Ast.func) =
-  let acc = ref SS.empty in
-  List.iter (fun p -> acc := SS.add p.Ast.p_name !acc) fn.Ast.f_params;
-  (match fn.Ast.f_body with
-   | None -> ()
-   | Some body ->
-     Ast.iter_stmts
-       (fun s ->
-         match s.Ast.s with
-         | Ast.Sdecl ds | Ast.Sfor { init = Ast.Fi_decl ds; _ } ->
-           List.iter (fun d -> acc := SS.add d.Ast.v_name !acc) ds
-         | _ -> ())
-       body);
-  !acc
-
-let direct_facts ~globals (fn : Ast.func) (cfg : Dataflow.Cfg.t) =
-  let locals = local_names fn in
-  let is_global n = SS.mem n globals && not (SS.mem n locals) in
+(* One walk of the body.  Every statement-level expression but a [case]
+   label is one the CFG lowering emits, and the reads, writes and
+   address-takings of each are the ones [Dataflow.Cfg] reads off its
+   instructions: splitting a condition at [&&], [||] and [!] leaves
+   their union unchanged.  Each identifier is tested against the
+   [globals] table; names the function declares locally (anywhere in
+   the body, as parameters or declarations) are removed at the end.
+   Case labels, like every other expression, count towards the
+   mentioned parameters, the IO and allocation flags and the
+   address-passing calls. *)
+let direct_facts ~(globals : (string, unit) Hashtbl.t) (fn : Ast.func) =
   let reads = ref SS.empty and writes = ref SS.empty in
-  let io = ref false and alloc = ref false in
-  Array.iter
-    (fun (blk : Dataflow.Cfg.block) ->
-      List.iter
-        (fun (instr : Dataflow.Cfg.instr) ->
-          List.iter
-            (fun (n, _) -> if is_global n then reads := SS.add n !reads)
-            (Dataflow.Cfg.uses_of_instr instr);
-          List.iter
-            (fun (n, _) -> if is_global n then writes := SS.add n !writes)
-            (Dataflow.Cfg.defs_of_instr instr);
-          (* address-taken global: its value may be written through the
-             pointer — count as a write *)
-          List.iter
-            (fun n -> if is_global n then writes := SS.add n !writes)
-            (Dataflow.Cfg.addr_taken_of_instr instr))
-        blk.Dataflow.Cfg.instrs)
-    cfg.Dataflow.Cfg.blocks;
-  let mentions = ref SS.empty in
+  let shadowed = ref SS.empty and mentioned = ref SS.empty in
+  let io = ref false and alloc = ref false and passes = ref false in
   let frame_locals = ref 0 in
-  Ast.iter_exprs_of_func
-    (fun e ->
-      match e.Ast.e with
-      | Ast.Id n -> mentions := SS.add n !mentions
-      | Ast.New _ | Ast.Delete _ -> alloc := true
-      | Ast.Call ({ e = Ast.Id n; _ }, _) ->
-        if SS.mem n io_names then io := true;
-        if SS.mem n alloc_names then alloc := true
-      | _ -> ())
-    fn;
-  (match fn.Ast.f_body with
-   | None -> ()
-   | Some body ->
-     Ast.iter_stmts
-       (fun s ->
+  let is_param n = List.exists (fun (p : Ast.param) -> p.Ast.p_name = n) fn.Ast.f_params in
+  let local n = if Hashtbl.mem globals n then shadowed := SS.add n !shadowed in
+  let global set n = if Hashtbl.mem globals n then set := SS.add n !set in
+  (* [effects] is false inside a case label, which the lowering drops;
+     [read] is false for an identifier that is assigned with [=] or
+     whose address is taken *)
+  let rec go ~effects ~read (e : Ast.expr) =
+    let sub a = go ~effects ~read:true a in
+    match e.Ast.e with
+    | Ast.Id n ->
+      if is_param n then mentioned := SS.add n !mentioned;
+      if effects && read then global reads n
+    | Ast.Unary (Ast.Addr_of, ({ e = Ast.Id n; _ } as a)) ->
+      if effects then global writes n;
+      go ~effects ~read:false a
+    | Ast.Assign (op, ({ e = Ast.Id n; _ } as a), rhs) ->
+      if effects then global writes n;
+      go ~effects ~read:(op <> Ast.A_eq) a;
+      sub rhs
+    | Ast.Unary ((Ast.Pre_inc | Ast.Pre_dec), ({ e = Ast.Id n; _ } as a))
+    | Ast.Postfix (_, ({ e = Ast.Id n; _ } as a)) ->
+      if effects then global writes n;
+      sub a
+    | Ast.Call (f, args) ->
+      (match f.Ast.e with
+       | Ast.Id n ->
+         if SS.mem n io_names then io := true;
+         if SS.mem n alloc_names then alloc := true;
+         if List.exists
+              (fun (a : Ast.expr) ->
+                match a.Ast.e with
+                | Ast.Unary (Ast.Addr_of, { e = Ast.Id _; _ }) -> true
+                | _ -> false)
+              args
+         then passes := true
+       | _ -> ());
+      sub f;
+      List.iter sub args
+    | Ast.New { array_size; init_args; _ } ->
+      alloc := true;
+      Option.iter sub array_size;
+      List.iter sub init_args
+    | Ast.Delete { target; _ } ->
+      alloc := true;
+      sub target
+    | Ast.Unary (_, a) | Ast.Postfix (_, a) | Ast.C_cast (_, a)
+    | Ast.Cpp_cast (_, _, a) | Ast.Sizeof_expr a -> sub a
+    | Ast.Throw a -> Option.iter sub a
+    | Ast.Binary (_, a, b) | Ast.Assign (_, a, b) | Ast.Index (a, b) -> sub a; sub b
+    | Ast.Ternary (a, b, c) -> sub a; sub b; sub c
+    | Ast.Kernel_launch { kernel; grid; block; args } ->
+      sub kernel; sub grid; sub block; List.iter sub args
+    | Ast.Member { obj; _ } -> sub obj
+    | Ast.Int_const _ | Ast.Float_const _ | Ast.Bool_const _ | Ast.Str_const _
+    | Ast.Char_const _ | Ast.Nullptr | Ast.Sizeof_type _ -> ()
+  in
+  let expr e = go ~effects:true ~read:true e in
+  let decls ds =
+    List.iter
+      (fun (d : Ast.var_decl) ->
+        local d.Ast.v_name;
+        frame_locals := !frame_locals + decl_words d.Ast.v_type;
+        Option.iter expr d.Ast.v_init)
+      ds
+  in
+  List.iter (fun (p : Ast.param) -> local p.Ast.p_name) fn.Ast.f_params;
+  Option.iter
+    (Ast.iter_stmts (fun s ->
          match s.Ast.s with
-         | Ast.Sdecl ds | Ast.Sfor { init = Ast.Fi_decl ds; _ } ->
-           List.iter
-             (fun d -> frame_locals := !frame_locals + decl_words d.Ast.v_type)
-             ds
-         | _ -> ())
-       body);
+         | Ast.Sexpr e | Ast.Sif { cond = e; _ } | Ast.Swhile (e, _)
+         | Ast.Sdo_while (_, e) | Ast.Sswitch (e, _) | Ast.Sreturn (Some e) ->
+           expr e
+         | Ast.Sdecl ds -> decls ds
+         | Ast.Sfor { init; cond; update; _ } ->
+           (match init with
+            | Ast.Fi_decl ds -> decls ds
+            | Ast.Fi_expr e -> expr e
+            | Ast.Fi_empty -> ());
+           Option.iter expr cond;
+           Option.iter expr update
+         | Ast.Scase e -> go ~effects:false ~read:true e
+         | Ast.Sreturn None | Ast.Sempty | Ast.Sblock _ | Ast.Sdefault
+         | Ast.Sbreak | Ast.Scontinue | Ast.Sgoto _ | Ast.Slabel _ | Ast.Stry _ -> ()))
+    fn.Ast.f_body;
+  let own set = if SS.is_empty !shadowed then !set else SS.diff !set !shadowed in
   {
-    dr_reads = !reads;
-    dr_writes = !writes;
+    dr_reads = own reads;
+    dr_writes = own writes;
     dr_io = !io;
     dr_alloc = !alloc;
     dr_frame = 2 + List.length fn.Ast.f_params + !frame_locals;
-    dr_mentions = !mentions;
+    dr_params_mentioned = !mentioned;
+    dr_passes_address = !passes;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -365,7 +405,7 @@ let summarize_scc ~graph ~owner ~params ~directs ~unresolved ~tbl ~scc_index
       let param_inits =
         List.map
           (fun (p : Ast.param) ->
-            (p.Ast.p_name, recursive || SS.mem p.Ast.p_name d.dr_mentions))
+            (p.Ast.p_name, recursive || SS.mem p.Ast.p_name d.dr_params_mentioned))
           (Option.value ~default:[] (Hashtbl.find_opt params v))
       in
       {
@@ -408,8 +448,8 @@ let param_noinit tbl q j =
 (* A direct call [f(a0, ..., an)] as [Some (f, args)], each argument
    paired with [Some x] when it is [&x].  That is the only syntax in
    which an address-taking can be non-initializing: [noinit_addr_args]
-   classifies these arguments and [passes_address] skips functions
-   without one, so both read it from here. *)
+   classifies these arguments, and [direct_facts] marks a function
+   with one ([dr_passes_address]) so that phase 3 skips the others. *)
 let addr_of_id_args (e : Ast.expr) =
   match e.Ast.e with
   | Ast.Call ({ e = Ast.Id f; _ }, args) ->
@@ -469,20 +509,7 @@ let noinit_addr_args ~summaries ~resolve_call (instr : Dataflow.Cfg.instr) =
   in
   (SS.of_list (List.map (fun (x, _, _) -> x) pure), pure)
 
-(* Only a direct call with a [&x] argument can make an address-taking
-   non-initializing, so a function without one has no cross-call flow. *)
-let passes_address (fn : Ast.func) =
-  let found = ref false in
-  Ast.iter_exprs_of_func
-    (fun e ->
-      match addr_of_id_args e with
-      | Some (_, args) when List.exists (fun (_, x) -> x <> None) args ->
-        found := true
-      | _ -> ())
-    fn;
-  !found
-
-(* Cross-call uninit flows in one function, over the CFG phase 1 built.
+(* Cross-call uninit flows in one function, over its CFG.
    [resolve_call] maps a raw direct-callee name in this caller to its
    resolved qualified name; [uninit] is the function's intraprocedural
    uninit reads when the dataflow layer already computed them.  The
@@ -600,22 +627,19 @@ let of_files ~facts (files : Project.parsed_file list) =
         (fun (f : Ast.func) ->
           Hashtbl.replace params (Ast.qualified_name f) f.Ast.f_params)
         defined;
-      (* phase 1: direct facts, independent per function.  The CFG is
-         kept for phase 3 where that phase can find a flow, and only
-         there, so the program's CFGs are not all live at once. *)
-      let lowered =
+      (* phase 1: direct facts, one walk per function, independent per
+         function; the global names are a table built once *)
+      let global_names = Hashtbl.create (SS.cardinal globals) in
+      SS.iter (fun g -> Hashtbl.replace global_names g ()) globals;
+      let own_facts =
         Telemetry.parallel_map
-          (fun f ->
-            let cfg = Dataflow.Cfg.of_func f in
-            let direct = direct_facts ~globals f cfg in
-            (f, (if passes_address f then Some cfg else None), direct))
+          (fun f -> (f, direct_facts ~globals:global_names f))
           defined
       in
       let directs = Hashtbl.create 64 in
       List.iter
-        (fun ((f : Ast.func), _, d) ->
-          Hashtbl.replace directs (Ast.qualified_name f) d)
-        lowered;
+        (fun ((f : Ast.func), d) -> Hashtbl.replace directs (Ast.qualified_name f) d)
+        own_facts;
       (* phase 2: bottom-up over SCC levels; within a level, components
          are independent (they read only lower-level summaries) *)
       let sccs, _scc_of, _level_of, levels = condense graph in
@@ -662,13 +686,14 @@ let of_files ~facts (files : Project.parsed_file list) =
       let uninit_flows =
         List.concat
           (Telemetry.parallel_map
-             (fun ((f, cfg, _), uninit) ->
-               match cfg with
-               | None -> []
-               | Some cfg ->
+             (fun ((f, d), uninit) ->
+               (* only a function passing [&x] to a direct call can have
+                  a flow, so only its CFG is built *)
+               if not d.dr_passes_address then []
+               else
                  uninit_flows_of_func ~summaries:tbl
-                   ~resolve_call:(resolve_for f) ~uninit f cfg)
-             (List.combine lowered uninit_of))
+                   ~resolve_call:(resolve_for f) ~uninit f (Dataflow.Cfg.of_func f))
+             (List.combine own_facts uninit_of))
         |> List.sort (fun a b ->
                compare
                  ( a.ip_use_loc.Loc.file, a.ip_use_loc.Loc.line,

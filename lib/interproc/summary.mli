@@ -79,3 +79,23 @@ val render_depth : depth -> string
 val analyze : ?facts:Dataflow.Analyses.func_facts list -> Project.parsed -> t
 
 val find_summary : t -> string -> func_summary option
+
+(** {2 Per-function facts} *)
+
+(** The direct (non-transitive) facts of one defined function. *)
+type direct = {
+  dr_reads : SS.t;  (** mutable globals read *)
+  dr_writes : SS.t;  (** mutable globals written; address-taken counts *)
+  dr_io : bool;  (** calls an IO routine *)
+  dr_alloc : bool;  (** [new], [delete] or a C allocator call *)
+  dr_frame : int;  (** frame words: 2 overhead + params + locals *)
+  dr_params_mentioned : SS.t;  (** parameters named anywhere in the body *)
+  dr_passes_address : bool;  (** a direct call has a [&x] argument *)
+}
+
+(** One walk of [fn]'s body.  [globals] holds the program's mutable
+    globals by simple name; a name the function declares as a parameter
+    or local is never a global access.  Reads, writes and address-taken
+    names are those [Dataflow.Cfg]'s def/use extraction finds on the
+    instructions of the function's CFG, without building it. *)
+val direct_facts : globals:(string, unit) Hashtbl.t -> Ast.func -> direct

@@ -90,22 +90,65 @@ let no_interproc () =
     n_sccs = 0; n_levels = 0; max_call_depth = Finite 0; max_stack_words = Finite 0;
     coupling = []; uninit_flows = []; globals_total = 0 }
 
-(* The core metric walk: every field but [misra], read off [ctx].  The
-   casts, dynamic allocations and ignored returns are the context's
-   records, which rules 10.3, 21.3 and 17.7 read too. *)
+(* What the core metrics read of one file: its module, its line counts
+   and style hits from one scan of its text, its CUDA census, and the
+   census counts of its defined functions. *)
+type file_facts = {
+  ff_module : string;
+  ff_file : string;
+  ff_counts : Metrics.Census.counts list;
+  ff_loc : Metrics.Loc_metrics.counts;
+  ff_style : int;
+  ff_cuda : Cudasim.Census.t;
+}
+
+(* [ctx.census] lists the defined functions file by file, so each file
+   takes the next as many records as it defines functions. *)
+let file_facts (ctx : Misra.Rule.context) files =
+  let rec take n l acc =
+    match (n, l) with
+    | 0, _ -> (List.rev acc, l)
+    | _, c :: rest -> take (n - 1) rest (c :: acc)
+    | _, [] -> invalid_arg "Project_metrics.file_facts: census shorter than the functions"
+  in
+  snd
+    (List.fold_left_map
+       (fun rest (pf : Cfront.Project.parsed_file) ->
+         let tu = Cfront.Project.tu pf in
+         let defined =
+           List.length
+             (List.filter
+                (fun f -> f.Cfront.Ast.f_body <> None)
+                (Cfront.Ast.functions_of_tu tu))
+         in
+         let counts, rest = take defined rest [] in
+         let text = Metrics.Style.scan tu.Cfront.Ast.raw_source in
+         ( rest,
+           {
+             ff_module = pf.Cfront.Project.file.Cfront.Project.modname;
+             ff_file = tu.Cfront.Ast.tu_file;
+             ff_counts = counts;
+             ff_loc =
+               Metrics.Style.loc_counts tu text
+                 ~logical:(Metrics.Census.sum (fun c -> c.Metrics.Census.logical) counts);
+             ff_style = Metrics.Style.findings text;
+             ff_cuda = Cudasim.Census.of_unit tu counts;
+           } ))
+       ctx.Misra.Rule.census files)
+
+(* The core metrics: every field but [misra], read off [ctx].  Every
+   per-function figure is a sum of the context's census counts, per
+   module or over the project; the casts, dynamic allocations and
+   ignored returns are the context's records, which rules 10.3, 21.3 and
+   17.7 read too, and the recursive functions are those of interproc's
+   cycles, which 17.2 and CUDA-5 read. *)
 let core ~(ctx : Misra.Rule.context) ~module_dataflow (parsed : Cfront.Project.parsed) =
+  let module C = Metrics.Census in
   let graph = ctx.Misra.Rule.interproc.Interproc.Summary.graph in
   let module_names = Cfront.Project.module_names parsed.Cfront.Project.project in
-  let files = parsed.Cfront.Project.files in
-  (* Each file's lines are counted once and its mutable globals are
-     read off the context; the module and project figures are sums. *)
-  let file_loc =
-    List.map (fun pf -> (pf, Metrics.Loc_metrics.of_tu (Cfront.Project.tu pf))) files
-  in
-  let sum_loc keep =
-    List.fold_left
-      (fun acc (pf, c) -> if keep pf then Metrics.Loc_metrics.add acc c else acc)
-      Metrics.Loc_metrics.zero file_loc
+  let files = file_facts ctx parsed.Cfront.Project.files in
+  let sum_loc ffs =
+    List.fold_left (fun acc f -> Metrics.Loc_metrics.add acc f.ff_loc) Metrics.Loc_metrics.zero ffs
   in
   let globals_in_file = Hashtbl.create (List.length files) in
   List.iter
@@ -114,39 +157,39 @@ let core ~(ctx : Misra.Rule.context) ~module_dataflow (parsed : Cfront.Project.p
       Hashtbl.replace globals_in_file file
         (1 + Option.value ~default:0 (Hashtbl.find_opt globals_in_file file)))
     ctx.Misra.Rule.globals;
-  let per_module =
+  let by_module =
     List.map
       (fun m ->
-        let pfs = Cfront.Project.parsed_files_of_module parsed m in
-        let fns = Cfront.Project.defined_functions pfs in
-        let loc =
-          sum_loc (fun pf -> pf.Cfront.Project.file.Cfront.Project.modname = m)
-        in
+        let ffs = List.filter (fun f -> f.ff_module = m) files in
+        (m, ffs, List.concat_map (fun f -> f.ff_counts) ffs))
+      module_names
+  in
+  let per_module =
+    List.map
+      (fun (m, ffs, counts) ->
+        let loc = sum_loc ffs in
         {
           modname = m;
           complexity =
-            Metrics.Complexity.summarize ~modname:m
-              ~loc:loc.Metrics.Loc_metrics.physical fns;
+            Metrics.Complexity.summarize ~modname:m ~loc:loc.Metrics.Loc_metrics.physical
+              (List.map (fun c -> c.C.cc) counts);
           loc;
           globals =
             Util.Stats.sum_int
               (List.map
-                 (fun (pf : Cfront.Project.parsed_file) ->
-                   Option.value ~default:0
-                     (Hashtbl.find_opt globals_in_file
-                        (Cfront.Project.tu pf).Cfront.Ast.tu_file))
-                 pfs);
-          multi_exit_frac = Metrics.Func_shape.multi_exit_fraction fns;
-          gotos = Metrics.Func_shape.total_gotos fns;
+                 (fun f -> Option.value ~default:0 (Hashtbl.find_opt globals_in_file f.ff_file))
+                 ffs);
+          multi_exit_frac = C.multi_exit_fraction counts;
+          gotos = C.sum (fun c -> c.C.gotos) counts;
           dataflow = List.assoc m module_dataflow;
         })
-      module_names
+      by_module
   in
-  let all_fns = Cfront.Project.all_functions parsed in
+  let all = ctx.Misra.Rule.census in
   let casts = ctx.Misra.Rule.casts in
   let shadowing = ctx.Misra.Rule.shadowing in
-  let loc_all = sum_loc (fun _ -> true) in
-  let style = Metrics.Style.of_files files in
+  let loc_all = sum_loc files in
+  let style = Util.Stats.sum_int (List.map (fun f -> f.ff_style) files) in
   let sum f = Util.Stats.sum_int (List.map f per_module) in
   {
     modules = per_module;
@@ -170,24 +213,30 @@ let core ~(ctx : Misra.Rule.context) ~module_dataflow (parsed : Cfront.Project.p
            (fun (f : Metrics.Shadowing.finding) -> f.Metrics.Shadowing.kind = `Duplicate_global)
            shadowing);
     gotos_total = sum (fun m -> m.gotos);
-    recursive_functions = Cfront.Callgraph.recursive_functions graph;
+    recursive_functions =
+      List.sort_uniq compare (List.concat ctx.Misra.Rule.interproc.Interproc.Summary.cycles);
     dyn_alloc_sites = List.length ctx.Misra.Rule.dyn_allocs;
-    pointer_usage = Metrics.Pointers.usage_of_functions all_fns;
-    multi_exit_frac = Metrics.Func_shape.multi_exit_fraction all_fns;
-    param_validation_ratio = Metrics.Defensive.param_validation_ratio all_fns;
+    pointer_usage = C.pointer_usage all;
+    multi_exit_frac = C.multi_exit_fraction all;
+    param_validation_ratio = C.param_validation_ratio all;
     ignored_returns = List.length ctx.Misra.Rule.ignored_returns;
-    assertions = Metrics.Defensive.assertion_count all_fns;
-    style_findings = List.length style;
+    assertions = C.sum (fun c -> c.C.assertions) all;
+    style_findings = style;
     style_per_kloc = Metrics.Style.per_kloc style loc_all;
-    naming_violations = List.length (Metrics.Naming.of_files files);
+    naming_violations = List.length (Metrics.Naming.of_files parsed.Cfront.Project.files);
     architecture =
       Metrics.Architecture.build ~graph ~parsed
-        ~module_loc:
-          (List.map
-             (fun m -> (m.modname, m.loc.Metrics.Loc_metrics.physical))
-             per_module);
-    namespace_depth = Metrics.Architecture.namespace_depth files;
-    cuda = Cudasim.Census.of_files files;
+        ~modules:
+          (List.map2
+             (fun (m, _, counts) mm ->
+               ( m,
+                 { Metrics.Architecture.m_loc = mm.loc.Metrics.Loc_metrics.physical;
+                   m_interrupts = List.exists (fun c -> c.C.interrupts) counts;
+                   m_threads = List.exists (fun c -> c.C.threads) counts } ))
+             by_module per_module);
+    namespace_depth = Metrics.Architecture.namespace_depth parsed.Cfront.Project.files;
+    cuda =
+      List.fold_left (fun acc f -> Cudasim.Census.add acc f.ff_cuda) Cudasim.Census.zero files;
     interproc = ctx.Misra.Rule.interproc;
     misra = no_misra;
     dataflow =

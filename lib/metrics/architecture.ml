@@ -20,26 +20,18 @@ type component = {
 let interrupt_markers = [ "signal"; "sigaction"; "irq_handler"; "attachInterrupt" ]
 let thread_markers = [ "pthread_create"; "std::thread"; "thread"; "async" ]
 
-let calls_marker markers (fns : Cfront.Ast.func list) =
-  List.exists
-    (fun fn ->
-      let found = ref false in
-      Cfront.Ast.iter_exprs_of_func
-        (fun e ->
-          match e.Cfront.Ast.e with
-          | Cfront.Ast.Call ({ e = Cfront.Ast.Id name; _ }, _) when List.mem name markers ->
-            found := true
-          | _ -> ())
-        fn;
-      !found)
-    fns
+(** What the core metric walk already knows of a module: its physical
+    lines, and whether any of its functions calls one of the
+    interrupt or thread markers above ({!Census} records both per
+    function). *)
+type module_facts = { m_loc : int; m_interrupts : bool; m_threads : bool }
 
 (** Per-module components of [parsed]; coupling and cohesion come from
     the edges of [graph], the project's call graph, and each component's
-    size is its module's physical lines in [module_loc], which must hold
-    every module. *)
+    size and markers from its entry in [modules], which must hold every
+    module. *)
 let build ~(graph : Cfront.Callgraph.t) ~(parsed : Cfront.Project.parsed)
-    ~(module_loc : (string * int) list) =
+    ~(modules : (string * module_facts) list) =
   Telemetry.with_span ~cat:"metrics" "metrics.architecture" @@ fun () ->
   let module_names = Cfront.Project.module_names parsed.Cfront.Project.project in
   let per_module =
@@ -83,9 +75,10 @@ let build ~(graph : Cfront.Callgraph.t) ~(parsed : Cfront.Project.parsed)
             not (List.mem Cfront.Ast.Q_static fn.Cfront.Ast.f_quals))
           fns
       in
+      let facts = List.assoc m modules in
       {
         name = m;
-        loc = List.assoc m module_loc;
+        loc = facts.m_loc;
         n_files = List.length pfs;
         n_functions = List.length fns;
         interface_size = List.length interface_fns;
@@ -99,8 +92,8 @@ let build ~(graph : Cfront.Callgraph.t) ~(parsed : Cfront.Project.parsed)
             (fun acc (fn : Cfront.Ast.func) ->
               Stdlib.max acc (List.length fn.Cfront.Ast.f_params))
             0 interface_fns;
-        uses_interrupts = calls_marker interrupt_markers fns;
-        uses_threads = calls_marker thread_markers fns;
+        uses_interrupts = facts.m_interrupts;
+        uses_threads = facts.m_threads;
       })
     per_module
 

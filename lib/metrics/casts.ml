@@ -19,15 +19,6 @@ type kind =
 
 type record = { kind : kind; loc : Cfront.Loc.t; in_function : string }
 
-let kind_name = function
-  | C_style -> "C-style"
-  | Static -> "static_cast"
-  | Dynamic -> "dynamic_cast"
-  | Const -> "const_cast"
-  | Reinterpret -> "reinterpret_cast"
-  | Implicit_narrowing -> "implicit narrowing"
-  | Implicit_widening -> "implicit widening"
-
 (* --- lightweight scalar typing ------------------------------------- *)
 
 type scalar = Kint | Kfloat | Kbool | Kptr | Kother
@@ -97,69 +88,27 @@ let rec infer (env : env) (e : Cfront.Ast.expr) =
 
 (* --- census ---------------------------------------------------------- *)
 
-let explicit_casts_of_func (fn : Cfront.Ast.func) =
-  let acc = ref [] in
-  let name = Cfront.Ast.qualified_name fn in
-  Cfront.Ast.iter_exprs_of_func
-    (fun e ->
-      match e.Cfront.Ast.e with
-      | Cfront.Ast.C_cast _ ->
-        acc := { kind = C_style; loc = e.Cfront.Ast.eloc; in_function = name } :: !acc
-      | Cfront.Ast.Cpp_cast (k, _, _) ->
-        let kind =
-          match k with
-          | Cfront.Ast.Static_cast -> Static
-          | Cfront.Ast.Dynamic_cast -> Dynamic
-          | Cfront.Ast.Const_cast -> Const
-          | Cfront.Ast.Reinterpret_cast -> Reinterpret
-        in
-        acc := { kind; loc = e.Cfront.Ast.eloc; in_function = name } :: !acc
-      | _ -> ())
-    fn;
-  List.rev !acc
+(** The explicit cast an expression node is, if any.  {!Census} pairs
+    these with the implicit conversions it infers. *)
+let explicit_kind (e : Cfront.Ast.expr) =
+  match e.Cfront.Ast.e with
+  | Cfront.Ast.C_cast _ -> Some C_style
+  | Cfront.Ast.Cpp_cast (Cfront.Ast.Static_cast, _, _) -> Some Static
+  | Cfront.Ast.Cpp_cast (Cfront.Ast.Dynamic_cast, _, _) -> Some Dynamic
+  | Cfront.Ast.Cpp_cast (Cfront.Ast.Const_cast, _, _) -> Some Const
+  | Cfront.Ast.Cpp_cast (Cfront.Ast.Reinterpret_cast, _, _) -> Some Reinterpret
+  | _ -> None
 
-let implicit_conversions_of_func (fn : Cfront.Ast.func) =
-  let env = env_of_func fn in
-  let acc = ref [] in
-  let name = Cfront.Ast.qualified_name fn in
-  let check_pair ~loc lhs_kind rhs =
-    match (lhs_kind, infer env rhs) with
-    | Kint, Kfloat ->
-      acc := { kind = Implicit_narrowing; loc; in_function = name } :: !acc
-    | Kfloat, Kint ->
-      acc := { kind = Implicit_widening; loc; in_function = name } :: !acc
-    | _ -> ()
-  in
-  Cfront.Ast.iter_exprs_of_func
-    (fun e ->
-      match e.Cfront.Ast.e with
-      | Cfront.Ast.Assign (Cfront.Ast.A_eq, lhs, rhs) ->
-        check_pair ~loc:e.Cfront.Ast.eloc (infer env lhs) rhs
-      | _ -> ())
-    fn;
-  (match fn.Cfront.Ast.f_body with
-   | None -> ()
-   | Some body ->
-     Cfront.Ast.iter_stmts
-       (fun s ->
-         match s.Cfront.Ast.s with
-         | Cfront.Ast.Sdecl ds ->
-           List.iter
-             (fun d ->
-               match d.Cfront.Ast.v_init with
-               | Some init ->
-                 check_pair ~loc:d.Cfront.Ast.v_loc
-                   (scalar_of_type d.Cfront.Ast.v_type) init
-               | None -> ())
-             ds
-         | _ -> ())
-       body);
-  List.rev !acc
-
-let of_functions fns =
-  List.concat_map
-    (fun fn -> explicit_casts_of_func fn @ implicit_conversions_of_func fn)
-    (List.filter (fun (f : Cfront.Ast.func) -> f.Cfront.Ast.f_body <> None) fns)
+(** The implicit conversion of storing [rhs] in a place of scalar kind
+    [lhs]. *)
+let implicit_kind env lhs rhs =
+  match lhs with
+  | Kint | Kfloat -> (
+    match (lhs, infer env rhs) with
+    | Kint, Kfloat -> Some Implicit_narrowing
+    | Kfloat, Kint -> Some Implicit_widening
+    | _ -> None)
+  | Kbool | Kptr | Kother -> None
 
 let explicit_count records =
   List.length

@@ -1,7 +1,9 @@
 (** McCabe cyclomatic complexity, computed the way Lizard computes it:
     CC = 1 + number of decision points, where decision points are [if],
     [while], [do-while], [for] (with a condition), [case] labels, ternary
-    [?:], and the short-circuit operators [&&] and [||].
+    [?:], and the short-circuit operators [&&] and [||], the last three
+    in every statement-level expression but a [case] label.  {!Census}
+    counts them in its walk of each function.
 
     The paper's Figure 3 buckets functions into the classic ranges
     1-10 (low), 11-20 (moderate), 21-50 (risky), >50 (unstable). *)
@@ -13,54 +15,6 @@ let bucket_of_cc cc =
   else if cc <= 20 then Moderate
   else if cc <= 50 then Risky
   else Unstable
-
-let decisions_in_expr expr =
-  let n = ref 0 in
-  Cfront.Ast.iter_exprs_of_expr
-    (fun e ->
-      match e.Cfront.Ast.e with
-      | Cfront.Ast.Binary ((Cfront.Ast.Land | Cfront.Ast.Lor), _, _) -> incr n
-      | Cfront.Ast.Ternary _ -> incr n
-      | _ -> ())
-    expr;
-  !n
-
-(* Counts [&&]/[||]/[?:] in every condition and expression statement,
-   the way Lizard and most modern tools do. *)
-let of_stmt body =
-  let n = ref 0 in
-  let count_expr e = n := !n + decisions_in_expr e in
-  Cfront.Ast.iter_stmts
-    (fun s ->
-      match s.Cfront.Ast.s with
-      | Cfront.Ast.Sif { cond; _ } -> incr n; count_expr cond
-      | Cfront.Ast.Swhile (c, _) | Cfront.Ast.Sdo_while (_, c) ->
-        incr n;
-        count_expr c
-      | Cfront.Ast.Sfor { cond; init; update; _ } ->
-        (match cond with
-         | Some c -> incr n; count_expr c
-         | None -> ());
-        (match init with
-         | Cfront.Ast.Fi_expr e -> count_expr e
-         | Cfront.Ast.Fi_decl ds ->
-           List.iter (fun d -> Option.iter count_expr d.Cfront.Ast.v_init) ds
-         | Cfront.Ast.Fi_empty -> ());
-        Option.iter count_expr update
-      | Cfront.Ast.Scase _ -> incr n
-      | Cfront.Ast.Sexpr e -> count_expr e
-      | Cfront.Ast.Sreturn (Some e) -> count_expr e
-      | Cfront.Ast.Sdecl ds ->
-        List.iter (fun d -> Option.iter count_expr d.Cfront.Ast.v_init) ds
-      | Cfront.Ast.Sswitch (e, _) -> count_expr e
-      | _ -> ())
-    body;
-  !n + 1
-
-let of_func (fn : Cfront.Ast.func) =
-  match fn.Cfront.Ast.f_body with
-  | None -> 1
-  | Some body -> of_stmt body
 
 (** Maximum control-structure nesting depth of a body — the other face of
     "low complexity": deeply nested code resists review and MC/DC
@@ -90,10 +44,11 @@ let nesting_of_func (fn : Cfront.Ast.func) =
 type func_cc = { fn : Cfront.Ast.func; cc : int }
 
 let of_functions fns =
+  let defined = List.filter (fun f -> f.Cfront.Ast.f_body <> None) fns in
   let ccs =
-    List.map
-      (fun fn -> { fn; cc = of_func fn })
-      (List.filter (fun f -> f.Cfront.Ast.f_body <> None) fns)
+    List.map2
+      (fun fn (c : Census.counts) -> { fn; cc = c.Census.cc })
+      defined (Census.of_functions defined).Census.counts
   in
   Telemetry.add "metrics.cc_functions" (List.length ccs);
   ccs
@@ -109,12 +64,11 @@ type module_summary = {
   over_50 : int;
 }
 
-let summarize ~modname ~loc fns =
-  let ccs = of_functions fns in
-  let values = List.map (fun c -> c.cc) ccs in
+let summarize ~modname ~loc values =
+  Telemetry.add "metrics.cc_functions" (List.length values);
   {
     modname;
-    n_functions = List.length ccs;
+    n_functions = List.length values;
     loc;
     cc_mean = Util.Stats.mean (List.map float_of_int values);
     cc_max = List.fold_left Stdlib.max 0 values;

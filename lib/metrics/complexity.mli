@@ -14,7 +14,8 @@ val nesting_of_func : Cfront.Ast.func -> int
 
 type func_cc = { fn : Cfront.Ast.func; cc : int }
 
-(** Complexity of every defined function in the list. *)
+(** Complexity of every defined function in the list, read off its
+    {!Census}. *)
 val of_functions : Cfront.Ast.func list -> func_cc list
 
 type module_summary = {
@@ -28,4 +29,6 @@ type module_summary = {
   over_50 : int;
 }
 
-val summarize : modname:string -> loc:int -> Cfront.Ast.func list -> module_summary
+(** The summary of a module whose functions have the complexities
+    [ccs], in order. *)
+val summarize : modname:string -> loc:int -> int list -> module_summary

@@ -3,14 +3,14 @@
     ISO 26262-6 Table 8 items 2 ("no dynamic objects or variables") and 6
     ("limited use of pointers").  For CUDA code these are the features the
     paper singles out as intrinsic to the programming model (Observation
-    4): host/device pointer pairs and [cudaMalloc]'d buffers. *)
+    4): host/device pointer pairs and [cudaMalloc]'d buffers.  The
+    per-function counts come from {!Census}. *)
 
 type usage = {
   ptr_params : int;  (** pointer-typed parameters *)
   ptr_locals : int;
   derefs : int;  (** unary [*] and [->] and indexing of pointers *)
   address_of : int;
-  ptr_arith : int;  (** +/- with a pointer operand (syntactic) *)
 }
 
 type dyn_alloc = {
@@ -19,7 +19,7 @@ type dyn_alloc = {
   in_function : string;
 }
 
-let zero = { ptr_params = 0; ptr_locals = 0; derefs = 0; address_of = 0; ptr_arith = 0 }
+let zero = { ptr_params = 0; ptr_locals = 0; derefs = 0; address_of = 0 }
 
 let add a b =
   {
@@ -27,75 +27,29 @@ let add a b =
     ptr_locals = a.ptr_locals + b.ptr_locals;
     derefs = a.derefs + b.derefs;
     address_of = a.address_of + b.address_of;
-    ptr_arith = a.ptr_arith + b.ptr_arith;
   }
 
 let allocator_names =
   [ "malloc"; "calloc"; "realloc"; "cudaMalloc"; "cudaMallocManaged";
     "cudaMallocHost"; "cudaHostAlloc" ]
 
-let usage_of_func (fn : Cfront.Ast.func) =
-  let ptr_params =
-    List.length
-      (List.filter (fun p -> Cfront.Ast.is_pointer_type p.Cfront.Ast.p_type) fn.Cfront.Ast.f_params)
-  in
-  let ptr_locals = ref 0 in
-  (match fn.Cfront.Ast.f_body with
-   | None -> ()
-   | Some body ->
-     Cfront.Ast.iter_stmts
-       (fun s ->
-         match s.Cfront.Ast.s with
-         | Cfront.Ast.Sdecl ds | Cfront.Ast.Sfor { init = Cfront.Ast.Fi_decl ds; _ } ->
-           List.iter
-             (fun d ->
-               if Cfront.Ast.is_pointer_type d.Cfront.Ast.v_type then incr ptr_locals)
-             ds
-         | _ -> ())
-       body);
-  let derefs = ref 0 and address_of = ref 0 and ptr_arith = ref 0 in
-  Cfront.Ast.iter_exprs_of_func
-    (fun e ->
-      match e.Cfront.Ast.e with
-      | Cfront.Ast.Unary (Cfront.Ast.Deref, _) -> incr derefs
-      | Cfront.Ast.Member { arrow = true; _ } -> incr derefs
-      | Cfront.Ast.Index _ -> incr derefs
-      | Cfront.Ast.Unary (Cfront.Ast.Addr_of, _) -> incr address_of
-      | Cfront.Ast.Binary ((Cfront.Ast.Add | Cfront.Ast.Sub),
-                           { e = Cfront.Ast.Id _; _ },
-                           { e = Cfront.Ast.Id _; _ }) -> ()
-      | _ -> ())
-    fn;
-  {
-    ptr_params;
-    ptr_locals = !ptr_locals;
-    derefs = !derefs;
-    address_of = !address_of;
-    ptr_arith = !ptr_arith;
-  }
-
-let usage_of_functions fns =
-  List.fold_left (fun acc fn -> add acc (usage_of_func fn)) zero fns
+(** The allocation an expression node performs, if any: a call to one
+    of {!allocator_names}, [new] or [new[]]. *)
+let alloc_site (e : Cfront.Ast.expr) =
+  match e.Cfront.Ast.e with
+  | Cfront.Ast.Call ({ e = Cfront.Ast.Id name; _ }, _) when List.mem name allocator_names ->
+    Some name
+  | Cfront.Ast.New { array_size = Some _; _ } -> Some "new[]"
+  | Cfront.Ast.New _ -> Some "new"
+  | _ -> None
 
 let dyn_allocs_of_func (fn : Cfront.Ast.func) =
   let acc = ref [] in
   let fname = Cfront.Ast.qualified_name fn in
   Cfront.Ast.iter_exprs_of_func
     (fun e ->
-      match e.Cfront.Ast.e with
-      | Cfront.Ast.Call ({ e = Cfront.Ast.Id name; _ }, _)
-        when List.mem name allocator_names ->
-        acc := { site = name; loc = e.Cfront.Ast.eloc; in_function = fname } :: !acc
-      | Cfront.Ast.New { array_size = Some _; _ } ->
-        acc := { site = "new[]"; loc = e.Cfront.Ast.eloc; in_function = fname } :: !acc
-      | Cfront.Ast.New _ ->
-        acc := { site = "new"; loc = e.Cfront.Ast.eloc; in_function = fname } :: !acc
-      | _ -> ())
+      match alloc_site e with
+      | Some site -> acc := { site; loc = e.Cfront.Ast.eloc; in_function = fname } :: !acc
+      | None -> ())
     fn;
   List.rev !acc
-
-let dyn_allocs_of_functions fns = List.concat_map dyn_allocs_of_func fns
-
-(** Functions using any dynamic allocation. *)
-let functions_with_dyn_alloc fns =
-  List.filter (fun fn -> dyn_allocs_of_func fn <> []) fns

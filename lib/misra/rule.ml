@@ -30,6 +30,7 @@ type context = {
   interproc : Interproc.Summary.t;
   globals : Metrics.Globals.record list;
   shadowing : Metrics.Shadowing.finding list;
+  census : Metrics.Census.counts list;  (** aligned with [functions] *)
   casts : Metrics.Casts.record list;
   ignored_returns : (string * string * Loc.t) list;
   dyn_allocs : Metrics.Pointers.dyn_alloc list;
@@ -426,20 +427,23 @@ let producers (parsed : Project.parsed) =
 
 (* The rest of the context: every unit is forced here, on the calling
    domain, for the defined functions, the globals, the shadowing
-   findings and the three records rules and metrics both read.  Every
-   fact is a plain value computed before the registry fans the rules
-   out: no worker forces a unit. *)
+   findings and the census, whose per-function counts the core metrics
+   sum and whose three records rules and metrics both read.  Every fact
+   is a plain value computed before the registry fans the rules out: no
+   worker forces a unit. *)
 let context_of (parsed : Project.parsed) (facts, interproc) =
   Telemetry.with_span ~cat:"misra" "misra.context" @@ fun () ->
   Telemetry.timed "misra.context_us" @@ fun () ->
   let files = parsed.Project.files in
   let functions = Project.defined_functions files in
   let globals = Metrics.Globals.of_files files in
+  let census = Metrics.Census.of_functions functions in
   { files; functions; facts = List.concat_map snd facts; interproc; globals;
     shadowing = Metrics.Shadowing.of_globals ~globals files;
-    casts = Metrics.Casts.of_functions functions;
-    ignored_returns = Metrics.Defensive.ignored_returns ~funcs:functions functions;
-    dyn_allocs = Metrics.Pointers.dyn_allocs_of_functions functions }
+    census = census.Metrics.Census.counts;
+    casts = census.Metrics.Census.casts;
+    ignored_returns = census.Metrics.Census.ignored_returns;
+    dyn_allocs = census.Metrics.Census.dyn_allocs }
 
 let build_context parsed = context_of parsed (producers parsed)
 

@@ -27,7 +27,7 @@ type violation = {
     2.1, 2.2, 9.1, DF-1 and DF-2 read [facts]; IP-1 reads [interproc],
     17.2 and CUDA-5 its recursion [cycles]; 8.9 reads [globals], 5.3
     [shadowing]; 10.3, 17.7 and 21.3 read the three records the core
-    metric walk reads too. *)
+    metric walk reads too, and 8.7 the call graph's sites. *)
 type context = {
   files : Cfront.Project.parsed_file list;
   functions : Cfront.Ast.func list;  (** defined functions, all files *)
@@ -37,12 +37,13 @@ type context = {
   interproc : Interproc.Summary.t;  (** summaries and the call graph *)
   globals : Metrics.Globals.record list;  (** mutable, in file order *)
   shadowing : Metrics.Shadowing.finding list;
-  casts : Metrics.Casts.record list;  (** {!Metrics.Casts.of_functions} [functions] *)
+  census : Metrics.Census.counts list;
+      (** {!Metrics.Census.of_functions} [functions]: one record per
+          function, in the same order; the core metrics sum them *)
+  casts : Metrics.Casts.record list;  (** the census's casts *)
   ignored_returns : (string * string * Cfront.Loc.t) list;
-      (** {!Metrics.Defensive.ignored_returns} over [functions]:
-          caller, callee, call site *)
-  dyn_allocs : Metrics.Pointers.dyn_alloc list;
-      (** {!Metrics.Pointers.dyn_allocs_of_functions} [functions] *)
+      (** the census's discarded results: caller, callee, call site *)
+  dyn_allocs : Metrics.Pointers.dyn_alloc list;  (** the census's allocations *)
 }
 
 (** {1 Visitors} *)
@@ -175,9 +176,10 @@ val producers : Cfront.Project.parsed -> producers
 
 (** [context_of parsed producers] completes the context: it forces every
     unit of [parsed] on the calling domain and adds the defined
-    functions, the globals, the shadowing findings and the casts,
-    ignored returns and dynamic allocations ([misra.context], timed as
-    the [misra.context_us] histogram).
+    functions, the globals, the shadowing findings and the census: one
+    walk of each function for its counts and the casts, ignored returns
+    and dynamic allocations ([misra.context], timed as the
+    [misra.context_us] histogram).
     Only a caller whose rule or metric artifact missed needs it. *)
 val context_of : Cfront.Project.parsed -> producers -> context
 

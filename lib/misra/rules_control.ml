@@ -99,7 +99,7 @@ let r15_5 =
                | None -> false
                | Some body ->
                  x.returns > 1 || x.throws > 0
-                 || (x.returns = 1 && not (Metrics.Func_shape.ends_with_return body))
+                 || (x.returns = 1 && not (Metrics.Census.ends_with_return body))
              in
              if multi_exit then
                [ Rule.v ~rule_id:"15.5" ~loc:fn.Ast.f_loc "%s has %d return statements"

@@ -246,11 +246,13 @@ let r8_2 =
         ctx.Rule.functions)
 
 (* 8.7: functions referenced in only one translation unit should be
-   static. *)
+   static.  A function's references are the named call sites of the
+   interproc call graph (direct, method and kernel calls, by the callee
+   name as written), each in the unit of the call. *)
 let r8_7 =
   Rule.make ~id:"8.7" ~title:"single-unit functions should be static"
     ~category:Rule.Advisory (fun ctx ->
-      (* map: qualified function -> defining file; caller file sets *)
+      (* map: qualified function -> defining file *)
       let def_file = Hashtbl.create 128 in
       List.iter
         (fun pf ->
@@ -261,27 +263,27 @@ let r8_7 =
                   (Project.tu pf).Ast.tu_file)
             (Ast.functions_of_tu (Project.tu pf)))
         ctx.Rule.files;
-      let callers = Hashtbl.create 128 in
+      (* callee name -> [Some f] while every call is in file [f], [None]
+         once calls come from two files *)
+      let caller_file = Hashtbl.create 1024 in
       List.iter
-        (fun pf ->
-          List.iter
-            (fun (fn : Ast.func) ->
-              List.iter
-                (fun callee ->
-                  let cur = Option.value ~default:[] (Hashtbl.find_opt callers callee) in
-                  let f = (Project.tu pf).Ast.tu_file in
-                  if not (List.mem f cur) then Hashtbl.replace callers callee (f :: cur))
-                (Callgraph.calls_in_body fn))
-            (Ast.functions_of_tu (Project.tu pf)))
-        ctx.Rule.files;
+        (fun (s : Callgraph.call_site) ->
+          match s.Callgraph.cs_outcome with
+          | Callgraph.Indirect_call -> ()
+          | _ -> (
+            let f = s.Callgraph.cs_loc.Loc.file in
+            match Hashtbl.find_opt caller_file s.Callgraph.cs_name with
+            | None -> Hashtbl.replace caller_file s.Callgraph.cs_name (Some f)
+            | Some (Some g) when g <> f -> Hashtbl.replace caller_file s.Callgraph.cs_name None
+            | Some _ -> ()))
+        ctx.Rule.interproc.Interproc.Summary.graph.Callgraph.sites;
       List.filter_map
         (fun (fn : Ast.func) ->
           let q = Ast.qualified_name fn in
-          let simple = fn.Ast.f_name in
           if List.mem Ast.Q_static fn.Ast.f_quals || fn.Ast.f_name = "main" then None
           else
-            match (Hashtbl.find_opt def_file q, Hashtbl.find_opt callers simple) with
-            | Some df, Some [ only_caller ] when only_caller = df ->
+            match (Hashtbl.find_opt def_file q, Hashtbl.find_opt caller_file fn.Ast.f_name) with
+            | Some df, Some (Some only_caller) when only_caller = df ->
               Some
                 (Rule.v ~rule_id:"8.7" ~loc:fn.Ast.f_loc
                    "%s is only referenced inside %s and should be static" q df)

@@ -3,7 +3,8 @@
    17.7 and 21.3, computes the record it reads, and for Dir 4.4 splits
    the source into stripped lines).  17.2 and CUDA-5 as they stood
    while they computed the recursion cycles themselves, and CUDA-3 while
-   it walked each unit once per function name it counts.  They are the oracle the shipped
+   it walked each unit once per function name it counts, and 8.7 while it
+   walked every body for its callee names.  They are the oracle the shipped
    forms must reproduce, violation for violation and in order
    (test_misra's "visitor forms match their former bodies"). *)
 
@@ -105,12 +106,12 @@ let r15_5 =
     (fun ctx ->
       List.filter_map
         (fun fn ->
-          match Metrics.Func_shape.of_func fn with
-          | Some shape when shape.Metrics.Func_shape.multi_exit ->
+          match Census_reference.Func_shape.of_func fn with
+          | Some shape when shape.Census_reference.Func_shape.multi_exit ->
             Some
               (Rule.v ~rule_id:"15.5" ~loc:fn.Ast.f_loc
                  "%s has %d return statements" (Ast.qualified_name fn)
-                 shape.Metrics.Func_shape.returns)
+                 shape.Census_reference.Func_shape.returns)
           | _ -> None)
         ctx.Rule.functions)
 
@@ -384,7 +385,7 @@ let r10_3 =
               (Rule.v ~rule_id:"10.3" ~loc:c.Metrics.Casts.loc
                  "implicit float-to-int conversion in %s" c.Metrics.Casts.in_function)
           | _ -> None)
-        (Metrics.Casts.of_functions ctx.Rule.functions))
+        (Census_reference.Casts.of_functions ctx.Rule.functions))
 
 (* 11.x: C-style casts between object pointers / reinterpret casts. *)
 let r11_3 =
@@ -636,7 +637,7 @@ let r17_7 =
       List.map
         (fun (caller, callee, loc) ->
           Rule.v ~rule_id:"17.7" ~loc "%s discards return value of %s" caller callee)
-        (Metrics.Defensive.ignored_returns ~funcs:ctx.Rule.functions ctx.Rule.functions))
+        (Census_reference.Defensive.ignored_returns ~funcs:ctx.Rule.functions ctx.Rule.functions))
 
 (* 17.8: a function parameter should not be modified. *)
 let r17_8 =
@@ -668,7 +669,7 @@ let r21_3 =
         (fun (a : Metrics.Pointers.dyn_alloc) ->
           Rule.v ~rule_id:"21.3" ~loc:a.Metrics.Pointers.loc "%s used in %s"
             a.Metrics.Pointers.site a.Metrics.Pointers.in_function)
-        (Metrics.Pointers.dyn_allocs_of_functions ctx.Rule.functions))
+        (Census_reference.Pointers.dyn_allocs_of_functions ctx.Rule.functions))
 
 (* 21.6: the standard I/O functions shall not be used. *)
 let r21_6 =
@@ -736,6 +737,21 @@ let r2_7 =
               fn.Ast.f_params))
 
 (* ---- rules_extended ---- *)
+
+(* Raw callee names mentioned in a function body, in source order, as
+   [Callgraph.calls_in_body] gave them. *)
+let calls_in_body (fn : Ast.func) =
+  let acc = ref [] in
+  Ast.iter_exprs_of_func
+    (fun e ->
+      match e.Ast.e with
+      | Ast.Call ({ e = Ast.Id name; _ }, _) -> acc := name :: !acc
+      | Ast.Kernel_launch { kernel = { e = Ast.Id name; _ }; _ } -> acc := name :: !acc
+      | Ast.Call ({ e = Ast.Member { field; _ }; _ }, _) -> acc := field :: !acc
+      | _ -> ())
+    fn;
+  List.rev !acc
+
 (* 14.4: the controlling expression of if/while shall have essentially
    boolean type.  [if (n)] with an arithmetic n is flagged; comparisons,
    logical operators and bool-typed expressions pass. *)
@@ -1284,9 +1300,53 @@ let cuda_5 =
           else None)
         (device_fns ctx))
 
+(* 8.7: functions referenced in only one translation unit should be
+   static.  As it stood while it walked every function of every file for
+   its callee names. *)
+let r8_7 =
+  Rule.make ~id:"8.7" ~title:"single-unit functions should be static"
+    ~category:Rule.Advisory (fun ctx ->
+      (* map: qualified function -> defining file; caller file sets *)
+      let def_file = Hashtbl.create 128 in
+      List.iter
+        (fun pf ->
+          List.iter
+            (fun (fn : Ast.func) ->
+              if fn.Ast.f_body <> None then
+                Hashtbl.replace def_file (Ast.qualified_name fn)
+                  (Project.tu pf).Ast.tu_file)
+            (Ast.functions_of_tu (Project.tu pf)))
+        ctx.Rule.files;
+      let callers = Hashtbl.create 128 in
+      List.iter
+        (fun pf ->
+          List.iter
+            (fun (fn : Ast.func) ->
+              List.iter
+                (fun callee ->
+                  let cur = Option.value ~default:[] (Hashtbl.find_opt callers callee) in
+                  let f = (Project.tu pf).Ast.tu_file in
+                  if not (List.mem f cur) then Hashtbl.replace callers callee (f :: cur))
+                (calls_in_body fn))
+            (Ast.functions_of_tu (Project.tu pf)))
+        ctx.Rule.files;
+      List.filter_map
+        (fun (fn : Ast.func) ->
+          let q = Ast.qualified_name fn in
+          let simple = fn.Ast.f_name in
+          if List.mem Ast.Q_static fn.Ast.f_quals || fn.Ast.f_name = "main" then None
+          else
+            match (Hashtbl.find_opt def_file q, Hashtbl.find_opt callers simple) with
+            | Some df, Some [ only_caller ] when only_caller = df ->
+              Some
+                (Rule.v ~rule_id:"8.7" ~loc:fn.Ast.f_loc
+                   "%s is only referenced inside %s and should be static" q df)
+            | _ -> None)
+        ctx.Rule.functions)
+
 let all =
   [ r15_1; r15_2; r15_4; r15_5; r15_6; r15_7; r16_4; r16_6; r16_3; r14_3; r14_1; r13_4;
     r12_3; r10_3; r11_3; r11_8; r11_9; r18_5; r12_2; r2_2; r13_5; r17_1; r17_7; r17_8;
     r21_3; r21_6; r21_8; r2_7; r14_4; r16_2; r16_5; r16_7; r18_4; r21_7; r21_9; r21_10;
     r10_4; r13_3; r13_6; r18_6; r21_4; r21_5; cuda_1; cuda_4; d4_4; r17_2; cuda_3;
-    cuda_5 ]
+    cuda_5; r8_7 ]

@@ -547,6 +547,23 @@ let prop_compiled_well_formed =
       && Coverage.Bytecode.validate_code p.Coverage.Bytecode.p_init.Coverage.Bytecode.i_code
          = p.Coverage.Bytecode.p_init.Coverage.Bytecode.i_max_stack)
 
+(* Random programs: the census and interproc's direct facts equal the
+   walks they replaced (test/census_reference.ml), on the same
+   generator's globals, locals and control flow, at a fixed QCheck
+   seed. *)
+let prop_census_equals_former_walks seed =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "random programs: census and direct facts == former walks, seed %d" seed)
+    ~count:150 gprog_arb
+    (fun prog ->
+      let tu = parse (c_of_gprog prog) in
+      tu.Cfront.Ast.diags = []
+      && Census_reference.unit_mismatches tu = []
+      && Census_reference.direct_mismatches
+           ~globals:(Census_reference.globals_of_tus [ tu ])
+           (Cfront.Ast.functions_of_tu tu)
+         = [])
+
 (* ------------------------------------------------------------------ *)
 (* The audited coverage phases                                          *)
 (* ------------------------------------------------------------------ *)
@@ -861,6 +878,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_engines_agree;
           QCheck_alcotest.to_alcotest prop_compiled_well_formed;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |])
+            (prop_census_equals_former_walks 7);
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2019 |])
+            (prop_census_equals_former_walks 2019);
         ] );
       ( "audited",
         [

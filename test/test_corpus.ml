@@ -39,6 +39,14 @@ let parsed_small = lazy (Cfront.Project.parse (Corpus.Generator.generate ~seed:2
 
 let fns () = Cfront.Project.all_functions (Lazy.force parsed_small)
 
+let census () = Metrics.Census.of_functions (fns ())
+
+(* Each file's text scan. *)
+let scans () =
+  List.map
+    (fun pf -> Metrics.Style.scan (Cfront.Project.tu pf).Cfront.Ast.raw_source)
+    (Lazy.force parsed_small).Cfront.Project.files
+
 let test_quota_over10 () =
   let over10 =
     List.length
@@ -58,7 +66,7 @@ let test_quota_globals () =
 let test_quota_casts_at_least () =
   (* the spec quota is exact for generated statements; CUDA host wrappers
      add their intrinsic void-pointer casts on top *)
-  let casts = Metrics.Casts.explicit_count (Metrics.Casts.of_functions (fns ())) in
+  let casts = Metrics.Casts.explicit_count (census ()).Metrics.Census.casts in
   Alcotest.(check bool) "at least quota" true (casts >= spec.Corpus.Apollo_profile.casts);
   Alcotest.(check bool) "bounded overhead" true
     (casts <= spec.Corpus.Apollo_profile.casts + (2 * spec.Corpus.Apollo_profile.cuda_kernels))
@@ -84,22 +92,22 @@ let test_quota_recursion () =
     (List.length (Cfront.Callgraph.recursive_functions g))
 
 let test_multi_exit_close_to_spec () =
-  let frac = Metrics.Func_shape.multi_exit_fraction (fns ()) in
+  let frac = Metrics.Census.multi_exit_fraction (census ()).Metrics.Census.counts in
   let target = spec.Corpus.Apollo_profile.multi_exit_frac in
   Alcotest.(check bool) "within 6 points of target" true (abs_float (frac -. target) < 0.06)
 
 let test_loc_close_to_target () =
   let loc =
-    (Metrics.Loc_metrics.of_files (Lazy.force parsed_small).Cfront.Project.files)
-      .Metrics.Loc_metrics.physical
+    Util.Stats.sum_int
+      (List.map (fun (s : Metrics.Style.scan) -> s.Metrics.Style.lines - s.Metrics.Style.blank) (scans ()))
   in
   let target = spec.Corpus.Apollo_profile.target_loc in
   Alcotest.(check bool) "within 20% of target LOC" true
     (float_of_int (abs (loc - target)) /. float_of_int target < 0.2)
 
 let test_style_clean () =
-  let findings = Metrics.Style.of_files (Lazy.force parsed_small).Cfront.Project.files in
-  Alcotest.(check int) "generator emits style-clean code" 0 (List.length findings)
+  Alcotest.(check int) "generator emits style-clean code" 0
+    (Util.Stats.sum_int (List.map Metrics.Style.findings (scans ())))
 
 let test_naming_clean () =
   let findings = Metrics.Naming.of_files (Lazy.force parsed_small).Cfront.Project.files in
@@ -120,8 +128,8 @@ let rule_count id =
   | None -> Alcotest.failf "rule %s missing" id
 
 let test_crossval_goto_rule_vs_metric () =
-  Alcotest.(check int) "MISRA 15.1 agrees with Func_shape goto census"
-    (Metrics.Func_shape.total_gotos (fns ()))
+  Alcotest.(check int) "MISRA 15.1 agrees with the census's gotos"
+    (Metrics.Census.sum (fun c -> c.Metrics.Census.gotos) (census ()).Metrics.Census.counts)
     (rule_count "15.1")
 
 let test_crossval_recursion_rule_vs_callgraph () =
@@ -131,9 +139,14 @@ let test_crossval_recursion_rule_vs_callgraph () =
     (rule_count "17.2")
 
 let test_crossval_cuda1_vs_census () =
-  let census = Cudasim.Census.of_files (Lazy.force parsed_small).Cfront.Project.files in
-  Alcotest.(check int) "CUDA-1 agrees with bound-check census"
-    census.Cudasim.Census.kernels_without_bound_check
+  let unguarded =
+    Util.Stats.sum_int
+      (List.map
+         (fun pf ->
+           (Cudasim.Census.of_tu (Cfront.Project.tu pf)).Cudasim.Census.kernels_without_bound_check)
+         (Lazy.force parsed_small).Cfront.Project.files)
+  in
+  Alcotest.(check int) "CUDA-1 agrees with bound-check census" unguarded
     (rule_count "CUDA-1")
 
 let test_crossval_uninit_rule_vs_metric () =
@@ -142,9 +155,11 @@ let test_crossval_uninit_rule_vs_metric () =
     (rule_count "9.1")
 
 let test_crossval_ignored_returns () =
+  (* 17.7 reads the census's records, so the former walk is the
+     independent count *)
   let fns = fns () in
   Alcotest.(check int) "MISRA 17.7 agrees with the defensive analysis"
-    (List.length (Metrics.Defensive.ignored_returns ~funcs:fns fns))
+    (List.length (Census_reference.Defensive.ignored_returns ~funcs:fns fns))
     (rule_count "17.7")
 
 (* ------------------------------------------------------------------ *)

@@ -394,9 +394,92 @@ let check_jobs jobs () =
     (Printf.sprintf "IP-1 violations identical at jobs=%d" jobs)
     oracle_ip1 par_ip1
 
+(* ------------------------------------------------------------------ *)
+(* Direct facts against the CFG-based walk                              *)
+(* ------------------------------------------------------------------ *)
+
+let check_direct label tus =
+  let globals = Census_reference.globals_of_tus tus in
+  let fns = List.concat_map Cfront.Ast.functions_of_tu tus in
+  Alcotest.(check (list string)) (label ^ ": direct facts == CFG-based facts") []
+    (Census_reference.direct_mismatches ~globals fns);
+  Alcotest.(check bool) (label ^ ": functions compared") true
+    (Census_reference.defined fns <> [])
+
+let test_direct_corpus () =
+  List.iter
+    (fun seed ->
+      let parsed =
+        Cfront.Project.parse (Corpus.Generator.generate ~seed Corpus.Apollo_profile.small)
+      in
+      check_direct (Printf.sprintf "small seed %d" seed)
+        (List.map Cfront.Project.tu parsed.Cfront.Project.files))
+    [ 7; 2019 ]
+
+let test_direct_embedded () =
+  check_direct "yolo" (Corpus.Yolo_src.parse_all ());
+  check_direct "stencil" (Corpus.Stencil_src.parse_all ())
+
+(* A case label naming a global (not lowered, so no read); [&g], [g +=
+   1], [g = 1] and [g++] on globals (writes; [+=] and [++] read too); a
+   local shadowing a global, declared after its use; a declaration in a
+   for init; parameters named only in a case label or under sizeof; a
+   [&x] call argument; IO and allocation calls in a case label. *)
+let direct_edges =
+  "int g; int h; int k; int m; int s; int c; const int kc = 1;\n\
+   void Take(int *p);\n\
+   int Label(int a, int only_case) { switch (a) { case c: return 1; case only_case: return 2; } return 0; }\n\
+   void Effects(int a) { Take(&g); h += 1; k = 1; m++; }\n\
+   int Shadow(int a) { s = a; int s = 2; return s; }\n\
+   int Loop(int n) { int t = 0; for (int h = 0; h < n; h++) { t += h + g; } return t; }\n\
+   int Size(int a, int sized) { return sizeof(sized) + kc; }\n\
+   void Io(int a) { switch (a) { case printf(\"x\"): break; case malloc(1): break; } }\n\
+   void Frame(int a) { int buf[8]; int grid[2][3]; }\n"
+
+let test_direct_edges () =
+  let tu = parse ~file:"d.cc" direct_edges in
+  Alcotest.(check (list string)) "edges parse" [] tu.Cfront.Ast.diags;
+  check_direct "edges" [ tu ];
+  let globals = Hashtbl.create 8 in
+  IP.SS.iter
+    (fun g -> Hashtbl.replace globals g ())
+    (Census_reference.globals_of_tus [ tu ]);
+  let facts name =
+    IP.direct_facts ~globals
+      (List.find
+         (fun (f : Cfront.Ast.func) ->
+           f.Cfront.Ast.f_name = name && f.Cfront.Ast.f_body <> None)
+         (Cfront.Ast.functions_of_tu tu))
+  in
+  let names set = IP.SS.elements set in
+  let label = facts "Label" in
+  Alcotest.(check (list string)) "case label reads nothing" [] (names label.IP.dr_reads);
+  Alcotest.(check (list string)) "parameter named only in a case label"
+    [ "a"; "only_case" ] (names label.IP.dr_params_mentioned);
+  let effects = facts "Effects" in
+  Alcotest.(check (list string)) "writes: &g, +=, =, ++" [ "g"; "h"; "k"; "m" ]
+    (names effects.IP.dr_writes);
+  Alcotest.(check (list string)) "reads: += and ++" [ "h"; "m" ] (names effects.IP.dr_reads);
+  Alcotest.(check bool) "passes an address" true effects.IP.dr_passes_address;
+  Alcotest.(check (list string)) "shadowed global" [] (names (facts "Shadow").IP.dr_writes);
+  Alcotest.(check (list string)) "for-init local shadows" [ "g" ] (names (facts "Loop").IP.dr_reads);
+  Alcotest.(check (list string)) "parameter under sizeof" [ "sized" ]
+    (names (facts "Size").IP.dr_params_mentioned);
+  let io = facts "Io" in
+  Alcotest.(check bool) "IO in a case label" true io.IP.dr_io;
+  Alcotest.(check bool) "allocation in a case label" true io.IP.dr_alloc;
+  Alcotest.(check int) "frame words" (2 + 1 + 8 + 6) (facts "Frame").IP.dr_frame
+
 let () =
   Alcotest.run "interproc"
     [
+      ( "direct facts",
+        [
+          Alcotest.test_case "small corpus equals the CFG-based walk" `Quick test_direct_corpus;
+          Alcotest.test_case "yolo and stencil equal the CFG-based walk" `Quick
+            test_direct_embedded;
+          Alcotest.test_case "edge cases" `Quick test_direct_edges;
+        ] );
       ( "callgraph",
         [
           Alcotest.test_case "shadowed: scope preferred" `Quick

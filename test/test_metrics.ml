@@ -6,6 +6,13 @@ let parse src = Cfront.Parser.parse_file ~file:"m.cc" src
 
 let funcs src = Cfront.Ast.functions_of_tu (parse src)
 
+(* The census of the defined functions of [src]. *)
+let census src =
+  Metrics.Census.of_functions
+    (List.filter (fun f -> f.Cfront.Ast.f_body <> None) (funcs src))
+
+let casts_of src = (census src).Metrics.Census.casts
+
 let cc_of src =
   match Metrics.Complexity.of_functions (funcs src) with
   | [ c ] -> c.Metrics.Complexity.cc
@@ -92,7 +99,12 @@ let prop_cc_at_least_one =
 
 let test_loc_counts () =
   let tu = parse "// header comment\n\nint F() {\n  return 1;\n}\n" in
-  let c = Metrics.Loc_metrics.of_tu tu in
+  let logical =
+    Metrics.Census.sum
+      (fun c -> c.Metrics.Census.logical)
+      (Metrics.Census.of_functions (Cfront.Ast.functions_of_tu tu)).Metrics.Census.counts
+  in
+  let c = Metrics.Style.loc_counts tu (Metrics.Style.scan tu.Cfront.Ast.raw_source) ~logical in
   Alcotest.(check int) "blank" 2 c.Metrics.Loc_metrics.blank;
   Alcotest.(check int) "comment lines" 1 c.Metrics.Loc_metrics.comment;
   Alcotest.(check int) "physical" 4 c.Metrics.Loc_metrics.physical;
@@ -109,39 +121,40 @@ let test_loc_add () =
 (* ------------------------------------------------------------------ *)
 
 let shape_of src =
-  match Metrics.Func_shape.of_functions (funcs src) with
+  match (census src).Metrics.Census.counts with
   | [ s ] -> s
   | _ -> Alcotest.fail "one function expected"
 
 let test_shape_single_exit () =
   let s = shape_of "int F(int a) { a = a + 1; return a; }" in
-  Alcotest.(check bool) "not multi exit" false s.Metrics.Func_shape.multi_exit;
-  Alcotest.(check int) "one return" 1 s.Metrics.Func_shape.returns
+  Alcotest.(check bool) "not multi exit" false s.Metrics.Census.multi_exit;
+  Alcotest.(check int) "one return" 1 s.Metrics.Census.returns
 
 let test_shape_two_returns () =
   let s = shape_of "int F(int a) { if (a < 0) { return -1; } return a; }" in
-  Alcotest.(check bool) "multi exit" true s.Metrics.Func_shape.multi_exit;
-  Alcotest.(check int) "two returns" 2 s.Metrics.Func_shape.returns
+  Alcotest.(check bool) "multi exit" true s.Metrics.Census.multi_exit;
+  Alcotest.(check int) "two returns" 2 s.Metrics.Census.returns
 
 let test_shape_return_not_last () =
   let s = shape_of "void F(int a) { if (a > 0) { return; } a = 1; }" in
-  Alcotest.(check bool) "early return only" true s.Metrics.Func_shape.multi_exit
+  Alcotest.(check bool) "early return only" true s.Metrics.Census.multi_exit
 
 let test_shape_goto_counted () =
   let s = shape_of "int F(int a) { if (a < 0) { goto out; } a++; out: return a; }" in
-  Alcotest.(check int) "gotos" 1 s.Metrics.Func_shape.gotos
+  Alcotest.(check int) "gotos" 1 s.Metrics.Census.gotos
 
 let test_shape_throw_is_exit () =
   let s = shape_of "int F(int a) { if (a < 0) { throw 1; } return a; }" in
-  Alcotest.(check bool) "throw makes multi-exit" true s.Metrics.Func_shape.multi_exit;
-  Alcotest.(check int) "throws" 1 s.Metrics.Func_shape.throws
+  Alcotest.(check bool) "throw makes multi-exit" true s.Metrics.Census.multi_exit;
+  Alcotest.(check int) "throws" 1 s.Metrics.Census.throws
 
 let test_multi_exit_fraction () =
-  let fns =
-    funcs
+  let c =
+    census
       "int A(int x) { return x; }\nint B(int x) { if (x > 0) { return 1; } return 0; }"
   in
-  Alcotest.(check (float 1e-9)) "half" 0.5 (Metrics.Func_shape.multi_exit_fraction fns)
+  Alcotest.(check (float 1e-9)) "half" 0.5
+    (Metrics.Census.multi_exit_fraction c.Metrics.Census.counts)
 
 (* ------------------------------------------------------------------ *)
 (* Casts                                                                *)
@@ -149,32 +162,25 @@ let test_multi_exit_fraction () =
 
 let test_casts_explicit () =
   let records =
-    Metrics.Casts.of_functions
-      (funcs
-         "void F(float x) { int a = (int)x; float b = static_cast<float>(a); \
-          int* p = reinterpret_cast<int*>(0); const int* q = const_cast<int*>(p); }")
+    casts_of
+      "void F(float x) { int a = (int)x; float b = static_cast<float>(a); \
+       int* p = reinterpret_cast<int*>(0); const int* q = const_cast<int*>(p); }"
   in
   Alcotest.(check int) "four explicit" 4 (Metrics.Casts.explicit_count records)
 
 let test_casts_implicit_narrowing () =
-  let records =
-    Metrics.Casts.of_functions (funcs "void F(float x) { int a = 0; a = x; }")
-  in
+  let records = casts_of "void F(float x) { int a = 0; a = x; }" in
   let narrowing =
     List.filter (fun (r : Metrics.Casts.record) -> r.Metrics.Casts.kind = Metrics.Casts.Implicit_narrowing) records
   in
   Alcotest.(check int) "one narrowing" 1 (List.length narrowing)
 
 let test_casts_implicit_widening_in_init () =
-  let records =
-    Metrics.Casts.of_functions (funcs "void F(int n) { float x = n; }")
-  in
+  let records = casts_of "void F(int n) { float x = n; }" in
   Alcotest.(check int) "one implicit" 1 (Metrics.Casts.implicit_count records)
 
 let test_casts_none_for_matching_types () =
-  let records =
-    Metrics.Casts.of_functions (funcs "void F(int n) { int m = n + 1; m = n; }")
-  in
+  let records = casts_of "void F(int n) { int m = n + 1; m = n; }" in
   Alcotest.(check int) "clean" 0 (List.length records)
 
 (* ------------------------------------------------------------------ *)
@@ -245,8 +251,9 @@ let test_uninit_arrays_exempt () =
 
 let test_pointer_usage () =
   let u =
-    Metrics.Pointers.usage_of_functions
-      (funcs "void F(float* a, int n) { float* p = a; int x = p[0]; float y = *a; int* q = &n; }")
+    Metrics.Census.pointer_usage
+      (census "void F(float* a, int n) { float* p = a; int x = p[0]; float y = *a; int* q = &n; }")
+        .Metrics.Census.counts
   in
   Alcotest.(check int) "ptr params" 1 u.Metrics.Pointers.ptr_params;
   Alcotest.(check int) "ptr locals" 2 u.Metrics.Pointers.ptr_locals;
@@ -255,10 +262,10 @@ let test_pointer_usage () =
 
 let test_dyn_alloc_kinds () =
   let allocs =
-    Metrics.Pointers.dyn_allocs_of_functions
-      (funcs
-         "void F(int n) { float* a = (float*)malloc(n); int* b = new int[n]; \
-          int* c = new int; float* d; cudaMalloc((void**)&d, n); }")
+    (census
+       "void F(int n) { float* a = (float*)malloc(n); int* b = new int[n]; \
+        int* c = new int; float* d; cudaMalloc((void**)&d, n); }")
+      .Metrics.Census.dyn_allocs
   in
   let sites = List.map (fun (a : Metrics.Pointers.dyn_alloc) -> a.Metrics.Pointers.site) allocs in
   Alcotest.(check (list string)) "all kinds"
@@ -494,9 +501,12 @@ let test_naming_constant () =
 (* Style                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Each rule the scan of [src] hits, once per hit. *)
 let style_rules src =
-  List.map (fun (f : Metrics.Style.finding) -> f.Metrics.Style.rule)
-    (Metrics.Style.of_source ~file:"s.cc" src)
+  let scan = Metrics.Style.scan src in
+  List.concat_map
+    (fun r -> List.init (Metrics.Style.hits scan r) (fun _ -> r))
+    Census_reference.style_rules
 
 let test_style_long_line () =
   Alcotest.(check bool) "flagged" true
@@ -525,25 +535,25 @@ let test_style_clean_source () =
 (* ------------------------------------------------------------------ *)
 
 let test_defensive_param_validated () =
-  let fns =
-    funcs "int F(float* data, int n) { if (data == nullptr) { return -1; } return n; }"
-  in
-  Alcotest.(check (float 1e-9)) "validated" 1.0 (Metrics.Defensive.param_validation_ratio fns)
+  let c = census "int F(float* data, int n) { if (data == nullptr) { return -1; } return n; }" in
+  Alcotest.(check (float 1e-9)) "validated" 1.0
+    (Metrics.Census.param_validation_ratio c.Metrics.Census.counts)
 
 let test_defensive_param_unchecked () =
-  let fns = funcs "float F(float* data) { return data[0]; }" in
-  Alcotest.(check (float 1e-9)) "unchecked" 0.0 (Metrics.Defensive.param_validation_ratio fns)
+  let c = census "float F(float* data) { return data[0]; }" in
+  Alcotest.(check (float 1e-9)) "unchecked" 0.0
+    (Metrics.Census.param_validation_ratio c.Metrics.Census.counts)
 
 let test_defensive_ignored_returns () =
-  let fns =
-    funcs "int Compute(int a) { return a; }\nvoid Use(int a) { Compute(a); int b = Compute(a); b++; }"
+  let c =
+    census "int Compute(int a) { return a; }\nvoid Use(int a) { Compute(a); int b = Compute(a); b++; }"
   in
-  Alcotest.(check int) "one ignored" 1
-    (List.length (Metrics.Defensive.ignored_returns ~funcs:fns fns))
+  Alcotest.(check int) "one ignored" 1 (List.length c.Metrics.Census.ignored_returns)
 
 let test_defensive_assertions () =
-  let fns = funcs "void F(int a) { assert(a > 0); CHECK(a < 10); }" in
-  Alcotest.(check int) "two assertions" 2 (Metrics.Defensive.assertion_count fns)
+  let c = census "void F(int a) { assert(a > 0); CHECK(a < 10); }" in
+  Alcotest.(check int) "two assertions" 2
+    (Metrics.Census.sum (fun c -> c.Metrics.Census.assertions) c.Metrics.Census.counts)
 
 (* ------------------------------------------------------------------ *)
 (* Architecture                                                         *)
@@ -560,18 +570,27 @@ let two_module_project () =
         "namespace app {\nint Use(int a) { return Base(a) + Base(a + 1); }\n\
          int Local(int a) { return Use(a); }\n}" ]
 
-let module_loc_of parsed =
-  List.map
-    (fun m ->
-      ( m,
-        (Metrics.Loc_metrics.of_files (Cfront.Project.parsed_files_of_module parsed m))
-          .Metrics.Loc_metrics.physical ))
-    (Cfront.Project.module_names parsed.Cfront.Project.project)
-
+(* Each module's facts as the core metrics derive them: the former
+   line count, and the markers its functions' census records. *)
 let architecture_of parsed =
+  let modules =
+    List.map
+      (fun m ->
+        let pfs = Cfront.Project.parsed_files_of_module parsed m in
+        let counts =
+          (Metrics.Census.of_functions (Cfront.Project.defined_functions pfs))
+            .Metrics.Census.counts
+        in
+        ( m,
+          { Metrics.Architecture.m_loc =
+              (Census_reference.Loc_metrics.of_files pfs).Metrics.Loc_metrics.physical;
+            m_interrupts = List.exists (fun c -> c.Metrics.Census.interrupts) counts;
+            m_threads = List.exists (fun c -> c.Metrics.Census.threads) counts } ))
+      (Cfront.Project.module_names parsed.Cfront.Project.project)
+  in
   Metrics.Architecture.build
     ~graph:(Cfront.Callgraph.build (Cfront.Project.all_functions parsed))
-    ~parsed ~module_loc:(module_loc_of parsed)
+    ~parsed ~modules
 
 let test_architecture_coupling () =
   let comps = architecture_of (Cfront.Project.parse (two_module_project ())) in
@@ -601,7 +620,7 @@ let test_module_counts_match_per_module_walks () =
   List.iter
     (fun m ->
       let pfs = Cfront.Project.parsed_files_of_module parsed m in
-      let loc = Metrics.Loc_metrics.of_files pfs in
+      let loc = Census_reference.Loc_metrics.of_files pfs in
       let mm = Option.get (Iso26262.Project_metrics.find_module pm m) in
       Alcotest.(check bool) (m ^ " loc") true (mm.Iso26262.Project_metrics.loc = loc);
       Alcotest.(check int) (m ^ " globals")
@@ -616,7 +635,7 @@ let test_module_counts_match_per_module_walks () =
         comp.Metrics.Architecture.loc)
     (Cfront.Project.module_names parsed.Cfront.Project.project);
   Alcotest.(check int) "total loc"
-    (Metrics.Loc_metrics.of_files parsed.Cfront.Project.files).Metrics.Loc_metrics.physical
+    (Census_reference.Loc_metrics.of_files parsed.Cfront.Project.files).Metrics.Loc_metrics.physical
     pm.Iso26262.Project_metrics.total_loc;
   Alcotest.(check int) "total globals"
     (List.length (Metrics.Globals.of_files parsed.Cfront.Project.files))
@@ -625,6 +644,155 @@ let test_module_counts_match_per_module_walks () =
 let test_namespace_depth () =
   let pf = parsed_file "namespace a { namespace b { int F() { return 1; } } }" in
   Alcotest.(check int) "depth 2" 2 (Metrics.Architecture.namespace_depth [ pf ])
+
+(* ------------------------------------------------------------------ *)
+(* Census against the former walks                                      *)
+(* ------------------------------------------------------------------ *)
+
+let check_units label tus =
+  let mismatches = List.concat_map Census_reference.unit_mismatches tus in
+  Alcotest.(check (list string)) (label ^ ": census == former walks") [] mismatches;
+  Alcotest.(check bool) (label ^ ": functions compared") true
+    (List.exists (fun tu -> Census_reference.defined (Cfront.Ast.functions_of_tu tu) <> []) tus)
+
+let test_census_corpus () =
+  List.iter
+    (fun seed ->
+      check_units
+        (Printf.sprintf "small seed %d" seed)
+        (List.map Cfront.Project.tu (small_parsed seed).Cfront.Project.files))
+    [ 7; 2019 ]
+
+let test_census_embedded () =
+  check_units "yolo" (Corpus.Yolo_src.parse_all ());
+  check_units "stencil" (Corpus.Stencil_src.parse_all ())
+
+(* Constructs where a count could drift from its former walk: decisions,
+   casts and throws in case labels, a pointer declared in a for init,
+   null checks on either side and bare, discarded results, every
+   allocation kind, markers, guarded and unguarded kernels, returns
+   behind labels, odd indentation, tabs and braces. *)
+let census_edges =
+  "int Ret(int a) { return a; }\n\
+   void Nothing(int a) { }\n\
+   int Cases(int a, int *p, float f, char *s) {\n\
+  \  int n = 0;\n\
+  \  switch (a) {\n\
+  \    case 1 ? 2 : 3: n = a && n; break;\n\
+  \    case (int)2.5: n = (p == NULL) ? 1 : 0; break;\n\
+  \    case sizeof(*p): n = NULL != s; break;\n\
+  \    default: break;\n\
+  \  }\n\
+  \  for (int *q = p, k = f; k < a; k++) { n += q[k]; }\n\
+  \  if (p) { n = f; }\n\
+  \  if (!p || a > 0) { assert(a); }\n\
+  \  while (a-- > 0 && 0 == p){ Ret(a); }\n\
+  \ \tfloat g = n;\n\
+  \  int *m = (int *)malloc(4); int *arr = new int[a]; int *one = new int; delete m;\n\
+  \  cudaMalloc((void **)&m, 4); cudaMemcpy(m, p, 4, 0); cudaFree(m);\n\
+  \  pthread_create(0, 0, 0, 0); signal(2, 0); CHECK(n);   \n\
+  \  if (a) throw a;\n\
+  \  goto done;\n\
+   done: return n > 0 ? n : -n;\n\
+   }\n\
+   __global__ void K(float *x, int n) { if (threadIdx.x < n) { x[threadIdx.x] = 0; } }\n\
+   __global__ void U(float *x) { x[0] = 1; }\n\
+   __global__ void Proto(float *x, int n);\n\
+   void L(float *x) { K<<<1, 1>>>(x, 1); U<<<1, 1>>>(x); }\n\
+   int Multi(int a) { if (a) return 1; else return 2; }\n\
+   int Tail(int a) { lbl: { a++; return a; } }\n\
+   int Early(int a) { if (a) { return 1; } a = 2; }\n"
+
+let test_census_edges () =
+  let tu = parse census_edges in
+  Alcotest.(check (list string)) "edges parse" [] tu.Cfront.Ast.diags;
+  check_units "edges" [ tu ];
+  let c = census census_edges in
+  let count name =
+    List.assoc name
+      (List.map2
+         (fun (fn : Cfront.Ast.func) k -> (fn.Cfront.Ast.f_name, k))
+         (Census_reference.defined (Cfront.Ast.functions_of_tu tu))
+         c.Metrics.Census.counts)
+  in
+  let cases = count "Cases" in
+  (* 3 ifs, while, for, 3 case labels; &&, ?:, || and && in the
+     conditions, ?: in the return; the label's ?: does not count *)
+  Alcotest.(check int) "Cases cc" 14 cases.Metrics.Census.cc;
+  Alcotest.(check int) "Cases checked params" 2 cases.Metrics.Census.checked_params;
+  Alcotest.(check bool) "Cases threads" true cases.Metrics.Census.threads;
+  Alcotest.(check bool) "Cases interrupts" true cases.Metrics.Census.interrupts;
+  Alcotest.(check bool) "K guarded" true (count "K").Metrics.Census.bound_check;
+  Alcotest.(check bool) "U unguarded" false (count "U").Metrics.Census.bound_check;
+  Alcotest.(check int) "L launches" 2 (count "L").Metrics.Census.launches;
+  Alcotest.(check bool) "Tail single exit" false (count "Tail").Metrics.Census.multi_exit;
+  Alcotest.(check bool) "Early multi exit" true (count "Early").Metrics.Census.multi_exit;
+  Alcotest.(check (list string)) "allocations"
+    [ "malloc"; "new[]"; "new"; "cudaMalloc" ]
+    (List.map (fun (a : Metrics.Pointers.dyn_alloc) -> a.Metrics.Pointers.site)
+       c.Metrics.Census.dyn_allocs);
+  Alcotest.(check int) "one ignored result" 1 (List.length c.Metrics.Census.ignored_returns);
+  let scan = Metrics.Style.scan census_edges in
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool)
+        (Printf.sprintf "style rule %d hit" (Metrics.Style.index rule))
+        true
+        (rule = Metrics.Style.Line_too_long || Metrics.Style.hits scan rule > 0))
+    Census_reference.style_rules
+
+(* The core metrics equal the former per-module and project walks. *)
+let test_core_matches_former_walks () =
+  let module R = Census_reference in
+  List.iter
+    (fun seed ->
+      let parsed = small_parsed seed in
+      let label what = Printf.sprintf "small seed %d: %s" seed what in
+      let pm = Iso26262.Project_metrics.of_parsed parsed in
+      let files = parsed.Cfront.Project.files in
+      let all = Cfront.Project.all_functions parsed in
+      List.iter
+        (fun (mm : Iso26262.Project_metrics.module_metrics) ->
+          let m = mm.Iso26262.Project_metrics.modname in
+          let pfs = Cfront.Project.parsed_files_of_module parsed m in
+          let fns = Cfront.Project.defined_functions pfs in
+          let loc = R.Loc_metrics.of_files pfs in
+          Alcotest.(check bool) (label (m ^ " complexity")) true
+            (mm.Iso26262.Project_metrics.complexity
+            = R.Complexity.summarize ~modname:m ~loc:loc.Metrics.Loc_metrics.physical fns);
+          Alcotest.(check (float 0.0)) (label (m ^ " multi exit"))
+            (R.Func_shape.multi_exit_fraction fns) mm.Iso26262.Project_metrics.multi_exit_frac;
+          Alcotest.(check int) (label (m ^ " gotos")) (R.Func_shape.total_gotos fns)
+            mm.Iso26262.Project_metrics.gotos;
+          let comp =
+            List.find
+              (fun c -> c.Metrics.Architecture.name = m)
+              pm.Iso26262.Project_metrics.architecture
+          in
+          Alcotest.(check bool) (label (m ^ " markers")) true
+            (comp.Metrics.Architecture.uses_interrupts
+             = R.Architecture.calls_marker Metrics.Architecture.interrupt_markers fns
+            && comp.Metrics.Architecture.uses_threads
+               = R.Architecture.calls_marker Metrics.Architecture.thread_markers fns))
+        pm.Iso26262.Project_metrics.modules;
+      Alcotest.(check bool) (label "pointer usage") true
+        (pm.Iso26262.Project_metrics.pointer_usage = R.Pointers.usage_of_functions all);
+      Alcotest.(check (float 0.0)) (label "multi exit") (R.Func_shape.multi_exit_fraction all)
+        pm.Iso26262.Project_metrics.multi_exit_frac;
+      Alcotest.(check (float 0.0)) (label "param validation")
+        (R.Defensive.param_validation_ratio all)
+        pm.Iso26262.Project_metrics.param_validation_ratio;
+      Alcotest.(check int) (label "assertions") (R.Defensive.assertion_count all)
+        pm.Iso26262.Project_metrics.assertions;
+      Alcotest.(check int) (label "style") (List.length (R.Style.of_files files))
+        pm.Iso26262.Project_metrics.style_findings;
+      Alcotest.(check bool) (label "cuda census") true
+        (pm.Iso26262.Project_metrics.cuda = R.Cuda_census.of_files files);
+      Alcotest.(check (list string)) (label "recursive functions")
+        (Cfront.Callgraph.recursive_functions
+           pm.Iso26262.Project_metrics.interproc.Interproc.Summary.graph)
+        pm.Iso26262.Project_metrics.recursive_functions)
+    [ 7; 2019 ]
 
 let () =
   Alcotest.run "metrics"
@@ -717,6 +885,15 @@ let () =
           Alcotest.test_case "param unchecked" `Quick test_defensive_param_unchecked;
           Alcotest.test_case "ignored returns" `Quick test_defensive_ignored_returns;
           Alcotest.test_case "assertions" `Quick test_defensive_assertions;
+        ] );
+      ( "census",
+        [
+          Alcotest.test_case "small corpus equals the former walks" `Quick test_census_corpus;
+          Alcotest.test_case "yolo and stencil equal the former walks" `Quick
+            test_census_embedded;
+          Alcotest.test_case "edge cases" `Quick test_census_edges;
+          Alcotest.test_case "core metrics equal the former walks" `Quick
+            test_core_matches_former_walks;
         ] );
       ( "architecture",
         [

@@ -343,9 +343,12 @@ let reference_context (parsed : Cfront.Project.parsed) =
   let globals = Metrics.Globals.of_files files in
   { Misra.Rule.files; functions; facts; interproc; globals;
     shadowing = Metrics.Shadowing.of_globals ~globals files;
-    casts = Metrics.Casts.of_functions functions;
-    ignored_returns = Metrics.Defensive.ignored_returns ~funcs:functions functions;
-    dyn_allocs = Metrics.Pointers.dyn_allocs_of_functions functions }
+    (* the counts had no former producer; test_metrics checks them
+       against the walks they replaced *)
+    census = (Metrics.Census.of_functions functions).Metrics.Census.counts;
+    casts = Census_reference.Casts.of_functions functions;
+    ignored_returns = Census_reference.Defensive.ignored_returns ~funcs:functions functions;
+    dyn_allocs = Census_reference.Pointers.dyn_allocs_of_functions functions }
 
 let test_build_context_matches_reference () =
   List.iter
@@ -483,7 +486,19 @@ let edge_sources =
        int Ping(int n);\n\
        int Pong(int n) { return n ? Ping(n - 1) : 0; }\n\
        int Ping(int n) { return n ? Pong(n - 1) : 1; }\n\
-       void Alloc(float **d) { cudaMalloc(d, 4); cudaMalloc(d, 8); cudaFree(*d); }\n" ) ]
+       void Alloc(float **d) { cudaMalloc(d, 4); cudaMalloc(d, 8); cudaFree(*d); }\n" );
+    (* 8.7: callers in one unit or two, by direct, method and kernel
+       calls, and a call in a case label *)
+    ( "edge_units_a.cc",
+      "int OnlyHere(int a) { return a; }\n\
+       int Shared(int a) { return a; }\n\
+       int Labelled(int a) { return a; }\n\
+       int Helper(int a) { return a; }\n\
+       static int Quiet(int a) { return a; }\n\
+       int UseA(int a) { switch (a) { case Labelled(1): return OnlyHere(a); } return Shared(a) + Quiet(a); }\n" );
+    ( "edge_units_b.cc",
+      "int UseB(Obj *o, int a) { return Shared(a) + o->Helper(a) + Labelled(a); }\n\
+       void Spawn(float *x) { Kern<<<1, 1>>>(x, 2); }\n" ) ]
 
 let edge_context () =
   Fixture.context_of_files
@@ -549,7 +564,7 @@ let test_reference_edges () =
       "13.6"; "14.1"; "14.3"; "14.4"; "15.1"; "15.2"; "15.4"; "15.5"; "15.6"; "15.7"; "16.2";
       "16.3"; "16.4"; "16.5"; "16.6"; "16.7"; "17.1"; "17.7"; "17.8"; "18.4"; "18.5"; "18.6";
       "21.3"; "21.4"; "21.5"; "21.6"; "21.7"; "21.8"; "21.9"; "21.10"; "CUDA-1"; "CUDA-4";
-      "D4.4"; "17.2"; "CUDA-3"; "CUDA-5" ]
+      "D4.4"; "17.2"; "CUDA-3"; "CUDA-5"; "8.7" ]
 
 (* One miss visits each function body once: the nodes the shared walk
    counts for all the rules are the nodes of one plain statement and
